@@ -113,7 +113,7 @@ def _run_measured(workers: int, shards: int, global_batch: int):
             trainer.train_step(batch)
         begin = time.perf_counter()
         for batch in batches[WARMUP_STEPS:]:
-            trainer.train_step(batch)
+            result = trainer.train_step(batch)
         step_seconds = (time.perf_counter() - begin) / MEASURED_STEPS
         state = trainer.state_dict()
         timers = trainer.timers.as_dict()
@@ -126,6 +126,7 @@ def _run_measured(workers: int, shards: int, global_batch: int):
             "comm_allreduce_seconds": timers.get("comm/allreduce", 0.0),
             "comm_verify_seconds": timers.get("comm/verify", 0.0),
             "counters": trainer.collective_counters(),
+            "buckets": result.buckets,
             "state": state,
         }
     finally:
@@ -166,13 +167,15 @@ def test_fig12_measured_data_parallel_scaling(benchmark, report):
     )
     assert byte_identical
 
-    # Hard gate 2: collective checksum dispatches match the cost model
-    # exactly — one encode per tensor per rank, one verify per tensor, per
-    # step, counter-verified against the protected collective.
+    # Hard gate 2: collective checksum dispatches match the bucket-aware cost
+    # model exactly — one encode per bucket (plus the loss slot) per rank,
+    # one verify per bucket plus loss, per step, counter-verified against the
+    # protected collective.
     num_gradients = len(strong[0]["state"]) + 1  # parameters + the loss scalar
     for p in strong + weak:
         per_step = SectionCostModel.collective_checksum_dispatches_per_step(
-            num_gradients=num_gradients, world_size=p["shards"]
+            num_gradients=num_gradients, world_size=p["shards"],
+            num_buckets=p["buckets"],
         )
         counters = p["counters"]
         assert counters["checksum_encodes"] == per_step["encode"] * p["steps"]

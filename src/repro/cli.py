@@ -333,8 +333,9 @@ def run_train_parallel(args: argparse.Namespace) -> str:
             trainer.close()
 
     results, state, timers, counters = run(args.workers, args.executor)
-    # The reference is always the phase-split serial path, so with --overlap
-    # the comparison doubles as the overlapped-vs-non-overlapped identity.
+    # The reference is always the serial executor launching every bucket
+    # after backward, so with --overlap the comparison doubles as the
+    # launch-timing identity (in-backward vs after-backward).
     reference_state = (
         run(1, "serial", overlap=False)[1]
         if args.workers > 1 or args.overlap
@@ -637,11 +638,12 @@ def build_parser() -> argparse.ArgumentParser:
                         choices=["serial", "thread", "process"],
                         help="execution backend for the train_parallel workers")
     parser.add_argument("--overlap", action="store_true",
-                        help="bucketed backward-overlapped gradient reduction "
-                             "for train_parallel (byte-identical, overlapped)")
+                        help="launch train_parallel's gradient-bucket "
+                             "reductions from inside backward instead of "
+                             "after it (byte-identical)")
     parser.add_argument("--bucket-cap-mb", type=float, default=1.0,
                         dest="bucket_cap_mb",
-                        help="soft per-bucket size cap in MiB for --overlap")
+                        help="soft per-bucket size cap in MiB for train_parallel")
     parser.add_argument("--trials", type=int, default=2, help="trials per cell for campaign experiments")
     parser.add_argument("--requests", type=int, default=8,
                         help="request count for the serve experiment")

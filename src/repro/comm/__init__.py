@@ -16,7 +16,7 @@
 ``bucketing``
     :class:`GradientBucketer` and friends: reverse-registration-order,
     size-capped gradient buckets reduced as flat contiguous tensors, the
-    substrate of the backward-overlapped trainer.  Bit-identity of the
+    substrate of the data-parallel trainer's reduction.  Bit-identity of the
     bucketed fold to the per-tensor fold is the module's core contract.
 
 Layering: this package sits beside ``repro.backend`` — it may import the

@@ -15,7 +15,7 @@ produce bit-identical reductions regardless of thread count or arrival order
 — the property the N-worker vs 1-worker byte-equivalence test pins.  With
 ``eager_reduce=True`` the fold runs inside the *last* ``contribute`` call
 instead of lazily in ``finish`` — same fold, same order, bit-identical
-result — so a reduction completed mid-backward (the overlapped trainer's
+result — so a reduction completed mid-backward (the data-parallel trainer's
 bucket launches) does its work while backprop continues, rather than
 deferring it to the post-backward drain.
 
@@ -156,8 +156,8 @@ class ThreadCollective(Collective):
     eager_reduce:
         When true, the last contributing rank performs the fold inside
         ``contribute`` instead of deferring it to ``finish``.  Bit-identical
-        (same rank-ordered fold); used by the overlapped trainer so bucket
-        reductions complete while backprop continues.
+        (same rank-ordered fold); used by the data-parallel trainer so bucket
+        reductions launched mid-backward complete while backprop continues.
     """
 
     def __init__(

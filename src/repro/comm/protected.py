@@ -82,7 +82,7 @@ def gradient_checksums(arrays: Sequence[Any]) -> Any:
     xp = namespace_of(arrays[0])
     if len(arrays) == 1:
         # Single-tensor payloads (flat gradient buckets) are the hot path of
-        # the overlapped trainer: skip the stack dispatch.
+        # the data-parallel trainer: skip the stack dispatch.
         return xp.reshape(gradient_checksum(arrays[0]), (1, 2))
     return xp.stack([gradient_checksum(a) for a in arrays])
 

@@ -618,15 +618,16 @@ class SectionCostModel:
         exactly once per tensor regardless of the world size (``verify`` =
         tensors) — the first rank through ``finish`` verifies, its peers
         pick the cached verdict up.  ``num_gradients`` counts the payload
-        tensors of the contribution (the trainer ships one loss scalar
-        alongside the parameter gradients, so pass ``len(params) + 1``).
+        tensors of one flat, unbucketed contribution (parameter gradients
+        plus the loss scalar, so pass ``len(params) + 1``).
 
-        With ``num_buckets`` set, the counts model the *bucketed* overlapped
-        trainer instead: every bucket ships as one flat tensor under its own
-        rendezvous key and the loss scalar rides a key of its own, so each
-        rank encodes ``num_buckets + 1`` tensors and the shared results are
-        verified ``num_buckets + 1`` times — the per-tensor dispatch count
-        collapses from ``num_gradients`` to ``num_buckets + 1``, which is the
+        With ``num_buckets`` set, the counts model the data-parallel
+        trainer's *bucketed* reduction instead: every bucket ships as one
+        flat tensor under its own rendezvous key, and the loss scalar is the
+        second array of the final bucket's payload, so each rank encodes
+        ``num_buckets + 1`` tensors and the shared results are verified
+        ``num_buckets + 1`` times — the per-tensor dispatch count collapses
+        from ``num_gradients`` to ``num_buckets + 1``, which is the
         measurable Python-dispatch saving of bucketing.  A clean step's
         counts; bucket-granular dirty retries add their own dispatches on
         top.

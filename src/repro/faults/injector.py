@@ -444,19 +444,19 @@ class CollectiveFaultSpec:
     rank:
         Contributing rank whose deposited payload is corrupted.
     array_index:
-        Which gradient tensor of the contribution (``None`` = random).
+        Which array of the contribution (``None`` = random, weighted by
+        array size, so the struck element is uniform over the send buffer).
     position:
         Flat index into the chosen tensor (``None`` = random).
     error_type / sign / numeric_delta:
         Same error classes as :class:`FaultSpec`.
     key_contains:
         Optional substring the rendezvous key must contain for the spec to
-        fire.  The bucketed trainer contributes under one key per bucket
-        (``step{N}/bucket{k}``) plus a loss key, so a spec with
+        fire.  The data-parallel trainer contributes under one key per
+        bucket (``step{N}/bucket{k}``), so a spec with
         ``key_contains="bucket2"`` strikes exactly that bucket's send buffer
-        — the lever the bucket-granular retry tests use.  ``None`` keeps the
-        unbucketed behaviour: fire on the rank's first contribution of the
-        step.
+        — the lever the bucket-granular retry tests use.  ``None`` fires on
+        the rank's first contribution of the step.
     """
 
     step: int
@@ -553,11 +553,14 @@ class CollectiveFaultInjector:
                 self._fired[i] = True
         for _, spec in due:
             rng = self._rng_for(rank)
-            array_index = (
-                spec.array_index
-                if spec.array_index is not None
-                else int(rng.integers(0, len(arrays)))
-            )
+            if spec.array_index is not None:
+                array_index = spec.array_index
+            else:
+                # Size-weighted, so every element of the send buffer is
+                # equally likely to be struck: a flat gradient bucket is not
+                # as rare a target as the loss scalar riding beside it.
+                sizes = np.array([math.prod(a.shape) for a in arrays], dtype=np.float64)
+                array_index = int(rng.choice(len(arrays), p=sizes / sizes.sum()))
             target = arrays[array_index]
             size = math.prod(target.shape)
             flat = (

@@ -40,33 +40,33 @@ rank contributes), and a dirty rank re-executes only its own
 forward/backward — no optimizer state has advanced yet, so rank-level
 re-execution is checkpoint-free by construction.
 
-**Overlapped, bucketed reduction.**  With ``overlap_grad_reduce=True`` the
-phase A/B split dissolves: trainable parameters are partitioned into
+**One bucketed reduction.**  Trainable parameters are partitioned into
 size-capped buckets in reverse-registration order
-(:class:`repro.comm.GradientBucketer`), each parameter carries a
-post-accumulate gradient hook, and the moment a bucket's last gradient lands
-during backward the rank ``contribute``\\ s that bucket's flat payload —
-the collective (with ``eager_reduce``) folds it while backprop continues on
-earlier layers.  Each bucket rides its own rendezvous key
-(``step{N}/bucket{k}``; the loss scalar rides the final bucket), so a dirty
-reduction is *bucket-granular*: ``stale_policy="reexecute"`` re-contributes
-only the dirty bucket's retained clean payloads under
-``step{N}/bucket{k}#retry{a}``.  Because the per-bucket fold is the same
-rank-ordered elementwise left fold over a pure concatenation, the overlapped
-path is **byte-identical** to the non-overlapped and serial paths for any
-bucket cap and worker count.  When a rank-level re-execution is possible
-(a checker under ``stale_policy="reexecute"``), in-backward launches are
-deferred to just after the checker settles — still bucket-granular, the
-launch order still readiness order — so a re-executed shard never
-double-contributes.
+(:class:`repro.comm.GradientBucketer`; the tiny models fit one bucket at the
+default 1 MiB cap).  Each bucket reduces as one flat payload under its own
+rendezvous key ``step{N}/bucket{k}``, and the loss scalar rides the final
+bucket as its payload's second array.  A dirty reduction is therefore
+*bucket-granular*: ``stale_policy="reexecute"`` re-contributes only the
+dirty bucket's retained clean payloads under ``step{N}/bucket{k}#retry{a}``.
+``overlap_grad_reduce`` only picks *when* buckets launch.  ``True`` installs
+post-accumulate gradient hooks, and a rank ``contribute``\\ s a bucket the
+moment its last gradient lands during backward — the collective folds it
+eagerly while backprop continues on earlier layers.  ``False`` launches every
+bucket after ``forward_backward`` returns.  A checker under
+``stale_policy="reexecute"`` also launches after backward, so a re-executed
+shard never double-contributes; the process executor always does, because
+its gradients cross the pipe once backward is over.  Post-backward launches
+go in ascending bucket order.  Because the per-bucket fold is the same
+rank-ordered elementwise left fold over a pure concatenation, every launch
+timing, bucket cap, worker count and executor is **byte-identical**.
 
 Timer keys: ``parallel/step`` (coordinator wall clock), ``comm/allreduce``
 (rendezvous + reduction) and ``comm/verify`` (checksum encode / recompute /
 compare), the latter two folded from the per-rank workers into the shared
-registry between steps.  Overlapped runs add ``comm/bucket``
-(flatten/unflatten bookkeeping), ``comm/overlap`` (backward wall time with a
-bucket reduction already in flight) and ``comm/drain`` (post-backward wait
-for the remaining reductions); ``overlap_efficiency`` on the step result is
+registry between steps, plus ``comm/bucket`` (flatten/unflatten bookkeeping),
+``comm/overlap`` (backward wall time with a bucket reduction already in
+flight) and ``comm/drain`` (the wait for every bucket's reduction after
+backward); ``overlap_efficiency`` on the step result is
 ``overlap / (overlap + drain)``.
 """
 
@@ -85,6 +85,7 @@ import numpy as np
 from repro.backend import namespace_of
 from repro.comm import (
     BucketAccounting,
+    BucketReadiness,
     Collective,
     CollectiveError,
     DirtyReductionError,
@@ -183,10 +184,10 @@ class DataParallelConfig:
         own independent checker (and, in async mode, its own verification
         worker) built from a deep copy of this config.
     overlap_grad_reduce / bucket_cap_mb:
-        Bucketed, backward-overlapped reduction (see the module docstring).
-        Off by default — the phase-split path stays bit-for-bit what it was;
-        on, the result is still byte-identical, just overlapped.
-        ``bucket_cap_mb`` is the soft per-bucket size cap in MiB.
+        ``overlap_grad_reduce`` launches bucket reductions from inside
+        backward instead of after it (see the module docstring); the result
+        is byte-identical either way.  ``bucket_cap_mb`` is the soft
+        per-bucket size cap in MiB.
     """
 
     workers: int = 2
@@ -244,14 +245,15 @@ class ParallelStepResult:
     stale_detections: int = 0
     #: Ranks that re-executed their forward/backward this step.
     rank_reexecutions: int = 0
-    #: Gradient tensors whose reduction verified dirty this step.
+    #: Gradient buckets whose dirty reduction was adopted this step (under
+    #: ``record``, or ``reexecute`` with its retries exhausted).
     dirty_reductions: int = 0
     #: Re-executed reductions (``stale_policy="reexecute"``) this step.
     reduction_reexecutions: int = 0
     #: Attention detections / corrections summed over the rank checkers.
     detections: int = 0
     corrections: int = 0
-    #: Gradient buckets of the overlapped reduction (0 = phase-split path).
+    #: Gradient buckets of the reduction (always >= 1).
     buckets: int = 0
     #: Summed per-rank backward wall time with a bucket reduction in flight.
     overlap_seconds: float = 0.0
@@ -271,10 +273,10 @@ class _RankRunner:
 
     Shared by the thread/serial executors (R runners owned by the trainer)
     and the process executor (each worker process owns its ranks' runners).
-    Phase A (:meth:`forward_backward` + :meth:`gradients`) produces the
-    rank's contribution; phase B (:meth:`apply`) consumes the reduction.
-    The optimizer only advances in phase B, so a phase-A re-execution after
-    a stale dirty verdict restarts from genuinely clean state.
+    :meth:`forward_backward` produces the rank's gradients and :meth:`apply`
+    adopts the verified reduction.  The optimizer only advances in
+    :meth:`apply`, so a re-execution after a stale dirty verdict restarts
+    from genuinely clean state.
     """
 
     def __init__(
@@ -296,11 +298,9 @@ class _RankRunner:
             lr=config.learning_rate,
             weight_decay=config.weight_decay,
         )
-        # Overlap machinery (installed by enable_overlap; inert otherwise).
-        self._tracker: Optional[Any] = None
-        self._overlap_launch: Optional[Any] = None
-        self._overlap_immediate = False
-        self._ready_order: List[int] = []
+        # In-backward launch machinery (installed by install_launch_hooks).
+        self.tracker: Optional[BucketReadiness] = None
+        self._launch: Optional[Any] = None
         self._hook_handles: List[Any] = []
         #: Shard loss of the in-flight forward/backward attempt, readable by
         #: mid-backward bucket launches (the loss scalar rides the final
@@ -315,24 +315,17 @@ class _RankRunner:
             model.set_attention_hooks(ComposedHooks(hooks))
         model.train()
 
-    # -- overlapped reduction support ------------------------------------------------
+    # -- in-backward bucket launches ---------------------------------------------------
 
-    def enable_overlap(
-        self, bucketer: GradientBucketer, launch: Any, immediate: bool
-    ) -> None:
-        """Install post-accumulate hooks that mark bucket readiness.
+    def install_launch_hooks(self, bucketer: GradientBucketer, launch: Any) -> None:
+        """Launch each bucket from backward the moment its last gradient lands.
 
-        ``launch(rank, bucket, during_backward)`` is the trainer's contribute
-        callback.  ``immediate`` launches straight from the hook (mid
-        backward); when a rank-level re-execution is possible (checker +
-        ``stale_policy="reexecute"``) the trainer passes ``immediate=False``
-        and completed buckets queue in readiness order, launched right after
-        the checker settles — a re-executed attempt resets the queue, so a
-        shard never double-contributes.
+        ``launch(rank, bucket, grads, loss, during_backward)`` is the
+        trainer's launch function.  Buckets still pending when backward
+        returns (parameters the loss never reached) launch after it.
         """
-        self._tracker = bucketer.tracker()
-        self._overlap_launch = launch
-        self._overlap_immediate = immediate
+        self.tracker = bucketer.tracker()
+        self._launch = launch
         for index, param in enumerate(self.params):
             handle = param.register_post_accumulate_grad_hook(
                 lambda _t, i=index: self._on_grad_ready(i)
@@ -340,27 +333,13 @@ class _RankRunner:
             self._hook_handles.append(handle)
 
     def _on_grad_ready(self, param_index: int) -> None:
-        if self._tracker is None:
-            return
-        bucket = self._tracker.mark(param_index)
-        if bucket is None:
-            return
-        if self._overlap_immediate:
-            self._overlap_launch(self.rank, bucket, True)
-        else:
-            self._ready_order.append(bucket)
+        bucket = self.tracker.mark(param_index)
+        if bucket is not None:
+            self._launch(
+                self.rank, bucket, [p.grad for p in self.params], self.current_loss, True
+            )
 
-    def take_ready_buckets(self) -> List[int]:
-        """Bucket launch order after backward: deferred completions in
-        readiness order, then never-completed buckets (zero-filled slices)
-        ascending."""
-        assert self._tracker is not None
-        order = list(self._ready_order)
-        self._ready_order = []
-        order.extend(self._tracker.pending())
-        return order
-
-    # -- phase A ---------------------------------------------------------------------
+    # -- one attempt -----------------------------------------------------------------
 
     def forward_backward(self, shard: Dict[str, np.ndarray]) -> Tuple[float, int, int]:
         """Compute this rank's shard gradient; settle its own checker.
@@ -376,12 +355,8 @@ class _RankRunner:
         total_stale = 0
         while True:
             self.model.zero_grad()
-            if self._tracker is not None:
-                # Fresh attempt, fresh readiness: a re-executed shard starts
-                # its bucket accounting over (deferred mode only — immediate
-                # launches and re-execution are mutually exclusive).
-                self._tracker.reset()
-                self._ready_order = []
+            if self.tracker is not None:
+                self.tracker.reset()
             output = self.model(
                 shard["input_ids"],
                 attention_mask=shard.get("attention_mask"),
@@ -425,7 +400,7 @@ class _RankRunner:
                 grads.append(p.xp.zeros_like(p.data))
         return grads
 
-    # -- phase B ---------------------------------------------------------------------
+    # -- adopt the reduction ---------------------------------------------------------
 
     def apply(self, reduced: Sequence[Any], mean_loss: float) -> None:
         """Adopt the reduced gradient and advance the optimizer.
@@ -484,7 +459,7 @@ def _loss_array(xp: Any, loss_value: float) -> Any:
 
 def _process_worker(conn, spec: ReplicaSpec, config: DataParallelConfig,
                     owned: List[int]) -> None:
-    """Worker-process main loop: runs phase A / phase B for its owned ranks."""
+    """Worker-process main loop: forward/backward and apply for its owned ranks."""
     runners: Dict[int, _RankRunner] = {}
     for rank in owned:
         checker = (
@@ -547,30 +522,36 @@ class _ProcessPool:
             self.conns.append(parent_conn)
             self.procs.append(proc)
 
+    def _reply(self, worker: int) -> Tuple[Any, Optional[BaseException]]:
+        """Read one reply as ``(value, error)``; the error is not raised."""
+        status, value = self.conns[worker].recv()
+        if status != "error":
+            return value, None
+        name, message = value
+        if name == "StaleDetectionAbort":
+            return None, StaleDetectionAbort(message)
+        return None, RuntimeError(f"worker {worker} failed: {name}: {message}")
+
     def request(self, worker: int, cmd: str, payload: Any) -> Any:
         self.conns[worker].send((cmd, payload))
-        status, value = self.conns[worker].recv()
-        if status == "error":
-            name, message = value
-            if name == "StaleDetectionAbort":
-                raise StaleDetectionAbort(message)
-            raise RuntimeError(f"worker {worker} failed: {name}: {message}")
+        value, error = self._reply(worker)
+        if error is not None:
+            raise error
         return value
 
     def broadcast_request(self, cmd: str, payloads: List[Any]) -> List[Any]:
-        """Send to every worker first, then collect — keeps them concurrent."""
+        """Send to every worker first, then collect — keeps them concurrent.
+
+        Every reply is read before the first error is raised: a reply left
+        unread would answer that worker's next request instead.
+        """
         for worker, payload in enumerate(payloads):
             self.conns[worker].send((cmd, payload))
-        results = []
-        for worker in range(len(self.conns)):
-            status, value = self.conns[worker].recv()
-            if status == "error":
-                name, message = value
-                if name == "StaleDetectionAbort":
-                    raise StaleDetectionAbort(message)
-                raise RuntimeError(f"worker {worker} failed: {name}: {message}")
-            results.append(value)
-        return results
+        replies = [self._reply(worker) for worker in range(len(self.conns))]
+        for _, error in replies:
+            if error is not None:
+                raise error
+        return [value for value, _ in replies]
 
     def close(self) -> None:
         for conn, proc in zip(self.conns, self.procs):
@@ -652,17 +633,14 @@ class DataParallelTrainer:
                 world,
                 op="mean",
                 fault_hook=collective_injector,
-                # Overlapped runs fold eagerly inside the last contribute so
-                # the reduction really does run during backward.
-                eager_reduce=self.config.overlap_grad_reduce,
-                # Overlapped payloads are flat scratch buffers the trainer
-                # owns, so the fold may accumulate into rank 0's deposit
-                # in place — except under "reexecute", where the retained
-                # payloads must survive the fold intact for bucket retry.
-                consume_deposits=(
-                    self.config.overlap_grad_reduce
-                    and self.config.stale_policy != "reexecute"
-                ),
+                # The last contributor folds inside its contribute, so a
+                # bucket launched mid-backward reduces while backprop runs.
+                eager_reduce=True,
+                # Payloads are flat scratch buffers the trainer owns, so the
+                # fold may accumulate into rank 0's deposit in place — except
+                # under "reexecute", where the retained payloads must survive
+                # the fold intact for bucket retry.
+                consume_deposits=self.config.stale_policy != "reexecute",
             )
             collective = (
                 ProtectedCollective(inner, timers=self.timers)
@@ -716,38 +694,35 @@ class DataParallelTrainer:
                 self._broadcast_initial_weights()
 
         # Per-step scratch (index-assigned, one writer per slot).
-        self._payloads: List[Optional[List[Any]]] = [None] * world
         self._shard_losses: List[float] = [math.nan] * world
         self._mean_losses: List[float] = [math.nan] * world
         self._stale_counts: List[int] = [0] * world
         self._reexec_counts: List[int] = [0] * world
         self._dirty_counts: List[int] = [0] * world
         self._retry_counts: List[int] = [0] * world
-
-        # Overlapped-reduction machinery.
-        self._bucketer: Optional[GradientBucketer] = None
-        self._bucket_stats: Optional[BucketAccounting] = None
-        self._bucket_payloads: List[Optional[Dict[int, List[Any]]]] = [None] * world
+        #: Each rank's launched bucket payloads, retained for bucket retry.
+        self._bucket_payloads: List[Dict[int, List[Any]]] = [{} for _ in range(world)]
         self._first_launch: List[Optional[float]] = [None] * world
-        if self.config.overlap_grad_reduce:
-            self._bucket_stats = BucketAccounting()
-            if self.runners:
-                self._bucketer = GradientBucketer(
-                    [p.data for p in self.runners[0].params],
-                    self.config.bucket_cap_mb,
-                )
-                # A checker under "reexecute" may re-run a shard after its
-                # backward; in-backward launches would then double-contribute,
-                # so they defer to just after the checker settles.
-                immediate = not (
-                    self.config.protection is not None
-                    and self.config.stale_policy == "reexecute"
-                )
+
+        self._bucket_stats = BucketAccounting()
+        # The process executor builds its bucketer from the first step's
+        # shipped gradients: the coordinator holds no replica.
+        self._bucketer: Optional[GradientBucketer] = None
+        self._xp: Any = None
+        if self.runners:
+            self._bucketer = GradientBucketer(
+                [p.data for p in self.runners[0].params], self.config.bucket_cap_mb
+            )
+            self._xp = namespace_of(self.runners[0].params[0].data)
+            # A checker under "reexecute" may re-run a shard after its
+            # backward; in-backward launches would then double-contribute.
+            reexecutes = (
+                self.config.protection is not None
+                and self.config.stale_policy == "reexecute"
+            )
+            if self.config.overlap_grad_reduce and not reexecutes:
                 for runner in self.runners:
-                    runner.enable_overlap(self._bucketer, self._launch_bucket, immediate)
-            # Process executor: the coordinator buckets the shipped gradients
-            # (no in-backward hooks across the pipe); the bucketer is built
-            # lazily from the first step's gradient shapes.
+                    runner.install_launch_hooks(self._bucketer, self._launch_bucket)
 
     # -- construction helpers --------------------------------------------------------
 
@@ -764,135 +739,97 @@ class DataParallelTrainer:
 
     # -- one step ---------------------------------------------------------------------
 
-    def _reduce_with_policy(self, step: int, owned: List[int]) -> None:
-        """Phase B part 1: finish the reduction for ``owned`` ranks, applying
-        the dirty-reduction policy symmetrically across all workers."""
-        policy = self.config.stale_policy
-        key = f"step{step}/grads"
-        attempt = 0
-        reduced: Dict[int, List[Any]] = {}
-        while True:
-            dirty_indices: List[int] = []
-            for rank in owned:
-                try:
-                    reduced[rank] = self.collective.finish(key, rank)
-                except DirtyReductionError as exc:
-                    reduced[rank] = exc.reduced
-                    dirty_indices = exc.dirty_indices
-            if not dirty_indices:
-                break
-            # Every worker observed the same shared verdict, so they all
-            # take the same branch — no coordination needed.
-            if policy == "abort":
-                raise StaleDetectionAbort(
-                    f"step {step}: checksum-linearity mismatch on reduced gradient "
-                    f"tensor(s) {dirty_indices} (stale_policy='abort')"
-                )
-            if policy == "record" or attempt >= self.config.max_retries_per_step:
-                for rank in owned:
-                    self._dirty_counts[rank] = len(dirty_indices)
-                break
-            # reexecute: re-reduce from the retained, still-intact local
-            # contributions under a fresh key (transient faults don't recur;
-            # the injector leaves '#retry' keys alone by contract).
-            attempt += 1
-            key = f"step{step}/grads#retry{attempt}"
-            for rank in owned:
-                self.collective.contribute(key, rank, self._payloads[rank])
-        for rank in owned:
-            self._retry_counts[rank] = attempt
-            mean_loss = float(np.asarray(reduced[rank][-1]).reshape(-1)[0])
-            self._mean_losses[rank] = mean_loss
-            self.runners[rank].apply(reduced[rank][:-1], mean_loss)
-
-    def _worker_step(self, step: int, worker: int,
-                     shards: List[Dict[str, np.ndarray]]) -> None:
-        owned = self._owned_by_worker[worker]
-        try:
-            key = f"step{step}/grads"
-            for rank in owned:
-                runner = self.runners[rank]
-                loss, stale, reexec = runner.forward_backward(shards[rank])
-                grads = runner.gradients()
-                payload = grads + [_loss_array(namespace_of(grads[0]), loss)]
-                self._shard_losses[rank] = loss
-                self._stale_counts[rank] = stale
-                self._reexec_counts[rank] = reexec
-                self._payloads[rank] = payload
-                self.collective.contribute(key, rank, payload)
-            self._reduce_with_policy(step, owned)
-        except BaseException as exc:
-            # Unblock peers waiting in the rendezvous; the coordinator
-            # re-raises the original failure, not the poisoned peers'.
-            self.collective.poison(exc)
-            raise
-
-    # -- one step, overlapped ----------------------------------------------------------
-
     def _bucket_key(self, step: int, bucket: int) -> str:
         return f"step{step}/bucket{bucket}"
 
-    def _launch_bucket(self, rank: int, bucket: int, during_backward: bool) -> None:
+    def _launch_bucket(self, rank: int, bucket: int, grads: Sequence[Optional[Any]],
+                       loss: float, during_backward: bool) -> None:
         """Flatten and contribute one bucket of ``rank``'s gradients.
 
-        Called from a post-accumulate hook mid-backward (immediate mode) or
-        right after the rank's checker settles (deferred / zero-fill
-        launches).  The flat payload is retained for bucket-granular retry.
+        Called from a post-accumulate hook mid-backward, or after backward
+        for every bucket still pending.  ``None`` gradients fill with zeros.
+        The loss scalar rides the final bucket as the payload's second
+        array, and the payload is retained for bucket-granular retry.
         """
-        runner = self.runners[rank]
         begin = time.perf_counter()
-        flat = self._bucketer.flatten(
-            bucket,
-            [p.grad for p in runner.params],
-            namespace_of(runner.params[0].data),
-        )
+        payload = [self._bucketer.flatten(bucket, grads, self._xp)]
         self._bucket_stats.add_bucket_seconds(time.perf_counter() - begin)
-        payload = [flat]
         if bucket == self._bucketer.num_buckets - 1:
-            # The loss scalar rides the final bucket's payload rather than a
-            # rendezvous of its own — one fewer key per step, and the counts
-            # still match the cost model's (num_buckets + 1) encode slots.
-            payload.append(
-                _loss_array(namespace_of(runner.params[0].data), runner.current_loss)
-            )
+            payload.append(_loss_array(self._xp, loss))
         self._bucket_payloads[rank][bucket] = payload
         self._bucket_stats.record_launch(rank, bucket, during_backward)
         if during_backward and self._first_launch[rank] is None:
             self._first_launch[rank] = time.perf_counter()
         self.collective.contribute(self._bucket_key(self.global_step, bucket), rank, payload)
 
-    def _worker_step_overlap(self, step: int, worker: int,
-                             shards: List[Dict[str, np.ndarray]]) -> None:
+    def _launch_after_backward(self, rank: int, buckets: Iterable[int],
+                               grads: Sequence[Optional[Any]], loss: float,
+                               stale: int, reexec: int) -> None:
+        """Record ``rank``'s finished attempt and launch ``buckets`` in order."""
+        self._shard_losses[rank] = loss
+        self._stale_counts[rank] = stale
+        self._reexec_counts[rank] = reexec
+        for bucket in buckets:
+            self._launch_bucket(rank, bucket, grads, loss, False)
+
+    def _worker_step(self, step: int, worker: int,
+                     shards: List[Dict[str, np.ndarray]]) -> None:
+        """One worker's step on the thread/serial executors."""
         owned = self._owned_by_worker[worker]
         try:
             for rank in owned:
                 runner = self.runners[rank]
-                self._bucket_payloads[rank] = {}
-                self._first_launch[rank] = None
                 loss, stale, reexec = runner.forward_backward(shards[rank])
-                backward_end = time.perf_counter()
                 first = self._first_launch[rank]
                 if first is not None:
                     self._bucket_stats.add_overlap_seconds(
-                        max(0.0, backward_end - first)
+                        max(0.0, time.perf_counter() - first)
                     )
-                # Deferred completions in readiness order, then zero-filled
-                # buckets the loss never reached (ascending).
-                for bucket in runner.take_ready_buckets():
-                    self._launch_bucket(rank, bucket, False)
-                self._shard_losses[rank] = loss
-                self._stale_counts[rank] = stale
-                self._reexec_counts[rank] = reexec
-            drain_begin = time.perf_counter()
-            applied = self._reduce_buckets_with_policy(step, owned)
-            self._bucket_stats.add_drain_seconds(time.perf_counter() - drain_begin)
+                pending = (
+                    runner.tracker.pending()
+                    if runner.tracker is not None
+                    else range(self._bucketer.num_buckets)
+                )
+                self._launch_after_backward(
+                    rank, pending, [p.grad for p in runner.params], loss, stale, reexec
+                )
+            reduced = self._reduce_buckets_with_policy(step, owned)
             for rank in owned:
-                grads, mean_loss = applied[rank]
-                self._mean_losses[rank] = mean_loss
-                self.runners[rank].apply(grads, mean_loss)
+                self.runners[rank].apply(*reduced[rank])
         except BaseException as exc:
+            # Unblock peers waiting in the rendezvous; the coordinator
+            # re-raises the original failure, not the poisoned peers'.
             self.collective.poison(exc)
             raise
+
+    def _process_step(self, step: int, shards: List[Dict[str, np.ndarray]]) -> None:
+        """Drive one step through the worker processes.
+
+        Forward/backward runs concurrently in the children; the coordinator
+        then launches every rank's buckets through the *same* collective and
+        dirty-reduction policy before shipping the reduction back.
+        """
+        assert self._procs is not None
+        replies = self._procs.broadcast_request(
+            "fwbw",
+            [{rank: shards[rank] for rank in owned} for owned in self._owned_by_worker],
+        )
+        if self._bucketer is None:
+            grads = next(iter(replies[0].values()))[3]
+            self._bucketer = GradientBucketer(grads, self.config.bucket_cap_mb)
+            self._xp = namespace_of(grads[0])
+        for reply in replies:
+            for rank, (loss, stale, reexec, grads) in reply.items():
+                self._launch_after_backward(
+                    rank, range(self._bucketer.num_buckets), grads, loss, stale, reexec
+                )
+        reduced = self._reduce_buckets_with_policy(
+            step, list(range(self.config.world_size))
+        )
+        self._procs.broadcast_request(
+            "apply",
+            [{rank: reduced[rank] for rank in owned} for owned in self._owned_by_worker],
+        )
 
     def _reduce_buckets_with_policy(
         self, step: int, owned: List[int]
@@ -905,6 +842,7 @@ class DataParallelTrainer:
         Every worker runs this loop symmetrically over the same shared
         verdicts, so retries rendezvous without coordination.
         """
+        drain_begin = time.perf_counter()
         policy = self.config.stale_policy
         num_buckets = self._bucketer.num_buckets
         flat: Dict[int, Dict[int, Any]] = {rank: {} for rank in owned}
@@ -956,7 +894,9 @@ class DataParallelTrainer:
         out: Dict[int, Tuple[List[Any], float]] = {}
         for rank in owned:
             self._retry_counts[rank] += total_retries
+            self._mean_losses[rank] = loss_val[rank]
             out[rank] = (self._materialize_bucket_grads(flat[rank]), loss_val[rank])
+        self._bucket_stats.add_drain_seconds(time.perf_counter() - drain_begin)
         return out
 
     def _materialize_bucket_grads(self, flat_by_bucket: Dict[int, Any]) -> List[Any]:
@@ -982,26 +922,22 @@ class DataParallelTrainer:
         ):
             self.collective_injector.begin_step(step)
         for slot in range(world):
-            self._payloads[slot] = None
             self._shard_losses[slot] = math.nan
             self._mean_losses[slot] = math.nan
             self._stale_counts[slot] = 0
             self._reexec_counts[slot] = 0
             self._dirty_counts[slot] = 0
             self._retry_counts[slot] = 0
+            self._bucket_payloads[slot] = {}
+            self._first_launch[slot] = None
 
         start = time.perf_counter()
         detections_before, corrections_before = self._checker_totals()
-        worker_step = (
-            self._worker_step_overlap
-            if self.config.overlap_grad_reduce
-            else self._worker_step
-        )
         if self._procs is not None:
             self._process_step(step, shards)
         elif self._pool is not None:
             futures = [
-                self._pool.submit(worker_step, step, worker, shards)
+                self._pool.submit(self._worker_step, step, worker, shards)
                 for worker in range(self.config.workers)
             ]
             errors: List[BaseException] = []
@@ -1016,23 +952,18 @@ class DataParallelTrainer:
                 )
                 raise primary
         else:
-            worker_step(step, 0, shards)
+            self._worker_step(step, 0, shards)
 
         if isinstance(self.collective, ProtectedCollective):
             self.collective.fold_timers(self.timers)
         elapsed = time.perf_counter() - start
         self.timers.add("parallel/step", elapsed)
-        buckets = 0
-        overlap_eff = overlap_s = drain_s = 0.0
-        if self._bucket_stats is not None:
-            seconds = self._bucket_stats.pop_step_seconds()
-            self.timers.add("comm/bucket", seconds["bucket"])
-            self.timers.add("comm/overlap", seconds["overlap"])
-            self.timers.add("comm/drain", seconds["drain"])
-            overlap_s, drain_s = seconds["overlap"], seconds["drain"]
-            total = overlap_s + drain_s
-            overlap_eff = overlap_s / total if total > 0 else 0.0
-            buckets = self._bucketer.num_buckets if self._bucketer is not None else 0
+        seconds = self._bucket_stats.pop_step_seconds()
+        self.timers.add("comm/bucket", seconds["bucket"])
+        self.timers.add("comm/overlap", seconds["overlap"])
+        self.timers.add("comm/drain", seconds["drain"])
+        overlap_s, drain_s = seconds["overlap"], seconds["drain"]
+        total = overlap_s + drain_s
         detections_after, corrections_after = self._checker_totals()
         result = ParallelStepResult(
             step=step,
@@ -1045,127 +976,13 @@ class DataParallelTrainer:
             reduction_reexecutions=self._retry_counts[0],
             detections=detections_after - detections_before,
             corrections=corrections_after - corrections_before,
-            buckets=buckets,
+            buckets=self._bucketer.num_buckets,
             overlap_seconds=overlap_s,
             drain_seconds=drain_s,
-            overlap_efficiency=overlap_eff,
+            overlap_efficiency=overlap_s / total if total > 0 else 0.0,
         )
         self.metrics.append(result)
         return result
-
-    def _process_step(self, step: int, shards: List[Dict[str, np.ndarray]]) -> None:
-        """Drive one step through the worker processes.
-
-        Phase A runs concurrently in the children; the coordinator then
-        feeds each rank's gradients through the *same* collective (and the
-        same dirty-reduction policy) before shipping the reduction back.
-        """
-        assert self._procs is not None
-        payloads = [
-            {rank: shards[rank] for rank in owned} for owned in self._owned_by_worker
-        ]
-        replies = self._procs.broadcast_request("fwbw", payloads)
-        if self.config.overlap_grad_reduce:
-            self._process_reduce_bucketed(step, replies)
-        else:
-            key = f"step{step}/grads"
-            for worker, reply in enumerate(replies):
-                for rank, (loss, stale, reexec, grads) in reply.items():
-                    payload = grads + [_loss_array(namespace_of(grads[0]), loss)]
-                    self._shard_losses[rank] = loss
-                    self._stale_counts[rank] = stale
-                    self._reexec_counts[rank] = reexec
-                    self._payloads[rank] = payload
-                    self.collective.contribute(key, rank, payload)
-            self._reduce_with_process_policy(step)
-        apply_payloads = []
-        for owned in self._owned_by_worker:
-            apply_payloads.append(
-                {
-                    rank: (self._reduced_cache[rank], self._mean_losses[rank])
-                    for rank in owned
-                }
-            )
-        self._procs.broadcast_request("apply", apply_payloads)
-
-    def _process_reduce_bucketed(self, step: int, replies: List[Dict[int, Any]]) -> None:
-        """Coordinator-side bucketed reduction for the process executor.
-
-        The gradients already crossed the pipe, so there is no in-backward
-        overlap to win here — the point is the *identical numerical path*:
-        the same buckets, the same flat folds, the same bucket-granular
-        retry, so process-executor training stays byte-identical to the
-        overlapped thread path.
-        """
-        if self._bucketer is None:
-            first = next(iter(replies[0].values()))
-            self._bucketer = GradientBucketer(first[3], self.config.bucket_cap_mb)
-        for reply in replies:
-            for rank, (loss, stale, reexec, grads) in reply.items():
-                self._shard_losses[rank] = loss
-                self._stale_counts[rank] = stale
-                self._reexec_counts[rank] = reexec
-                self._bucket_payloads[rank] = {}
-                self._first_launch[rank] = None
-                for bucket in range(self._bucketer.num_buckets):
-                    self._launch_process_bucket(rank, bucket, grads, loss)
-        reduced = self._reduce_buckets_with_policy(
-            step, list(range(self.config.world_size))
-        )
-        self._reduced_cache = {}
-        for rank, (grads, mean_loss) in reduced.items():
-            self._reduced_cache[rank] = grads
-            self._mean_losses[rank] = mean_loss
-
-    def _launch_process_bucket(
-        self, rank: int, bucket: int, grads: List[Any], loss: float
-    ) -> None:
-        begin = time.perf_counter()
-        flat = self._bucketer.flatten(bucket, grads, namespace_of(grads[0]))
-        self._bucket_stats.add_bucket_seconds(time.perf_counter() - begin)
-        payload = [flat]
-        if bucket == self._bucketer.num_buckets - 1:
-            payload.append(_loss_array(namespace_of(grads[0]), loss))
-        self._bucket_payloads[rank][bucket] = payload
-        self._bucket_stats.record_launch(rank, bucket, False)
-        self.collective.contribute(self._bucket_key(self.global_step, bucket), rank, payload)
-
-    def _reduce_with_process_policy(self, step: int) -> None:
-        """The dirty-reduction policy, driven rank-by-rank by the coordinator."""
-        policy = self.config.stale_policy
-        world = self.config.world_size
-        key = f"step{step}/grads"
-        attempt = 0
-        self._reduced_cache: Dict[int, List[Any]] = {}
-        while True:
-            dirty_indices: List[int] = []
-            for rank in range(world):
-                try:
-                    result = self.collective.finish(key, rank)
-                except DirtyReductionError as exc:
-                    result = exc.reduced
-                    dirty_indices = exc.dirty_indices
-                self._reduced_cache[rank] = result
-            if not dirty_indices:
-                break
-            if policy == "abort":
-                raise StaleDetectionAbort(
-                    f"step {step}: checksum-linearity mismatch on reduced gradient "
-                    f"tensor(s) {dirty_indices} (stale_policy='abort')"
-                )
-            if policy == "record" or attempt >= self.config.max_retries_per_step:
-                for rank in range(world):
-                    self._dirty_counts[rank] = len(dirty_indices)
-                break
-            attempt += 1
-            key = f"step{step}/grads#retry{attempt}"
-            for rank in range(world):
-                self.collective.contribute(key, rank, self._payloads[rank])
-        for rank in range(world):
-            self._retry_counts[rank] = attempt
-            reduced = self._reduced_cache[rank]
-            self._mean_losses[rank] = float(np.asarray(reduced[-1]).reshape(-1)[0])
-            self._reduced_cache[rank] = reduced[:-1]
 
     def _checker_totals(self) -> Tuple[int, int]:
         detections = corrections = 0
@@ -1201,9 +1018,7 @@ class DataParallelTrainer:
         return {}
 
     def bucket_counters(self) -> Dict[str, Any]:
-        """Cumulative bucket launch / retry counters of the overlapped path."""
-        if self._bucket_stats is None:
-            return {}
+        """Cumulative bucket launch / retry counters of the reduction."""
         return self._bucket_stats.counters()
 
     def close(self) -> None:

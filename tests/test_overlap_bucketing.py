@@ -2,9 +2,10 @@
 
 Covers the :mod:`repro.comm.bucketing` layer (reverse-registration
 partitioning, flat roundtrips, readiness tracking), the eager-reduce
-collective mode, and the overlapped :class:`DataParallelTrainer` path — whose
-non-negotiable gate is byte-identity to the phase-split serial reference for
-any bucket cap and worker count, on thread and process executors alike.
+collective mode, and the :class:`DataParallelTrainer` launch timings — whose
+non-negotiable gate is byte-identity to the serial reference launched after
+backward, for any bucket cap and worker count, on thread and process
+executors alike.
 Bucket-granular dirty retries and the bucket-aware dispatch accounting of
 ``SectionCostModel.collective_checksum_dispatches_per_step`` are
 counter-verified.

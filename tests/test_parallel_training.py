@@ -359,7 +359,8 @@ class TestWorkerEquivalence:
         # Collective dispatch accounting matches the cost model at any W.
         num_params = len(reference)
         per_step = SectionCostModel.collective_checksum_dispatches_per_step(
-            num_gradients=num_params + 1, world_size=4
+            num_gradients=num_params + 1, world_size=4,
+            num_buckets=trainer.metrics[0].buckets,
         )
         counters = trainer.collective_counters()
         assert counters["checksum_encodes"] == per_step["encode"] * len(BATCHES)
@@ -501,7 +502,7 @@ class TestDirtyReductionPolicies:
             records.append(injector.records[0])
         first, second = records
         assert first.rank == 1 and first.step == 2
-        assert first.key == "step2/grads"
+        assert first.key == "step2/bucket0"
         # Same seed, same rank generator: the campaign replays identically.
         assert (first.array_index, first.position, first.injected_value) == (
             second.array_index, second.position, second.injected_value,
