@@ -1,22 +1,20 @@
 #!/usr/bin/env python3
 """Asynchronous off-critical-path verification, end to end.
 
-Walks through the fused ProtectionEngine's three verification modes on a tiny
+Walks through the fused ProtectionEngine's two verification modes on a tiny
 BERT fine-tuning run with one injected transient fault per mode:
 
 1. **immediate** — every section boundary is verified (and repaired) inside
    the forward pass; the whole checker cost sits on the training critical
    path.
-2. **deferred**  — boundary checksums are queued and verified in one batched
-   pass at the end of each step; cheaper, but the flush still runs on the
-   training thread, and detection is all you get.
-3. **async**     — each step's checksum queue is snapshotted and verified by
-   a worker thread while the next step computes.  Only the encode/carry and
-   queue-swap bookkeeping remain on the critical path.  A boundary that
-   verifies dirty within the staleness window (``max_pending_steps``) has its
-   retained matrix repaired via EEC-ABFT and surfaces as a *stale* detection,
-   which the trainer's ``stale_policy`` turns into checkpoint-free
-   re-execution of the step (or an abort).
+2. **async**     — each step's boundary checksums are queued, snapshotted at
+   the end of the step and verified in one batched pass by a worker thread
+   while the next step computes.  Only the encode/carry and queue-swap
+   bookkeeping remain on the critical path.  A boundary that verifies dirty
+   within the staleness window (``max_pending_steps``) has its retained
+   matrix repaired via EEC-ABFT and surfaces as a *stale* detection, which
+   the trainer's ``stale_policy`` turns into checkpoint-free re-execution of
+   the step (or an abort).
 
 Run with:  python examples/async_verification.py [model-name]
 """
@@ -60,8 +58,8 @@ def run(model_name: str, mode: str):
     trainer = Trainer(
         model,
         # Re-execute a step whose (stale) verification came back dirty — the
-        # checkpoint-free recovery policy.  Ignored by the synchronous modes,
-        # which never produce stale outcomes.
+        # checkpoint-free recovery policy.  Ignored by immediate mode, which
+        # never produces stale outcomes.
         config=TrainerConfig(learning_rate=1e-3, stale_policy="reexecute"),
         checker=checker,
         fault_hooks=[injector],
@@ -69,7 +67,7 @@ def run(model_name: str, mode: str):
     for _ in range(STEPS):
         trainer.train_step(batch)
     # Barrier: wait out in-flight verification work before reading statistics
-    # (a no-op for the synchronous modes).
+    # (a no-op in immediate mode).
     trainer.drain_verifications()
     checker.close()
     return {

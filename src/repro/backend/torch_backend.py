@@ -120,7 +120,7 @@ class TorchNamespace:
 
     def stack(self, arrays, axis: int = 0, out: Any = None):
         # out= is part of the workspace contract (see repro.core.workspace):
-        # the deferred/async batched verification stacks into reusable buffers.
+        # the async batched verification stacks into reusable buffers.
         if out is None:
             return self._torch.stack(list(arrays), dim=axis)
         return self._torch.stack(list(arrays), dim=axis, out=out)

@@ -180,15 +180,14 @@ def run_backends(args: argparse.Namespace) -> str:
 
 
 def run_verification_modes(args: argparse.Namespace) -> str:
-    """Compare the fused engine's immediate / deferred / async verification.
+    """Compare the fused engine's immediate and async verification.
 
-    Runs the same single-fault forward passes under all three modes (same
-    seeds) and reports detection/correction counters, stale detections, and
-    the critical-path vs total checker time split.  The footer states the two
-    cross-mode invariants the test suite enforces: deferred and async make
-    byte-identical detection decisions, and async repairs (bounded-staleness
-    correction of the retained boundary matrices) match immediate-mode
-    correction counts.
+    Runs the same single-fault forward passes under both modes (same seeds)
+    and reports detection/correction counters, stale detections, and the
+    critical-path vs total checker time split.  The footer states the
+    cross-mode invariant the test suite enforces: async repairs
+    (bounded-staleness correction of the retained boundary matrices) match
+    immediate-mode correction counts.
     """
     combos = [("Q", "inf"), ("AS", "nan"), ("CL", "inf"), ("O", "near_inf")]
     rows = []
@@ -196,7 +195,6 @@ def run_verification_modes(args: argparse.Namespace) -> str:
     for mode in VERIFICATION_MODES:
         detections = corrections = stale = 0
         critical = total = 0.0
-        signatures = []
         for trial, (matrix, error_type) in enumerate(combos):
             model, batch = _tiny_model_and_batch(
                 args.model, batch=4, seed=args.seed,
@@ -213,31 +211,23 @@ def run_verification_modes(args: argparse.Namespace) -> str:
             model(batch["input_ids"], attention_mask=batch["attention_mask"],
                   labels=batch["labels"])
             model.set_attention_hooks(None)
-            outcomes = checker.end_step() + checker.drain()
+            checker.end_step()
+            checker.drain()
             checker.close()
-            signatures.append(tuple(
-                (o.section, o.layer_index, o.step,
-                 o.report.detected, o.report.aborted, o.report.residual_extreme)
-                for o in outcomes if o.report is not None
-            ))
             detections += checker.stats.total_detections
             corrections += checker.stats.total_corrections
             stale += checker.stats.total_stale_detections
             critical += checker.critical_path_seconds()
             total += checker.overhead_seconds()
-        per_mode[mode] = {"corrections": corrections, "signatures": signatures}
+        per_mode[mode] = corrections
         rows.append([
             mode, detections, corrections, stale,
             f"{critical * 1e3:.1f}", f"{total * 1e3:.1f}",
         ])
-    identical = per_mode["deferred"]["signatures"] == per_mode["async"]["signatures"]
-    parity = per_mode["immediate"]["corrections"] == per_mode["async"]["corrections"]
     footer = (
-        ("deferred/async detection decisions byte-identical" if identical
-         else "DEFERRED/ASYNC DETECTION DECISIONS DIVERGED")
-        + "; "
-        + ("async corrections match immediate" if parity
-           else "ASYNC CORRECTIONS DIVERGED FROM IMMEDIATE")
+        "async corrections match immediate"
+        if per_mode["immediate"] == per_mode["async"]
+        else "ASYNC CORRECTIONS DIVERGED FROM IMMEDIATE"
     )
     return format_table(
         ["mode", "detections", "corrections", "stale", "critical-path ms", "total ms"],
@@ -607,9 +597,8 @@ def build_parser() -> argparse.ArgumentParser:
                              "(default) or the per-GEMM reference implementation")
     parser.add_argument("--protect-scope", default="attention", choices=list(PROTECT_SCOPES),
                         help="protected-section scope: 'attention' (default, the "
-                             "paper's three sections), 'attention+ffn' (adds the "
-                             "FF1/FF2 feed-forward sections) or 'full' (every "
-                             "registered block)")
+                             "paper's three sections) or 'attention+ffn' (adds the "
+                             "FF1/FF2 feed-forward sections)")
     parser.add_argument("--array-backend", default="auto", type=_array_backend_name,
                         metavar="{auto," + ",".join(KNOWN_ARRAY_BACKENDS) + "}",
                         help="array library the checksum chain runs on: 'auto' "

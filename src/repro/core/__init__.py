@@ -33,22 +33,22 @@ library per checker.
     The protection-section registry: the paper's three attention sections
     S_AS, S_CL, S_O with checksum passing (Section 4.4), the whole-model
     extension covering the FFN GEMMs (``FF1`` / ``FF2``), the protection
-    scopes (``attention`` / ``attention+ffn`` / ``full``) and the cost
-    accounting for all of them.
+    scopes (``attention`` / ``attention+ffn``) and the cost accounting for
+    all of them.
 ``engine``
     :class:`ProtectionEngine` — the fused section-level checksum-passing
     mechanics: encode once per section, carry through every member GEMM, and
-    verify in one batched pass per section.  Three verification modes:
-    immediate (in-pass), deferred (one batched pass per step at the step
-    boundary) and async (the batched pass runs on a worker thread off the
-    training critical path, with bounded-staleness correction of the retained
-    boundary matrices).
+    verify at the section boundary.  Two verification modes: immediate
+    (in-pass detection and correction) and async (one batched pass per step
+    runs on a worker thread off the training critical path, with
+    bounded-staleness correction of the retained boundary matrices).
 ``attention_checker``
     :class:`ATTNChecker` — the attention hook that ties everything together
     and plugs into :class:`repro.nn.MultiHeadAttention`.  A thin policy layer
     (adaptive frequencies, thresholds, statistics) over a selectable backend:
     the fused ``engine`` (default) or the reference per-GEMM implementation
-    (``ATTNCheckerConfig(backend="per_gemm")``).
+    (``ATTNCheckerConfig(backend="per_gemm")``), the oracle the engine is
+    compared against.
 ``adaptive``
     Adaptive ABFT detection frequencies (Section 4.5): Poisson error model,
     fault coverage (FC), fault-coverage efficiency (FCE) and the greedy

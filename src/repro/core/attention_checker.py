@@ -20,7 +20,7 @@ backends:
     hooks.  Both backends make byte-identical detection/correction decisions;
     the equivalence is enforced by tests and by the Figure-7 benchmark.
 
-The fused backend additionally selects one of three *verification modes*
+The fused backend additionally selects one of two *verification modes*
 (:data:`VERIFICATION_MODES`; see :mod:`repro.core.engine` for the mechanics):
 
 ===========  ==============================  ===========================  ===============
@@ -28,8 +28,6 @@ mode         critical-path latency           guarantee                    stalen
 ===========  ==============================  ===========================  ===============
 immediate    full: verify at each boundary,  detection + correction       none
              inside the forward pass         before values are consumed
-deferred     encode/carry only; one batched  detection only               one step
-             flush at ``end_step``           (values already consumed)    (the flush)
 async        encode/carry + queue swap; a    detection + bounded-         ``max_pending_
              worker thread verifies off      staleness correction of      steps`` steps
              the critical path               the retained boundary        (backpressure)
@@ -37,11 +35,9 @@ async        encode/carry + queue swap; a    detection + bounded-         ``max_
                                              flagged ``stale``
 ===========  ==============================  ===========================  ===============
 
-Detection decisions of async mode are byte-identical to deferred mode (both
-run the same batched pass over the same per-step snapshots).  Use
-:meth:`ATTNChecker.critical_path_seconds` vs :meth:`ATTNChecker.overhead_seconds`
-to split the checker time spent on the training thread from total checker
-work including the async worker.
+Use :meth:`ATTNChecker.critical_path_seconds` vs
+:meth:`ATTNChecker.overhead_seconds` to split the checker time spent on the
+training thread from total checker work including the async worker.
 
 The checker is completely transparent to the model: attaching it changes no
 shapes and no semantics of the forward/backward pass (one of the paper's
@@ -114,13 +110,12 @@ __all__ = [
 CHECKER_BACKENDS = ("fused", "per_gemm")
 
 #: Verification modes of the fused backend (see the module docstring table).
-VERIFICATION_MODES = ("immediate", "deferred", "async")
+VERIFICATION_MODES = ("immediate", "async")
 
 #: Canonical mode-name -> :class:`ATTNCheckerConfig` kwargs, the single place
 #: the CLI, benchmarks and tests translate a mode name into a configuration.
 VERIFICATION_MODE_CONFIGS = {
     "immediate": {},
-    "deferred": {"defer_verification": True},
     "async": {"async_verification": True},
 }
 
@@ -145,9 +140,7 @@ class ATTNCheckerConfig:
           triple, bit-for-bit identical to the pre-generalization checker;
         * ``"attention+ffn"`` — additionally protect the feed-forward GEMMs
           through the single-GEMM sections ``FF1`` (boundary ``H``) and
-          ``FF2`` (boundary ``FO``);
-        * ``"full"`` — every registered section (currently the same set as
-          ``"attention+ffn"``; reserved for future blocks).
+          ``FF2`` (boundary ``FO``).
 
         Hooks from out-of-scope blocks are ignored, so a model whose
         ``FeedForward`` modules are instrumented can still run an
@@ -169,50 +162,19 @@ class ATTNCheckerConfig:
         names raise :class:`ValueError` listing the known backends; known
         names whose library is missing raise
         :class:`repro.backend.BackendUnavailable` listing what is installed.
-    defer_verification:
-        Fused backend only: queue boundary verifications and run them in one
-        batched pass per step at :meth:`ATTNChecker.end_step` (detection only;
-        see :mod:`repro.core.engine`).
     async_verification:
-        Fused backend only, mutually exclusive with ``defer_verification``:
-        snapshot each step's queued boundary verifications at
-        :meth:`ATTNChecker.end_step` and verify them on a worker thread, off
-        the training critical path, with bounded-staleness correction of the
-        retained boundary matrices (see :mod:`repro.core.engine`).  Results
+        Fused backend only: snapshot each step's queued boundary
+        verifications at :meth:`ATTNChecker.end_step` and verify them on a
+        worker thread, off the training critical path, with bounded-staleness
+        correction of the retained boundary matrices (see
+        :mod:`repro.core.engine`).  ``False`` (default) is immediate mode,
+        the paper's in-pass detection and correction.  Results
         are folded into :attr:`ATTNChecker.stats` as they are harvested at
         subsequent ``end_step`` calls or at :meth:`ATTNChecker.drain`.
     max_pending_steps:
         Async only: bound on in-flight submitted step batches; ``end_step``
         blocks once the bound is reached (backpressure), which is also the
         detection staleness window in steps.
-    repair_operands:
-        After a boundary-matrix correction, additionally repair the upstream
-        operand (Q, K or V) whose 0D fault caused the propagation.  The
-        boundary correction alone restores the forward value (what the paper
-        evaluates); repairing the operand also keeps the *backward* pass
-        clean, which this NumPy reproduction needs for the Figure-6
-        training-loss experiment because the corrupted operand is reused by
-        autograd.  Costs nothing in the fault-free path.
-    refresh_checksums:
-        Rebuild column checksums after a row-side repair (see
-        :func:`repro.core.correction.correct_matrix`).
-    collect_timing:
-        Record wall-clock time per ABFT phase in :attr:`ATTNChecker.timers`.
-    fuse_sibling_gemms / cache_weight_encodings / reuse_workspace:
-        The fused engine's hot-path kernel schedule (see
-        :mod:`repro.core.engine`): carry ``cs_x`` through ``[W_Q | W_K]`` as
-        one concatenated GEMM, cache weight-derived encodings per weight
-        version, and serve checksum intermediates from a reusable
-        :class:`~repro.core.workspace.ChecksumWorkspace`.  All default on;
-        setting all three ``False`` reproduces the historical per-visit
-        schedule exactly (the baseline of the fused-kernel equivalence tests
-        and the Figure-7 dispatch benchmark).  Sibling fusion only engages
-        while the weight cache is on — the concatenated operand is
-        cache-resident, and rebuilding it per visit would cost more than the
-        dispatch it saves — so ``fuse_sibling_gemms=True`` with
-        ``cache_weight_encodings=False`` runs the per-side schedule.
-        Ignored by the per-GEMM reference backend, which always runs the
-        historical sequence.
     """
 
     thresholds: ABFTThresholds = field(default_factory=ABFTThresholds)
@@ -220,15 +182,8 @@ class ATTNCheckerConfig:
     protect_scope: str = "attention"
     backend: str = "fused"
     array_backend: str = "auto"
-    defer_verification: bool = False
     async_verification: bool = False
     max_pending_steps: int = 2
-    repair_operands: bool = True
-    refresh_checksums: bool = True
-    collect_timing: bool = True
-    fuse_sibling_gemms: bool = True
-    cache_weight_encodings: bool = True
-    reuse_workspace: bool = True
 
     def __post_init__(self) -> None:
         if self.protect_scope not in PROTECT_SCOPES:
@@ -252,20 +207,12 @@ class ATTNCheckerConfig:
             # Fail fast with the registry's helpful unknown-vs-uninstalled
             # message instead of at the first protected forward pass.
             get_backend(self.array_backend)
-        if self.defer_verification and self.backend != "fused":
-            raise ValueError("defer_verification requires the 'fused' backend")
-        if self.async_verification:
-            if self.backend != "fused":
-                raise ValueError(
-                    "async_verification requires the 'fused' backend; the per-GEMM "
-                    "reference verifies inline at every GEMM and has no checksum "
-                    "queue to hand to a worker"
-                )
-            if self.defer_verification:
-                raise ValueError(
-                    "async_verification and defer_verification are mutually exclusive; "
-                    "pick one verification mode (async already batches per step)"
-                )
+        if self.async_verification and self.backend != "fused":
+            raise ValueError(
+                "async_verification requires the 'fused' backend; the per-GEMM "
+                "reference verifies inline at every GEMM and has no checksum "
+                "queue to hand to a worker"
+            )
         if not isinstance(self.max_pending_steps, int) or self.max_pending_steps < 1:
             raise ValueError(
                 f"max_pending_steps must be a positive integer, got {self.max_pending_steps!r}"
@@ -274,11 +221,7 @@ class ATTNCheckerConfig:
     @property
     def verification_mode(self) -> str:
         """Which of :data:`VERIFICATION_MODES` this configuration selects."""
-        if self.async_verification:
-            return "async"
-        if self.defer_verification:
-            return "deferred"
-        return "immediate"
+        return "async" if self.async_verification else "immediate"
 
     @property
     def active_sections(self) -> Dict[str, Any]:
@@ -373,11 +316,20 @@ class _PerGemmReferenceBackend:
     against.  Like the engine it is array-library generic, but it always
     *follows* the GEMM operands' owning backend (there is no engine here to
     pin); a configured ``array_backend`` only affects the fused engine.
+
+    It runs the historical one-GEMM-per-update schedule — no sibling fusion,
+    no weight-encoding cache, no workspace — so its counters are the measured
+    ``"unfused"`` entry of
+    :meth:`~repro.core.sections.SectionCostModel.checksum_gemm_dispatches_per_layer`.
     """
 
     def __init__(self, checker: "ATTNChecker") -> None:
         self.checker = checker
         self._states: Dict[int, _PerGemmState] = {}
+        #: Checksum GEMM/einsum launches ("gemm") and verification passes
+        #: ("detect") issued, in training and in decode — the same meaning as
+        #: :attr:`ProtectionEngine.dispatch_counts`.
+        self.dispatch_counts: Dict[str, int] = {"gemm": 0, "detect": 0}
 
     # -- pass lifecycle ---------------------------------------------------------
 
@@ -389,6 +341,7 @@ class _PerGemmReferenceBackend:
 
     def reset(self) -> None:
         self._states.clear()
+        self.dispatch_counts = {"gemm": 0, "detect": 0}
 
     # -- GEMM dispatch ----------------------------------------------------------
 
@@ -446,6 +399,7 @@ class _PerGemmReferenceBackend:
         num_rows = ctx.a.shape[-2]
         if state.cs_x_col is None:
             with checker.timers.measure("AS/encode"):
+                self.dispatch_counts["gemm"] += 1
                 state.cs_x_col = encode_column_checksums(ctx.a)
             if ctx.phase == "prefill" and ctx.kv_cache is not None:
                 # Seed the cache's incremental input checksums so decode can
@@ -457,6 +411,7 @@ class _PerGemmReferenceBackend:
                 cs_x_buf[...] = state.cs_x_col
                 cache.cs_x_len = num_rows
         with checker.timers.measure("AS/update"):
+            self.dispatch_counts["gemm"] += 1
             cs = update_column_checksums_through_gemm(state.cs_x_col, ctx.b)
             if ctx.bias is not None:
                 cs = adjust_column_checksums_for_bias(cs, ctx.bias, num_rows)
@@ -478,6 +433,7 @@ class _PerGemmReferenceBackend:
         decisions.
         """
         checker = self.checker
+        self.dispatch_counts["detect"] += 1
         checker.stats.sections[section].record(report)
         checker.last_reports[section] = report
         if ctx.phase != "train":
@@ -487,6 +443,7 @@ class _PerGemmReferenceBackend:
                     layer_index=ctx.layer_index,
                     step=ctx.step,
                     report=report,
+                    phase=ctx.phase,
                     request_dirty=request_dirty_from_report(report),
                 )
             )
@@ -502,6 +459,7 @@ class _PerGemmReferenceBackend:
         num_heads = ctx.num_heads
         xp = namespace_of(ctx.a)
         with checker.timers.measure("AS/update"):
+            self.dispatch_counts["gemm"] += 2
             cs_q_ph = split_head_column_checksums(state.cs_q_col, num_heads)   # (B, H, 2, dh)
             cs_k_ph = split_head_column_checksums(state.cs_k_col, num_heads)
             # Column side of AS: col(AS) = col(Q) K^T.
@@ -510,12 +468,9 @@ class _PerGemmReferenceBackend:
             cs_as_row = xp.matmul(ctx.a, xp.swapaxes(cs_k_ph, -1, -2))          # (B, H, S, 2)
         with checker.timers.measure("AS/detect"):
             checksums = ChecksumState(col=cs_as_col, row=cs_as_row)
-            report = correct_matrix(
-                out, checksums, thresholds=checker.thresholds,
-                refresh_checksums=checker.config.refresh_checksums,
-            )
+            report = correct_matrix(out, checksums, thresholds=checker.thresholds)
         self._record_report(ctx, "AS", report)
-        if checker.config.repair_operands and report.corrected > 0:
+        if report.corrected > 0:
             with checker.timers.measure("AS/correct"):
                 q_report = check_columns(ctx.a, cs_q_ph, thresholds=checker.thresholds)
                 kt_report = check_rows(ctx.b, xp.swapaxes(cs_k_ph, -1, -2), thresholds=checker.thresholds)
@@ -534,8 +489,10 @@ class _PerGemmReferenceBackend:
         head_dim = ctx.head_dim
         xp = namespace_of(ctx.a)
         with checker.timers.measure("CL/encode"):
+            self.dispatch_counts["gemm"] += 1
             rowcs_wv = encode_per_head_row_checksums_of_weight(ctx.b, num_heads)  # (D, H, 2)
         with checker.timers.measure("CL/update"):
+            self.dispatch_counts["gemm"] += 1
             cs_v_row = xp.einsum("...sd,dhw->...hsw", ctx.a, rowcs_wv)            # (B, H, S, 2)
             if ctx.bias is not None:
                 bias_heads = xp.astype(
@@ -565,23 +522,23 @@ class _PerGemmReferenceBackend:
             return
         xp = namespace_of(ctx.a)
         with checker.timers.measure("CL/encode"):
+            self.dispatch_counts["gemm"] += 1
             cs_ap_col = encode_column_checksums(ctx.a)                            # (B, H, 2, S)
         with checker.timers.measure("CL/update"):
+            self.dispatch_counts["gemm"] += 1
             cs_cl_col = xp.matmul(cs_ap_col, ctx.b)                               # (B, H, 2, dh)
             cs_cl_row = None
             if cl_enabled and state.cs_v_row is not None:
                 # row(CL) = AP row(V): carry the per-head row checksums of V
                 # through the AP x V GEMM.
+                self.dispatch_counts["gemm"] += 1
                 cs_cl_row = xp.matmul(ctx.a, state.cs_v_row)                      # (B, H, S, 2)
         checksums = ChecksumState(col=cs_cl_col, row=cs_cl_row)
         if cl_enabled:
             with checker.timers.measure("CL/detect"):
-                report = correct_matrix(
-                    out, checksums, thresholds=checker.thresholds,
-                    refresh_checksums=checker.config.refresh_checksums,
-                )
+                report = correct_matrix(out, checksums, thresholds=checker.thresholds)
             self._record_report(ctx, "CL", report)
-            if checker.config.repair_operands and report.corrected > 0 and state.cs_v_row is not None:
+            if report.corrected > 0 and state.cs_v_row is not None:
                 with checker.timers.measure("CL/correct"):
                     v_report = check_rows(ctx.b, state.cs_v_row, thresholds=checker.thresholds)
                 checker.stats.sections["CL"].operand_repairs += v_report.num_corrected
@@ -601,13 +558,11 @@ class _PerGemmReferenceBackend:
         if state.cs_cl_col is None:
             return
         with checker.timers.measure("O/update"):
+            self.dispatch_counts["gemm"] += 1
             cs_cl_merged = merge_head_column_checksums(state.cs_cl_col)          # (B, 2, D)
             cs_o_col = update_column_checksums_through_gemm(cs_cl_merged, ctx.b)  # (B, 2, D)
         with checker.timers.measure("O/detect"):
-            report = correct_matrix(
-                out, ChecksumState(col=cs_o_col), thresholds=checker.thresholds,
-                refresh_checksums=checker.config.refresh_checksums,
-            )
+            report = correct_matrix(out, ChecksumState(col=cs_o_col), thresholds=checker.thresholds)
         self._record_report(ctx, "O", report)
 
     # -- FFN sections S_FF1 / S_FF2 ----------------------------------------------
@@ -624,14 +579,13 @@ class _PerGemmReferenceBackend:
             checker.stats.sections["FF1"].checks_skipped += 1
             return
         with checker.timers.measure("FF1/encode"):
+            self.dispatch_counts["gemm"] += 1
             cs_x = encode_column_checksums(ctx.a)
         with checker.timers.measure("FF1/update"):
+            self.dispatch_counts["gemm"] += 1
             cs_h = update_column_checksums_through_gemm(cs_x, ctx.b)
         with checker.timers.measure("FF1/detect"):
-            report = correct_matrix(
-                out, ChecksumState(col=cs_h), thresholds=checker.thresholds,
-                refresh_checksums=checker.config.refresh_checksums,
-            )
+            report = correct_matrix(out, ChecksumState(col=cs_h), thresholds=checker.thresholds)
         self._record_report(ctx, "FF1", report)
 
     def _handle_ff_down(self, ctx: GemmContext, state: _PerGemmState, out: Any) -> None:
@@ -642,14 +596,13 @@ class _PerGemmReferenceBackend:
             return
         xp = namespace_of(ctx.a)
         with checker.timers.measure("FF2/encode"):
+            self.dispatch_counts["gemm"] += 1
             rowcs_wd = encode_row_checksums(ctx.b)                      # (D_ff, 2)
         with checker.timers.measure("FF2/update"):
+            self.dispatch_counts["gemm"] += 1
             cs_fo = xp.matmul(ctx.a, rowcs_wd)                          # (B, S, 2)
         with checker.timers.measure("FF2/detect"):
-            report = correct_matrix(
-                out, ChecksumState(row=cs_fo), thresholds=checker.thresholds,
-                refresh_checksums=checker.config.refresh_checksums,
-            )
+            report = correct_matrix(out, ChecksumState(row=cs_fo), thresholds=checker.thresholds)
         self._record_report(ctx, "FF2", report)
 
     # -- decode (incremental, row-side only) -------------------------------------
@@ -688,6 +641,7 @@ class _PerGemmReferenceBackend:
             update_column_checksums_with_appended_rows(cache.cs_x, ctx.a, total_len - 1)
             cache.cs_x_len = total_len
         with checker.timers.measure("AS/update"):
+            self.dispatch_counts["gemm"] += 1
             cs = update_column_checksums_through_gemm(cache.cs_x, ctx.b)
             if ctx.bias is not None:
                 cs = adjust_column_checksums_for_bias(cs, ctx.bias, total_len)
@@ -705,12 +659,12 @@ class _PerGemmReferenceBackend:
             return
         xp = namespace_of(ctx.a)
         with checker.timers.measure("AS/update"):
+            self.dispatch_counts["gemm"] += 1
             cs_k_ph = split_head_column_checksums(state.cs_k_col, ctx.num_heads)
             cs_as_row = xp.matmul(ctx.a, xp.swapaxes(cs_k_ph, -1, -2))  # (B, H, 1, 2)
         with checker.timers.measure("AS/detect"):
             report = correct_matrix(
-                out, ChecksumState(row=cs_as_row), thresholds=checker.thresholds,
-                refresh_checksums=checker.config.refresh_checksums,
+                out, ChecksumState(row=cs_as_row), thresholds=checker.thresholds
             )
         self._record_report(ctx, "AS", report)
 
@@ -732,8 +686,10 @@ class _PerGemmReferenceBackend:
         head_dim = ctx.head_dim
         xp = namespace_of(ctx.a)
         with checker.timers.measure("CL/encode"):
+            self.dispatch_counts["gemm"] += 1
             rowcs_wv = encode_per_head_row_checksums_of_weight(ctx.b, num_heads)
         with checker.timers.measure("CL/update"):
+            self.dispatch_counts["gemm"] += 1
             cs_v_new = xp.einsum("...sd,dhw->...hsw", ctx.a, rowcs_wv)  # (B, H, 1, 2)
             if ctx.bias is not None:
                 bias_heads = xp.astype(
@@ -762,11 +718,11 @@ class _PerGemmReferenceBackend:
             )
         xp = namespace_of(ctx.a)
         with checker.timers.measure("CL/update"):
+            self.dispatch_counts["gemm"] += 1
             cs_cl_row = xp.matmul(ctx.a, cache.cs_v_row[:, :, :total_len, :])
         with checker.timers.measure("CL/detect"):
             report = correct_matrix(
-                out, ChecksumState(row=cs_cl_row), thresholds=checker.thresholds,
-                refresh_checksums=checker.config.refresh_checksums,
+                out, ChecksumState(row=cs_cl_row), thresholds=checker.thresholds
             )
         self._record_report(ctx, "CL", report)
 
@@ -778,13 +734,11 @@ class _PerGemmReferenceBackend:
             return
         xp = namespace_of(ctx.a)
         with checker.timers.measure("O/update"):
+            self.dispatch_counts["gemm"] += 2
             rowcs_wo = encode_row_checksums(ctx.b)                  # (D, 2)
             cs_o_row = xp.matmul(ctx.a, rowcs_wo)                   # (B, 1, 2)
         with checker.timers.measure("O/detect"):
-            report = correct_matrix(
-                out, ChecksumState(row=cs_o_row), thresholds=checker.thresholds,
-                refresh_checksums=checker.config.refresh_checksums,
-            )
+            report = correct_matrix(out, ChecksumState(row=cs_o_row), thresholds=checker.thresholds)
         self._record_report(ctx, "O", report)
 
 
@@ -812,16 +766,10 @@ class ATTNChecker(AttentionHooks):
         if self.config.backend == "fused":
             self.engine: Optional[ProtectionEngine] = ProtectionEngine(
                 thresholds=self.config.thresholds,
-                refresh_checksums=self.config.refresh_checksums,
-                repair_operands=self.config.repair_operands,
                 timers=self.timers,
-                deferred=self.config.defer_verification,
                 asynchronous=self.config.async_verification,
                 max_pending_steps=self.config.max_pending_steps,
                 array_backend=self.array_backend,
-                fuse_sibling_gemms=self.config.fuse_sibling_gemms,
-                cache_weight_encodings=self.config.cache_weight_encodings,
-                reuse_workspace=self.config.reuse_workspace,
             )
             self._reference: Optional[_PerGemmReferenceBackend] = None
         else:
@@ -847,20 +795,23 @@ class ATTNChecker(AttentionHooks):
 
     @property
     def dispatch_counts(self) -> Dict[str, int]:
-        """Checksum GEMM / verification dispatches the fused engine issued
-        (empty for the per-GEMM reference, which has no fused schedule)."""
-        return dict(self.engine.dispatch_counts) if self.engine is not None else {}
+        """Checksum GEMM/einsum launches (``"gemm"``) and verification passes
+        (``"detect"``) the mechanics backend issued — the fused engine's
+        schedule, or the per-GEMM reference's historical one."""
+        mechanics = self.engine if self.engine is not None else self._reference
+        return dict(mechanics.dispatch_counts)
 
     def workspace_stats(self) -> Dict[str, int]:
         """Allocation/reuse counters of the critical-path checksum workspace
-        (all zeros when ``reuse_workspace`` is off or backend is per-GEMM)."""
-        if self.engine is None or self.engine.workspace is None:
+        (all zeros for the per-GEMM reference, which has no workspace)."""
+        if self.engine is None:
             return {"slots": 0, "allocations": 0, "reuses": 0, "bytes_allocated": 0}
         return self.engine.workspace.stats()
 
     def weight_cache_stats(self) -> Dict[str, int]:
-        """Hit/miss counters of the weight-encoding cache (zeros when off)."""
-        if self.engine is None or self.engine.weight_cache is None:
+        """Hit/miss counters of the weight-encoding cache (zeros for the
+        per-GEMM reference, which re-encodes weights on every visit)."""
+        if self.engine is None:
             return {"entries": 0, "hits": 0, "misses": 0}
         return self.engine.weight_cache.stats()
 
@@ -881,7 +832,7 @@ class ATTNChecker(AttentionHooks):
 
     @property
     def pending_verifications(self) -> int:
-        """Boundary checks queued this step, not yet flushed/submitted."""
+        """Boundary checks queued this step, not yet submitted."""
         return self.engine.pending_verifications if self.engine is not None else 0
 
     @property
@@ -1013,8 +964,6 @@ class ATTNChecker(AttentionHooks):
         """Close one training step's verification work; call once per step.
 
         * immediate mode — a no-op (every boundary already verified in-pass);
-        * deferred mode — flush the step's queued checks in one batched pass,
-          on the calling thread;
         * async mode — submit the step's snapshot to the worker (blocking
           only if ``max_pending_steps`` batches are already in flight) and
           harvest whatever verification results have completed so far,
@@ -1023,37 +972,27 @@ class ATTNChecker(AttentionHooks):
         Returns the outcomes produced now (statistics are folded into
         :attr:`stats`); always leaves :attr:`pending_verifications` at zero.
         """
-        if self.engine is None:
+        if self.engine is None or not self.config.async_verification:
             return []
-        if self.config.async_verification:
-            with self.timers.measure("submit/async"):
-                self.engine.submit_step()
-            outcomes = self.engine.harvest()
-        elif self.config.defer_verification:
-            outcomes = self.engine.flush()
-        else:
-            return []
+        with self.timers.measure("submit/async"):
+            self.engine.submit_step()
+        outcomes = self.engine.harvest()
         self._fold_outcomes(outcomes)
         return outcomes
 
     def drain(self) -> List[SectionOutcome]:
         """Barrier: complete and fold every queued/in-flight verification.
 
-        Deferred mode flushes synchronously; async mode submits any residual
-        front-buffer items and waits for the worker to finish all batches
-        (re-raising a worker exception instead of swallowing it).  A no-op
-        returning ``[]`` in immediate mode or for the per-GEMM backend.
+        Async mode submits any residual front-buffer items and waits for the
+        worker to finish all batches (re-raising a worker exception instead
+        of swallowing it).  A no-op returning ``[]`` in immediate mode or for
+        the per-GEMM backend.
         """
-        if self.engine is None:
+        if self.engine is None or not self.config.async_verification:
             return []
-        if self.config.async_verification:
-            with self.timers.measure("submit/async"):
-                self.engine.submit_step()
-            outcomes = self.engine.drain()
-        elif self.config.defer_verification:
-            outcomes = self.engine.flush()
-        else:
-            return []
+        with self.timers.measure("submit/async"):
+            self.engine.submit_step()
+        outcomes = self.engine.drain()
         self._fold_outcomes(outcomes)
         return outcomes
 
@@ -1063,13 +1002,13 @@ class ATTNChecker(AttentionHooks):
             self.engine.close()
 
     def _fold_outcomes(self, outcomes: List[SectionOutcome]) -> None:
-        """Fold batched-verification outcomes into :attr:`stats`.
+        """Fold async batched-verification outcomes into :attr:`stats`.
 
-        Detection counters come from the batched detect pass (byte-identical
-        between deferred and async modes).  For async outcomes that carry a
-        bounded-staleness ``repair``, corrections come from the repair report
-        and the residual counter reports the post-repair state, mirroring
-        what immediate mode would have recorded at the same boundary.
+        Detection counters come from the batched detect pass.  For outcomes
+        that carry a bounded-staleness ``repair``, corrections come from the
+        repair report and the residual counter reports the post-repair state,
+        mirroring what immediate mode would have recorded at the same
+        boundary.
         """
         for outcome in outcomes:
             report = outcome.report
@@ -1083,7 +1022,7 @@ class ATTNChecker(AttentionHooks):
             if outcome.stale and report.detected:
                 stats.stale_detections += 1
             self.last_reports[outcome.section] = report
-            self.recent_outcomes.append(outcome)
+            self._remember(outcome)
 
     # -- stats plumbing -----------------------------------------------------------
 
@@ -1098,7 +1037,7 @@ class ATTNChecker(AttentionHooks):
             stats.checks_skipped += 1
             return
         if outcome.deferred:
-            return  # counted when end_step() flushes
+            return  # counted when the async worker's outcome is folded
         if outcome.report is None:
             # Carried checksums forward without verifying (CL visited for O).
             stats.checks_skipped += 1
@@ -1106,7 +1045,17 @@ class ATTNChecker(AttentionHooks):
         stats.record(outcome.report)
         self.last_reports[section] = outcome.report
         stats.operand_repairs += outcome.operand_repairs
-        self.recent_outcomes.append(outcome)
+        self._remember(outcome)
+
+    def _remember(self, outcome: SectionOutcome) -> None:
+        """Keep a serving verification for :meth:`take_recent_outcomes`.
+
+        Only prefill/decode outcomes are kept — the same rule as the per-GEMM
+        reference — because only the serving engine drains the ring; a
+        training run would otherwise pin every recent report's arrays.
+        """
+        if outcome.phase != "train":
+            self.recent_outcomes.append(outcome)
 
     def take_recent_outcomes(self) -> List[SectionOutcome]:
         """Drain and return the bounded ring of verified section outcomes.
@@ -1131,8 +1080,8 @@ class ATTNChecker(AttentionHooks):
     def critical_path_seconds(self) -> float:
         """ABFT time spent on the training thread (excludes ``async/`` keys).
 
-        For immediate and deferred modes this equals
-        :meth:`overhead_seconds`; for async mode it is the encode/carry/queue
+        For immediate mode this equals :meth:`overhead_seconds`; for async
+        mode it is the encode/carry/queue
         cost plus the step-submit bookkeeping — the part the paper's
         off-critical-path claim says should be all that remains.
         """

@@ -82,7 +82,6 @@ def correct_matrix(
     matrix: Any,
     checksums: ChecksumState,
     thresholds: Optional[ABFTThresholds] = None,
-    refresh_checksums: bool = True,
 ) -> MatrixCorrectionReport:
     """Detect and correct errors in ``matrix`` using the available checksums.
 
@@ -92,15 +91,9 @@ def correct_matrix(
     * column only  -> deterministic handling via :func:`check_columns`;
     * row only     -> deterministic handling via :func:`check_rows`;
     * both         -> nondeterministic handling: column first, row side for
-      whatever the column side could not fix, then (optionally) rebuild the
-      column checksums from the repaired data so downstream sections receive
-      consistent checksums.
-
-    Parameters
-    ----------
-    refresh_checksums:
-        Rebuild ``checksums.col`` from the corrected data when the row side
-        had to repair vectors the column side aborted on.
+      whatever the column side could not fix, then rebuild ``checksums.col``
+      from the repaired data when the row side repaired anything, so
+      downstream sections receive consistent checksums.
     """
     thresholds = thresholds or ABFTThresholds()
     report = MatrixCorrectionReport()
@@ -152,7 +145,7 @@ def correct_matrix(
         report.corrected += row_report.num_corrected
         report.aborted += row_report.num_aborted
 
-        if checksums.has_col() and refresh_checksums and row_report.num_corrected > 0:
+        if checksums.has_col() and row_report.num_corrected > 0:
             # The column checksums were consistent with the corrupted data, so
             # they are now inconsistent with the repaired data: rebuild them
             # (the paper re-computes only the affected columns; re-encoding the

@@ -47,7 +47,7 @@ keys stay exactly zero.
 
 Verification modes
 ------------------
-The engine supports three verification modes.  At a glance:
+The engine supports two verification modes.  At a glance:
 
 ============  =====================  ==========================  =================
 mode          verification latency   guarantee                   staleness bound
@@ -55,9 +55,6 @@ mode          verification latency   guarantee                   staleness bound
 *immediate*   in-pass (boundary)     detection **and** in-place  none — repaired
               — full cost on the     correction before the       values are what
               critical path          value is consumed           downstream sees
-*deferred*    end of step — flush    detection only; one         one step — flush
-              cost still on the      batched pass over all       runs at
-              critical path          layers of the step          ``flush()``
 *async*       off the critical       detection plus bounded-     ``max_pending_``
               path — a worker        staleness correction of     ``steps`` steps,
               thread verifies        the *retained* boundary     enforced by
@@ -69,47 +66,42 @@ mode          verification latency   guarantee                   staleness bound
     Verify and correct at each section boundary, inside the forward pass, so
     a repaired value is what downstream operations consume.  This is the
     semantics the paper evaluates.
-``deferred``
-    Record the boundary matrix and its carried checksums, and verify all
-    sections of all layers of a step in one batched pass at
-    :meth:`ProtectionEngine.flush`.  Boundary matrices of the same shape are
-    stacked so the whole step costs a handful of vectorised EEC-ABFT calls
-    regardless of depth.  Deferred verification is *detection only*: by flush
-    time the forward pass has already consumed the (possibly corrupted)
-    values, so corrections are not applied retroactively.
 ``async``
-    Same per-step work-item snapshot as deferred, but the batched
-    verification runs on a standard-library worker thread while the training
-    loop proceeds with the next step's compute — the checker work leaves the
-    critical path entirely.  The queues are double-buffered:
-    :meth:`protect_section` appends :class:`_DeferredCheck` work items to the
-    *front* buffer; :meth:`submit_step` swaps it against an empty buffer and
-    hands the snapshot to the worker.  ``max_pending_steps`` bounds how many
-    submitted step batches may be in flight: submitting beyond the bound
-    *blocks* until the worker catches up, so detection can never trail the
-    fault by more than ``max_pending_steps`` steps (the staleness window).
-    Within that window the engine upgrades detection to *bounded-staleness
-    correction*: a boundary that verifies dirty has its retained matrix
-    repaired via EEC-ABFT (on a copy — the live value was already consumed),
-    and the outcome is flagged ``stale`` so the trainer can re-execute the
-    affected step or abort (see ``TrainerConfig.stale_policy``).  Only the
+    Record the boundary matrix and its carried checksums as a work item and
+    verify all sections of all layers of a step in one batched pass
+    (:meth:`ProtectionEngine._verify_batch`) on a standard-library worker
+    thread, while the training loop proceeds with the next step's compute —
+    the checker work leaves the critical path entirely.  Boundary matrices
+    of the same shape are stacked, so the whole step costs a handful of
+    vectorised EEC-ABFT calls regardless of depth.  The queues are
+    double-buffered: :meth:`protect_section` appends :class:`_DeferredCheck`
+    work items to the *front* buffer; :meth:`submit_step` swaps it against
+    an empty buffer and hands the snapshot to the worker.
+    ``max_pending_steps`` bounds how many submitted step batches may be in
+    flight: submitting beyond the bound *blocks* until the worker catches
+    up, so detection can never trail the fault by more than
+    ``max_pending_steps`` steps (the staleness window).  Within that window
+    the engine upgrades detection to *bounded-staleness correction*: a
+    boundary that verifies dirty has its retained matrix repaired via
+    EEC-ABFT (on a copy — the live value was already consumed), and the
+    outcome is flagged ``stale`` so the trainer can re-execute the affected
+    step or abort (see ``TrainerConfig.stale_policy``).  Only the
     *earliest* dirty boundary of a (step, layer) pass is repaired: later
-    boundaries of the same pass are propagation shadows of the same fault and
-    re-execution, not double-repair, is the recovery for them.
+    boundaries of the same pass are propagation shadows of the same fault
+    and re-execution, not double-repair, is the recovery for them.
 
-Detection decisions of ``async`` mode are byte-identical to ``deferred``
-mode — both run the same batched pass (:meth:`ProtectionEngine._verify_batch`)
-over the same per-step snapshots.  Worker-side wall-clock is recorded under
-timer keys prefixed ``"async/"`` so callers can split critical-path from
-total checker time.
+Worker-side wall-clock is recorded under timer keys prefixed ``"async/"`` so
+callers can split critical-path from total checker time.
 
 Hot-path kernel schedule
 ------------------------
-Three dispatch/allocation optimisations (all on by default, all
-individually revertible to the historical schedule, which stays available
-for the equivalence tests and as the benchmark baseline):
+The engine runs one fixed schedule, built from three dispatch/allocation
+optimisations.  The per-GEMM reference backend
+(``ATTNCheckerConfig(backend="per_gemm")``) still runs the historical
+one-GEMM-per-update sequence and is the baseline the Figure-7 benchmark
+measures this schedule against:
 
-``fuse_sibling_gemms``
+Sibling-GEMM fusion
     ``W_Q`` and ``W_K`` consume the *same* carried checksum ``cs_x``, so the
     two per-projection checksum GEMMs of :math:`S_{AS}` fuse into one GEMM
     against the concatenated operand ``[W_Q | W_K]`` (split back into the Q
@@ -117,7 +109,7 @@ for the equivalence tests and as the benchmark baseline):
     bias adjustments collapse into one vectorised in-place add of the
     concatenated float64 bias row.  This is the paper's strided-batched
     fusion argument (§4): fewer, larger launches for the same algebra.
-``cache_weight_encodings``
+Weight-encoding cache
     Everything derived *from weights only* — ``rowcs(W_V)``, the fused
     ``[W_Q | W_K]`` operand, the concatenated/summed bias terms — is cached
     per (layer, kind) and reused until the weights change.  Validity is a
@@ -127,14 +119,14 @@ for the equivalence tests and as the benchmark baseline):
     once per weight version instead of once per layer visit.  Code that
     mutates weight storage in place outside those two paths must call
     :meth:`ProtectionEngine.invalidate_weight_cache`.
-``reuse_workspace``
+Checksum workspace
     Checksum intermediates live in a
     :class:`~repro.core.workspace.ChecksumWorkspace` arena of named
     shape/dtype/device-keyed buffers filled through the namespaces'
     ``out=`` contract: after one warm-up visit the steady-state hot path
-    allocates no managed buffers.  Checksums that outlive the section visit (the
-    deferred/async queues) deliberately bypass the arena, and the batched
-    verification pass uses a second arena owned by whichever single thread
+    allocates no managed buffers.  Checksums that outlive the section visit
+    (the async queue) deliberately bypass the arena, and the batched
+    verification pass uses a second arena owned by the worker thread that
     runs it — workspace buffers are never aliased by retained state.
 
 ``dispatch_counts`` tracks the checksum GEMM/einsum launches (``"gemm"``)
@@ -157,14 +149,12 @@ from typing import Any, Deque, Dict, Iterator, List, Optional, Tuple
 from repro.backend import ArrayBackend, backend_of
 from repro.core.checksums import (
     ChecksumState,
-    adjust_column_checksums_for_bias,
     checksum_weights,
     encode_column_checksums,
     encode_per_head_row_checksums_of_weight,
     encode_row_checksums,
     merge_head_column_checksums,
     split_head_column_checksums,
-    update_column_checksums_through_gemm,
     update_column_checksums_with_appended_rows,
 )
 from repro.core.correction import MatrixCorrectionReport, correct_matrix
@@ -225,11 +215,11 @@ class SectionOutcome:
 
     ``report`` is ``None`` for work that carried checksums forward without
     verifying (an :math:`S_{CL}` boundary visited only to feed :math:`S_O`,
-    or any boundary in deferred/async mode before its batched verification
-    ran).  For queued modes the eventual ``report`` holds the *detection*
-    outcome (``corrected`` stays 0 — the consumed value was never patched);
-    async mode additionally attaches ``repair``, the EEC-ABFT report of
-    repairing the retained boundary matrix within the staleness window.
+    or any async-mode boundary before its batched verification ran).  In
+    async mode the eventual ``report`` holds the *detection* outcome
+    (``corrected`` stays 0 — the consumed value was never patched), and
+    ``repair`` holds the EEC-ABFT report of repairing the retained boundary
+    matrix within the staleness window.
     """
 
     section: str
@@ -237,7 +227,11 @@ class SectionOutcome:
     step: int
     report: Optional[MatrixCorrectionReport] = None
     operand_repairs: int = 0
+    #: Queued for the async worker instead of verified in-pass.
     deferred: bool = False
+    #: Phase of the producing forward pass (``"train"``, ``"prefill"`` or
+    #: ``"decode"``); only serving phases reach the checker's recent ring.
+    phase: str = "train"
     #: Verification completed after the producing step's values were already
     #: consumed (async mode, dirty boundary) — the trainer's cue to re-execute
     #: or abort under its staleness policy.
@@ -328,23 +322,24 @@ class WeightEncodingCache:
 class _DeferredCheck:
     """One boundary matrix queued for batched verification.
 
-    The work item of both deferred and async modes: the retained boundary
-    matrix (by reference — downstream autograd ops allocate fresh arrays, so
-    the retained values stay what the boundary produced) plus its carried
-    checksums and the backend they live on.
+    The work item of async mode: the retained boundary matrix (by reference
+    — downstream autograd ops allocate fresh arrays, so the retained values
+    stay what the boundary produced) plus its carried checksums, the
+    backend they live on and the phase of the pass that produced them.
     """
 
-    __slots__ = ("section", "layer_index", "step", "matrix", "checksums", "backend")
+    __slots__ = ("section", "layer_index", "step", "matrix", "checksums", "backend", "phase")
 
     def __init__(self, section: str, layer_index: int, step: int,
                  matrix: Any, checksums: ChecksumState,
-                 backend: Optional[ArrayBackend] = None) -> None:
+                 backend: Optional[ArrayBackend] = None, phase: str = "train") -> None:
         self.section = section
         self.layer_index = layer_index
         self.step = step
         self.matrix = matrix
         self.checksums = checksums
         self.backend = backend if backend is not None else backend_of(matrix)
+        self.phase = phase
 
 
 class ProtectionEngine:
@@ -354,23 +349,15 @@ class ProtectionEngine:
     ----------
     thresholds:
         EEC-ABFT thresholds used for every verification.
-    refresh_checksums:
-        Rebuild column checksums after a row-side repair (see
-        :func:`repro.core.correction.correct_matrix`).
-    repair_operands:
-        After a boundary correction, additionally repair the upstream operand
-        whose 0D fault caused the propagation (keeps the backward pass clean).
     timers:
         Shared :class:`TimingRegistry`; phase labels match the historical
         per-GEMM backend (``"AS/encode"``, ``"CL/detect"``, ...) so overhead
         reporting is backend-agnostic.  The async worker records under the
         same labels prefixed ``"async/"``; adoption / write-back copies of a
         pinned engine record under ``"xfer/h2d"`` / ``"xfer/d2h"``.
-    deferred:
-        Select the ``deferred`` verification mode (see module docstring).
     asynchronous:
-        Select the ``async`` verification mode.  Mutually exclusive with
-        ``deferred``.
+        Select the ``async`` verification mode (see module docstring);
+        ``False`` is immediate mode.
     max_pending_steps:
         Async only: bound on in-flight submitted step batches.
         :meth:`submit_step` blocks once the bound is reached, which both
@@ -380,62 +367,31 @@ class ProtectionEngine:
         arrays.  An :class:`~repro.backend.ArrayBackend` instance pins the
         checksum chain to that library: foreign section outputs are adopted
         (``xfer/h2d``) and repaired values written back (``xfer/d2h``).
-    fuse_sibling_gemms:
-        Carry ``cs_x`` through ``[W_Q | W_K]`` as one concatenated GEMM and
-        apply both bias adjustments as one fused in-place add (see the
-        module docstring).  ``False`` restores the historical two-GEMM
-        schedule (the equivalence-test / benchmark baseline).
-    cache_weight_encodings:
-        Cache weight-derived encodings per (layer, kind), keyed by the
-        global weights version plus source-array identity.
-    reuse_workspace:
-        Serve checksum intermediates from a :class:`ChecksumWorkspace`
-        arena (zero steady-state hot-path allocations) instead of fresh
-        per-visit allocations.
     """
 
     def __init__(
         self,
         thresholds: Optional[ABFTThresholds] = None,
-        refresh_checksums: bool = True,
-        repair_operands: bool = True,
         timers: Optional[TimingRegistry] = None,
-        deferred: bool = False,
         asynchronous: bool = False,
         max_pending_steps: int = 2,
         array_backend: Optional[ArrayBackend] = None,
-        fuse_sibling_gemms: bool = True,
-        cache_weight_encodings: bool = True,
-        reuse_workspace: bool = True,
     ) -> None:
-        if deferred and asynchronous:
-            raise ValueError("deferred and asynchronous verification are mutually exclusive")
         if max_pending_steps < 1:
             raise ValueError(f"max_pending_steps must be >= 1, got {max_pending_steps}")
         self.thresholds = thresholds or ABFTThresholds()
-        self.refresh_checksums = refresh_checksums
-        self.repair_operands = repair_operands
         self.timers = timers if timers is not None else TimingRegistry()
-        self.deferred = deferred
         self.asynchronous = asynchronous
         self.max_pending_steps = max_pending_steps
         self.array_backend = array_backend
-        self.fuse_sibling_gemms = fuse_sibling_gemms
-        #: Weight-derived encoding cache (``None`` when disabled).
-        self.weight_cache: Optional[WeightEncodingCache] = (
-            WeightEncodingCache() if cache_weight_encodings else None
-        )
-        #: Critical-path intermediate arena (``None`` when disabled).
-        self.workspace: Optional[ChecksumWorkspace] = (
-            ChecksumWorkspace() if reuse_workspace else None
-        )
-        # The batched verification pass runs on exactly one thread at a time
-        # (the caller in deferred mode, the worker in async mode), but that
-        # thread is not the critical-path one — it gets its own arena so the
-        # two never share buffers.
-        self._batch_workspace: Optional[ChecksumWorkspace] = (
-            ChecksumWorkspace() if reuse_workspace else None
-        )
+        #: Weight-derived encoding cache.
+        self.weight_cache = WeightEncodingCache()
+        #: Critical-path intermediate arena.
+        self.workspace = ChecksumWorkspace()
+        # The batched verification pass runs on the async worker, not on the
+        # critical-path thread — it gets its own arena so the two never
+        # share buffers.
+        self._batch_workspace = ChecksumWorkspace()
         #: Checksum GEMM/einsum launches ("gemm") and verification passes
         #: ("detect") actually dispatched.  "gemm" counts only critical-path
         #: encode/carry launches; "detect" is also incremented by the batched
@@ -444,7 +400,7 @@ class ProtectionEngine:
         self.dispatch_counts: Dict[str, int] = {"gemm": 0, "detect": 0}
         self._layers: Dict[int, _LayerState] = {}
         #: Front buffer of the double-buffered queue: the step in progress
-        #: appends here; submit_step()/flush() swap it out wholesale.
+        #: appends here; submit_step() swaps it out wholesale.
         self._queue: List[_DeferredCheck] = []
         # -- async worker state (guarded by _cv) --------------------------------
         self._cv = threading.Condition()
@@ -482,12 +438,9 @@ class ProtectionEngine:
             self._inflight = 0
             self._epoch = 0
             self._failure = None
-        if self.weight_cache is not None:
-            self.weight_cache.clear()
-        if self.workspace is not None:
-            self.workspace.clear()
-        if self._batch_workspace is not None:
-            self._batch_workspace.clear()
+        self.weight_cache.clear()
+        self.workspace.clear()
+        self._batch_workspace.clear()
         self.dispatch_counts = {"gemm": 0, "detect": 0}
 
     def invalidate_weight_cache(self) -> None:
@@ -497,8 +450,7 @@ class ProtectionEngine:
         instrumented paths (``Optimizer.step`` / ``Module.load_state_dict``),
         which bump the global weights version themselves.
         """
-        if self.weight_cache is not None:
-            self.weight_cache.clear()
+        self.weight_cache.clear()
 
     def close(self) -> None:
         """Join the async worker thread (idempotent; engine stays usable).
@@ -511,7 +463,7 @@ class ProtectionEngine:
 
     @property
     def pending_verifications(self) -> int:
-        """Work items in the front buffer, not yet flushed/submitted."""
+        """Work items in the front buffer, not yet submitted."""
         return len(self._queue)
 
     @property
@@ -541,34 +493,23 @@ class ProtectionEngine:
 
     # -- workspace / cache plumbing ---------------------------------------------
 
-    def _buf(self, name: str, shape: Tuple[int, ...], xp: Any, dtype: Any = None) -> Optional[Any]:
-        """A reusable float64 workspace buffer, or ``None`` with workspace off."""
-        if self.workspace is None:
-            return None
-        return self.workspace.request(name, shape, xp.float64 if dtype is None else dtype, xp)
+    def _buf(self, name: str, shape: Tuple[int, ...], xp: Any) -> Any:
+        """A reusable float64 workspace buffer."""
+        return self.workspace.request(name, shape, xp.float64, xp)
 
     def _transient_buf(self, name: str, shape: Tuple[int, ...], xp: Any) -> Optional[Any]:
         """Workspace buffer for checksums that may outlive the section visit.
 
-        In deferred/async mode the boundary checksums are queued and verified
-        after later layers (and steps) have run — a reusable buffer would be
-        overwritten under the queue, so queued modes always allocate fresh.
+        In async mode the boundary checksums are queued and verified after
+        later layers (and steps) have run — a reusable buffer would be
+        overwritten under the queue, so async mode allocates fresh (``None``).
         """
-        if self.deferred or self.asynchronous:
+        if self.asynchronous:
             return None
         return self._buf(name, shape, xp)
 
-    def _cached_weight(self, key: tuple, sources: tuple, builder) -> Any:
-        if self.weight_cache is None:
-            return builder()
-        return self.weight_cache.lookup(key, sources, builder)
-
     def _stack_batch(self, name: str, arrays: List[Any], xp: Any) -> Any:
-        """Stack a verification group, into a batch-workspace buffer if on."""
-        if self._batch_workspace is None:
-            # Allocating fallback for the workspace-off configuration.
-            # reprolint: disable=WS001
-            return xp.stack(arrays)
+        """Stack a verification group into a batch-workspace buffer."""
         first = arrays[0]
         shape = (len(arrays),) + tuple(first.shape)
         out = self._batch_workspace.request(name, shape, first.dtype, xp)
@@ -716,24 +657,26 @@ class ProtectionEngine:
         outcome: SectionOutcome,
         backend: ArrayBackend,
     ) -> None:
-        """Verify ``out`` now, or queue it for a batched verification pass."""
-        if self.deferred or self.asynchronous:
+        """Verify ``out`` now, or queue it for the async worker's batched pass."""
+        if self.asynchronous:
             self._queue.append(
                 _DeferredCheck(ctx.section, ctx.layer_index, ctx.step, out,
-                               checksums, backend=backend)
+                               checksums, backend=backend, phase=ctx.phase)
             )
             outcome.deferred = True
             return
         with self._timed(f"{ctx.section}/detect", backend):
             self.dispatch_counts["detect"] += 1
-            outcome.report = correct_matrix(
-                out, checksums, thresholds=self.thresholds,
-                refresh_checksums=self.refresh_checksums,
-            )
+            outcome.report = correct_matrix(out, checksums, thresholds=self.thresholds)
         if ctx.phase != "train":
             outcome.request_dirty = request_dirty_from_report(outcome.report)
 
     _fold_request_dirty = staticmethod(fold_request_dirty)
+
+    @staticmethod
+    def _outcome(ctx: SectionContext) -> SectionOutcome:
+        return SectionOutcome(section=ctx.section, layer_index=ctx.layer_index,
+                              step=ctx.step, phase=ctx.phase)
 
     # -- section S_AS -----------------------------------------------------------
 
@@ -751,7 +694,7 @@ class ProtectionEngine:
         bias_q, bias_k = ops.get("bias_q"), ops.get("bias_k")
         num_rows = x.shape[-2]
         lead = tuple(x.shape[:-2])
-        outcome = SectionOutcome(section="AS", layer_index=ctx.layer_index, step=ctx.step)
+        outcome = self._outcome(ctx)
 
         # Encode the section input once...
         with self._timed("AS/encode", backend):
@@ -772,56 +715,42 @@ class ProtectionEngine:
             # Sibling fusion: W_Q and W_K consume the same carried checksum,
             # so one GEMM against the cached concatenated operand [W_Q | W_K]
             # replaces the two per-projection checksum GEMMs; the Q/K halves
-            # are recovered as axis-split views (no copy).  The fusion
-            # *requires* the weight cache — rebuilding the O(D^2) concatenated
-            # operand every visit would cost more than the dispatch it saves —
-            # and mixed presence of exactly one bias (never produced by
-            # MultiHeadAttention) falls back to the per-side schedule.
-            if (
-                self.fuse_sibling_gemms
-                and self.weight_cache is not None
-                and (bias_q is None) == (bias_k is None)
-            ):
-                # Cache identity keys on the *pre-adoption* producer arrays
-                # (ctx.operands): a pinned-foreign engine adopts fresh copies
-                # every visit, which would defeat an identity check on the
-                # adopted operands — the host-side originals are the stable
-                # handle.  On the native path ops IS ctx.operands.
-                w_qk = self._cached_weight(
-                    ("AS/w_qk", ctx.layer_index),
-                    (ctx.operands["w_q"], ctx.operands["w_k"]),
-                    lambda: xp.concatenate([w_q, w_k], axis=-1),
+            # are recovered as axis-split views (no copy).  MultiHeadAttention
+            # builds all four projections with one ``bias`` flag, so the Q and
+            # K biases are present together or not at all.
+            #
+            # Cache identity keys on the *pre-adoption* producer arrays
+            # (ctx.operands): a pinned-foreign engine adopts fresh copies
+            # every visit, which would defeat an identity check on the
+            # adopted operands — the host-side originals are the stable
+            # handle.  On the native path ops IS ctx.operands.
+            w_qk = self.weight_cache.lookup(
+                ("AS/w_qk", ctx.layer_index),
+                (ctx.operands["w_q"], ctx.operands["w_k"]),
+                lambda: xp.concatenate([w_q, w_k], axis=-1),
+            )
+            d_q = w_q.shape[-1]
+            self.dispatch_counts["gemm"] += 1
+            cs_qk = matmul_into(
+                xp, cs_x, w_qk,
+                self._buf("AS/cs_qk", lead + (2, w_qk.shape[-1]), xp),
+            )
+            if bias_q is not None:
+                # Both bias adjustments collapse into one vectorised in-place
+                # add of the cached concatenated float64 bias row; cs_qk is
+                # freshly computed float64, so the values are identical to
+                # the per-side copy-then-add.
+                b_qk = self.weight_cache.lookup(
+                    ("AS/bias_qk", ctx.layer_index),
+                    (ctx.operands["bias_q"], ctx.operands["bias_k"]),
+                    lambda: xp.concatenate([
+                        xp.astype(xp.asarray(bias_q), xp.float64, copy=False),
+                        xp.astype(xp.asarray(bias_k), xp.float64, copy=False),
+                    ], axis=-1),
                 )
-                d_q = w_q.shape[-1]
-                self.dispatch_counts["gemm"] += 1
-                cs_qk = matmul_into(
-                    xp, cs_x, w_qk,
-                    self._buf("AS/cs_qk", lead + (2, w_qk.shape[-1]), xp),
-                )
-                if bias_q is not None:
-                    # Both bias adjustments collapse into one vectorised
-                    # in-place add of the cached concatenated float64 bias
-                    # row; cs_qk is freshly computed float64, so the values
-                    # are identical to the per-side copy-then-add.
-                    b_qk = self._cached_weight(
-                        ("AS/bias_qk", ctx.layer_index),
-                        (ctx.operands["bias_q"], ctx.operands["bias_k"]),
-                        lambda: xp.concatenate([
-                            xp.astype(xp.asarray(bias_q), xp.float64, copy=False),
-                            xp.astype(xp.asarray(bias_k), xp.float64, copy=False),
-                        ], axis=-1),
-                    )
-                    cs_qk[..., 0, :] += num_rows * b_qk
-                    cs_qk[..., 1, :] += (num_rows * (num_rows + 1) / 2.0) * b_qk
-                cs_q, cs_k = cs_qk[..., :d_q], cs_qk[..., d_q:]
-            else:
-                self.dispatch_counts["gemm"] += 2
-                cs_q = update_column_checksums_through_gemm(cs_x, w_q)
-                if bias_q is not None:
-                    cs_q = adjust_column_checksums_for_bias(cs_q, bias_q, num_rows)
-                cs_k = update_column_checksums_through_gemm(cs_x, w_k)
-                if bias_k is not None:
-                    cs_k = adjust_column_checksums_for_bias(cs_k, bias_k, num_rows)
+                cs_qk[..., 0, :] += num_rows * b_qk
+                cs_qk[..., 1, :] += (num_rows * (num_rows + 1) / 2.0) * b_qk
+            cs_q, cs_k = cs_qk[..., :d_q], cs_qk[..., d_q:]
             cs_q_ph = split_head_column_checksums(cs_q, ctx.num_heads)     # (B, H, 2, dh)
             cs_k_ph = split_head_column_checksums(cs_k, ctx.num_heads)
             self.dispatch_counts["gemm"] += 2
@@ -839,11 +768,10 @@ class ProtectionEngine:
             )
 
         self._verify(ctx, out, ChecksumState(col=cs_as_col, row=cs_as_row), outcome, backend)
-        if (
-            self.repair_operands
-            and outcome.report is not None
-            and outcome.report.corrected > 0
-        ):
+        if outcome.report is not None and outcome.report.corrected > 0:
+            # Also repair the upstream operand whose 0D fault propagated into
+            # the boundary: autograd reuses Q and K^T, so this keeps the
+            # backward pass clean as well as the forward value.
             with self._timed("AS/correct", backend):
                 q_report = check_columns(ops["q"], cs_q_ph, thresholds=self.thresholds)
                 kt_report = check_rows(
@@ -892,7 +820,7 @@ class ProtectionEngine:
         x = ops["x"]                      # (B, 1, D) — the new input row
         total_len = cache.length          # post-append cache length T
         lead = tuple(x.shape[:-2])
-        outcome = SectionOutcome(section="AS", layer_index=ctx.layer_index, step=ctx.step)
+        outcome = self._outcome(ctx)
         if cache.cs_x is None or cache.cs_x_len != total_len - 1:
             raise RuntimeError(
                 "decode AS protection needs contiguous incremental checksums: "
@@ -915,7 +843,7 @@ class ProtectionEngine:
                 self._buf("AS/decode_cs_k", lead + (2, w_k.shape[-1]), xp),
             )
             if bias_k is not None:
-                b_k = self._cached_weight(
+                b_k = self.weight_cache.lookup(
                     ("AS/decode_bias_k", ctx.layer_index),
                     (ctx.operands["bias_k"],),
                     lambda: xp.astype(xp.asarray(bias_k), xp.float64, copy=False),
@@ -949,7 +877,7 @@ class ProtectionEngine:
         x = ops["x"]
         ap = ops["ap"]                    # (B, H, 1, T)
         total_len = cache.length
-        outcome = SectionOutcome(section="CL", layer_index=ctx.layer_index, step=ctx.step)
+        outcome = self._outcome(ctx)
         if cache.cs_v_row is None or cache.cs_v_len != total_len - 1:
             raise RuntimeError(
                 "decode CL protection needs contiguous incremental checksums: "
@@ -963,7 +891,7 @@ class ProtectionEngine:
                 self.dispatch_counts["gemm"] += 1
                 return encode_per_head_row_checksums_of_weight(ops["w_v"], ctx.num_heads)
 
-            rowcs_wv = self._cached_weight(
+            rowcs_wv = self.weight_cache.lookup(
                 ("CL/rowcs_wv", ctx.layer_index), (ctx.operands["w_v"],), build_rowcs
             )
         with self._timed("CL/update", backend):
@@ -983,7 +911,7 @@ class ProtectionEngine:
                         xp.sum(bias_heads * v2, axis=-1)[None, :, None],
                     )
 
-                term0, term1 = self._cached_weight(
+                term0, term1 = self.weight_cache.lookup(
                     ("CL/bias_v", ctx.layer_index),
                     (ctx.operands["bias_v"],), build_bias_terms,
                 )
@@ -1015,13 +943,13 @@ class ProtectionEngine:
         backend: ArrayBackend,
     ) -> Optional[SectionOutcome]:
         xp = backend.namespace_for(out)
-        outcome = SectionOutcome(section="O", layer_index=ctx.layer_index, step=ctx.step)
+        outcome = self._outcome(ctx)
         with self._timed("O/update", backend):
             def build_rowcs_wo() -> Any:
                 self.dispatch_counts["gemm"] += 1
                 return encode_row_checksums(ops["w_o"])                # (D, 2)
 
-            rowcs_wo = self._cached_weight(
+            rowcs_wo = self.weight_cache.lookup(
                 ("O/rowcs_wo", ctx.layer_index), (ctx.operands["w_o"],), build_rowcs_wo
             )
             self.dispatch_counts["gemm"] += 1
@@ -1048,7 +976,7 @@ class ProtectionEngine:
         # only O is, this boundary is visited solely to derive cs_cl_col.
         cl_enabled = state.enabled.get("CL", False)
         xp = backend.namespace_for(out)
-        outcome = SectionOutcome(section="CL", layer_index=ctx.layer_index, step=ctx.step)
+        outcome = self._outcome(ctx)
 
         cs_v_row = None
         if cl_enabled:
@@ -1061,7 +989,7 @@ class ProtectionEngine:
                     return encode_per_head_row_checksums_of_weight(ops["w_v"], ctx.num_heads)
 
                 # Identity keys on the pre-adoption array (see _protect_as).
-                rowcs_wv = self._cached_weight(
+                rowcs_wv = self.weight_cache.lookup(
                     ("CL/rowcs_wv", ctx.layer_index), (ctx.operands["w_v"],), build_rowcs
                 )
             with self._timed("CL/update", backend):
@@ -1087,7 +1015,7 @@ class ProtectionEngine:
                             xp.sum(bias_heads * v2, axis=-1)[None, :, None],
                         )
 
-                    term0, term1 = self._cached_weight(
+                    term0, term1 = self.weight_cache.lookup(
                         ("CL/bias_v", ctx.layer_index),
                         (ctx.operands["bias_v"],), build_bias_terms,
                     )
@@ -1132,8 +1060,7 @@ class ProtectionEngine:
         if cl_enabled:
             self._verify(ctx, out, checksums, outcome, backend)
             if (
-                self.repair_operands
-                and outcome.report is not None
+                outcome.report is not None
                 and outcome.report.corrected > 0
                 and cs_v_row is not None
             ):
@@ -1157,18 +1084,16 @@ class ProtectionEngine:
         # Gating (O enabled and a CL checksum to carry) happened in
         # protect_section via _section_active.
         xp = backend.namespace_for(out)
-        outcome = SectionOutcome(section="O", layer_index=ctx.layer_index, step=ctx.step)
+        outcome = self._outcome(ctx)
         with self._timed("O/update", backend):
-            merge_buffer = None
-            if self.workspace is not None:
-                # Merge through a reusable buffer of the moved layout
-                # (B, 2, H, dh): no per-visit allocation, same values as the
-                # helper's reshape-copy.
-                *lead, h, two, dh = state.cs_cl_col.shape
-                merge_buffer = self.workspace.request(
-                    "O/cs_cl_merged", tuple(lead) + (two, h, dh),
-                    getattr(state.cs_cl_col, "dtype", None), xp,
-                )
+            # Merge through a reusable buffer of the moved layout
+            # (B, 2, H, dh): no per-visit allocation, same values as the
+            # helper's reshape-copy.
+            *lead, h, two, dh = state.cs_cl_col.shape
+            merge_buffer = self.workspace.request(
+                "O/cs_cl_merged", tuple(lead) + (two, h, dh),
+                getattr(state.cs_cl_col, "dtype", None), xp,
+            )
             cs_cl_merged = merge_head_column_checksums(                        # (B, 2, D)
                 state.cs_cl_col, out=merge_buffer
             )
@@ -1213,7 +1138,7 @@ class ProtectionEngine:
         xp = backend.namespace_for(out)
         x, w_up = ops["x"], ops["w_up"]
         lead = tuple(x.shape[:-2])
-        outcome = SectionOutcome(section="FF1", layer_index=ctx.layer_index, step=ctx.step)
+        outcome = self._outcome(ctx)
         with self._timed("FF1/encode", backend):
             self.dispatch_counts["gemm"] += 1
             cs_x = encode_column_checksums(
@@ -1238,14 +1163,14 @@ class ProtectionEngine:
     ) -> Optional[SectionOutcome]:
         xp = backend.namespace_for(out)
         h = ops["h"]
-        outcome = SectionOutcome(section="FF2", layer_index=ctx.layer_index, step=ctx.step)
+        outcome = self._outcome(ctx)
         with self._timed("FF2/encode", backend):
             def build_rowcs() -> Any:
                 self.dispatch_counts["gemm"] += 1
                 return encode_row_checksums(ops["w_down"])               # (D_ff, 2)
 
             # Identity keys on the pre-adoption array (see _protect_as).
-            rowcs_wd = self._cached_weight(
+            rowcs_wd = self.weight_cache.lookup(
                 ("FF2/rowcs_w_down", ctx.layer_index),
                 (ctx.operands["w_down"],), build_rowcs,
             )
@@ -1258,7 +1183,7 @@ class ProtectionEngine:
         self._verify(ctx, out, ChecksumState(row=cs_fo), outcome, backend)
         return outcome
 
-    # -- batched verification (shared by deferred flush and the async worker) ----
+    # -- batched verification (the async worker's pass) -------------------------
 
     def _verify_batch(
         self, items: List[_DeferredCheck], timer_prefix: str = ""
@@ -1270,8 +1195,7 @@ class ProtectionEngine:
         with a single vectorised EEC-ABFT call per checksum side per group —
         the cross-layer batching of the fused design.  Stacking and detection
         run on each group's own backend.  Detection only: ``corrected`` stays
-        0.  Deferred mode and the async worker both run exactly this code,
-        which is what makes their detection decisions byte-identical.
+        0 (:meth:`_process_batch` repairs the fault site afterwards).
         """
         pairs: List[Tuple[_DeferredCheck, SectionOutcome]] = []
         if not items:
@@ -1339,25 +1263,11 @@ class ProtectionEngine:
                         step=item.step,
                         report=report,
                         deferred=True,
+                        phase=item.phase,
                         request_dirty=dirty,
                     ),
                 ))
         return pairs
-
-    # -- deferred flush ---------------------------------------------------------
-
-    def flush(self) -> List[SectionOutcome]:
-        """Verify every queued boundary matrix, synchronously, right now.
-
-        In deferred mode this is the per-step batched pass (detection only;
-        see the module docstring).  In async mode it is a convenience barrier:
-        submit whatever the front buffer holds, then :meth:`drain`.
-        """
-        if self.asynchronous:
-            self.submit_step()
-            return self.drain()
-        items, self._queue = self._queue, []
-        return [outcome for _, outcome in self._verify_batch(items)]
 
     # -- async mode -------------------------------------------------------------
 
@@ -1471,7 +1381,7 @@ class ProtectionEngine:
     def _process_batch(self, epoch: int, items: List[_DeferredCheck]) -> List[SectionOutcome]:
         """Verify one submitted step batch and repair the dirty fault sites.
 
-        Detection runs the exact deferred-mode batched pass.  Then, per step
+        Detection runs the batched pass of :meth:`_verify_batch`.  Then, per step
         counter, the *earliest* dirty boundary in dataflow order — the fault
         site under the paper's single-transient-fault-per-step model — has
         its retained matrix repaired via EEC-ABFT on a copy (the live array
@@ -1501,6 +1411,5 @@ class ProtectionEngine:
                 repaired = item.backend.copy(item.matrix)
                 outcome.repair = correct_matrix(
                     repaired, item.checksums.copy(), thresholds=self.thresholds,
-                    refresh_checksums=self.refresh_checksums,
                 )
         return [outcome for _, outcome in pairs]

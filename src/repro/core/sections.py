@@ -161,17 +161,16 @@ SECTION_REGISTRY: Dict[str, ProtectionSection] = {
 }
 
 #: Valid ``ATTNCheckerConfig.protect_scope`` values.  ``"attention"`` is the
-#: historical bit-for-bit default; ``"attention+ffn"`` adds the FFN sections;
-#: ``"full"`` means every registered section (today identical to
-#: ``"attention+ffn"`` — embeddings/LayerNorm invariants are a noted residual).
-PROTECT_SCOPES: Tuple[str, ...] = ("attention", "attention+ffn", "full")
+#: historical bit-for-bit default; ``"attention+ffn"`` adds the FFN sections,
+#: which is every registered section.
+PROTECT_SCOPES: Tuple[str, ...] = ("attention", "attention+ffn")
 
 
 def sections_for_scope(scope: str) -> Dict[str, ProtectionSection]:
     """The active section subset for one ``protect_scope`` value."""
     if scope == "attention":
         return PROTECTION_SECTIONS
-    if scope in ("attention+ffn", "full"):
+    if scope == "attention+ffn":
         return SECTION_REGISTRY
     raise KeyError(
         f"unknown protect scope {scope!r}; expected one of {PROTECT_SCOPES}"
@@ -338,7 +337,7 @@ class SectionCostModel:
         """Costs for every section of ``scope`` for one transformer layer.
 
         The default scope is the historical attention triple; pass
-        ``"attention+ffn"`` / ``"full"`` for the whole-model registry.
+        ``"attention+ffn"`` for the whole-model registry.
         """
         return {name: self.section_costs(name) for name in sections_for_scope(scope)}
 
@@ -475,25 +474,26 @@ class SectionCostModel:
     ) -> Dict[str, int]:
         """Checksum GEMM/einsum launches per transformer-layer visit, by section.
 
-        Counts the encode/carry launches of the fused engine's checksum chain
-        (what ``ProtectionEngine.dispatch_counts["gemm"]`` measures), with all
-        three sections enabled — detection launches are modelled separately by
+        Counts the encode/carry launches of a checksum chain (what
+        ``ATTNChecker.dispatch_counts["gemm"]`` measures), with all three
+        sections enabled — detection launches are modelled separately by
         :meth:`verification_dispatches_per_step`.  Bias adjustments are
         elementwise, not GEMMs, and are not counted.
 
-        * ``"unfused"`` — the historical one-GEMM-per-update schedule
-          (``fuse_sibling_gemms=False, cache_weight_encodings=False``):
-          S_AS encodes ``cs_x`` and carries it through ``W_Q`` and ``W_K``
-          separately (3) plus the two boundary-side carries (2); S_CL encodes
-          ``rowcs(W_V)`` and ``col(AP)`` (2) and carries three times (3);
-          S_O carries once.
-        * ``"fused"`` — the sibling GEMMs collapse into one launch against
-          ``[W_Q | W_K]`` (S_AS drops to 4) and, in steady state
-          (``steady_state=True``: weights unchanged since the last visit, so
-          the weight-encoding cache hits), the ``rowcs(W_V)`` encode
-          disappears from the per-visit path (S_CL drops to 4).  A cold visit
-          (``steady_state=False`` — first visit, or the first after a weight
-          update) pays the ``rowcs(W_V)`` encode once.
+        * ``"unfused"`` — the historical one-GEMM-per-update schedule, which
+          the per-GEMM reference backend (``backend="per_gemm"``) runs and
+          counts: S_AS encodes ``cs_x`` and carries it through ``W_Q`` and
+          ``W_K`` separately (3) plus the two boundary-side carries (2); S_CL
+          encodes ``rowcs(W_V)`` and ``col(AP)`` (2) and carries three times
+          (3); S_O carries once.
+        * ``"fused"`` — the fused engine's schedule: the sibling GEMMs
+          collapse into one launch against ``[W_Q | W_K]`` (S_AS drops to 4)
+          and, in steady state (``steady_state=True``: weights unchanged
+          since the last visit, so the weight-encoding cache hits), the
+          ``rowcs(W_V)`` encode disappears from the per-visit path (S_CL
+          drops to 4).  A cold visit (``steady_state=False`` — first visit,
+          or the first after a weight update) pays the ``rowcs(W_V)`` encode
+          once.
 
         With an FFN-including ``scope`` the two single-GEMM feed-forward
         sections are added:
@@ -505,7 +505,7 @@ class SectionCostModel:
           visit) re-encodes ``rowcs(W_down)`` per visit, so 2.
 
         The totals are exact counts the fused-kernel tests compare against
-        the engine's measured counters.
+        the measured counters of both backends.
         """
         if schedule == "unfused":
             counts = {"AS": 5, "CL": 5, "O": 1}
@@ -569,15 +569,14 @@ class SectionCostModel:
     def checksum_workspace_slots(mode: str, scope: str = "attention") -> int:
         """Distinct reusable workspace buffers of the critical-path arena.
 
-        With ``reuse_workspace`` on, the fused engine's steady-state hot path
-        serves every *managed* checksum intermediate from one of these named
-        slots, shared across the homogeneous layers of a model.  Immediate
-        mode keeps the boundary checksums in the arena too (9 slots:
-        ``cs_x``/``cs_qk``/two ``AS`` sides, ``cs_ap_col``/two ``CL`` sides,
-        the merged ``CL`` checksum and the ``O`` side); deferred/async modes
-        queue the five boundary-checksum arrays past the visit, so those are
-        allocated fresh and only the four transient intermediates stay in
-        the arena.
+        The fused engine's steady-state hot path serves every *managed*
+        checksum intermediate from one of these named slots, shared across
+        the homogeneous layers of a model.  Immediate mode keeps the boundary
+        checksums in the arena too (9 slots: ``cs_x``/``cs_qk``/two ``AS``
+        sides, ``cs_ap_col``/two ``CL`` sides, the merged ``CL`` checksum and
+        the ``O`` side); async mode queues the five boundary-checksum arrays
+        past the visit, so those are allocated fresh and only the four
+        transient intermediates stay in the arena.
 
         One intermediate is deliberately unmanaged: ``cs_v_row`` (the carried
         row checksums of V) comes from an einsum, and einsum's ``out=`` path
@@ -587,19 +586,19 @@ class SectionCostModel:
 
         An FFN-including ``scope`` adds three immediate-mode slots — the
         ``FF1`` input encode (``FF1/cs_x``) plus the two boundary-checksum
-        slots (``FF1/col``, ``FF2/row``) — and one queued-mode slot (only the
+        slots (``FF1/col``, ``FF2/row``) — and one async-mode slot (only the
         encode intermediate stays in the arena when boundary checksums are
         queued past the visit).
         """
         if mode == "immediate":
             slots = 9
             ffn = 3
-        elif mode in ("deferred", "async"):
+        elif mode == "async":
             slots = 4
             ffn = 1
         else:
             raise KeyError(
-                f"unknown verification mode {mode!r}; expected 'immediate', 'deferred' or 'async'"
+                f"unknown verification mode {mode!r}; expected 'immediate' or 'async'"
             )
         if "FF1" in sections_for_scope(scope):
             slots += ffn
@@ -661,8 +660,8 @@ class SectionCostModel:
     def steady_state_hot_path_allocations() -> int:
         """Workspace allocations per layer visit once warm — zero by design.
 
-        The measurable claim behind ``reuse_workspace``: after the warm-up
-        visit, ``ChecksumWorkspace.allocations`` stays flat while ``reuses``
+        The measurable claim behind the fused engine's checksum workspace:
+        after the warm-up visit, ``ChecksumWorkspace.allocations`` stays flat while ``reuses``
         grows (counter-verified by the fused-kernel tests and the Figure-7
         perf smoke).
         """
@@ -681,11 +680,9 @@ class SectionCostModel:
 
         * ``immediate`` — one verification per section per layer, all inside
           the forward pass.
-        * ``deferred`` — all layers of the step are stacked and verified in
-          one batched pass per section at ``end_step``; fewer dispatches, but
-          still on the calling thread.
-        * ``async`` — the same batched passes run on the worker thread, so
-          zero verification dispatches remain on the critical path.
+        * ``async`` — all layers of the step are stacked and verified in one
+          batched pass per section on the worker thread, so zero
+          verification dispatches remain on the critical path.
 
         Counts assume the homogeneous-layer case (every layer's boundary
         matrices share a shape, so each section forms a single stacked group).
@@ -695,12 +692,10 @@ class SectionCostModel:
         sections = len(sections_for_scope(scope))
         if mode == "immediate":
             return {"critical_path": sections * num_layers, "off_critical_path": 0}
-        if mode == "deferred":
-            return {"critical_path": sections, "off_critical_path": 0}
         if mode == "async":
             return {"critical_path": 0, "off_critical_path": sections}
         raise KeyError(
-            f"unknown verification mode {mode!r}; expected 'immediate', 'deferred' or 'async'"
+            f"unknown verification mode {mode!r}; expected 'immediate' or 'async'"
         )
 
     def attention_gemm_flops(self) -> float:

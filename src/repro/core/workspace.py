@@ -3,7 +3,7 @@
 The fused checker's steady-state hot path computes the same handful of
 checksum intermediates every layer visit — ``cs_x``, the carried ``[Q|K]``
 checksums, the ``AS``/``CL``/``O`` boundary checksums, the stacked batches of
-the deferred/async verification pass.  Allocating them afresh per visit costs
+the async verification pass.  Allocating them afresh per visit costs
 an allocator round-trip (and, on device backends, a stream-ordered malloc)
 per buffer per layer.  :class:`ChecksumWorkspace` is a shape/dtype/device
 keyed arena of named reusable buffers: the first visit allocates (warm-up),
@@ -29,7 +29,7 @@ Aliasing discipline
 -------------------
 A workspace buffer is only valid until the next request for the same slot,
 so the engine never hands workspace-backed arrays to anything that outlives
-the section visit: checksums queued for deferred/async verification are
+the section visit: checksums queued for async verification are
 allocated off-workspace, and the async worker uses a workspace of its own
 (one writer per arena — the arena itself is not synchronised).
 """

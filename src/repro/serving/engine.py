@@ -316,7 +316,7 @@ class ServingEngine:
             next_ids = np.argmax(logits, axis=-1).astype(np.int64)
             self._record_tokens(state, next_ids, remaining, slot_map)
         if self.checker is not None:
-            # Flush any deferred/async verification work attributable to this
+            # Complete any async verification work attributable to this
             # batch before its slots are retired.
             with self.timers.measure("serve/verify"):
                 self.checker.drain()
@@ -408,7 +408,7 @@ class ServingEngine:
         """Fold the checker's recent outcomes into per-request dispositions.
 
         Dirty masks are indexed by *physical* slot of the step they were
-        recorded at; with synchronous absorption (immediate/deferred) that
+        recorded at; with synchronous absorption (immediate mode) that
         step ran under the current ``slot_map``, which maps them back to
         original requests.  Async mode never compacts, so its historical
         masks always match the full batch width.

@@ -323,10 +323,9 @@ class Trainer:
     def _end_step_verifications(self) -> int:
         """Close the step's checker work; count stale dirty boundaries.
 
-        Flushes deferred verifications synchronously, or — for an async
-        checker — submits the step's checksum snapshot to the worker and
-        harvests whatever verification results have completed, so detections
-        land in step results as soon as they exist.  A no-op for
+        For an async checker, submits the step's checksum snapshot to the
+        worker and harvests whatever verification results have completed, so
+        detections land in step results as soon as they exist.  A no-op for
         immediate-mode checkers.
         """
         if self.checker is None:

@@ -13,7 +13,7 @@ What this file pins down:
   the checksum/EEC-ABFT stack produce the NumPy reference's results on every
   backend.
 * **Fault campaign** — a synthetic single-layer attention pass per backend,
-  one injected fault per scenario, across immediate / deferred / async
+  one injected fault per scenario, across immediate / async
   verification: detection/correction decisions must be byte-identical to the
   NumPy reference and repaired boundaries numerically identical.
 * **Full-model campaign** — the random-geometry campaign of
@@ -273,9 +273,7 @@ def run_layer_campaign(backend_name, seed, target, error_type, mode, dtype=np.fl
 
     dev = {k: backend.from_numpy(np.array(v, copy=True))
            for k, v in p.items() if k != "geom"}
-    engine = ProtectionEngine(
-        deferred=(mode == "deferred"), asynchronous=(mode == "async"),
-    )
+    engine = ProtectionEngine(asynchronous=(mode == "async"))
     engine.begin_layer(0, SECTIONS_ENABLED)
 
     def ctx(section, operands):
@@ -321,9 +319,7 @@ def run_layer_campaign(backend_name, seed, target, error_type, mode, dtype=np.fl
     }), o_out))
     engine.end_layer(0)
 
-    if mode == "deferred":
-        outcomes = engine.flush()
-    elif mode == "async":
+    if mode == "async":
         engine.submit_step()
         outcomes = engine.drain()
         engine.close()
@@ -343,7 +339,7 @@ def run_layer_campaign(backend_name, seed, target, error_type, mode, dtype=np.fl
 
 
 @pytest.mark.parametrize("name", BACKENDS)
-@pytest.mark.parametrize("mode", ["immediate", "deferred", "async"])
+@pytest.mark.parametrize("mode", ["immediate", "async"])
 class TestSyntheticFaultCampaign:
     def test_decisions_match_numpy_reference(self, name, mode):
         for seed, target in enumerate(TARGETS):
@@ -393,7 +389,7 @@ class TestSyntheticFaultCampaign:
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("name", BACKENDS)
-@pytest.mark.parametrize("mode", ["fused", "fused+deferred", "fused+async"])
+@pytest.mark.parametrize("mode", ["fused", "fused+async"])
 def test_full_model_campaign_pinned_backend_matches_reference(name, mode):
     """The random-geometry campaign with the engine pinned to each backend.
 

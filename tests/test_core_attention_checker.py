@@ -160,7 +160,7 @@ class TestWithoutChecker:
 
 
 class TestOperandRepair:
-    def test_repair_operands_keeps_backward_finite(self, rng):
+    def test_operand_repair_keeps_backward_finite(self, rng):
         model = build_model("bert-base", size="tiny", rng=np.random.default_rng(0))
         ids = rng.integers(0, model.config.vocab_size, size=(4, model.config.max_seq_len))
         mask = np.ones((4, model.config.max_seq_len))
@@ -168,7 +168,7 @@ class TestOperandRepair:
         injector = FaultInjector(
             [FaultSpec(matrix="K", error_type="inf")], rng=np.random.default_rng(3)
         )
-        checker = ATTNChecker(ATTNCheckerConfig(repair_operands=True))
+        checker = ATTNChecker(ATTNCheckerConfig())
         model.set_attention_hooks(ComposedHooks([injector, checker]))
         out = model(ids, attention_mask=mask, labels=labels)
         out.loss.backward()

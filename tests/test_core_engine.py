@@ -6,16 +6,22 @@ correction decisions (and produce byte-identical protected outputs) under a
 fault-injection campaign covering every target matrix and error type.
 """
 
+import dataclasses
+import inspect
+
 import numpy as np
 import pytest
 
 from repro.core import (
     CHECKER_BACKENDS,
+    VERIFICATION_MODE_CONFIGS,
+    VERIFICATION_MODES,
     ATTNChecker,
     ATTNCheckerConfig,
     ProtectedGemmChain,
     ProtectionEngine,
     SectionCostModel,
+    correct_matrix,
 )
 from repro.faults import FaultInjector, FaultSpec
 from repro.models import get_config
@@ -91,16 +97,45 @@ class TestBackendConfig:
         with pytest.raises(ValueError):
             ATTNCheckerConfig(backend="cuda")
 
-    def test_deferred_requires_fused(self):
-        with pytest.raises(ValueError):
-            ATTNCheckerConfig(backend="per_gemm", defer_verification=True)
-
     def test_dispatch_accounting(self):
         model = SectionCostModel(get_config("bert-base", size="paper"), batch_size=8)
         assert model.python_dispatches_per_layer("fused") == 3
         assert model.python_dispatches_per_layer("per_gemm") == 6
         with pytest.raises(KeyError):
             model.python_dispatches_per_layer("other")
+
+
+class TestPublicSurface:
+    """One fused schedule and two verification modes: the configuration
+    surface has no schedule flags, no detection-only mode and no alias."""
+
+    def test_config_fields(self):
+        assert [f.name for f in dataclasses.fields(ATTNCheckerConfig)] == [
+            "thresholds", "frequencies", "protect_scope", "backend",
+            "array_backend", "async_verification", "max_pending_steps",
+        ]
+
+    def test_engine_parameters(self):
+        assert list(inspect.signature(ProtectionEngine).parameters) == [
+            "thresholds", "timers", "asynchronous", "max_pending_steps", "array_backend",
+        ]
+
+    def test_engine_rejects_nonpositive_pending_steps(self):
+        with pytest.raises(ValueError, match="max_pending_steps"):
+            ProtectionEngine(asynchronous=True, max_pending_steps=0)
+
+    def test_correct_matrix_parameters(self):
+        assert list(inspect.signature(correct_matrix).parameters) == [
+            "matrix", "checksums", "thresholds",
+        ]
+
+    def test_mode_configs_select_their_mode(self):
+        assert VERIFICATION_MODES == ("immediate", "async")
+        assert tuple(VERIFICATION_MODE_CONFIGS) == VERIFICATION_MODES
+        for mode, kwargs in VERIFICATION_MODE_CONFIGS.items():
+            assert ATTNCheckerConfig(**kwargs).verification_mode == mode
+            assert ATTNChecker(ATTNCheckerConfig(**kwargs)).engine.asynchronous == (
+                mode == "async")
 
 
 class TestFusedTransparency:
@@ -248,10 +283,10 @@ class TestBackendEquivalenceVariants:
         assert sum(d for d, *_ in totals["fused"].values()) >= len(specs)
 
 
-class TestDeferredVerification:
-    def test_deferred_queues_then_flushes_in_one_batch(self, rng):
+class TestAsyncBatchedVerification:
+    def test_async_queues_then_verifies_in_one_batch(self, rng):
         attention = make_attention()
-        checker = ATTNChecker(ATTNCheckerConfig(defer_verification=True))
+        checker = ATTNChecker(ATTNCheckerConfig(async_verification=True))
         injector = FaultInjector(
             [FaultSpec(matrix="AS", error_type="inf", layer_index=0)],
             rng=np.random.default_rng(7),
@@ -260,32 +295,36 @@ class TestDeferredVerification:
         # Nothing verified yet: the three sections are queued.
         assert checker.stats.total_checks == 0
         assert checker.engine.pending_verifications == 3
-        outcomes = checker.end_step()
+        outcomes = checker.end_step() + checker.drain()
+        checker.close()
         assert checker.engine.pending_verifications == 0
         assert len(outcomes) == 3
         assert checker.stats.total_detections >= 1
         assert checker.stats.total_checks == 3
 
-    def test_deferred_clean_pass_reports_clean(self, rng):
+    def test_async_clean_pass_reports_clean(self, rng):
         attention = make_attention()
-        checker = ATTNChecker(ATTNCheckerConfig(defer_verification=True))
+        checker = ATTNChecker(ATTNCheckerConfig(async_verification=True))
         run_attention(attention, rng.normal(size=(2, 6, 16)), checker)
-        outcomes = checker.end_step()
+        outcomes = checker.end_step() + checker.drain()
+        checker.close()
         assert len(outcomes) == 3
         assert checker.stats.total_detections == 0
 
-    def test_deferred_batches_multiple_layers(self, rng):
-        # Two forward passes before the flush: same-shaped boundary matrices
+    def test_async_batches_multiple_layers(self, rng):
+        # Two forward passes before the submit: same-shaped boundary matrices
         # stack into one batched verification per section.
         attention = make_attention()
-        checker = ATTNChecker(ATTNCheckerConfig(defer_verification=True))
+        checker = ATTNChecker(ATTNCheckerConfig(async_verification=True))
         x = rng.normal(size=(2, 6, 16))
         run_attention(attention, x, checker)
         run_attention(attention, x, checker)
         assert checker.engine.pending_verifications == 6
-        outcomes = checker.end_step()
+        outcomes = checker.end_step() + checker.drain()
+        checker.close()
         assert len(outcomes) == 6
         assert checker.stats.total_checks == 6
+        assert checker.dispatch_counts["detect"] == 3
 
     def test_end_step_noop_in_immediate_mode(self, rng):
         checker = ATTNChecker()
@@ -313,11 +352,12 @@ class TestEngineStandalone:
 
     def test_reset_clears_queue(self, rng):
         attention = make_attention()
-        checker = ATTNChecker(ATTNCheckerConfig(defer_verification=True))
+        checker = ATTNChecker(ATTNCheckerConfig(async_verification=True))
         run_attention(attention, rng.normal(size=(1, 4, 16)), checker)
         assert checker.engine.pending_verifications == 3
         checker.reset_stats()
         assert checker.engine.pending_verifications == 0
+        checker.close()
 
 
 class TestProtectedGemmChain:

@@ -1,24 +1,29 @@
 """Fused batched checksum kernels, weight-encoding cache and workspace arena.
 
 What this file pins, complementing ``test_verification_modes.py`` (which
-already byte-compares the *default* fused schedule against the per-GEMM
-reference over a random campaign):
+byte-compares the fused engine against the per-GEMM reference over a random
+campaign, and async against immediate mode):
 
-* the optimised schedule (sibling-GEMM fusion + weight-encoding cache +
-  checksum workspace) makes **byte-identical detection/correction decisions
-  and outputs** vs the historical unfused sequence, across random geometry,
-  dtypes, sections, faults and all three verification modes;
+* the fused schedule (sibling-GEMM fusion + weight-encoding cache + checksum
+  workspace) makes **byte-identical detection/correction decisions and
+  outputs** vs the per-GEMM reference, which runs the historical unfused
+  sequence, across random geometry, dtypes, sections and faults;
+* the state a checker keeps across passes (cached weight encodings,
+  steady-state workspace buffers, the reference's per-pass checksums) never
+  changes a decision: a warm checker decides exactly like a cold one;
 * the BLAS property the sibling fusion relies on — ``A @ [B1 | B2]`` is
   column-wise bitwise identical to ``A @ B1`` / ``A @ B2`` — holds on this
   platform (a loud canary if a BLAS build ever breaks it);
 * the workspace is allocation-free in steady state (buffer identity stable
-  across steps), never owns anything the deferred/async queues retain, and
-  repair write-back does not leak corrupted state into reused buffers;
+  across steps), never owns anything the async queue retains, and repair
+  write-back does not leak corrupted state into reused buffers;
 * the weight-encoding cache hits across fault-free forwards and is
   invalidated by optimizer steps, ``load_state_dict`` and the manual
   ``invalidate_weight_cache`` escape hatch for in-place weight edits;
-* the engine's measured dispatch counters agree with
-  ``SectionCostModel.checksum_gemm_dispatches_per_layer``;
+* the measured dispatch counters of the engine (``"fused"``) and of the
+  per-GEMM reference (``"unfused"``, in training too) agree with
+  ``SectionCostModel.checksum_gemm_dispatches_per_layer``, and both backends
+  count the same verifications in prefill and decode;
 * namespaces without the ``out=`` contract fall back value-correctly.
 """
 
@@ -50,13 +55,6 @@ from repro.tensor.autograd import Tensor
 from repro.training import Trainer, TrainerConfig
 from repro.utils.versioning import bump_weights_version, weights_version
 
-#: The historical per-visit schedule, as ATTNCheckerConfig kwargs.
-LEGACY_SCHEDULE = {
-    "fuse_sibling_gemms": False,
-    "cache_weight_encodings": False,
-    "reuse_workspace": False,
-}
-
 
 def make_attention(seed, hidden=16, heads=4, bias=True):
     attention = MultiHeadAttention(
@@ -81,32 +79,43 @@ def forward(attention, checker, seed, batch=2, seq=5, injector=None):
 
 
 # ---------------------------------------------------------------------------
-# Byte-identical decisions: optimised schedule vs the unfused sequence
+# Byte-identical decisions: fused schedule vs the unfused sequence
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("seed", range(8))
-@pytest.mark.parametrize("mode", ["fused", "fused+deferred", "fused+async"])
-class TestFusedVsUnfusedEquivalence:
-    """Property campaign: random geometry/dtype/section/fault, every mode."""
-
-    def test_byte_identical_decisions_and_outputs(self, mode, seed):
-        scenario = random_scenario(seed)
-        optimised = run_scenario(mode, scenario, seed)
-        legacy = run_scenario(mode, scenario, seed, extra_config=LEGACY_SCHEDULE)
-        assert optimised["stats"] == legacy["stats"], (mode, seed, scenario)
-        assert optimised["detection_sig"] == legacy["detection_sig"]
-        assert optimised["decision_sig"] == legacy["decision_sig"]
-        assert np.array_equal(optimised["output"], legacy["output"], equal_nan=True)
-
-
-@pytest.mark.parametrize("seed", range(4))
 def test_fused_schedule_matches_per_gemm_reference(seed):
-    """Transitivity check, directly: optimised fused vs the per-GEMM oracle."""
+    """Fused schedule vs the per-GEMM oracle's unfused sequence."""
     scenario = random_scenario(seed)
     fused = run_scenario("fused", scenario, seed)
     reference = run_scenario("per_gemm", scenario, seed)
     assert fused["stats"] == reference["stats"]
     assert np.array_equal(fused["output"], reference["output"], equal_nan=True)
+
+
+def without_steps(signature):
+    """A decision signature minus its step numbers (warm-up passes shift them)."""
+    return tuple(entry[:2] + entry[3:] for entry in signature)
+
+
+@pytest.mark.parametrize("seed", range(8))
+@pytest.mark.parametrize("mode", list(MODE_KWARGS))
+class TestWarmVsColdEquivalence:
+    """Property campaign: state a checker keeps across passes never changes a
+    decision.  The fused engine carries cached weight encodings and
+    steady-state workspace buffers from pass to pass; the per-GEMM reference
+    must drop its per-pass checksums at every layer exit."""
+
+    def test_byte_identical_decisions_and_outputs(self, mode, seed):
+        scenario = random_scenario(seed)
+        cold = run_scenario(mode, scenario, seed)
+        warm = run_scenario(mode, scenario, seed, warmup=2)
+        assert warm["stats"] == cold["stats"], (mode, seed, scenario)
+        assert without_steps(warm["decision_sig"]) == without_steps(cold["decision_sig"])
+        assert np.array_equal(warm["output"], cold["output"], equal_nan=True)
+        if mode != "per_gemm":
+            # The faulty pass really ran on warm state.
+            assert warm["weight_cache"]["hits"] > cold["weight_cache"]["hits"]
+            assert warm["workspace"]["reuses"] > cold["workspace"]["reuses"]
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32, np.float16])
@@ -173,7 +182,7 @@ class TestChecksumWorkspace:
         workspace.clear()
         assert len(workspace) == 0
 
-    @pytest.mark.parametrize("mode", ["fused", "fused+deferred", "fused+async"])
+    @pytest.mark.parametrize("mode", ["fused", "fused+async"])
     def test_zero_steady_state_allocations(self, mode):
         """After one warm-up step the hot path allocates nothing new, and the
         slot count matches the cost model's accounting."""
@@ -195,9 +204,9 @@ class TestChecksumWorkspace:
         assert engine.workspace.steady_state
         checker.close()
 
-    @pytest.mark.parametrize("mode", ["fused+deferred", "fused+async"])
+    @pytest.mark.parametrize("mode", ["fused+async"])
     def test_queued_checksums_never_workspace_owned(self, mode):
-        """Deferred/async queue items must not alias reusable buffers."""
+        """Async queue items must not alias reusable buffers."""
         attention = make_attention(12)
         checker = ATTNChecker(ATTNCheckerConfig(**MODE_KWARGS[mode]))
         hidden = attention.hidden_size
@@ -359,12 +368,27 @@ class TestDispatchAccounting:
 
     def test_unfused_counters_match_cost_model(self):
         attention = make_attention(32)
-        checker = ATTNChecker(ATTNCheckerConfig(**LEGACY_SCHEDULE))
+        checker = ATTNChecker(ATTNCheckerConfig(backend="per_gemm"))
         per_visit = sum(SectionCostModel.checksum_gemm_dispatches_per_layer(
             "unfused").values())
+        assert per_visit == 11
         forward(attention, checker, seed=700)
         forward(attention, checker, seed=701)
         assert checker.dispatch_counts["gemm"] == 2 * per_visit
+        # With the FFN sections: 15 launches per layer visit.
+        model = build_model("bert-base", size="tiny", rng=np.random.default_rng(6))
+        model.eval()
+        checker = ATTNChecker(ATTNCheckerConfig(backend="per_gemm",
+                                                protect_scope="attention+ffn"))
+        per_visit = sum(SectionCostModel.checksum_gemm_dispatches_per_layer(
+            "unfused", scope="attention+ffn").values())
+        assert per_visit == 15
+        ids = np.random.default_rng(7).integers(
+            0, model.config.vocab_size, size=(2, model.config.max_seq_len))
+        model.set_attention_hooks(checker)
+        model(ids, attention_mask=np.ones_like(ids))
+        model.set_attention_hooks(None)
+        assert checker.dispatch_counts["gemm"] == per_visit * model.config.num_layers
 
     def test_fused_strictly_below_unfused(self):
         for steady in (True, False):
@@ -386,6 +410,68 @@ class TestDispatchAccounting:
         forward(attention, checker, seed=800)
         # Immediate mode: one verification per enabled section per layer.
         assert checker.dispatch_counts["detect"] == 3
+
+    @pytest.mark.parametrize("scope", ["attention", "attention+ffn"])
+    def test_reference_training_counters_match_cost_model(self, scope):
+        """Training steps re-encode everything on the reference: every layer
+        visit costs the full unfused schedule, step after step."""
+        model = build_model("bert-base", size="tiny", rng=np.random.default_rng(8))
+        data = SyntheticMRPC(num_examples=8, max_seq_len=model.config.max_seq_len,
+                             vocab_size=model.config.vocab_size)
+        batch = dict(data.encode(range(4)))
+        checker = ATTNChecker(ATTNCheckerConfig(backend="per_gemm", protect_scope=scope))
+        trainer = Trainer(model, config=TrainerConfig(learning_rate=1e-3), checker=checker)
+        per_visit = SectionCostModel.checksum_gemm_dispatches_per_layer("unfused", scope=scope)
+        visits = model.config.num_layers
+        for step in range(1, 3):
+            trainer.train_step(batch)
+            assert checker.dispatch_counts == {
+                "gemm": step * visits * sum(per_visit.values()),
+                "detect": step * visits * len(per_visit),
+            }
+
+    @pytest.mark.parametrize("scope", ["attention", "attention+ffn"])
+    def test_reference_and_engine_verify_the_same_boundaries(self, scope):
+        """Prefill then decode on both backends: the same verification
+        count at every step, and the reference's per-token launches are
+        constant and above the engine's steady-state decode schedule."""
+        counts = {}
+        for backend in ("per_gemm", "fused"):
+            model = build_model("gpt2", size="tiny", rng=np.random.default_rng(0))
+            model.eval()
+            ids = np.random.default_rng(1).integers(1, model.config.vocab_size, size=(2, 4))
+            mask = np.ones((2, 8))
+            caches = model.new_kv_caches(2, max_len=8)
+            checker = ATTNChecker(ATTNCheckerConfig(backend=backend, protect_scope=scope))
+            model.set_attention_hooks(checker)
+            try:
+                model.prefill(ids, mask[:, :4], caches)
+                history = [checker.dispatch_counts]
+                for _ in range(4):
+                    model.decode_step(ids[:, -1:], caches, attention_mask=mask)
+                    history.append(checker.dispatch_counts)
+            finally:
+                model.set_attention_hooks(None)
+            counts[backend] = history
+        assert ([c["detect"] for c in counts["per_gemm"]]
+                == [c["detect"] for c in counts["fused"]])
+        layers = model.config.num_layers
+        reference_per_token = {
+            after["gemm"] - before["gemm"]
+            for before, after in zip(counts["per_gemm"], counts["per_gemm"][1:])
+        }
+        steady = sum(SectionCostModel.serving_decode_checksum_gemm_dispatches_per_layer(
+            steady_state=True, scope=scope).values())
+        assert len(reference_per_token) == 1
+        assert reference_per_token.pop() > steady * layers
+
+    def test_reset_stats_clears_reference_counters(self):
+        attention = make_attention(34)
+        checker = ATTNChecker(ATTNCheckerConfig(backend="per_gemm"))
+        forward(attention, checker, seed=900)
+        assert checker.dispatch_counts == {"gemm": 11, "detect": 3}
+        checker.reset_stats()
+        assert checker.dispatch_counts == {"gemm": 0, "detect": 0}
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ model substrate itself (``build_model(..., array_backend=...)``):
   the final weight sum of every model family match hard-coded goldens
   captured before the port.
 * **Zero host round-trips** — a counting/spy backend substrate runs full
-  protected training steps (immediate / deferred / async, fused engine
+  protected training steps (immediate / async, fused engine
   following the model) with *zero* backend conversion calls and zero
   ``xfer/*`` time: one shared backend means a device-resident step never
   crosses to the host.
@@ -76,7 +76,6 @@ NUMPY_GOLDENS = {
 
 MODE_CONFIGS = {
     "immediate": {},
-    "deferred": {"defer_verification": True},
     "async": {"async_verification": True},
 }
 

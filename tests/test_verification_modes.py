@@ -1,10 +1,9 @@
 """Cross-backend / cross-mode equivalence and fault-campaign harness.
 
-Four checker configurations can protect the same attention pass:
+Three checker configurations can protect the same attention pass:
 
 * ``per_gemm``        — the reference backend (verifies inline at each GEMM),
 * ``fused``           — the fused engine, immediate verification,
-* ``fused+deferred``  — the fused engine, one batched pass per step,
 * ``fused+async``     — the fused engine, batched passes on a worker thread
   with bounded-staleness repair of the retained boundary matrices.
 
@@ -13,15 +12,18 @@ shapes, input dtypes and fault injections:
 
 * ``per_gemm`` and ``fused`` make byte-identical decisions and outputs
   (the pre-existing guarantee, re-checked under random geometry);
-* ``fused+deferred`` and ``fused+async`` make **byte-identical detection
-  decisions** (they run the same batched verification code);
 * within the staleness bound, ``fused+async`` makes the same **correction
   decisions** as immediate mode: the repair of the retained fault-site
   boundary reproduces immediate mode's correction counts, and both families
   agree on which boundary is the fault site;
+* ``fused+async`` consumes the unrepaired forward output, and all its
+  corrections come from the repair of the retained boundary;
 * drained async results are deterministic across repeated runs;
 * backpressure bounds the queue, ``reset()`` joins the worker, and worker
-  exceptions propagate at the next drain instead of being swallowed.
+  exceptions propagate at the next drain instead of being swallowed;
+* training verifications never accumulate in the checker's recent-outcome
+  ring, which only the serving engine drains, while every prefill/decode
+  verification reaches it tagged with its phase.
 """
 
 import threading
@@ -57,7 +59,6 @@ SECTION_RANK = {"AS": 0, "CL": 1, "O": 2}
 MODE_KWARGS = {
     "per_gemm": {"backend": "per_gemm"},
     "fused": VERIFICATION_MODE_CONFIGS["immediate"],
-    "fused+deferred": VERIFICATION_MODE_CONFIGS["deferred"],
     "fused+async": VERIFICATION_MODE_CONFIGS["async"],
 }
 
@@ -84,15 +85,8 @@ def random_scenario(seed):
     }
 
 
-def run_scenario(mode, scenario, seed, extra_config=None):
-    """One single-fault protected forward pass under one checker mode.
-
-    Returns everything the equivalence assertions need: the protected output,
-    full per-section statistics, and the drained outcome signatures.
-    ``extra_config`` merges additional :class:`ATTNCheckerConfig` kwargs
-    (e.g. ``array_backend``) — the cross-array-backend campaign in
-    ``test_backend_dispatch.py`` reuses this helper through it.
-    """
+def build_scenario(scenario, seed):
+    """The scenario's attention module, input and single-fault injector."""
     attention = MultiHeadAttention(
         hidden_size=scenario["hidden"], num_heads=scenario["heads"], dropout_p=0.0,
         rng=np.random.default_rng(2000 + seed), bias=scenario["bias"],
@@ -106,7 +100,47 @@ def run_scenario(mode, scenario, seed, extra_config=None):
                    layer_index=0)],
         rng=np.random.default_rng(4000 + seed),
     )
+    return attention, x, injector
+
+
+def unprotected_output(scenario, seed):
+    """The scenario's faulty forward pass with no checker attached."""
+    attention, x, injector = build_scenario(scenario, seed)
+    attention.set_hooks(injector)
+    try:
+        return attention(Tensor(x)).data.copy()
+    finally:
+        attention.set_hooks(None)
+
+
+def run_scenario(mode, scenario, seed, extra_config=None, warmup=0):
+    """One single-fault protected forward pass under one checker mode.
+
+    Returns everything the equivalence assertions need: the protected output,
+    full per-section statistics, and the drained outcome signatures.
+    ``extra_config`` merges additional :class:`ATTNCheckerConfig` kwargs
+    (e.g. ``array_backend``) — the cross-array-backend campaign in
+    ``test_backend_dispatch.py`` reuses this helper through it.  ``warmup``
+    clean passes over the same module run first, their outcomes drained and
+    their statistics dropped, so the faulty pass meets a checker that
+    already holds cached weight encodings and steady-state buffers.  Every
+    warm-up pass but the last runs one position longer, so those buffers
+    have also been through a change of geometry.
+    """
+    attention, x, injector = build_scenario(scenario, seed)
     checker = ATTNChecker(ATTNCheckerConfig(**MODE_KWARGS[mode], **(extra_config or {})))
+    for index in range(warmup):
+        batch, seq, hidden = x.shape
+        seq += int(index < warmup - 1)
+        clean = np.random.default_rng(5000 + index).normal(size=(batch, seq, hidden))
+        attention.set_hooks(checker)
+        try:
+            attention(Tensor(clean.astype(x.dtype)))
+        finally:
+            attention.set_hooks(None)
+        checker.end_step()
+        checker.drain()
+    checker.stats.reset()
     attention.set_hooks(ComposedHooks([injector, checker]))
     try:
         output = attention(Tensor(x)).data.copy()
@@ -141,6 +175,8 @@ def run_scenario(mode, scenario, seed, extra_config=None):
         "corrections": checker.stats.total_corrections,
         "stale": checker.stats.total_stale_detections,
         "outcomes": outcomes,
+        "weight_cache": checker.weight_cache_stats(),
+        "workspace": checker.workspace_stats(),
     }
 
 
@@ -150,7 +186,7 @@ def earliest_dirty(dirty):
 
 @pytest.mark.parametrize("seed", range(10))
 class TestCrossBackendEquivalenceCampaign:
-    """Random-geometry single-fault campaign across all four configurations."""
+    """Random-geometry single-fault campaign across all three configurations."""
 
     def test_per_gemm_and_fused_byte_identical(self, seed):
         scenario = random_scenario(seed)
@@ -158,18 +194,6 @@ class TestCrossBackendEquivalenceCampaign:
         reference = run_scenario("per_gemm", scenario, seed)
         assert fused["stats"] == reference["stats"]
         assert np.array_equal(fused["output"], reference["output"], equal_nan=True)
-
-    def test_deferred_and_async_detection_byte_identical(self, seed):
-        scenario = random_scenario(seed)
-        deferred = run_scenario("fused+deferred", scenario, seed)
-        asynchronous = run_scenario("fused+async", scenario, seed)
-        assert deferred["detection_sig"] == asynchronous["detection_sig"]
-        # The consumed forward output is the unrepaired one in both modes.
-        assert np.array_equal(deferred["output"], asynchronous["output"], equal_nan=True)
-        # Deferred never corrects; async's corrections come from the retained
-        # repair, not from mutating the consumed values.
-        deferred_corrections = sum(s[2] for s in deferred["stats"].values())
-        assert deferred_corrections == 0
 
     def test_async_corrections_match_immediate_within_staleness_bound(self, seed):
         scenario = random_scenario(seed)
@@ -189,6 +213,20 @@ class TestCrossBackendEquivalenceCampaign:
         immediate_detected = sum(s[1] for s in immediate["stats"].values())
         async_detected = sum(s[1] for s in asynchronous["stats"].values())
         assert (async_detected > 0) == (immediate_detected > 0)
+
+    def test_async_consumes_unrepaired_output(self, seed):
+        scenario = random_scenario(seed)
+        asynchronous = run_scenario("fused+async", scenario, seed)
+        # Async mode only encodes, carries and queues on the critical path:
+        # the consumed forward output is the unprotected faulty one.
+        assert np.array_equal(
+            asynchronous["output"], unprotected_output(scenario, seed), equal_nan=True
+        )
+        # Its corrections come from the retained repair, not from mutating
+        # the consumed values.
+        repaired = sum(o.repair.corrected for o in asynchronous["outcomes"]
+                       if o.repair is not None)
+        assert asynchronous["corrections"] == repaired
 
     def test_async_dirty_outcomes_flagged_stale_within_window(self, seed):
         scenario = random_scenario(seed)
@@ -233,6 +271,50 @@ def make_trainer(checker_kwargs, trainer_kwargs=None, matrix="AS",
     )
     results = [trainer.train_step(batch) for _ in range(steps)]
     return trainer, checker, batch, results
+
+
+@pytest.mark.parametrize("mode", ["immediate", "async"])
+def test_training_verifications_stay_out_of_recent_ring(mode):
+    """Only the serving engine drains ``recent_outcomes``, so a training
+    checker must not fill the ring with reports nobody reads."""
+    trainer, checker, batch, _ = make_trainer(VERIFICATION_MODE_CONFIGS[mode], steps=3)
+    trainer.drain_verifications()
+    checker.close()
+    assert checker.stats.total_checks > 0
+    assert checker.take_recent_outcomes() == []
+
+
+def test_reference_training_verifications_stay_out_of_recent_ring():
+    trainer, checker, batch, _ = make_trainer(MODE_KWARGS["per_gemm"], steps=3)
+    assert checker.stats.total_checks > 0
+    assert checker.take_recent_outcomes() == []
+
+
+@pytest.mark.parametrize("mode", list(MODE_KWARGS))
+def test_serving_verifications_reach_recent_ring(mode):
+    """Every prefill/decode verification lands in the ring with its phase —
+    including the async worker's, whose queued items carry the phase."""
+    model = build_model("gpt2", size="tiny", rng=np.random.default_rng(0))
+    model.eval()
+    ids = np.random.default_rng(1).integers(1, model.config.vocab_size, size=(2, 4))
+    mask = np.ones((2, 7))
+    caches = model.new_kv_caches(2, max_len=7)
+    checker = ATTNChecker(ATTNCheckerConfig(**MODE_KWARGS[mode]))
+    model.set_attention_hooks(checker)
+    try:
+        model.prefill(ids, mask[:, :4], caches)
+        checker.end_step()
+        for _ in range(3):
+            model.decode_step(ids[:, -1:], caches, attention_mask=mask)
+            checker.end_step()
+    finally:
+        model.set_attention_hooks(None)
+    checker.drain()
+    checker.close()
+    outcomes = checker.take_recent_outcomes()
+    assert len(outcomes) == checker.stats.total_checks > 0
+    assert {o.phase for o in outcomes} == {"prefill", "decode"}
+    assert all(o.report is not None for o in outcomes)
 
 
 class TestTrainerAsyncCampaign:
@@ -509,14 +591,6 @@ class TestBackpressureAndLifecycle:
         assert checker.pending_verifications == 0
         assert checker.stats.total_checks == 0
 
-    def test_flush_is_a_barrier_in_async_mode(self):
-        engine = ProtectionEngine(asynchronous=True)
-        engine._queue.append(make_check())
-        outcomes = engine.flush()
-        assert len(outcomes) == 1
-        assert engine.pending_steps == 0
-        engine.close()
-
 
 # ---------------------------------------------------------------------------
 # Configuration guards and dispatch accounting
@@ -527,10 +601,6 @@ class TestConfigGuards:
         with pytest.raises(ValueError, match="fused"):
             ATTNCheckerConfig(backend="per_gemm", async_verification=True)
 
-    def test_async_and_deferred_mutually_exclusive(self):
-        with pytest.raises(ValueError, match="mutually exclusive"):
-            ATTNCheckerConfig(defer_verification=True, async_verification=True)
-
     @pytest.mark.parametrize("bad", [0, -1, 1.5])
     def test_max_pending_steps_must_be_positive_integer(self, bad):
         with pytest.raises(ValueError, match="max_pending_steps"):
@@ -538,28 +608,18 @@ class TestConfigGuards:
 
     def test_verification_mode_property(self):
         assert ATTNCheckerConfig().verification_mode == "immediate"
-        assert ATTNCheckerConfig(defer_verification=True).verification_mode == "deferred"
         assert ATTNCheckerConfig(async_verification=True).verification_mode == "async"
         assert ATTNChecker(ATTNCheckerConfig(async_verification=True)).verification_mode == "async"
 
-    def test_engine_rejects_conflicting_modes(self):
-        with pytest.raises(ValueError):
-            ProtectionEngine(deferred=True, asynchronous=True)
-        with pytest.raises(ValueError):
-            ProtectionEngine(asynchronous=True, max_pending_steps=0)
-
     def test_submit_step_requires_async_mode(self):
         with pytest.raises(RuntimeError):
-            ProtectionEngine(deferred=True).submit_step()
+            ProtectionEngine().submit_step()
 
 
 class TestDispatchAccounting:
     def test_verification_dispatches_per_mode(self):
         assert SectionCostModel.verification_dispatches_per_step("immediate", 12) == {
             "critical_path": 36, "off_critical_path": 0,
-        }
-        assert SectionCostModel.verification_dispatches_per_step("deferred", 12) == {
-            "critical_path": 3, "off_critical_path": 0,
         }
         assert SectionCostModel.verification_dispatches_per_step("async", 12) == {
             "critical_path": 0, "off_critical_path": 3,

@@ -75,11 +75,17 @@ class TestScopePlumbing:
     def test_scope_section_sets(self):
         assert set(sections_for_scope("attention")) == {"AS", "CL", "O"}
         assert set(sections_for_scope("attention+ffn")) == {"AS", "CL", "O", "FF1", "FF2"}
-        assert set(sections_for_scope("full")) == set(SECTION_REGISTRY)
 
     def test_unknown_scope_rejected(self):
         with pytest.raises((KeyError, ValueError)):
             ATTNCheckerConfig(protect_scope="attention+lora")
+
+    def test_full_alias_rejected(self):
+        # "attention+ffn" is the one name for the whole-model section set.
+        with pytest.raises(ValueError, match="protect_scope"):
+            ATTNCheckerConfig(protect_scope="full")
+        with pytest.raises(KeyError):
+            sections_for_scope("full")
 
     def test_ffn_frequencies_rejected_outside_scope(self):
         with pytest.raises((KeyError, ValueError)):
@@ -220,7 +226,7 @@ class TestTrainingDispatchCounters:
         )
         checker.close()
 
-    @pytest.mark.parametrize("mode", ["immediate", "deferred", "async"])
+    @pytest.mark.parametrize("mode", ["immediate", "async"])
     def test_ffn_faults_detected_in_every_verification_mode(self, mode):
         model = make_bert()
         batch = make_batch(model)
@@ -505,4 +511,10 @@ class TestScopeCLI:
         assert "corrections          : 1" in out
 
     def test_scopes_constant(self):
-        assert PROTECT_SCOPES == ("attention", "attention+ffn", "full")
+        assert PROTECT_SCOPES == ("attention", "attention+ffn")
+
+    def test_protect_scope_flag_rejects_full_alias(self, capsys):
+        from repro.cli import main
+        with pytest.raises(SystemExit):
+            main(["quickstart", "--protect-scope", "full"])
+        assert "invalid choice: 'full'" in capsys.readouterr().err
