@@ -9,7 +9,7 @@
 """
 
 from repro.analysis.workload import WorkloadBreakdown, attention_workload, gemm_ratio_table
-from repro.analysis.reporting import format_table, format_percent, render_series, to_csv
+from repro.analysis.reporting import format_table, format_percent
 
 __all__ = [
     "WorkloadBreakdown",
@@ -17,6 +17,4 @@ __all__ = [
     "gemm_ratio_table",
     "format_table",
     "format_percent",
-    "render_series",
-    "to_csv",
 ]

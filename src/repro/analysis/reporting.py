@@ -7,10 +7,9 @@ copy into EXPERIMENTS.md.
 
 from __future__ import annotations
 
-import io
-from typing import Dict, Iterable, List, Optional, Sequence, Union
+from typing import Iterable, List, Optional, Sequence, Union
 
-__all__ = ["format_table", "format_percent", "render_series", "to_csv"]
+__all__ = ["format_table", "format_percent"]
 
 Cell = Union[str, float, int]
 
@@ -45,24 +44,3 @@ def format_table(headers: Sequence[str], rows: Iterable[Sequence[Cell]], title: 
     for row in string_rows:
         lines.append("  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)))
     return "\n".join(lines)
-
-
-def render_series(name: str, xs: Sequence[Cell], ys: Sequence[Cell], x_label: str = "x", y_label: str = "y") -> str:
-    """Render one figure series as a two-column table."""
-    if len(xs) != len(ys):
-        raise ValueError("xs and ys must have the same length")
-    return format_table([x_label, y_label], list(zip(xs, ys)), title=name)
-
-
-def to_csv(headers: Sequence[str], rows: Iterable[Sequence[Cell]]) -> str:
-    """Render rows as CSV text (no external dependencies, RFC-4180-enough)."""
-    buffer = io.StringIO()
-    def esc(cell: Cell) -> str:
-        text = _stringify(cell)
-        if any(ch in text for ch in ",\"\n"):
-            return '"' + text.replace('"', '""') + '"'
-        return text
-    buffer.write(",".join(esc(h) for h in headers) + "\n")
-    for row in rows:
-        buffer.write(",".join(esc(c) for c in row) + "\n")
-    return buffer.getvalue()

@@ -10,13 +10,12 @@ against two small surfaces instead of against NumPy directly:
   to :mod:`cupy`; Torch implements the same surface on ``torch`` functions.
 
   Namespaces *should* additionally accept NumPy's optional ``out=`` keyword
-  on ``matmul``, ``stack`` and (where the library supports it) ``einsum``,
-  and expose ``empty`` for uninitialised buffers — the contract behind the
-  zero-allocation :class:`repro.core.workspace.ChecksumWorkspace`.  The
-  contract is optional: the workspace helpers probe each namespace once and
-  fall back to plain allocating calls for namespaces that lack it, so a
-  minimal custom namespace stays value-correct, it just forfeits buffer
-  reuse.
+  on ``matmul`` and ``stack``, and expose ``empty`` for uninitialised
+  buffers — the contract behind the zero-allocation
+  :class:`repro.core.workspace.ChecksumWorkspace`.  The contract is
+  optional: the workspace helpers probe each namespace once and fall back to
+  plain allocating calls for namespaces that lack it, so a minimal custom
+  namespace stays value-correct, it just forfeits buffer reuse.
 * a **backend** object (this protocol) owning everything that is *not* plain
   array math: adoption of foreign data (``asarray``/``from_numpy``), export
   back to host NumPy (``to_numpy``), identity tests (``is_backend_array``),

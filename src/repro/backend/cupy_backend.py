@@ -15,8 +15,6 @@ The workspace ``out=`` contract (see :mod:`repro.core.workspace`) mostly
 resolves natively: ``cupy.matmul`` / ``cupy.stack`` accept ``out=`` and
 ``cupy.empty`` backs the arena, so steady-state checksum intermediates reuse
 device buffers instead of hitting the CUDA memory pool per layer visit.
-``cupy.einsum`` has no ``out=``; the workspace helper probes once and falls
-back to the allocating call for that one operation.
 """
 
 from __future__ import annotations

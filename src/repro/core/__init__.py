@@ -64,9 +64,6 @@ from repro.core.hooks import (
     FeedForwardOp,
     GemmContext,
     SectionContext,
-    block_boundary_ops,
-    op_spec,
-    registered_blocks,
 )
 from repro.core.checksums import (
     ChecksumState,
@@ -78,23 +75,15 @@ from repro.core.checksums import (
     split_head_column_checksums,
     stacked_checksum_weights,
     update_column_checksums_through_gemm,
-    update_row_checksums_through_gemm,
 )
 from repro.core.workspace import (
     ChecksumWorkspace,
-    einsum_into,
     matmul_into,
     stack_into,
 )
 from repro.core.eec_abft import ColumnCheckReport, check_columns, check_rows
 from repro.core.patterns import ErrorPattern, classify_error_pattern, classify_error_types
 from repro.core.correction import MatrixCorrectionReport, correct_matrix
-from repro.core.protected_gemm import (
-    ProtectedGemmChain,
-    ProtectedGemmResult,
-    ProtectedMatmul,
-    protected_matmul,
-)
 from repro.core.sections import (
     PROTECT_SCOPES,
     PROTECTION_SECTIONS,
@@ -129,22 +118,17 @@ __all__ = [
     "SectionContext",
     "SECTION_BOUNDARY_OPS",
     "FFN_SECTION_BOUNDARY_OPS",
-    "block_boundary_ops",
-    "op_spec",
-    "registered_blocks",
     "ChecksumState",
     "ChecksumWorkspace",
     "checksum_weights",
     "stacked_checksum_weights",
     "clear_checksum_weight_cache",
     "matmul_into",
-    "einsum_into",
     "stack_into",
     "WeightEncodingCache",
     "encode_column_checksums",
     "encode_row_checksums",
     "update_column_checksums_through_gemm",
-    "update_row_checksums_through_gemm",
     "split_head_column_checksums",
     "merge_head_column_checksums",
     "check_columns",
@@ -155,10 +139,6 @@ __all__ = [
     "classify_error_types",
     "correct_matrix",
     "MatrixCorrectionReport",
-    "protected_matmul",
-    "ProtectedMatmul",
-    "ProtectedGemmChain",
-    "ProtectedGemmResult",
     "ProtectionSection",
     "PROTECTION_SECTIONS",
     "SECTION_REGISTRY",

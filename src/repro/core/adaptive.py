@@ -144,12 +144,6 @@ class OperationVulnerability:
                 phi[op][etype] = float(table[etype][source])
         return cls(phi=phi)
 
-    @classmethod
-    def from_measurements(cls, measurements: Mapping[str, Mapping[str, float]]) -> "OperationVulnerability":
-        """Build from a measured campaign (see :mod:`repro.faults.vulnerability`)."""
-        phi = {op: {e: float(v) for e, v in row.items()} for op, row in measurements.items()}
-        return cls(phi=phi)
-
     def get(self, op: str, error_type: str, default: float = 1.0) -> float:
         return float(self.phi.get(op, {}).get(error_type, default))
 

@@ -192,6 +192,9 @@ class ATTNCheckerConfig:
                 f"expected one of {PROTECT_SCOPES}"
             )
         active = sections_for_scope(self.protect_scope)
+        # Validate and complete a copy: the caller's dict may be reused for
+        # another config, possibly of a narrower scope.
+        self.frequencies = dict(self.frequencies)
         for name, value in self.frequencies.items():
             if name not in active:
                 raise KeyError(f"unknown protection section {name!r}")
@@ -839,16 +842,6 @@ class ATTNChecker(AttentionHooks):
     def thresholds(self) -> ABFTThresholds:
         return self.config.thresholds
 
-    def set_frequencies(self, frequencies: Dict[str, float]) -> None:
-        """Install new per-section detection frequencies (from the optimiser)."""
-        active = self.config.active_sections
-        for name, value in frequencies.items():
-            if name not in active:
-                raise KeyError(f"unknown protection section {name!r}")
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"frequency for {name} must be in [0, 1], got {value}")
-            self.config.frequencies[name] = float(value)
-
     def reset_stats(self) -> None:
         # Join the async worker before clearing the timers: an in-flight
         # batch must not record ``async/`` entries into the fresh registry.
@@ -1086,17 +1079,6 @@ class ATTNChecker(AttentionHooks):
         off-critical-path claim says should be all that remains.
         """
         return self.timers.total(exclude="async/")
-
-    def async_verification_seconds(self) -> float:
-        """Wall-clock the async worker spent verifying/repairing (0 otherwise)."""
-        return self.timers.total(prefix="async/")
-
-    def section_overhead_seconds(self) -> Dict[str, float]:
-        """Wall-clock ABFT time per protection section (critical path only)."""
-        return {
-            name: self.timers.total(prefix=f"{name}/")
-            for name in self.config.active_sections
-        }
 
     def summary(self) -> str:
         """Human-readable multi-line statistics summary."""

@@ -60,10 +60,8 @@ __all__ = [
     "recompute_column_sums",
     "recompute_row_sums",
     "update_column_checksums_through_gemm",
-    "update_row_checksums_through_gemm",
     "update_column_checksums_with_appended_rows",
     "adjust_column_checksums_for_bias",
-    "adjust_row_checksums_for_bias",
     "split_head_column_checksums",
     "merge_head_column_checksums",
     "encode_per_head_row_checksums_of_weight",
@@ -223,11 +221,6 @@ def update_column_checksums_through_gemm(col_checksums_a: Any, b: Any) -> Any:
     return namespace_of(col_checksums_a).matmul(col_checksums_a, b)
 
 
-def update_row_checksums_through_gemm(a: Any, row_checksums_b: Any) -> Any:
-    """Propagate row checksums through ``C = A B``:  ``row(C) = A row(B)``."""
-    return namespace_of(a).matmul(a, row_checksums_b)
-
-
 def update_column_checksums_with_appended_rows(
     col_checksums: Any, new_rows: Any, first_row_index: int
 ) -> Any:
@@ -279,22 +272,6 @@ def adjust_column_checksums_for_bias(
     adjusted = xp.astype(col_checksums, xp.float64, copy=True)
     adjusted[..., 0, :] = adjusted[..., 0, :] + num_rows * bias
     adjusted[..., 1, :] = adjusted[..., 1, :] + (num_rows * (num_rows + 1) / 2.0) * bias
-    return adjusted
-
-
-def adjust_row_checksums_for_bias(row_checksums: Any, bias: Any) -> Any:
-    """Adjust row checksums for ``C' = C + 1 bias^T``.
-
-    Every row gains ``sum(bias)`` on the unweighted side and
-    ``sum(bias * [1..n])`` on the weighted side.
-    """
-    xp = namespace_of(row_checksums)
-    bias = xp.astype(xp.asarray(bias), xp.float64, copy=False)
-    n = bias.shape[-1]
-    _, v2 = checksum_weights(n, xp=xp)
-    adjusted = xp.astype(row_checksums, xp.float64, copy=True)
-    adjusted[..., 0] = adjusted[..., 0] + xp.sum(bias, dtype=xp.float64)
-    adjusted[..., 1] = adjusted[..., 1] + float(xp.dot(bias, v2))
     return adjusted
 
 

@@ -104,52 +104,6 @@ class ColumnCheckReport:
         """True when no inconsistency of any kind was observed."""
         return self.num_detected == 0
 
-    def merge(self, other: "ColumnCheckReport") -> "ColumnCheckReport":
-        """Combine two reports.
-
-        Two cases:
-
-        * **Same shape** — the reports describe the *same* vectors (e.g. the
-          column pass and a retry pass over them).  ``detected`` and
-          ``corrected`` combine with OR; ``aborted`` combines with OR and is
-          then cleared for every vector either pass managed to correct — an
-          abort resolved by the orthogonal pass must not survive as aborted.
-          The case masks combine with OR and ``corrected_indices`` keeps the
-          first report's located index where it has one, falling back to the
-          other's.
-        * **Different shapes** — the reports describe *disjoint* vector sets
-          (e.g. the per-column report merged with the per-row report of the
-          same matrix, whose vector counts differ).  Every field, including
-          the case masks and ``corrected_indices``, is concatenated flat.
-        """
-        xp = namespace_of(self.detected)
-        if tuple(self.detected.shape) != tuple(other.detected.shape):
-            def cat(a, b):
-                return xp.concatenate([a.ravel(), b.ravel()])
-
-            return ColumnCheckReport(
-                detected=cat(self.detected, other.detected),
-                corrected=cat(self.corrected, other.corrected),
-                aborted=cat(self.aborted, other.aborted),
-                case1=cat(self.case1, other.case1),
-                case2=cat(self.case2, other.case2),
-                case3=cat(self.case3, other.case3),
-                corrected_indices=cat(self.corrected_indices, other.corrected_indices),
-            )
-
-        corrected = self.corrected | other.corrected
-        return ColumnCheckReport(
-            detected=self.detected | other.detected,
-            corrected=corrected,
-            aborted=(self.aborted | other.aborted) & ~corrected,
-            case1=self.case1 | other.case1,
-            case2=self.case2 | other.case2,
-            case3=self.case3 | other.case3,
-            corrected_indices=xp.where(
-                self.corrected_indices >= 0, self.corrected_indices, other.corrected_indices
-            ),
-        )
-
 
 def _empty_report(shape, xp) -> ColumnCheckReport:
     zeros = xp.zeros(shape, dtype=xp.bool_)

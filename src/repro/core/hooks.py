@@ -10,16 +10,20 @@ layer imports downward to instrument itself.  :mod:`repro.nn.attention`
 re-exports everything attention-side, so model-side code keeps its
 historical import path.
 
-Two blocks are registered here:
+Two blocks are declared here, each as an op enum plus a boundary map from
+the GEMMs that end a protection section to that section's name:
 
 * ``"attention"`` — the six GEMMs of the paper's attention execution flow
-  (Figure 1) and the three protection sections ``AS`` / ``CL`` / ``O``;
-* ``"ffn"`` — the two feed-forward GEMMs ``x·W_up`` and ``h·W_down`` and the
-  single-GEMM protection sections ``FF1`` (boundary matrix ``H``) and
-  ``FF2`` (boundary matrix ``FO``).
+  (Figure 1, :class:`AttentionOp`) and the three protection sections
+  ``AS`` / ``CL`` / ``O`` (:data:`SECTION_BOUNDARY_OPS`);
+* ``"ffn"`` — the two feed-forward GEMMs ``x·W_up`` and ``h·W_down``
+  (:class:`FeedForwardOp`) and the single-GEMM protection sections ``FF1``
+  (boundary matrix ``H``) and ``FF2`` (boundary matrix ``FO``)
+  (:data:`FFN_SECTION_BOUNDARY_OPS`).
 
-Any module can declare further GEMM ops and section boundaries through
-:func:`register_block_ops`; the registry is keyed by ``(block, op)``.
+The instrumented blocks dispatch through these two maps and
+``op.output_matrix``; the sections themselves are described in
+:data:`repro.core.sections.SECTION_REGISTRY`.
 
 Arrays are annotated ``Any`` throughout: hooks are xp-generic and receive
 whatever array type the owning backend produces (NumPy ndarray, CuPy array,
@@ -30,7 +34,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Any, Dict, Mapping, Optional, Tuple
+from typing import Any, Dict, Optional
 
 from repro.backend import ArrayBackend
 
@@ -42,12 +46,6 @@ __all__ = [
     "AttentionHooks",
     "SECTION_BOUNDARY_OPS",
     "FFN_SECTION_BOUNDARY_OPS",
-    "GemmOpSpec",
-    "OP_REGISTRY",
-    "register_block_ops",
-    "op_spec",
-    "block_boundary_ops",
-    "registered_blocks",
 ]
 
 
@@ -112,74 +110,6 @@ FFN_SECTION_BOUNDARY_OPS = {
 }
 
 
-@dataclass(frozen=True)
-class GemmOpSpec:
-    """Registry entry describing one instrumented GEMM of one block.
-
-    ``section`` names the protection section this GEMM *ends* (its output is
-    the section's boundary matrix), or ``None`` for interior GEMMs whose
-    checksums are carried through to a later boundary.
-    """
-
-    block: str
-    op: Any
-    output_matrix: str
-    section: Optional[str]
-
-
-#: ``(block, op)`` -> :class:`GemmOpSpec` for every registered GEMM.
-OP_REGISTRY: Dict[Tuple[str, Any], GemmOpSpec] = {}
-
-#: ``block`` -> ``{op: section_name}`` for that block's boundary GEMMs.
-_BLOCK_BOUNDARY_OPS: Dict[str, Mapping[Any, str]] = {}
-
-
-def register_block_ops(
-    block: str,
-    op_matrices: Mapping[Any, str],
-    boundary_ops: Mapping[Any, str],
-) -> None:
-    """Declare a block's GEMM ops and section boundaries in the registry.
-
-    ``op_matrices`` maps each op to the name of the matrix it produces;
-    ``boundary_ops`` maps the subset of ops that end a protection section to
-    that section's name.  Re-registering a block replaces its entries (the
-    mapping objects are retained by reference, so a block registered with a
-    module-level dict — like attention's :data:`SECTION_BOUNDARY_OPS` — stays
-    in sync with it).
-    """
-    unknown = [op for op in boundary_ops if op not in op_matrices]
-    if unknown:
-        raise KeyError(
-            f"boundary ops {unknown!r} of block {block!r} are not in its op set"
-        )
-    for op, matrix in op_matrices.items():
-        OP_REGISTRY[(block, op)] = GemmOpSpec(
-            block=block, op=op, output_matrix=matrix,
-            section=boundary_ops.get(op),
-        )
-    _BLOCK_BOUNDARY_OPS[block] = boundary_ops
-
-
-def op_spec(block: str, op: Any) -> GemmOpSpec:
-    """The registry entry for ``(block, op)``; raises ``KeyError`` if absent."""
-    return OP_REGISTRY[(block, op)]
-
-
-def block_boundary_ops(block: str) -> Mapping[Any, str]:
-    """The ``{op: section}`` boundary map of one registered block."""
-    return _BLOCK_BOUNDARY_OPS[block]
-
-
-def registered_blocks() -> Tuple[str, ...]:
-    """Names of every registered block, in registration order."""
-    return tuple(_BLOCK_BOUNDARY_OPS)
-
-
-register_block_ops("attention", _OP_TO_MATRIX, SECTION_BOUNDARY_OPS)
-register_block_ops("ffn", _FFN_OP_TO_MATRIX, FFN_SECTION_BOUNDARY_OPS)
-
-
 @dataclass
 class GemmContext:
     """Everything a hook needs to know about one GEMM invocation.
@@ -187,7 +117,7 @@ class GemmContext:
     Attributes
     ----------
     op:
-        Which registered GEMM is being executed (an :class:`AttentionOp` or
+        Which instrumented GEMM is being executed (an :class:`AttentionOp` or
         :class:`FeedForwardOp` member).
     a, b:
         The operand arrays actually fed to the GEMM (post head-split for the
@@ -210,7 +140,7 @@ class GemmContext:
         The per-layer KV cache object for prefill/decode calls (duck-typed —
         core never imports ``repro.nn``), ``None`` for training forwards.
     block:
-        Name of the registered block this GEMM belongs to (``"attention"``
+        Name of the block this GEMM belongs to (``"attention"``
         or ``"ffn"``).
     """
 
@@ -295,7 +225,7 @@ class AttentionHooks:
 
     The attention block announces its pass window through the historical
     :meth:`on_attention_start` / :meth:`on_attention_end` pair; other
-    registered blocks (the FFN) use the generic :meth:`on_block_start` /
+    instrumented blocks (the FFN) use the generic :meth:`on_block_start` /
     :meth:`on_block_end` pair with their block name.  Keeping attention on
     its dedicated callbacks preserves the pre-refactor dispatch sequence
     bit-for-bit.

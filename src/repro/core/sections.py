@@ -82,9 +82,10 @@ class ProtectionSection:
     maintains_column / maintains_row:
         Which checksum sides the boundary matrix carries.
     block:
-        The registered instrumentation block the section belongs to
-        (``"attention"`` or ``"ffn"``) — the key space of
-        :func:`repro.core.hooks.register_block_ops`.
+        The instrumented block the section belongs to (``"attention"`` or
+        ``"ffn"``); its boundary GEMM is a key of that block's boundary map,
+        :data:`repro.core.hooks.SECTION_BOUNDARY_OPS` or
+        :data:`repro.core.hooks.FFN_SECTION_BOUNDARY_OPS`.
     """
 
     name: str
@@ -93,21 +94,6 @@ class ProtectionSection:
     maintains_column: bool
     maintains_row: bool
     block: str = "attention"
-
-    @property
-    def nondeterministic(self) -> bool:
-        """Whether the boundary matrix can see either a 1R or a 1C pattern."""
-        return self.maintains_column and self.maintains_row
-
-    @property
-    def boundary_op(self) -> str:
-        """The GEMM op that produces the boundary matrix (the section's last op).
-
-        This is where the fused :class:`repro.core.engine.ProtectionEngine`
-        dispatches the section's whole checksum chain — one Python dispatch
-        per section instead of one per member GEMM.
-        """
-        return self.operations[-1]
 
 
 #: The three protection sections of the paper (the attention block), keyed by
@@ -333,14 +319,6 @@ class SectionCostModel:
             detect_bytes=float(detect_bytes),
         )
 
-    def all_section_costs(self, scope: str = "attention") -> Dict[str, SectionCosts]:
-        """Costs for every section of ``scope`` for one transformer layer.
-
-        The default scope is the historical attention triple; pass
-        ``"attention+ffn"`` for the whole-model registry.
-        """
-        return {name: self.section_costs(name) for name in sections_for_scope(scope)}
-
     # -- host <-> device transfer accounting ---------------------------------------
 
     @property
@@ -420,23 +398,6 @@ class SectionCostModel:
             "apv": 2.0 * b * h * s * s * dh,
             "clo": 2.0 * b * s * d * d,
         }
-
-    def ffn_operation_flops(self) -> Dict[str, float]:
-        """FLOPs of each protected FFN GEMM for one layer forward pass."""
-        b = self.batch_size
-        s = self.seq_len
-        d = self.config.hidden_size
-        d_ff = self.config.intermediate_size
-        return {
-            "ff_up": 2.0 * b * s * d * d_ff,
-            "ff_down": 2.0 * b * s * d_ff * d,
-        }
-
-    def section_operation_flops(self, name: str) -> Dict[str, float]:
-        """FLOPs of the operations belonging to section ``name``."""
-        section = SECTION_REGISTRY[name]
-        flops = {**self.operation_flops(), **self.ffn_operation_flops()}
-        return {op: flops[op] for op in section.operations}
 
     # -- host-side dispatch accounting ---------------------------------------------
 
@@ -697,15 +658,3 @@ class SectionCostModel:
         raise KeyError(
             f"unknown verification mode {mode!r}; expected 'immediate' or 'async'"
         )
-
-    def attention_gemm_flops(self) -> float:
-        """Total protected GEMM FLOPs of one attention layer forward pass."""
-        return float(sum(self.operation_flops().values()))
-
-    def abft_flops(self) -> float:
-        """Total ABFT detection-path FLOPs (all three sections, one layer)."""
-        return float(sum(c.detection_path_flops for c in self.all_section_costs().values()))
-
-    def abft_relative_overhead(self) -> float:
-        """ABFT detection-path FLOPs relative to the protected GEMM FLOPs."""
-        return self.abft_flops() / self.attention_gemm_flops()

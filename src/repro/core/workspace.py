@@ -15,15 +15,19 @@ aspirational.
 The ``out=`` contract
 ---------------------
 Buffers are filled through the array namespaces' NumPy-style ``out=``
-keyword.  NumPy and CuPy support it natively on ``matmul`` / ``stack`` /
-``einsum``; the Torch namespace implements it on ``matmul`` and ``stack``
-(Torch's ``einsum`` has no ``out=``).  The helpers in this module —
-:func:`matmul_into`, :func:`einsum_into`, :func:`stack_into` — route through
-``out=`` when the namespace accepts it and otherwise **fall back to a plain
-allocating call**, memoising the capability per namespace so the fallback
-costs one ``TypeError`` ever, not one per call.  The fallback is
-value-compliant: callers always receive the correct result array; only the
-reuse guarantee is void on namespaces without ``out=`` support.
+keyword, which NumPy and CuPy support natively on ``matmul`` and ``stack``
+and the Torch namespace implements for both.  The helpers in this module —
+:func:`matmul_into` and :func:`stack_into` — route through ``out=`` when
+the namespace accepts it and otherwise **fall back to a plain allocating
+call**, memoising the capability per namespace so the fallback costs one
+``TypeError`` ever, not one per call.  The fallback is value-compliant:
+callers always receive the correct result array; only the reuse guarantee
+is void on namespaces without ``out=`` support.
+
+There is no ``einsum`` helper: NumPy's einsum abandons its specialised
+inner loops when given ``out=`` (measurably slower at attention dims) and
+Torch's has no ``out=`` at all, so the engine's few einsums allocate, each
+with a suppression saying why.
 
 Aliasing discipline
 -------------------
@@ -41,7 +45,6 @@ from typing import Any, Dict, Sequence, Tuple
 __all__ = [
     "ChecksumWorkspace",
     "matmul_into",
-    "einsum_into",
     "stack_into",
 ]
 
@@ -69,8 +72,6 @@ def _supports_out(op: str, xp: Any) -> bool:
     try:
         if op == "matmul":
             xp.matmul(one, one, out=probe_out)
-        elif op == "einsum":
-            xp.einsum("ij,jk->ik", one, one, out=probe_out)
         elif op == "stack":
             xp.stack([xp.ones(1, dtype=xp.float64)], out=probe_out)
         else:  # pragma: no cover - helper misuse
@@ -92,20 +93,6 @@ def matmul_into(xp: Any, a: Any, b: Any, out: Any = None) -> Any:
     if out is None or not _supports_out("matmul", xp):
         return xp.matmul(a, b)
     return xp.matmul(a, b, out=out)
-
-
-def einsum_into(xp: Any, equation: str, *operands: Any, out: Any = None) -> Any:
-    """``xp.einsum(equation, *operands, out=out)`` with an allocating fallback.
-
-    Note that NumPy's einsum abandons its specialised inner loops when an
-    ``out`` is supplied (measurably slower at attention dims) — the engine
-    only routes *matmul/stack* shapes through the workspace for that reason.
-    """
-    if out is None or not _supports_out("einsum", xp):
-        return xp.einsum(equation, *operands)
-    result = xp.einsum(equation, *operands, out=out)
-    # NumPy's einsum returns ``out``; normalise namespaces that return None.
-    return out if result is None else result
 
 
 def stack_into(xp: Any, arrays: Sequence[Any], out: Any = None) -> Any:

@@ -11,12 +11,11 @@ Figure 6) yet cheap enough that a full epoch runs in seconds on CPU.
 
 from repro.data.tokenizer import HashingTokenizer
 from repro.data.synthetic_mrpc import SyntheticMRPC, SentencePair
-from repro.data.dataloader import DataLoader, batch_iterator
+from repro.data.dataloader import DataLoader
 
 __all__ = [
     "HashingTokenizer",
     "SyntheticMRPC",
     "SentencePair",
     "DataLoader",
-    "batch_iterator",
 ]

@@ -9,21 +9,7 @@ import numpy as np
 from repro.data.synthetic_mrpc import SyntheticMRPC
 from repro.utils.rng import new_rng
 
-__all__ = ["DataLoader", "batch_iterator"]
-
-
-def batch_iterator(
-    encoded: Dict[str, np.ndarray], batch_size: int, drop_last: bool = False
-) -> Iterator[Dict[str, np.ndarray]]:
-    """Yield consecutive batches from a pre-encoded dataset dictionary."""
-    if batch_size <= 0:
-        raise ValueError("batch_size must be positive")
-    n = len(encoded["labels"])
-    for start in range(0, n, batch_size):
-        end = start + batch_size
-        if end > n and drop_last:
-            return
-        yield {key: value[start:end] for key, value in encoded.items()}
+__all__ = ["DataLoader"]
 
 
 class DataLoader:

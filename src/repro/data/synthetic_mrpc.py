@@ -142,14 +142,3 @@ class SyntheticMRPC:
         labels = np.asarray([self.examples[i].label for i in indices], dtype=np.int64)
         input_ids, attention_mask = self.tokenizer.encode_batch(pairs, self.max_seq_len)
         return {"input_ids": input_ids, "attention_mask": attention_mask, "labels": labels}
-
-    def train_dev_split(self, dev_fraction: float = 0.2) -> Tuple[List[int], List[int]]:
-        """Deterministic index split into train and dev sets."""
-        if not 0.0 < dev_fraction < 1.0:
-            raise ValueError("dev_fraction must lie in (0, 1)")
-        rng = new_rng(self.seed + 1)
-        order = rng.permutation(len(self.examples))
-        n_dev = max(1, int(len(self.examples) * dev_fraction))
-        dev = sorted(int(i) for i in order[:n_dev])
-        train = sorted(int(i) for i in order[n_dev:])
-        return train, dev

@@ -14,7 +14,7 @@ exclusively by the injected fault.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
@@ -161,24 +161,3 @@ class PropagationStudy:
             patterns=patterns,
             injected_position=injected_position,
         )
-
-    # -- full table ---------------------------------------------------------------------------
-
-    def run_table(
-        self,
-        matrices: Sequence[str] = ("Q", "K", "V", "AS", "CL"),
-        error_types: Sequence[str] = ("inf", "nan", "near_inf"),
-        trials: int = 1,
-    ) -> List[PropagationResult]:
-        """Trace every (matrix, error type) combination; ``trials`` repetitions each.
-
-        With ``trials > 1`` the result list contains one entry per repetition
-        (different random positions); aggregation is left to the caller (the
-        Table-2 bench reports the most severe pattern observed).
-        """
-        results: List[PropagationResult] = []
-        for matrix in matrices:
-            for error_type in error_types:
-                for _ in range(trials):
-                    results.append(self.trace(matrix, error_type))
-        return results

@@ -139,9 +139,3 @@ class ModelConfig:
         softmax_cost = 7 * b * h * s * s
         bias_cost = 4 * b * s * d
         return softmax_cost + bias_cost
-
-    def attention_gemm_ratio(self, batch_size: int = 8, seq_len: Optional[int] = None) -> float:
-        """Fraction of attention FLOPs spent in GEMMs (Table 3)."""
-        gemm = self.attention_gemm_flops(batch_size, seq_len)
-        other = self.attention_other_flops(batch_size, seq_len)
-        return gemm / (gemm + other)

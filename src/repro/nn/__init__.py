@@ -8,7 +8,7 @@ operation-boundary hook interface used by both the fault injector
 """
 
 from repro.nn.module import Module, Parameter, ModuleList
-from repro.nn.layers import Dropout, Embedding, GELUActivation, LayerNorm, Linear, ReLUActivation, TanhActivation
+from repro.nn.layers import Dropout, Embedding, GELUActivation, LayerNorm, Linear, TanhActivation
 from repro.nn.attention import (
     SECTION_BOUNDARY_OPS,
     AttentionHooks,
@@ -31,7 +31,6 @@ __all__ = [
     "Embedding",
     "Dropout",
     "GELUActivation",
-    "ReLUActivation",
     "TanhActivation",
     "MultiHeadAttention",
     "AttentionHooks",

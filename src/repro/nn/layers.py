@@ -25,7 +25,6 @@ __all__ = [
     "Embedding",
     "Dropout",
     "GELUActivation",
-    "ReLUActivation",
     "TanhActivation",
 ]
 
@@ -144,13 +143,6 @@ class GELUActivation(Module):
 
     def forward(self, x: ag.Tensor) -> ag.Tensor:
         return ag.gelu(x)
-
-
-class ReLUActivation(Module):
-    """ReLU activation module."""
-
-    def forward(self, x: ag.Tensor) -> ag.Tensor:
-        return ag.relu(x)
 
 
 class TanhActivation(Module):

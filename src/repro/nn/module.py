@@ -55,11 +55,6 @@ class Module:
             self._modules[name] = value
         object.__setattr__(self, name, value)
 
-    def register_parameter(self, name: str, param: Parameter) -> None:
-        """Explicitly register a parameter under ``name``."""
-        self._parameters[name] = param
-        object.__setattr__(self, name, param)
-
     def register_module(self, name: str, module: "Module") -> None:
         """Explicitly register a child module under ``name``."""
         self._modules[name] = module

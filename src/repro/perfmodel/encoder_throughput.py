@@ -12,20 +12,18 @@ small-batch regime is launch-overhead dominated (throughput ramps up with
 batch size) and the large-batch regime saturates at the respective bandwidth
 utilisations.
 
-In addition, :meth:`EncoderThroughputModel.measure_numpy` measures the *real*
-throughput of this package's NumPy encoder on the host CPU, so the benchmark
-reports both the modelled A100 numbers and an actually-measured series.
+The measured series beside these modelled A100 numbers — the *real*
+throughput of this package's NumPy encoder on the host CPU — is timed by
+``benchmarks/bench_fig9_encoding_throughput.py`` itself.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 import numpy as np
 
-from repro.core.checksums import encode_column_checksums
 from repro.perfmodel.gpu import A100_SPEC, GPUSpec
 from repro.perfmodel.kernels import KernelCostModel
 
@@ -97,28 +95,6 @@ class EncoderThroughputModel:
             elements = b * self.seq_len * self.block_width
             seconds = self.kernels.encode_cublas(elements, num_blocks=b)
             points.append(EncoderThroughputPoint(b, self._bytes(b), seconds))
-        return points
-
-    # -- measured NumPy throughput -------------------------------------------------------------
-
-    def measure_numpy(
-        self,
-        batch_sizes: Sequence[int] = DEFAULT_BATCH_SIZES,
-        repeats: int = 3,
-        rng: Optional[np.random.Generator] = None,
-    ) -> List[EncoderThroughputPoint]:
-        """Measured throughput of :func:`encode_column_checksums` on this host."""
-        rng = rng if rng is not None else np.random.default_rng(0)
-        points = []
-        for b in batch_sizes:
-            data = rng.normal(size=(b, self.seq_len, self.block_width))
-            encode_column_checksums(data)  # warm-up
-            best = float("inf")
-            for _ in range(repeats):
-                start = time.perf_counter()
-                encode_column_checksums(data)
-                best = min(best, time.perf_counter() - start)
-            points.append(EncoderThroughputPoint(b, float(data.nbytes), best))
         return points
 
     # -- summary ----------------------------------------------------------------------------------

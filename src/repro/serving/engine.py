@@ -39,7 +39,6 @@ outcome drain / eviction bookkeeping).
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
@@ -146,9 +145,6 @@ class ServingReport:
             "decode_steps": self.decode_steps,
             "decode_slot_steps": self.decode_slot_steps,
         }
-
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
 
 
 class _BatchState:

@@ -5,15 +5,14 @@ equivalent substrate from scratch on NumPy:
 
 ``ops``
     Stateless, vectorised array operations (batched GEMM, softmax, GELU,
-    layer-norm, one-hot, …) together with their analytical gradients.  These
+    layer-norm, …) together with their analytical gradients.  These
     are the kernels everything else is composed from.
 ``autograd``
     A small but complete reverse-mode automatic differentiation engine.
     :class:`~repro.tensor.autograd.Tensor` wraps an ``ndarray``, records the
     operations applied to it and can back-propagate through arbitrary DAGs.
 ``init``
-    Parameter initialisers (Xavier/Glorot, Kaiming, normal, zeros) used by the
-    NN modules.
+    Parameter initialisers (normal, zeros) used by the NN modules.
 
 The protected attention integrates with this engine through the
 ``forward_hook`` argument of :func:`repro.tensor.autograd.matmul`: the hook
@@ -25,7 +24,6 @@ operation boundary the paper instruments.
 from repro.tensor.autograd import (
     Tensor,
     add,
-    concat,
     dropout,
     embedding,
     gelu,
@@ -34,8 +32,6 @@ from repro.tensor.autograd import (
     matmul,
     mean,
     mul,
-    no_grad,
-    relu,
     reshape,
     softmax,
     split_heads,
@@ -44,7 +40,7 @@ from repro.tensor.autograd import (
     tensor,
     transpose,
 )
-from repro.tensor.init import kaiming_uniform, normal_init, xavier_uniform, zeros_init
+from repro.tensor.init import normal_init, zeros_init
 from repro.tensor import ops
 
 __all__ = [
@@ -56,21 +52,16 @@ __all__ = [
     "softmax",
     "log_softmax",
     "gelu",
-    "relu",
     "tanh",
     "layer_norm",
     "dropout",
     "embedding",
     "reshape",
     "transpose",
-    "concat",
     "split_heads",
     "mean",
     "tensor_sum",
-    "no_grad",
     "ops",
-    "xavier_uniform",
-    "kaiming_uniform",
     "normal_init",
     "zeros_init",
 ]

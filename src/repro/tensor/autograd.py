@@ -46,8 +46,7 @@ mirrors how the paper instruments the CUDA GEMMs at the operation boundary.
 
 from __future__ import annotations
 
-import contextlib
-from typing import Any, Callable, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -58,8 +57,6 @@ __all__ = [
     "Tensor",
     "GradHookHandle",
     "tensor",
-    "no_grad",
-    "is_grad_enabled",
     "add",
     "sub",
     "mul",
@@ -68,14 +65,12 @@ __all__ = [
     "softmax",
     "log_softmax",
     "gelu",
-    "relu",
     "tanh",
     "layer_norm",
     "dropout",
     "embedding",
     "reshape",
     "transpose",
-    "concat",
     "split_heads",
     "merge_heads",
     "sum",
@@ -84,26 +79,6 @@ __all__ = [
 ]
 
 ArrayLike = Union[float, int, np.ndarray, "Tensor", Any]
-
-_GRAD_ENABLED = True
-
-
-@contextlib.contextmanager
-def no_grad():
-    """Context manager disabling graph recording (like ``torch.no_grad``)."""
-    global _GRAD_ENABLED
-    previous = _GRAD_ENABLED
-    _GRAD_ENABLED = False
-    try:
-        yield
-    finally:
-        _GRAD_ENABLED = previous
-
-
-def is_grad_enabled() -> bool:
-    """Whether operations currently record the autograd graph."""
-    return _GRAD_ENABLED
-
 
 class Tensor:
     """A backend-owned array with an autograd tape.
@@ -276,7 +251,7 @@ class Tensor:
         name: Optional[str] = None,
     ) -> "Tensor":
         backend = _owning_backend(parents, data)
-        requires = _GRAD_ENABLED and any(p.requires_grad for p in parents)
+        requires = any(p.requires_grad for p in parents)
         if not requires:
             return Tensor(data, requires_grad=False, name=name, backend=backend)
         return Tensor(
@@ -558,17 +533,6 @@ def gelu(x: ArrayLike) -> Tensor:
     return x._make_child(out, (x,), backward)
 
 
-def relu(x: ArrayLike) -> Tensor:
-    """Differentiable ReLU."""
-    x = Tensor._wrap(x)
-    out = ops.relu(x.data)
-
-    def backward(grad):
-        return (ops.relu_backward(grad, x.data),)
-
-    return x._make_child(out, (x,), backward)
-
-
 def tanh(x: ArrayLike) -> Tensor:
     """Differentiable tanh."""
     x = Tensor._wrap(x)
@@ -675,25 +639,6 @@ def transpose(x: ArrayLike, axes: Optional[Sequence[int]] = None) -> Tensor:
         return (namespace_of(grad).transpose(grad, inverse),)
 
     return x._make_child(out, (x,), backward)
-
-
-def concat(tensors: Iterable[ArrayLike], axis: int = -1) -> Tensor:
-    """Differentiable concatenation along ``axis``."""
-    wrapped = [Tensor._wrap(t) for t in tensors]
-    datas = [t.data for t in wrapped]
-    out = wrapped[0].xp.concatenate(datas, axis=axis)
-    sizes = [int(d.shape[axis]) for d in datas]
-    offsets = np.cumsum([0] + sizes)
-
-    def backward(grad):
-        pieces = []
-        for i in range(len(datas)):
-            slicer = [slice(None)] * len(grad.shape)
-            slicer[axis] = slice(int(offsets[i]), int(offsets[i + 1]))
-            pieces.append(grad[tuple(slicer)])
-        return tuple(pieces)
-
-    return wrapped[0]._make_child(out, tuple(wrapped), backward)
 
 
 def split_heads(x: ArrayLike, num_heads: int) -> Tensor:

@@ -10,17 +10,14 @@ differ even for the same seed) and then handed to the owning array backend via
 
 from __future__ import annotations
 
-from typing import Any, Optional, Sequence, Tuple
+from typing import Any, Optional, Sequence
 
 import numpy as np
 
 __all__ = [
     "adopt",
-    "xavier_uniform",
-    "kaiming_uniform",
     "normal_init",
     "zeros_init",
-    "fan_in_out",
 ]
 
 
@@ -35,39 +32,6 @@ def adopt(array: np.ndarray, backend: Optional[Any]) -> Any:
     if backend is None or backend.is_backend_array(array):
         return array
     return backend.from_numpy(array)
-
-
-def fan_in_out(shape: Sequence[int]) -> Tuple[int, int]:
-    """Compute (fan_in, fan_out) for a weight of the given shape.
-
-    For 2-D weights this is simply ``(rows, cols)``; higher-rank weights
-    treat the leading axes as receptive field.
-    """
-    shape = tuple(int(s) for s in shape)
-    if len(shape) < 1:
-        raise ValueError("weight must have at least one dimension")
-    if len(shape) == 1:
-        return shape[0], shape[0]
-    receptive = int(np.prod(shape[:-2])) if len(shape) > 2 else 1
-    fan_in = shape[-2] * receptive
-    fan_out = shape[-1] * receptive
-    return fan_in, fan_out
-
-
-def xavier_uniform(shape: Sequence[int], rng: np.random.Generator, gain: float = 1.0) -> np.ndarray:
-    """Glorot/Xavier uniform initialisation."""
-    fan_in, fan_out = fan_in_out(shape)
-    limit = gain * np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-limit, limit, size=tuple(shape))
-
-
-def kaiming_uniform(shape: Sequence[int], rng: np.random.Generator, a: float = np.sqrt(5)) -> np.ndarray:
-    """Kaiming/He uniform initialisation (PyTorch ``Linear`` default)."""
-    fan_in, _ = fan_in_out(shape)
-    gain = np.sqrt(2.0 / (1.0 + a**2))
-    std = gain / np.sqrt(fan_in)
-    bound = np.sqrt(3.0) * std
-    return rng.uniform(-bound, bound, size=tuple(shape))
 
 
 def normal_init(shape: Sequence[int], rng: np.random.Generator, std: float = 0.02) -> np.ndarray:

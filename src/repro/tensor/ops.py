@@ -34,8 +34,6 @@ __all__ = [
     "log_softmax_backward",
     "gelu",
     "gelu_backward",
-    "relu",
-    "relu_backward",
     "tanh",
     "tanh_backward",
     "layer_norm",
@@ -43,7 +41,6 @@ __all__ = [
     "dropout_mask",
     "cross_entropy",
     "cross_entropy_backward",
-    "one_hot",
     "unbroadcast",
 ]
 
@@ -159,16 +156,6 @@ def gelu_backward(grad_out: Any, x: Any) -> Any:
     return grad_out * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t**2) * du_dx)
 
 
-def relu(x: Any) -> Any:
-    """Rectified linear unit."""
-    return namespace_of(x).maximum(x, 0.0)
-
-
-def relu_backward(grad_out: Any, x: Any) -> Any:
-    """Gradient of ReLU."""
-    return grad_out * (x > 0)
-
-
 def tanh(x: Any) -> Any:
     """Hyperbolic tangent."""
     return namespace_of(x).tanh(x)
@@ -250,17 +237,6 @@ def dropout_mask(
         keep = rng.random(shape) >= p
         mask = keep.astype(np.float64) / (1.0 - p)
     return mask if xp is None else xp.asarray(mask)
-
-
-def one_hot(indices: Any, num_classes: int) -> Any:
-    """One-hot encode integer ``indices`` into ``num_classes`` columns."""
-    xp = namespace_of(indices)
-    indices = xp.asarray(indices)
-    if bool(xp.any(indices < 0)) or bool(xp.any(indices >= num_classes)):
-        raise ValueError("index out of range for one_hot")
-    out = xp.zeros(tuple(indices.shape) + (num_classes,), dtype=xp.float64)
-    xp.put_along_axis(out, indices[..., None], 1.0, axis=-1)
-    return out
 
 
 def cross_entropy(logits: Any, labels: Any) -> float:

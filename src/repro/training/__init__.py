@@ -1,4 +1,4 @@
-"""Training substrate: optimisers, LR schedules, trainer and checkpointing.
+"""Training substrate: optimisers, trainer and checkpointing.
 
 The trainer exposes exactly the signals the paper's evaluation needs:
 
@@ -13,7 +13,6 @@ The trainer exposes exactly the signals the paper's evaluation needs:
 """
 
 from repro.training.optimizer import SGD, AdamW, Optimizer, OptimizerStateCorruption
-from repro.training.scheduler import ConstantSchedule, LinearWarmupSchedule, LRSchedule
 from repro.training.checkpoint import CheckpointManager, CheckpointRecord
 from repro.training.metrics import TrainingMetrics, StepResult
 from repro.training.trainer import (
@@ -38,9 +37,6 @@ __all__ = [
     "OptimizerStateCorruption",
     "SGD",
     "AdamW",
-    "LRSchedule",
-    "ConstantSchedule",
-    "LinearWarmupSchedule",
     "CheckpointManager",
     "CheckpointRecord",
     "Trainer",

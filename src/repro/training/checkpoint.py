@@ -211,13 +211,3 @@ class CheckpointManager:
         self.total_load_seconds += elapsed
         self.num_restores += 1
         return record
-
-    # -- reporting --------------------------------------------------------------------
-
-    @property
-    def mean_save_seconds(self) -> float:
-        return self.total_save_seconds / self.num_saves if self.num_saves else 0.0
-
-    @property
-    def mean_load_seconds(self) -> float:
-        return self.total_load_seconds / self.num_restores if self.num_restores else 0.0

@@ -575,17 +575,14 @@ class DataParallelTrainer:
     Parameters
     ----------
     model_spec:
-        Recipe every rank builds its replica from (required for the process
-        executor; the default way to construct replicas elsewhere too).
-    models:
-        Alternative to ``model_spec`` for thread/serial executors: a list of
-        ``shards`` pre-built replicas (must be identically initialised, or
-        ``sync_weights_on_init`` left on).
-    collective:
-        Override the gradient collective; defaults to a
-        :class:`~repro.comm.ThreadCollective` (op ``mean``), wrapped in a
+        Recipe every rank builds its replica from (required).  The gradient
+        collective is a :class:`~repro.comm.ThreadCollective` (op ``mean``)
+        over ``config.world_size`` ranks, wrapped in a
         :class:`~repro.comm.ProtectedCollective` per
         ``config.protect_collective``.
+    config:
+        Sharding, executor, protection and reduction policy; defaults to
+        :class:`DataParallelConfig`.
     injector:
         Optional *seed-constructed* attention :class:`FaultInjector`; each
         rank gets its own deterministic child via ``injector.spawn(rank)``.
@@ -599,9 +596,7 @@ class DataParallelTrainer:
     def __init__(
         self,
         model_spec: Optional[ReplicaSpec] = None,
-        models: Optional[Sequence[Module]] = None,
         config: Optional[DataParallelConfig] = None,
-        collective: Optional[Collective] = None,
         injector: Optional[FaultInjector] = None,
         collective_injector: Optional[Any] = None,
     ) -> None:
@@ -611,11 +606,9 @@ class DataParallelTrainer:
         self.global_step = 0
         self.collective_injector = collective_injector
         world = self.config.world_size
-        if (model_spec is None) == (models is None):
-            raise ValueError("pass exactly one of model_spec or models")
+        if model_spec is None:
+            raise ValueError("model_spec is required")
         if self.config.executor == "process":
-            if model_spec is None:
-                raise ValueError("the process executor needs a picklable model_spec")
             if injector is not None:
                 raise ValueError(
                     "attention fault injection is not supported by the process "
@@ -628,30 +621,24 @@ class DataParallelTrainer:
                     f"(got array_backend={model_spec.array_backend!r})"
                 )
 
-        if collective is None:
-            inner = ThreadCollective(
-                world,
-                op="mean",
-                fault_hook=collective_injector,
-                # The last contributor folds inside its contribute, so a
-                # bucket launched mid-backward reduces while backprop runs.
-                eager_reduce=True,
-                # Payloads are flat scratch buffers the trainer owns, so the
-                # fold may accumulate into rank 0's deposit in place — except
-                # under "reexecute", where the retained payloads must survive
-                # the fold intact for bucket retry.
-                consume_deposits=self.config.stale_policy != "reexecute",
-            )
-            collective = (
-                ProtectedCollective(inner, timers=self.timers)
-                if self.config.protect_collective
-                else inner
-            )
-        elif collective.world_size != world:
-            raise ValueError(
-                f"collective world size {collective.world_size} != shards {world}"
-            )
-        self.collective = collective
+        inner = ThreadCollective(
+            world,
+            op="mean",
+            fault_hook=collective_injector,
+            # The last contributor folds inside its contribute, so a
+            # bucket launched mid-backward reduces while backprop runs.
+            eager_reduce=True,
+            # Payloads are flat scratch buffers the trainer owns, so the
+            # fold may accumulate into rank 0's deposit in place — except
+            # under "reexecute", where the retained payloads must survive
+            # the fold intact for bucket retry.
+            consume_deposits=self.config.stale_policy != "reexecute",
+        )
+        self.collective: Collective = (
+            ProtectedCollective(inner, timers=self.timers)
+            if self.config.protect_collective
+            else inner
+        )
 
         #: rank stride owned by each worker: worker w drives ranks w, w+W, ...
         workers = self.config.workers
@@ -666,15 +653,7 @@ class DataParallelTrainer:
                 state = self._procs.request(0, "state", self._owned_by_worker[0][0])
                 self._procs.broadcast_request("load_state", [state] * workers)
         else:
-            replicas = (
-                list(models)
-                if models is not None
-                else [model_spec.build() for _ in range(world)]  # type: ignore[union-attr]
-            )
-            if len(replicas) != world:
-                raise ValueError(
-                    f"need exactly {world} replicas (one per shard), got {len(replicas)}"
-                )
+            replicas = [model_spec.build() for _ in range(world)]
             for rank, model in enumerate(replicas):
                 checker = (
                     ATTNChecker(copy.deepcopy(self.config.protection))

@@ -43,7 +43,6 @@ from repro.nn.module import Module
 from repro.training.checkpoint import CheckpointManager
 from repro.training.metrics import StepResult, TrainingMetrics
 from repro.training.optimizer import AdamW, Optimizer
-from repro.training.scheduler import LRSchedule
 from repro.utils.logging import get_logger
 
 __all__ = [
@@ -205,7 +204,6 @@ class Trainer:
         model,
         config: Optional[TrainerConfig] = None,
         optimizer: Optional[Optimizer] = None,
-        scheduler: Optional[LRSchedule] = None,
         checker: Optional[ATTNChecker] = None,
         fault_hooks: Optional[Sequence[AttentionHooks]] = None,
         checkpoints: Optional[CheckpointManager] = None,
@@ -215,7 +213,6 @@ class Trainer:
         self.optimizer = optimizer or AdamW(
             model.parameters(), lr=self.config.learning_rate, weight_decay=self.config.weight_decay
         )
-        self.scheduler = scheduler
         self.checker = checker
         self.checkpoints = checkpoints
         self.metrics = TrainingMetrics()
@@ -287,8 +284,6 @@ class Trainer:
             output.loss.backward()
             clip_gradients(self.model, self.config.max_grad_norm)
             self.optimizer.step()
-            if self.scheduler is not None:
-                self.scheduler.step()
         return loss_value
 
     def _weights_healthy(self) -> bool:

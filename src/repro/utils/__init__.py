@@ -27,17 +27,13 @@ Modules
 from repro.utils.floatbits import (
     EXPONENT_BITS,
     MANTISSA_BITS,
-    bits_to_float,
     flip_bit,
     flip_exponent_msb,
-    float_to_bits,
     is_extreme,
-    make_inf,
-    make_nan,
     make_near_inf,
 )
-from repro.utils.rng import RandomState, new_rng, spawn_rngs
-from repro.utils.timing import Timer, TimingRegistry, timed
+from repro.utils.rng import new_rng
+from repro.utils.timing import Timer, TimingRegistry
 from repro.utils.versioning import bump_weights_version, weights_version
 
 __all__ = [
@@ -45,18 +41,11 @@ __all__ = [
     "weights_version",
     "EXPONENT_BITS",
     "MANTISSA_BITS",
-    "bits_to_float",
     "flip_bit",
     "flip_exponent_msb",
-    "float_to_bits",
     "is_extreme",
-    "make_inf",
-    "make_nan",
     "make_near_inf",
-    "RandomState",
     "new_rng",
-    "spawn_rngs",
     "Timer",
     "TimingRegistry",
-    "timed",
 ]

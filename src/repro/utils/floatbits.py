@@ -30,19 +30,14 @@ __all__ = [
     "MANTISSA_BITS",
     "NEAR_INF_MINIMUM_MAGNITUDE",
     "near_inf_fallback",
-    "float_to_bits",
-    "bits_to_float",
     "apply_flip_kind",
     "flip_bit",
     "flip_adjacent_double_bit",
     "flip_exponent_msb",
     "flip_exponent_msb_inplace",
     "flip_mantissa_lsb",
-    "make_inf",
-    "make_nan",
     "make_near_inf",
     "is_extreme",
-    "classify_value",
 ]
 
 #: Number of exponent bits per IEEE-754 format.
@@ -73,38 +68,6 @@ def _uint_dtype(dtype: np.dtype) -> np.dtype:
     if dtype not in _UINT_FOR:
         raise TypeError(f"unsupported floating dtype: {dtype!r}")
     return np.dtype(_UINT_FOR[dtype])
-
-
-def float_to_bits(x: ArrayLike, dtype: np.dtype = np.float32) -> np.ndarray:
-    """View floating-point data as its raw unsigned-integer bit pattern.
-
-    Parameters
-    ----------
-    x:
-        Scalar or array of floating point values.
-    dtype:
-        The floating dtype whose bit layout should be used when ``x`` is a
-        Python scalar.  Ignored when ``x`` is already a NumPy array.
-
-    Returns
-    -------
-    numpy.ndarray
-        Array of ``uint32`` / ``uint64`` bit patterns with the same shape.
-    """
-    arr = np.asarray(x, dtype=dtype) if not isinstance(x, np.ndarray) else x
-    if arr.dtype not in _UINT_FOR:
-        arr = arr.astype(np.float32)
-    return arr.view(_uint_dtype(arr.dtype)).copy()
-
-
-def bits_to_float(bits: np.ndarray, dtype: np.dtype = np.float32) -> np.ndarray:
-    """Inverse of :func:`float_to_bits`."""
-    bits = np.asarray(bits)
-    dtype = np.dtype(dtype)
-    expected = _uint_dtype(dtype)
-    if bits.dtype != expected:
-        bits = bits.astype(expected)
-    return bits.view(dtype).copy()
 
 
 def flip_bit(x: ArrayLike, bit: int, dtype: np.dtype = np.float32) -> np.ndarray:
@@ -242,17 +205,6 @@ def flip_exponent_msb_inplace(
     bits[position] = bits[position] ^ (1 << bit)
 
 
-def make_inf(sign: int = 1, dtype: np.dtype = np.float32) -> float:
-    """Return +inf or -inf in the requested dtype."""
-    value = np.inf if sign >= 0 else -np.inf
-    return np.dtype(dtype).type(value)
-
-
-def make_nan(dtype: np.dtype = np.float32) -> float:
-    """Return a quiet NaN in the requested dtype."""
-    return np.dtype(dtype).type(np.nan)
-
-
 def make_near_inf(
     base: ArrayLike = 1.0,
     dtype: np.dtype = np.float32,
@@ -285,17 +237,3 @@ def is_extreme(x: ArrayLike, near_inf_threshold: float = 1e10) -> np.ndarray:
     """
     arr = np.asarray(x)
     return ~np.isfinite(arr) | (np.abs(arr) > near_inf_threshold)
-
-
-def classify_value(x: float, near_inf_threshold: float = 1e10) -> str:
-    """Classify a scalar as ``'inf'``, ``'nan'``, ``'near_inf'`` or ``'normal'``.
-
-    Used by the propagation tracer when building Table-2 style reports.
-    """
-    if np.isnan(x):
-        return "nan"
-    if np.isinf(x):
-        return "inf"
-    if abs(x) > near_inf_threshold:
-        return "near_inf"
-    return "normal"

@@ -2,8 +2,7 @@
 
 The library never configures the root logger; it only creates namespaced
 children under ``"repro"`` so applications embedding it keep full control of
-log routing.  :func:`enable_console_logging` is a convenience for scripts and
-benchmarks.
+log routing.
 """
 
 from __future__ import annotations
@@ -11,7 +10,7 @@ from __future__ import annotations
 import logging
 from typing import Optional
 
-__all__ = ["get_logger", "enable_console_logging"]
+__all__ = ["get_logger"]
 
 _ROOT_NAME = "repro"
 
@@ -26,16 +25,3 @@ def get_logger(name: Optional[str] = None) -> logging.Logger:
     if name.startswith(_ROOT_NAME):
         return logging.getLogger(name)
     return logging.getLogger(f"{_ROOT_NAME}.{name}")
-
-
-def enable_console_logging(level: int = logging.INFO) -> logging.Logger:
-    """Attach a stream handler to the library logger (idempotent)."""
-    logger = get_logger()
-    logger.setLevel(level)
-    if not any(isinstance(h, logging.StreamHandler) for h in logger.handlers):
-        handler = logging.StreamHandler()
-        handler.setFormatter(
-            logging.Formatter("%(asctime)s %(name)s %(levelname)s: %(message)s")
-        )
-        logger.addHandler(handler)
-    return logger

@@ -3,19 +3,18 @@
 All stochastic code paths in the library (weight initialisation, synthetic
 data generation, dropout, fault-site selection) take an explicit
 :class:`numpy.random.Generator`.  This module centralises how those
-generators are created and split so experiments are exactly reproducible:
+generators are created so experiments are exactly reproducible:
 the same seed always produces the same training run, the same fault-injection
 campaign and therefore the same benchmark tables.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Optional
 
 import numpy as np
 
-__all__ = ["new_rng", "spawn_rngs", "RandomState"]
+__all__ = ["new_rng"]
 
 DEFAULT_SEED = 0xA77C  # "ATTC"
 
@@ -29,51 +28,3 @@ def new_rng(seed: Optional[int] = None) -> np.random.Generator:
     if seed is None:
         seed = DEFAULT_SEED
     return np.random.default_rng(seed)
-
-
-def spawn_rngs(rng: np.random.Generator, n: int) -> List[np.random.Generator]:
-    """Split ``rng`` into ``n`` statistically independent child generators.
-
-    Uses the SeedSequence spawning protocol, so children never overlap no
-    matter how many random numbers each consumes.
-    """
-    if n < 0:
-        raise ValueError("cannot spawn a negative number of generators")
-    seeds = rng.integers(0, 2**63 - 1, size=n, dtype=np.int64)
-    return [np.random.default_rng(int(s)) for s in seeds]
-
-
-@dataclass
-class RandomState:
-    """A named registry of random streams.
-
-    Different subsystems (``init``, ``data``, ``dropout``, ``faults``…) pull
-    their own named stream so that changing how many random numbers one
-    subsystem draws does not perturb the others — a property that keeps
-    fault-injection campaigns comparable across code revisions.
-    """
-
-    seed: int = DEFAULT_SEED
-    _streams: Dict[str, np.random.Generator] = field(default_factory=dict, repr=False)
-
-    def stream(self, name: str) -> np.random.Generator:
-        """Return (creating on first use) the generator for stream ``name``."""
-        if name not in self._streams:
-            # Derive a per-stream seed from the base seed and the stream name
-            # in a way that is stable across Python processes (no hash()).
-            sub = np.random.SeedSequence([self.seed, _stable_name_key(name)])
-            self._streams[name] = np.random.default_rng(sub)
-        return self._streams[name]
-
-    def reset(self) -> None:
-        """Drop all derived streams; they will be re-created lazily."""
-        self._streams.clear()
-
-
-def _stable_name_key(name: str) -> int:
-    """Map a stream name to a stable 63-bit integer (FNV-1a)."""
-    h = 0xCBF29CE484222325
-    for byte in name.encode("utf-8"):
-        h ^= byte
-        h = (h * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
-    return h & 0x7FFFFFFFFFFFFFFF

@@ -15,7 +15,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional
 
-__all__ = ["XFER_H2D", "XFER_D2H", "XFER_PREFIX", "Timer", "TimingRegistry", "timed"]
+__all__ = ["XFER_H2D", "XFER_D2H", "XFER_PREFIX", "Timer", "TimingRegistry"]
 
 #: Timer key for host-to-device (adoption) copies of checker inputs — time a
 #: pinned ProtectionEngine spends importing section arrays produced by a
@@ -148,11 +148,3 @@ class TimingRegistry:
         for key, t in rows:
             lines.append(f"{key:<40} {t.count:>8d} {t.elapsed:>12.6f} {t.mean * 1e3:>12.4f}")
         return "\n".join(lines)
-
-
-@contextmanager
-def timed() -> Iterator[Timer]:
-    """Context manager yielding a one-shot :class:`Timer`."""
-    t = Timer()
-    with t.measure():
-        yield t

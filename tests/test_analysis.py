@@ -8,8 +8,6 @@ from repro.analysis import (
     format_percent,
     format_table,
     gemm_ratio_table,
-    render_series,
-    to_csv,
 )
 from repro.models import get_config
 
@@ -54,20 +52,19 @@ class TestReporting:
         with pytest.raises(ValueError):
             format_table(["a", "b"], [[1]])
 
-    def test_render_series(self):
-        text = render_series("Figure 9", [24, 48], [0.9, 1.2], x_label="batch", y_label="TB/s")
-        assert "Figure 9" in text and "batch" in text and "24" in text
+    def test_format_table_floats_keep_four_significant_digits(self):
+        text = format_table(["x", "y", "z"], [[0.123456, 123456.0, 7]])
+        assert text.splitlines()[2].split() == ["0.1235", "1.235e+05", "7"]
 
-    def test_render_series_length_mismatch(self):
-        with pytest.raises(ValueError):
-            render_series("x", [1, 2], [1])
+    def test_format_table_without_title_starts_with_the_header(self):
+        lines = format_table(["model", "ratio"], [["bert", 0.5]]).splitlines()
+        assert len(lines) == 3
+        assert lines[0].split() == ["model", "ratio"]
+        assert set(lines[1].replace(" ", "")) == {"-"}
 
-    def test_to_csv_escapes_commas_and_quotes(self):
-        csv = to_csv(["a", "b"], [["x,y", 'say "hi"']])
-        assert '"x,y"' in csv
-        assert '"say ""hi"""' in csv
-        assert csv.splitlines()[0] == "a,b"
-
-    def test_to_csv_row_count(self):
-        csv = to_csv(["a"], [[1], [2], [3]])
-        assert len(csv.strip().splitlines()) == 4
+    def test_format_table_pads_columns_to_the_widest_cell(self):
+        lines = format_table(["m", "v"], [["gpt-neo", 1], ["x", 22]]).splitlines()
+        assert lines[1] == "-" * len("gpt-neo") + "  " + "-" * 2
+        # The second column starts at the same offset on every other line.
+        offsets = {line.rstrip().rindex(" ") + 1 for line in lines[:1] + lines[2:]}
+        assert offsets == {len("gpt-neo") + 2}

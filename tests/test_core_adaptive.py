@@ -66,7 +66,7 @@ class TestVulnerability:
             OperationVulnerability.from_table4("t5")
 
     def test_from_measurements(self):
-        vuln = OperationVulnerability.from_measurements({"xq": {"inf": 0.5}})
+        vuln = OperationVulnerability(phi={"xq": {"inf": 0.5}})
         assert vuln.get("xq", "inf") == 0.5
         assert vuln.get("xq", "nan", default=0.9) == 0.9
 

@@ -6,7 +6,6 @@ import pytest
 from repro.core.checksums import (
     ChecksumState,
     adjust_column_checksums_for_bias,
-    adjust_row_checksums_for_bias,
     checksum_weights,
     encode_column_checksums,
     encode_per_head_row_checksums_of_weight,
@@ -16,7 +15,7 @@ from repro.core.checksums import (
     recompute_row_sums,
     split_head_column_checksums,
     update_column_checksums_through_gemm,
-    update_row_checksums_through_gemm,
+    update_column_checksums_with_appended_rows,
 )
 
 
@@ -75,7 +74,7 @@ class TestPropagation:
         a = rng.normal(size=(2, 6, 4))
         b = rng.normal(size=(4, 3))
         c = a @ b
-        carried = update_row_checksums_through_gemm(a, encode_row_checksums(b))
+        carried = a @ encode_row_checksums(b)  # row(AB) = A row(B)
         assert np.allclose(carried, encode_row_checksums(c))
 
     def test_column_bias_adjustment(self, rng):
@@ -83,12 +82,6 @@ class TestPropagation:
         bias = rng.normal(size=4)
         cs = adjust_column_checksums_for_bias(encode_column_checksums(a), bias, num_rows=5)
         assert np.allclose(cs, encode_column_checksums(a + bias))
-
-    def test_row_bias_adjustment(self, rng):
-        a = rng.normal(size=(5, 4))
-        bias = rng.normal(size=4)
-        cs = adjust_row_checksums_for_bias(encode_row_checksums(a), bias)
-        assert np.allclose(cs, encode_row_checksums(a + bias))
 
     def test_chained_propagation_two_gemms(self, rng):
         # col(X) -> col(Q) -> col(AS) through two GEMMs, as section S_AS does.
@@ -101,6 +94,57 @@ class TestPropagation:
             update_column_checksums_through_gemm(encode_column_checksums(x), w_q), k_t
         )
         assert np.allclose(carried, encode_column_checksums(attention_scores))
+
+
+class TestAppendedRows:
+    """Incremental column checksums of a row-growing (KV-cache) matrix."""
+
+    @pytest.mark.parametrize("appended", [1, 3])
+    def test_matches_encoding_of_the_grown_matrix(self, rng, appended):
+        # One row exercises the single-token decode path, three the general one.
+        prefix = rng.normal(size=(5, 4))
+        new_rows = rng.normal(size=(appended, 4))
+        cs = update_column_checksums_with_appended_rows(
+            encode_column_checksums(prefix), new_rows, first_row_index=5
+        )
+        assert np.allclose(cs, encode_column_checksums(np.concatenate([prefix, new_rows])))
+
+    def test_token_by_token_growth_matches_one_encoding(self, rng):
+        full = rng.normal(size=(9, 6))
+        cs = encode_column_checksums(full[:2])
+        for position in range(2, 9):
+            update_column_checksums_with_appended_rows(cs, full[position : position + 1], position)
+        assert np.allclose(cs, encode_column_checksums(full))
+
+    def test_leading_batch_and_head_axes(self, rng):
+        prefix = rng.normal(size=(2, 3, 4, 5))
+        new_rows = rng.normal(size=(2, 3, 2, 5))
+        cs = update_column_checksums_with_appended_rows(
+            encode_column_checksums(prefix), new_rows, first_row_index=4
+        )
+        grown = np.concatenate([prefix, new_rows], axis=-2)
+        assert cs.shape == (2, 3, 2, 5)
+        assert np.allclose(cs, encode_column_checksums(grown))
+
+    @pytest.mark.parametrize("appended", [1, 2])
+    def test_updates_the_buffer_in_place(self, rng, appended):
+        buffer = encode_column_checksums(rng.normal(size=(3, 4)))
+        returned = update_column_checksums_with_appended_rows(
+            buffer, rng.normal(size=(appended, 4)), first_row_index=3
+        )
+        assert returned is buffer
+
+    def test_low_precision_rows_accumulate_in_float64(self, rng):
+        prefix = rng.normal(size=(6, 8))
+        new_rows = rng.normal(size=(3, 8)).astype(np.float16)
+        cs = update_column_checksums_with_appended_rows(
+            encode_column_checksums(prefix), new_rows, first_row_index=6
+        )
+        reference = encode_column_checksums(
+            np.concatenate([prefix, new_rows.astype(np.float64)])
+        )
+        assert cs.dtype == np.float64
+        assert np.allclose(cs, reference, rtol=1e-12, atol=1e-12)
 
 
 class TestHeadSplitting:
@@ -258,7 +302,3 @@ class TestLowPrecisionEncoding:
                                       out_dtype=np.float32)
         adjusted = adjust_column_checksums_for_bias(col, rng.normal(size=6), num_rows=8)
         assert adjusted.dtype == np.float64
-        row = encode_row_checksums(rng.normal(size=(8, 6)).astype(np.float32),
-                                   out_dtype=np.float32)
-        adjusted_row = adjust_row_checksums_for_bias(row, rng.normal(size=6))
-        assert adjusted_row.dtype == np.float64

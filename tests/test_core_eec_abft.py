@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.checksums import encode_column_checksums, encode_row_checksums
-from repro.core.eec_abft import ColumnCheckReport, check_columns, check_rows
+from repro.core.eec_abft import check_columns, check_rows
 from repro.core.thresholds import ABFTThresholds
 
 
@@ -81,6 +81,18 @@ class TestSingleErrors:
         m[0, 4, 2] += 11.0      # finite delta        -> case 1
         report = check_columns(m, cs, thresholds)
         assert report.case2[0, 0] and report.case3[0, 1] and report.case1[0, 2]
+
+    @pytest.mark.parametrize("value", [3.3e6, -2.5e9], ids=["1e6", "-1e9"])
+    def test_large_finite_error_located_by_ratio_and_restored(self, rng, thresholds, value):
+        # Above T_correct but below T_near-INF: a case-1 vector whose value is
+        # rebuilt from the unweighted checksum and the healthy elements.
+        assert thresholds.correct < abs(value) < thresholds.near_inf
+        m, cs, ref = protected_matrix(rng, shape=(1, 8, 6))
+        m[0, 6, 4] = value
+        report = check_columns(m, cs, thresholds)
+        assert report.case1[0, 4] and not report.case2.any() and not report.case3.any()
+        assert report.num_corrected == 1 and report.corrected_indices[0, 4] == 6
+        assert np.allclose(m, ref, rtol=1e-6, atol=1e-6)
 
     def test_tiny_numeric_error_below_tolerance_ignored(self, rng, thresholds):
         m, cs, ref = protected_matrix(rng)
@@ -159,6 +171,30 @@ class TestRowColumnEquivalence:
         assert np.allclose(m, ref, rtol=1e-6, atol=1e-8)
 
 
+class TestReportLayout:
+    def test_masks_keep_the_leading_axes(self, rng, thresholds):
+        m, cs, _ = protected_matrix(rng, shape=(2, 3, 8, 6))
+        m[1, 2, 4, 5] = np.inf
+        report = check_columns(m, cs, thresholds)
+        for mask in (report.detected, report.corrected, report.aborted,
+                     report.case1, report.case2, report.case3):
+            assert mask.shape == (2, 3, 6) and mask.dtype == bool
+        assert report.corrected_indices.dtype == np.int64
+        expected = np.full((2, 3, 6), -1)
+        expected[1, 2, 5] = 4
+        assert np.array_equal(report.corrected_indices, expected)
+        assert np.argwhere(report.detected).tolist() == [[1, 2, 5]]
+
+    def test_row_report_has_one_entry_per_row(self, rng, thresholds):
+        m = rng.normal(size=(5, 7))
+        rcs = encode_row_checksums(m)
+        m[3, 2] = np.nan
+        report = check_rows(m, rcs, thresholds)
+        assert report.detected.shape == (5,)
+        assert report.detected.tolist() == [False, False, False, True, False]
+        assert report.corrected_indices.tolist() == [-1, -1, -1, 2, -1]
+
+
 class TestValidation:
     def test_shape_mismatch_raises(self, rng, thresholds):
         m = rng.normal(size=(4, 5))
@@ -205,104 +241,3 @@ class TestThresholds:
     def test_paper_default_values(self):
         th = ABFTThresholds()
         assert th.near_inf == 1e10 and th.correct == 1e5
-
-
-def _report(n, detected=(), corrected=(), aborted=(), case1=(), case2=(), case3=(),
-            indices=None):
-    def mask(idx):
-        m = np.zeros(n, dtype=bool)
-        m[list(idx)] = True
-        return m
-
-    ci = np.full(n, -1, dtype=np.int64)
-    for position, value in (indices or {}).items():
-        ci[position] = value
-    return ColumnCheckReport(
-        detected=mask(detected),
-        corrected=mask(corrected),
-        aborted=mask(aborted),
-        case1=mask(case1),
-        case2=mask(case2),
-        case3=mask(case3),
-        corrected_indices=ci,
-    )
-
-
-class TestReportMerge:
-    """Regression tests for ColumnCheckReport.merge.
-
-    The original implementation combined ``aborted`` with ``&`` (so an abort
-    raised by only one pass silently vanished) and discarded ``other``'s case
-    masks and corrected indices outright.
-    """
-
-    def test_detected_and_corrected_are_or(self):
-        a = _report(4, detected=(0,), corrected=(0,))
-        b = _report(4, detected=(2,), corrected=(2,))
-        merged = a.merge(b)
-        assert merged.detected.tolist() == [True, False, True, False]
-        assert merged.corrected.tolist() == [True, False, True, False]
-
-    def test_abort_survives_when_neither_pass_corrects(self):
-        # Regression: `aborted & other.aborted` dropped an abort reported by
-        # only one side even though nothing repaired the vector.
-        a = _report(3, detected=(1,), aborted=(1,))
-        b = _report(3)
-        merged = a.merge(b)
-        assert merged.aborted.tolist() == [False, True, False]
-        assert merged.num_aborted == 1
-
-    def test_abort_cleared_by_orthogonal_correction(self):
-        # A vector the column pass aborted on but the row pass repaired must
-        # not be reported as aborted.
-        a = _report(3, detected=(1,), aborted=(1,))
-        b = _report(3, detected=(1,), corrected=(1,), indices={1: 5})
-        merged = a.merge(b)
-        assert merged.aborted.tolist() == [False, False, False]
-        assert merged.corrected.tolist() == [False, True, False]
-
-    def test_case_masks_merged_not_dropped(self):
-        # Regression: other's case1/case2/case3 masks were discarded.
-        a = _report(4, detected=(0,), case1=(0,))
-        b = _report(4, detected=(2, 3), case2=(2,), case3=(3,))
-        merged = a.merge(b)
-        assert merged.case1.tolist() == [True, False, False, False]
-        assert merged.case2.tolist() == [False, False, True, False]
-        assert merged.case3.tolist() == [False, False, False, True]
-
-    def test_corrected_indices_merged_not_dropped(self):
-        # Regression: other's corrected_indices were discarded.
-        a = _report(4, corrected=(0,), indices={0: 2})
-        b = _report(4, corrected=(3,), indices={3: 7})
-        merged = a.merge(b)
-        assert merged.corrected_indices.tolist() == [2, -1, -1, 7]
-
-    def test_self_index_wins_when_both_located(self):
-        a = _report(2, corrected=(0,), indices={0: 1})
-        b = _report(2, corrected=(0,), indices={0: 4})
-        assert a.merge(b).corrected_indices.tolist() == [1, -1]
-
-    def test_mismatched_shapes_concatenate_every_field(self):
-        # Col pass over n=3 columns merged with a row pass over m=2 rows:
-        # disjoint vector sets, everything concatenates.
-        a = _report(3, detected=(1,), aborted=(1,), case2=(1,))
-        b = _report(2, detected=(0,), corrected=(0,), case1=(0,), indices={0: 9})
-        merged = a.merge(b)
-        assert merged.detected.tolist() == [False, True, False, True, False]
-        assert merged.corrected.tolist() == [False, False, False, True, False]
-        assert merged.aborted.tolist() == [False, True, False, False, False]
-        assert merged.case1.tolist() == [False, False, False, True, False]
-        assert merged.case2.tolist() == [False, True, False, False, False]
-        assert merged.corrected_indices.tolist() == [-1, -1, -1, 9, -1]
-
-    def test_merge_of_real_col_and_row_passes(self, rng, thresholds):
-        m = rng.normal(size=(5, 4))
-        col = encode_column_checksums(m)
-        row = encode_row_checksums(m)
-        m[2, 1] = np.inf
-        col_report = check_columns(m, col, thresholds)
-        row_report = check_rows(m, row, thresholds)
-        merged = col_report.merge(row_report)
-        # 4 columns + 5 rows = 9 concatenated vectors.
-        assert merged.detected.shape == (9,)
-        assert merged.num_corrected >= 1

@@ -18,11 +18,14 @@ from repro.core import (
     VERIFICATION_MODES,
     ATTNChecker,
     ATTNCheckerConfig,
-    ProtectedGemmChain,
     ProtectionEngine,
     SectionCostModel,
     correct_matrix,
 )
+from repro.core.checksums import encode_column_checksums, encode_row_checksums
+from repro.core.correction import MatrixCorrectionReport
+from repro.core.eec_abft import check_columns, check_rows
+from repro.core.engine import fold_request_dirty, request_dirty_from_report
 from repro.faults import FaultInjector, FaultSpec
 from repro.models import get_config
 from repro.nn import (
@@ -32,7 +35,7 @@ from repro.nn import (
     MultiHeadAttention,
     SectionContext,
 )
-from repro.nn.attention import AttentionOp
+from repro.nn.attention import AttentionOp, FeedForwardOp
 from repro.tensor.autograd import Tensor
 
 
@@ -213,11 +216,25 @@ class TestFusedTransparency:
         assert checker.stats.total_corrections >= 1
 
     def test_boundary_op_mapping_consistent_with_sections(self):
-        from repro.core import PROTECTION_SECTIONS
+        # Both blocks' boundary maps agree with the section registry: every
+        # boundary op ends a registered section of its block and produces
+        # that section's boundary matrix.
+        from repro.core import FFN_SECTION_BOUNDARY_OPS, SECTION_REGISTRY
 
-        for op, section in SECTION_BOUNDARY_OPS.items():
-            assert PROTECTION_SECTIONS[section].boundary_op == op.value
+        for block, boundary_ops in (
+            ("attention", SECTION_BOUNDARY_OPS),
+            ("ffn", FFN_SECTION_BOUNDARY_OPS),
+        ):
+            for op, name in boundary_ops.items():
+                section = SECTION_REGISTRY[name]
+                assert section.block == block
+                assert section.operations[-1] == op.value
+                assert op.output_matrix == section.boundary_matrix
         assert set(SECTION_BOUNDARY_OPS) == {AttentionOp.QK, AttentionOp.APV, AttentionOp.CLO}
+        assert set(FFN_SECTION_BOUNDARY_OPS) == set(FeedForwardOp)
+        assert sorted(
+            list(SECTION_BOUNDARY_OPS.values()) + list(FFN_SECTION_BOUNDARY_OPS.values())
+        ) == sorted(SECTION_REGISTRY)
 
 
 @pytest.mark.parametrize("matrix", ["Q", "K", "V", "AS", "CL", "O"])
@@ -360,54 +377,45 @@ class TestEngineStandalone:
         checker.close()
 
 
-class TestProtectedGemmChain:
-    def test_clean_chain_is_clean(self, rng):
-        chain = ProtectedGemmChain()
-        a = rng.normal(size=(12, 8))
-        bs = [rng.normal(size=(8, 10)), rng.normal(size=(10, 6))]
-        result = chain(a, bs)
-        assert result.clean
-        assert np.allclose(result.output, a @ bs[0] @ bs[1])
+class TestRequestAttribution:
+    """Serving attributes a boundary verdict to the requests (batch entries) it touched."""
 
-    @pytest.mark.parametrize("stage", [0, 1, 2])
-    def test_fault_at_any_stage_detected_at_boundary(self, rng, stage):
-        # A fault striking ANY member GEMM of the chain surfaces at the single
-        # boundary verification — the checksum-passing property of Section 4.4.
-        chain = ProtectedGemmChain()
-        a = rng.normal(size=(12, 8))
-        bs = [rng.normal(size=(8, 10)), rng.normal(size=(10, 6)), rng.normal(size=(6, 9))]
+    def test_fold_reduces_to_the_batch_axis(self):
+        mask = np.zeros((3, 2, 5), dtype=bool)
+        mask[1, 1, 4] = True
+        folded = fold_request_dirty(None, mask)
+        assert folded.tolist() == [False, True, False]
+        assert fold_request_dirty(np.array([True, False, False]), mask).tolist() == [
+            True, True, False,
+        ]
 
-        def fault(s, out):
-            if s == stage:
-                out[1, 2] = np.inf
-            return out
+    def test_fold_leaves_dirty_alone_without_a_batch_axis(self):
+        dirty = np.array([False, True])
+        assert fold_request_dirty(dirty, np.ones(4, dtype=bool)) is dirty
+        assert fold_request_dirty(None, np.ones(4, dtype=bool)) is None
 
-        result = chain(a, bs, fault_hook=fault)
-        assert result.report.detected >= 1
-        assert result.fully_corrected
+    def test_report_marks_aborted_requests_dirty(self, rng):
+        m = rng.normal(size=(4, 6, 5))
+        col = encode_column_checksums(m)
+        m[0, 1, 2] = np.inf      # request 0: two extremes in one column abort
+        m[0, 4, 2] = np.nan
+        m[2, 3, 1] = np.inf      # request 2: a single repairable fault
+        column_report = check_columns(m, col)
+        assert column_report.aborted[0, 2] and column_report.corrected[2, 1]
+        report = MatrixCorrectionReport(column_report=column_report)
+        assert request_dirty_from_report(report).tolist() == [True, False, True, False]
 
-    def test_final_stage_fault_fully_restored(self, rng):
-        # A boundary-GEMM fault is repaired to the true value (earlier-stage
-        # faults corrupt whole downstream rows/columns; those are the 1D cases
-        # the attention engine retries with the orthogonal side).
-        chain = ProtectedGemmChain()
-        a = rng.normal(size=(12, 8))
-        bs = [rng.normal(size=(8, 10)), rng.normal(size=(10, 6))]
-        reference = a @ bs[0] @ bs[1]
+    def test_report_ors_the_column_and_row_sides(self, rng):
+        m = rng.normal(size=(4, 6, 5))
+        col, row = encode_column_checksums(m), encode_row_checksums(m)
+        seen_by_columns, seen_by_rows = m.copy(), m.copy()
+        seen_by_columns[1, 2, 3] = np.inf
+        seen_by_rows[3, 0, 0] = np.nan
+        report = MatrixCorrectionReport(
+            column_report=check_columns(seen_by_columns, col),
+            row_report=check_rows(seen_by_rows, row),
+        )
+        assert request_dirty_from_report(report).tolist() == [False, True, False, True]
 
-        def fault(s, out):
-            if s == 1:
-                out[3, 4] = np.nan
-            return out
-
-        result = chain(a, bs, fault_hook=fault)
-        assert result.report.corrected >= 1
-        assert np.allclose(result.output, reference, rtol=1e-6, atol=1e-8)
-
-    def test_empty_chain_rejected(self, rng):
-        with pytest.raises(ValueError):
-            ProtectedGemmChain()(rng.normal(size=(4, 4)), [])
-
-    def test_needs_a_checksum_side(self):
-        with pytest.raises(ValueError):
-            ProtectedGemmChain(maintain_column=False, maintain_row=False)
+    def test_report_without_sub_reports_has_no_verdict(self):
+        assert request_dirty_from_report(MatrixCorrectionReport()) is None

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.data import DataLoader, HashingTokenizer, SyntheticMRPC, batch_iterator
+from repro.data import DataLoader, HashingTokenizer, SyntheticMRPC
 
 
 class TestHashingTokenizer:
@@ -21,6 +21,12 @@ class TestHashingTokenizer:
     def test_case_insensitive(self):
         tok = HashingTokenizer()
         assert tok.token_id("Market") == tok.token_id("market")
+
+    def test_tokenize_splits_on_whitespace(self):
+        tok = HashingTokenizer(vocab_size=128)
+        ids = tok.tokenize("  The market\tclosed\nHigher ")
+        assert ids == [tok.token_id(w) for w in ("the", "market", "closed", "higher")]
+        assert tok.tokenize("") == []
 
     def test_empty_word_is_unk(self):
         assert HashingTokenizer().token_id("") == HashingTokenizer.UNK
@@ -93,33 +99,14 @@ class TestSyntheticMRPC:
         encoded = data.encode([0, 5, 7])
         assert len(encoded["labels"]) == 3
 
-    def test_train_dev_split_disjoint_and_complete(self):
-        data = SyntheticMRPC(num_examples=50)
-        train, dev = data.train_dev_split(dev_fraction=0.2)
-        assert set(train).isdisjoint(dev)
-        assert sorted(train + dev) == list(range(50))
-        assert len(dev) == 10
-
     def test_invalid_args_raise(self):
         with pytest.raises(ValueError):
             SyntheticMRPC(num_examples=0)
         with pytest.raises(ValueError):
             SyntheticMRPC(num_examples=4, positive_fraction=1.5)
-        with pytest.raises(ValueError):
-            SyntheticMRPC(num_examples=4).train_dev_split(dev_fraction=0.0)
 
 
 class TestDataLoader:
-    def test_batch_iterator_chunks(self):
-        data = SyntheticMRPC(num_examples=10, max_seq_len=16)
-        batches = list(batch_iterator(data.encode(), batch_size=4))
-        assert [len(b["labels"]) for b in batches] == [4, 4, 2]
-
-    def test_batch_iterator_drop_last(self):
-        data = SyntheticMRPC(num_examples=10, max_seq_len=16)
-        batches = list(batch_iterator(data.encode(), batch_size=4, drop_last=True))
-        assert [len(b["labels"]) for b in batches] == [4, 4]
-
     def test_loader_len_and_iteration(self):
         data = SyntheticMRPC(num_examples=33, max_seq_len=16)
         loader = DataLoader(data, batch_size=8)
@@ -147,9 +134,32 @@ class TestDataLoader:
         )
         assert sorted(unshuffled["labels"].tolist()) == sorted(shuffled["labels"].tolist())
 
+    def test_unshuffled_batches_follow_corpus_order_with_short_tail(self):
+        data = SyntheticMRPC(num_examples=10, max_seq_len=16)
+        batches = DataLoader(data, batch_size=4, shuffle=False, drop_last=False).batches()
+        assert [len(b["labels"]) for b in batches] == [4, 4, 2]
+        full = data.encode()
+        for key in ("input_ids", "attention_mask", "labels"):
+            assert np.array_equal(np.concatenate([b[key] for b in batches]), full[key])
+
+    def test_drop_last_discards_the_short_tail(self):
+        data = SyntheticMRPC(num_examples=10, max_seq_len=16)
+        batches = DataLoader(data, batch_size=4, shuffle=False).batches()
+        assert [len(b["labels"]) for b in batches] == [4, 4]
+        assert np.array_equal(batches[1]["labels"], data.encode(range(4, 8))["labels"])
+
+    def test_each_epoch_reshuffles_reproducibly(self):
+        data = SyntheticMRPC(num_examples=24, max_seq_len=16)
+
+        def epochs(loader):
+            return [np.concatenate([b["input_ids"] for b in loader.batches()]) for _ in range(2)]
+
+        first, second = epochs(DataLoader(data, batch_size=8, seed=3))
+        again_first, again_second = epochs(DataLoader(data, batch_size=8, seed=3))
+        assert np.array_equal(first, again_first) and np.array_equal(second, again_second)
+        assert not np.array_equal(first, second)
+
     def test_invalid_batch_size_raises(self):
         data = SyntheticMRPC(num_examples=8, max_seq_len=16)
         with pytest.raises(ValueError):
             DataLoader(data, batch_size=0)
-        with pytest.raises(ValueError):
-            list(batch_iterator(data.encode(), batch_size=0))

@@ -6,6 +6,7 @@ import pytest
 
 from repro.core.patterns import ErrorPattern
 from repro.faults import (
+    CampaignResult,
     DetectionCorrectionCampaign,
     FaultInjector,
     FaultSpec,
@@ -159,13 +160,6 @@ class TestPropagationStudy:
         result = study.trace("CL", "inf")
         assert result.cell("O").startswith("1R")
 
-    def test_run_table_covers_all_combinations(self, study):
-        results = study.run_table(matrices=("Q", "AS"), error_types=("inf", "nan"), trials=1)
-        assert len(results) == 4
-        assert {(r.matrix, r.error_type) for r in results} == {
-            ("Q", "inf"), ("Q", "nan"), ("AS", "inf"), ("AS", "nan"),
-        }
-
 
 class TestVulnerabilityStudy:
     @pytest.fixture(scope="class")
@@ -196,12 +190,6 @@ class TestVulnerabilityStudy:
         for r in results:
             assert 0.0 <= r.probability <= 1.0
             assert r.trials == 2
-
-    def test_phi_table_layout(self, study):
-        results = study.run(matrices=("Q", "AS"), error_types=("inf",), trials=1)
-        phi = VulnerabilityStudy.as_phi_table(results)
-        assert "xq" in phi and "qk" in phi
-        assert "inf" in phi["xq"]
 
 
 class TestDetectionCorrectionCampaign:
@@ -250,6 +238,39 @@ class TestDetectionCorrectionCampaign:
         assert result.trials == 8
         assert result.benign_masked + result.detected >= result.trials - result.benign_masked
         assert result.recovery_rate == 1.0
+
+
+class TestCampaignResult:
+    def test_rates_exclude_benign_masked_trials(self):
+        result = CampaignResult(
+            matrix="V", error_type="near_inf", trials=10, detected=6, corrected=3,
+            output_matches_reference=9, benign_masked=4,
+        )
+        assert result.effective_trials == 6
+        assert result.detection_rate == 1.0
+        assert result.correction_rate == 0.5
+        assert result.recovery_rate == 0.9
+
+    def test_rates_without_influential_trials(self):
+        # Every fault masked: nothing could be missed, so detection and
+        # correction are vacuously complete; no trials at all leaves the
+        # recovery rate undefined.
+        masked = CampaignResult(matrix="V", error_type="inf", trials=3, benign_masked=3,
+                                output_matches_reference=3)
+        assert masked.detection_rate == 1.0 and masked.correction_rate == 1.0
+        assert masked.recovery_rate == 1.0
+        assert np.isnan(CampaignResult(matrix="V", error_type="inf").recovery_rate)
+
+    def test_record_kind_accumulates_per_kind_counters(self):
+        result = CampaignResult(matrix="H", error_type="near_inf")
+        result.record_kind("exponent_msb", detected=True, corrected=True)
+        result.record_kind("exponent_msb", detected=True, corrected=False)
+        result.record_kind("mantissa_lsb", detected=False, corrected=False)
+        assert result.trials_by_kind == {"exponent_msb": 2, "mantissa_lsb": 1}
+        assert result.detected_by_kind == {"exponent_msb": 2, "mantissa_lsb": 0}
+        assert result.detection_rate_for_kind("exponent_msb") == 1.0
+        assert result.correction_rate_for_kind("exponent_msb") == 0.5
+        assert np.isnan(result.detection_rate_for_kind("stuck_zero"))
 
 
 class TestInjectorLifecycle:

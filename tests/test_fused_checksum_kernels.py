@@ -46,7 +46,7 @@ from repro.core.checksums import (
     clear_checksum_weight_cache,
     stacked_checksum_weights,
 )
-from repro.core.workspace import einsum_into, matmul_into, stack_into
+from repro.core.workspace import matmul_into, stack_into
 from repro.data import SyntheticMRPC
 from repro.faults import FaultInjector, FaultSpec
 from repro.models import build_model
@@ -545,10 +545,6 @@ class TestOutContractFallback:
         a, b = rng.standard_normal((4, 5)), rng.standard_normal((5, 3))
         out = np.empty((4, 3))
         np.testing.assert_array_equal(matmul_into(xp, a, b, out), a @ b)
-        np.testing.assert_array_equal(
-            einsum_into(xp, "ij,jk->ik", a, b, out=out),
-            np.einsum("ij,jk->ik", a, b),
-        )
         rows = [rng.standard_normal(3) for _ in range(4)]
         np.testing.assert_array_equal(
             stack_into(xp, rows, np.empty((4, 3))), np.stack(rows)

@@ -51,11 +51,6 @@ class TestModelConfig:
         # BERT-base has ~110M parameters; embeddings at seq 128 shrink it a bit.
         assert 80e6 < config.parameter_count() < 130e6
 
-    def test_gemm_ratio_above_99_percent(self):
-        for name in PAPER_MODEL_NAMES:
-            config = get_config(name, size="paper")
-            assert config.attention_gemm_ratio(batch_size=8) > 0.99
-
     def test_local_attention_alternation(self):
         config = get_config("gpt-neo", size="paper")
         assert not config.layer_uses_local_attention(0)
@@ -65,6 +60,23 @@ class TestModelConfig:
     def test_attention_flops_scale_with_batch(self):
         config = get_config("bert-base", size="paper")
         assert config.attention_gemm_flops(16) == 2 * config.attention_gemm_flops(8)
+
+    def test_attention_other_flops_linear_in_batch_and_small(self):
+        config = get_config("bert-base", size="paper")
+        assert config.attention_other_flops(16) == 2 * config.attention_other_flops(8)
+        assert config.attention_other_flops(8) < 0.01 * config.attention_gemm_flops(8)
+
+    @pytest.mark.parametrize("name", ["bert-base", "roberta", "gpt2", "gpt-neo"])
+    def test_attention_parameter_count_matches_built_block(self, name, rng):
+        model = build_model(name, size="tiny", rng=rng)
+        for attention in model.attention_layers():
+            assert attention.num_parameters() == model.config.attention_parameter_count()
+
+    @pytest.mark.parametrize("name", ["bert-base", "roberta", "gpt2", "gpt-neo"])
+    def test_layer_parameter_count_matches_built_layer(self, name, rng):
+        model = build_model(name, size="tiny", rng=rng)
+        for layer in model.layers:
+            assert layer.num_parameters() == model.config.layer_parameter_count()
 
 
 class TestRegistry:

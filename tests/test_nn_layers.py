@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.nn.layers import Dropout, Embedding, GELUActivation, LayerNorm, Linear, ReLUActivation, TanhActivation
+from repro.nn.layers import Dropout, Embedding, GELUActivation, LayerNorm, Linear, TanhActivation
 from repro.tensor.autograd import Tensor
 
 
@@ -105,10 +105,6 @@ class TestActivationModules:
     def test_gelu_module(self, rng):
         x = rng.normal(size=(3, 3))
         assert np.allclose(GELUActivation()(Tensor(x)).data, 0.5 * x * (1 + np.tanh(np.sqrt(2 / np.pi) * (x + 0.044715 * x**3))))
-
-    def test_relu_module(self):
-        out = ReLUActivation()(Tensor(np.array([-1.0, 2.0])))
-        assert np.array_equal(out.data, [0.0, 2.0])
 
     def test_tanh_module(self):
         out = TanhActivation()(Tensor(np.array([0.0, 100.0])))

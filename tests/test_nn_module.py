@@ -34,11 +34,6 @@ class TestRegistration:
         module_names = [name for name, _ in net.named_modules()]
         assert "" in module_names and "fc1" in module_names and "norm" in module_names
 
-    def test_register_parameter_explicit(self):
-        module = Module()
-        module.register_parameter("w", Parameter(np.zeros(3)))
-        assert [n for n, _ in module.named_parameters()] == ["w"]
-
     def test_parameter_is_tensor_with_grad(self):
         p = Parameter(np.zeros((2, 2)))
         assert p.requires_grad

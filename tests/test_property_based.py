@@ -4,7 +4,9 @@ The invariants checked here are the load-bearing ones for ABFT correctness:
 
 * checksum linearity (checksums commute with GEMM and bias addition),
 * EEC-ABFT exactness (any single extreme error is detected, located and the
-  original value restored, for arbitrary shapes, positions and magnitudes),
+  original value restored, for arbitrary shapes, positions and magnitudes —
+  also from checksums carried through a chain of GEMMs, Section 4.4's
+  checksum passing),
 * pattern classification consistency,
 * autograd gradients agree with numerical differentiation for random DAG
   shapes,
@@ -25,10 +27,12 @@ from repro.core.adaptive import (
     SectionReliabilityModel,
 )
 from repro.core.checksums import (
+    ChecksumState,
     encode_column_checksums,
     encode_row_checksums,
     update_column_checksums_through_gemm,
 )
+from repro.core.correction import correct_matrix
 from repro.core.eec_abft import check_columns, check_rows
 from repro.core.patterns import classify_error_pattern, ErrorPattern
 from repro.core.thresholds import ABFTThresholds
@@ -56,6 +60,44 @@ def matrix_and_fault(draw):
     )
     magnitude = draw(st.floats(min_value=1.0, max_value=1e4))
     return matrix, (row, col), fault, magnitude
+
+
+def carried_chain(seed, chain_length, fault_hook=None):
+    """``C = A B_1 ... B_k`` with both checksum sides carried, not re-encoded.
+
+    ``col(A)`` is encoded once and carried through every member GEMM; the row
+    side is the last intermediate times ``row(B_k)``.  ``fault_hook(stage,
+    out)`` may corrupt a member GEMM's output in place.  Returns the computed
+    product, its checksums and the fault-free product.
+    """
+    rng = np.random.default_rng(seed)
+    dims = rng.integers(2, 9, size=chain_length + 1)
+    rows = int(rng.integers(2, 10))
+    a = rng.uniform(-2, 2, size=(rows, int(dims[0])))
+    bs = [
+        rng.uniform(-2, 2, size=(int(dims[i]), int(dims[i + 1])))
+        for i in range(chain_length)
+    ]
+    expected = a
+    for b in bs:
+        expected = expected @ b
+    col = encode_column_checksums(a)
+    out = a
+    with np.errstate(invalid="ignore", over="ignore"):
+        for stage, b in enumerate(bs):
+            penultimate = out
+            out = out @ b
+            if fault_hook is not None:
+                fault_hook(stage, out)
+            col = update_column_checksums_through_gemm(col, b)
+        row = penultimate @ encode_row_checksums(bs[-1])
+    return out, ChecksumState(col=col, row=row), expected
+
+
+EXTREME_VALUES = {
+    "inf": np.inf, "-inf": -np.inf, "nan": np.nan,
+    "near_inf": 4.2e13, "-near_inf": -4.2e13,
+}
 
 
 def apply_fault(matrix, position, fault, magnitude):
@@ -151,6 +193,97 @@ class TestEECABFTExactness:
         report = check_columns(matrix, checksums, THRESHOLDS)
         assert report.num_corrected == cols
         assert np.allclose(matrix, reference, rtol=1e-6, atol=1e-6)
+
+    @given(seed=st.integers(0, 2**31 - 1), chain_length=st.integers(1, 3))
+    @settings(max_examples=40, deadline=None)
+    def test_clean_carried_chain_is_left_alone(self, seed, chain_length):
+        product, checksums, _ = carried_chain(seed, chain_length)
+        snapshot = product.copy()
+        report = correct_matrix(product, checksums, THRESHOLDS)
+        assert report.clean
+        assert np.array_equal(product, snapshot)
+
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        chain_length=st.integers(1, 3),
+        fault=st.sampled_from(sorted(EXTREME_VALUES)),
+        where=st.tuples(st.floats(0, 1, exclude_max=True), st.floats(0, 1, exclude_max=True)),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_carried_checksums_repair_any_single_extreme_fault(
+        self, seed, chain_length, fault, where
+    ):
+        def corrupt(stage, out):
+            if stage == chain_length - 1:
+                out[int(where[0] * out.shape[0]), int(where[1] * out.shape[1])] = (
+                    EXTREME_VALUES[fault]
+                )
+
+        product, checksums, expected = carried_chain(seed, chain_length, corrupt)
+        report = correct_matrix(product, checksums, THRESHOLDS)
+        assert report.detected >= 1
+        assert report.fully_corrected
+        assert np.allclose(product, expected, rtol=1e-6, atol=1e-8)
+
+    @pytest.mark.parametrize("chain_length,stage", [(2, 0), (3, 0), (3, 1)])
+    @pytest.mark.parametrize("fault", ["inf", "nan"])
+    def test_fault_in_an_earlier_member_gemm_is_repaired_at_the_boundary(
+        self, chain_length, stage, fault
+    ):
+        # The carried checksums describe the true product, so a fault that
+        # struck mid-section still surfaces — and is repaired — at the one
+        # boundary verification.
+        def corrupt(s, out):
+            if s == stage:
+                out[1, 0] = EXTREME_VALUES[fault]
+
+        product, checksums, expected = carried_chain(7, chain_length, corrupt)
+        assert not np.allclose(product, expected, equal_nan=True)
+        report = correct_matrix(product, checksums, THRESHOLDS)
+        assert report.detected >= 1
+        assert report.fully_corrected
+        assert np.allclose(product, expected, rtol=1e-6, atol=1e-8)
+
+    @pytest.mark.parametrize("chain_length", [1, 2, 3])
+    def test_carried_whole_row_inf_is_repaired(self, chain_length):
+        def corrupt(stage, out):
+            if stage == chain_length - 1:
+                out[1, :] = np.inf
+
+        product, checksums, expected = carried_chain(11, chain_length, corrupt)
+        report = correct_matrix(product, checksums, THRESHOLDS)
+        assert report.fully_corrected
+        assert np.allclose(product, expected, rtol=1e-6, atol=1e-8)
+
+    @pytest.mark.parametrize("chain_length", [1, 2, 3])
+    def test_carried_whole_column_nan_needs_the_row_side(self, chain_length):
+        def corrupt(stage, out):
+            if stage == chain_length - 1:
+                out[:, 1] = np.nan
+
+        product, checksums, expected = carried_chain(13, chain_length, corrupt)
+        column_only = product.copy()
+        report = correct_matrix(product, checksums, THRESHOLDS)
+        assert report.used_row_side and report.fully_corrected
+        assert np.allclose(product, expected, rtol=1e-6, atol=1e-8)
+
+        report = correct_matrix(column_only, ChecksumState(col=checksums.col), THRESHOLDS)
+        assert not report.fully_corrected
+
+    @pytest.mark.parametrize("chain_length", [1, 2, 3])
+    def test_carried_perturbation_below_loose_tolerance_is_left_alone(self, chain_length):
+        loose = ABFTThresholds(detect_rtol=0.5, detect_atol=10.0)
+
+        def corrupt(stage, out):
+            if stage == chain_length - 1:
+                out[1, 1] += 0.5
+
+        product, checksums, expected = carried_chain(17, chain_length, corrupt)
+        perturbed = product.copy()
+        report = correct_matrix(product, checksums, loose)
+        assert report.corrected == 0
+        assert np.array_equal(product, perturbed)
+        assert not np.array_equal(product, expected)
 
     @given(seed=st.integers(0, 2**31 - 1), rows=st.integers(2, 12), cols=st.integers(1, 10))
     @settings(max_examples=40, deadline=None)

@@ -28,7 +28,7 @@ from reprolint.engine import (  # noqa: E402
     LintRunner,
     parse_suppressions,
 )
-from reprolint.rules import all_rules  # noqa: E402
+from reprolint.rules import DeadPublicSymbolRule, all_rules  # noqa: E402
 
 
 def write_tree(root: Path, files: dict) -> None:
@@ -38,9 +38,18 @@ def write_tree(root: Path, files: dict) -> None:
         path.write_text(textwrap.dedent(source), encoding="utf-8")
 
 
-def lint(root: Path, files: dict, baseline=None):
+def per_file_rules():
+    """Every rule except the project-wide DC001.
+
+    A fixture tree's lone defs have no callers, so DC001 would fire on the
+    fixtures of every other rule; it gets fixtures of its own below.
+    """
+    return [rule for rule in all_rules() if rule.id != "DC001"]
+
+
+def lint(root: Path, files: dict, baseline=None, rules=None):
     write_tree(root, files)
-    runner = LintRunner(root, all_rules())
+    runner = LintRunner(root, per_file_rules() if rules is None else rules)
     return runner.run([Path("src/repro")], baseline)
 
 
@@ -56,7 +65,7 @@ def rules_fired(result):
 def test_registry_ids_and_catalog_metadata():
     rules = all_rules()
     assert [r.id for r in rules] == [
-        "BK001", "DT001", "XF001", "TH001", "WS001", "LY001",
+        "BK001", "DT001", "XF001", "TH001", "WS001", "LY001", "DC001",
     ]
     for rule in rules:
         assert rule.invariant, rule.id
@@ -517,6 +526,166 @@ def test_ly001_nn_reexport_of_registry_types_is_downward(tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# DC001 — dead public symbol (project-wide)
+# ---------------------------------------------------------------------------
+
+
+def lint_dc001(root: Path, files: dict):
+    return lint(root, files, rules=[DeadPublicSymbolRule()])
+
+
+def dead_symbols(result):
+    return sorted(f.symbol for f in result.new if f.rule == "DC001")
+
+
+def test_dc001_flags_unreferenced_function_and_class(tmp_path):
+    result = lint_dc001(tmp_path, {
+        "src/repro/utils/helpers.py": """
+            def unused_helper(x):
+                return x
+
+            class UnusedThing:
+                pass
+        """,
+    })
+    assert dead_symbols(result) == ["UnusedThing", "unused_helper"]
+    finding = result.new[0]
+    assert finding.detail == f"dead:{finding.symbol}"
+    assert finding.path == "src/repro/utils/helpers.py"
+
+
+def test_dc001_silent_when_used_from_src_benchmarks_or_examples(tmp_path):
+    result = lint_dc001(tmp_path, {
+        "src/repro/utils/helpers.py": """
+            def used_in_src(x):
+                return x
+
+            def used_in_benchmark(x):
+                return x
+
+            class UsedInExample:
+                pass
+        """,
+        "src/repro/core/engine.py": """
+            from repro.utils.helpers import used_in_src
+
+            def _protect(x):
+                return used_in_src(x)
+        """,
+        "benchmarks/bench_helpers.py": """
+            from repro.utils import helpers
+
+            def _run():
+                return helpers.used_in_benchmark(1)
+        """,
+        "examples/demo.py": """
+            from repro.utils.helpers import UsedInExample
+
+            UsedInExample()
+        """,
+    })
+    assert dead_symbols(result) == []
+
+
+def test_dc001_ignores_private_names_and_methods(tmp_path):
+    result = lint_dc001(tmp_path, {
+        "src/repro/utils/helpers.py": """
+            def _private_helper():
+                return 1
+
+            class _Private:
+                def public_method(self):
+                    return 2
+        """,
+    })
+    assert dead_symbols(result) == []
+
+
+def test_dc001_references_that_do_not_count(tmp_path):
+    # A docstring, a comment, __all__, an __init__ re-export, the symbol's
+    # own body and tests/ do not keep a symbol alive.
+    result = lint_dc001(tmp_path, {
+        "src/repro/utils/helpers.py": """
+            \"\"\"Helpers: see :func:`in_docstring`.\"\"\"
+
+            __all__ = ["in_all", "in_docstring", "in_comment"]
+
+            def in_docstring():
+                return 1
+
+            def in_comment():  # in_comment is referenced here only
+                return 2
+
+            def in_all():
+                return 3
+
+            def reexported():
+                return 4
+
+            def recursive(n):
+                return recursive(n - 1) if n else 0
+
+            class SelfBuilding:
+                @classmethod
+                def make(cls):
+                    return SelfBuilding()
+
+            def in_tests():
+                return 5
+        """,
+        "src/repro/utils/__init__.py": """
+            from repro.utils.helpers import reexported, in_all
+
+            __all__ = ["reexported", "in_all"]
+        """,
+        "tests/test_helpers.py": """
+            from repro.utils.helpers import in_tests
+
+            def test_it():
+                assert in_tests() == 5
+        """,
+    })
+    assert dead_symbols(result) == [
+        "SelfBuilding", "in_all", "in_comment", "in_docstring", "in_tests",
+        "recursive", "reexported",
+    ]
+
+
+def test_dc001_index_covers_the_root_when_linting_one_file(tmp_path):
+    write_tree(tmp_path, {
+        "src/repro/utils/helpers.py": "def used_elsewhere():\n    return 1\n",
+        "src/repro/core/engine.py": (
+            "from repro.utils.helpers import used_elsewhere\n"
+            "VALUE = used_elsewhere()\n"
+        ),
+    })
+    runner = LintRunner(tmp_path, [DeadPublicSymbolRule()])
+    result = runner.run([Path("src/repro/utils/helpers.py")])
+    assert result.files_checked == 1
+    assert result.new == []
+
+
+def test_dc001_suppression_and_baseline(tmp_path):
+    files = {
+        "src/repro/utils/helpers.py": """
+            def kept_on_purpose():  # reprolint: disable=DC001
+                return 1
+
+            def baselined():
+                return 2
+        """,
+    }
+    result = lint_dc001(tmp_path, files)
+    assert dead_symbols(result) == ["baselined"]
+    assert result.suppressed == 1
+    gated = lint(
+        tmp_path, files, baseline=Baseline.from_findings(result.new).fingerprint_paths(),
+        rules=[DeadPublicSymbolRule()],
+    )
+    assert gated.clean and len(gated.baselined) == 1
+
+
+# ---------------------------------------------------------------------------
 # suppressions
 # ---------------------------------------------------------------------------
 
@@ -714,7 +883,7 @@ def test_cli_output_file_and_list_rules(tmp_path, capsys):
 
     assert reprolint_main(["--list-rules"]) == 0
     out = capsys.readouterr().out
-    for rule_id in ("BK001", "DT001", "XF001", "TH001", "WS001", "LY001"):
+    for rule_id in ("BK001", "DT001", "XF001", "TH001", "WS001", "LY001", "DC001"):
         assert rule_id in out
 
 

@@ -21,8 +21,10 @@ from repro.models import build_model
 from repro.nn import ComposedHooks
 from repro.serving import (
     RequestGenerator,
+    RequestResult,
     ServingConfig,
     ServingEngine,
+    ServingReport,
     ServingRequest,
 )
 
@@ -88,6 +90,39 @@ class TestWorkload:
             ServingRequest(request_id=0, prompt=(), max_new_tokens=2)
         with pytest.raises(ValueError):
             ServingRequest(request_id=0, prompt=(1,), max_new_tokens=0)
+
+
+def make_report(results, wall_seconds=2.0):
+    return ServingReport(
+        protection=True, results=results, wall_seconds=wall_seconds,
+        timer_seconds={}, checker_stats={},
+    )
+
+
+class TestServingReport:
+    RESULTS = [
+        RequestResult(0, "completed", tokens=[5, 6, 7], latency_seconds=0.010),
+        RequestResult(1, "evicted", tokens=[9], latency_seconds=0.040, repaired_detections=1),
+        RequestResult(2, "completed", tokens=[1], latency_seconds=0.020, repaired_detections=2),
+    ]
+
+    def test_throughput_counts_tokens_of_completed_requests_only(self):
+        report = make_report(self.RESULTS)
+        assert (report.num_completed, report.num_evicted) == (2, 1)
+        assert report.total_new_tokens == 4
+        assert report.tokens_per_second == 2.0
+
+    def test_latency_percentiles_cover_every_request(self):
+        report = make_report(self.RESULTS)
+        assert report.latency_percentile_ms(50.0) == pytest.approx(20.0)
+        assert report.latency_percentile_ms(100.0) == pytest.approx(40.0)
+        payload = report.to_dict()
+        assert payload["latency_p50_ms"] == pytest.approx(20.0)
+        assert payload["repaired_detections"] == 3
+
+    def test_empty_or_instant_run_reports_zero_rates(self):
+        assert make_report([], wall_seconds=1.0).latency_percentile_ms(99.0) == 0.0
+        assert make_report(self.RESULTS, wall_seconds=0.0).tokens_per_second == 0.0
 
 
 class TestDecodeEquivalence:

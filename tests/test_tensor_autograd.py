@@ -56,22 +56,6 @@ class TestTensorBasics:
         assert a.grad is None
 
 
-class TestNoGrad:
-    def test_no_grad_disables_graph(self, rng):
-        a = Tensor(rng.normal(size=(3,)), requires_grad=True)
-        with ag.no_grad():
-            b = a * 2.0
-        assert not b.requires_grad
-        assert ag.is_grad_enabled()
-
-    def test_nested_restores_state(self):
-        with ag.no_grad():
-            with ag.no_grad():
-                assert not ag.is_grad_enabled()
-            assert not ag.is_grad_enabled()
-        assert ag.is_grad_enabled()
-
-
 class TestArithmeticGradients:
     @pytest.mark.parametrize("op", ["add", "sub", "mul", "div"])
     def test_binary_ops_numerical(self, rng, op):
@@ -148,7 +132,7 @@ class TestMatmul:
 
 
 class TestSoftmaxAndActivations:
-    @pytest.mark.parametrize("fn", [ag.softmax, ag.log_softmax, ag.gelu, ag.relu, ag.tanh])
+    @pytest.mark.parametrize("fn", [ag.softmax, ag.log_softmax, ag.gelu, ag.tanh])
     def test_gradients_numerical(self, rng, fn):
         x = Tensor(rng.normal(size=(3, 5)), requires_grad=True)
         weights = rng.normal(size=(3, 5))
@@ -214,13 +198,6 @@ class TestShapeOps:
         grad = rng.normal(size=(4, 2, 3))
         out.backward(grad)
         assert np.allclose(x.grad, np.transpose(grad, (1, 2, 0)))
-
-    def test_concat_gradient_splits(self, rng):
-        a = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
-        b = Tensor(rng.normal(size=(2, 5)), requires_grad=True)
-        out = ag.concat([a, b], axis=1)
-        out.backward(np.ones((2, 8)))
-        assert a.grad.shape == (2, 3) and b.grad.shape == (2, 5)
 
     def test_split_merge_heads_roundtrip(self, rng):
         x = Tensor(rng.normal(size=(2, 5, 8)), requires_grad=True)

@@ -1,4 +1,4 @@
-"""Unit tests for optimisers, schedulers, checkpointing and the trainer."""
+"""Unit tests for optimisers, checkpointing and the trainer."""
 
 import math
 
@@ -13,8 +13,6 @@ from repro.tensor.autograd import Tensor, cross_entropy_loss
 from repro.training import (
     AdamW,
     CheckpointManager,
-    ConstantSchedule,
-    LinearWarmupSchedule,
     SGD,
     Trainer,
     TrainerConfig,
@@ -121,33 +119,6 @@ class TestAdamW:
         assert np.allclose(other._m[0], opt._m[0]) and np.allclose(other._v[0], opt._v[0])
 
 
-class TestSchedules:
-    def test_constant(self):
-        model = quadratic_model()
-        opt = SGD(model.parameters(), lr=0.5)
-        sched = ConstantSchedule(opt)
-        for _ in range(5):
-            assert sched.step() == 0.5
-
-    def test_linear_warmup_then_decay(self):
-        model = quadratic_model()
-        opt = SGD(model.parameters(), lr=1.0)
-        sched = LinearWarmupSchedule(opt, warmup_steps=5, total_steps=10)
-        lrs = [sched.step() for _ in range(10)]
-        assert lrs[0] == pytest.approx(0.2)
-        assert lrs[4] == pytest.approx(1.0)
-        assert lrs[-1] == pytest.approx(0.0)
-        assert max(lrs) == pytest.approx(1.0)
-
-    def test_invalid_schedule_args(self):
-        model = quadratic_model()
-        opt = SGD(model.parameters(), lr=1.0)
-        with pytest.raises(ValueError):
-            LinearWarmupSchedule(opt, warmup_steps=5, total_steps=0)
-        with pytest.raises(ValueError):
-            LinearWarmupSchedule(opt, warmup_steps=11, total_steps=10)
-
-
 class TestClipGradients:
     def test_large_gradients_clipped_to_norm(self):
         layer = Linear(4, 4, rng=np.random.default_rng(0))
@@ -214,7 +185,7 @@ class TestCheckpointManager:
         manager.save(1, model)
         manager.restore(model)
         assert manager.num_saves == 1 and manager.num_restores == 1
-        assert manager.mean_save_seconds >= 0.0 and manager.mean_load_seconds >= 0.0
+        assert manager.total_save_seconds >= 0.0 and manager.total_load_seconds >= 0.0
 
     def test_invalid_keep_last(self):
         with pytest.raises(ValueError):

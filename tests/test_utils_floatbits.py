@@ -5,35 +5,26 @@ import pytest
 
 from repro.utils.floatbits import (
     EXPONENT_BITS,
+    FLIP_KINDS,
     MANTISSA_BITS,
-    bits_to_float,
-    classify_value,
+    NEAR_INF_MINIMUM_MAGNITUDE,
+    apply_flip_kind,
+    flip_adjacent_double_bit,
     flip_bit,
     flip_exponent_msb,
-    float_to_bits,
+    flip_mantissa_lsb,
     is_extreme,
-    make_inf,
-    make_nan,
     make_near_inf,
+    near_inf_fallback,
 )
 
+FLOAT_DTYPES = [np.float32, np.float64]
+UINT_OF = {np.float32: np.uint32, np.float64: np.uint64}
 
-class TestBitViews:
-    def test_roundtrip_float32(self):
-        values = np.array([0.0, 1.0, -2.5, 3.14159], dtype=np.float32)
-        assert np.array_equal(bits_to_float(float_to_bits(values), np.float32), values)
 
-    def test_roundtrip_float64(self):
-        values = np.array([0.0, 1.0, -2.5, 1e300], dtype=np.float64)
-        assert np.array_equal(bits_to_float(float_to_bits(values), np.float64), values)
-
-    def test_scalar_input_uses_requested_dtype(self):
-        bits = float_to_bits(1.0, dtype=np.float32)
-        assert bits.dtype == np.uint32
-
-    def test_one_bit_pattern_of_one(self):
-        # 1.0f has exponent 127 and zero mantissa: 0x3F800000.
-        assert int(float_to_bits(np.float32(1.0))) == 0x3F800000
+def bit_pattern(values, dtype):
+    """Raw IEEE-754 bits of ``values`` in ``dtype`` (NaN-safe comparisons)."""
+    return np.asarray(values, dtype=dtype).view(UINT_OF[dtype])
 
 
 class TestFlipBit:
@@ -60,6 +51,15 @@ class TestFlipBit:
         values = np.ones(5, dtype=np.float32)
         flipped = flip_bit(values, 31)
         assert np.all(flipped == -1.0)
+
+    def test_non_float_input_is_read_in_the_requested_format(self):
+        flipped = flip_bit(np.array([1, 2, 3]), 31, dtype=np.float32)
+        assert flipped.dtype == np.float32
+        assert flipped.tolist() == [-1.0, -2.0, -3.0]
+
+    def test_requested_format_without_bit_map_rejected(self):
+        with pytest.raises(TypeError):
+            flip_bit([1.0], 3, dtype=np.float16)
 
 
 class TestExponentFlip:
@@ -88,14 +88,54 @@ class TestExponentFlip:
         assert MANTISSA_BITS[np.dtype(np.float64)] == 52
 
 
+class TestFlipMechanisms:
+    @pytest.mark.parametrize("dtype", FLOAT_DTYPES)
+    def test_mantissa_lsb_moves_one_ulp(self, dtype):
+        # 1.5 has a clear mantissa LSB, so the flip adds exactly one ULP.
+        value = dtype(1.5)
+        flipped = flip_mantissa_lsb(value, dtype=dtype)
+        assert flipped.dtype == dtype
+        assert flipped == np.nextafter(value, dtype(np.inf))
+
+    def test_mantissa_lsb_is_involution(self):
+        values = np.random.default_rng(3).normal(size=16).astype(np.float32)
+        twice = flip_mantissa_lsb(flip_mantissa_lsb(values))
+        assert np.array_equal(bit_pattern(twice, np.float32), bit_pattern(values, np.float32))
+
+    @pytest.mark.parametrize("dtype", FLOAT_DTYPES)
+    def test_adjacent_double_bit_flips_the_top_two_exponent_bits(self, dtype):
+        values = np.array([0.7, -1.25, 3.0, 1e-3], dtype=dtype)
+        flipped = flip_adjacent_double_bit(values, dtype=dtype)
+        msb = MANTISSA_BITS[np.dtype(dtype)] + EXPONENT_BITS[np.dtype(dtype)] - 1
+        mask = (1 << msb) | (1 << (msb - 1))
+        changed = bit_pattern(flipped, dtype) ^ bit_pattern(values, dtype)
+        assert changed.tolist() == [mask] * len(values)
+
+    @pytest.mark.parametrize("kind", FLIP_KINDS)
+    def test_apply_flip_kind_dispatches_to_its_mechanism(self, kind):
+        values = np.array([[0.7, -1.25], [3.0, 1e-3]], dtype=np.float64)
+        expected = {
+            "exponent_msb": flip_exponent_msb,
+            "mantissa_lsb": flip_mantissa_lsb,
+            "adjacent_double_bit": flip_adjacent_double_bit,
+            "stuck_zero": lambda x, dtype: np.zeros_like(x),
+        }[kind](values, dtype=np.float64)
+        flipped = apply_flip_kind(kind, values, dtype=np.float64)
+        assert flipped.shape == values.shape and flipped.dtype == np.float64
+        assert np.array_equal(bit_pattern(flipped, np.float64), bit_pattern(expected, np.float64))
+
+    @pytest.mark.parametrize("kind", FLIP_KINDS)
+    def test_apply_flip_kind_scalar_in_scalar_out(self, kind):
+        flipped = apply_flip_kind(kind, 0.7, dtype=np.float32)
+        assert np.ndim(flipped) == 0
+        assert flipped.dtype == np.float32
+
+    def test_apply_flip_kind_rejects_unknown_kind(self):
+        with pytest.raises(KeyError):
+            apply_flip_kind("sign_bit", 1.0)
+
+
 class TestValueFactories:
-    def test_make_inf_signs(self):
-        assert np.isposinf(make_inf(+1))
-        assert np.isneginf(make_inf(-1))
-
-    def test_make_nan(self):
-        assert np.isnan(make_nan())
-
     def test_make_near_inf_is_finite_and_large(self):
         value = make_near_inf(1.7)
         assert np.isfinite(value)
@@ -112,6 +152,31 @@ class TestValueFactories:
         assert np.all(np.isfinite(values))
         assert np.all(np.abs(values) > 1e10)
 
+    @pytest.mark.parametrize("dtype", FLOAT_DTYPES)
+    def test_fallback_is_finite_and_above_the_near_inf_floor(self, dtype):
+        fallback = near_inf_fallback(dtype)
+        assert np.isfinite(dtype(fallback))
+        assert fallback > NEAR_INF_MINIMUM_MAGNITUDE
+        assert fallback * 16.0 == float(np.finfo(dtype).max)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_make_near_inf_falls_back_when_the_flip_shrinks_the_value(self, sign):
+        # 2.0 already has its exponent MSB set: the flip clears it and the
+        # value collapses to zero, so the signed fallback is injected instead.
+        assert float(flip_exponent_msb(np.float32(2.0))) == 0.0
+        value = make_near_inf(sign * 2.0)
+        assert float(value) == sign * near_inf_fallback(np.float32)
+
+    def test_make_near_inf_falls_back_when_the_flip_yields_nan(self):
+        assert np.isnan(flip_exponent_msb(np.float32(1.5)))
+        assert float(make_near_inf(1.5)) == near_inf_fallback(np.float32)
+
+    def test_make_near_inf_keeps_a_genuine_flip_in_float64(self):
+        value = make_near_inf(0.7, dtype=np.float64)
+        assert isinstance(value, np.float64)
+        assert value == flip_exponent_msb(0.7, dtype=np.float64)
+        assert np.isfinite(value) and value > NEAR_INF_MINIMUM_MAGNITUDE
+
 
 class TestClassification:
     def test_is_extreme_flags_inf_nan_near_inf(self):
@@ -123,17 +188,3 @@ class TestClassification:
         data = np.array([5e9, 5e12])
         assert is_extreme(data, near_inf_threshold=1e10).tolist() == [False, True]
         assert is_extreme(data, near_inf_threshold=1e13).tolist() == [False, False]
-
-    @pytest.mark.parametrize(
-        "value,expected",
-        [
-            (1.0, "normal"),
-            (float("inf"), "inf"),
-            (float("nan"), "nan"),
-            (1e12, "near_inf"),
-            (-1e12, "near_inf"),
-            (-5.0, "normal"),
-        ],
-    )
-    def test_classify_value(self, value, expected):
-        assert classify_value(value) == expected

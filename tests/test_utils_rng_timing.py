@@ -1,12 +1,13 @@
-"""Unit tests for the RNG stream registry and the timing utilities."""
+"""Unit tests for the RNG factory and the timing utilities."""
 
+import threading
 import time
 
 import numpy as np
 import pytest
 
-from repro.utils.rng import RandomState, new_rng, spawn_rngs
-from repro.utils.timing import Timer, TimingRegistry, timed
+from repro.utils.rng import DEFAULT_SEED, new_rng
+from repro.utils.timing import Timer, TimingRegistry
 
 
 class TestNewRng:
@@ -21,48 +22,8 @@ class TestNewRng:
     def test_different_seeds_differ(self):
         assert not np.array_equal(new_rng(1).normal(size=8), new_rng(2).normal(size=8))
 
-
-class TestSpawn:
-    def test_spawn_count(self):
-        children = spawn_rngs(new_rng(0), 5)
-        assert len(children) == 5
-
-    def test_spawned_streams_are_independent(self):
-        children = spawn_rngs(new_rng(0), 2)
-        a = children[0].normal(size=16)
-        b = children[1].normal(size=16)
-        assert not np.allclose(a, b)
-
-    def test_spawn_negative_raises(self):
-        with pytest.raises(ValueError):
-            spawn_rngs(new_rng(0), -1)
-
-    def test_spawn_zero_is_empty(self):
-        assert spawn_rngs(new_rng(0), 0) == []
-
-
-class TestRandomState:
-    def test_same_name_same_stream_object(self):
-        state = RandomState(seed=5)
-        assert state.stream("init") is state.stream("init")
-
-    def test_streams_isolated_by_name(self):
-        state = RandomState(seed=5)
-        a = state.stream("a").normal(size=4)
-        b = state.stream("b").normal(size=4)
-        assert not np.allclose(a, b)
-
-    def test_stream_deterministic_across_instances(self):
-        a = RandomState(seed=5).stream("faults").normal(size=4)
-        b = RandomState(seed=5).stream("faults").normal(size=4)
-        assert np.array_equal(a, b)
-
-    def test_reset_recreates_streams(self):
-        state = RandomState(seed=5)
-        first = state.stream("x").normal(size=3)
-        state.reset()
-        second = state.stream("x").normal(size=3)
-        assert np.array_equal(first, second)
+    def test_none_maps_to_the_library_default_seed(self):
+        assert np.array_equal(new_rng(None).normal(size=8), new_rng(DEFAULT_SEED).normal(size=8))
 
 
 class TestTimer:
@@ -97,10 +58,27 @@ class TestTimer:
         timer.reset()
         assert timer.elapsed == 0.0 and timer.count == 0
 
-    def test_timed_contextmanager(self):
-        with timed() as t:
-            time.sleep(0.001)
-        assert t.elapsed > 0
+    def test_mean_is_zero_before_the_first_stop(self):
+        timer = Timer().start()
+        assert timer.mean == 0.0
+
+    def test_stop_returns_the_interval_it_adds(self):
+        timer = Timer()
+        timer.start()
+        first = timer.stop()
+        timer.start()
+        second = timer.stop()
+        assert first >= 0.0 and second >= 0.0
+        assert timer.elapsed == pytest.approx(first + second)
+
+    def test_measure_stops_the_timer_when_the_body_raises(self):
+        timer = Timer()
+        with pytest.raises(KeyError):
+            with timer.measure():
+                raise KeyError("boom")
+        assert timer.count == 1
+        timer.start()  # not left running
+        timer.stop()
 
 
 class TestTimingRegistry:
@@ -138,3 +116,49 @@ class TestTimingRegistry:
             pass
         registry.reset()
         assert registry.as_dict() == {}
+
+    def test_timer_is_one_object_per_key(self):
+        registry = TimingRegistry()
+        assert registry.timer("abft/encode") is registry.timer("abft/encode")
+        assert registry.timer("abft/encode") is not registry.timer("abft/detect")
+
+    def test_add_folds_an_external_duration(self):
+        registry = TimingRegistry()
+        registry.add("comm/allreduce", 0.25)
+        registry.add("comm/allreduce", 0.5, count=3)
+        timer = registry.timer("comm/allreduce")
+        assert timer.elapsed == pytest.approx(0.75)
+        assert timer.count == 4
+
+    def test_add_from_many_threads_loses_nothing(self):
+        registry = TimingRegistry()
+
+        def feed():
+            for _ in range(500):
+                registry.add("comm/bucket", 1.0)
+
+        workers = [threading.Thread(target=feed) for _ in range(4)]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join()
+        assert registry.elapsed("comm/bucket") == 2000.0
+        assert registry.timer("comm/bucket").count == 2000
+
+    def test_total_can_exclude_a_prefix(self):
+        registry = TimingRegistry()
+        registry.add("abft/detect", 1.0)
+        registry.add("async/abft/detect", 2.0)
+        registry.add("attention/forward", 4.0)
+        assert registry.total() == 7.0
+        assert registry.total(exclude="async/") == 5.0
+        assert registry.total("abft/", exclude="async/") == 1.0
+
+    def test_report_lists_the_longest_timer_first(self):
+        registry = TimingRegistry()
+        registry.add("short", 0.001)
+        registry.add("long", 2.0, count=4)
+        lines = registry.report().splitlines()
+        assert lines[0].split() == ["key", "calls", "total", "(s)", "mean", "(ms)"]
+        assert [line.split()[0] for line in lines[1:]] == ["long", "short"]
+        assert lines[1].split()[1:] == ["4", "2.000000", "500.0000"]

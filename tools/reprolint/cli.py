@@ -30,7 +30,8 @@ def build_parser() -> argparse.ArgumentParser:
         description=(
             "AST-based invariant checker for the ATTNChecker reproduction: "
             "machine-enforces the xp-genericity, float64-accumulation, "
-            "host-transfer, lock-discipline, workspace and layering contracts."
+            "host-transfer, lock-discipline, workspace, layering and "
+            "no-dead-public-symbol contracts."
         ),
     )
     parser.add_argument(

@@ -6,6 +6,9 @@ A :class:`Rule` owns one invariant (``BK001`` xp-genericity, ``TH001`` lock
 discipline, ...).  The :class:`LintRunner` walks the requested paths, parses
 each Python file once, hands every applicable rule a :class:`FileContext`
 (source + AST + repo-relative path) and collects :class:`Finding` objects.
+Before the first file, every rule's :meth:`Rule.prepare` runs once with the
+lint root — the hook a project-wide rule (``DC001``) builds its cross-file
+index in.
 
 Findings carry a **fingerprint** that deliberately excludes line numbers —
 ``sha256(rule | path | symbol | detail | occurrence)`` — so a committed
@@ -126,6 +129,13 @@ class Rule:
 
     def applies_to(self, relpath: str) -> bool:
         raise NotImplementedError
+
+    def prepare(self, root: Path) -> None:
+        """Called once per run, before any file is checked.
+
+        Per-file rules need nothing here; a project-wide rule builds its
+        cross-file index from the lint root.
+        """
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
         raise NotImplementedError
@@ -335,6 +345,8 @@ class LintRunner:
         the baseline dead.
         """
         known = dict(baseline_entries or {})
+        for rule in self.rules:
+            rule.prepare(self.root)
         files = self.collect_files(paths)
         scanned = {self.relpath(path) for path in files}
         new: List[Finding] = []

@@ -12,6 +12,7 @@ from typing import List
 from reprolint.engine import Rule
 from reprolint.rules.base import PathScopedRule
 from reprolint.rules.bk001 import XpGenericityRule
+from reprolint.rules.dc001 import DeadPublicSymbolRule
 from reprolint.rules.dt001 import Float64AccumulationRule
 from reprolint.rules.xf001 import HostTransferRule
 from reprolint.rules.th001 import LockDisciplineRule
@@ -26,6 +27,7 @@ __all__ = [
     "LockDisciplineRule",
     "WorkspaceContractRule",
     "LayeringRule",
+    "DeadPublicSymbolRule",
     "all_rules",
 ]
 
@@ -36,6 +38,7 @@ _RULE_CLASSES = (
     LockDisciplineRule,
     WorkspaceContractRule,
     LayeringRule,
+    DeadPublicSymbolRule,
 )
 
 

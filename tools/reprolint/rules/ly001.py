@@ -11,9 +11,10 @@ import ``repro.backend`` and ``repro.utils`` but nothing of the model stack —
 that is what lets the protected all-reduce be reused under any trainer.
 
 The whole-model refactor (PR 9) raised the stakes on this contract: the
-op/section registries (``core/hooks.py``, ``core/sections.py``) are the seam
-that *every* instrumented block — attention and FFN alike — declares itself
-through, and ``repro.nn.attention`` re-exports those types downward-only.
+boundary maps of ``core/hooks.py`` and the section registry of
+``core/sections.py`` are the seam that *every* instrumented block —
+attention and FFN alike — declares itself through, and
+``repro.nn.attention`` re-exports those types downward-only.
 The forbidden maps therefore also name the newer upper layers (``faults``,
 ``serving``, ``analysis``): a block-specific import sneaking into the
 registry would re-specialize the seam the refactor just generalized.

@@ -21,9 +21,10 @@ declared per file in :attr:`LockDisciplineRule.file_shared_attrs`.
 
 The whole-model refactor (PR 9) routes the FFN sections through the same
 async worker and the same inbox/epoch/staleness accounting, so the engine's
-shared-attribute list is unchanged — deliberately: the registry seam
-(``core/hooks.py`` / ``core/sections.py``) holds immutable declarations and
-must stay free of worker-shared mutable state.  A section handler that grows
+shared-attribute list is unchanged — deliberately: the section seam (the
+boundary maps of ``core/hooks.py``, the registry of ``core/sections.py``)
+holds immutable declarations and must stay free of worker-shared mutable
+state.  A section handler that grows
 its own cross-thread counter belongs in ``engine.py`` under ``_cv``, and its
 attribute belongs in this map.
 

@@ -2,17 +2,19 @@
 
 The PR 5 zero-allocation checksum workspace exists because per-step array
 allocation dominated the protection overhead at small sequence lengths.  The
-engine's hot path must therefore route matmul/stack/einsum through the
-``matmul_into``/``stack_into``/``einsum_into`` helpers, which reuse
-workspace-owned output buffers.  A raw ``xp.matmul(...)`` added to
+engine's hot path must therefore route matmul/stack through the
+``matmul_into``/``stack_into`` helpers, which reuse workspace-owned output
+buffers; einsum has no such helper (its ``out=`` form is ~4x slower in
+NumPy and absent in Torch), so every raw einsum is flagged too and must
+justify its allocation.  A raw ``xp.matmul(...)`` added to
 ``engine.py`` reintroduces a per-step allocation that no functional test can
 see — only the overhead benchmark drifts.  The contract is section-generic:
 since the whole-model refactor the same engine hot path verifies every
 *registered* section (attention's AS/CL/O and the FFN's FF1/FF2 alike), so a
 handler added for a future block inherits the ``out=`` obligation
 automatically — the rule keys on the file, not on section names.  Deliberate
-exceptions (the workspace-off fallback; the one einsum whose ``out=`` form is
-~4x slower in NumPy) carry inline suppressions explaining themselves.  The
+exceptions (the workspace-off fallback; the allocating einsums) carry inline
+suppressions explaining themselves.  The
 per-GEMM reference backend (``attention_checker.py``) is deliberately out of
 scope: it exists to be the simple, allocation-per-call baseline the fused
 engine is benchmarked against.
@@ -33,8 +35,9 @@ class WorkspaceContractRule(PathScopedRule):
     id = "WS001"
     name = "workspace-contract"
     invariant = (
-        "Engine hot-path matmul/stack/einsum go through the workspace "
-        "*_into helpers (out= reuse), not raw namespace calls."
+        "Engine hot-path matmul/stack go through the workspace *_into "
+        "helpers (out= reuse), not raw namespace calls; a raw einsum "
+        "carries a suppression justifying its allocation."
     )
     rationale = (
         "The zero-allocation workspace (PR 5) is what keeps protection "
@@ -43,8 +46,8 @@ class WorkspaceContractRule(PathScopedRule):
         "benchmark drift, never as a test failure."
     )
     example = (
-        "src/repro/core/engine.py:798: WS001 raw 'xp.einsum(...)' on the "
-        "engine hot path — use einsum_into (workspace out= contract)"
+        "src/repro/core/engine.py:798: WS001 raw 'xp.matmul(...)' on the "
+        "engine hot path — use matmul_into (workspace out= contract)"
     )
 
     scope_files = ("src/repro/core/engine.py",)
@@ -69,11 +72,16 @@ class _WorkspaceVisitor(ScopedVisitor):
     def visit_Call(self, node: ast.Call) -> None:
         func = node.func
         if isinstance(func, ast.Attribute) and func.attr in self.rule.managed_calls:
+            remedy = (
+                "suppress it with the reason it must allocate"
+                if func.attr == "einsum"
+                else f"use {func.attr}_into"
+            )
             self.findings.append(
                 self.rule.finding(
                     self.ctx, node,
                     f"raw '{unparse_short(node)}' on the engine hot path — "
-                    f"use {func.attr}_into (workspace out= contract)",
+                    f"{remedy} (workspace out= contract)",
                     detail=f"call:{func.attr}",
                     symbol=self.symbol(),
                 )
