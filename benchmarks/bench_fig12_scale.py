@@ -67,7 +67,7 @@ def test_fig12_multi_billion_parameter_scaling(benchmark, report):
 
 # -- measured data-parallel scaling ------------------------------------------------
 
-#: Worker counts of the measured sweep.  The thread executor overlaps the
+#: Worker counts of the measured sweep.  Worker threads overlap the
 #: GIL-releasing BLAS work of the per-rank replicas, so wall-clock scaling is
 #: real (if modest at tiny-model sizes) rather than simulated.
 MEASURED_WORKERS = (1, 2, 4)
@@ -100,7 +100,6 @@ def _run_measured(workers: int, shards: int, global_batch: int):
     config = DataParallelConfig(
         workers=workers,
         shards=shards,
-        executor="serial" if workers == 1 else "thread",
     )
     trainer = DataParallelTrainer(
         model_spec=ReplicaSpec(name="bert-base", size="tiny", seed=7, num_labels=2),

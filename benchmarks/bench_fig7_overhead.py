@@ -192,9 +192,6 @@ def measured_mode_path_seconds(mode: str, model_name: str = "bert-base", steps: 
     assert checker.engine.pending_steps == 0
     critical_total = checker.critical_path_seconds()
     overall_total = checker.overhead_seconds()
-    # The Figure-7 split reports copy overhead separately (xfer/* keys); on
-    # the default follow-the-arrays NumPy path it must be exactly zero.
-    assert checker.transfer_seconds() == 0.0
     checker.close()
     return min(per_step), critical_total, overall_total
 

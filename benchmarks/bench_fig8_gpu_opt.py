@@ -5,24 +5,12 @@ encoding, non-fused checksum updates, separate detection kernels) and reports
 that the GPU optimisations reduce ABFT overhead by up to 8.6x on the attention
 block and 6.0x on the training step.  The harness reproduces both bars from
 the kernel cost models and asserts the optimisation gap.
-
-A second axis of the "GPU optimised" story is *where the checker's arrays
-live*: the fused engine follows the model's array backend by default, so the
-pure-NumPy path moves zero bytes between address spaces — asserted here both
-analytically (:meth:`SectionCostModel.transfer_bytes_per_layer`) and on a
-real protected forward pass (the ``xfer/*`` timer keys stay exactly zero).
-A checker pinned to a device backend against a host-resident model would pay
-the modelled h2d/d2h traffic instead; the table reports that bound per model.
 """
 
-import pytest
-
-from benchmarks.conftest import MAIN_MODELS, make_batch, make_model
+from benchmarks.conftest import MAIN_MODELS
 from repro.analysis import format_percent, format_table
-from repro.core import ATTNChecker, ATTNCheckerConfig, SectionCostModel
 from repro.models import get_config
 from repro.perfmodel import TrainingStepCostModel
-from repro.utils.timing import XFER_D2H, XFER_H2D, XFER_PREFIX
 
 #: Figure 8 values (attention overhead, batch 16): optimised / non-optimised.
 PAPER_ATTENTION = {"bert-base": (0.07, 0.62), "gpt2": (0.13, 0.63), "gpt-neo": (0.11, 0.93), "roberta": (0.12, 0.82)}
@@ -30,20 +18,15 @@ PAPER_ATTENTION = {"bert-base": (0.07, 0.62), "gpt2": (0.13, 0.63), "gpt-neo": (
 PAPER_STEP = {"bert-base": (0.04, 0.25), "gpt2": (0.06, 0.23), "gpt-neo": (0.09, 0.40), "roberta": (0.09, 0.34)}
 
 
-def compute_overheads(batch_size: int = 16, array_backend: str = "numpy"):
+def compute_overheads(batch_size: int = 16):
     table = {}
     for name in MAIN_MODELS:
         cost = TrainingStepCostModel(get_config(name, size="paper"), batch_size=batch_size)
-        sections = SectionCostModel(
-            get_config(name, size="paper"), batch_size=batch_size,
-            array_backend=array_backend,
-        )
         table[name] = {
             "attention_opt": cost.attention_overhead(optimized=True),
             "attention_non_opt": cost.attention_overhead(optimized=False),
             "step_opt": cost.step_overhead(optimized=True),
             "step_non_opt": cost.step_overhead(optimized=False),
-            "transfer_bytes": sections.transfer_bytes_per_layer(),
         }
     return table
 
@@ -84,64 +67,3 @@ def test_fig8_gpu_optimisation_gap(benchmark, report):
         assert entry["step_opt"] < 0.12
         # Non-optimised overhead is of the same order as the paper's bars.
         assert 0.15 < entry["attention_non_opt"] < 1.2
-        # The host-resident (NumPy) checker shares the model's address space:
-        # the modelled transfer traffic is exactly zero.
-        assert entry["transfer_bytes"] == {XFER_H2D: 0.0, XFER_D2H: 0.0}
-
-
-def test_fig8_transfer_accounting_device_vs_host(report):
-    """Analytical h2d/d2h bound for a device-pinned checker vs a host model.
-
-    ``array_backend`` is an analytical parameter of :class:`SectionCostModel`
-    (the library need not be installed): a device backend pays adoption of
-    every section operand plus boundary write-back per layer, a host backend
-    pays nothing.
-    """
-    host = compute_overheads(array_backend="numpy")
-    device = compute_overheads(array_backend="cupy")
-
-    rows = []
-    for name in MAIN_MODELS:
-        xfer = device[name]["transfer_bytes"]
-        rows.append([
-            name,
-            f"{xfer[XFER_H2D] / 1e6:.1f} MB",
-            f"{xfer[XFER_D2H] / 1e6:.1f} MB",
-            "0 B / 0 B",
-        ])
-        assert host[name]["transfer_bytes"] == {XFER_H2D: 0.0, XFER_D2H: 0.0}
-        assert xfer[XFER_H2D] > 0.0 and xfer[XFER_D2H] > 0.0
-        # Adoption dominates write-back: every operand crosses h2d, only the
-        # repaired boundary crosses back.
-        assert xfer[XFER_H2D] > xfer[XFER_D2H]
-    report(format_table(
-        ["model", "pinned h2d / layer", "pinned d2h / layer", "host (numpy)"],
-        rows,
-        title="Figure 8 (backend axis) — modelled per-layer transfer traffic of a "
-              "device-pinned checker against a host-resident model (batch 16)",
-    ))
-
-
-def test_fig8_zero_transfer_time_on_pure_numpy_path(report):
-    """A real protected pass on the default path records zero ``xfer/*`` time.
-
-    The fused engine *follows* the model's arrays (``array_backend="auto"``)
-    — nothing is adopted, nothing is written back, and the transfer timers
-    never even instantiate.  Pinning the engine to NumPy explicitly is
-    equally free because the section outputs already belong to it.
-    """
-    for array_backend in ("auto", "numpy"):
-        model = make_model("bert-base")
-        model.eval()
-        batch = make_batch(model, n=4, full_mask=True)
-        checker = ATTNChecker(ATTNCheckerConfig(array_backend=array_backend))
-        model.set_attention_hooks(checker)
-        model(batch["input_ids"], attention_mask=batch["attention_mask"],
-              labels=batch["labels"])
-        model.set_attention_hooks(None)
-        checker.end_step()
-        assert checker.stats.total_checks > 0
-        assert checker.transfer_seconds() == 0.0
-        assert checker.timers.total(prefix=XFER_PREFIX) == 0.0
-        assert not [k for k in checker.timers.keys() if k.startswith(XFER_PREFIX)]
-    report("pure-NumPy path: xfer/h2d = xfer/d2h = 0.000 ms (no transfer keys recorded)")

@@ -1,10 +1,10 @@
 """Protected gradient all-reduce launched in backward vs after it.
 
 Measures the end-to-end training-step time of :class:`DataParallelTrainer`
-on the thread executor with ``overlap_grad_reduce`` off and on, for
-W ∈ {1, 2, 4} ranks.  Both arms run the same bucketed reduction; only the
-launch timing differs.  The plain arm launches every bucket after backward
-returns.  The overlapped arm launches each bucket's checksum-protected
+with ``overlap_grad_reduce`` off and on, for W ∈ {1, 2, 4} workers.
+Both arms run the same bucketed reduction; only the launch timing differs.
+The plain arm launches every bucket after backward returns.  The overlapped
+arm launches each bucket's checksum-protected
 ``contribute`` from inside backward the moment the bucket's last gradient
 accumulates, with the last rank folding eagerly, so reduction work hides
 behind the remaining backprop instead of serialising after it.
@@ -12,7 +12,7 @@ behind the remaining backprop instead of serialising after it.
 Hard gates (the run fails if they break):
 
 * overlapped and plain training produce byte-identical weights, both equal
-  to the serial reference (one bucket at the default cap, launched after
+  to the 1-worker reference (one bucket at the default cap, launched after
   backward);
 * the collective checksum dispatch counters match the bucket-aware
   ``SectionCostModel.collective_checksum_dispatches_per_step`` exactly;
@@ -74,7 +74,6 @@ def _run_once(workers: int, overlap: bool):
     config = DataParallelConfig(
         workers=workers,
         shards=SHARDS,
-        executor="thread",
         overlap_grad_reduce=overlap,
         bucket_cap_mb=BUCKET_CAP_MB,
     )
@@ -123,7 +122,7 @@ def run_sweep():
 
 
 def _serial_reference():
-    config = DataParallelConfig(workers=1, shards=SHARDS, executor="serial")
+    config = DataParallelConfig(workers=1, shards=SHARDS)
     trainer = DataParallelTrainer(
         model_spec=ReplicaSpec(name="bert-base", size="tiny", seed=7, num_labels=2),
         config=config,
@@ -200,7 +199,7 @@ def test_overlap_speedup(benchmark, report):
           format_percent(r["overlap_efficiency"], digits=1)]
          for r in rows],
         title="Overlapped vs non-overlapped protected gradient all-reduce "
-              f"(thread executor, {SHARDS} shards, {BUCKET_CAP_MB} MB buckets)",
+              f"({SHARDS} shards, {BUCKET_CAP_MB} MB buckets)",
     ))
 
     payload = {

@@ -4,22 +4,22 @@
 The checker stack dispatches through :mod:`repro.backend`: a registry of
 array libraries (NumPy always; CuPy/Torch when installed) behind one
 protocol, so checksum encoding, EEC-ABFT detection and correction run on
-whatever array type a protection section produces.  This walkthrough:
+whatever array type a protection section produces.  The model decides the
+backend: ``build_model(..., array_backend=...)`` puts the substrate on it
+and the checker follows.  This walkthrough:
 
 1. prints what the registry knows vs. what is installed on this machine and
    what ``"auto"`` resolves to;
-2. runs the same single-fault protected forward pass with the engine in its
-   default *follow-the-arrays* mode and pinned to each installed backend,
-   showing that detections/corrections are identical everywhere while the
-   ``xfer/*`` transfer keys stay at exactly zero on the native path;
+2. runs the same single-fault protected forward pass with the model hosted
+   on each installed backend, showing that detections/corrections are
+   identical everywhere;
 3. demonstrates a device-resident fault: the injector flips the exponent MSB
    of one element *in place* through the backend's integer view — the same
    bit flip the paper performs on GPU memory;
-4. runs *device-resident training*: ``build_model(..., array_backend=...)``
-   puts the whole substrate (parameters, activations, gradients, optimizer
-   state) on a backend, the checker follows it, and the ``xfer/*`` transfer
-   keys stay exactly zero — the zero-host-round-trip property of the paper's
-   GPU-resident design, measurable end to end.
+4. runs *device-resident training*: the whole substrate (parameters,
+   activations, gradients, optimizer state) lives on each backend and the
+   checker runs beside it — the paper's GPU-resident design, with no host
+   round-trip in a protected step.
 
 Run with:  python examples/array_backends.py [model-name]
 """
@@ -43,7 +43,10 @@ from repro.utils.floatbits import flip_exponent_msb_inplace
 
 
 def run(model_name: str, array_backend: str):
-    model = build_model(model_name, size="tiny", rng=np.random.default_rng(0))
+    model = build_model(
+        model_name, size="tiny", rng=np.random.default_rng(0),
+        array_backend=array_backend,
+    )
     model.eval()
     data = SyntheticMRPC(
         num_examples=16,
@@ -56,7 +59,7 @@ def run(model_name: str, array_backend: str):
         [FaultSpec(matrix="AS", error_type="near_inf")],
         rng=np.random.default_rng(11),
     )
-    checker = ATTNChecker(ATTNCheckerConfig(array_backend=array_backend))
+    checker = ATTNChecker(ATTNCheckerConfig())   # follows the model's arrays
     model.set_attention_hooks(ComposedHooks([injector, checker]))
     out = model(batch["input_ids"], attention_mask=batch["attention_mask"],
                 labels=batch["labels"])
@@ -67,7 +70,6 @@ def run(model_name: str, array_backend: str):
         "corrections": checker.stats.total_corrections,
         "loss": out.loss_value,
         "abft_ms": checker.overhead_seconds() * 1e3,
-        "xfer_ms": checker.transfer_seconds() * 1e3,
     }
 
 
@@ -87,7 +89,7 @@ def device_resident_bitflip_demo():
 
 
 def device_resident_training_demo(model_name: str, backend_names):
-    """Train on each usable backend's substrate; checker follows; zero xfer."""
+    """Train on each usable backend's substrate with the checker beside it."""
     from repro.training import Trainer, TrainerConfig
 
     rows = []
@@ -101,16 +103,16 @@ def device_resident_training_demo(model_name: str, backend_names):
             vocab_size=model.config.vocab_size, seed=7,
         )
         batch = dict(data.encode(range(4)))
-        checker = ATTNChecker(ATTNCheckerConfig())   # "auto": follow the model
+        checker = ATTNChecker(ATTNCheckerConfig())
         trainer = Trainer(model, config=TrainerConfig(learning_rate=1e-3), checker=checker)
         losses = [trainer.train_step(batch).loss for _ in range(2)]
         rows.append([
             trainer.model_array_backend,
             " ".join(f"{loss:.6f}" for loss in losses),
-            f"{checker.transfer_seconds() * 1e3:.3f}",
+            checker.stats.total_checks,
         ])
     print("\n" + format_table(
-        ["model substrate", "step losses", "xfer ms"], rows,
+        ["model substrate", "step losses", "checks"], rows,
         title="Device-resident training — model + checker share one backend; "
               "weights init on host (same seed, same weights), then zero host "
               "round-trips per step",
@@ -134,29 +136,27 @@ def main() -> int:
     print(f"'auto' resolves to      : {resolve_backend_name('auto')}")
 
     rows = []
-    for backend_name in ("auto",) + tuple(usable):
+    for backend_name in usable:
         r = run(model_name, backend_name)
         rows.append([
             backend_name, r["detections"], r["corrections"], f"{r['loss']:.4f}",
-            f"{r['abft_ms']:.1f}", f"{r['xfer_ms']:.3f}",
+            f"{r['abft_ms']:.1f}",
         ])
     print("\n" + format_table(
-        ["array backend", "detections", "corrections", "loss",
-         "ABFT ms", "xfer ms"],
+        ["model substrate", "detections", "corrections", "loss", "ABFT ms"],
         rows,
-        title=f"One near-INF fault on {model_name} (tiny) under each array backend — "
-              "identical decisions; xfer stays 0 whenever the engine runs natively",
+        title=f"One near-INF fault on {model_name} (tiny) with the model on each "
+              "array backend — the checker follows it; identical decisions",
     ))
     device_resident_bitflip_demo()
     device_resident_training_demo(model_name, usable)
     print(
         "\nReading the tables: the checker's decisions are backend-invariant\n"
-        "(the cross-backend equivalence suite enforces this byte for byte),\n"
-        "and the engine only ever pays xfer/h2d + xfer/d2h copies when it is\n"
-        "pinned to a backend that does not own the model's arrays.  With\n"
-        "build_model(..., array_backend=...) the model itself lives on the\n"
-        "backend, so a whole protected training step — forward, ABFT, backward,\n"
-        "optimizer update — completes without touching host memory."
+        "(the cross-backend equivalence suite enforces this byte for byte).\n"
+        "The checker always runs on the backend that owns the model's arrays,\n"
+        "so with build_model(..., array_backend=...) a whole protected training\n"
+        "step — forward, ABFT, backward, optimizer update — completes without\n"
+        "touching host memory."
     )
     return 0
 

@@ -22,12 +22,10 @@ array library:
     the generic kernels use to follow whatever array type a protection
     section produced.
 
-Selection is two-layered and the layers are orthogonal: the kernels *follow*
-their inputs (dispatch), while :class:`repro.core.ATTNCheckerConfig`'s
-``array_backend`` field optionally *pins* the ProtectionEngine to a specific
-backend — mismatched section outputs are then adopted and written back with
-the copies timed under the ``xfer/h2d`` / ``xfer/d2h`` keys, so host/device
-transfer overhead shows up as its own line in the Figure-7 split.
+Selection follows the arrays: ``build_model(..., array_backend=...)`` puts
+the model substrate on a backend, and the checker's kernels *follow* the
+arrays each protection section produces (dispatch), so checksums are
+encoded, carried and verified where the model runs, with no host round-trip.
 """
 
 from repro.backend.base import ArrayBackend, BackendCapabilities, BackendUnavailable

@@ -27,7 +27,7 @@ checksum encoding, EEC-ABFT detection and correction run **on whatever array
 type the protection section produced** — device arrays never round-trip
 through host memory on the critical path.  Host transfers happen only at the
 backend surface (``to_numpy``/``from_numpy``), which is exactly where the
-engine hangs its ``xfer/h2d`` / ``xfer/d2h`` timers.
+checkpoint manager hangs its ``xfer/h2d`` / ``xfer/d2h`` timers.
 
 Backends register with :mod:`repro.backend.registry`; adapters for optional
 libraries import them lazily so the package has **no hard dependency** beyond
@@ -70,9 +70,8 @@ class BackendCapabilities:
     ----------
     device_kind:
         ``"cpu"`` for host-resident backends, ``"cuda"`` for device-resident
-        ones.  Host-resident backends never pay ``xfer/*`` transfer time
-        against a host-resident training loop; "auto" resolution only picks
-        backends whose kind is not ``"cpu"``.
+        ones.  "auto" resolution only picks backends whose kind is not
+        ``"cpu"``.
     """
 
     device_kind: str = "cpu"

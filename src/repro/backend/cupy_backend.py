@@ -8,8 +8,7 @@ without CUDA the registry just reports the backend as unavailable.
 
 All encode / carry / detect / correct work stays on the GPU: ``to_numpy``
 (``cupy.asnumpy``) and ``from_numpy`` are the only host crossings, and the
-engine times them under ``xfer/d2h`` / ``xfer/h2d`` when they happen on the
-critical path.
+checkpoint manager times them under ``xfer/d2h`` / ``xfer/h2d``.
 
 The workspace ``out=`` contract (see :mod:`repro.core.workspace`) mostly
 resolves natively: ``cupy.matmul`` / ``cupy.stack`` accept ``out=`` and

@@ -24,9 +24,9 @@ The module imports :mod:`torch` lazily at backend construction; when Torch is
 absent the registry simply reports the backend as unavailable — no hard
 dependency is introduced.
 
-On CPU devices ``from_numpy``/``to_numpy`` alias host memory (zero-copy), so
-adopting a NumPy model's activations costs nothing; on CUDA devices they are
-real PCIe transfers, which is why the engine wraps them in ``xfer/*`` timers.
+On CPU devices ``from_numpy``/``to_numpy`` alias host memory (zero-copy); on
+CUDA devices they are real PCIe transfers, which is why the checkpoint manager
+wraps them in ``xfer/*`` timers.
 """
 
 from __future__ import annotations

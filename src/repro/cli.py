@@ -25,12 +25,7 @@ from typing import Callable, Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.analysis import format_percent, format_table, gemm_ratio_table
-from repro.backend import (
-    KNOWN_ARRAY_BACKENDS,
-    BackendUnavailable,
-    available_array_backends,
-    resolve_backend_name,
-)
+from repro.backend import KNOWN_ARRAY_BACKENDS, BackendUnavailable, resolve_backend_name
 from repro.core import (
     CHECKER_BACKENDS,
     PROTECT_SCOPES,
@@ -87,7 +82,7 @@ def run_quickstart(args: argparse.Namespace) -> str:
     )
     checker = ATTNChecker(ATTNCheckerConfig(
         backend=args.backend, async_verification=args.async_verification,
-        array_backend=args.array_backend, protect_scope=args.protect_scope,
+        protect_scope=args.protect_scope,
     ))
     model.eval()
     reference = model(batch["input_ids"], attention_mask=batch["attention_mask"],
@@ -103,10 +98,7 @@ def run_quickstart(args: argparse.Namespace) -> str:
     lines = [
         f"backend              : {checker.backend}",
         f"verification mode    : {checker.verification_mode}",
-        f"array backend        : {checker.array_backend_name} "
-        f"(installed: {', '.join(available_array_backends())})",
         f"model substrate      : {'numpy' if substrate is None else substrate.device_info()}",
-        f"transfer time        : {checker.transfer_seconds() * 1e3:.3f} ms",
         f"fault-free loss      : {reference:.6f}",
         f"protected faulty loss: {protected:.6f}",
         f"detections           : {checker.stats.total_detections}",
@@ -140,9 +132,7 @@ def run_backends(args: argparse.Namespace) -> str:
                 [FaultSpec(matrix=matrix, error_type=error_type)],
                 rng=np.random.default_rng(args.seed),
             )
-            checker = ATTNChecker(ATTNCheckerConfig(
-                backend=backend, array_backend=args.array_backend,
-            ))
+            checker = ATTNChecker(ATTNCheckerConfig(backend=backend))
             model.set_attention_hooks(ComposedHooks([injector, checker]))
             outputs[backend] = model(
                 batch["input_ids"], attention_mask=batch["attention_mask"],
@@ -204,9 +194,7 @@ def run_verification_modes(args: argparse.Namespace) -> str:
                 [FaultSpec(matrix=matrix, error_type=error_type)],
                 rng=np.random.default_rng(args.seed + trial),
             )
-            checker = ATTNChecker(ATTNCheckerConfig(
-                array_backend=args.array_backend, **VERIFICATION_MODE_CONFIGS[mode],
-            ))
+            checker = ATTNChecker(ATTNCheckerConfig(**VERIFICATION_MODE_CONFIGS[mode]))
             model.set_attention_hooks(ComposedHooks([injector, checker]))
             model(batch["input_ids"], attention_mask=batch["attention_mask"],
                   labels=batch["labels"])
@@ -241,11 +229,9 @@ def run_train(args: argparse.Namespace) -> str:
 
     Builds the model with ``build_model(..., array_backend=args.model_array_backend)``
     so forward, backward and the optimiser update run on that backend, attaches
-    the fused checker (following or pinned per ``--array-backend``), and trains
-    for ``--steps`` optimisation steps on synthetic MRPC.  The footer reports
-    the checker's ``xfer/*`` transfer total — exactly zero whenever model and
-    checker share a backend (the device-resident zero-copy property; the CI
-    smoke job greps for it).
+    the checker (which runs on the same backend), and trains for ``--steps``
+    optimisation steps on synthetic MRPC.  The footer names the model
+    substrate (the CI smoke jobs grep for it).
     """
     model, batch = _tiny_model_and_batch(
         args.model, batch=args.batch_size, seed=args.seed,
@@ -255,7 +241,7 @@ def run_train(args: argparse.Namespace) -> str:
 
     checker = ATTNChecker(ATTNCheckerConfig(
         backend=args.backend, async_verification=args.async_verification,
-        array_backend=args.array_backend, protect_scope=args.protect_scope,
+        protect_scope=args.protect_scope,
     ))
     trainer = Trainer(model, config=TrainerConfig(learning_rate=5e-4), checker=checker)
     rows = []
@@ -266,15 +252,10 @@ def run_train(args: argparse.Namespace) -> str:
             f"{result.abft_seconds * 1e3:.2f}", result.detections, result.corrections,
         ])
     trainer.drain_verifications(batch=batch)
-    xfer_ms = checker.transfer_seconds() * 1e3
-    footer = (
-        f"model substrate {trainer.model_array_backend}, checker array backend "
-        f"{trainer.array_backend}; xfer total {xfer_ms:.3f} ms"
-        + (" (zero host round-trips)" if xfer_ms == 0.0 else "")
-    )
     return format_table(
         ["step", "loss", "step ms", "abft ms", "det", "corr"], rows,
-        title=f"Protected training — {args.model} (tiny); {footer}",
+        title=f"Protected training — {args.model} (tiny); "
+              f"model substrate {trainer.model_array_backend}",
     )
 
 
@@ -282,12 +263,13 @@ def run_train_parallel(args: argparse.Namespace) -> str:
     """Data-parallel protected fine-tuning with the checksummed all-reduce.
 
     Shards each global batch over ``--shards`` model replicas driven by
-    ``--workers`` workers (``--executor`` picks the serial / thread / process
-    backend), synchronises gradients through the checksum-protected
-    collective, then repeats the run with a single serial worker on the same
-    shard count and compares the trained weights byte-for-byte.  The footer
-    states the equivalence verdict and the collective dispatch counters — the
-    CI smoke job greps for ``byte-identical to 1-worker reference``.
+    ``--workers`` workers (one runs every rank on the calling thread, more run
+    them on a thread pool), synchronises gradients through the
+    checksum-protected collective, then repeats the run with a single worker
+    on the same shard count and compares the trained weights byte-for-byte.
+    The footer states the equivalence verdict and the collective dispatch
+    counters — the CI smoke job greps for ``byte-identical to 1-worker
+    reference``.
     """
     from repro.training import DataParallelConfig, DataParallelTrainer, ReplicaSpec
 
@@ -306,11 +288,10 @@ def run_train_parallel(args: argparse.Namespace) -> str:
         batch["attention_mask"] = np.ones_like(batch["attention_mask"])
         batches.append(batch)
 
-    def run(workers: int, executor: str, overlap: Optional[bool] = None):
+    def run(workers: int, overlap: Optional[bool] = None):
         config = DataParallelConfig(
             workers=workers,
             shards=shards,
-            executor=executor,
             overlap_grad_reduce=args.overlap if overlap is None else overlap,
             bucket_cap_mb=args.bucket_cap_mb,
         )
@@ -322,12 +303,12 @@ def run_train_parallel(args: argparse.Namespace) -> str:
         finally:
             trainer.close()
 
-    results, state, timers, counters = run(args.workers, args.executor)
-    # The reference is always the serial executor launching every bucket
-    # after backward, so with --overlap the comparison doubles as the
+    results, state, timers, counters = run(args.workers)
+    # The reference is always one worker launching every bucket after
+    # backward, so with --overlap the comparison doubles as the
     # launch-timing identity (in-backward vs after-backward).
     reference_state = (
-        run(1, "serial", overlap=False)[1]
+        run(1, overlap=False)[1]
         if args.workers > 1 or args.overlap
         else state
     )
@@ -352,7 +333,7 @@ def run_train_parallel(args: argparse.Namespace) -> str:
     return format_table(
         ["step", "mean loss", "step ms", "dirty", "retries", "det", "corr"], rows,
         title=f"Data-parallel protected training — {args.model} (tiny), "
-              f"{args.workers} workers, {shards} shards, {args.executor} executor; {footer}",
+              f"{args.workers} workers, {shards} shards; {footer}",
     )
 
 
@@ -376,8 +357,7 @@ def run_serve(args: argparse.Namespace) -> str:
         checker = None
         if protected:
             checker = ATTNChecker(ATTNCheckerConfig(
-                backend=args.backend, array_backend=args.array_backend,
-                protect_scope=args.protect_scope,
+                backend=args.backend, protect_scope=args.protect_scope,
             ))
             model.set_attention_hooks(checker)
         requests = RequestGenerator(
@@ -566,8 +546,8 @@ EXPERIMENTS: Dict[str, Callable[[argparse.Namespace], str]] = {
 # Argument parsing
 # ---------------------------------------------------------------------------
 
-def _array_backend_name(name: str) -> str:
-    """Argparse type for ``--array-backend``: validate against the registry.
+def _registered_backend(name: str) -> str:
+    """Argparse type for ``--model-array-backend``: validate against the registry.
 
     Both failure modes produce a message listing what is *known* (registered
     backend names) versus what is *installed* (importable on this machine),
@@ -599,33 +579,25 @@ def build_parser() -> argparse.ArgumentParser:
                         help="protected-section scope: 'attention' (default, the "
                              "paper's three sections) or 'attention+ffn' (adds the "
                              "FF1/FF2 feed-forward sections)")
-    parser.add_argument("--array-backend", default="auto", type=_array_backend_name,
-                        metavar="{auto," + ",".join(KNOWN_ARRAY_BACKENDS) + "}",
-                        help="array library the checksum chain runs on: 'auto' "
-                             "(default) follows the model's arrays; naming a "
-                             "registered backend pins the fused engine to it "
-                             f"(known: {', '.join(KNOWN_ARRAY_BACKENDS)}; "
-                             f"installed here: {', '.join(available_array_backends())})")
-    parser.add_argument("--model-array-backend", default=None, type=_array_backend_name,
+    parser.add_argument("--model-array-backend", default=None, type=_registered_backend,
                         metavar="{auto," + ",".join(KNOWN_ARRAY_BACKENDS) + "}",
                         help="array library the *model substrate* lives on "
                              "(build_model(..., array_backend=...)): parameters, "
                              "activations, gradients and optimizer state are "
-                             "device-resident on that backend; default is the "
-                             "pure-NumPy substrate")
+                             "device-resident on that backend, and the checker "
+                             "runs there too; default is the pure-NumPy substrate")
     parser.add_argument("--async", dest="async_verification", action="store_true",
                         help="verify boundary checksums asynchronously on a worker "
                              "thread, off the critical path (fused backend only)")
     parser.add_argument("--steps", type=int, default=4,
                         help="optimisation steps for the train experiments")
     parser.add_argument("--workers", type=int, default=2,
-                        help="worker count for the train_parallel experiment")
+                        help="worker count for the train_parallel experiment: "
+                             "1 runs every rank on the calling thread, more "
+                             "run them on a thread pool")
     parser.add_argument("--shards", type=int, default=None,
                         help="data-parallel shard (replica) count for "
                              "train_parallel; defaults to --workers")
-    parser.add_argument("--executor", default="thread",
-                        choices=["serial", "thread", "process"],
-                        help="execution backend for the train_parallel workers")
     parser.add_argument("--overlap", action="store_true",
                         help="launch train_parallel's gradient-bucket "
                              "reductions from inside backward instead of "

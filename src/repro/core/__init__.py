@@ -15,8 +15,8 @@ This package is the reproduction of the paper's primary contribution:
 The checksum/EEC-ABFT stack (``checksums``, ``eec_abft``, ``correction``,
 ``engine``) is **array-backend generic**: every kernel dispatches through
 :mod:`repro.backend`, so the same code protects NumPy, CuPy or Torch arrays
-natively, and ``ATTNCheckerConfig.array_backend`` selects (or pins) the
-library per checker.
+natively: a checker runs on the library that owns the model's arrays
+(``build_model(..., array_backend=...)``).
 ``hooks``
     The attention instrumentation protocol (:class:`AttentionHooks`,
     :class:`GemmContext`, :class:`SectionContext`, the section-boundary op

@@ -60,12 +60,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Deque, Dict, List, Optional
 
-from repro.backend import (
-    ArrayBackend,
-    BackendUnavailable,
-    get_backend,
-    namespace_of,
-)
+from repro.backend import namespace_of
 from repro.core.checksums import (
     ChecksumState,
     adjust_column_checksums_for_bias,
@@ -94,7 +89,7 @@ from repro.core.hooks import (
 )
 from repro.core.sections import PROTECTION_SECTIONS, PROTECT_SCOPES, sections_for_scope
 from repro.core.thresholds import ABFTThresholds
-from repro.utils.timing import TimingRegistry, XFER_PREFIX
+from repro.utils.timing import TimingRegistry
 
 __all__ = [
     "CHECKER_BACKENDS",
@@ -149,19 +144,10 @@ class ATTNCheckerConfig:
         ``"fused"`` — the section-level checksum-passing
         :class:`~repro.core.engine.ProtectionEngine` (default);
         ``"per_gemm"`` — the reference hook-per-GEMM implementation.
-    array_backend:
-        Which array library the checksum chain runs on — a name from
-        :data:`repro.backend.KNOWN_ARRAY_BACKENDS` or ``"auto"`` (default).
-        Orthogonal to both ``backend`` and the verification mode.  ``"auto"``
-        *follows* the arrays each protection section produces (a NumPy model
-        is checked with NumPy, a Torch tensor with Torch — never a host
-        round-trip).  Naming a backend *pins* the fused engine to it: foreign
-        section outputs are adopted and repaired values written back, with
-        the copies timed under the ``xfer/h2d`` / ``xfer/d2h`` keys so
-        transfer overhead reports separately from checksum math.  Unknown
-        names raise :class:`ValueError` listing the known backends; known
-        names whose library is missing raise
-        :class:`repro.backend.BackendUnavailable` listing what is installed.
+        Either one runs its checksum chain on the array library that owns
+        each protection section's arrays (a NumPy model is checked with
+        NumPy, a Torch tensor with Torch — never a host round-trip), so the
+        model's backend (``build_model(..., array_backend=...)``) decides it.
     async_verification:
         Fused backend only: snapshot each step's queued boundary
         verifications at :meth:`ATTNChecker.end_step` and verify them on a
@@ -181,7 +167,6 @@ class ATTNCheckerConfig:
     frequencies: Dict[str, float] = field(default_factory=lambda: {"AS": 1.0, "CL": 1.0, "O": 1.0})
     protect_scope: str = "attention"
     backend: str = "fused"
-    array_backend: str = "auto"
     async_verification: bool = False
     max_pending_steps: int = 2
 
@@ -206,10 +191,6 @@ class ATTNCheckerConfig:
             raise ValueError(
                 f"unknown backend {self.backend!r}; expected one of {CHECKER_BACKENDS}"
             )
-        if self.array_backend != "auto":
-            # Fail fast with the registry's helpful unknown-vs-uninstalled
-            # message instead of at the first protected forward pass.
-            get_backend(self.array_backend)
         if self.async_verification and self.backend != "fused":
             raise ValueError(
                 "async_verification requires the 'fused' backend; the per-GEMM "
@@ -316,9 +297,8 @@ class _PerGemmReferenceBackend:
     checksum algebra is operation-for-operation identical to the fused
     :class:`~repro.core.engine.ProtectionEngine`, which makes the two backends
     byte-comparable — this class is the oracle the engine is validated
-    against.  Like the engine it is array-library generic, but it always
-    *follows* the GEMM operands' owning backend (there is no engine here to
-    pin); a configured ``array_backend`` only affects the fused engine.
+    against.  Like the engine it is array-library generic and follows the
+    GEMM operands' owning backend.
 
     It runs the historical one-GEMM-per-update schedule — no sibling fusion,
     no weight-encoding cache, no workspace — so its counters are the measured
@@ -761,18 +741,12 @@ class ATTNChecker(AttentionHooks):
         #: fault attribution from here after each prefill/decode step).
         self.recent_outcomes: Deque[SectionOutcome] = deque(maxlen=1024)
         self._freq_accumulators: Dict[str, float] = {name: 0.0 for name in active}
-        #: Resolved array-backend pin; ``None`` = follow the section's arrays.
-        self.array_backend: Optional[ArrayBackend] = (
-            None if self.config.array_backend == "auto"
-            else get_backend(self.config.array_backend)
-        )
         if self.config.backend == "fused":
             self.engine: Optional[ProtectionEngine] = ProtectionEngine(
                 thresholds=self.config.thresholds,
                 timers=self.timers,
                 asynchronous=self.config.async_verification,
                 max_pending_steps=self.config.max_pending_steps,
-                array_backend=self.array_backend,
             )
             self._reference: Optional[_PerGemmReferenceBackend] = None
         else:
@@ -784,17 +758,6 @@ class ATTNChecker(AttentionHooks):
     @property
     def backend(self) -> str:
         return self.config.backend
-
-    @property
-    def array_backend_name(self) -> str:
-        """Configured array backend (``"auto"`` = follow the section arrays)."""
-        return self.config.array_backend
-
-    def transfer_seconds(self) -> float:
-        """Wall-clock spent copying arrays between the model's array library
-        and a pinned engine backend (the ``xfer/*`` keys).  Exactly zero on
-        the pure-NumPy path and whenever the engine follows its inputs."""
-        return self.timers.total(prefix=XFER_PREFIX)
 
     @property
     def dispatch_counts(self) -> Dict[str, int]:
@@ -1084,8 +1047,7 @@ class ATTNChecker(AttentionHooks):
         """Human-readable multi-line statistics summary."""
         lines = [
             f"ATTNChecker statistics (backend={self.config.backend}, "
-            f"mode={self.verification_mode}, "
-            f"array_backend={self.config.array_backend}):"
+            f"mode={self.verification_mode}):"
         ]
         for name, stats in self.stats.sections.items():
             lines.append(
@@ -1096,7 +1058,6 @@ class ATTNChecker(AttentionHooks):
             )
         lines.append(
             f"  total ABFT time: {self.overhead_seconds() * 1e3:.3f} ms "
-            f"(critical path: {self.critical_path_seconds() * 1e3:.3f} ms, "
-            f"transfers: {self.transfer_seconds() * 1e3:.3f} ms)"
+            f"(critical path: {self.critical_path_seconds() * 1e3:.3f} ms)"
         )
         return "\n".join(lines)

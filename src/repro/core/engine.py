@@ -30,20 +30,10 @@ Array backends
 --------------
 The checksum chain is array-library generic.  Each
 :class:`~repro.nn.attention.SectionContext` carries the backend that owns its
-arrays, and by default the engine simply *follows* it: encode, carry, verify
-and repair run natively in that library (NumPy, CuPy or Torch), so a
+arrays, and the engine always *follows* it: encode, carry, verify and
+repair run natively in that library (NumPy, CuPy or Torch), so a
 device-resident boundary matrix is never round-tripped through host memory on
 the critical path.
-
-Passing ``array_backend`` *pins* the engine to one registered backend
-instead.  Section outputs that already belong to the pinned backend still run
-natively; foreign outputs (say, a NumPy model driving a Torch-pinned engine)
-are adopted into the pinned backend before the chain runs and repaired values
-are written back afterwards.  Those copies are real transfer overhead and are
-timed under the dedicated keys :data:`repro.utils.timing.XFER_H2D` /
-:data:`~repro.utils.timing.XFER_D2H`, so the Figure-7 overhead split can
-report copy cost separately from checksum math.  On the pure-NumPy path both
-keys stay exactly zero.
 
 Verification modes
 ------------------
@@ -163,7 +153,7 @@ from repro.core.sections import SECTION_REGISTRY
 from repro.core.thresholds import ABFTThresholds
 from repro.core.hooks import SectionContext
 from repro.core.workspace import ChecksumWorkspace, matmul_into, stack_into
-from repro.utils.timing import TimingRegistry, XFER_D2H, XFER_H2D
+from repro.utils.timing import TimingRegistry
 from repro.utils.versioning import weights_version
 
 __all__ = [
@@ -353,8 +343,7 @@ class ProtectionEngine:
         Shared :class:`TimingRegistry`; phase labels match the historical
         per-GEMM backend (``"AS/encode"``, ``"CL/detect"``, ...) so overhead
         reporting is backend-agnostic.  The async worker records under the
-        same labels prefixed ``"async/"``; adoption / write-back copies of a
-        pinned engine record under ``"xfer/h2d"`` / ``"xfer/d2h"``.
+        same labels prefixed ``"async/"``.
     asynchronous:
         Select the ``async`` verification mode (see module docstring);
         ``False`` is immediate mode.
@@ -362,11 +351,6 @@ class ProtectionEngine:
         Async only: bound on in-flight submitted step batches.
         :meth:`submit_step` blocks once the bound is reached, which both
         prevents unbounded queue growth and enforces the staleness window.
-    array_backend:
-        ``None`` (default) follows the backend that owns each section's
-        arrays.  An :class:`~repro.backend.ArrayBackend` instance pins the
-        checksum chain to that library: foreign section outputs are adopted
-        (``xfer/h2d``) and repaired values written back (``xfer/d2h``).
     """
 
     def __init__(
@@ -375,7 +359,6 @@ class ProtectionEngine:
         timers: Optional[TimingRegistry] = None,
         asynchronous: bool = False,
         max_pending_steps: int = 2,
-        array_backend: Optional[ArrayBackend] = None,
     ) -> None:
         if max_pending_steps < 1:
             raise ValueError(f"max_pending_steps must be >= 1, got {max_pending_steps}")
@@ -383,7 +366,6 @@ class ProtectionEngine:
         self.timers = timers if timers is not None else TimingRegistry()
         self.asynchronous = asynchronous
         self.max_pending_steps = max_pending_steps
-        self.array_backend = array_backend
         #: Weight-derived encoding cache.
         self.weight_cache = WeightEncodingCache()
         #: Critical-path intermediate arena.
@@ -472,7 +454,7 @@ class ProtectionEngine:
         with self._cv:
             return self._inflight
 
-    # -- backend adoption -------------------------------------------------------
+    # -- timing -----------------------------------------------------------------
 
     @contextmanager
     def _timed(self, key: str, backend: ArrayBackend) -> Iterator[None]:
@@ -517,12 +499,7 @@ class ProtectionEngine:
 
     @staticmethod
     def _section_active(ctx: SectionContext, state: _LayerState) -> bool:
-        """Whether this boundary has any checksum work this pass.
-
-        Checked *before* operand adoption so a pinned-foreign engine never
-        pays ``xfer/h2d`` copies for a section that frequency gating (or a
-        missing upstream checksum) is about to skip.
-        """
+        """Whether this boundary has any checksum work this pass."""
         if ctx.section == "AS":
             return state.enabled.get("AS", False)
         if ctx.section == "CL":
@@ -541,61 +518,6 @@ class ProtectionEngine:
             return state.enabled.get(ctx.section, False)
         raise KeyError(f"unknown protection section {ctx.section!r}")
 
-    def _adopt_section(
-        self, ctx: SectionContext, out: Any
-    ) -> Tuple[ArrayBackend, Dict[str, Optional[Any]], Any, bool]:
-        """Resolve the backend the checksum chain runs on for this section.
-
-        Native case (no pin, or ``out`` already belongs to the pinned
-        backend): zero copies, zero transfer time.  Pinned-foreign case:
-        adopt the boundary output and every section operand into the pinned
-        backend, timing the copies under ``xfer/h2d``.  For host-resident
-        backends whose adoption can alias host memory (Torch on CPU) the
-        "copy" is free and in-place repairs flow straight back.
-        """
-        owner = ctx.backend if ctx.backend is not None else backend_of(out)
-        pinned = self.array_backend
-        if pinned is None or pinned.is_backend_array(out):
-            return (pinned or owner), ctx.operands, out, False
-        with self._timed(XFER_H2D, pinned):
-            ops = {
-                # The KV cache is a plain Python object riding along in the
-                # operand dict, not an array — never adopt it.
-                key: value if key == "kv_cache" or value is None
-                else pinned.asarray(value)
-                for key, value in ctx.operands.items()
-            }
-            work = pinned.asarray(out)
-        return pinned, ops, work, True
-
-    def _write_back_section(
-        self,
-        ctx: SectionContext,
-        out: Any,
-        ops: Dict[str, Optional[Any]],
-        work: Any,
-        outcome: Optional[SectionOutcome],
-    ) -> None:
-        """Export a pinned engine's repairs back into the producing arrays.
-
-        Only runs on the adopted (pinned-foreign) path, and only when a
-        repair actually mutated data — detection-only verifications leave the
-        producing arrays untouched and cost no ``xfer/d2h`` time.
-        """
-        if outcome is None or outcome.report is None:
-            return
-        pinned = self.array_backend
-        if outcome.report.corrected > 0:
-            with self._timed(XFER_D2H, pinned):
-                out[...] = pinned.to_numpy(work)
-        if outcome.operand_repairs > 0:
-            with self._timed(XFER_D2H, pinned):
-                for key in ("q", "k_t", "v"):
-                    host = ctx.operands.get(key)
-                    adopted = ops.get(key)
-                    if host is not None and adopted is not None:
-                        host[...] = pinned.to_numpy(adopted)
-
     # -- section dispatch -------------------------------------------------------
 
     def protect_section(self, ctx: SectionContext, out: Any) -> Optional[SectionOutcome]:
@@ -609,45 +531,27 @@ class ProtectionEngine:
             return None
         if not self._section_active(ctx, state):
             return None
+        backend = ctx.backend if ctx.backend is not None else backend_of(out)
         if ctx.phase == "decode":
-            # Decode always runs natively: the incremental checksum state
-            # lives beside the KV cache on the model's own backend, so a
-            # pinned-foreign adoption round-trip would desynchronise it.
-            if self.array_backend is not None and not self.array_backend.is_backend_array(out):
-                raise RuntimeError(
-                    "decode protection does not support a pinned-foreign engine; "
-                    "run the engine on the model's array backend"
-                )
-            backend = ctx.backend if ctx.backend is not None else backend_of(out)
             if ctx.section == "AS":
-                return self._protect_as_decode(ctx, state, ctx.operands, out, backend)
+                return self._protect_as_decode(ctx, state, out, backend)
             if ctx.section == "CL":
-                return self._protect_cl_decode(ctx, state, ctx.operands, out, backend)
+                return self._protect_cl_decode(ctx, state, out, backend)
             if ctx.section == "O":
-                return self._protect_o_decode(ctx, state, ctx.operands, out, backend)
-            if ctx.section == "FF1":
-                # The FFN has no cross-token state, so a decode step is the
-                # training algebra at sequence length 1 — O(1) per token.
-                return self._protect_ff1(ctx, state, ctx.operands, out, backend)
-            if ctx.section == "FF2":
-                return self._protect_ff2(ctx, state, ctx.operands, out, backend)
-            raise KeyError(f"unknown protection section {ctx.section!r}")
-        backend, ops, work, adopted = self._adopt_section(ctx, out)
+                return self._protect_o_decode(ctx, state, out, backend)
+            # The FFN has no cross-token state, so a decode step is the
+            # training algebra at sequence length 1 — O(1) per token.
         if ctx.section == "AS":
-            outcome = self._protect_as(ctx, state, ops, work, backend)
-        elif ctx.section == "CL":
-            outcome = self._protect_cl(ctx, state, ops, work, backend)
-        elif ctx.section == "O":
-            outcome = self._protect_o(ctx, state, ops, work, backend)
-        elif ctx.section == "FF1":
-            outcome = self._protect_ff1(ctx, state, ops, work, backend)
-        elif ctx.section == "FF2":
-            outcome = self._protect_ff2(ctx, state, ops, work, backend)
-        else:
-            raise KeyError(f"unknown protection section {ctx.section!r}")
-        if adopted:
-            self._write_back_section(ctx, out, ops, work, outcome)
-        return outcome
+            return self._protect_as(ctx, state, out, backend)
+        if ctx.section == "CL":
+            return self._protect_cl(ctx, state, out, backend)
+        if ctx.section == "O":
+            return self._protect_o(ctx, state, out, backend)
+        if ctx.section == "FF1":
+            return self._protect_ff1(ctx, state, out, backend)
+        if ctx.section == "FF2":
+            return self._protect_ff2(ctx, state, out, backend)
+        raise KeyError(f"unknown protection section {ctx.section!r}")
 
     def _verify(
         self,
@@ -684,12 +588,12 @@ class ProtectionEngine:
         self,
         ctx: SectionContext,
         state: _LayerState,
-        ops: Dict[str, Optional[Any]],
         out: Any,
         backend: ArrayBackend,
     ) -> Optional[SectionOutcome]:
         # Gating already happened in protect_section via _section_active.
         xp = backend.namespace_for(out)
+        ops = ctx.operands
         x, w_q, w_k = ops["x"], ops["w_q"], ops["w_k"]
         bias_q, bias_k = ops.get("bias_q"), ops.get("bias_k")
         num_rows = x.shape[-2]
@@ -718,15 +622,9 @@ class ProtectionEngine:
             # are recovered as axis-split views (no copy).  MultiHeadAttention
             # builds all four projections with one ``bias`` flag, so the Q and
             # K biases are present together or not at all.
-            #
-            # Cache identity keys on the *pre-adoption* producer arrays
-            # (ctx.operands): a pinned-foreign engine adopts fresh copies
-            # every visit, which would defeat an identity check on the
-            # adopted operands — the host-side originals are the stable
-            # handle.  On the native path ops IS ctx.operands.
             w_qk = self.weight_cache.lookup(
                 ("AS/w_qk", ctx.layer_index),
-                (ctx.operands["w_q"], ctx.operands["w_k"]),
+                (w_q, w_k),
                 lambda: xp.concatenate([w_q, w_k], axis=-1),
             )
             d_q = w_q.shape[-1]
@@ -742,7 +640,7 @@ class ProtectionEngine:
                 # the per-side copy-then-add.
                 b_qk = self.weight_cache.lookup(
                     ("AS/bias_qk", ctx.layer_index),
-                    (ctx.operands["bias_q"], ctx.operands["bias_k"]),
+                    (bias_q, bias_k),
                     lambda: xp.concatenate([
                         xp.astype(xp.asarray(bias_q), xp.float64, copy=False),
                         xp.astype(xp.asarray(bias_k), xp.float64, copy=False),
@@ -811,11 +709,11 @@ class ProtectionEngine:
         self,
         ctx: SectionContext,
         state: _LayerState,
-        ops: Dict[str, Optional[Any]],
         out: Any,
         backend: ArrayBackend,
     ) -> Optional[SectionOutcome]:
         xp = backend.namespace_for(out)
+        ops = ctx.operands
         cache = self._decode_cache(ops, "AS")
         x = ops["x"]                      # (B, 1, D) — the new input row
         total_len = cache.length          # post-append cache length T
@@ -845,7 +743,7 @@ class ProtectionEngine:
             if bias_k is not None:
                 b_k = self.weight_cache.lookup(
                     ("AS/decode_bias_k", ctx.layer_index),
-                    (ctx.operands["bias_k"],),
+                    (bias_k,),
                     lambda: xp.astype(xp.asarray(bias_k), xp.float64, copy=False),
                 )
                 # Fresh float64 GEMM output: in-place adds are value-identical
@@ -868,11 +766,11 @@ class ProtectionEngine:
         self,
         ctx: SectionContext,
         state: _LayerState,
-        ops: Dict[str, Optional[Any]],
         out: Any,
         backend: ArrayBackend,
     ) -> Optional[SectionOutcome]:
         xp = backend.namespace_for(out)
+        ops = ctx.operands
         cache = self._decode_cache(ops, "CL")
         x = ops["x"]
         ap = ops["ap"]                    # (B, H, 1, T)
@@ -892,7 +790,7 @@ class ProtectionEngine:
                 return encode_per_head_row_checksums_of_weight(ops["w_v"], ctx.num_heads)
 
             rowcs_wv = self.weight_cache.lookup(
-                ("CL/rowcs_wv", ctx.layer_index), (ctx.operands["w_v"],), build_rowcs
+                ("CL/rowcs_wv", ctx.layer_index), (ops["w_v"],), build_rowcs
             )
         with self._timed("CL/update", backend):
             self.dispatch_counts["gemm"] += 1
@@ -913,7 +811,7 @@ class ProtectionEngine:
 
                 term0, term1 = self.weight_cache.lookup(
                     ("CL/bias_v", ctx.layer_index),
-                    (ctx.operands["bias_v"],), build_bias_terms,
+                    (ops["bias_v"],), build_bias_terms,
                 )
                 cs_v_new[..., 0] += term0
                 cs_v_new[..., 1] += term1
@@ -938,11 +836,11 @@ class ProtectionEngine:
         self,
         ctx: SectionContext,
         state: _LayerState,
-        ops: Dict[str, Optional[Any]],
         out: Any,
         backend: ArrayBackend,
     ) -> Optional[SectionOutcome]:
         xp = backend.namespace_for(out)
+        ops = ctx.operands
         outcome = self._outcome(ctx)
         with self._timed("O/update", backend):
             def build_rowcs_wo() -> Any:
@@ -950,7 +848,7 @@ class ProtectionEngine:
                 return encode_row_checksums(ops["w_o"])                # (D, 2)
 
             rowcs_wo = self.weight_cache.lookup(
-                ("O/rowcs_wo", ctx.layer_index), (ctx.operands["w_o"],), build_rowcs_wo
+                ("O/rowcs_wo", ctx.layer_index), (ops["w_o"],), build_rowcs_wo
             )
             self.dispatch_counts["gemm"] += 1
             cs_o_row = matmul_into(                                    # (B, 1, 2)
@@ -968,7 +866,6 @@ class ProtectionEngine:
         self,
         ctx: SectionContext,
         state: _LayerState,
-        ops: Dict[str, Optional[Any]],
         out: Any,
         backend: ArrayBackend,
     ) -> Optional[SectionOutcome]:
@@ -976,6 +873,7 @@ class ProtectionEngine:
         # only O is, this boundary is visited solely to derive cs_cl_col.
         cl_enabled = state.enabled.get("CL", False)
         xp = backend.namespace_for(out)
+        ops = ctx.operands
         outcome = self._outcome(ctx)
 
         cs_v_row = None
@@ -988,9 +886,8 @@ class ProtectionEngine:
                     self.dispatch_counts["gemm"] += 1
                     return encode_per_head_row_checksums_of_weight(ops["w_v"], ctx.num_heads)
 
-                # Identity keys on the pre-adoption array (see _protect_as).
                 rowcs_wv = self.weight_cache.lookup(
-                    ("CL/rowcs_wv", ctx.layer_index), (ctx.operands["w_v"],), build_rowcs
+                    ("CL/rowcs_wv", ctx.layer_index), (ops["w_v"],), build_rowcs
                 )
             with self._timed("CL/update", backend):
                 self.dispatch_counts["gemm"] += 1
@@ -1017,7 +914,7 @@ class ProtectionEngine:
 
                     term0, term1 = self.weight_cache.lookup(
                         ("CL/bias_v", ctx.layer_index),
-                        (ctx.operands["bias_v"],), build_bias_terms,
+                        (ops["bias_v"],), build_bias_terms,
                     )
                     # The bias shift lands straight in the freshly computed
                     # einsum output — no defensive copy-then-mutate (the
@@ -1077,13 +974,13 @@ class ProtectionEngine:
         self,
         ctx: SectionContext,
         state: _LayerState,
-        ops: Dict[str, Optional[Any]],
         out: Any,
         backend: ArrayBackend,
     ) -> Optional[SectionOutcome]:
         # Gating (O enabled and a CL checksum to carry) happened in
         # protect_section via _section_active.
         xp = backend.namespace_for(out)
+        ops = ctx.operands
         outcome = self._outcome(ctx)
         with self._timed("O/update", backend):
             # Merge through a reusable buffer of the moved layout
@@ -1131,11 +1028,11 @@ class ProtectionEngine:
         self,
         ctx: SectionContext,
         state: _LayerState,
-        ops: Dict[str, Optional[Any]],
         out: Any,
         backend: ArrayBackend,
     ) -> Optional[SectionOutcome]:
         xp = backend.namespace_for(out)
+        ops = ctx.operands
         x, w_up = ops["x"], ops["w_up"]
         lead = tuple(x.shape[:-2])
         outcome = self._outcome(ctx)
@@ -1157,11 +1054,11 @@ class ProtectionEngine:
         self,
         ctx: SectionContext,
         state: _LayerState,
-        ops: Dict[str, Optional[Any]],
         out: Any,
         backend: ArrayBackend,
     ) -> Optional[SectionOutcome]:
         xp = backend.namespace_for(out)
+        ops = ctx.operands
         h = ops["h"]
         outcome = self._outcome(ctx)
         with self._timed("FF2/encode", backend):
@@ -1169,10 +1066,9 @@ class ProtectionEngine:
                 self.dispatch_counts["gemm"] += 1
                 return encode_row_checksums(ops["w_down"])               # (D_ff, 2)
 
-            # Identity keys on the pre-adoption array (see _protect_as).
             rowcs_wd = self.weight_cache.lookup(
                 ("FF2/rowcs_w_down", ctx.layer_index),
-                (ctx.operands["w_down"],), build_rowcs,
+                (ops["w_down"],), build_rowcs,
             )
         with self._timed("FF2/update", backend):
             self.dispatch_counts["gemm"] += 1

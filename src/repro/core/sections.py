@@ -42,9 +42,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
-from repro.backend import known_array_backends
-from repro.utils.timing import XFER_D2H, XFER_H2D
-
 if TYPE_CHECKING:  # annotation-only: core must not import the model layer
     from repro.models.config import ModelConfig
 
@@ -56,12 +53,7 @@ __all__ = [
     "sections_for_scope",
     "SectionCostModel",
     "SectionCosts",
-    "HOST_ARRAY_BACKENDS",
 ]
-
-#: Array backends that share the host address space with the (NumPy) training
-#: loop — a checker pinned to one of these never pays PCIe transfer bytes.
-HOST_ARRAY_BACKENDS: Tuple[str, ...] = ("numpy",)
 
 
 @dataclass(frozen=True)
@@ -206,15 +198,6 @@ class SectionCostModel:
     element_size:
         Bytes per element (4 for the paper's fp32 training, 8 for the NumPy
         reproduction).
-    array_backend:
-        Which registered array backend the modelled checker runs on — a name
-        from :data:`repro.backend.KNOWN_ARRAY_BACKENDS` or ``"auto"``
-        (modelled as the host default, NumPy).  This is an *analytical*
-        parameter: the library need not be installed.  It drives the
-        :meth:`transfer_bytes` accounting — host backends move zero transfer
-        bytes against the host-resident training loop, device backends pay
-        the adoption / write-back traffic the ``xfer/h2d`` / ``xfer/d2h``
-        timer keys measure on real runs.
     """
 
     def __init__(
@@ -223,19 +206,11 @@ class SectionCostModel:
         batch_size: int,
         seq_len: Optional[int] = None,
         element_size: int = 4,
-        array_backend: str = "numpy",
     ) -> None:
-        if array_backend != "auto" and array_backend not in known_array_backends():
-            # Same contract as the registry: unknown names are ValueError.
-            raise ValueError(
-                f"unknown array backend {array_backend!r}; expected 'auto' or "
-                f"one of {known_array_backends()}"
-            )
         self.config = config
         self.batch_size = batch_size
         self.seq_len = seq_len if seq_len is not None else config.max_seq_len
         self.element_size = element_size
-        self.array_backend = "numpy" if array_backend == "auto" else array_backend
 
     # -- per-section ABFT costs ---------------------------------------------------
 
@@ -318,68 +293,6 @@ class SectionCostModel:
             encode_bytes=float(encode_bytes),
             detect_bytes=float(detect_bytes),
         )
-
-    # -- host <-> device transfer accounting ---------------------------------------
-
-    @property
-    def device_resident(self) -> bool:
-        """Whether the modelled checker backend lives across a PCIe boundary
-        from the host-resident training loop."""
-        return self.array_backend not in HOST_ARRAY_BACKENDS
-
-    def section_transfer_bytes(self, name: str) -> Dict[str, float]:
-        """Bytes one layer's section moves across the host/device boundary.
-
-        Models the *pinned-foreign* engine configuration (host-resident model
-        arrays, device-pinned checker): ``xfer/h2d`` is the adoption of every
-        section operand plus the boundary matrix, ``xfer/d2h`` the worst-case
-        write-back of a repaired boundary.  Host backends (NumPy — and the
-        fused engine's default *follow-the-arrays* mode on any backend) move
-        nothing: the keys are exactly zero, which the Figure-8 benchmark
-        asserts for the pure-NumPy path.
-        """
-        if not self.device_resident:
-            return {XFER_H2D: 0.0, XFER_D2H: 0.0}
-        b = self.batch_size
-        s = self.seq_len
-        d = self.config.hidden_size
-        h = self.config.num_heads
-        dh = self.config.head_dim
-        es = self.element_size
-        if name == "AS":
-            # Operands: X (B,S,D), W_Q/W_K (D,D), Q/K^T (B,H,S,dh); boundary AS.
-            h2d = b * s * d + 2 * d * d + 2 * b * h * s * dh + b * h * s * s
-            d2h = b * h * s * s
-        elif name == "CL":
-            # Operands: X, W_V, AP (B,H,S,S), V (B,H,S,dh); boundary CL.
-            h2d = b * s * d + d * d + b * h * s * s + b * h * s * dh + b * h * s * dh
-            d2h = b * h * s * dh
-        elif name == "O":
-            # Operands: CL merged (B,S,D), W_O (D,D); boundary O.
-            h2d = b * s * d + d * d + b * s * d
-            d2h = b * s * d
-        elif name == "FF1":
-            d_ff = self.config.intermediate_size
-            # Operands: X (B,S,D), W_up (D,D_ff); boundary H (B,S,D_ff).
-            h2d = b * s * d + d * d_ff + b * s * d_ff
-            d2h = b * s * d_ff
-        elif name == "FF2":
-            d_ff = self.config.intermediate_size
-            # Operands: H' (B,S,D_ff), W_down (D_ff,D); boundary FO (B,S,D).
-            h2d = b * s * d_ff + d_ff * d + b * s * d
-            d2h = b * s * d
-        else:
-            raise KeyError(f"unknown protection section {name!r}")
-        return {XFER_H2D: float(h2d * es), XFER_D2H: float(d2h * es)}
-
-    def transfer_bytes_per_layer(self, scope: str = "attention") -> Dict[str, float]:
-        """Aggregate :meth:`section_transfer_bytes` over the scope's sections,
-        keyed by the runtime timer names (``xfer/h2d`` / ``xfer/d2h``)."""
-        totals = {XFER_H2D: 0.0, XFER_D2H: 0.0}
-        for name in sections_for_scope(scope):
-            for key, value in self.section_transfer_bytes(name).items():
-                totals[key] += value
-        return totals
 
     # -- protected-operation FLOPs (needed by the Poisson reliability model) -------
 

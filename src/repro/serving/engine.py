@@ -100,7 +100,9 @@ class ServingReport:
     protection: bool
     results: List[RequestResult]
     wall_seconds: float
+    #: Engine timer seconds spent during this run, per key.
     timer_seconds: Dict[str, float]
+    #: Checker checks / detections / corrections during this run.
     checker_stats: Dict[str, int]
     #: Decode-loop iterations across all batches of the run.
     decode_steps: int = 0
@@ -228,33 +230,51 @@ class ServingEngine:
     # -- public API -----------------------------------------------------------------
 
     def run(self, requests: List[ServingRequest]) -> ServingReport:
-        """Serve ``requests`` to completion and return the aggregate report."""
+        """Serve ``requests`` to completion and return the aggregate report.
+
+        Every figure on the report covers this call only.  ``self.timers``
+        and the checker's statistics keep accumulating across calls, so the
+        report carries their differences over the run.
+        """
         start = time.perf_counter()
         results: List[RequestResult] = []
         self.decode_steps = 0
         self.decode_slot_steps = 0
+        timers_before = self.timers.as_dict()
+        checker_before = self._checker_totals()
         batch_size = self.config.max_batch_size
         for batch_start in range(0, len(requests), batch_size):
             batch = requests[batch_start : batch_start + batch_size]
             results.extend(self._run_batch(batch_start // batch_size, batch))
         wall = time.perf_counter() - start
-        checker_stats: Dict[str, int] = {}
-        if self.checker is not None:
-            stats = self.checker.stats
-            checker_stats = {
-                "checks": stats.total_checks,
-                "detections": stats.total_detections,
-                "corrections": stats.total_corrections,
-            }
+        checker_stats = {
+            key: value - checker_before[key]
+            for key, value in self._checker_totals().items()
+        }
+        timer_seconds = {
+            key: value - timers_before.get(key, 0.0)
+            for key, value in self.timers.as_dict().items()
+        }
         return ServingReport(
             protection=self.checker is not None,
             results=results,
             wall_seconds=wall,
-            timer_seconds=self.timers.as_dict(),
+            timer_seconds=timer_seconds,
             checker_stats=checker_stats,
             decode_steps=self.decode_steps,
             decode_slot_steps=self.decode_slot_steps,
         )
+
+    def _checker_totals(self) -> Dict[str, int]:
+        """The attached checker's lifetime counters (empty when unprotected)."""
+        if self.checker is None:
+            return {}
+        stats = self.checker.stats
+        return {
+            "checks": stats.total_checks,
+            "detections": stats.total_detections,
+            "corrections": stats.total_corrections,
+        }
 
     # -- batch execution ------------------------------------------------------------
 

@@ -14,8 +14,7 @@ never leaves the device.  On-disk checkpoints must serialise host NumPy: the
 manager exports every foreign array through its owning backend before
 ``np.savez`` and lets ``load_state_dict`` adopt host arrays back on restore,
 with both crossings timed under the ``xfer/d2h`` / ``xfer/h2d`` keys of the
-optional :class:`~repro.utils.timing.TimingRegistry` — checkpoint transfer
-cost reports on the same axis as the checker's pinned-engine copies.
+optional :class:`~repro.utils.timing.TimingRegistry`.
 """
 
 from __future__ import annotations

@@ -4,24 +4,23 @@
 virtual ranks, every rank owning its own device-resident model replica,
 optimizer and (optionally) per-shard :class:`~repro.core.ATTNChecker` whose
 async verification drains independently of its peers.  Gradient
-synchronisation goes through the :mod:`repro.comm` collective seam; with
-``protect_collective=True`` (default) the all-reduce itself is ABFT-covered:
-each rank attaches float64 gradient checksums, and the linearity identity
-``checksum(sum of gradients) == sum of checksums`` is verified on the reduced
-result (:class:`repro.comm.ProtectedCollective`).
+synchronisation goes through the :mod:`repro.comm` collective seam, and the
+all-reduce itself is ABFT-covered: each rank attaches float64 gradient
+checksums, and the linearity identity ``checksum(sum of gradients) == sum of
+checksums`` is verified on the reduced result
+(:class:`repro.comm.ProtectedCollective`).
 
 **Determinism / byte-equivalence.**  The shard count is decoupled from the
 worker count: ``shards`` fixes the numerical decomposition (R replicas, R
 per-shard gradients, one rank-ordered reduction) while ``workers`` only
-decides how many OS threads drive those ranks.  Because the reduction is a
-deterministic left fold in rank order and every per-rank computation sees
-identical inputs regardless of which thread runs it, training with any
-worker count produces **byte-identical weights** at a fixed shard count —
-the property the N-worker vs 1-worker equivalence test pins.  Thread workers
-overlap where the backend releases the GIL (BLAS GEMMs on the NumPy
-substrate, device kernels elsewhere); a process-based executor
-(``executor="process"``) is available for GIL-free scaling, at the cost of
-pickling gradients across the pipe.
+decides where those ranks run: ``workers=1`` drives every rank on the
+calling thread, more workers drive them from a pool of that many OS threads.
+Because the reduction is a deterministic left fold in rank order and every
+per-rank computation sees identical inputs regardless of which thread runs
+it, training with any worker count produces **byte-identical weights** at a
+fixed shard count — the property the N-worker vs 1-worker equivalence test
+pins.  Thread workers overlap where the backend releases the GIL (BLAS GEMMs
+on the NumPy substrate, device kernels elsewhere).
 
 **Dirty reductions and the stale policy.**  A checksum mismatch at the
 reduction extends the existing ``stale_policy`` machinery to rank level:
@@ -54,11 +53,10 @@ moment its last gradient lands during backward — the collective folds it
 eagerly while backprop continues on earlier layers.  ``False`` launches every
 bucket after ``forward_backward`` returns.  A checker under
 ``stale_policy="reexecute"`` also launches after backward, so a re-executed
-shard never double-contributes; the process executor always does, because
-its gradients cross the pipe once backward is over.  Post-backward launches
-go in ascending bucket order.  Because the per-bucket fold is the same
-rank-ordered elementwise left fold over a pure concatenation, every launch
-timing, bucket cap, worker count and executor is **byte-identical**.
+shard never double-contributes.  Post-backward launches go in ascending
+bucket order.  Because the per-bucket fold is the same rank-ordered
+elementwise left fold over a pure concatenation, every launch timing, bucket
+cap and worker count is **byte-identical**.
 
 Timer keys: ``parallel/step`` (coordinator wall clock), ``comm/allreduce``
 (rendezvous + reduction) and ``comm/verify`` (checksum encode / recompute /
@@ -74,7 +72,6 @@ from __future__ import annotations
 
 import copy
 import math
-import multiprocessing
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -86,7 +83,6 @@ from repro.backend import namespace_of
 from repro.comm import (
     BucketAccounting,
     BucketReadiness,
-    Collective,
     CollectiveError,
     DirtyReductionError,
     GradientBucketer,
@@ -117,20 +113,17 @@ __all__ = [
 
 logger = get_logger("training.parallel")
 
-#: Supported executors: ``serial`` drives every rank on the calling thread
-#: (the 1-worker reference), ``thread`` uses a pool of ``workers`` OS threads
-#: over the GIL-releasing backend seam, ``process`` forks out to spawned
-#: worker processes (NumPy substrate only; gradients cross the pipe).
-EXECUTORS = ("serial", "thread", "process")
+#: Accepted values of :attr:`DataParallelConfig.executor`.  ``workers`` alone
+#: decides where ranks run; the field stays for callers that still name it.
+EXECUTORS = ("thread",)
 
 
 @dataclass
 class ReplicaSpec:
-    """Picklable recipe for building one model replica.
+    """Recipe for building one model replica.
 
     Every rank builds from the *same* spec (same seed), so replicas start
-    byte-identical on any executor — including spawned worker processes,
-    which cannot receive live model objects.
+    byte-identical.
     """
 
     name: str = "bert-base"
@@ -160,25 +153,20 @@ class DataParallelConfig:
     Attributes
     ----------
     workers:
-        OS threads (or worker processes) driving the ranks.
+        Where the ranks run: ``1`` drives every rank on the calling thread,
+        more than one drives them from a pool of that many OS threads.
     shards:
         Virtual ranks R — the numerical decomposition of the global batch.
         Defaults to ``workers``.  ``workers`` may be smaller than ``shards``
         (each thread then owns a stride of ranks); it must not be larger.
     executor:
-        One of :data:`EXECUTORS`.
+        Must be ``"thread"`` (:data:`EXECUTORS`); ``workers`` chooses threads.
     learning_rate / weight_decay / max_grad_norm:
         Per-replica AdamW and clipping settings (clipping runs on the
         *reduced* gradient, identically on every rank).
     stale_policy / max_retries_per_step:
         Recovery policy for dirty reductions and per-rank stale attention
         verdicts (see the module docstring).
-    protect_collective:
-        Wrap the collective in a :class:`~repro.comm.ProtectedCollective`.
-    sync_weights_on_init:
-        Broadcast rank 0's weights to every replica at construction (a
-        guard against divergent replica initialisation; also what exercises
-        the ``broadcast`` collective).
     protection:
         Optional :class:`~repro.core.ATTNCheckerConfig`; each rank gets its
         own independent checker (and, in async mode, its own verification
@@ -198,8 +186,6 @@ class DataParallelConfig:
     max_grad_norm: float = 1.0
     stale_policy: str = "record"
     max_retries_per_step: int = 2
-    protect_collective: bool = True
-    sync_weights_on_init: bool = True
     protection: Optional[ATTNCheckerConfig] = None
     overlap_grad_reduce: bool = False
     bucket_cap_mb: float = 1.0
@@ -211,7 +197,9 @@ class DataParallelConfig:
             raise ValueError(f"bucket_cap_mb must be > 0, got {self.bucket_cap_mb}")
         if self.executor not in EXECUTORS:
             raise ValueError(
-                f"unknown executor {self.executor!r}; expected one of {EXECUTORS}"
+                f"unknown executor {self.executor!r}; expected one of {EXECUTORS} "
+                "(workers=1 runs every rank on the calling thread, workers > 1 "
+                "on a thread pool)"
             )
         if self.stale_policy not in STALE_POLICIES:
             raise ValueError(
@@ -271,8 +259,6 @@ class ParallelStepResult:
 class _RankRunner:
     """One rank's replica, optimizer, checker and step logic.
 
-    Shared by the thread/serial executors (R runners owned by the trainer)
-    and the process executor (each worker process owns its ranks' runners).
     :meth:`forward_backward` produces the rank's gradients and :meth:`apply`
     adopts the verified reduction.  The optimizer only advances in
     :meth:`apply`, so a re-execution after a stale dirty verdict restarts
@@ -390,16 +376,6 @@ class _RankRunner:
                 continue
             return loss_value, total_stale, reexecutions
 
-    def gradients(self) -> List[Any]:
-        """This rank's gradient list, in parameter order (zeros if skipped)."""
-        grads: List[Any] = []
-        for p in self.params:
-            if p.grad is not None:
-                grads.append(p.grad)
-            else:
-                grads.append(p.xp.zeros_like(p.data))
-        return grads
-
     # -- adopt the reduction ---------------------------------------------------------
 
     def apply(self, reduced: Sequence[Any], mean_loss: float) -> None:
@@ -454,118 +430,6 @@ def _loss_array(xp: Any, loss_value: float) -> Any:
     return out
 
 
-# -- process executor ---------------------------------------------------------------
-
-
-def _process_worker(conn, spec: ReplicaSpec, config: DataParallelConfig,
-                    owned: List[int]) -> None:
-    """Worker-process main loop: forward/backward and apply for its owned ranks."""
-    runners: Dict[int, _RankRunner] = {}
-    for rank in owned:
-        checker = (
-            ATTNChecker(copy.deepcopy(config.protection))
-            if config.protection is not None
-            else None
-        )
-        runners[rank] = _RankRunner(rank, spec.build(), config, checker=checker)
-    try:
-        while True:
-            cmd, payload = conn.recv()
-            try:
-                if cmd == "fwbw":
-                    shards = payload
-                    out = {}
-                    for rank in owned:
-                        loss, stale, reexec = runners[rank].forward_backward(shards[rank])
-                        out[rank] = (loss, stale, reexec, runners[rank].gradients())
-                    conn.send(("ok", out))
-                elif cmd == "apply":
-                    for rank, (reduced, mean_loss) in payload.items():
-                        runners[rank].apply(reduced, mean_loss)
-                    conn.send(("ok", None))
-                elif cmd == "state":
-                    conn.send(("ok", runners[payload].model.state_dict()))
-                elif cmd == "load_state":
-                    for runner in runners.values():
-                        runner.model.load_state_dict(payload)
-                    conn.send(("ok", None))
-                elif cmd == "close":
-                    conn.send(("ok", None))
-                    return
-                else:  # pragma: no cover - protocol guard
-                    conn.send(("error", ("RuntimeError", f"unknown command {cmd!r}")))
-            except BaseException as exc:
-                conn.send(("error", (type(exc).__name__, str(exc))))
-    finally:
-        for runner in runners.values():
-            runner.close()
-
-
-class _ProcessPool:
-    """Spawned worker processes, one per worker, each owning a rank stride."""
-
-    def __init__(self, spec: ReplicaSpec, config: DataParallelConfig,
-                 owned_by_worker: List[List[int]]) -> None:
-        ctx = multiprocessing.get_context("spawn")
-        self.owned_by_worker = owned_by_worker
-        self.conns = []
-        self.procs = []
-        for owned in owned_by_worker:
-            parent_conn, child_conn = ctx.Pipe()
-            proc = ctx.Process(
-                target=_process_worker,
-                args=(child_conn, spec, config, owned),
-                daemon=True,
-            )
-            proc.start()
-            child_conn.close()
-            self.conns.append(parent_conn)
-            self.procs.append(proc)
-
-    def _reply(self, worker: int) -> Tuple[Any, Optional[BaseException]]:
-        """Read one reply as ``(value, error)``; the error is not raised."""
-        status, value = self.conns[worker].recv()
-        if status != "error":
-            return value, None
-        name, message = value
-        if name == "StaleDetectionAbort":
-            return None, StaleDetectionAbort(message)
-        return None, RuntimeError(f"worker {worker} failed: {name}: {message}")
-
-    def request(self, worker: int, cmd: str, payload: Any) -> Any:
-        self.conns[worker].send((cmd, payload))
-        value, error = self._reply(worker)
-        if error is not None:
-            raise error
-        return value
-
-    def broadcast_request(self, cmd: str, payloads: List[Any]) -> List[Any]:
-        """Send to every worker first, then collect — keeps them concurrent.
-
-        Every reply is read before the first error is raised: a reply left
-        unread would answer that worker's next request instead.
-        """
-        for worker, payload in enumerate(payloads):
-            self.conns[worker].send((cmd, payload))
-        replies = [self._reply(worker) for worker in range(len(self.conns))]
-        for _, error in replies:
-            if error is not None:
-                raise error
-        return [value for value, _ in replies]
-
-    def close(self) -> None:
-        for conn, proc in zip(self.conns, self.procs):
-            try:
-                conn.send(("close", None))
-                conn.recv()
-            except (BrokenPipeError, EOFError, OSError):
-                pass
-            conn.close()
-            proc.join(timeout=10.0)
-            if proc.is_alive():  # pragma: no cover - hung worker safety net
-                proc.terminate()
-
-
 # -- the trainer --------------------------------------------------------------------
 
 
@@ -578,15 +442,14 @@ class DataParallelTrainer:
         Recipe every rank builds its replica from (required).  The gradient
         collective is a :class:`~repro.comm.ThreadCollective` (op ``mean``)
         over ``config.world_size`` ranks, wrapped in a
-        :class:`~repro.comm.ProtectedCollective` per
-        ``config.protect_collective``.
+        :class:`~repro.comm.ProtectedCollective`.  With more than one rank,
+        rank 0's weights are broadcast to every replica at construction.
     config:
-        Sharding, executor, protection and reduction policy; defaults to
+        Sharding, workers, protection and reduction policy; defaults to
         :class:`DataParallelConfig`.
     injector:
         Optional *seed-constructed* attention :class:`FaultInjector`; each
         rank gets its own deterministic child via ``injector.spawn(rank)``.
-        Not supported by the process executor.
     collective_injector:
         Optional hook ``(key, rank, arrays)`` corrupting deposited
         contributions (e.g. :class:`repro.faults.CollectiveFaultInjector`);
@@ -608,18 +471,6 @@ class DataParallelTrainer:
         world = self.config.world_size
         if model_spec is None:
             raise ValueError("model_spec is required")
-        if self.config.executor == "process":
-            if injector is not None:
-                raise ValueError(
-                    "attention fault injection is not supported by the process "
-                    "executor (hooks live in the worker processes); use the "
-                    "collective_injector seam or the thread executor"
-                )
-            if model_spec.array_backend not in (None, "numpy"):
-                raise ValueError(
-                    "the process executor supports the NumPy substrate only "
-                    f"(got array_backend={model_spec.array_backend!r})"
-                )
 
         inner = ThreadCollective(
             world,
@@ -634,43 +485,31 @@ class DataParallelTrainer:
             # the fold intact for bucket retry.
             consume_deposits=self.config.stale_policy != "reexecute",
         )
-        self.collective: Collective = (
-            ProtectedCollective(inner, timers=self.timers)
-            if self.config.protect_collective
-            else inner
-        )
+        self.collective = ProtectedCollective(inner, timers=self.timers)
 
         #: rank stride owned by each worker: worker w drives ranks w, w+W, ...
         workers = self.config.workers
         self._owned_by_worker = [list(range(w, world, workers)) for w in range(workers)]
 
-        self._pool: Optional[ThreadPoolExecutor] = None
-        self._procs: Optional[_ProcessPool] = None
         self.runners: List[_RankRunner] = []
-        if self.config.executor == "process":
-            self._procs = _ProcessPool(model_spec, self.config, self._owned_by_worker)
-            if self.config.sync_weights_on_init and world > 1:
-                state = self._procs.request(0, "state", self._owned_by_worker[0][0])
-                self._procs.broadcast_request("load_state", [state] * workers)
-        else:
-            replicas = [model_spec.build() for _ in range(world)]
-            for rank, model in enumerate(replicas):
-                checker = (
-                    ATTNChecker(copy.deepcopy(self.config.protection))
-                    if self.config.protection is not None
-                    else None
-                )
-                rank_injector = injector.spawn(rank) if injector is not None else None
-                self.runners.append(
-                    _RankRunner(rank, model, self.config, checker=checker,
-                                injector=rank_injector)
-                )
-            if self.config.executor == "thread" and workers > 1:
-                self._pool = ThreadPoolExecutor(
-                    max_workers=workers, thread_name_prefix="dp-rank"
-                )
-            if self.config.sync_weights_on_init and world > 1:
-                self._broadcast_initial_weights()
+        for rank in range(world):
+            checker = (
+                ATTNChecker(copy.deepcopy(self.config.protection))
+                if self.config.protection is not None
+                else None
+            )
+            rank_injector = injector.spawn(rank) if injector is not None else None
+            self.runners.append(
+                _RankRunner(rank, model_spec.build(), self.config, checker=checker,
+                            injector=rank_injector)
+            )
+        self._pool: Optional[ThreadPoolExecutor] = (
+            ThreadPoolExecutor(max_workers=workers, thread_name_prefix="dp-rank")
+            if workers > 1
+            else None
+        )
+        if world > 1:
+            self._broadcast_initial_weights()
 
         # Per-step scratch (index-assigned, one writer per slot).
         self._shard_losses: List[float] = [math.nan] * world
@@ -684,24 +523,19 @@ class DataParallelTrainer:
         self._first_launch: List[Optional[float]] = [None] * world
 
         self._bucket_stats = BucketAccounting()
-        # The process executor builds its bucketer from the first step's
-        # shipped gradients: the coordinator holds no replica.
-        self._bucketer: Optional[GradientBucketer] = None
-        self._xp: Any = None
-        if self.runners:
-            self._bucketer = GradientBucketer(
-                [p.data for p in self.runners[0].params], self.config.bucket_cap_mb
-            )
-            self._xp = namespace_of(self.runners[0].params[0].data)
-            # A checker under "reexecute" may re-run a shard after its
-            # backward; in-backward launches would then double-contribute.
-            reexecutes = (
-                self.config.protection is not None
-                and self.config.stale_policy == "reexecute"
-            )
-            if self.config.overlap_grad_reduce and not reexecutes:
-                for runner in self.runners:
-                    runner.install_launch_hooks(self._bucketer, self._launch_bucket)
+        self._bucketer = GradientBucketer(
+            [p.data for p in self.runners[0].params], self.config.bucket_cap_mb
+        )
+        self._xp = namespace_of(self.runners[0].params[0].data)
+        # A checker under "reexecute" may re-run a shard after its
+        # backward; in-backward launches would then double-contribute.
+        reexecutes = (
+            self.config.protection is not None
+            and self.config.stale_policy == "reexecute"
+        )
+        if self.config.overlap_grad_reduce and not reexecutes:
+            for runner in self.runners:
+                runner.install_launch_hooks(self._bucketer, self._launch_bucket)
 
     # -- construction helpers --------------------------------------------------------
 
@@ -741,19 +575,9 @@ class DataParallelTrainer:
             self._first_launch[rank] = time.perf_counter()
         self.collective.contribute(self._bucket_key(self.global_step, bucket), rank, payload)
 
-    def _launch_after_backward(self, rank: int, buckets: Iterable[int],
-                               grads: Sequence[Optional[Any]], loss: float,
-                               stale: int, reexec: int) -> None:
-        """Record ``rank``'s finished attempt and launch ``buckets`` in order."""
-        self._shard_losses[rank] = loss
-        self._stale_counts[rank] = stale
-        self._reexec_counts[rank] = reexec
-        for bucket in buckets:
-            self._launch_bucket(rank, bucket, grads, loss, False)
-
     def _worker_step(self, step: int, worker: int,
                      shards: List[Dict[str, np.ndarray]]) -> None:
-        """One worker's step on the thread/serial executors."""
+        """One worker's step: its ranks' forward/backward, then the reduction."""
         owned = self._owned_by_worker[worker]
         try:
             for rank in owned:
@@ -764,14 +588,17 @@ class DataParallelTrainer:
                     self._bucket_stats.add_overlap_seconds(
                         max(0.0, time.perf_counter() - first)
                     )
+                self._shard_losses[rank] = loss
+                self._stale_counts[rank] = stale
+                self._reexec_counts[rank] = reexec
                 pending = (
                     runner.tracker.pending()
                     if runner.tracker is not None
                     else range(self._bucketer.num_buckets)
                 )
-                self._launch_after_backward(
-                    rank, pending, [p.grad for p in runner.params], loss, stale, reexec
-                )
+                grads = [p.grad for p in runner.params]
+                for bucket in pending:
+                    self._launch_bucket(rank, bucket, grads, loss, False)
             reduced = self._reduce_buckets_with_policy(step, owned)
             for rank in owned:
                 self.runners[rank].apply(*reduced[rank])
@@ -780,35 +607,6 @@ class DataParallelTrainer:
             # re-raises the original failure, not the poisoned peers'.
             self.collective.poison(exc)
             raise
-
-    def _process_step(self, step: int, shards: List[Dict[str, np.ndarray]]) -> None:
-        """Drive one step through the worker processes.
-
-        Forward/backward runs concurrently in the children; the coordinator
-        then launches every rank's buckets through the *same* collective and
-        dirty-reduction policy before shipping the reduction back.
-        """
-        assert self._procs is not None
-        replies = self._procs.broadcast_request(
-            "fwbw",
-            [{rank: shards[rank] for rank in owned} for owned in self._owned_by_worker],
-        )
-        if self._bucketer is None:
-            grads = next(iter(replies[0].values()))[3]
-            self._bucketer = GradientBucketer(grads, self.config.bucket_cap_mb)
-            self._xp = namespace_of(grads[0])
-        for reply in replies:
-            for rank, (loss, stale, reexec, grads) in reply.items():
-                self._launch_after_backward(
-                    rank, range(self._bucketer.num_buckets), grads, loss, stale, reexec
-                )
-        reduced = self._reduce_buckets_with_policy(
-            step, list(range(self.config.world_size))
-        )
-        self._procs.broadcast_request(
-            "apply",
-            [{rank: reduced[rank] for rank in owned} for owned in self._owned_by_worker],
-        )
 
     def _reduce_buckets_with_policy(
         self, step: int, owned: List[int]
@@ -912,9 +710,7 @@ class DataParallelTrainer:
 
         start = time.perf_counter()
         detections_before, corrections_before = self._checker_totals()
-        if self._procs is not None:
-            self._process_step(step, shards)
-        elif self._pool is not None:
+        if self._pool is not None:
             futures = [
                 self._pool.submit(self._worker_step, step, worker, shards)
                 for worker in range(self.config.workers)
@@ -933,8 +729,7 @@ class DataParallelTrainer:
         else:
             self._worker_step(step, 0, shards)
 
-        if isinstance(self.collective, ProtectedCollective):
-            self.collective.fold_timers(self.timers)
+        self.collective.fold_timers(self.timers)
         elapsed = time.perf_counter() - start
         self.timers.add("parallel/step", elapsed)
         seconds = self._bucket_stats.pop_step_seconds()
@@ -986,15 +781,11 @@ class DataParallelTrainer:
 
     def state_dict(self) -> Dict[str, Any]:
         """Rank 0's replica weights (identical on every rank by construction)."""
-        if self._procs is not None:
-            return self._procs.request(0, "state", self._owned_by_worker[0][0])
         return self.runners[0].model.state_dict()
 
     def collective_counters(self) -> Dict[str, int]:
         """The protected collective's cumulative dispatch counters."""
-        if isinstance(self.collective, ProtectedCollective):
-            return self.collective.counters()
-        return {}
+        return self.collective.counters()
 
     def bucket_counters(self) -> Dict[str, Any]:
         """Cumulative bucket launch / retry counters of the reduction."""
@@ -1005,8 +796,6 @@ class DataParallelTrainer:
             runner.close()
         if self._pool is not None:
             self._pool.shutdown(wait=True)
-        if self._procs is not None:
-            self._procs.close()
         self.collective.close()
 
     def __enter__(self) -> "DataParallelTrainer":

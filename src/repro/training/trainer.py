@@ -226,32 +226,11 @@ class Trainer:
             hooks.append(checker)
         self._hooks = ComposedHooks(hooks)
         self.model.set_attention_hooks(self._hooks)
-        if checker is not None and checker.array_backend is not None:
-            logger.info(
-                "checker pinned to array backend %s (%s); host<->backend copies "
-                "will be recorded under the xfer/* timer keys",
-                checker.array_backend.name, checker.array_backend.device_info(),
-            )
         # Rollback window for the stale re-execution policy: in-memory
         # (step, model_state, optimizer_state) snapshots, oldest first.
         # State dicts are backend-native, so a device-resident model's
         # rollback window stays on the device.
         self._stale_snapshots: Deque[Tuple[int, Dict[str, object], Dict[str, object]]] = deque()
-
-    @property
-    def array_backend(self) -> str:
-        """Array backend the attached checker runs its checksum chain on.
-
-        ``"auto"`` means the checker follows whatever arrays the model's
-        attention layers produce (the default); a concrete name means the
-        fused engine is pinned to that registered backend and any
-        host/device copies it pays are visible as
-        ``checker.transfer_seconds()``.  Without a checker this is the model
-        substrate's own backend (see :attr:`model_array_backend`).
-        """
-        if self.checker is None:
-            return self.model_array_backend
-        return self.checker.array_backend_name
 
     @property
     def model_array_backend(self) -> str:

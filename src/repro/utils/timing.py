@@ -15,17 +15,14 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional
 
-__all__ = ["XFER_H2D", "XFER_D2H", "XFER_PREFIX", "Timer", "TimingRegistry"]
+__all__ = ["XFER_H2D", "XFER_D2H", "Timer", "TimingRegistry"]
 
-#: Timer key for host-to-device (adoption) copies of checker inputs — time a
-#: pinned ProtectionEngine spends importing section arrays produced by a
-#: different array library.  Zero on the pure-NumPy path.
+#: Timer key for host-to-device copies: the checkpoint manager re-adopting
+#: host checkpoint arrays into a device-resident model.
 XFER_H2D = "xfer/h2d"
-#: Timer key for device-to-host (export / write-back) copies of repaired data.
+#: Timer key for device-to-host copies: the checkpoint manager exporting a
+#: device-resident model's state to host NumPy.
 XFER_D2H = "xfer/d2h"
-#: Common prefix of the transfer keys, for ``TimingRegistry.total(prefix=...)``
-#: aggregation — the "copy overhead" line of the Figure-7 style splits.
-XFER_PREFIX = "xfer/"
 
 
 @dataclass

@@ -16,14 +16,9 @@ What this file pins down:
   one injected fault per scenario, across immediate / async
   verification: detection/correction decisions must be byte-identical to the
   NumPy reference and repaired boundaries numerically identical.
-* **Full-model campaign** — the random-geometry campaign of
-  ``test_verification_modes.py`` re-run with the engine *pinned* to each
-  backend (exercising adoption + write-back on non-NumPy pins).
-* **No host round-trips** — a counting/spy backend wrapped around NumPy runs
-  the full campaign natively and proves the critical path performs zero
-  ``to_numpy``/``from_numpy``/``asarray`` conversions; a simulated foreign
-  backend proves the pinned path *does* adopt/write back and records the
-  ``xfer/*`` timer keys.
+* **Spy backends** — a counting backend wrapped around NumPy and a
+  simulated foreign backend, which ``test_model_substrate_backends.py`` runs
+  as model substrates (zero host round-trips on a shared backend).
 """
 
 import math
@@ -45,14 +40,10 @@ from repro.backend import (
     resolve_backend_name,
     unregister_backend,
 )
-from repro.core import ATTNChecker, ATTNCheckerConfig, SectionCostModel
 from repro.core.engine import ProtectionEngine
 from repro.nn.attention import SectionContext
 from repro.tensor import ops
 from repro.utils.floatbits import flip_exponent_msb, flip_exponent_msb_inplace
-from repro.utils.timing import XFER_D2H, XFER_H2D
-
-from test_verification_modes import MODE_KWARGS, random_scenario, run_scenario
 
 BACKENDS = list(available_array_backends())
 
@@ -385,36 +376,7 @@ class TestSyntheticFaultCampaign:
 
 
 # ---------------------------------------------------------------------------
-# Full-model campaign with a pinned engine backend
-# ---------------------------------------------------------------------------
-
-@pytest.mark.parametrize("name", BACKENDS)
-@pytest.mark.parametrize("mode", ["fused", "fused+async"])
-def test_full_model_campaign_pinned_backend_matches_reference(name, mode):
-    """The random-geometry campaign with the engine pinned to each backend.
-
-    The model substrate stays NumPy, so a non-NumPy pin exercises the
-    adoption + write-back path end to end: decisions and protected outputs
-    must match the follow-the-arrays reference exactly (counters) and
-    numerically (outputs).
-    """
-    for seed in range(4):
-        scenario = random_scenario(seed)
-        reference = run_scenario(mode, scenario, seed)
-        pinned = run_scenario(mode, scenario, seed, extra_config={"array_backend": name})
-        assert pinned["stats"] == reference["stats"], (name, mode, seed)
-        assert pinned["detection_sig"] == reference["detection_sig"]
-        if name == "numpy":
-            assert np.array_equal(pinned["output"], reference["output"], equal_nan=True)
-        else:
-            np.testing.assert_allclose(
-                pinned["output"], reference["output"],
-                rtol=1e-9, atol=1e-9, equal_nan=True,
-            )
-
-
-# ---------------------------------------------------------------------------
-# Counting / spy backends: transfer behaviour of native vs pinned paths
+# Counting / spy backends
 # ---------------------------------------------------------------------------
 
 class CountingBackend(NumpyBackend):
@@ -447,9 +409,9 @@ class SimForeignBackend(NumpyBackend):
     """Simulates a foreign array library on top of NumPy.
 
     Its native type is the :class:`_SimArray` view subclass, so plain
-    ``np.ndarray`` section outputs are *foreign* to it — pinning the engine
-    to this backend forces the adoption/write-back path (and the ``xfer/*``
-    timers) without needing CuPy or Torch installed.
+    ``np.ndarray`` inputs are *foreign* to it — a model substrate on this
+    backend exercises adoption and the checkpoint ``xfer/*`` timers without
+    needing CuPy or Torch installed.
     """
 
     name = "simforeign"
@@ -469,91 +431,6 @@ class SimForeignBackend(NumpyBackend):
 
     def is_backend_array(self, obj):
         return isinstance(obj, _SimArray)
-
-
-@pytest.fixture
-def counting_backend():
-    backend = CountingBackend()
-    register_backend("counting", lambda: backend)
-    clear_dispatch_cache()
-    yield backend
-    unregister_backend("counting")
-    clear_dispatch_cache()
-
-
-@pytest.fixture
-def sim_foreign_backend():
-    backend = SimForeignBackend()
-    register_backend("simforeign", lambda: backend)
-    clear_dispatch_cache()
-    yield backend
-    unregister_backend("simforeign")
-    clear_dispatch_cache()
-
-
-@pytest.mark.parametrize("mode", list(MODE_KWARGS))
-def test_native_critical_path_performs_no_conversions(counting_backend, mode):
-    """Acceptance criterion: no ndarray round-trips on the critical path.
-
-    The counting backend's arrays *are* ndarrays, so pinning the engine to it
-    keeps every section on the native path; the spy proves the engine never
-    calls a backend conversion (``to_numpy`` / ``from_numpy`` / ``asarray``)
-    while protecting, queueing, verifying or repairing — on any verification
-    mode — and records zero transfer time.
-    """
-    for seed in range(3):
-        scenario = random_scenario(seed)
-        result = run_scenario(mode, scenario, seed,
-                              extra_config={"array_backend": "counting"})
-        assert sum(s[0] for s in result["stats"].values()) > 0  # checks ran
-    assert counting_backend.conversions == {
-        "to_numpy": 0, "from_numpy": 0, "asarray": 0,
-    }
-
-
-def test_pinned_foreign_backend_adopts_and_records_transfer_keys(sim_foreign_backend):
-    """A pinned foreign backend must adopt operands and time the copies."""
-    scenario = random_scenario(0)
-    scenario.update({"matrix": "AS", "error_type": "inf"})
-    reference = run_scenario("fused", scenario, 0)
-    pinned = run_scenario("fused", scenario, 0,
-                          extra_config={"array_backend": "simforeign"})
-    # Decisions and repaired outputs survive the adoption round-trip intact.
-    assert pinned["stats"] == reference["stats"]
-    assert np.array_equal(pinned["output"], reference["output"], equal_nan=True)
-    # Every section adopted its operands (h2d) and the corrected boundary was
-    # written back (d2h); both directions were timed.
-    assert sim_foreign_backend.adopted > 0
-    assert sim_foreign_backend.exported > 0
-
-
-def test_pinned_foreign_timer_keys_present_after_pass(sim_foreign_backend):
-    scenario = random_scenario(0)
-    scenario.update({"matrix": "AS", "error_type": "inf"})
-
-    # Drive one pass with a handle on the checker to inspect its timers.
-    from repro.faults import FaultInjector, FaultSpec
-    from repro.nn import ComposedHooks, MultiHeadAttention
-    from repro.tensor.autograd import Tensor
-
-    attention = MultiHeadAttention(
-        hidden_size=scenario["hidden"], num_heads=scenario["heads"],
-        dropout_p=0.0, rng=np.random.default_rng(2000),
-    )
-    attention.eval()
-    x = np.random.default_rng(3000).normal(
-        size=(scenario["batch"], scenario["seq"], scenario["hidden"]))
-    injector = FaultInjector([FaultSpec(matrix="AS", error_type="inf", layer_index=0)],
-                             rng=np.random.default_rng(4000))
-    checker = ATTNChecker(ATTNCheckerConfig(array_backend="simforeign"))
-    attention.set_hooks(ComposedHooks([injector, checker]))
-    attention(Tensor(x))
-    attention.set_hooks(None)
-    keys = checker.timers.keys()
-    assert XFER_H2D in keys          # every section adopted its operands
-    assert XFER_D2H in keys          # the repaired boundary was written back
-    assert checker.transfer_seconds() >= 0.0
-    assert checker.stats.total_corrections > 0
 
 
 # ---------------------------------------------------------------------------
@@ -719,74 +596,3 @@ def test_inplace_exponent_flip_matches_host_reference(name, dtype):
 def test_inplace_flip_rejects_unsupported_dtype():
     with pytest.raises(TypeError):
         flip_exponent_msb_inplace(np.zeros(3, dtype=np.int64), (0,))
-
-
-# ---------------------------------------------------------------------------
-# SectionCostModel transfer accounting
-# ---------------------------------------------------------------------------
-
-class TestSectionCostModelTransfers:
-    def _model(self, array_backend):
-        from repro.models import get_config
-
-        return SectionCostModel(get_config("bert-base", size="paper"),
-                                batch_size=16, array_backend=array_backend)
-
-    def test_host_backend_moves_zero_bytes(self):
-        for name in ("numpy", "auto"):
-            model = self._model(name)
-            assert not model.device_resident
-            assert model.transfer_bytes_per_layer() == {XFER_H2D: 0.0, XFER_D2H: 0.0}
-
-    def test_device_backend_models_positive_traffic(self):
-        model = self._model("torch")  # analytical: library need not be installed
-        assert model.device_resident
-        totals = model.transfer_bytes_per_layer()
-        assert totals[XFER_H2D] > 0.0 and totals[XFER_D2H] > 0.0
-        per_section = [model.section_transfer_bytes(s) for s in ("AS", "CL", "O")]
-        assert totals[XFER_H2D] == sum(p[XFER_H2D] for p in per_section)
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="jax"):
-            self._model("jax")
-
-
-# ---------------------------------------------------------------------------
-# Config plumbing
-# ---------------------------------------------------------------------------
-
-class TestConfigPlumbing:
-    def test_unknown_array_backend_rejected_at_config_time(self):
-        with pytest.raises(ValueError, match="known backends"):
-            ATTNCheckerConfig(array_backend="jax")
-
-    def test_missing_array_backend_rejected_at_config_time(self):
-        missing = [n for n in KNOWN_ARRAY_BACKENDS if n not in BACKENDS]
-        for name in missing:
-            with pytest.raises(BackendUnavailable):
-                ATTNCheckerConfig(array_backend=name)
-
-    def test_auto_is_default_and_unpinned(self):
-        checker = ATTNChecker()
-        assert checker.array_backend_name == "auto"
-        assert checker.array_backend is None
-        assert checker.engine.array_backend is None
-
-    def test_orthogonal_to_checker_backend_axis(self):
-        config = ATTNCheckerConfig(backend="per_gemm", array_backend="numpy")
-        assert config.backend == "per_gemm"
-        assert config.array_backend == "numpy"
-        config = ATTNCheckerConfig(async_verification=True, array_backend="numpy")
-        assert config.verification_mode == "async"
-
-    def test_trainer_surfaces_array_backend(self):
-        from repro.models import build_model
-        from repro.training import Trainer, TrainerConfig
-
-        def fresh_model():
-            return build_model("bert-base", size="tiny", rng=np.random.default_rng(0))
-
-        checker = ATTNChecker(ATTNCheckerConfig(array_backend="numpy"))
-        trainer = Trainer(fresh_model(), config=TrainerConfig(), checker=checker)
-        assert trainer.array_backend == "numpy"
-        assert Trainer(fresh_model(), config=TrainerConfig()).array_backend == "numpy"

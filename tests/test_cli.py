@@ -51,6 +51,17 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["train", "--model-array-backend", "jax"])
 
+    @pytest.mark.parametrize("argv", [
+        ["train_parallel", "--workers", "2", "--executor", "process"],
+        ["train", "--array-backend", "numpy"],
+    ], ids=["executor", "array-backend"])
+    def test_removed_flags_exit_with_usage_error(self, argv):
+        # --workers alone picks threads; the checker follows the model's
+        # backend (--model-array-backend).
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+
 
 class TestMain:
     def test_list_prints_all_experiments(self, capsys):
@@ -104,13 +115,19 @@ class TestMain:
         assert main(["train", "--steps", "2", "--model-array-backend", "numpy"]) == 0
         out = capsys.readouterr().out
         assert "model substrate numpy" in out
-        assert "xfer total 0.000 ms (zero host round-trips)" in out
         assert len([l for l in out.splitlines() if l and l[0].isdigit()]) == 2
 
     def test_train_with_async_verification(self, capsys):
         assert main(["train", "--steps", "2", "--async"]) == 0
         out = capsys.readouterr().out
-        assert "xfer total 0.000 ms" in out
+        assert "model substrate numpy" in out
+
+    def test_train_parallel_matches_one_worker_reference(self, capsys):
+        assert main(["train_parallel", "--workers", "2", "--shards", "2",
+                     "--steps", "1", "--batch-size", "4", "--overlap"]) == 0
+        out = capsys.readouterr().out
+        assert "2 workers, 2 shards" in out
+        assert "weights byte-identical to 1-worker reference" in out
 
     def test_quickstart_reports_model_substrate(self, capsys):
         assert main(["quickstart", "--model-array-backend", "numpy"]) == 0

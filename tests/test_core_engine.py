@@ -110,17 +110,23 @@ class TestBackendConfig:
 
 class TestPublicSurface:
     """One fused schedule and two verification modes: the configuration
-    surface has no schedule flags, no detection-only mode and no alias."""
+    surface has no schedule flags, no detection-only mode, no alias and no
+    array-backend pin (the checker runs where the model's arrays live)."""
 
     def test_config_fields(self):
         assert [f.name for f in dataclasses.fields(ATTNCheckerConfig)] == [
             "thresholds", "frequencies", "protect_scope", "backend",
-            "array_backend", "async_verification", "max_pending_steps",
+            "async_verification", "max_pending_steps",
         ]
 
     def test_engine_parameters(self):
         assert list(inspect.signature(ProtectionEngine).parameters) == [
-            "thresholds", "timers", "asynchronous", "max_pending_steps", "array_backend",
+            "thresholds", "timers", "asynchronous", "max_pending_steps",
+        ]
+
+    def test_cost_model_parameters(self):
+        assert list(inspect.signature(SectionCostModel).parameters) == [
+            "config", "batch_size", "seq_len", "element_size",
         ]
 
     def test_engine_rejects_nonpositive_pending_steps(self):

@@ -3,9 +3,8 @@
 Covers the :mod:`repro.comm.bucketing` layer (reverse-registration
 partitioning, flat roundtrips, readiness tracking), the eager-reduce
 collective mode, and the :class:`DataParallelTrainer` launch timings — whose
-non-negotiable gate is byte-identity to the serial reference launched after
-backward, for any bucket cap and worker count, on thread and process
-executors alike.
+non-negotiable gate is byte-identity to the 1-worker reference launched
+after backward, for any bucket cap and worker count.
 Bucket-granular dirty retries and the bucket-aware dispatch accounting of
 ``SectionCostModel.collective_checksum_dispatches_per_step`` are
 counter-verified.
@@ -37,13 +36,12 @@ SPEC = ReplicaSpec(name="bert-base", size="tiny", seed=7, num_labels=2)
 CAPS = (0.013, 0.08, 16.0)
 
 
-def train_overlapped(workers, shards, executor="thread", cap=0.08, policy="record",
+def train_overlapped(workers, shards, cap=0.08, policy="record",
                      overlap=True, collective_injector=None, protection=None,
                      steps=2):
     config = DataParallelConfig(
         workers=workers,
         shards=shards,
-        executor=executor,
         stale_policy=policy,
         overlap_grad_reduce=overlap,
         bucket_cap_mb=cap,
@@ -67,9 +65,9 @@ def states_equal(a, b):
 
 @pytest.fixture(scope="module")
 def reference_state():
-    """Phase-split serial reference at shards=4 — the byte-identity anchor."""
-    state, _, _ = train_overlapped(workers=1, shards=4, executor="serial",
-                                   overlap=False)
+    """1-worker reference at shards=4, launched after backward — the
+    byte-identity anchor."""
+    state, _, _ = train_overlapped(workers=1, shards=4, overlap=False)
     return state
 
 
@@ -180,35 +178,23 @@ class TestEagerReduce:
 
 
 class TestOverlappedByteIdentity:
-    """The non-negotiable gate: overlapped == non-overlapped == serial,
-    byte-for-byte, for any bucket cap and worker count."""
+    """The non-negotiable gate: overlapped == non-overlapped == 1-worker
+    reference, byte-for-byte, for any bucket cap and worker count."""
 
     @pytest.mark.parametrize("workers", [1, 2, 4])
     @pytest.mark.parametrize("cap", CAPS)
     def test_thread_overlapped_matches_serial_reference(
         self, workers, cap, reference_state
     ):
-        state, results, _ = train_overlapped(
-            workers=workers, shards=4, executor="thread", cap=cap
-        )
+        state, results, _ = train_overlapped(workers=workers, shards=4, cap=cap)
         assert states_equal(reference_state, state)
         assert results[0].buckets >= 1
         if cap == CAPS[0]:
             assert results[0].buckets > 4
 
     def test_serial_overlapped_matches_serial_reference(self, reference_state):
-        state, _, _ = train_overlapped(workers=1, shards=4, executor="serial")
+        state, _, _ = train_overlapped(workers=1, shards=4)
         assert states_equal(reference_state, state)
-
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_process_overlapped_matches_serial_reference(
-        self, workers, reference_state
-    ):
-        state, results, _ = train_overlapped(
-            workers=workers, shards=4, executor="process"
-        )
-        assert states_equal(reference_state, state)
-        assert results[0].buckets >= 1
 
     def test_overlapped_matches_non_overlapped_same_worker_count(self):
         plain, _, _ = train_overlapped(workers=2, shards=2, overlap=False)
@@ -242,8 +228,8 @@ class TestOverlapAccounting:
         result = results[0]
         assert 0.0 <= result.overlap_efficiency <= 1.0
         assert result.overlap_seconds > 0.0
-        # Immediate mode on the thread executor: every bucket launch of every
-        # rank fired from inside backward.
+        # Immediate mode: every bucket launch of every rank fired from
+        # inside backward.
         counters = trainer.bucket_counters()
         assert counters["overlapped_launches"] == counters["bucket_launches"]
         assert counters["bucket_launches"] == result.buckets * 4 * len(BATCHES)
@@ -320,13 +306,3 @@ class TestBucketGranularRetry:
         assert results[0].dirty_reductions == 1
         assert results[0].reduction_reexecutions == 0
         assert trainer.bucket_counters()["bucket_retries"] == {}
-
-    def test_process_executor_retry_recovers(self, reference_state):
-        injector = self._injector(bucket=2)
-        state, results, trainer = train_overlapped(
-            workers=2, shards=4, executor="process", cap=0.08,
-            policy="reexecute", collective_injector=injector,
-        )
-        assert trainer.bucket_counters()["bucket_retries"] == {2: 1}
-        assert results[0].reduction_reexecutions == 1
-        assert states_equal(reference_state, state)

@@ -8,6 +8,7 @@ under every ``stale_policy``, per-rank fault-injector spawning, and the
 collective dispatch accounting against the cost model.
 """
 
+import dataclasses
 import threading
 
 import numpy as np
@@ -30,6 +31,7 @@ from repro.faults import (
     FaultSpec,
 )
 from repro.training import (
+    EXECUTORS,
     DataParallelConfig,
     DataParallelTrainer,
     ReplicaSpec,
@@ -51,12 +53,11 @@ BATCHES = [make_batch(100 + i) for i in range(3)]
 SPEC = ReplicaSpec(name="bert-base", size="tiny", seed=7, num_labels=2)
 
 
-def train_to_state(workers, shards, executor=None, policy="record", injector=None,
+def train_to_state(workers, shards, policy="record", injector=None,
                    collective_injector=None, protection=None, steps=3):
     config = DataParallelConfig(
         workers=workers,
         shards=shards,
-        executor=executor or ("serial" if workers == 1 else "thread"),
         stale_policy=policy,
         protection=protection,
     )
@@ -354,7 +355,7 @@ class TestWorkerEquivalence:
     @pytest.mark.parametrize("workers", [2, 4])
     def test_thread_workers_byte_identical_to_serial(self, workers):
         reference, _ = train_to_state(workers=1, shards=4)
-        state, trainer = train_to_state(workers=workers, shards=4, executor="thread")
+        state, trainer = train_to_state(workers=workers, shards=4)
         assert states_equal(reference, state)
         # Collective dispatch accounting matches the cost model at any W.
         num_params = len(reference)
@@ -366,11 +367,6 @@ class TestWorkerEquivalence:
         assert counters["checksum_encodes"] == per_step["encode"] * len(BATCHES)
         assert counters["checksum_verifies"] == per_step["verify"] * len(BATCHES)
         assert counters["mismatches"] == 0
-
-    def test_process_workers_byte_identical_to_serial(self):
-        reference, _ = train_to_state(workers=1, shards=2)
-        state, _ = train_to_state(workers=2, shards=2, executor="process")
-        assert states_equal(reference, state)
 
     def test_different_shard_counts_differ(self):
         # Sanity: the equivalence is per shard count, not universal — the
@@ -393,7 +389,7 @@ class TestWorkerEquivalence:
             trainer.close()
 
     def test_indivisible_batch_rejected(self):
-        config = DataParallelConfig(workers=1, shards=3, executor="serial")
+        config = DataParallelConfig(workers=1, shards=3)
         trainer = DataParallelTrainer(model_spec=SPEC, config=config)
         try:
             with pytest.raises(ValueError, match="divisible"):
@@ -404,7 +400,7 @@ class TestWorkerEquivalence:
     def test_batch_smaller_than_shards_rejected(self):
         # 2 rows over 4 shards would leave two shards empty; an empty shard
         # yields a NaN loss and zero gradients, poisoning the global mean.
-        config = DataParallelConfig(workers=1, shards=4, executor="serial")
+        config = DataParallelConfig(workers=1, shards=4)
         trainer = DataParallelTrainer(model_spec=SPEC, config=config)
         try:
             with pytest.raises(ValueError, match="smaller than shards"):
@@ -413,7 +409,7 @@ class TestWorkerEquivalence:
             trainer.close()
 
     def test_empty_batch_rejected(self):
-        config = DataParallelConfig(workers=1, shards=2, executor="serial")
+        config = DataParallelConfig(workers=1, shards=2)
         trainer = DataParallelTrainer(model_spec=SPEC, config=config)
         try:
             with pytest.raises(ValueError, match="smaller than shards"):
@@ -424,7 +420,7 @@ class TestWorkerEquivalence:
     def test_uneven_remainder_rejected_not_truncated(self):
         # 10 rows over 4 shards must raise, not silently drop the remainder:
         # unequal shards would break mean-of-means == global-batch gradient.
-        config = DataParallelConfig(workers=1, shards=4, executor="serial")
+        config = DataParallelConfig(workers=1, shards=4)
         trainer = DataParallelTrainer(model_spec=SPEC, config=config)
         try:
             with pytest.raises(ValueError, match="divisible"):
@@ -443,6 +439,84 @@ class TestWorkerEquivalence:
             DataParallelConfig(stale_policy="retry")
         with pytest.raises(ValueError):
             DataParallelTrainer(config=DataParallelConfig(workers=1))
+
+    def test_config_surface(self):
+        # workers is the only knob of where ranks run; the executor field
+        # stays for existing callers and accepts one value.
+        assert EXECUTORS == ("thread",)
+        assert [f.name for f in dataclasses.fields(DataParallelConfig)] == [
+            "workers", "shards", "executor", "learning_rate", "weight_decay",
+            "max_grad_norm", "stale_policy", "max_retries_per_step", "protection",
+            "overlap_grad_reduce", "bucket_cap_mb",
+        ]
+
+    @pytest.mark.parametrize("executor", ["serial", "process"])
+    def test_removed_executor_rejected(self, executor):
+        # workers alone picks the calling thread or a thread pool; the old
+        # serial value used to hang at workers > 1.
+        with pytest.raises(ValueError, match="workers"):
+            DataParallelConfig(workers=2, shards=4, executor=executor)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_workers_pick_calling_thread_or_pool(self, workers):
+        config = DataParallelConfig(workers=workers, shards=2)
+        threads = {}
+        with DataParallelTrainer(model_spec=SPEC, config=config) as trainer:
+            for runner in trainer.runners:
+                def recording(*args, _rank=runner.rank, _forward=runner.model.forward,
+                              **kwargs):
+                    threads[_rank] = threading.current_thread().name
+                    return _forward(*args, **kwargs)
+
+                runner.model.forward = recording
+            trainer.train_step(BATCHES[0])
+        assert sorted(threads) == [0, 1]
+        if workers == 1:
+            caller = threading.current_thread().name
+            assert set(threads.values()) == {caller}
+        else:
+            assert len(set(threads.values())) == 2
+            assert all(name.startswith("dp-rank") for name in threads.values())
+
+    @pytest.mark.parametrize("overlap", [False, True], ids=["after-backward", "in-backward"])
+    @pytest.mark.parametrize("workers", [1, 2, 3, 4])
+    def test_every_replica_matches_rank_zero(self, workers, overlap):
+        config = DataParallelConfig(workers=workers, shards=4, overlap_grad_reduce=overlap)
+        with DataParallelTrainer(model_spec=SPEC, config=config) as trainer:
+            initial = trainer.state_dict()
+            for batch in BATCHES:
+                trainer.train_step(batch)
+            states = [runner.model.state_dict() for runner in trainer.runners]
+        assert not states_equal(initial, states[0])
+        for state in states[1:]:
+            assert states_equal(states[0], state)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_rank_failure_raises_its_own_exception(self, workers):
+        class RankFailure(RuntimeError):
+            pass
+
+        def failing_forward(*args, **kwargs):
+            raise RankFailure("rank 1 forward failed")
+
+        config = DataParallelConfig(workers=workers, shards=2)
+        trainer = DataParallelTrainer(model_spec=SPEC, config=config)
+        trainer.runners[1].model.forward = failing_forward
+        raised = []
+
+        def step():
+            try:
+                trainer.train_step(BATCHES[0])
+            except Exception as exc:  # noqa: BLE001 - inspected below
+                raised.append(exc)
+
+        thread = threading.Thread(target=step, daemon=True)
+        thread.start()
+        thread.join(timeout=60.0)
+        assert not thread.is_alive(), "train_step hung after a rank's forward raised"
+        trainer.close()
+        assert len(raised) == 1
+        assert type(raised[0]) is RankFailure
 
 
 class TestDirtyReductionPolicies:

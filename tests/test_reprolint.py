@@ -182,10 +182,11 @@ def test_xf001_flags_exports_outside_seam(tmp_path):
 
 def test_xf001_silent_in_seam_functions_and_backend_layer(tmp_path):
     result = lint(tmp_path, {
-        # the engine's adoption/write-back seam is allowlisted by name
-        "src/repro/core/engine.py": """
-            def _write_back_section(pinned, out):
-                return pinned.to_numpy(out)
+        # Tensor.numpy is the documented host-export API, allowlisted by name
+        "src/repro/tensor/autograd.py": """
+            class Tensor:
+                def numpy(self):
+                    return self.backend.to_numpy(self.data)
         """,
         # the backend layer implements the exports; excluded wholesale
         "src/repro/backend/torch_backend.py": """
@@ -199,6 +200,19 @@ def test_xf001_silent_in_seam_functions_and_backend_layer(tmp_path):
         """,
     })
     assert result.new == []
+
+
+def test_xf001_flags_host_export_anywhere_in_engine(tmp_path):
+    # The engine follows the arrays it is given; no function of it may
+    # export to the host.
+    result = lint(tmp_path, {
+        "src/repro/core/engine.py": """
+            def _write_back_section(backend, out):
+                return backend.to_numpy(out)
+        """,
+    })
+    xf = [f for f in result.new if f.rule == "XF001"]
+    assert [f.detail for f in xf] == ["export:to_numpy"]
 
 
 # ---------------------------------------------------------------------------

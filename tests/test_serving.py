@@ -124,6 +124,36 @@ class TestServingReport:
         assert make_report([], wall_seconds=1.0).latency_percentile_ms(99.0) == 0.0
         assert make_report(self.RESULTS, wall_seconds=0.0).tokens_per_second == 0.0
 
+    @staticmethod
+    def _serve_twice():
+        model = make_gpt2()
+        checker = ATTNChecker(ATTNCheckerConfig(backend="fused"))
+        model.set_attention_hooks(checker)
+        engine = ServingEngine(model, checker=checker)
+        requests = make_requests(model)
+        first = engine.run(requests)
+        after_first = engine.timers.as_dict()
+        second = engine.run(requests)
+        checker.close()
+        return engine, first, after_first, second
+
+    def test_back_to_back_runs_report_their_own_counters(self):
+        _, first, _, second = self._serve_twice()
+        assert first.checker_stats["checks"] > 0
+        assert second.checker_stats == first.checker_stats
+        assert second.decode_steps == first.decode_steps
+        assert set(second.timer_seconds) == set(first.timer_seconds)
+
+    def test_engine_timers_keep_accumulating_across_runs(self):
+        # Callers may difference engine.timers across runs themselves; the
+        # report's per-run seconds are exactly those differences.
+        engine, first, after_first, second = self._serve_twice()
+        assert after_first == pytest.approx(first.timer_seconds)
+        total = engine.timers.as_dict()
+        for key, seconds in second.timer_seconds.items():
+            assert seconds > 0.0
+            assert total[key] == pytest.approx(after_first[key] + seconds)
+
 
 class TestDecodeEquivalence:
     """KV-cached decode must reproduce the full forward pass."""

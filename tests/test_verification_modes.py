@@ -113,14 +113,11 @@ def unprotected_output(scenario, seed):
         attention.set_hooks(None)
 
 
-def run_scenario(mode, scenario, seed, extra_config=None, warmup=0):
+def run_scenario(mode, scenario, seed, warmup=0):
     """One single-fault protected forward pass under one checker mode.
 
     Returns everything the equivalence assertions need: the protected output,
-    full per-section statistics, and the drained outcome signatures.
-    ``extra_config`` merges additional :class:`ATTNCheckerConfig` kwargs
-    (e.g. ``array_backend``) — the cross-array-backend campaign in
-    ``test_backend_dispatch.py`` reuses this helper through it.  ``warmup``
+    full per-section statistics, and the drained outcome signatures.  ``warmup``
     clean passes over the same module run first, their outcomes drained and
     their statistics dropped, so the faulty pass meets a checker that
     already holds cached weight encodings and steady-state buffers.  Every
@@ -128,7 +125,7 @@ def run_scenario(mode, scenario, seed, extra_config=None, warmup=0):
     have also been through a change of geometry.
     """
     attention, x, injector = build_scenario(scenario, seed)
-    checker = ATTNChecker(ATTNCheckerConfig(**MODE_KWARGS[mode], **(extra_config or {})))
+    checker = ATTNChecker(ATTNCheckerConfig(**MODE_KWARGS[mode]))
     for index in range(warmup):
         batch, seq, hidden = x.shape
         seq += int(index < warmup - 1)

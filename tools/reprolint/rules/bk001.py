@@ -4,9 +4,10 @@ The PR 3/4 device-resident path dispatches every kernel through the
 namespace of the backend that owns its arrays (``xp = namespace_of(x)``).
 A direct ``import numpy`` call inside ``src/repro/core/`` silently pins that
 code to host memory: a CuPy/Torch tensor flowing through it either errors or
-— worse — round-trips through host NumPy, costing a hidden PCIe transfer the
-``xfer/*`` timers never see and invalidating the zero-host-round-trip claim
-the counting-backend tests pin on the *tested* paths only.
+— worse — round-trips through host NumPy, costing a hidden PCIe transfer
+outside the ``xfer/*``-timed checkpoint seam and invalidating the
+zero-host-round-trip claim the counting-backend tests pin on the *tested*
+paths only.
 """
 
 from __future__ import annotations
@@ -29,7 +30,8 @@ class XpGenericityRule(PathScopedRule):
     )
     rationale = (
         "Direct numpy calls in core silently pin device-resident data to host "
-        "memory (hidden d2h/h2d round-trips the xfer/* timers never observe), "
+        "memory (hidden d2h/h2d round-trips outside the xfer/*-timed "
+        "checkpoint seam), "
         "degrading the device-resident protection path without failing any "
         "functional test."
     )

@@ -3,7 +3,7 @@
 The device-resident substrate (PR 3/4) guarantees a protected training step
 performs **zero** host round-trips on the native path — the counting-backend
 tests pin it, and the ``xfer/h2d``/``xfer/d2h`` timer keys account for every
-deliberate copy at the adoption/checkpoint seam.  An untimed ``.cpu()`` /
+deliberate copy at the checkpoint seam.  An untimed ``.cpu()`` /
 ``.numpy()`` / zero-arg ``.get()`` / ``to_numpy(...)`` anywhere else is a
 synchronizing PCIe transfer the accounting never sees: it erodes the
 measured overhead claims without failing a single functional test.
@@ -30,7 +30,7 @@ class HostTransferRule(PathScopedRule):
     name = "host-transfer-leak"
     invariant = (
         "Device->host exports (.cpu()/.numpy()/.get()/to_numpy) only inside "
-        "the adoption/checkpoint seam, timed under xfer/*."
+        "the checkpoint seam, timed under xfer/*."
     )
     rationale = (
         "An untimed host export is a synchronizing PCIe copy invisible to the "
@@ -45,16 +45,14 @@ class HostTransferRule(PathScopedRule):
     )
 
     scope_prefixes = ("src/repro/",)
-    #: The adoption/checkpoint seam: backend adapters implement the exports,
-    #: and the checkpoint manager's save/load path is the documented, timed
-    #: bulk d2h/h2d boundary.
+    #: The checkpoint seam: backend adapters implement the exports, and the
+    #: checkpoint manager's save/load path is the documented, timed bulk
+    #: d2h/h2d boundary.
     exclude_prefixes = ("src/repro/backend/",)
     exclude_files = ("src/repro/training/checkpoint.py",)
-    #: file -> function names allowed to export (the in-file seam): the
-    #: engine's pinned-foreign write-back runs under xfer/d2h timers, and
+    #: file -> function names allowed to export (the in-file seam):
     #: ``Tensor.numpy``/``Tensor.item`` are the documented host-export API.
     seam_functions: Dict[str, Tuple[str, ...]] = {
-        "src/repro/core/engine.py": ("_adopt_section", "_write_back_section"),
         "src/repro/tensor/autograd.py": ("numpy", "item"),
     }
 
