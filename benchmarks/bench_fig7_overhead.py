@@ -29,12 +29,7 @@ import pytest
 
 from benchmarks.conftest import OVERHEAD_MODELS, make_batch, make_model
 from repro.analysis import format_percent, format_table
-from repro.core import (
-    VERIFICATION_MODE_CONFIGS,
-    ATTNChecker,
-    ATTNCheckerConfig,
-    SectionCostModel,
-)
+from repro.core import ATTNChecker, ATTNCheckerConfig, SectionCostModel
 from repro.faults import FaultInjector, FaultSpec
 from repro.models import get_config
 from repro.nn import ComposedHooks
@@ -169,33 +164,6 @@ def steady_state_checker_seconds(extra_config=None, model_name: str = "bert-base
     return min(per_pass)
 
 
-def measured_mode_path_seconds(mode: str, model_name: str = "bert-base", steps: int = 6):
-    """Critical-path and total ABFT seconds of one fused verification mode.
-
-    Returns ``(per_step_critical_floor, critical_total, overall_total)``:
-    the min-over-steps critical-path cost (noise-floor estimator), plus run
-    totals after a full drain.  Every ``train_step`` must leave the checker's
-    front queue empty — the zero-pending-after-end_step invariant.
-    """
-    model = make_model(model_name)
-    batch = make_batch(model, n=8)
-    checker = ATTNChecker(ATTNCheckerConfig(**VERIFICATION_MODE_CONFIGS[mode]))
-    trainer = Trainer(model, config=TrainerConfig(learning_rate=1e-3), checker=checker)
-    trainer.train_step(batch)  # warm-up
-    per_step = []
-    for _ in range(steps):
-        before = checker.critical_path_seconds()
-        trainer.train_step(batch)
-        assert checker.pending_verifications == 0
-        per_step.append(checker.critical_path_seconds() - before)
-    trainer.drain_verifications()
-    assert checker.engine.pending_steps == 0
-    critical_total = checker.critical_path_seconds()
-    overall_total = checker.overhead_seconds()
-    checker.close()
-    return min(per_step), critical_total, overall_total
-
-
 def backend_fault_decisions(backend: str, model_name: str = "bert-base"):
     """Detection/correction decisions of one backend over a fault campaign."""
     decisions = {}
@@ -300,50 +268,6 @@ def test_fig7_fused_engine_vs_per_gemm_backend(benchmark, report):
     # interleaved min-floor estimator.  A real regression (extra checksum
     # work on the fused path) is well above this band.
     assert fused <= per_gemm * 1.10
-
-
-def test_fig7_async_verification_off_critical_path(benchmark, report):
-    """The off-critical-path claim, measured: async verification must leave
-    strictly less checker time on the training thread than immediate mode
-    (the paper's mode), which verifies every boundary in-pass — while the
-    verification work itself (the total) does not go away, it moves to the
-    worker."""
-    def compare():
-        # Interleave the modes and keep the floor of three trials each, so
-        # slow drift on a shared CI host hits both measurements alike.
-        immediate_trials, async_trials = [], []
-        for _ in range(3):
-            immediate_trials.append(measured_mode_path_seconds("immediate"))
-            async_trials.append(measured_mode_path_seconds("async"))
-        return (
-            min(t[0] for t in immediate_trials),
-            min(t[0] for t in async_trials),
-            max(t[2] - t[1] for t in async_trials),
-        )
-
-    immediate_step, async_step, async_worker_total = benchmark.pedantic(
-        compare, rounds=1, iterations=1
-    )
-
-    report(
-        "Figure 7 (verification modes, CPU/NumPy, bert-base tiny): per-step "
-        f"critical-path ABFT time immediate = {immediate_step * 1e3:.2f} ms, "
-        f"async = {async_step * 1e3:.2f} ms "
-        f"({(immediate_step - async_step) / immediate_step * 100.0:+.1f}% moved off "
-        f"the critical path; worker verified {async_worker_total * 1e3:.2f} ms "
-        "off-thread)"
-    )
-    benchmark.extra_info["immediate_critical_path_seconds"] = immediate_step
-    benchmark.extra_info["async_critical_path_seconds"] = async_step
-    benchmark.extra_info["async_worker_seconds"] = async_worker_total
-
-    # The hard gate: async critical-path time strictly below immediate
-    # mode's.  The gap is the per-boundary EEC-ABFT verification (immediate
-    # pays it in-pass; async pays only the queue-swap/submit bookkeeping),
-    # which is far above timer jitter on the min-floor estimator.
-    assert async_step < immediate_step
-    # The verification work did not disappear — it ran on the worker.
-    assert async_worker_total > 0.0
 
 
 def test_fig7_fused_kernel_schedule_counters_and_json(benchmark, report):

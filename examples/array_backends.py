@@ -64,7 +64,6 @@ def run(model_name: str, array_backend: str):
     out = model(batch["input_ids"], attention_mask=batch["attention_mask"],
                 labels=batch["labels"])
     model.set_attention_hooks(None)
-    checker.end_step()
     return {
         "detections": checker.stats.total_detections,
         "corrections": checker.stats.total_corrections,

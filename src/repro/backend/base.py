@@ -10,11 +10,11 @@ against two small surfaces instead of against NumPy directly:
   to :mod:`cupy`; Torch implements the same surface on ``torch`` functions.
 
   Namespaces *should* additionally accept NumPy's optional ``out=`` keyword
-  on ``matmul`` and ``stack``, and expose ``empty`` for uninitialised
+  on ``matmul``, and expose ``empty`` for uninitialised
   buffers — the contract behind the zero-allocation
   :class:`repro.core.workspace.ChecksumWorkspace`.  The contract is
-  optional: the workspace helpers probe each namespace once and fall back to
-  plain allocating calls for namespaces that lack it, so a minimal custom
+  optional: the workspace helper probes each namespace once and falls back
+  to plain allocating calls for namespaces that lack it, so a minimal custom
   namespace stays value-correct, it just forfeits buffer reuse.
 * a **backend** object (this protocol) owning everything that is *not* plain
   array math: adoption of foreign data (``asarray``/``from_numpy``), export

@@ -11,7 +11,7 @@ All encode / carry / detect / correct work stays on the GPU: ``to_numpy``
 checkpoint manager times them under ``xfer/d2h`` / ``xfer/h2d``.
 
 The workspace ``out=`` contract (see :mod:`repro.core.workspace`) mostly
-resolves natively: ``cupy.matmul`` / ``cupy.stack`` accept ``out=`` and
+resolves natively: ``cupy.matmul`` accepts ``out=`` and
 ``cupy.empty`` backs the arena, so steady-state checksum intermediates reuse
 device buffers instead of hitting the CUDA memory pool per layer visit.
 """

@@ -8,8 +8,8 @@ path byte-identical to the historical direct ``np.`` calls — the cross-backend
 equivalence tests compare every other adapter against this one.
 
 The workspace ``out=`` contract (see :mod:`repro.core.workspace`) is native
-here: ``matmul`` / ``stack`` resolve to the NumPy functions,
-which accept ``out=`` directly, and ``empty`` provides the arena's
+here: ``matmul`` resolves to the NumPy function, which accepts ``out=``
+directly, and ``empty`` provides the arena's
 uninitialised buffers — computing into a reusable buffer runs the exact same
 kernel as allocating afresh, so results stay bitwise identical.
 """

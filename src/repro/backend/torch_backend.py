@@ -118,12 +118,8 @@ class TorchNamespace:
     def reshape(self, array, shape):
         return array.reshape(shape)
 
-    def stack(self, arrays, axis: int = 0, out: Any = None):
-        # out= is part of the workspace contract (see repro.core.workspace):
-        # the async batched verification stacks into reusable buffers.
-        if out is None:
-            return self._torch.stack(list(arrays), dim=axis)
-        return self._torch.stack(list(arrays), dim=axis, out=out)
+    def stack(self, arrays, axis: int = 0):
+        return self._torch.stack(list(arrays), dim=axis)
 
     def concatenate(self, arrays, axis: int = 0):
         return self._torch.cat(list(arrays), dim=axis)

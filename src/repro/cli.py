@@ -29,8 +29,6 @@ from repro.backend import KNOWN_ARRAY_BACKENDS, BackendUnavailable, resolve_back
 from repro.core import (
     CHECKER_BACKENDS,
     PROTECT_SCOPES,
-    VERIFICATION_MODES,
-    VERIFICATION_MODE_CONFIGS,
     ATTNChecker,
     ATTNCheckerConfig,
     ErrorRates,
@@ -81,8 +79,7 @@ def run_quickstart(args: argparse.Namespace) -> str:
         rng=np.random.default_rng(args.seed),
     )
     checker = ATTNChecker(ATTNCheckerConfig(
-        backend=args.backend, async_verification=args.async_verification,
-        protect_scope=args.protect_scope,
+        backend=args.backend, protect_scope=args.protect_scope,
     ))
     model.eval()
     reference = model(batch["input_ids"], attention_mask=batch["attention_mask"],
@@ -91,19 +88,14 @@ def run_quickstart(args: argparse.Namespace) -> str:
     protected = model(batch["input_ids"], attention_mask=batch["attention_mask"],
                       labels=batch["labels"]).loss_value
     model.set_attention_hooks(None)
-    checker.end_step()
-    checker.drain()   # settle async verification before reading statistics
-    checker.close()
     substrate = getattr(model, "array_backend", None)
     lines = [
         f"backend              : {checker.backend}",
-        f"verification mode    : {checker.verification_mode}",
         f"model substrate      : {'numpy' if substrate is None else substrate.device_info()}",
         f"fault-free loss      : {reference:.6f}",
         f"protected faulty loss: {protected:.6f}",
         f"detections           : {checker.stats.total_detections}",
         f"corrections          : {checker.stats.total_corrections}",
-        f"stale detections     : {checker.stats.total_stale_detections}",
         f"residual extremes    : {checker.stats.total_residual_extreme}",
     ]
     return "\n".join(lines)
@@ -169,61 +161,6 @@ def run_backends(args: argparse.Namespace) -> str:
     )
 
 
-def run_verification_modes(args: argparse.Namespace) -> str:
-    """Compare the fused engine's immediate and async verification.
-
-    Runs the same single-fault forward passes under both modes (same seeds)
-    and reports detection/correction counters, stale detections, and the
-    critical-path vs total checker time split.  The footer states the
-    cross-mode invariant the test suite enforces: async repairs
-    (bounded-staleness correction of the retained boundary matrices) match
-    immediate-mode correction counts.
-    """
-    combos = [("Q", "inf"), ("AS", "nan"), ("CL", "inf"), ("O", "near_inf")]
-    rows = []
-    per_mode = {}
-    for mode in VERIFICATION_MODES:
-        detections = corrections = stale = 0
-        critical = total = 0.0
-        for trial, (matrix, error_type) in enumerate(combos):
-            model, batch = _tiny_model_and_batch(
-                args.model, batch=4, seed=args.seed,
-                array_backend=args.model_array_backend)
-            model.eval()
-            injector = FaultInjector(
-                [FaultSpec(matrix=matrix, error_type=error_type)],
-                rng=np.random.default_rng(args.seed + trial),
-            )
-            checker = ATTNChecker(ATTNCheckerConfig(**VERIFICATION_MODE_CONFIGS[mode]))
-            model.set_attention_hooks(ComposedHooks([injector, checker]))
-            model(batch["input_ids"], attention_mask=batch["attention_mask"],
-                  labels=batch["labels"])
-            model.set_attention_hooks(None)
-            checker.end_step()
-            checker.drain()
-            checker.close()
-            detections += checker.stats.total_detections
-            corrections += checker.stats.total_corrections
-            stale += checker.stats.total_stale_detections
-            critical += checker.critical_path_seconds()
-            total += checker.overhead_seconds()
-        per_mode[mode] = corrections
-        rows.append([
-            mode, detections, corrections, stale,
-            f"{critical * 1e3:.1f}", f"{total * 1e3:.1f}",
-        ])
-    footer = (
-        "async corrections match immediate"
-        if per_mode["immediate"] == per_mode["async"]
-        else "ASYNC CORRECTIONS DIVERGED FROM IMMEDIATE"
-    )
-    return format_table(
-        ["mode", "detections", "corrections", "stale", "critical-path ms", "total ms"],
-        rows,
-        title=f"Verification modes — fused engine ({args.model}); {footer}",
-    )
-
-
 def run_train(args: argparse.Namespace) -> str:
     """A short protected fine-tuning run on the chosen model substrate.
 
@@ -240,8 +177,7 @@ def run_train(args: argparse.Namespace) -> str:
     from repro.training import Trainer, TrainerConfig
 
     checker = ATTNChecker(ATTNCheckerConfig(
-        backend=args.backend, async_verification=args.async_verification,
-        protect_scope=args.protect_scope,
+        backend=args.backend, protect_scope=args.protect_scope,
     ))
     trainer = Trainer(model, config=TrainerConfig(learning_rate=5e-4), checker=checker)
     rows = []
@@ -251,7 +187,6 @@ def run_train(args: argparse.Namespace) -> str:
             result.step, f"{result.loss:.6f}", f"{result.step_seconds * 1e3:.1f}",
             f"{result.abft_seconds * 1e3:.2f}", result.detections, result.corrections,
         ])
-    trainer.drain_verifications(batch=batch)
     return format_table(
         ["step", "loss", "step ms", "abft ms", "det", "corr"], rows,
         title=f"Protected training — {args.model} (tiny); "
@@ -371,8 +306,6 @@ def run_serve(args: argparse.Namespace) -> str:
             config=ServingConfig(max_batch_size=args.batch_size),
         )
         report = engine.run(requests)
-        if checker is not None:
-            checker.close()
         reports[protected] = report
         token_streams[protected] = [r.tokens for r in report.results]
     identical = token_streams[False] == token_streams[True]
@@ -529,7 +462,6 @@ EXPERIMENTS: Dict[str, Callable[[argparse.Namespace], str]] = {
     "train_parallel": run_train_parallel,
     "serve": run_serve,
     "backends": run_backends,
-    "verification_modes": run_verification_modes,
     "table2": run_table2,
     "table3": run_table3,
     "sec52": run_sec52,
@@ -586,9 +518,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "activations, gradients and optimizer state are "
                              "device-resident on that backend, and the checker "
                              "runs there too; default is the pure-NumPy substrate")
-    parser.add_argument("--async", dest="async_verification", action="store_true",
-                        help="verify boundary checksums asynchronously on a worker "
-                             "thread, off the critical path (fused backend only)")
     parser.add_argument("--steps", type=int, default=4,
                         help="optimisation steps for the train experiments")
     parser.add_argument("--workers", type=int, default=2,

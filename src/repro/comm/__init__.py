@@ -34,6 +34,7 @@ from repro.comm.collective import (
     Collective,
     CollectiveClosed,
     CollectiveError,
+    CollectiveTimeout,
     ThreadCollective,
 )
 from repro.comm.protected import (
@@ -50,6 +51,7 @@ __all__ = [
     "Collective",
     "CollectiveClosed",
     "CollectiveError",
+    "CollectiveTimeout",
     "GradientBucketer",
     "DirtyReductionError",
     "ProtectedCollective",

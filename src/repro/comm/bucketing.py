@@ -249,7 +249,7 @@ class BucketReadiness:
         """Record ``param_index``'s gradient as accumulated.
 
         Returns the completed bucket id if this was the last pending member,
-        else ``None``.  Marking the same parameter twice in one attempt is an
+        else ``None``.  Marking the same parameter twice in one pass is an
         error — it would mean a bucket launched on a half-accumulated
         gradient.
         """
@@ -270,7 +270,7 @@ class BucketReadiness:
         return [i for i, left in enumerate(self._remaining) if left > 0]
 
     def reset(self) -> None:
-        """Start a fresh attempt (a re-executed shard restarts readiness)."""
+        """Start a fresh backward pass (called at the top of every step)."""
         self._remaining = [
             len(s.param_indices) for s in self._bucketer.buckets
         ]

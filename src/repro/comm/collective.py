@@ -21,24 +21,43 @@ deferring it to the post-backward drain.
 
 Thread-safety / lock discipline: all worker-shared state of
 :class:`ThreadCollective` (``_entries``, ``_results``, ``_fetched``,
-``_failure``, ``_closed``) is only touched while holding ``self._cv`` —
-the same ``with self._cv`` discipline the async verification engine uses,
-and reprolint's TH001 rule now checks this file too.
+``_deposit_copies``, ``_failure``, ``_closed``) is only touched while
+holding ``self._cv`` (or inside a ``*_locked`` method, whose caller holds
+it); reprolint's TH001 rule checks this.
+
+No wait is unbounded: a blocking ``finish`` or ``broadcast`` gives up after
+:data:`WAIT_DEADLINE_SECONDS` with a :class:`CollectiveTimeout` naming the
+key and the ranks that never arrived, so a rank that stalls without raising
+fails the step instead of hanging it.
 """
 
 from __future__ import annotations
 
 import threading
+import time
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.backend import namespace_of
 
-__all__ = ["Collective", "CollectiveError", "CollectiveClosed", "ThreadCollective"]
+__all__ = [
+    "Collective",
+    "CollectiveError",
+    "CollectiveClosed",
+    "CollectiveTimeout",
+    "ThreadCollective",
+]
 
 #: Reduction operators: both fold in ascending rank order; ``mean`` divides
 #: the rank-ordered sum by the world size afterwards (``* (1/world)``, which
 #: is bit-exact identity for a world of one).
 REDUCE_OPS = ("sum", "mean")
+
+#: Longest any blocking collective wait lasts before it raises
+#: :class:`CollectiveTimeout`: ``ThreadCollective.finish`` / ``broadcast``,
+#: and the data-parallel trainer's wait for its rank workers.  Far above any
+#: step this repository runs (a ``train-dp-faults`` step takes about 150 ms),
+#: so it only ever ends a wait on a rank that stalled.  Read at call time.
+WAIT_DEADLINE_SECONDS = 300.0
 
 
 class CollectiveError(RuntimeError):
@@ -47,6 +66,11 @@ class CollectiveError(RuntimeError):
 
 class CollectiveClosed(CollectiveError):
     """The collective was closed while ranks were still blocked in it."""
+
+
+class CollectiveTimeout(CollectiveError):
+    """A blocking wait passed :data:`WAIT_DEADLINE_SECONDS`: some rank never
+    arrived at the rendezvous."""
 
 
 def _validate_rank(rank: int, world_size: int) -> None:
@@ -220,18 +244,32 @@ class ThreadCollective(Collective):
 
     def finish(self, key: str, rank: int) -> List[Any]:
         _validate_rank(rank, self.world_size)
+        deadline = time.monotonic() + WAIT_DEADLINE_SECONDS
         with self._cv:
             while True:
                 self._raise_if_failed_locked()
                 if key in self._results:
                     return self._take_result_locked(key)
-                slots = self._entries.get(key)
-                if slots is not None and len(slots) == self.world_size:
+                slots = self._entries.get(key) or {}
+                if len(slots) == self.world_size:
                     # First rank to observe the full rendezvous reduces, in
                     # ascending rank order; peers pick the result up below.
                     self._reduce_ready_locked(key)
                     return self._take_result_locked(key)
-                self._cv.wait()
+                missing = [r for r in range(self.world_size) if r not in slots]
+                self._wait_locked(deadline, key, missing)
+
+    def _wait_locked(self, deadline: float, key: str, missing: List[int]) -> None:
+        """Block on ``_cv`` until notified or ``deadline`` (monotonic) passes;
+        caller holds ``_cv``.  Past the deadline, raise
+        :class:`CollectiveTimeout` naming ``key`` and the ``missing`` ranks."""
+        remaining = deadline - time.monotonic()
+        if remaining <= 0:
+            raise CollectiveTimeout(
+                f"collective {key!r}: rank(s) {missing} did not arrive within "
+                f"{WAIT_DEADLINE_SECONDS:g} s"
+            )
+        self._cv.wait(remaining)
 
     def _reduce_ready_locked(self, key: str) -> None:
         """Fold ``key``'s complete rendezvous; caller holds ``_cv``."""
@@ -268,6 +306,7 @@ class ThreadCollective(Collective):
         _validate_rank(rank, self.world_size)
         _validate_rank(root, self.world_size)
         key = f"{key}@bcast"
+        deadline = time.monotonic() + WAIT_DEADLINE_SECONDS
         with self._cv:
             self._raise_if_failed_locked()
             if rank == root:
@@ -279,7 +318,7 @@ class ThreadCollective(Collective):
                     self._cv.notify_all()
             while key not in self._results:
                 self._raise_if_failed_locked()
-                self._cv.wait()
+                self._wait_locked(deadline, key, [root])
             return self._take_result_locked(key)
 
     # -- failure propagation ---------------------------------------------------------

@@ -38,10 +38,7 @@ natively: a checker runs on the library that owns the model's arrays
 ``engine``
     :class:`ProtectionEngine` — the fused section-level checksum-passing
     mechanics: encode once per section, carry through every member GEMM, and
-    verify at the section boundary.  Two verification modes: immediate
-    (in-pass detection and correction) and async (one batched pass per step
-    runs on a worker thread off the training critical path, with
-    bounded-staleness correction of the retained boundary matrices).
+    verify and correct at the section boundary, inside the forward pass.
 ``attention_checker``
     :class:`ATTNChecker` — the attention hook that ties everything together
     and plugs into :class:`repro.nn.MultiHeadAttention`.  A thin policy layer
@@ -76,11 +73,7 @@ from repro.core.checksums import (
     stacked_checksum_weights,
     update_column_checksums_through_gemm,
 )
-from repro.core.workspace import (
-    ChecksumWorkspace,
-    matmul_into,
-    stack_into,
-)
+from repro.core.workspace import ChecksumWorkspace, matmul_into
 from repro.core.eec_abft import ColumnCheckReport, check_columns, check_rows
 from repro.core.patterns import ErrorPattern, classify_error_pattern, classify_error_types
 from repro.core.correction import MatrixCorrectionReport, correct_matrix
@@ -95,8 +88,6 @@ from repro.core.sections import (
 from repro.core.engine import ProtectionEngine, SectionOutcome, WeightEncodingCache
 from repro.core.attention_checker import (
     CHECKER_BACKENDS,
-    VERIFICATION_MODES,
-    VERIFICATION_MODE_CONFIGS,
     ATTNChecker,
     ATTNCheckerConfig,
     CheckerStats,
@@ -124,7 +115,6 @@ __all__ = [
     "stacked_checksum_weights",
     "clear_checksum_weight_cache",
     "matmul_into",
-    "stack_into",
     "WeightEncodingCache",
     "encode_column_checksums",
     "encode_row_checksums",
@@ -151,8 +141,6 @@ __all__ = [
     "ATTNCheckerConfig",
     "CheckerStats",
     "CHECKER_BACKENDS",
-    "VERIFICATION_MODES",
-    "VERIFICATION_MODE_CONFIGS",
     "ErrorRates",
     "OperationVulnerability",
     "SectionReliabilityModel",

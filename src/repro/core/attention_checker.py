@@ -20,24 +20,8 @@ backends:
     hooks.  Both backends make byte-identical detection/correction decisions;
     the equivalence is enforced by tests and by the Figure-7 benchmark.
 
-The fused backend additionally selects one of two *verification modes*
-(:data:`VERIFICATION_MODES`; see :mod:`repro.core.engine` for the mechanics):
-
-===========  ==============================  ===========================  ===============
-mode         critical-path latency           guarantee                    staleness bound
-===========  ==============================  ===========================  ===============
-immediate    full: verify at each boundary,  detection + correction       none
-             inside the forward pass         before values are consumed
-async        encode/carry + queue swap; a    detection + bounded-         ``max_pending_
-             worker thread verifies off      staleness correction of      steps`` steps
-             the critical path               the retained boundary        (backpressure)
-             (``async_verification=True``)   matrix; dirty outcomes
-                                             flagged ``stale``
-===========  ==============================  ===========================  ===============
-
-Use :meth:`ATTNChecker.critical_path_seconds` vs
-:meth:`ATTNChecker.overhead_seconds` to split the checker time spent on the
-training thread from total checker work including the async worker.
+Either backend verifies and corrects every section boundary inside the
+forward pass, so a repaired value is what downstream operations consume.
 
 The checker is completely transparent to the model: attaching it changes no
 shapes and no semantics of the forward/backward pass (one of the paper's
@@ -93,8 +77,6 @@ from repro.utils.timing import TimingRegistry
 
 __all__ = [
     "CHECKER_BACKENDS",
-    "VERIFICATION_MODES",
-    "VERIFICATION_MODE_CONFIGS",
     "ATTNCheckerConfig",
     "SectionStats",
     "CheckerStats",
@@ -103,16 +85,6 @@ __all__ = [
 
 #: Selectable mechanics backends.
 CHECKER_BACKENDS = ("fused", "per_gemm")
-
-#: Verification modes of the fused backend (see the module docstring table).
-VERIFICATION_MODES = ("immediate", "async")
-
-#: Canonical mode-name -> :class:`ATTNCheckerConfig` kwargs, the single place
-#: the CLI, benchmarks and tests translate a mode name into a configuration.
-VERIFICATION_MODE_CONFIGS = {
-    "immediate": {},
-    "async": {"async_verification": True},
-}
 
 
 @dataclass
@@ -148,27 +120,12 @@ class ATTNCheckerConfig:
         each protection section's arrays (a NumPy model is checked with
         NumPy, a Torch tensor with Torch — never a host round-trip), so the
         model's backend (``build_model(..., array_backend=...)``) decides it.
-    async_verification:
-        Fused backend only: snapshot each step's queued boundary
-        verifications at :meth:`ATTNChecker.end_step` and verify them on a
-        worker thread, off the training critical path, with bounded-staleness
-        correction of the retained boundary matrices (see
-        :mod:`repro.core.engine`).  ``False`` (default) is immediate mode,
-        the paper's in-pass detection and correction.  Results
-        are folded into :attr:`ATTNChecker.stats` as they are harvested at
-        subsequent ``end_step`` calls or at :meth:`ATTNChecker.drain`.
-    max_pending_steps:
-        Async only: bound on in-flight submitted step batches; ``end_step``
-        blocks once the bound is reached (backpressure), which is also the
-        detection staleness window in steps.
     """
 
     thresholds: ABFTThresholds = field(default_factory=ABFTThresholds)
     frequencies: Dict[str, float] = field(default_factory=lambda: {"AS": 1.0, "CL": 1.0, "O": 1.0})
     protect_scope: str = "attention"
     backend: str = "fused"
-    async_verification: bool = False
-    max_pending_steps: int = 2
 
     def __post_init__(self) -> None:
         if self.protect_scope not in PROTECT_SCOPES:
@@ -191,21 +148,6 @@ class ATTNCheckerConfig:
             raise ValueError(
                 f"unknown backend {self.backend!r}; expected one of {CHECKER_BACKENDS}"
             )
-        if self.async_verification and self.backend != "fused":
-            raise ValueError(
-                "async_verification requires the 'fused' backend; the per-GEMM "
-                "reference verifies inline at every GEMM and has no checksum "
-                "queue to hand to a worker"
-            )
-        if not isinstance(self.max_pending_steps, int) or self.max_pending_steps < 1:
-            raise ValueError(
-                f"max_pending_steps must be a positive integer, got {self.max_pending_steps!r}"
-            )
-
-    @property
-    def verification_mode(self) -> str:
-        """Which of :data:`VERIFICATION_MODES` this configuration selects."""
-        return "async" if self.async_verification else "immediate"
 
     @property
     def active_sections(self) -> Dict[str, Any]:
@@ -224,9 +166,6 @@ class SectionStats:
     aborted_vectors: int = 0
     residual_extreme: int = 0
     operand_repairs: int = 0
-    #: Boundaries that verified dirty only after their values were consumed
-    #: (async verification) — candidates for re-execution/abort policies.
-    stale_detections: int = 0
 
     def record(self, report: MatrixCorrectionReport) -> None:
         self.checks_run += 1
@@ -259,10 +198,6 @@ class CheckerStats:
     @property
     def total_checks(self) -> int:
         return sum(s.checks_run for s in self.sections.values())
-
-    @property
-    def total_stale_detections(self) -> int:
-        return sum(s.stale_detections for s in self.sections.values())
 
     def reset(self) -> None:
         for name in list(self.sections):
@@ -745,8 +680,6 @@ class ATTNChecker(AttentionHooks):
             self.engine: Optional[ProtectionEngine] = ProtectionEngine(
                 thresholds=self.config.thresholds,
                 timers=self.timers,
-                asynchronous=self.config.async_verification,
-                max_pending_steps=self.config.max_pending_steps,
             )
             self._reference: Optional[_PerGemmReferenceBackend] = None
         else:
@@ -793,21 +726,10 @@ class ATTNChecker(AttentionHooks):
             self.engine.invalidate_weight_cache()
 
     @property
-    def verification_mode(self) -> str:
-        return self.config.verification_mode
-
-    @property
-    def pending_verifications(self) -> int:
-        """Boundary checks queued this step, not yet submitted."""
-        return self.engine.pending_verifications if self.engine is not None else 0
-
-    @property
     def thresholds(self) -> ABFTThresholds:
         return self.config.thresholds
 
     def reset_stats(self) -> None:
-        # Join the async worker before clearing the timers: an in-flight
-        # batch must not record ``async/`` entries into the fresh registry.
         if self.engine is not None:
             self.engine.reset()
         if self._reference is not None:
@@ -916,69 +838,10 @@ class ATTNChecker(AttentionHooks):
         self._record_outcome(ctx.section, outcome)
         return out
 
-    def end_step(self) -> List[SectionOutcome]:
-        """Close one training step's verification work; call once per step.
-
-        * immediate mode — a no-op (every boundary already verified in-pass);
-        * async mode — submit the step's snapshot to the worker (blocking
-          only if ``max_pending_steps`` batches are already in flight) and
-          harvest whatever verification results have completed so far,
-          without waiting for the batch just submitted.
-
-        Returns the outcomes produced now (statistics are folded into
-        :attr:`stats`); always leaves :attr:`pending_verifications` at zero.
-        """
-        if self.engine is None or not self.config.async_verification:
-            return []
-        with self.timers.measure("submit/async"):
-            self.engine.submit_step()
-        outcomes = self.engine.harvest()
-        self._fold_outcomes(outcomes)
-        return outcomes
-
-    def drain(self) -> List[SectionOutcome]:
-        """Barrier: complete and fold every queued/in-flight verification.
-
-        Async mode submits any residual front-buffer items and waits for the
-        worker to finish all batches (re-raising a worker exception instead
-        of swallowing it).  A no-op returning ``[]`` in immediate mode or for
-        the per-GEMM backend.
-        """
-        if self.engine is None or not self.config.async_verification:
-            return []
-        with self.timers.measure("submit/async"):
-            self.engine.submit_step()
-        outcomes = self.engine.drain()
-        self._fold_outcomes(outcomes)
-        return outcomes
-
     def close(self) -> None:
-        """Join the async verification worker, keeping statistics intact."""
-        if self.engine is not None:
-            self.engine.close()
-
-    def _fold_outcomes(self, outcomes: List[SectionOutcome]) -> None:
-        """Fold async batched-verification outcomes into :attr:`stats`.
-
-        Detection counters come from the batched detect pass.  For outcomes
-        that carry a bounded-staleness ``repair``, corrections come from the
-        repair report and the residual counter reports the post-repair state,
-        mirroring what immediate mode would have recorded at the same
-        boundary.
-        """
-        for outcome in outcomes:
-            report = outcome.report
-            if report is None:
-                continue
-            stats = self.stats.sections[outcome.section]
-            stats.record(report)
-            if outcome.repair is not None:
-                stats.corrections += outcome.repair.corrected
-                stats.residual_extreme += outcome.repair.residual_extreme - report.residual_extreme
-            if outcome.stale and report.detected:
-                stats.stale_detections += 1
-            self.last_reports[outcome.section] = report
-            self._remember(outcome)
+        """Release nothing: verification runs inside the forward pass, so the
+        checker owns no thread or other resource.  Kept so callers that close
+        what they build may keep doing so."""
 
     # -- stats plumbing -----------------------------------------------------------
 
@@ -992,8 +855,6 @@ class ATTNChecker(AttentionHooks):
             # Section disabled this pass (frequency gating) or no pass state.
             stats.checks_skipped += 1
             return
-        if outcome.deferred:
-            return  # counted when the async worker's outcome is folded
         if outcome.report is None:
             # Carried checksums forward without verifying (CL visited for O).
             stats.checks_skipped += 1
@@ -1001,15 +862,10 @@ class ATTNChecker(AttentionHooks):
         stats.record(outcome.report)
         self.last_reports[section] = outcome.report
         stats.operand_repairs += outcome.operand_repairs
-        self._remember(outcome)
-
-    def _remember(self, outcome: SectionOutcome) -> None:
-        """Keep a serving verification for :meth:`take_recent_outcomes`.
-
-        Only prefill/decode outcomes are kept — the same rule as the per-GEMM
-        reference — because only the serving engine drains the ring; a
-        training run would otherwise pin every recent report's arrays.
-        """
+        # Only prefill/decode outcomes are kept for take_recent_outcomes —
+        # the same rule as the per-GEMM reference — because only the serving
+        # engine drains the ring; a training run would otherwise pin every
+        # recent report's arrays.
         if outcome.phase != "train":
             self.recent_outcomes.append(outcome)
 
@@ -1030,34 +886,18 @@ class ATTNChecker(AttentionHooks):
     # -- reporting ----------------------------------------------------------------
 
     def overhead_seconds(self) -> float:
-        """Total wall-clock ABFT work, including the async worker's share."""
+        """Total wall-clock ABFT work."""
         return self.timers.total()
-
-    def critical_path_seconds(self) -> float:
-        """ABFT time spent on the training thread (excludes ``async/`` keys).
-
-        For immediate mode this equals :meth:`overhead_seconds`; for async
-        mode it is the encode/carry/queue
-        cost plus the step-submit bookkeeping — the part the paper's
-        off-critical-path claim says should be all that remains.
-        """
-        return self.timers.total(exclude="async/")
 
     def summary(self) -> str:
         """Human-readable multi-line statistics summary."""
-        lines = [
-            f"ATTNChecker statistics (backend={self.config.backend}, "
-            f"mode={self.verification_mode}):"
-        ]
+        lines = [f"ATTNChecker statistics (backend={self.config.backend}):"]
         for name, stats in self.stats.sections.items():
             lines.append(
                 f"  [{name}] checks={stats.checks_run} skipped={stats.checks_skipped} "
                 f"detected={stats.detections} corrected={stats.corrections} "
                 f"aborted={stats.aborted_vectors} residual_extreme={stats.residual_extreme} "
-                f"operand_repairs={stats.operand_repairs} stale={stats.stale_detections}"
+                f"operand_repairs={stats.operand_repairs}"
             )
-        lines.append(
-            f"  total ABFT time: {self.overhead_seconds() * 1e3:.3f} ms "
-            f"(critical path: {self.critical_path_seconds() * 1e3:.3f} ms)"
-        )
+        lines.append(f"  total ABFT time: {self.overhead_seconds() * 1e3:.3f} ms")
         return "\n".join(lines)

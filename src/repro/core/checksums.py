@@ -48,7 +48,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, Tuple
 
-from repro.backend import backend_of, get_backend, namespace_of
+from repro.backend import get_backend, namespace_of
 from repro.core.workspace import matmul_into
 
 __all__ = [
@@ -367,12 +367,6 @@ class ChecksumState:
 
     def has_row(self) -> bool:
         return self.row is not None
-
-    def copy(self) -> "ChecksumState":
-        return ChecksumState(
-            col=None if self.col is None else backend_of(self.col).copy(self.col),
-            row=None if self.row is None else backend_of(self.row).copy(self.row),
-        )
 
     @staticmethod
     def encode(matrix: Any, col: bool = True, row: bool = False) -> "ChecksumState":

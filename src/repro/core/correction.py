@@ -105,7 +105,7 @@ def correct_matrix(
     row_report: Optional[ColumnCheckReport] = None
 
     if checksums.has_col():
-        col_report = check_columns(matrix, checksums.col, thresholds=thresholds, correct=True)
+        col_report = check_columns(matrix, checksums.col, thresholds=thresholds)
         report.used_column_side = True
         report.column_report = col_report
         report.detected += col_report.num_detected
@@ -138,7 +138,7 @@ def correct_matrix(
             needs_row_side = not column_fixed_everything
 
     if needs_row_side:
-        row_report = check_rows(matrix, checksums.row, thresholds=thresholds, correct=True)
+        row_report = check_rows(matrix, checksums.row, thresholds=thresholds)
         report.used_row_side = True
         report.row_report = row_report
         report.detected += row_report.num_detected

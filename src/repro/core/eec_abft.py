@@ -122,7 +122,6 @@ def check_columns(
     matrix: Any,
     col_checksums: Any,
     thresholds: Optional[ABFTThresholds] = None,
-    correct: bool = True,
 ) -> ColumnCheckReport:
     """Run EEC-ABFT on every column of ``matrix`` using its column checksums.
 
@@ -136,9 +135,6 @@ def check_columns(
         unweighted, row 1 weighted with ``[1..m]`` — on the same backend.
     thresholds:
         Numerical thresholds; defaults to the paper's values.
-    correct:
-        When False, only detection/classification is performed (used by the
-        nondeterministic-pattern logic to probe a side without touching data).
 
     Returns
     -------
@@ -242,53 +238,52 @@ def check_columns(
         use_checksum_idx = extreme_single & case1 & xp.isfinite(delta2) & in_range & ratio_is_integer
         idx_extreme = xp.where(use_checksum_idx, idx_from_checksum, idx_from_search)
 
-        if correct:
-            batch_idx, col_idx = xp.nonzero(numeric_locatable & ~aborted)
-            if batch_idx.shape[0]:
-                rows = idx_from_checksum[batch_idx, col_idx]
-                corrupted = flat[batch_idx, rows, col_idx]
-                addition = delta1[batch_idx, col_idx]
-                # T_correct rule: large corrupted values are reconstructed from
-                # the checksum and the healthy elements instead of delta-added.
-                large = xp.abs(corrupted) > thresholds.correct
-                sum_others = recomputed0[batch_idx, col_idx] - corrupted
-                reconstructed = cs[batch_idx, 0, col_idx] - sum_others
-                # Repairs are computed in float64; cast down to the data's
-                # dtype explicitly (NumPy assignment would cast silently,
-                # Torch index assignment requires matching dtypes).
-                flat[batch_idx, rows, col_idx] = xp.astype(
-                    xp.where(large, reconstructed, corrupted + addition),
-                    flat.dtype, copy=False,
-                )
-                report.corrected[batch_idx, col_idx] = True
-                report.corrected_indices[batch_idx, col_idx] = rows
+        batch_idx, col_idx = xp.nonzero(numeric_locatable & ~aborted)
+        if batch_idx.shape[0]:
+            rows = idx_from_checksum[batch_idx, col_idx]
+            corrupted = flat[batch_idx, rows, col_idx]
+            addition = delta1[batch_idx, col_idx]
+            # T_correct rule: large corrupted values are reconstructed from
+            # the checksum and the healthy elements instead of delta-added.
+            large = xp.abs(corrupted) > thresholds.correct
+            sum_others = recomputed0[batch_idx, col_idx] - corrupted
+            reconstructed = cs[batch_idx, 0, col_idx] - sum_others
+            # Repairs are computed in float64; cast down to the data's
+            # dtype explicitly (NumPy assignment would cast silently,
+            # Torch index assignment requires matching dtypes).
+            flat[batch_idx, rows, col_idx] = xp.astype(
+                xp.where(large, reconstructed, corrupted + addition),
+                flat.dtype, copy=False,
+            )
+            report.corrected[batch_idx, col_idx] = True
+            report.corrected_indices[batch_idx, col_idx] = rows
 
-            batch_idx, col_idx = xp.nonzero(extreme_single & ~aborted)
-            if batch_idx.shape[0]:
-                rows = idx_extreme[batch_idx, col_idx]
-                # Reconstruct: true value = checksum - sum of healthy elements,
-                # accumulated in float64 like every other checksum-side sum (a
-                # low-precision healthy sum degrades the reconstructed value).
-                healthy = xp.where(
-                    extreme, 0.0, xp.astype(flat, xp.float64, copy=False)
-                )
-                sum_others = xp.sum(healthy, axis=1, dtype=xp.float64)[
-                    batch_idx, col_idx
-                ] - xp.where(
-                    thresholds.is_extreme(flat[batch_idx, rows, col_idx]),
-                    0.0,
-                    flat[batch_idx, rows, col_idx],
-                )
-                reconstructed = cs[batch_idx, 0, col_idx] - sum_others
-                flat[batch_idx, rows, col_idx] = xp.astype(
-                    reconstructed, flat.dtype, copy=False
-                )
-                report.corrected[batch_idx, col_idx] = True
-                report.corrected_indices[batch_idx, col_idx] = rows
+        batch_idx, col_idx = xp.nonzero(extreme_single & ~aborted)
+        if batch_idx.shape[0]:
+            rows = idx_extreme[batch_idx, col_idx]
+            # Reconstruct: true value = checksum - sum of healthy elements,
+            # accumulated in float64 like every other checksum-side sum (a
+            # low-precision healthy sum degrades the reconstructed value).
+            healthy = xp.where(
+                extreme, 0.0, xp.astype(flat, xp.float64, copy=False)
+            )
+            sum_others = xp.sum(healthy, axis=1, dtype=xp.float64)[
+                batch_idx, col_idx
+            ] - xp.where(
+                thresholds.is_extreme(flat[batch_idx, rows, col_idx]),
+                0.0,
+                flat[batch_idx, rows, col_idx],
+            )
+            reconstructed = cs[batch_idx, 0, col_idx] - sum_others
+            flat[batch_idx, rows, col_idx] = xp.astype(
+                reconstructed, flat.dtype, copy=False
+            )
+            report.corrected[batch_idx, col_idx] = True
+            report.corrected_indices[batch_idx, col_idx] = rows
 
         report.aborted[:] = aborted
 
-    if correct and not flat_is_view:
+    if not flat_is_view:
         matrix[...] = flat.reshape(matrix.shape)
     return _reshape_report(report, lead, n)
 
@@ -297,7 +292,6 @@ def check_rows(
     matrix: Any,
     row_checksums: Any,
     thresholds: Optional[ABFTThresholds] = None,
-    correct: bool = True,
 ) -> ColumnCheckReport:
     """Run EEC-ABFT on every row of ``matrix`` using its row checksums.
 
@@ -311,7 +305,7 @@ def check_rows(
     row_checksums = xp.asarray(row_checksums)
     transposed = xp.swapaxes(matrix, -1, -2)
     cs_t = xp.swapaxes(row_checksums, -1, -2)
-    return check_columns(transposed, cs_t, thresholds=thresholds, correct=correct)
+    return check_columns(transposed, cs_t, thresholds=thresholds)
 
 
 def _reshape_report(report: ColumnCheckReport, lead, n) -> ColumnCheckReport:

@@ -35,53 +35,11 @@ repair run natively in that library (NumPy, CuPy or Torch), so a
 device-resident boundary matrix is never round-tripped through host memory on
 the critical path.
 
-Verification modes
-------------------
-The engine supports two verification modes.  At a glance:
-
-============  =====================  ==========================  =================
-mode          verification latency   guarantee                   staleness bound
-============  =====================  ==========================  =================
-*immediate*   in-pass (boundary)     detection **and** in-place  none — repaired
-              — full cost on the     correction before the       values are what
-              critical path          value is consumed           downstream sees
-*async*       off the critical       detection plus bounded-     ``max_pending_``
-              path — a worker        staleness correction of     ``steps`` steps,
-              thread verifies        the *retained* boundary     enforced by
-              while the next         matrix; outcome flagged     backpressure in
-              step computes          ``stale`` for the trainer   ``submit_step``
-============  =====================  ==========================  =================
-
-``immediate`` (default)
-    Verify and correct at each section boundary, inside the forward pass, so
-    a repaired value is what downstream operations consume.  This is the
-    semantics the paper evaluates.
-``async``
-    Record the boundary matrix and its carried checksums as a work item and
-    verify all sections of all layers of a step in one batched pass
-    (:meth:`ProtectionEngine._verify_batch`) on a standard-library worker
-    thread, while the training loop proceeds with the next step's compute —
-    the checker work leaves the critical path entirely.  Boundary matrices
-    of the same shape are stacked, so the whole step costs a handful of
-    vectorised EEC-ABFT calls regardless of depth.  The queues are
-    double-buffered: :meth:`protect_section` appends :class:`_DeferredCheck`
-    work items to the *front* buffer; :meth:`submit_step` swaps it against
-    an empty buffer and hands the snapshot to the worker.
-    ``max_pending_steps`` bounds how many submitted step batches may be in
-    flight: submitting beyond the bound *blocks* until the worker catches
-    up, so detection can never trail the fault by more than
-    ``max_pending_steps`` steps (the staleness window).  Within that window
-    the engine upgrades detection to *bounded-staleness correction*: a
-    boundary that verifies dirty has its retained matrix repaired via
-    EEC-ABFT (on a copy — the live value was already consumed), and the
-    outcome is flagged ``stale`` so the trainer can re-execute the affected
-    step or abort (see ``TrainerConfig.stale_policy``).  Only the
-    *earliest* dirty boundary of a (step, layer) pass is repaired: later
-    boundaries of the same pass are propagation shadows of the same fault
-    and re-execution, not double-repair, is the recovery for them.
-
-Worker-side wall-clock is recorded under timer keys prefixed ``"async/"`` so
-callers can split critical-path from total checker time.
+Verification
+------------
+Each section boundary is verified and corrected inside the forward pass,
+so a repaired value is what downstream operations consume — the semantics
+the paper evaluates (Sections 4.2–4.4).
 
 Hot-path kernel schedule
 ------------------------
@@ -114,10 +72,7 @@ Checksum workspace
     :class:`~repro.core.workspace.ChecksumWorkspace` arena of named
     shape/dtype/device-keyed buffers filled through the namespaces'
     ``out=`` contract: after one warm-up visit the steady-state hot path
-    allocates no managed buffers.  Checksums that outlive the section visit
-    (the async queue) deliberately bypass the arena, and the batched
-    verification pass uses a second arena owned by the worker thread that
-    runs it — workspace buffers are never aliased by retained state.
+    allocates no managed buffers.
 
 ``dispatch_counts`` tracks the checksum GEMM/einsum launches (``"gemm"``)
 and verification passes (``"detect"``) the engine actually issued — the
@@ -130,11 +85,9 @@ retained activations.
 
 from __future__ import annotations
 
-import threading
-from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Deque, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterator, Optional, Tuple
 
 from repro.backend import ArrayBackend, backend_of
 from repro.core.checksums import (
@@ -149,10 +102,9 @@ from repro.core.checksums import (
 )
 from repro.core.correction import MatrixCorrectionReport, correct_matrix
 from repro.core.eec_abft import check_columns, check_rows
-from repro.core.sections import SECTION_REGISTRY
 from repro.core.thresholds import ABFTThresholds
 from repro.core.hooks import SectionContext
-from repro.core.workspace import ChecksumWorkspace, matmul_into, stack_into
+from repro.core.workspace import ChecksumWorkspace, matmul_into
 from repro.utils.timing import TimingRegistry
 from repro.utils.versioning import weights_version
 
@@ -191,25 +143,13 @@ def request_dirty_from_report(report: MatrixCorrectionReport) -> Optional[Any]:
             dirty = fold_request_dirty(dirty, sub.detected | sub.aborted)
     return dirty
 
-#: Dataflow order of the protection sections within one layer forward pass
-#: (the declaration order of ``SECTION_REGISTRY``: the attention sections
-#: first, then the FFN sections — the order the layer executes them).  The
-#: async repair pass uses it to find the earliest dirty boundary of a step —
-#: the fault site — since later dirty boundaries are propagation shadows.
-_SECTION_ORDER = {name: index for index, name in enumerate(SECTION_REGISTRY)}
-
 
 @dataclass
 class SectionOutcome:
     """Result of protecting one section at one boundary.
 
     ``report`` is ``None`` for work that carried checksums forward without
-    verifying (an :math:`S_{CL}` boundary visited only to feed :math:`S_O`,
-    or any async-mode boundary before its batched verification ran).  In
-    async mode the eventual ``report`` holds the *detection* outcome
-    (``corrected`` stays 0 — the consumed value was never patched), and
-    ``repair`` holds the EEC-ABFT report of repairing the retained boundary
-    matrix within the staleness window.
+    verifying (an :math:`S_{CL}` boundary visited only to feed :math:`S_O`).
     """
 
     section: str
@@ -217,28 +157,15 @@ class SectionOutcome:
     step: int
     report: Optional[MatrixCorrectionReport] = None
     operand_repairs: int = 0
-    #: Queued for the async worker instead of verified in-pass.
-    deferred: bool = False
     #: Phase of the producing forward pass (``"train"``, ``"prefill"`` or
     #: ``"decode"``); only serving phases reach the checker's recent ring.
     phase: str = "train"
-    #: Verification completed after the producing step's values were already
-    #: consumed (async mode, dirty boundary) — the trainer's cue to re-execute
-    #: or abort under its staleness policy.
-    stale: bool = False
-    #: Diagnostic: how many step batches had been submitted past this one when
-    #: its verification ran.  Bounded by ``max_pending_steps`` (backpressure);
-    #: not part of the detection/correction decision.
-    lag_steps: int = 0
-    #: Bounded-staleness repair of the retained boundary matrix (async mode,
-    #: earliest dirty boundary of its pass only).
-    repair: Optional[MatrixCorrectionReport] = None
     #: Per-request dirty mask: boolean array over the leading batch axis,
     #: True where detection/abort touched that request's slice of the
-    #: boundary matrix.  Populated on serving (prefill/decode) verifications
-    #: and by the batched pass; ``None`` when no verification ran or the
-    #: boundary had no batch axis.  Sound for attention boundaries because
-    #: every attention GEMM is row-independent across the batch axis.
+    #: boundary matrix.  Populated on serving (prefill/decode)
+    #: verifications; ``None`` when no verification ran or the boundary had
+    #: no batch axis.  Sound for attention boundaries because every
+    #: attention GEMM is row-independent across the batch axis.
     request_dirty: Optional[Any] = None
 
 
@@ -309,29 +236,6 @@ class WeightEncodingCache:
         self.misses = 0
 
 
-class _DeferredCheck:
-    """One boundary matrix queued for batched verification.
-
-    The work item of async mode: the retained boundary matrix (by reference
-    — downstream autograd ops allocate fresh arrays, so the retained values
-    stay what the boundary produced) plus its carried checksums, the
-    backend they live on and the phase of the pass that produced them.
-    """
-
-    __slots__ = ("section", "layer_index", "step", "matrix", "checksums", "backend", "phase")
-
-    def __init__(self, section: str, layer_index: int, step: int,
-                 matrix: Any, checksums: ChecksumState,
-                 backend: Optional[ArrayBackend] = None, phase: str = "train") -> None:
-        self.section = section
-        self.layer_index = layer_index
-        self.step = step
-        self.matrix = matrix
-        self.checksums = checksums
-        self.backend = backend if backend is not None else backend_of(matrix)
-        self.phase = phase
-
-
 class ProtectionEngine:
     """Section-level checksum-passing engine (mechanics only, no policy).
 
@@ -342,58 +246,24 @@ class ProtectionEngine:
     timers:
         Shared :class:`TimingRegistry`; phase labels match the historical
         per-GEMM backend (``"AS/encode"``, ``"CL/detect"``, ...) so overhead
-        reporting is backend-agnostic.  The async worker records under the
-        same labels prefixed ``"async/"``.
-    asynchronous:
-        Select the ``async`` verification mode (see module docstring);
-        ``False`` is immediate mode.
-    max_pending_steps:
-        Async only: bound on in-flight submitted step batches.
-        :meth:`submit_step` blocks once the bound is reached, which both
-        prevents unbounded queue growth and enforces the staleness window.
+        reporting is backend-agnostic.
     """
 
     def __init__(
         self,
         thresholds: Optional[ABFTThresholds] = None,
         timers: Optional[TimingRegistry] = None,
-        asynchronous: bool = False,
-        max_pending_steps: int = 2,
     ) -> None:
-        if max_pending_steps < 1:
-            raise ValueError(f"max_pending_steps must be >= 1, got {max_pending_steps}")
         self.thresholds = thresholds or ABFTThresholds()
         self.timers = timers if timers is not None else TimingRegistry()
-        self.asynchronous = asynchronous
-        self.max_pending_steps = max_pending_steps
         #: Weight-derived encoding cache.
         self.weight_cache = WeightEncodingCache()
         #: Critical-path intermediate arena.
         self.workspace = ChecksumWorkspace()
-        # The batched verification pass runs on the async worker, not on the
-        # critical-path thread — it gets its own arena so the two never
-        # share buffers.
-        self._batch_workspace = ChecksumWorkspace()
         #: Checksum GEMM/einsum launches ("gemm") and verification passes
-        #: ("detect") actually dispatched.  "gemm" counts only critical-path
-        #: encode/carry launches; "detect" is also incremented by the batched
-        #: pass, so async totals are diagnostic rather than exact (the worker
-        #: increments concurrently).
+        #: ("detect") actually dispatched.
         self.dispatch_counts: Dict[str, int] = {"gemm": 0, "detect": 0}
         self._layers: Dict[int, _LayerState] = {}
-        #: Front buffer of the double-buffered queue: the step in progress
-        #: appends here; submit_step() swaps it out wholesale.
-        self._queue: List[_DeferredCheck] = []
-        # -- async worker state (guarded by _cv) --------------------------------
-        self._cv = threading.Condition()
-        self._inbox: Deque[Tuple[int, List[_DeferredCheck]]] = deque()
-        self._completed: List[SectionOutcome] = []
-        self._inflight = 0
-        self._epoch = 0  # number of step batches submitted so far
-        self._failure: Optional[BaseException] = None
-        self._shutdown = False
-        self._discard_on_shutdown = False
-        self._worker: Optional[threading.Thread] = None
 
     # -- pass lifecycle ---------------------------------------------------------
 
@@ -405,24 +275,13 @@ class ProtectionEngine:
         self._layers.pop(layer_index, None)
 
     def reset(self) -> None:
-        """Drop all pass state and queued work; joins the async worker.
+        """Drop all pass state, caches and workspaces.
 
-        In-flight batches are *discarded*, not verified — reset means the
-        caller no longer wants their results.  Caches and workspaces are
-        dropped too: a reset engine holds no reference to any model array.
+        A reset engine holds no reference to any model array.
         """
         self._layers.clear()
-        self._queue.clear()
-        self._join_worker(discard=True)
-        with self._cv:
-            self._inbox.clear()
-            self._completed.clear()
-            self._inflight = 0
-            self._epoch = 0
-            self._failure = None
         self.weight_cache.clear()
         self.workspace.clear()
-        self._batch_workspace.clear()
         self.dispatch_counts = {"gemm": 0, "detect": 0}
 
     def invalidate_weight_cache(self) -> None:
@@ -433,26 +292,6 @@ class ProtectionEngine:
         which bump the global weights version themselves.
         """
         self.weight_cache.clear()
-
-    def close(self) -> None:
-        """Join the async worker thread (idempotent; engine stays usable).
-
-        Graceful: batches already submitted are verified before the worker
-        exits, so a later :meth:`harvest`/:meth:`drain` still returns their
-        outcomes instead of hanging on stranded in-flight accounting.
-        """
-        self._join_worker(discard=False)
-
-    @property
-    def pending_verifications(self) -> int:
-        """Work items in the front buffer, not yet submitted."""
-        return len(self._queue)
-
-    @property
-    def pending_steps(self) -> int:
-        """Submitted step batches the async worker has not finished yet."""
-        with self._cv:
-            return self._inflight
 
     # -- timing -----------------------------------------------------------------
 
@@ -478,24 +317,6 @@ class ProtectionEngine:
     def _buf(self, name: str, shape: Tuple[int, ...], xp: Any) -> Any:
         """A reusable float64 workspace buffer."""
         return self.workspace.request(name, shape, xp.float64, xp)
-
-    def _transient_buf(self, name: str, shape: Tuple[int, ...], xp: Any) -> Optional[Any]:
-        """Workspace buffer for checksums that may outlive the section visit.
-
-        In async mode the boundary checksums are queued and verified after
-        later layers (and steps) have run — a reusable buffer would be
-        overwritten under the queue, so async mode allocates fresh (``None``).
-        """
-        if self.asynchronous:
-            return None
-        return self._buf(name, shape, xp)
-
-    def _stack_batch(self, name: str, arrays: List[Any], xp: Any) -> Any:
-        """Stack a verification group into a batch-workspace buffer."""
-        first = arrays[0]
-        shape = (len(arrays),) + tuple(first.shape)
-        out = self._batch_workspace.request(name, shape, first.dtype, xp)
-        return stack_into(xp, arrays, out)
 
     @staticmethod
     def _section_active(ctx: SectionContext, state: _LayerState) -> bool:
@@ -561,21 +382,12 @@ class ProtectionEngine:
         outcome: SectionOutcome,
         backend: ArrayBackend,
     ) -> None:
-        """Verify ``out`` now, or queue it for the async worker's batched pass."""
-        if self.asynchronous:
-            self._queue.append(
-                _DeferredCheck(ctx.section, ctx.layer_index, ctx.step, out,
-                               checksums, backend=backend, phase=ctx.phase)
-            )
-            outcome.deferred = True
-            return
+        """Verify and correct ``out`` in place at its section boundary."""
         with self._timed(f"{ctx.section}/detect", backend):
             self.dispatch_counts["detect"] += 1
             outcome.report = correct_matrix(out, checksums, thresholds=self.thresholds)
         if ctx.phase != "train":
             outcome.request_dirty = request_dirty_from_report(outcome.report)
-
-    _fold_request_dirty = staticmethod(fold_request_dirty)
 
     @staticmethod
     def _outcome(ctx: SectionContext) -> SectionOutcome:
@@ -655,14 +467,14 @@ class ProtectionEngine:
             # Column side of AS: col(AS) = col(Q) K^T.
             cs_as_col = matmul_into(                                        # (B, H, 2, S)
                 xp, cs_q_ph, ops["k_t"],
-                self._transient_buf(
+                self._buf(
                     "AS/cs_as_col", tuple(cs_q_ph.shape[:-1]) + (ops["k_t"].shape[-1],), xp
                 ),
             )
             # Row side of AS: row(AS) = Q row(K^T) = Q col(K)^T.
             cs_as_row = matmul_into(                                        # (B, H, S, 2)
                 xp, ops["q"], xp.swapaxes(cs_k_ph, -1, -2),
-                self._transient_buf("AS/cs_as_row", tuple(ops["q"].shape[:-1]) + (2,), xp),
+                self._buf("AS/cs_as_row", tuple(ops["q"].shape[:-1]) + (2,), xp),
             )
 
         self._verify(ctx, out, ChecksumState(col=cs_as_col, row=cs_as_row), outcome, backend)
@@ -754,7 +566,7 @@ class ProtectionEngine:
             self.dispatch_counts["gemm"] += 1
             cs_as_row = matmul_into(                                    # (B, H, 1, 2)
                 xp, ops["q"], xp.swapaxes(cs_k_ph, -1, -2),
-                self._transient_buf(
+                self._buf(
                     "AS/decode_cs_as_row", tuple(ops["q"].shape[:-1]) + (2,), xp
                 ),
             )
@@ -822,7 +634,7 @@ class ProtectionEngine:
             self.dispatch_counts["gemm"] += 1
             cs_cl_row = matmul_into(                                   # (B, H, 1, 2)
                 xp, ap, cache.cs_v_row[:, :, :total_len, :],
-                self._transient_buf(
+                self._buf(
                     "CL/decode_cs_cl_row", tuple(ap.shape[:-1]) + (2,), xp
                 ),
             )
@@ -853,7 +665,7 @@ class ProtectionEngine:
             self.dispatch_counts["gemm"] += 1
             cs_o_row = matmul_into(                                    # (B, 1, 2)
                 xp, ops["cl"], rowcs_wo,
-                self._transient_buf(
+                self._buf(
                     "O/decode_cs_o_row", tuple(ops["cl"].shape[:-1]) + (2,), xp
                 ),
             )
@@ -940,7 +752,7 @@ class ProtectionEngine:
             self.dispatch_counts["gemm"] += 1
             cs_cl_col = matmul_into(                                           # (B, H, 2, dh)
                 xp, cs_ap_col, ops["v"],
-                self._transient_buf(
+                self._buf(
                     "CL/cs_cl_col", tuple(cs_ap_col.shape[:-1]) + (ops["v"].shape[-1],), xp
                 ),
             )
@@ -950,7 +762,7 @@ class ProtectionEngine:
                 self.dispatch_counts["gemm"] += 1
                 cs_cl_row = matmul_into(                                       # (B, H, S, 2)
                     xp, ap, cs_v_row,
-                    self._transient_buf("CL/cs_cl_row", tuple(ap.shape[:-1]) + (2,), xp),
+                    self._buf("CL/cs_cl_row", tuple(ap.shape[:-1]) + (2,), xp),
                 )
 
         checksums = ChecksumState(col=cs_cl_col, row=cs_cl_row)
@@ -997,7 +809,7 @@ class ProtectionEngine:
             self.dispatch_counts["gemm"] += 1
             cs_o_col = matmul_into(
                 xp, cs_cl_merged, ops["w_o"],
-                self._transient_buf(
+                self._buf(
                     "O/cs_o_col", tuple(cs_cl_merged.shape[:-1]) + (ops["w_o"].shape[-1],), xp
                 ),
             )
@@ -1045,7 +857,7 @@ class ProtectionEngine:
             self.dispatch_counts["gemm"] += 1
             cs_h = matmul_into(                                          # (B, 2, D_ff)
                 xp, cs_x, w_up,
-                self._transient_buf("FF1/col", lead + (2, w_up.shape[-1]), xp),
+                self._buf("FF1/col", lead + (2, w_up.shape[-1]), xp),
             )
         self._verify(ctx, out, ChecksumState(col=cs_h), outcome, backend)
         return outcome
@@ -1074,238 +886,7 @@ class ProtectionEngine:
             self.dispatch_counts["gemm"] += 1
             cs_fo = matmul_into(                                         # (B, S, 2)
                 xp, h, rowcs_wd,
-                self._transient_buf("FF2/row", tuple(h.shape[:-1]) + (2,), xp),
+                self._buf("FF2/row", tuple(h.shape[:-1]) + (2,), xp),
             )
         self._verify(ctx, out, ChecksumState(row=cs_fo), outcome, backend)
         return outcome
-
-    # -- batched verification (the async worker's pass) -------------------------
-
-    def _verify_batch(
-        self, items: List[_DeferredCheck], timer_prefix: str = ""
-    ) -> List[Tuple[_DeferredCheck, SectionOutcome]]:
-        """Verify queued boundary matrices in one batched pass per group.
-
-        Checks are grouped by (section, matrix shape, owning backend) and
-        stacked along a new leading axis, so all layers of a step are verified
-        with a single vectorised EEC-ABFT call per checksum side per group —
-        the cross-layer batching of the fused design.  Stacking and detection
-        run on each group's own backend.  Detection only: ``corrected`` stays
-        0 (:meth:`_process_batch` repairs the fault site afterwards).
-        """
-        pairs: List[Tuple[_DeferredCheck, SectionOutcome]] = []
-        if not items:
-            return pairs
-        groups: Dict[tuple, List[_DeferredCheck]] = {}
-        for item in items:
-            # dtype is part of the key: stacking into a shared (reusable)
-            # buffer must never silently downcast a mixed-precision batch the
-            # way np.stack's promotion would have hidden.
-            key = (item.section, tuple(item.matrix.shape),
-                   getattr(item.matrix, "dtype", None), id(item.backend))
-            groups.setdefault(key, []).append(item)
-
-        for (section, _shape, _dtype, _backend_id), group in groups.items():
-            xp = group[0].backend.namespace_for(group[0].matrix)
-            with self._timed(f"{timer_prefix}{section}/detect", group[0].backend):
-                self.dispatch_counts["detect"] += 1
-                # Stacks go through the batch workspace: one reusable buffer
-                # per (section, group shape), so the per-step batched pass is
-                # allocation-free in steady state too.
-                stacked = self._stack_batch(
-                    f"{timer_prefix}stack/{section}/matrix",
-                    [item.matrix for item in group], xp,
-                )
-                col_reports = row_reports = None
-                if group[0].checksums.has_col():
-                    col = self._stack_batch(
-                        f"{timer_prefix}stack/{section}/col",
-                        [item.checksums.col for item in group], xp,
-                    )
-                    col_reports = check_columns(
-                        stacked, col, thresholds=self.thresholds, correct=False
-                    )
-                if group[0].checksums.has_row():
-                    row = self._stack_batch(
-                        f"{timer_prefix}stack/{section}/row",
-                        [item.checksums.row for item in group], xp,
-                    )
-                    row_reports = check_rows(
-                        stacked, row, thresholds=self.thresholds, correct=False
-                    )
-            for index, item in enumerate(group):
-                report = MatrixCorrectionReport()
-                dirty = None
-                if col_reports is not None:
-                    report.used_column_side = True
-                    report.detected += int(col_reports.detected[index].sum())
-                    report.aborted += int(col_reports.aborted[index].sum())
-                    dirty = self._fold_request_dirty(
-                        dirty, col_reports.detected[index] | col_reports.aborted[index]
-                    )
-                if row_reports is not None:
-                    report.used_row_side = True
-                    report.detected += int(row_reports.detected[index].sum())
-                    report.aborted += int(row_reports.aborted[index].sum())
-                    dirty = self._fold_request_dirty(
-                        dirty, row_reports.detected[index] | row_reports.aborted[index]
-                    )
-                report.residual_extreme = int(self.thresholds.is_extreme(item.matrix).sum())
-                pairs.append((
-                    item,
-                    SectionOutcome(
-                        section=item.section,
-                        layer_index=item.layer_index,
-                        step=item.step,
-                        report=report,
-                        deferred=True,
-                        phase=item.phase,
-                        request_dirty=dirty,
-                    ),
-                ))
-        return pairs
-
-    # -- async mode -------------------------------------------------------------
-
-    def submit_step(self) -> int:
-        """Swap the front buffer and hand the snapshot to the worker thread.
-
-        Blocks while ``max_pending_steps`` step batches are already in
-        flight — the backpressure that bounds both memory growth and
-        detection staleness.  Returns the number of work items submitted.
-        """
-        if not self.asynchronous:
-            raise RuntimeError("submit_step() requires asynchronous mode")
-        items, self._queue = self._queue, []
-        if not items:
-            return 0
-        with self._cv:
-            while self._inflight >= self.max_pending_steps and self._failure is None:
-                self._cv.wait()
-            # A pending worker failure surfaces here rather than after more
-            # wasted submissions; the step's items are dropped with it.
-            self._raise_failure_locked()
-            self._epoch += 1
-            self._inflight += 1
-            self._inbox.append((self._epoch, items))
-            self._ensure_worker_locked()
-            self._cv.notify_all()
-        return len(items)
-
-    def harvest(self) -> List[SectionOutcome]:
-        """Collect verification results completed so far, without blocking.
-
-        Re-raises an exception the worker hit, instead of swallowing it.
-        """
-        with self._cv:
-            self._raise_failure_locked()
-            completed, self._completed = self._completed, []
-        return completed
-
-    def drain(self) -> List[SectionOutcome]:
-        """Barrier: wait until every submitted step batch has been verified.
-
-        Returns all completed outcomes (including ones finished before the
-        call); re-raises any worker exception.
-        """
-        if not self.asynchronous:
-            return []
-        with self._cv:
-            while self._inflight and self._failure is None:
-                self._cv.wait()
-            self._raise_failure_locked()
-            completed, self._completed = self._completed, []
-        return completed
-
-    def _raise_failure_locked(self) -> None:
-        if self._failure is not None:
-            failure, self._failure = self._failure, None
-            raise failure
-
-    def _ensure_worker_locked(self) -> None:
-        if self._worker is None or not self._worker.is_alive():
-            self._shutdown = False
-            self._discard_on_shutdown = False
-            self._worker = threading.Thread(
-                target=self._worker_main, name="protection-engine-verifier", daemon=True
-            )
-            self._worker.start()
-
-    def _join_worker(self, discard: bool) -> None:
-        worker = self._worker
-        if worker is None:
-            return
-        with self._cv:
-            self._shutdown = True
-            self._discard_on_shutdown = discard
-            self._cv.notify_all()
-        worker.join(timeout=30.0)
-        if worker.is_alive():  # pragma: no cover - only on a wedged batch
-            raise RuntimeError("protection-engine verification worker did not shut down")
-        with self._cv:
-            self._worker = None
-            self._shutdown = False
-
-    def _worker_main(self) -> None:
-        while True:
-            with self._cv:
-                while not self._inbox and not self._shutdown:
-                    self._cv.wait()
-                if self._shutdown and self._discard_on_shutdown:
-                    # reset(): drop the remaining batches but keep the
-                    # in-flight accounting sane for anyone mid-drain.
-                    self._inflight -= len(self._inbox)
-                    self._inbox.clear()
-                    self._cv.notify_all()
-                    return
-                if not self._inbox:  # graceful shutdown, nothing left
-                    return
-                epoch, items = self._inbox.popleft()
-            try:
-                outcomes = self._process_batch(epoch, items)
-            except BaseException as exc:  # propagated to the caller at next drain
-                with self._cv:
-                    self._failure = exc
-                    self._inflight -= 1
-                    self._cv.notify_all()
-            else:
-                with self._cv:
-                    self._completed.extend(outcomes)
-                    self._inflight -= 1
-                    self._cv.notify_all()
-
-    def _process_batch(self, epoch: int, items: List[_DeferredCheck]) -> List[SectionOutcome]:
-        """Verify one submitted step batch and repair the dirty fault sites.
-
-        Detection runs the batched pass of :meth:`_verify_batch`.  Then, per step
-        counter, the *earliest* dirty boundary in dataflow order — the fault
-        site under the paper's single-transient-fault-per-step model — has
-        its retained matrix repaired via EEC-ABFT on a copy (the live array
-        was already consumed by the forward pass; repairing a copy keeps the
-        result race-free for any reader still holding the original).  Dirty
-        boundaries downstream of the fault site are propagation shadows: an
-        extreme value that escaped its section corrupts everything after it,
-        and the recovery for those is step re-execution (the trainer's
-        ``stale_policy``), not more repairs.  Backpressure guarantees every
-        batch verifies within the ``max_pending_steps`` staleness window, so
-        the fault site is always eligible for repair.
-        """
-        pairs = self._verify_batch(items, timer_prefix="async/")
-        with self._cv:
-            lag = self._epoch - epoch
-        earliest_dirty: Dict[int, Tuple[Tuple[int, int], _DeferredCheck, SectionOutcome]] = {}
-        for item, outcome in pairs:
-            outcome.lag_steps = lag
-            report = outcome.report
-            if report.detected or report.aborted or report.residual_extreme:
-                outcome.stale = True
-                rank = (item.layer_index, _SECTION_ORDER[item.section])
-                if item.step not in earliest_dirty or rank < earliest_dirty[item.step][0]:
-                    earliest_dirty[item.step] = (rank, item, outcome)
-        for _rank, item, outcome in earliest_dirty.values():
-            with self._timed(f"async/{item.section}/repair", item.backend):
-                repaired = item.backend.copy(item.matrix)
-                outcome.repair = correct_matrix(
-                    repaired, item.checksums.copy(), thresholds=self.thresholds,
-                )
-        return [outcome for _, outcome in pairs]

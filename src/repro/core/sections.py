@@ -116,8 +116,7 @@ PROTECTION_SECTIONS: Dict[str, ProtectionSection] = {
 }
 
 #: Every registered protection section, keyed by name — the attention triple
-#: followed by the feed-forward pair, in per-layer execution order (the async
-#: repair pass ranks dirty boundaries by this order).
+#: followed by the feed-forward pair, in per-layer execution order.
 SECTION_REGISTRY: Dict[str, ProtectionSection] = {
     **PROTECTION_SECTIONS,
     "FF1": ProtectionSection(
@@ -350,8 +349,8 @@ class SectionCostModel:
 
         Counts the encode/carry launches of a checksum chain (what
         ``ATTNChecker.dispatch_counts["gemm"]`` measures), with all three
-        sections enabled — detection launches are modelled separately by
-        :meth:`verification_dispatches_per_step`.  Bias adjustments are
+        sections enabled — detection passes (one per section per layer) are
+        not GEMM launches and are not counted here.  Bias adjustments are
         elementwise, not GEMMs, and are not counted.
 
         * ``"unfused"`` — the historical one-GEMM-per-update schedule, which
@@ -440,17 +439,14 @@ class SectionCostModel:
         return counts
 
     @staticmethod
-    def checksum_workspace_slots(mode: str, scope: str = "attention") -> int:
+    def checksum_workspace_slots(scope: str = "attention") -> int:
         """Distinct reusable workspace buffers of the critical-path arena.
 
         The fused engine's steady-state hot path serves every *managed*
         checksum intermediate from one of these named slots, shared across
-        the homogeneous layers of a model.  Immediate mode keeps the boundary
-        checksums in the arena too (9 slots: ``cs_x``/``cs_qk``/two ``AS``
-        sides, ``cs_ap_col``/two ``CL`` sides, the merged ``CL`` checksum and
-        the ``O`` side); async mode queues the five boundary-checksum arrays
-        past the visit, so those are allocated fresh and only the four
-        transient intermediates stay in the arena.
+        the homogeneous layers of a model: 9 for the attention sections
+        (``cs_x``/``cs_qk``/two ``AS`` sides, ``cs_ap_col``/two ``CL`` sides,
+        the merged ``CL`` checksum and the ``O`` side).
 
         One intermediate is deliberately unmanaged: ``cs_v_row`` (the carried
         row checksums of V) comes from an einsum, and einsum's ``out=`` path
@@ -458,25 +454,11 @@ class SectionCostModel:
         attention dims) while Torch's einsum has no ``out=`` at all — so that
         single buffer allocates per visit by design.
 
-        An FFN-including ``scope`` adds three immediate-mode slots — the
-        ``FF1`` input encode (``FF1/cs_x``) plus the two boundary-checksum
-        slots (``FF1/col``, ``FF2/row``) — and one async-mode slot (only the
-        encode intermediate stays in the arena when boundary checksums are
-        queued past the visit).
+        An FFN-including ``scope`` adds three slots — the ``FF1`` input
+        encode (``FF1/cs_x``) plus the two boundary-checksum slots
+        (``FF1/col``, ``FF2/row``).
         """
-        if mode == "immediate":
-            slots = 9
-            ffn = 3
-        elif mode == "async":
-            slots = 4
-            ffn = 1
-        else:
-            raise KeyError(
-                f"unknown verification mode {mode!r}; expected 'immediate' or 'async'"
-            )
-        if "FF1" in sections_for_scope(scope):
-            slots += ffn
-        return slots
+        return 12 if "FF1" in sections_for_scope(scope) else 9
 
     @staticmethod
     def collective_checksum_dispatches_per_step(
@@ -540,34 +522,3 @@ class SectionCostModel:
         perf smoke).
         """
         return 0
-
-    @staticmethod
-    def verification_dispatches_per_step(
-        mode: str, num_layers: int, scope: str = "attention"
-    ) -> Dict[str, int]:
-        """Boundary-*verification* dispatches of one training step, split by
-        where they land relative to the training critical path.
-
-        Complements :meth:`python_dispatches_per_layer` (which counts the
-        encode/carry dispatch points of the fused engine): this counts the
-        EEC-ABFT verification passes themselves, per fused-engine mode.
-
-        * ``immediate`` — one verification per section per layer, all inside
-          the forward pass.
-        * ``async`` — all layers of the step are stacked and verified in one
-          batched pass per section on the worker thread, so zero
-          verification dispatches remain on the critical path.
-
-        Counts assume the homogeneous-layer case (every layer's boundary
-        matrices share a shape, so each section forms a single stacked group).
-        """
-        if num_layers < 1:
-            raise ValueError(f"num_layers must be >= 1, got {num_layers}")
-        sections = len(sections_for_scope(scope))
-        if mode == "immediate":
-            return {"critical_path": sections * num_layers, "off_critical_path": 0}
-        if mode == "async":
-            return {"critical_path": 0, "off_critical_path": sections}
-        raise KeyError(
-            f"unknown verification mode {mode!r}; expected 'immediate' or 'async'"
-        )

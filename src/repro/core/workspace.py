@@ -2,8 +2,7 @@
 
 The fused checker's steady-state hot path computes the same handful of
 checksum intermediates every layer visit — ``cs_x``, the carried ``[Q|K]``
-checksums, the ``AS``/``CL``/``O`` boundary checksums, the stacked batches of
-the async verification pass.  Allocating them afresh per visit costs
+checksums, the ``AS``/``CL``/``O`` boundary checksums.  Allocating them afresh per visit costs
 an allocator round-trip (and, on device backends, a stream-ordered malloc)
 per buffer per layer.  :class:`ChecksumWorkspace` is a shape/dtype/device
 keyed arena of named reusable buffers: the first visit allocates (warm-up),
@@ -15,10 +14,9 @@ aspirational.
 The ``out=`` contract
 ---------------------
 Buffers are filled through the array namespaces' NumPy-style ``out=``
-keyword, which NumPy and CuPy support natively on ``matmul`` and ``stack``
-and the Torch namespace implements for both.  The helpers in this module —
-:func:`matmul_into` and :func:`stack_into` — route through ``out=`` when
-the namespace accepts it and otherwise **fall back to a plain allocating
+keyword, which NumPy and CuPy support natively on ``matmul`` and the Torch
+namespace implements.  :func:`matmul_into` routes through ``out=`` when the
+namespace accepts it and otherwise **falls back to a plain allocating
 call**, memoising the capability per namespace so the fallback costs one
 ``TypeError`` ever, not one per call.  The fallback is value-compliant:
 callers always receive the correct result array; only the reuse guarantee
@@ -33,9 +31,8 @@ Aliasing discipline
 -------------------
 A workspace buffer is only valid until the next request for the same slot,
 so the engine never hands workspace-backed arrays to anything that outlives
-the section visit: checksums queued for async verification are
-allocated off-workspace, and the async worker uses a workspace of its own
-(one writer per arena — the arena itself is not synchronised).
+the section visit.  The arena itself is not synchronised: it has one writer,
+the thread running the forward pass.
 """
 
 from __future__ import annotations
@@ -45,41 +42,34 @@ from typing import Any, Dict, Sequence, Tuple
 __all__ = [
     "ChecksumWorkspace",
     "matmul_into",
-    "stack_into",
 ]
 
-#: Per-(operation, namespace) memo of whether the namespace's function accepts
-#: ``out=``.  The namespace object itself is stored alongside the flag so the
+#: Per-namespace memo of whether the namespace's ``matmul`` accepts ``out=``.  The namespace object itself is stored alongside the flag so the
 #: id() key can never be served for a different (garbage-collected and
 #: re-allocated) namespace.
-_OUT_CAPABLE: Dict[Tuple[str, int], Tuple[Any, bool]] = {}
+_OUT_CAPABLE: Dict[int, Tuple[Any, bool]] = {}
 
 
-def _supports_out(op: str, xp: Any) -> bool:
-    """Whether ``xp.<op>`` accepts the ``out=`` keyword, probed once.
+def _supports_out(xp: Any) -> bool:
+    """Whether ``xp.matmul`` accepts the ``out=`` keyword, probed once.
 
-    The probe runs the operation on one-element arrays with a matching
+    The probe runs the GEMM on one-element arrays with a matching
     ``out`` buffer, so the capability decision depends only on the
     namespace's *signature* — a ``TypeError`` a caller's real arguments
     provoke later (say, an out buffer of an uncastable dtype) propagates
     instead of silently disabling buffer reuse process-wide.
     """
-    entry = _OUT_CAPABLE.get((op, id(xp)))
+    entry = _OUT_CAPABLE.get(id(xp))
     if entry is not None and entry[0] is xp:
         return entry[1]
     probe_out = xp.zeros((1, 1), dtype=xp.float64)
     one = xp.ones((1, 1), dtype=xp.float64)
     try:
-        if op == "matmul":
-            xp.matmul(one, one, out=probe_out)
-        elif op == "stack":
-            xp.stack([xp.ones(1, dtype=xp.float64)], out=probe_out)
-        else:  # pragma: no cover - helper misuse
-            raise ValueError(f"unknown out-capability probe {op!r}")
+        xp.matmul(one, one, out=probe_out)
         supported = True
     except TypeError:
         supported = False
-    _OUT_CAPABLE[(op, id(xp))] = (xp, supported)
+    _OUT_CAPABLE[id(xp)] = (xp, supported)
     return supported
 
 
@@ -90,18 +80,9 @@ def matmul_into(xp: Any, a: Any, b: Any, out: Any = None) -> Any:
     use unconditionally.  The result is bitwise identical either way: the
     same GEMM kernel runs, only the destination buffer differs.
     """
-    if out is None or not _supports_out("matmul", xp):
+    if out is None or not _supports_out(xp):
         return xp.matmul(a, b)
     return xp.matmul(a, b, out=out)
-
-
-def stack_into(xp: Any, arrays: Sequence[Any], out: Any = None) -> Any:
-    """``xp.stack(arrays, axis=0, out=out)`` with an allocating fallback."""
-    arrays = list(arrays)
-    if out is None or not _supports_out("stack", xp):
-        return xp.stack(arrays)
-    result = xp.stack(arrays, out=out)
-    return out if result is None else result
 
 
 class ChecksumWorkspace:
@@ -111,7 +92,7 @@ class ChecksumWorkspace:
     buffer: the first :meth:`request` allocates it (counted in
     :attr:`allocations`), every later request returns the same object
     (counted in :attr:`reuses`).  Slot names encode the consumer
-    (``"AS/cs_x"``, ``"async/stack/CL/matrix"``, ...), so two concurrent
+    (``"AS/cs_x"``, ``"CL/cs_cl_row"``, ...), so two concurrent
     intermediates can never collide, while homogeneous transformer layers
     share slots across layer visits — which is exactly where the steady-state
     reuse comes from.
@@ -141,7 +122,7 @@ class ChecksumWorkspace:
         """The reusable buffer for slot ``name`` with this geometry.
 
         The returned buffer's contents are unspecified — every consumer fully
-        overwrites it (``out=`` GEMMs, stack fills, slice assignment).
+        overwrites it (``out=`` GEMMs, slice assignment).
         """
         # dtype objects (NumPy dtypes/scalar types, torch dtypes) are hashable
         # and cheap to hash — stringifying them would dominate the lookup.

@@ -25,12 +25,9 @@ together with K/V.  The physical batch is floored at two slots (a
 single-row GEMM takes the gemv path, whose low bits can differ from the
 batched rows — the surviving request's token stream must stay bitwise
 identical to its full-batch run), padding with a completed slot in
-preference to an evicted one.  Compaction is disabled under async
-verification, whose late-draining dirty masks carry historical batch
-widths that could no longer be attributed to slots.  The decode loop also
-exits as soon as no slot is active, so decode cost tracks live requests —
-``decode_steps`` / ``decode_slot_steps`` on the report counter-verify both
-effects.
+preference to an evicted one.  The decode loop also exits as soon as no
+slot is active, so decode cost tracks live requests — ``decode_steps`` /
+``decode_slot_steps`` on the report counter-verify both effects.
 
 Timer keys (see the README glossary): ``serve/schedule`` (padding + cache
 allocation), ``serve/prefill``, ``serve/decode`` and ``serve/verify`` (the
@@ -331,12 +328,6 @@ class ServingEngine:
             self._check_logits(state, logits, slot_map)
             next_ids = np.argmax(logits, axis=-1).astype(np.int64)
             self._record_tokens(state, next_ids, remaining, slot_map)
-        if self.checker is not None:
-            # Complete any async verification work attributable to this
-            # batch before its slots are retired.
-            with self.timers.measure("serve/verify"):
-                self.checker.drain()
-            self._absorb_outcomes(state, slot_map)
         for i in range(size):
             state.complete(i)
         return state.results
@@ -358,12 +349,8 @@ class ServingEngine:
         bits can differ from batched rows — the bitwise fault-isolation
         guarantee requires M >= 2); a needed pad slot is taken from the
         dead ones, preferring a completed (clean-KV) slot over an evicted
-        one.  Disabled under async verification: its dirty masks drain
-        late, with the batch width of the step they were *recorded* at, and
-        could not be re-attributed across a shrink.
+        one.
         """
-        if self.checker is not None and self.checker.verification_mode == "async":
-            return slot_map, mask, next_ids
         physical = len(slot_map)
         keep = [p for p in range(physical) if state.active[slot_map[p]]]
         if len(keep) < 2:
@@ -424,17 +411,13 @@ class ServingEngine:
         """Fold the checker's recent outcomes into per-request dispositions.
 
         Dirty masks are indexed by *physical* slot of the step they were
-        recorded at; with synchronous absorption (immediate mode) that
-        step ran under the current ``slot_map``, which maps them back to
-        original requests.  Async mode never compacts, so its historical
-        masks always match the full batch width.
+        recorded at; that step ran under the current ``slot_map``, which
+        maps them back to original requests.
         """
         checker = self.checker
         if checker is None:
             return
         with self.timers.measure("serve/verify"):
-            if checker.verification_mode != "immediate":
-                checker.end_step()
             for outcome in checker.take_recent_outcomes():
                 report = outcome.report
                 if report is None or outcome.request_dirty is None:

@@ -15,18 +15,15 @@ The trainer exposes exactly the signals the paper's evaluation needs:
 from repro.training.optimizer import SGD, AdamW, Optimizer, OptimizerStateCorruption
 from repro.training.checkpoint import CheckpointManager, CheckpointRecord
 from repro.training.metrics import TrainingMetrics, StepResult
-from repro.training.trainer import (
-    STALE_POLICIES,
-    StaleDetectionAbort,
-    Trainer,
-    TrainerConfig,
-)
+from repro.training.trainer import Trainer, TrainerConfig
 from repro.training.parallel import (
     EXECUTORS,
+    STALE_POLICIES,
     DataParallelConfig,
     DataParallelTrainer,
     ParallelStepResult,
     ReplicaSpec,
+    StaleDetectionAbort,
 )
 
 __all__ = [

@@ -19,17 +19,11 @@ class StepResult:
     loss: float
     step_seconds: float
     attention_seconds: float
-    #: Checker time on this step's critical path; with async verification the
-    #: worker's share is excluded (see ``ATTNChecker.critical_path_seconds``).
+    #: Checker time spent in this step (``ATTNChecker.overhead_seconds``).
     abft_seconds: float = 0.0
     corrections: int = 0
     detections: int = 0
     restored_from_checkpoint: bool = False
-    #: Dirty boundaries whose verification arrived only after the producing
-    #: step's values were consumed (async verification).
-    stale_detections: int = 0
-    #: Step was re-executed by the trainer's bounded-staleness policy.
-    reexecuted: bool = False
 
     @property
     def non_trainable(self) -> bool:
@@ -89,12 +83,6 @@ class TrainingMetrics:
     def total_detections(self) -> int:
         return sum(s.detections for s in self.steps)
 
-    def total_stale_detections(self) -> int:
-        return sum(s.stale_detections for s in self.steps)
-
-    def num_reexecuted(self) -> int:
-        return sum(1 for s in self.steps if s.reexecuted)
-
     def as_dict(self) -> Dict[str, float]:
         return {
             "num_steps": len(self.steps),
@@ -104,6 +92,4 @@ class TrainingMetrics:
             "total_abft_seconds": self.total_abft_seconds(),
             "non_trainable_steps": self.num_non_trainable(),
             "corrections": self.total_corrections(),
-            "stale_detections": self.total_stale_detections(),
-            "reexecuted_steps": self.num_reexecuted(),
         }

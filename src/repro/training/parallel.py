@@ -2,8 +2,8 @@
 
 :class:`DataParallelTrainer` shards each global batch across ``shards``
 virtual ranks, every rank owning its own device-resident model replica,
-optimizer and (optionally) per-shard :class:`~repro.core.ATTNChecker` whose
-async verification drains independently of its peers.  Gradient
+optimizer and (optionally) per-shard :class:`~repro.core.ATTNChecker`, which
+verifies and corrects its rank's sections inside the forward pass.  Gradient
 synchronisation goes through the :mod:`repro.comm` collective seam, and the
 all-reduce itself is ABFT-covered: each rank attaches float64 gradient
 checksums, and the linearity identity ``checksum(sum of gradients) == sum of
@@ -22,22 +22,15 @@ fixed shard count — the property the N-worker vs 1-worker equivalence test
 pins.  Thread workers overlap where the backend releases the GIL (BLAS GEMMs
 on the NumPy substrate, device kernels elsewhere).
 
-**Dirty reductions and the stale policy.**  A checksum mismatch at the
-reduction extends the existing ``stale_policy`` machinery to rank level:
+**Dirty reductions and the stale policy.**  ``stale_policy`` decides what
+a checksum mismatch at the reduction does:
 
 * ``"record"`` — count the dirty reduction and proceed with its result;
 * ``"reexecute"`` — re-execute the reduction from the ranks' retained (and
   still intact) local gradients under a fresh key, up to
   ``max_retries_per_step`` times — a transient fault in the collective does
   not recur;
-* ``"abort"`` — raise :class:`~repro.training.trainer.StaleDetectionAbort`.
-
-Per-rank *attention* faults follow the same policy before the collective:
-each rank settles its own checker at the end of backward (for ``reexecute``
-/ ``abort`` an async engine is drained so verdicts are in hand *before* the
-rank contributes), and a dirty rank re-executes only its own
-forward/backward — no optimizer state has advanced yet, so rank-level
-re-execution is checkpoint-free by construction.
+* ``"abort"`` — raise :class:`StaleDetectionAbort`.
 
 **One bucketed reduction.**  Trainable parameters are partitioned into
 size-capped buckets in reverse-registration order
@@ -51,10 +44,8 @@ dirty bucket's retained clean payloads under ``step{N}/bucket{k}#retry{a}``.
 post-accumulate gradient hooks, and a rank ``contribute``\\ s a bucket the
 moment its last gradient lands during backward — the collective folds it
 eagerly while backprop continues on earlier layers.  ``False`` launches every
-bucket after ``forward_backward`` returns.  A checker under
-``stale_policy="reexecute"`` also launches after backward, so a re-executed
-shard never double-contributes.  Post-backward launches go in ascending
-bucket order.  Because the per-bucket fold is the same rank-ordered
+bucket after ``forward_backward`` returns.  Post-backward launches go in
+ascending bucket order.  Because the per-bucket fold is the same rank-ordered
 elementwise left fold over a pure concatenation, every launch timing, bucket
 cap and worker count is **byte-identical**.
 
@@ -66,6 +57,12 @@ registry between steps, plus ``comm/bucket`` (flatten/unflatten bookkeeping),
 flight) and ``comm/drain`` (the wait for every bucket's reduction after
 backward); ``overlap_efficiency`` on the step result is
 ``overlap / (overlap + drain)``.
+
+**No unbounded wait.**  The coordinator waits for its rank workers at most
+:data:`repro.comm.collective.WAIT_DEADLINE_SECONDS`, the same deadline the
+collective's own waits use.  On expiry it poisons the collective, so every
+rank still blocked in it fails fast, and raises
+:class:`~repro.comm.CollectiveTimeout`.
 """
 
 from __future__ import annotations
@@ -73,17 +70,19 @@ from __future__ import annotations
 import copy
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+import repro.comm.collective as comm_collective
 from repro.backend import namespace_of
 from repro.comm import (
     BucketAccounting,
     BucketReadiness,
     CollectiveError,
+    CollectiveTimeout,
     DirtyReductionError,
     GradientBucketer,
     ProtectedCollective,
@@ -94,17 +93,14 @@ from repro.faults.injector import FaultInjector
 from repro.nn.attention import AttentionHooks, ComposedHooks
 from repro.nn.module import Module
 from repro.training.optimizer import AdamW
-from repro.training.trainer import (
-    STALE_POLICIES,
-    StaleDetectionAbort,
-    _count_stale_dirty,
-    clip_gradients,
-)
+from repro.training.trainer import clip_gradients
 from repro.utils.logging import get_logger
 from repro.utils.timing import TimingRegistry
 
 __all__ = [
     "EXECUTORS",
+    "STALE_POLICIES",
+    "StaleDetectionAbort",
     "ReplicaSpec",
     "DataParallelConfig",
     "ParallelStepResult",
@@ -116,6 +112,14 @@ logger = get_logger("training.parallel")
 #: Accepted values of :attr:`DataParallelConfig.executor`.  ``workers`` alone
 #: decides where ranks run; the field stays for callers that still name it.
 EXECUTORS = ("thread",)
+
+#: Policies for a gradient reduction whose checksum identity broke.
+STALE_POLICIES = ("record", "reexecute", "abort")
+
+
+class StaleDetectionAbort(RuntimeError):
+    """Raised by ``stale_policy="abort"`` when a gradient reduction verifies
+    dirty."""
 
 
 @dataclass
@@ -165,12 +169,10 @@ class DataParallelConfig:
         Per-replica AdamW and clipping settings (clipping runs on the
         *reduced* gradient, identically on every rank).
     stale_policy / max_retries_per_step:
-        Recovery policy for dirty reductions and per-rank stale attention
-        verdicts (see the module docstring).
+        Recovery policy for dirty reductions (see the module docstring).
     protection:
         Optional :class:`~repro.core.ATTNCheckerConfig`; each rank gets its
-        own independent checker (and, in async mode, its own verification
-        worker) built from a deep copy of this config.
+        own independent checker built from a deep copy of this config.
     overlap_grad_reduce / bucket_cap_mb:
         ``overlap_grad_reduce`` launches bucket reductions from inside
         backward instead of after it (see the module docstring); the result
@@ -229,10 +231,6 @@ class ParallelStepResult:
     loss: float
     shard_losses: List[float]
     step_seconds: float
-    #: Per-rank stale dirty attention verdicts (summed over ranks).
-    stale_detections: int = 0
-    #: Ranks that re-executed their forward/backward this step.
-    rank_reexecutions: int = 0
     #: Gradient buckets whose dirty reduction was adopted this step (under
     #: ``record``, or ``reexecute`` with its retries exhausted).
     dirty_reductions: int = 0
@@ -260,9 +258,7 @@ class _RankRunner:
     """One rank's replica, optimizer, checker and step logic.
 
     :meth:`forward_backward` produces the rank's gradients and :meth:`apply`
-    adopts the verified reduction.  The optimizer only advances in
-    :meth:`apply`, so a re-execution after a stale dirty verdict restarts
-    from genuinely clean state.
+    adopts the verified reduction.
     """
 
     def __init__(
@@ -325,56 +321,23 @@ class _RankRunner:
                 self.rank, bucket, [p.grad for p in self.params], self.current_loss, True
             )
 
-    # -- one attempt -----------------------------------------------------------------
+    # -- forward / backward -----------------------------------------------------------
 
-    def forward_backward(self, shard: Dict[str, np.ndarray]) -> Tuple[float, int, int]:
-        """Compute this rank's shard gradient; settle its own checker.
-
-        Returns ``(loss, stale_dirty, reexecutions)``.  For ``reexecute`` /
-        ``abort`` policies an async checker is drained so the verdict for
-        *this* step's sections is in hand before the rank contributes to the
-        collective — per-shard engines still drain independently of their
-        peers, there is no cross-rank barrier here.
-        """
-        policy = self.config.stale_policy
-        reexecutions = 0
-        total_stale = 0
-        while True:
-            self.model.zero_grad()
-            if self.tracker is not None:
-                self.tracker.reset()
-            output = self.model(
-                shard["input_ids"],
-                attention_mask=shard.get("attention_mask"),
-                labels=shard["labels"],
-            )
-            loss_value = output.loss_value
-            self.current_loss = loss_value
-            if math.isfinite(loss_value):
-                output.loss.backward()
-            stale_dirty = 0
-            if self.checker is not None:
-                outcomes = list(self.checker.end_step())
-                if policy != "record" and self.checker.config.async_verification:
-                    outcomes.extend(self.checker.drain())
-                stale_dirty = _count_stale_dirty(outcomes)
-            total_stale += stale_dirty
-            if stale_dirty and policy == "abort":
-                raise StaleDetectionAbort(
-                    f"rank {self.rank}: {stale_dirty} boundary check(s) verified "
-                    f"dirty after their values were consumed (stale_policy='abort')"
-                )
-            if (
-                stale_dirty
-                and policy == "reexecute"
-                and reexecutions < self.config.max_retries_per_step
-            ):
-                # No optimizer update has happened yet this step, so simply
-                # re-running the shard is clean recovery; a transient fault
-                # does not recur.
-                reexecutions += 1
-                continue
-            return loss_value, total_stale, reexecutions
+    def forward_backward(self, shard: Dict[str, np.ndarray]) -> float:
+        """Compute this rank's shard gradient; returns the shard loss."""
+        self.model.zero_grad()
+        if self.tracker is not None:
+            self.tracker.reset()
+        output = self.model(
+            shard["input_ids"],
+            attention_mask=shard.get("attention_mask"),
+            labels=shard["labels"],
+        )
+        loss_value = output.loss_value
+        self.current_loss = loss_value
+        if math.isfinite(loss_value):
+            output.loss.backward()
+        return loss_value
 
     # -- adopt the reduction ---------------------------------------------------------
 
@@ -393,8 +356,6 @@ class _RankRunner:
         self.optimizer.step()
 
     def close(self) -> None:
-        if self.checker is not None:
-            self.checker.close()
         for handle in self._hook_handles:
             handle.remove()
         self._hook_handles = []
@@ -514,8 +475,6 @@ class DataParallelTrainer:
         # Per-step scratch (index-assigned, one writer per slot).
         self._shard_losses: List[float] = [math.nan] * world
         self._mean_losses: List[float] = [math.nan] * world
-        self._stale_counts: List[int] = [0] * world
-        self._reexec_counts: List[int] = [0] * world
         self._dirty_counts: List[int] = [0] * world
         self._retry_counts: List[int] = [0] * world
         #: Each rank's launched bucket payloads, retained for bucket retry.
@@ -527,13 +486,10 @@ class DataParallelTrainer:
             [p.data for p in self.runners[0].params], self.config.bucket_cap_mb
         )
         self._xp = namespace_of(self.runners[0].params[0].data)
-        # A checker under "reexecute" may re-run a shard after its
-        # backward; in-backward launches would then double-contribute.
-        reexecutes = (
-            self.config.protection is not None
-            and self.config.stale_policy == "reexecute"
-        )
-        if self.config.overlap_grad_reduce and not reexecutes:
+        #: Set when a step timed out with a worker still running: close()
+        #: must not wait for that worker.
+        self._stalled = False
+        if self.config.overlap_grad_reduce:
             for runner in self.runners:
                 runner.install_launch_hooks(self._bucketer, self._launch_bucket)
 
@@ -582,15 +538,13 @@ class DataParallelTrainer:
         try:
             for rank in owned:
                 runner = self.runners[rank]
-                loss, stale, reexec = runner.forward_backward(shards[rank])
+                loss = runner.forward_backward(shards[rank])
                 first = self._first_launch[rank]
                 if first is not None:
                     self._bucket_stats.add_overlap_seconds(
                         max(0.0, time.perf_counter() - first)
                     )
                 self._shard_losses[rank] = loss
-                self._stale_counts[rank] = stale
-                self._reexec_counts[rank] = reexec
                 pending = (
                     runner.tracker.pending()
                     if runner.tracker is not None
@@ -701,8 +655,6 @@ class DataParallelTrainer:
         for slot in range(world):
             self._shard_losses[slot] = math.nan
             self._mean_losses[slot] = math.nan
-            self._stale_counts[slot] = 0
-            self._reexec_counts[slot] = 0
             self._dirty_counts[slot] = 0
             self._retry_counts[slot] = 0
             self._bucket_payloads[slot] = {}
@@ -715,12 +667,19 @@ class DataParallelTrainer:
                 self._pool.submit(self._worker_step, step, worker, shards)
                 for worker in range(self.config.workers)
             ]
-            errors: List[BaseException] = []
-            for future in futures:
-                try:
-                    future.result()
-                except BaseException as exc:  # noqa: BLE001 - gathered below
-                    errors.append(exc)
+            deadline = comm_collective.WAIT_DEADLINE_SECONDS
+            _, pending = wait(futures, timeout=deadline)
+            if pending:
+                stalled = [w for w, f in enumerate(futures) if f in pending]
+                timeout = CollectiveTimeout(
+                    f"step {step}: worker(s) {stalled} (ranks "
+                    f"{sorted(r for w in stalled for r in self._owned_by_worker[w])}) "
+                    f"did not finish within {deadline:g} s"
+                )
+                self._stalled = True
+                self.collective.poison(timeout)
+                raise timeout
+            errors = [exc for exc in (f.exception() for f in futures) if exc is not None]
             if errors:
                 primary = next(
                     (e for e in errors if not isinstance(e, CollectiveError)), errors[0]
@@ -744,8 +703,6 @@ class DataParallelTrainer:
             loss=self._mean_losses[0],
             shard_losses=list(self._shard_losses),
             step_seconds=elapsed,
-            stale_detections=sum(self._stale_counts),
-            rank_reexecutions=sum(self._reexec_counts),
             dirty_reductions=self._dirty_counts[0],
             reduction_reexecutions=self._retry_counts[0],
             detections=detections_after - detections_before,
@@ -792,10 +749,17 @@ class DataParallelTrainer:
         return self._bucket_stats.counters()
 
     def close(self) -> None:
+        """Detach every rank and release the worker pool and the collective.
+
+        After a step that timed out, the pool shuts down without waiting for
+        the stalled worker thread: Python cannot stop a thread, so that
+        thread runs on until whatever it blocks on returns, and then fails
+        against the poisoned, closed collective.
+        """
         for runner in self.runners:
             runner.close()
         if self._pool is not None:
-            self._pool.shutdown(wait=True)
+            self._pool.shutdown(wait=not self._stalled, cancel_futures=True)
         self.collective.close()
 
     def __enter__(self) -> "DataParallelTrainer":

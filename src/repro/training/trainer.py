@@ -12,32 +12,19 @@ measurements the paper's evaluation is built on:
 Fault injectors and the ATTNChecker are both
 :class:`repro.nn.AttentionHooks`; the trainer composes them (injector first,
 checker second) and attaches them to every attention layer of the model.
-
-With an *async-verification* checker (``async_verification=True``) the
-trainer additionally implements the bounded-staleness recovery policy: each
-``train_step`` submits the step's checksum snapshot and harvests completed
-verification results, and when a harvested boundary verified dirty *after*
-its values were consumed (a ``stale`` outcome), ``TrainerConfig.stale_policy``
-decides whether to record it, re-execute the step (checkpoint-free recovery —
-a transient fault does not recur on re-execution), or abort by raising
-:class:`StaleDetectionAbort`.  :meth:`Trainer.drain_verifications` is the
-end-of-run barrier that waits out in-flight verification work and folds
-late-arriving counters into the last recorded step.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from collections import deque
-from dataclasses import dataclass, field
-from typing import Deque, Dict, Iterable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
 
 from repro.backend import backend_of, namespace_of
 from repro.core.attention_checker import ATTNChecker
-from repro.core.engine import SectionOutcome
 from repro.nn.attention import AttentionHooks, ComposedHooks
 from repro.nn.module import Module
 from repro.training.checkpoint import CheckpointManager
@@ -46,8 +33,6 @@ from repro.training.optimizer import AdamW, Optimizer
 from repro.utils.logging import get_logger
 
 __all__ = [
-    "STALE_POLICIES",
-    "StaleDetectionAbort",
     "TrainerConfig",
     "Trainer",
     "AttentionTimingHooks",
@@ -55,24 +40,6 @@ __all__ = [
 ]
 
 logger = get_logger("training.trainer")
-
-#: Recovery policies for stale dirty verifications (async checkers).
-STALE_POLICIES = ("record", "reexecute", "abort")
-
-
-class StaleDetectionAbort(RuntimeError):
-    """Raised by ``stale_policy="abort"`` when an asynchronously verified
-    boundary turns out dirty after its values were already consumed."""
-
-
-def _count_stale_dirty(outcomes: Sequence[SectionOutcome]) -> int:
-    """Stale outcomes whose verification found the boundary dirty — the
-    outcomes the trainer's staleness policy acts on."""
-    return sum(
-        1 for o in outcomes
-        if o.stale and o.report is not None and o.report.detected > 0
-    )
-
 
 class AttentionTimingHooks(AttentionHooks):
     """Measures wall-clock time spent inside attention forward passes."""
@@ -140,28 +107,7 @@ class TrainerConfig:
         checkpoint and re-execute the step — the checkpoint/restore recovery
         of Figure 11.
     max_retries_per_step:
-        Safety bound on how many times a step is re-executed after restores
-        (shared with the stale re-execution policy).
-    stale_policy:
-        What to do when an async checker reports a *stale* dirty boundary —
-        a fault detected only after the producing step's values were
-        consumed (bounded by the checker's ``max_pending_steps``):
-
-        * ``"record"`` (default) — count it in the step result and continue;
-        * ``"reexecute"`` — checkpoint-free recovery: settle all in-flight
-          verifications, restore the in-memory snapshot taken before the
-          *oldest* step still inside the staleness window (guaranteed to
-          predate the fault), and re-execute the current batch from that
-          clean state (transient faults do not recur).  The snapshots are
-          plain in-memory state-dict copies held in a deque of length
-          ``max_pending_steps + 1`` — no checkpoint manager, no disk.
-          Clean intermediate updates inside the window are discarded; that
-          is the price of the staleness bound.  Bounded by
-          ``max_retries_per_step``.
-        * ``"abort"`` — raise :class:`StaleDetectionAbort` so the caller can
-          stop the run.  The abort is raised at the step where the stale
-          verdict *surfaced*; the fault itself occurred within the previous
-          ``max_pending_steps`` steps.
+        Safety bound on how many times a step is re-executed after restores.
     """
 
     learning_rate: float = 5e-4
@@ -171,13 +117,6 @@ class TrainerConfig:
     restore_on_non_trainable: bool = False
     max_retries_per_step: int = 2
     log_every: int = 0
-    stale_policy: str = "record"
-
-    def __post_init__(self) -> None:
-        if self.stale_policy not in STALE_POLICIES:
-            raise ValueError(
-                f"unknown stale_policy {self.stale_policy!r}; expected one of {STALE_POLICIES}"
-            )
 
 
 class Trainer:
@@ -226,11 +165,6 @@ class Trainer:
             hooks.append(checker)
         self._hooks = ComposedHooks(hooks)
         self.model.set_attention_hooks(self._hooks)
-        # Rollback window for the stale re-execution policy: in-memory
-        # (step, model_state, optimizer_state) snapshots, oldest first.
-        # State dicts are backend-native, so a device-resident model's
-        # rollback window stays on the device.
-        self._stale_snapshots: Deque[Tuple[int, Dict[str, object], Dict[str, object]]] = deque()
 
     @property
     def model_array_backend(self) -> str:
@@ -238,16 +172,6 @@ class Trainer:
         (``"numpy"`` for the historical pure-NumPy substrate)."""
         backend = getattr(self.model, "array_backend", None)
         return "numpy" if backend is None else backend.name
-
-    def _stale_snapshot_window(self) -> int:
-        """Snapshots to retain for stale rollback (0 disables snapshotting)."""
-        if (
-            self.checker is not None
-            and self.checker.config.async_verification
-            and self.config.stale_policy == "reexecute"
-        ):
-            return self.checker.config.max_pending_steps + 1
-        return 0
 
     # -- single step -----------------------------------------------------------------
 
@@ -270,92 +194,19 @@ class Trainer:
             bool(p.xp.all(p.xp.isfinite(p.data))) for p in self.model.parameters()
         )
 
-    def _rollback_to_clean_state(self) -> bool:
-        """Restore the oldest retained stale-window snapshot (pre-fault).
-
-        Re-seeds the window with the restored clean state, so a stale verdict
-        on a re-executed pass (or on the next few steps) still finds a
-        pre-fault snapshot.  Returns ``False`` when no snapshot exists.
-
-        Snapshots carry the optimiser's float64 moment checksums, so an
-        AdamW restore re-derives and compares them — a snapshot whose moment
-        slots were poisoned while parked in the rollback window raises
-        :class:`repro.training.optimizer.OptimizerStateCorruption` here
-        instead of being silently reinstalled.
-        """
-        if not self._stale_snapshots:
-            return False
-        _, model_state, optimizer_state = self._stale_snapshots[0]
-        self.model.load_state_dict(model_state)
-        self.optimizer.load_state_dict(optimizer_state)
-        self._stale_snapshots.clear()
-        self._stale_snapshots.append(
-            (self.global_step, self.model.state_dict(), self.optimizer.state_dict())
-        )
-        return True
-
-    def _end_step_verifications(self) -> int:
-        """Close the step's checker work; count stale dirty boundaries.
-
-        For an async checker, submits the step's checksum snapshot to the
-        worker and harvests whatever verification results have completed, so
-        detections land in step results as soon as they exist.  A no-op for
-        immediate-mode checkers.
-        """
-        if self.checker is None:
-            return 0
-        return _count_stale_dirty(self.checker.end_step())
-
     def train_step(self, batch: Dict[str, np.ndarray]) -> StepResult:
         """Run one optimisation step on ``batch`` and record its metrics."""
         self.global_step += 1
         attention_before = self.attention_timer.total_seconds
-        abft_before = self.checker.critical_path_seconds() if self.checker else 0.0
+        abft_before = self.checker.overhead_seconds() if self.checker else 0.0
         corrections_before = self.checker.stats.total_corrections if self.checker else 0
         detections_before = self.checker.stats.total_detections if self.checker else 0
 
         restored = False
-        reexecuted = False
-        window = self._stale_snapshot_window()
-        if window:
-            self._stale_snapshots.append(
-                (self.global_step, self.model.state_dict(), self.optimizer.state_dict())
-            )
-            while len(self._stale_snapshots) > window:
-                self._stale_snapshots.popleft()
-
         start = time.perf_counter()
         loss_value = self._forward_backward(batch)
-        stale_dirty = self._end_step_verifications()
-        total_stale = stale_dirty
-
-        if stale_dirty and self.config.stale_policy == "abort":
-            raise StaleDetectionAbort(
-                f"step {self.global_step}: {stale_dirty} boundary check(s) verified dirty "
-                f"after their values were consumed (stale_policy='abort'); the fault "
-                f"occurred within the checker's max_pending_steps staleness window"
-            )
-        if stale_dirty and self.config.stale_policy == "reexecute":
-            # Checkpoint-free bounded-staleness recovery.  The dirty boundary
-            # may belong to an earlier step whose corrupted optimizer update
-            # is already in the weights, so simply re-running the batch would
-            # stack a second update on top of the bad one.  Instead: settle
-            # every in-flight verification, roll model and optimizer back to
-            # the oldest retained snapshot — taken before any step still
-            # inside the staleness window, hence before the fault — and
-            # re-execute the current batch once from that clean state.
-            retries = 0
-            while stale_dirty and retries < self.config.max_retries_per_step:
-                retries += 1
-                reexecuted = True
-                total_stale += _count_stale_dirty(self.checker.drain())
-                self._rollback_to_clean_state()
-                loss_value = self._forward_backward(batch)
-                stale_dirty = self._end_step_verifications()
-                total_stale += stale_dirty
 
         non_trainable = math.isnan(loss_value) or not self._weights_healthy()
-        restore_stale = 0
         if non_trainable and self.config.restore_on_non_trainable and self.checkpoints and self.checkpoints.latest:
             retries = 0
             while non_trainable and retries < self.config.max_retries_per_step:
@@ -363,17 +214,7 @@ class Trainer:
                 self.checkpoints.restore(self.model, self.optimizer)
                 restored = True
                 loss_value = self._forward_backward(batch)
-                # Stale verdicts harvested here are already answered by a
-                # stronger recovery (checkpoint restore + re-execution), so
-                # 'reexecute' just records them; 'abort' still aborts below.
-                restore_stale += self._end_step_verifications()
                 non_trainable = math.isnan(loss_value) or not self._weights_healthy()
-            total_stale += restore_stale
-        if restore_stale and self.config.stale_policy == "abort":
-            raise StaleDetectionAbort(
-                f"step {self.global_step}: {restore_stale} boundary check(s) verified "
-                f"dirty during checkpoint-restore re-execution (stale_policy='abort')"
-            )
 
         if self.config.checkpoint_every and self.global_step % self.config.checkpoint_every == 0:
             self.checkpoints = self.checkpoints or CheckpointManager()
@@ -385,67 +226,15 @@ class Trainer:
             loss=loss_value,
             step_seconds=elapsed,
             attention_seconds=self.attention_timer.total_seconds - attention_before,
-            abft_seconds=(self.checker.critical_path_seconds() - abft_before) if self.checker else 0.0,
+            abft_seconds=(self.checker.overhead_seconds() - abft_before) if self.checker else 0.0,
             corrections=(self.checker.stats.total_corrections - corrections_before) if self.checker else 0,
             detections=(self.checker.stats.total_detections - detections_before) if self.checker else 0,
             restored_from_checkpoint=restored,
-            stale_detections=total_stale,
-            reexecuted=reexecuted,
         )
         self.metrics.record(result)
         if self.config.log_every and self.global_step % self.config.log_every == 0:
             logger.info("step %d loss %.4f (%.1f ms)", self.global_step, loss_value, elapsed * 1e3)
         return result
-
-    def drain_verifications(
-        self, batch: Optional[Dict[str, np.ndarray]] = None
-    ) -> List[SectionOutcome]:
-        """Barrier for queued/async verification work.
-
-        Waits until every in-flight step batch has been verified and folds
-        late-arriving detection/correction counters into the last recorded
-        step result, so aggregate ``StepResult`` counters match an
-        immediate-mode run.  Worker exceptions surface here rather than being
-        swallowed.  A no-op without a checker or in immediate mode.
-
-        The staleness policy applies at this barrier too — a fault striking
-        the last step of a run surfaces only here.  ``abort`` raises
-        :class:`StaleDetectionAbort` (after folding the counters);
-        ``reexecute`` rolls back to the oldest retained snapshot and, when
-        ``batch`` is given (:meth:`train` passes the epoch's last batch),
-        re-executes it from the clean state — without a batch the rollback
-        alone discards the corrupted update.
-        """
-        if self.checker is None:
-            return []
-        detections_before = self.checker.stats.total_detections
-        corrections_before = self.checker.stats.total_corrections
-        outcomes = self.checker.drain()
-        stale_dirty = _count_stale_dirty(outcomes)
-        last = self.metrics.steps[-1] if self.metrics.steps else None
-
-        if stale_dirty and self.config.stale_policy == "reexecute":
-            self._rollback_to_clean_state()
-            if batch is not None:
-                loss_value = self._forward_backward(batch)
-                extra = self.checker.end_step() + self.checker.drain()
-                outcomes = outcomes + extra
-                stale_dirty += _count_stale_dirty(extra)
-                if last is not None:
-                    last.loss = loss_value
-                    last.reexecuted = True
-
-        if last is not None:
-            last.detections += self.checker.stats.total_detections - detections_before
-            last.corrections += self.checker.stats.total_corrections - corrections_before
-            last.stale_detections += stale_dirty
-
-        if stale_dirty and self.config.stale_policy == "abort":
-            raise StaleDetectionAbort(
-                f"end-of-run drain: {stale_dirty} boundary check(s) verified dirty "
-                f"after their values were consumed (stale_policy='abort')"
-            )
-        return outcomes
 
     # -- epochs ----------------------------------------------------------------------
 
@@ -458,10 +247,6 @@ class Trainer:
         for _ in range(epochs):
             for batch in batch_list:
                 self.train_step(batch)
-            # Settle in-flight async verifications so epoch-level metrics are
-            # complete (and the staleness policy has acted) before the
-            # boundary is recorded; the last batch backs re-execution.
-            self.drain_verifications(batch=batch_list[-1])
             self.metrics.end_epoch()
         return self.metrics
 

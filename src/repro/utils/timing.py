@@ -75,8 +75,9 @@ class TimingRegistry:
     which lets overhead reports aggregate by prefix.
 
     The registry itself is thread-safe: the key-to-timer map is guarded by a
-    lock so an asynchronous verification worker can record under its own keys
-    (``"async/..."``) while the training thread records and aggregates.
+    lock so the data-parallel trainer's rank threads can record under their
+    own keys (and :meth:`add` into shared ones) while the coordinator
+    aggregates.
     Individual :class:`Timer` objects are *not* locked — the library's
     convention is that each key is only ever measured from one thread.
     """
@@ -111,18 +112,11 @@ class TimingRegistry:
             timer.elapsed += float(seconds)
             timer.count += int(count)
 
-    def total(self, prefix: str = "", exclude: Optional[str] = None) -> float:
-        """Sum of elapsed time over keys starting with ``prefix``.
-
-        ``exclude`` drops keys starting with that prefix, in the same locked
-        pass — e.g. ``total(exclude="async/")`` is the critical-path time of a
-        checker whose verification worker records under ``"async/"`` keys.
-        """
+    def total(self, prefix: str = "") -> float:
+        """Sum of elapsed time over keys starting with ``prefix``."""
         with self._lock:
             return sum(
-                t.elapsed
-                for k, t in self._timers.items()
-                if k.startswith(prefix) and (exclude is None or not k.startswith(exclude))
+                t.elapsed for k, t in self._timers.items() if k.startswith(prefix)
             )
 
     def keys(self) -> List[str]:

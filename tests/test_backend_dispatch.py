@@ -13,9 +13,9 @@ What this file pins down:
   the checksum/EEC-ABFT stack produce the NumPy reference's results on every
   backend.
 * **Fault campaign** — a synthetic single-layer attention pass per backend,
-  one injected fault per scenario, across immediate / async
-  verification: detection/correction decisions must be byte-identical to the
-  NumPy reference and repaired boundaries numerically identical.
+  one injected fault per scenario: detection/correction decisions must be
+  byte-identical to the NumPy reference and repaired boundaries numerically
+  identical.
 * **Spy backends** — a counting backend wrapped around NumPy and a
   simulated foreign backend, which ``test_model_substrate_backends.py`` runs
   as model substrates (zero host round-trips on a shared backend).
@@ -248,7 +248,7 @@ def _inject(boundary, error_type, position):
         flip_exponent_msb_inplace(boundary, position)
 
 
-def run_layer_campaign(backend_name, seed, target, error_type, mode, dtype=np.float64):
+def run_layer_campaign(backend_name, seed, target, error_type, dtype=np.float64):
     """One synthetic attention layer, natively on ``backend_name``'s arrays.
 
     Builds the six GEMMs by hand (so every operand is a native backend
@@ -264,7 +264,7 @@ def run_layer_campaign(backend_name, seed, target, error_type, mode, dtype=np.fl
 
     dev = {k: backend.from_numpy(np.array(v, copy=True))
            for k, v in p.items() if k != "geom"}
-    engine = ProtectionEngine(asynchronous=(mode == "async"))
+    engine = ProtectionEngine()
     engine.begin_layer(0, SECTIONS_ENABLED)
 
     def ctx(section, operands):
@@ -310,15 +310,9 @@ def run_layer_campaign(backend_name, seed, target, error_type, mode, dtype=np.fl
     }), o_out))
     engine.end_layer(0)
 
-    if mode == "async":
-        engine.submit_step()
-        outcomes = engine.drain()
-        engine.close()
-
     signature = tuple(
         (o.section, o.report.detected, o.report.corrected, o.report.aborted,
-         o.report.residual_extreme, o.operand_repairs,
-         None if o.repair is None else (o.repair.corrected, o.repair.residual_extreme))
+         o.report.residual_extreme, o.operand_repairs)
         for o in outcomes if o is not None and o.report is not None
     )
     boundaries = {
@@ -330,28 +324,27 @@ def run_layer_campaign(backend_name, seed, target, error_type, mode, dtype=np.fl
 
 
 @pytest.mark.parametrize("name", BACKENDS)
-@pytest.mark.parametrize("mode", ["immediate", "async"])
 class TestSyntheticFaultCampaign:
-    def test_decisions_match_numpy_reference(self, name, mode):
+    def test_decisions_match_numpy_reference(self, name):
         for seed, target in enumerate(TARGETS):
             for error_type in ERRORS:
                 ref_sig, ref_bounds = run_layer_campaign(
-                    "numpy", seed, target, error_type, mode)
-                sig, bounds = run_layer_campaign(name, seed, target, error_type, mode)
-                assert sig == ref_sig, (name, mode, target, error_type)
+                    "numpy", seed, target, error_type)
+                sig, bounds = run_layer_campaign(name, seed, target, error_type)
+                assert sig == ref_sig, (name, target, error_type)
                 for section in ("AS", "CL", "O"):
                     np.testing.assert_allclose(
                         bounds[section], ref_bounds[section],
                         rtol=1e-9, atol=1e-9, equal_nan=True,
-                        err_msg=f"{name}/{mode}/{target}/{error_type}/{section}",
+                        err_msg=f"{name}/{target}/{error_type}/{section}",
                     )
 
-    def test_clean_pass_detects_nothing(self, name, mode):
-        signature, _ = run_layer_campaign(name, 0, "none", "inf", mode)
+    def test_clean_pass_detects_nothing(self, name):
+        signature, _ = run_layer_campaign(name, 0, "none", "inf")
         assert signature  # every enabled section produced a verified report
         assert all(detected == 0 for _, detected, *_ in signature)
 
-    def test_float32_data_corrects_against_float64_checksums(self, name, mode):
+    def test_float32_data_corrects_against_float64_checksums(self, name):
         """The paper's fp32 training regime: data float32, checksums float64.
 
         Pins the mixed-dtype paths (promotion in carried-checksum GEMMs,
@@ -360,18 +353,17 @@ class TestSyntheticFaultCampaign:
         """
         for target in ("AS", "O"):
             ref_sig, ref_bounds = run_layer_campaign(
-                "numpy", 1, target, "inf", mode, dtype=np.float32)
+                "numpy", 1, target, "inf", dtype=np.float32)
             sig, bounds = run_layer_campaign(
-                name, 1, target, "inf", mode, dtype=np.float32)
-            assert sig == ref_sig, (name, mode, target)
+                name, 1, target, "inf", dtype=np.float32)
+            assert sig == ref_sig, (name, target)
             assert any(detected for _, detected, *_ in sig)
-            if mode == "immediate":
-                assert any(corrected for _, _, corrected, *_ in sig)
+            assert any(corrected for _, _, corrected, *_ in sig)
             for section in ("AS", "CL", "O"):
                 np.testing.assert_allclose(
                     bounds[section], ref_bounds[section],
                     rtol=1e-4, atol=1e-5, equal_nan=True,
-                    err_msg=f"{name}/{mode}/{target}/{section}",
+                    err_msg=f"{name}/{target}/{section}",
                 )
 
 

@@ -1,0 +1,72 @@
+"""The GitHub Actions workflows load, and their steps point at things that exist.
+
+A workflow file that is not valid YAML is not run at all — GitHub reports
+the file, not a failing job — and a step that names a deleted test file,
+benchmark, example or CLI experiment fails only once CI reaches it.  Both
+are checked here, locally:
+
+* every ``.github/workflows/*.yml`` parses with ``yaml.safe_load``;
+* every ``tests/``, ``benchmarks/`` or ``examples/`` path named in a
+  ``run:`` block exists;
+* every ``python -m repro <experiment>`` names a registered experiment.
+"""
+
+import re
+from pathlib import Path
+
+import pytest
+
+from repro.cli import EXPERIMENTS
+
+yaml = pytest.importorskip("yaml")
+
+REPO_ROOT = Path(__file__).resolve().parents[1]
+WORKFLOWS = sorted((REPO_ROOT / ".github" / "workflows").glob("*.yml"))
+
+PATH_PATTERN = re.compile(r"(?<![\w/.])((?:tests|benchmarks|examples)/[\w./-]+)")
+EXPERIMENT_PATTERN = re.compile(r"python -m repro\s+([\w-]+)")
+
+
+def run_blocks(workflow):
+    """``(job, step name, run script)`` for every step with a ``run:`` key."""
+    for job_name, job in (workflow.get("jobs") or {}).items():
+        for step in job.get("steps") or []:
+            if "run" in step:
+                yield job_name, step.get("name", "<unnamed>"), step["run"]
+
+
+def load(path):
+    with open(path, encoding="utf-8") as fh:
+        return yaml.safe_load(fh)
+
+
+def test_workflows_exist():
+    assert WORKFLOWS
+
+
+@pytest.mark.parametrize("path", WORKFLOWS, ids=lambda p: p.name)
+def test_workflow_is_valid_yaml(path):
+    workflow = load(path)
+    assert isinstance(workflow, dict) and workflow.get("jobs")
+
+
+@pytest.mark.parametrize("path", WORKFLOWS, ids=lambda p: p.name)
+def test_run_steps_name_existing_paths(path):
+    missing = [
+        (job, step, match.rstrip("."))
+        for job, step, script in run_blocks(load(path))
+        for match in PATH_PATTERN.findall(script)
+        if not (REPO_ROOT / match.rstrip(".")).exists()
+    ]
+    assert missing == []
+
+
+@pytest.mark.parametrize("path", WORKFLOWS, ids=lambda p: p.name)
+def test_run_steps_name_registered_experiments(path):
+    unknown = [
+        (job, step, name)
+        for job, step, script in run_blocks(load(path))
+        for name in EXPERIMENT_PATTERN.findall(script)
+        if name not in EXPERIMENTS
+    ]
+    assert unknown == []

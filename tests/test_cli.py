@@ -24,7 +24,7 @@ class TestParser:
 
     def test_registry_covers_all_figures_and_tables(self):
         expected = {"quickstart", "train", "train_parallel", "serve", "backends",
-                    "verification_modes", "table2", "table3",
+                    "table2", "table3",
                     "sec52", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12"}
         assert expected == set(EXPERIMENTS)
 
@@ -36,11 +36,6 @@ class TestParser:
     def test_unknown_backend_rejected(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["quickstart", "--backend", "cuda"])
-
-    def test_async_flag_parsed(self):
-        args = build_parser().parse_args(["quickstart", "--async"])
-        assert args.async_verification is True
-        assert build_parser().parse_args(["quickstart"]).async_verification is False
 
     def test_model_array_backend_flag_parsed(self):
         args = build_parser().parse_args(["train", "--model-array-backend", "numpy"])
@@ -54,10 +49,12 @@ class TestParser:
     @pytest.mark.parametrize("argv", [
         ["train_parallel", "--workers", "2", "--executor", "process"],
         ["train", "--array-backend", "numpy"],
-    ], ids=["executor", "array-backend"])
+        ["quickstart", "--async"],
+        ["verification_modes"],
+    ], ids=["executor", "array-backend", "async", "verification_modes"])
     def test_removed_flags_exit_with_usage_error(self, argv):
         # --workers alone picks threads; the checker follows the model's
-        # backend (--model-array-backend).
+        # backend (--model-array-backend) and verifies in-pass only.
         with pytest.raises(SystemExit) as excinfo:
             main(argv)
         assert excinfo.value.code == 2
@@ -98,29 +95,11 @@ class TestMain:
         corrections = int(out.split("corrections          : ")[1].splitlines()[0])
         assert corrections >= 1
 
-    def test_quickstart_with_async_verification(self, capsys):
-        assert main(["quickstart", "--async", "--matrix", "AS", "--error-type", "inf"]) == 0
-        out = capsys.readouterr().out
-        assert "verification mode    : async" in out
-        corrections = int(out.split("corrections          : ")[1].splitlines()[0])
-        assert corrections >= 1
-        stale = int(out.split("stale detections     : ")[1].splitlines()[0])
-        assert stale >= 1
-
-    def test_async_requires_fused_backend(self):
-        with pytest.raises(ValueError):
-            main(["quickstart", "--async", "--backend", "per_gemm"])
-
     def test_train_reports_zero_transfer_on_shared_backend(self, capsys):
         assert main(["train", "--steps", "2", "--model-array-backend", "numpy"]) == 0
         out = capsys.readouterr().out
         assert "model substrate numpy" in out
         assert len([l for l in out.splitlines() if l and l[0].isdigit()]) == 2
-
-    def test_train_with_async_verification(self, capsys):
-        assert main(["train", "--steps", "2", "--async"]) == 0
-        out = capsys.readouterr().out
-        assert "model substrate numpy" in out
 
     def test_train_parallel_matches_one_worker_reference(self, capsys):
         assert main(["train_parallel", "--workers", "2", "--shards", "2",
@@ -139,13 +118,6 @@ class TestMain:
         out = capsys.readouterr().out
         assert "byte-identical on all 18 scenarios" in out
         assert "NO" not in out.split("identical")[-1]
-
-    def test_verification_modes_experiment(self, capsys):
-        assert main(["verification_modes"]) == 0
-        out = capsys.readouterr().out
-        assert "async corrections match immediate" in out
-        for mode in ("immediate", "async"):
-            assert mode in out
 
     def test_sec52_reports_full_coverage(self, capsys):
         assert main(["sec52", "--trials", "1"]) == 0

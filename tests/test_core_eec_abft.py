@@ -206,17 +206,6 @@ class TestValidation:
         with pytest.raises(ValueError):
             check_columns(m, np.zeros((3, 5)), thresholds)
 
-    def test_detect_only_mode_leaves_data_untouched(self, rng, thresholds):
-        m, cs, _ = protected_matrix(rng)
-        m[0, 0, 0] = np.inf
-        snapshot = m.copy()
-        report = check_columns(m, cs, thresholds, correct=False)
-        assert report.num_detected == 1
-        assert np.array_equal(
-            np.nan_to_num(m, nan=0.0, posinf=1.0, neginf=-1.0),
-            np.nan_to_num(snapshot, nan=0.0, posinf=1.0, neginf=-1.0),
-        )
-
 
 class TestThresholds:
     def test_invalid_thresholds_rejected(self):

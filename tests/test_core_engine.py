@@ -14,8 +14,6 @@ import pytest
 
 from repro.core import (
     CHECKER_BACKENDS,
-    VERIFICATION_MODE_CONFIGS,
-    VERIFICATION_MODES,
     ATTNChecker,
     ATTNCheckerConfig,
     ProtectionEngine,
@@ -70,7 +68,6 @@ def run_with_backend(backend, matrix, error_type, x, seed=7, bias=True, config_k
     )
     checker = ATTNChecker(ATTNCheckerConfig(backend=backend, **(config_kwargs or {})))
     output = run_attention(attention, x, ComposedHooks([injector, checker]))
-    checker.end_step()
     decisions = {
         name: (
             stats.checks_run,
@@ -109,19 +106,19 @@ class TestBackendConfig:
 
 
 class TestPublicSurface:
-    """One fused schedule and two verification modes: the configuration
-    surface has no schedule flags, no detection-only mode, no alias and no
-    array-backend pin (the checker runs where the model's arrays live)."""
+    """One fused schedule and one verification mode: the configuration
+    surface has no schedule flags, no detection-only or asynchronous mode,
+    no alias and no array-backend pin (the checker runs where the model's
+    arrays live)."""
 
     def test_config_fields(self):
         assert [f.name for f in dataclasses.fields(ATTNCheckerConfig)] == [
             "thresholds", "frequencies", "protect_scope", "backend",
-            "async_verification", "max_pending_steps",
         ]
 
     def test_engine_parameters(self):
         assert list(inspect.signature(ProtectionEngine).parameters) == [
-            "thresholds", "timers", "asynchronous", "max_pending_steps",
+            "thresholds", "timers",
         ]
 
     def test_cost_model_parameters(self):
@@ -129,22 +126,10 @@ class TestPublicSurface:
             "config", "batch_size", "seq_len", "element_size",
         ]
 
-    def test_engine_rejects_nonpositive_pending_steps(self):
-        with pytest.raises(ValueError, match="max_pending_steps"):
-            ProtectionEngine(asynchronous=True, max_pending_steps=0)
-
     def test_correct_matrix_parameters(self):
         assert list(inspect.signature(correct_matrix).parameters) == [
             "matrix", "checksums", "thresholds",
         ]
-
-    def test_mode_configs_select_their_mode(self):
-        assert VERIFICATION_MODES == ("immediate", "async")
-        assert tuple(VERIFICATION_MODE_CONFIGS) == VERIFICATION_MODES
-        for mode, kwargs in VERIFICATION_MODE_CONFIGS.items():
-            assert ATTNCheckerConfig(**kwargs).verification_mode == mode
-            assert ATTNChecker(ATTNCheckerConfig(**kwargs)).engine.asynchronous == (
-                mode == "async")
 
 
 class TestFusedTransparency:
@@ -306,54 +291,6 @@ class TestBackendEquivalenceVariants:
         assert sum(d for d, *_ in totals["fused"].values()) >= len(specs)
 
 
-class TestAsyncBatchedVerification:
-    def test_async_queues_then_verifies_in_one_batch(self, rng):
-        attention = make_attention()
-        checker = ATTNChecker(ATTNCheckerConfig(async_verification=True))
-        injector = FaultInjector(
-            [FaultSpec(matrix="AS", error_type="inf", layer_index=0)],
-            rng=np.random.default_rng(7),
-        )
-        run_attention(attention, rng.normal(size=(2, 6, 16)), ComposedHooks([injector, checker]))
-        # Nothing verified yet: the three sections are queued.
-        assert checker.stats.total_checks == 0
-        assert checker.engine.pending_verifications == 3
-        outcomes = checker.end_step() + checker.drain()
-        checker.close()
-        assert checker.engine.pending_verifications == 0
-        assert len(outcomes) == 3
-        assert checker.stats.total_detections >= 1
-        assert checker.stats.total_checks == 3
-
-    def test_async_clean_pass_reports_clean(self, rng):
-        attention = make_attention()
-        checker = ATTNChecker(ATTNCheckerConfig(async_verification=True))
-        run_attention(attention, rng.normal(size=(2, 6, 16)), checker)
-        outcomes = checker.end_step() + checker.drain()
-        checker.close()
-        assert len(outcomes) == 3
-        assert checker.stats.total_detections == 0
-
-    def test_async_batches_multiple_layers(self, rng):
-        # Two forward passes before the submit: same-shaped boundary matrices
-        # stack into one batched verification per section.
-        attention = make_attention()
-        checker = ATTNChecker(ATTNCheckerConfig(async_verification=True))
-        x = rng.normal(size=(2, 6, 16))
-        run_attention(attention, x, checker)
-        run_attention(attention, x, checker)
-        assert checker.engine.pending_verifications == 6
-        outcomes = checker.end_step() + checker.drain()
-        checker.close()
-        assert len(outcomes) == 6
-        assert checker.stats.total_checks == 6
-        assert checker.dispatch_counts["detect"] == 3
-
-    def test_end_step_noop_in_immediate_mode(self, rng):
-        checker = ATTNChecker()
-        assert checker.end_step() == []
-
-
 class TestEngineStandalone:
     def test_unknown_section_raises(self):
         engine = ProtectionEngine()
@@ -373,14 +310,18 @@ class TestEngineStandalone:
         )
         assert engine.protect_section(ctx, np.zeros((1, 4, 4))) is None
 
-    def test_reset_clears_queue(self, rng):
+    def test_reset_drops_caches_workspace_and_counters(self, rng):
         attention = make_attention()
-        checker = ATTNChecker(ATTNCheckerConfig(async_verification=True))
+        checker = ATTNChecker()
         run_attention(attention, rng.normal(size=(1, 4, 16)), checker)
-        assert checker.engine.pending_verifications == 3
+        engine = checker.engine
+        assert len(engine.workspace) > 0 and len(engine.weight_cache) > 0
+        assert checker.stats.total_checks == 3
         checker.reset_stats()
-        assert checker.engine.pending_verifications == 0
-        checker.close()
+        assert len(engine.workspace) == 0 and len(engine.weight_cache) == 0
+        assert checker.dispatch_counts == {"gemm": 0, "detect": 0}
+        assert checker.stats.total_checks == 0
+        assert checker.overhead_seconds() == 0.0
 
 
 class TestRequestAttribution:

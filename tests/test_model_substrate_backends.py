@@ -8,19 +8,18 @@ model substrate itself (``build_model(..., array_backend=...)``):
   the final weight sum of every model family match hard-coded goldens
   captured before the port.
 * **Zero host round-trips** — a counting/spy backend substrate runs full
-  protected training steps (fused engine in immediate / async mode, and the
-  per-GEMM reference, all following the model) with *zero* backend
+  protected training steps (fused engine and the per-GEMM reference, both
+  following the model) with *zero* backend
   conversion calls: one shared backend means a device-resident step never
   crosses to the host.
 * **Foreign substrate end to end** — the simulated-foreign backend (an
-  ndarray-subclass array type) carries parameters, activations, gradients,
-  optimizer state and rollback snapshots natively; decisions equal the NumPy
+  ndarray-subclass array type) carries parameters, activations, gradients
+  and optimizer state natively; decisions equal the NumPy
   reference; on-disk checkpoints export through the backend (timed under
   ``xfer/d2h``) and restore adopts back (``xfer/h2d``).
 * **Torch substrate** (skipped without torch; the CPU-torch CI job runs it) —
-  full-model training campaigns across the verification modes byte-compare
-  detection/correction decisions against the NumPy reference and match
-  losses numerically.
+  full-model training campaigns byte-compare detection/correction decisions
+  against the NumPy reference and match losses numerically.
 """
 
 import math
@@ -36,7 +35,7 @@ from repro.backend import (
     register_backend,
     unregister_backend,
 )
-from repro.core import ATTNChecker, ATTNCheckerConfig
+from repro.core import CHECKER_BACKENDS, ATTNChecker, ATTNCheckerConfig
 from repro.faults import FaultInjector, FaultSpec
 from repro.models import build_model
 from repro.data import SyntheticMRPC
@@ -74,14 +73,6 @@ NUMPY_GOLDENS = {
     },
 }
 
-MODE_CONFIGS = {
-    "immediate": {},
-    "async": {"async_verification": True},
-}
-#: :data:`MODE_CONFIGS` plus the per-GEMM reference checker.
-CHECKER_CONFIGS = {**MODE_CONFIGS, "per_gemm": {"backend": "per_gemm"}}
-
-
 def _batch_for(model, seed=5, batch=4, offset=0):
     data = SyntheticMRPC(
         num_examples=16 + offset + batch,
@@ -95,7 +86,7 @@ def _batch_for(model, seed=5, batch=4, offset=0):
 def run_protected_training(
     model_name,
     array_backend=None,
-    mode="immediate",
+    backend="fused",
     steps=3,
     matrix="AS",
     error_type="inf",
@@ -115,7 +106,7 @@ def run_protected_training(
         [FaultSpec(matrix=matrix, error_type=error_type, layer_index=0)],
         rng=np.random.default_rng(3),
     )
-    checker = ATTNChecker(ATTNCheckerConfig(**CHECKER_CONFIGS[mode]))
+    checker = ATTNChecker(ATTNCheckerConfig(backend=backend))
     trainer = Trainer(
         model,
         config=TrainerConfig(learning_rate=1e-3),
@@ -124,7 +115,6 @@ def run_protected_training(
         fault_hooks=[injector],
     )
     losses = [trainer.train_step(batch).loss for _ in range(steps)]
-    trainer.drain_verifications(batch=batch)
     return {
         "model": model,
         "trainer": trainer,
@@ -228,10 +218,10 @@ def counting_substrate():
     clear_dispatch_cache()
 
 
-@pytest.mark.parametrize("mode", sorted(CHECKER_CONFIGS))
-def test_full_protected_step_zero_conversions_on_shared_backend(counting_substrate, mode):
-    """Acceptance criterion: a full protected training step (fused engine in
-    both verification modes, and the per-GEMM reference) on a
+@pytest.mark.parametrize("backend", CHECKER_BACKENDS)
+def test_full_protected_step_zero_conversions_on_shared_backend(counting_substrate, backend):
+    """Acceptance criterion: a full protected training step (fused engine
+    and the per-GEMM reference) on a
     non-NumPy-named backend performs zero host round-trips — the checker
     runs on the model's backend.
 
@@ -241,7 +231,7 @@ def test_full_protected_step_zero_conversions_on_shared_backend(counting_substra
     runs anywhere in the step.
     """
     result = run_protected_training(
-        "bert-base", array_backend="counting-substrate", mode=mode,
+        "bert-base", array_backend="counting-substrate", backend=backend,
         error_type="near_inf", optimizer_cls=AdamW,
     )
     assert result["detections"] >= 1
@@ -340,28 +330,6 @@ class TestForeignSubstrate:
         for p in model.parameters():
             assert isinstance(p.data, _SimArray)
 
-    def test_stale_reexecute_rollback_stays_native(self, foreign_substrate):
-        model = build_model("bert-base", size="tiny", rng=np.random.default_rng(7),
-                            array_backend="simforeign-substrate")
-        batch = _batch_for(model)
-        injector = FaultInjector(
-            [FaultSpec(matrix="AS", error_type="inf", layer_index=0)],
-            rng=np.random.default_rng(3),
-        )
-        checker = ATTNChecker(ATTNCheckerConfig(async_verification=True))
-        trainer = Trainer(
-            model, config=TrainerConfig(learning_rate=1e-3, stale_policy="reexecute"),
-            checker=checker, fault_hooks=[injector],
-        )
-        for _ in range(3):
-            trainer.train_step(batch)
-        trainer.drain_verifications(batch=batch)
-        assert checker.stats.total_detections >= 1
-        for p in model.parameters():
-            assert isinstance(p.data, _SimArray)
-        for _, model_state, _ in trainer._stale_snapshots:
-            assert all(isinstance(v, _SimArray) for v in model_state.values())
-
 
 # ---------------------------------------------------------------------------
 # Module/optimizer state-dict adoption contract
@@ -404,12 +372,11 @@ class TestTorchSubstrate:
         for p in model.parameters():
             assert backend.is_backend_array(p.data)
 
-    @pytest.mark.parametrize("mode", sorted(MODE_CONFIGS))
     @pytest.mark.parametrize("error_type", ["inf", "nan", "near_inf"])
-    def test_training_campaign_decisions_match_numpy_reference(self, mode, error_type):
-        reference = run_protected_training("bert-base", mode=mode, error_type=error_type)
+    def test_training_campaign_decisions_match_numpy_reference(self, error_type):
+        reference = run_protected_training("bert-base", error_type=error_type)
         result = run_protected_training(
-            "bert-base", array_backend="torch", mode=mode, error_type=error_type)
+            "bert-base", array_backend="torch", error_type=error_type)
         # Decisions byte-compare; losses agree numerically (different BLAS).
         assert result["detections"] == reference["detections"]
         assert result["corrections"] == reference["corrections"]
@@ -420,7 +387,7 @@ class TestTorchSubstrate:
 
     def test_checker_buffers_stay_on_the_substrate(self):
         backend = get_backend("torch")
-        result = run_protected_training("gpt2", array_backend="torch", mode="async",
+        result = run_protected_training("gpt2", array_backend="torch",
                                         error_type="near_inf")
         assert result["detections"] >= 1
         buffers = [entry[2] for entry in result["checker"].engine.workspace._slots.values()]

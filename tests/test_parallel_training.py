@@ -34,6 +34,7 @@ from repro.training import (
     EXECUTORS,
     DataParallelConfig,
     DataParallelTrainer,
+    ParallelStepResult,
     ReplicaSpec,
     StaleDetectionAbort,
 )
@@ -448,6 +449,15 @@ class TestWorkerEquivalence:
             "workers", "shards", "executor", "learning_rate", "weight_decay",
             "max_grad_norm", "stale_policy", "max_retries_per_step", "protection",
             "overlap_grad_reduce", "bucket_cap_mb",
+        ]
+
+    def test_step_result_surface(self):
+        # Rank checkers correct in-pass, so no rank ever re-executes its
+        # forward/backward: results count dirty reductions, not stale ranks.
+        assert [f.name for f in dataclasses.fields(ParallelStepResult)] == [
+            "step", "loss", "shard_losses", "step_seconds", "dirty_reductions",
+            "reduction_reexecutions", "detections", "corrections", "buckets",
+            "overlap_seconds", "drain_seconds", "overlap_efficiency",
         ]
 
     @pytest.mark.parametrize("executor", ["serial", "process"])

@@ -222,30 +222,30 @@ def test_xf001_flags_host_export_anywhere_in_engine(tmp_path):
 
 def test_th001_flags_unlocked_shared_attribute_access(tmp_path):
     result = lint(tmp_path, {
-        "src/repro/core/engine.py": """
-            class ProtectionEngine:
-                def _join_worker(self):
-                    self._shutdown = False
+        "src/repro/comm/collective.py": """
+            class ThreadCollective:
+                def close(self):
+                    self._closed = True
         """,
     })
     assert rules_fired(result) == ["TH001"]
-    assert result.new[0].symbol == "ProtectionEngine._join_worker"
+    assert result.new[0].symbol == "ThreadCollective.close"
 
 
 def test_th001_silent_under_lock_in_locked_methods_and_init(tmp_path):
     result = lint(tmp_path, {
-        "src/repro/core/engine.py": """
-            class ProtectionEngine:
+        "src/repro/comm/collective.py": """
+            class ThreadCollective:
                 def __init__(self):
-                    self._shutdown = False
-                    self._inflight = 0
+                    self._closed = False
+                    self._failure = None
 
-                def _join_worker(self):
+                def close(self):
                     with self._cv:
-                        self._shutdown = True
+                        self._closed = True
 
-                def _harvest_locked(self):
-                    return self._completed
+                def _take_result_locked(self, key):
+                    return self._results[key]
         """,
     })
     assert result.new == []
@@ -254,12 +254,12 @@ def test_th001_silent_under_lock_in_locked_methods_and_init(tmp_path):
 def test_th001_nested_function_resets_lock_context(tmp_path):
     # A closure defined under the lock runs later, without it.
     result = lint(tmp_path, {
-        "src/repro/core/engine.py": """
-            class ProtectionEngine:
-                def submit(self):
+        "src/repro/comm/collective.py": """
+            class ThreadCollective:
+                def finish(self):
                     with self._cv:
                         def callback():
-                            return self._inflight
+                            return self._fetched
                         return callback
         """,
     })
@@ -302,13 +302,20 @@ def test_th001_covers_protected_collective_accounting(tmp_path):
 
 
 def test_th001_shared_attrs_are_per_file(tmp_path):
-    # The engine's attr names are not shared state in comm files and vice
-    # versa — the rule scopes its attribute sets per file.
+    # One file's shared attr names are not shared state in another scoped
+    # file — the rule scopes its attribute sets per file — and a file outside
+    # the map (the protection engine, which holds no worker-shared state)
+    # is not checked at all.
     result = lint(tmp_path, {
         "src/repro/comm/collective.py": """
             class ThreadCollective:
                 def poke(self):
-                    self._inbox = []
+                    self._launches = 0
+        """,
+        "src/repro/comm/bucketing.py": """
+            class BucketAccounting:
+                def poke(self):
+                    self._entries = {}
         """,
         "src/repro/core/engine.py": """
             class ProtectionEngine:
@@ -357,19 +364,20 @@ def test_th001_covers_deposit_copy_counter(tmp_path):
 
 def test_th001_registry_seam_files_hold_no_shared_state(tmp_path):
     # The op/section registries are immutable declarations: hooks.py and
-    # sections.py carry no worker-shared attribute set, so even an engine
-    # attr name touched there is out of scope.  Cross-thread state for a new
-    # section handler belongs in engine.py (and in the rule's map).
+    # sections.py carry no worker-shared attribute set, so even a collective
+    # attr name touched there is out of scope.  Cross-thread state, should a
+    # section handler ever grow some, belongs under a lock and in the rule's
+    # map.
     result = lint(tmp_path, {
         "src/repro/core/hooks.py": """
             class OpRegistry:
                 def poke(self):
-                    self._inflight = 0
+                    self._entries = {}
         """,
         "src/repro/core/sections.py": """
             class SectionRegistry:
                 def poke(self):
-                    self._inbox = []
+                    self._failure = None
         """,
     })
     assert result.new == []
@@ -732,10 +740,11 @@ def test_standalone_suppression_comment_covers_next_line(tmp_path):
 def test_file_level_suppression_and_multi_rule_syntax(tmp_path):
     result = lint(tmp_path, {
         "src/repro/core/engine.py": """
-            # reprolint: disable-file=WS001,TH001
+            # reprolint: disable-file=WS001,BK001
+            from numpy.linalg import norm
+
             class ProtectionEngine:
                 def _protect(self, xp, a, b):
-                    self._shutdown = True
                     return xp.matmul(a, b)
         """,
     })

@@ -2,7 +2,7 @@
 
 Covers the serving workload generator, the batched serving engine, the
 equivalence campaign (fault-free protected decode byte-identical to
-unprotected; per-GEMM / fused / fused+async agree on detection decisions),
+unprotected; per-GEMM and fused agree on detection decisions),
 per-request fault isolation (repair and eviction), and the O(1)-per-token
 decode checksum dispatch counters against the serving cost-model entry.
 """
@@ -10,12 +10,7 @@ decode checksum dispatch counters against the serving cost-model entry.
 import numpy as np
 import pytest
 
-from repro.core import (
-    VERIFICATION_MODE_CONFIGS,
-    ATTNChecker,
-    ATTNCheckerConfig,
-    SectionCostModel,
-)
+from repro.core import ATTNChecker, ATTNCheckerConfig, SectionCostModel
 from repro.faults import FaultInjector, FaultSpec
 from repro.models import build_model
 from repro.nn import ComposedHooks
@@ -222,23 +217,22 @@ class TestFaultFreeServing:
         assert protected.checker_stats["detections"] == 0
         assert protected.checker_stats["checks"] > 0
 
-    @pytest.mark.parametrize("mode", sorted(VERIFICATION_MODE_CONFIGS))
-    def test_verification_modes_serve_identically(self, mode):
+    def test_run_absorbs_every_verification_outcome(self):
+        """Each prefill/decode step's outcomes are absorbed right after the
+        step, so nothing is left in the checker's ring when a run returns."""
         requests_model = make_gpt2()
         baseline = serve(requests_model, make_requests(requests_model))
 
         model = make_gpt2()
-        checker = ATTNChecker(
-            ATTNCheckerConfig(backend="fused", **VERIFICATION_MODE_CONFIGS[mode])
-        )
+        checker = ATTNChecker(ATTNCheckerConfig(backend="fused"))
         model.set_attention_hooks(checker)
         protected = serve(model, make_requests(model), checker=checker)
-        checker.close()
 
         assert [r.tokens for r in protected.results] == [
             r.tokens for r in baseline.results
         ]
-        assert protected.checker_stats["detections"] == 0
+        assert protected.checker_stats["checks"] > 0
+        assert checker.take_recent_outcomes() == []
 
     def test_serving_timer_keys_present(self):
         model = make_gpt2()
@@ -278,12 +272,9 @@ class TestFaultIsolation:
             ]
         return [FaultSpec(error_type=error_type, **self.FAULT)]
 
-    def _serve_with_fault(self, error_type, backend="fused", mode="immediate",
-                          evict_uncorrected=True):
+    def _serve_with_fault(self, error_type, backend="fused", evict_uncorrected=True):
         model = make_gpt2()
-        checker = ATTNChecker(
-            ATTNCheckerConfig(backend=backend, **VERIFICATION_MODE_CONFIGS[mode])
-        )
+        checker = ATTNChecker(ATTNCheckerConfig(backend=backend))
         injector = FaultInjector(
             self._specs(error_type), rng=np.random.default_rng(0), enabled=False
         )
@@ -373,25 +364,6 @@ class TestFaultIsolation:
         assert (
             other.checker_stats["corrections"] == reference.checker_stats["corrections"]
         )
-
-    def test_async_mode_detects_same_fault_but_evicts(self, clean_tokens):
-        # Async verification detects the same corruption and attributes it to
-        # the same request, but it runs after the boundary's values were
-        # consumed — repair comes too late, so the dirty request is evicted
-        # rather than repaired in place.  Batch-mates are still untouched.
-        immediate = self._serve_with_fault("near_inf", mode="immediate")
-        deferred = self._serve_with_fault("near_inf", mode="async")
-        assert (
-            deferred.checker_stats["detections"]
-            >= immediate.checker_stats["detections"]
-            >= 1
-        )
-        statuses = [r.status for r in deferred.results]
-        assert statuses[1] == "evicted"
-        assert statuses[0] == "completed" and statuses[2] == "completed"
-        tokens = [r.tokens for r in deferred.results]
-        assert tokens[0] == clean_tokens[0]
-        assert tokens[2] == clean_tokens[2]
 
 
 class TestDecodeDispatchCounters:
@@ -516,18 +488,6 @@ class TestSlotCompaction:
             r.tokens for r in baseline.results
         ]
         assert protected.checker_stats["detections"] == 0
-
-    def test_async_mode_keeps_full_width(self):
-        # Async dirty masks drain late with historical batch widths, so the
-        # engine must not compact under async verification.
-        model = make_gpt2()
-        checker = ATTNChecker(
-            ATTNCheckerConfig(backend="fused", **VERIFICATION_MODE_CONFIGS["async"])
-        )
-        model.set_attention_hooks(checker)
-        report = self._serve_counted(model, self._mixed_requests(model), checker=checker)
-        checker.close()
-        assert report.decode_slot_steps == report.decode_steps * len(self.BUDGETS)
 
     def test_eviction_stops_dead_slot_stepping(self):
         # An evicted slot leaves the physical batch: with three requests and

@@ -1,10 +1,12 @@
 """Unit tests for optimisers, checkpointing and the trainer."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from repro.core import ATTNChecker
 from repro.data import DataLoader, SyntheticMRPC
 from repro.models import build_model
 from repro.nn.layers import Linear
@@ -14,6 +16,7 @@ from repro.training import (
     AdamW,
     CheckpointManager,
     SGD,
+    StepResult,
     Trainer,
     TrainerConfig,
 )
@@ -211,6 +214,28 @@ class TestTrainer:
         assert np.isfinite(result.loss)
         assert not np.allclose(model.parameters()[0].data, before)
         assert result.step_seconds > 0 and result.attention_seconds > 0
+
+    def test_config_and_result_surface(self):
+        # Verification runs in-pass, so the trainer has no staleness policy
+        # and its step results carry no stale or re-execution counters.
+        assert [f.name for f in dataclasses.fields(TrainerConfig)] == [
+            "learning_rate", "weight_decay", "max_grad_norm", "checkpoint_every",
+            "restore_on_non_trainable", "max_retries_per_step", "log_every",
+        ]
+        assert [f.name for f in dataclasses.fields(StepResult)] == [
+            "step", "loss", "step_seconds", "attention_seconds", "abft_seconds",
+            "corrections", "detections", "restored_from_checkpoint",
+        ]
+
+    def test_abft_seconds_sum_to_checker_overhead(self, setup):
+        model, batches = setup
+        checker = ATTNChecker()
+        trainer = Trainer(model, config=TrainerConfig(learning_rate=1e-3), checker=checker)
+        results = [trainer.train_step(batch) for batch in batches[:2]]
+        assert all(result.abft_seconds > 0 for result in results)
+        assert sum(result.abft_seconds for result in results) == pytest.approx(
+            checker.overhead_seconds()
+        )
 
     def test_loss_decreases_over_epochs(self, setup):
         model, batches = setup

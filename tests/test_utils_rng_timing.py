@@ -145,15 +145,6 @@ class TestTimingRegistry:
         assert registry.elapsed("comm/bucket") == 2000.0
         assert registry.timer("comm/bucket").count == 2000
 
-    def test_total_can_exclude_a_prefix(self):
-        registry = TimingRegistry()
-        registry.add("abft/detect", 1.0)
-        registry.add("async/abft/detect", 2.0)
-        registry.add("attention/forward", 4.0)
-        assert registry.total() == 7.0
-        assert registry.total(exclude="async/") == 5.0
-        assert registry.total("abft/", exclude="async/") == 1.0
-
     def test_report_lists_the_longest_timer_first(self):
         registry = TimingRegistry()
         registry.add("short", 0.001)

@@ -24,7 +24,6 @@ import pytest
 from repro.core import (
     PROTECT_SCOPES,
     SECTION_REGISTRY,
-    VERIFICATION_MODE_CONFIGS,
     ATTNChecker,
     ATTNCheckerConfig,
     SectionCostModel,
@@ -222,36 +221,27 @@ class TestTrainingDispatchCounters:
         model(batch["input_ids"], attention_mask=batch["attention_mask"])
         model.set_attention_hooks(None)
         assert len(checker.engine.workspace) == SectionCostModel.checksum_workspace_slots(
-            "immediate", scope="attention+ffn"
+            scope="attention+ffn"
         )
         checker.close()
 
-    @pytest.mark.parametrize("mode", ["immediate", "async"])
-    def test_ffn_faults_detected_in_every_verification_mode(self, mode):
+    def test_ffn_faults_detected_and_corrected_in_training(self):
         model = make_bert()
         batch = make_batch(model)
         injector = FaultInjector(
             [FaultSpec(matrix="H", error_type="near_inf", layer_index=0)],
             rng=np.random.default_rng(2),
         )
-        checker = ATTNChecker(ATTNCheckerConfig(
-            protect_scope="attention+ffn", **VERIFICATION_MODE_CONFIGS[mode]))
+        checker = ATTNChecker(ATTNCheckerConfig(protect_scope="attention+ffn"))
         trainer = Trainer(model, config=TrainerConfig(learning_rate=5e-4),
                           checker=checker, fault_hooks=[injector])
         for _ in range(2):
             trainer.train_step(batch)
-        trainer.drain_verifications(batch=batch)
         assert injector.num_injections == 1
         assert checker.stats.sections["FF1"].detections >= 1
-        if mode == "immediate":
-            # Immediate mode repairs in place before the GELU consumes H.
-            assert checker.stats.sections["FF1"].corrections >= 1
-            assert checker.stats.total_residual_extreme == 0
-        elif mode == "async":
-            # Async surfaces the corrupted step as a stale (dirty) boundary
-            # that the trainer's stale-step machinery owns.
-            assert checker.stats.total_stale_detections >= 1
-        checker.close()
+        # The boundary is repaired in place before the GELU consumes H.
+        assert checker.stats.sections["FF1"].corrections >= 1
+        assert checker.stats.total_residual_extreme == 0
 
 
 class TestServingDecodeFFN:
@@ -472,33 +462,6 @@ class TestOptimizerStateChecksum:
         manager.save(2, model, optimizer)
         manager.restore(model, optimizer)
         optimizer.verify_moments()
-
-    def test_stale_rollback_window_carries_checksums(self):
-        """The trainer's rollback snapshots embed the moment checksums, so a
-        poisoned in-memory snapshot is caught at restore time."""
-        model = make_bert()
-        batch = make_batch(model)
-        checker = ATTNChecker(ATTNCheckerConfig(
-            protect_scope="attention+ffn", **VERIFICATION_MODE_CONFIGS["async"]))
-        trainer = Trainer(
-            model,
-            config=TrainerConfig(learning_rate=5e-4, stale_policy="reexecute"),
-            checker=checker,
-        )
-        # Four steps: the retained window (max_pending_steps + 1 = 3) then
-        # holds only snapshots taken after at least one optimizer update,
-        # i.e. ones that carry populated moment buffers and checksums.
-        for _ in range(4):
-            trainer.train_step(batch)
-        assert trainer._stale_snapshots
-        _, _, optimizer_state = trainer._stale_snapshots[0]
-        assert any(k.startswith("moment_checksum") for k in optimizer_state)
-        key = next(k for k in optimizer_state if k.startswith("m."))
-        optimizer_state[key][(0,) * optimizer_state[key].ndim] += 1.0
-        with pytest.raises(OptimizerStateCorruption):
-            trainer._rollback_to_clean_state()
-        trainer.drain_verifications(batch=batch)
-        checker.close()
 
 
 class TestScopeCLI:

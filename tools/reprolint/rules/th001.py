@@ -1,40 +1,29 @@
 """TH001 — lock discipline on worker-shared state.
 
-The async verification worker (PR 2) shares a handful of
-:class:`ProtectionEngine` attributes with the submitting thread — the inbox
-deque, completion list, in-flight/epoch counters, failure slot and shutdown
-flags — all documented as "guarded by ``_cv``".  Python's GIL makes single
-attribute reads atomic, which is exactly why an unlocked access *passes every
-test* while still being a data race in composition (check-then-act on
-``_inflight``, pairing of ``_shutdown``/``_discard_on_shutdown``).  This rule
-makes the convention mechanical: a shared attribute may only be touched
-inside a ``with self._cv``/``with self._lock`` block, a ``*_locked`` method
-(whose callers hold the lock by naming convention), or ``__init__`` (before
-the worker can exist).
+The data-parallel trainer runs its ranks on a pool of worker threads, and
+they meet in shared objects: the thread collective's rendezvous state
+(entries / results / fetch counters / deposit-copy counter / failure /
+closed, guarded by ``_cv``), the protected collective's dispatch accounting
+and verdict cache (guarded by ``_lock``) and :class:`BucketAccounting`'s
+launch/retry counters and overlap timing accumulators (guarded by
+``_lock``), bumped from every rank's thread mid-backward and read by the
+coordinator between steps.  Python's GIL makes single attribute reads
+atomic, which is exactly why an unlocked access *passes every test* while
+still being a data race in composition (check-then-act on a rendezvous
+slot, a fetch count paired with the result it releases).  This rule makes
+the convention mechanical: a shared attribute may only be touched inside a
+``with self._cv``/``with self._lock`` block, a ``*_locked`` method (whose
+callers hold the lock by naming convention), or ``__init__`` (before any
+worker can see the object).  Shared attributes are declared per file in
+:attr:`LockDisciplineRule.file_shared_attrs`.
 
-PR 8 extended the scope to ``repro/comm/``: the thread collective's
-rendezvous state (entries / results / fetch counters / failure / closed,
-guarded by ``_cv``) and the protected collective's dispatch accounting and
-verdict cache (guarded by ``_lock``) are shared across every worker thread of
-the data-parallel trainer, under the same discipline.  Shared attributes are
-declared per file in :attr:`LockDisciplineRule.file_shared_attrs`.
-
-The whole-model refactor (PR 9) routes the FFN sections through the same
-async worker and the same inbox/epoch/staleness accounting, so the engine's
-shared-attribute list is unchanged — deliberately: the section seam (the
-boundary maps of ``core/hooks.py``, the registry of ``core/sections.py``)
-holds immutable declarations and must stay free of worker-shared mutable
-state.  A section handler that grows
-its own cross-thread counter belongs in ``engine.py`` under ``_cv``, and its
-attribute belongs in this map.
-
-The overlapped trainer (PR 10) added ``repro/comm/bucketing.py`` to the
-scope: :class:`BucketAccounting`'s launch/retry counters and overlap timing
-accumulators are bumped from every rank's worker thread mid-backward and read
-by the coordinator between steps, guarded by ``_lock``.  The thread
-collective also grew a ``_deposit_copies`` counter (copy-on-deposit elision
-accounting) under ``_cv``.  The bucketer and per-rank readiness trackers
-stay immutable / single-threaded by design and deliberately out of the map.
+The section seam (the boundary maps of ``core/hooks.py``, the registry of
+``core/sections.py``) holds immutable declarations, and the protection
+engine verifies inside the forward pass on the thread that runs it, so
+``core/`` holds no worker-shared state and is out of the map.  The bucketer
+and per-rank readiness trackers stay immutable / single-threaded by design
+and are deliberately out of the map too.  Code that grows a cross-thread
+counter belongs under a lock, and its attribute belongs in this map.
 """
 
 from __future__ import annotations
@@ -52,24 +41,23 @@ class LockDisciplineRule(PathScopedRule):
     id = "TH001"
     name = "lock-discipline"
     invariant = (
-        "Attributes shared across worker threads (verification engine, "
-        "collective rendezvous, protected-collective accounting) are touched "
-        "only under `with self._cv` (or `self._lock`) or inside *_locked "
-        "methods."
+        "Attributes shared across worker threads (collective rendezvous, "
+        "protected-collective and bucket accounting) are touched only under "
+        "`with self._cv` (or `self._lock`) or inside *_locked methods."
     )
     rationale = (
         "GIL atomicity makes unlocked accesses pass every test while still "
-        "racing in composition (check-then-act on _inflight, paired shutdown "
-        "flags); the engine's staleness accounting and failure propagation "
-        "depend on these invariants holding under the condition variable."
+        "racing in composition (check-then-act on a rendezvous slot, a fetch "
+        "count paired with the result it releases); the collective's "
+        "reduction and failure propagation depend on these invariants "
+        "holding under the condition variable."
     )
     example = (
-        "src/repro/core/engine.py:1068: TH001 worker-shared attribute "
-        "'self._shutdown' accessed outside the lock [ProtectionEngine._join_worker]"
+        "src/repro/comm/collective.py:253: TH001 worker-shared attribute "
+        "'self._entries' accessed outside the lock [ThreadCollective.finish]"
     )
 
     scope_files = (
-        "src/repro/core/engine.py",
         "src/repro/comm/collective.py",
         "src/repro/comm/protected.py",
         "src/repro/comm/bucketing.py",
@@ -79,15 +67,6 @@ class LockDisciplineRule(PathScopedRule):
     #: Worker-shared state per scoped file (the "guarded by _cv"/"_lock"
     #: blocks in each class's __init__).
     file_shared_attrs: Dict[str, Tuple[str, ...]] = {
-        "src/repro/core/engine.py": (
-            "_inbox",
-            "_completed",
-            "_inflight",
-            "_epoch",
-            "_failure",
-            "_shutdown",
-            "_discard_on_shutdown",
-        ),
         "src/repro/comm/collective.py": (
             "_entries",
             "_results",

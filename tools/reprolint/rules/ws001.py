@@ -2,11 +2,11 @@
 
 The PR 5 zero-allocation checksum workspace exists because per-step array
 allocation dominated the protection overhead at small sequence lengths.  The
-engine's hot path must therefore route matmul/stack through the
-``matmul_into``/``stack_into`` helpers, which reuse workspace-owned output
-buffers; einsum has no such helper (its ``out=`` form is ~4x slower in
-NumPy and absent in Torch), so every raw einsum is flagged too and must
-justify its allocation.  A raw ``xp.matmul(...)`` added to
+engine's hot path must therefore route matmul through the ``matmul_into``
+helper, which reuses workspace-owned output buffers; stack and einsum have
+no such helper (einsum's ``out=`` form is ~4x slower in NumPy and absent in
+Torch), so every raw stack or einsum is flagged too and must justify its
+allocation.  A raw ``xp.matmul(...)`` added to
 ``engine.py`` reintroduces a per-step allocation that no functional test can
 see — only the overhead benchmark drifts.  The contract is section-generic:
 since the whole-model refactor the same engine hot path verifies every
@@ -35,9 +35,9 @@ class WorkspaceContractRule(PathScopedRule):
     id = "WS001"
     name = "workspace-contract"
     invariant = (
-        "Engine hot-path matmul/stack go through the workspace *_into "
-        "helpers (out= reuse), not raw namespace calls; a raw einsum "
-        "carries a suppression justifying its allocation."
+        "Engine hot-path matmul goes through the workspace matmul_into "
+        "helper (out= reuse), not a raw namespace call; a raw stack or "
+        "einsum carries a suppression justifying its allocation."
     )
     rationale = (
         "The zero-allocation workspace (PR 5) is what keeps protection "
@@ -51,7 +51,7 @@ class WorkspaceContractRule(PathScopedRule):
     )
 
     scope_files = ("src/repro/core/engine.py",)
-    #: Namespace calls with a workspace ``*_into`` counterpart.
+    #: Allocating namespace calls; only ``matmul`` has a workspace helper.
     managed_calls: Tuple[str, ...] = ("matmul", "stack", "einsum")
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
@@ -73,9 +73,9 @@ class _WorkspaceVisitor(ScopedVisitor):
         func = node.func
         if isinstance(func, ast.Attribute) and func.attr in self.rule.managed_calls:
             remedy = (
-                "suppress it with the reason it must allocate"
-                if func.attr == "einsum"
-                else f"use {func.attr}_into"
+                "use matmul_into"
+                if func.attr == "matmul"
+                else "suppress it with the reason it must allocate"
             )
             self.findings.append(
                 self.rule.finding(
