@@ -16,7 +16,6 @@ which injected faults are still corrected and at what cost:
 """
 
 import numpy as np
-import pytest
 
 from benchmarks.conftest import make_batch, make_model
 from repro.analysis import format_percent, format_table

@@ -13,8 +13,6 @@ accumulation micro-steps of one optimizer step; this places the onset of
 non-zero frequencies inside the paper's 13-20 window.
 """
 
-import pytest
-
 from repro.analysis import format_percent, format_table
 from repro.core import ErrorRates, OperationVulnerability, optimize_abft_frequencies
 from repro.models import get_config

@@ -14,9 +14,6 @@ Two reproductions:
 
 import time
 
-import numpy as np
-import pytest
-
 from benchmarks.conftest import MAIN_MODELS, make_batch, make_model
 from repro.analysis import format_percent, format_table
 from repro.core import ATTNChecker

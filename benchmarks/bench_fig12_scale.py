@@ -22,7 +22,6 @@ import os
 import time
 
 import numpy as np
-import pytest
 
 from repro.analysis import format_percent, format_table
 from repro.core import SectionCostModel

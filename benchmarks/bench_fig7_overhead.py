@@ -25,7 +25,6 @@ import json
 import os
 
 import numpy as np
-import pytest
 
 from benchmarks.conftest import OVERHEAD_MODELS, make_batch, make_model
 from repro.analysis import format_percent, format_table

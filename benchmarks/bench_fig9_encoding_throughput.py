@@ -10,7 +10,6 @@ encoding routine itself.
 """
 
 import numpy as np
-import pytest
 
 from repro.analysis import format_table
 from repro.core.checksums import encode_column_checksums

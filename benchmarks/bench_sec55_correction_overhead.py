@@ -8,7 +8,6 @@ measures the real cost of the NumPy correction path on this host.
 """
 
 import numpy as np
-import pytest
 
 from repro.analysis import format_percent, format_table
 from repro.core.checksums import encode_column_checksums

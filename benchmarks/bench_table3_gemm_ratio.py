@@ -5,8 +5,6 @@ attention mechanism's FLOPs across the four evaluated LLMs.  The harness
 derives the same ratios from FLOP accounting on the published dimensions.
 """
 
-import pytest
-
 from benchmarks.conftest import MAIN_MODELS
 from repro.analysis import format_percent, format_table, gemm_ratio_table
 

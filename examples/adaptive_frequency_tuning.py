@@ -11,8 +11,6 @@ rate grows.
 Run with:  python examples/adaptive_frequency_tuning.py
 """
 
-import numpy as np
-
 from repro import ErrorRates, OperationVulnerability, optimize_abft_frequencies
 from repro.analysis import format_percent, format_table
 from repro.models import get_config

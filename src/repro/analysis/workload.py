@@ -10,10 +10,10 @@ published model dimensions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 from repro.models.config import ModelConfig
-from repro.models.registry import PAPER_CONFIGS, get_config
+from repro.models.registry import get_config
 
 __all__ = ["WorkloadBreakdown", "attention_workload", "gemm_ratio_table"]
 

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.backend import namespace_of
 
@@ -118,6 +118,10 @@ class Collective:
 
     def poison(self, exc: BaseException) -> None:
         """Fail every pending and future rendezvous with ``exc`` as the cause."""
+
+    def missing_ranks(self) -> List[int]:
+        """Ranks a peer is waiting on: absent from an open rendezvous."""
+        return []
 
 
 def _reduce_rank_ordered(
@@ -284,6 +288,13 @@ class ThreadCollective(Collective):
         self._fetched[key] = 0
         del self._entries[key]
         self._cv.notify_all()
+
+    def missing_ranks(self) -> List[int]:
+        with self._cv:
+            return sorted({
+                r for slots in self._entries.values()
+                for r in range(self.world_size) if r not in slots
+            })
 
     def deposit_copies(self) -> int:
         """Total send-buffer copies made on deposit since construction."""

@@ -246,6 +246,9 @@ class ProtectedCollective(Collective):
     def poison(self, exc: BaseException) -> None:
         self.inner.poison(exc)
 
+    def missing_ranks(self) -> List[int]:
+        return self.inner.missing_ranks()
+
     # -- accounting ------------------------------------------------------------------
 
     def counters(self) -> Dict[str, int]:

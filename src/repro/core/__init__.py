@@ -18,9 +18,9 @@ The checksum/EEC-ABFT stack (``checksums``, ``eec_abft``, ``correction``,
 natively: a checker runs on the library that owns the model's arrays
 (``build_model(..., array_backend=...)``).
 ``hooks``
-    The attention instrumentation protocol (:class:`AttentionHooks`,
-    :class:`GemmContext`, :class:`SectionContext`, the section-boundary op
-    map) — defined here, at the bottom of the stack, and re-exported by
+    The block instrumentation protocol (:class:`AttentionHooks`,
+    :class:`GemmContext`, :class:`SectionContext`, the one section-boundary
+    op map) — defined here, at the bottom of the stack, and re-exported by
     :mod:`repro.nn.attention`, so checkers are importable without the model
     layers.
 ``patterns``
@@ -54,7 +54,6 @@ natively: a checker runs on the library that owns the model's arrays
 
 from repro.core.thresholds import ABFTThresholds
 from repro.core.hooks import (
-    FFN_SECTION_BOUNDARY_OPS,
     SECTION_BOUNDARY_OPS,
     AttentionHooks,
     AttentionOp,
@@ -108,7 +107,6 @@ __all__ = [
     "GemmContext",
     "SectionContext",
     "SECTION_BOUNDARY_OPS",
-    "FFN_SECTION_BOUNDARY_OPS",
     "ChecksumState",
     "ChecksumWorkspace",
     "checksum_weights",

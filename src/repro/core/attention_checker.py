@@ -21,7 +21,10 @@ backends:
     the equivalence is enforced by tests and by the Figure-7 benchmark.
 
 Either backend verifies and corrects every section boundary inside the
-forward pass, so a repaired value is what downstream operations consume.
+forward pass, so a repaired value is what downstream operations consume;
+both report each verification as a :class:`SectionOutcome`.  Frequency
+gating happens in :meth:`ATTNChecker.on_block_start`, which advances only
+the announcing block's section accumulators.
 
 The checker is completely transparent to the model: attaching it changes no
 shapes and no semantics of the forward/backward pass (one of the paper's
@@ -338,39 +341,25 @@ class _PerGemmReferenceBackend:
         else:
             state.cs_k_col = cs
 
-    def _record_report(
-        self, ctx: GemmContext, section: str, report: MatrixCorrectionReport
-    ) -> None:
-        """Record one boundary verification; surface it to serving callers.
+    def _record_report(self, ctx: GemmContext, section: str,
+                       report: MatrixCorrectionReport, operand_repairs: int = 0) -> None:
+        """Record one boundary verification the way the engine's are recorded.
 
-        Training callers read ``stats`` / ``last_reports``; serving callers
-        additionally drain :meth:`ATTNChecker.take_recent_outcomes`, so every
-        non-train verification is wrapped in a :class:`SectionOutcome`
-        carrying the per-request dirty mask — the same attribution the fused
-        engine computes, so both backends drive identical repair-or-evict
-        decisions.
+        Serving phases carry the per-request dirty mask the engine computes,
+        so both backends drive identical repair-or-evict decisions.
         """
-        checker = self.checker
         self.dispatch_counts["detect"] += 1
-        checker.stats.sections[section].record(report)
-        checker.last_reports[section] = report
-        if ctx.phase != "train":
-            checker.recent_outcomes.append(
-                SectionOutcome(
-                    section=section,
-                    layer_index=ctx.layer_index,
-                    step=ctx.step,
-                    report=report,
-                    phase=ctx.phase,
-                    request_dirty=request_dirty_from_report(report),
-                )
-            )
+        dirty = request_dirty_from_report(report) if ctx.phase != "train" else None
+        self.checker._record_outcome(section, SectionOutcome(
+            section=section, layer_index=ctx.layer_index, step=ctx.step, report=report,
+            operand_repairs=operand_repairs, phase=ctx.phase, request_dirty=dirty,
+        ))
 
     def _handle_attention_scores(self, ctx: GemmContext, state: _PerGemmState, out: Any) -> None:
         """Q x K^T: pass checksums to AS, then detect & correct at the boundary."""
         checker = self.checker
         if not state.enabled.get("AS", False):
-            checker.stats.sections["AS"].checks_skipped += 1
+            checker._record_outcome("AS", None)
             return
         if state.cs_q_col is None or state.cs_k_col is None:
             return
@@ -387,14 +376,13 @@ class _PerGemmReferenceBackend:
         with checker.timers.measure("AS/detect"):
             checksums = ChecksumState(col=cs_as_col, row=cs_as_row)
             report = correct_matrix(out, checksums, thresholds=checker.thresholds)
-        self._record_report(ctx, "AS", report)
+        repairs = 0
         if report.corrected > 0:
             with checker.timers.measure("AS/correct"):
                 q_report = check_columns(ctx.a, cs_q_ph, thresholds=checker.thresholds)
                 kt_report = check_rows(ctx.b, xp.swapaxes(cs_k_ph, -1, -2), thresholds=checker.thresholds)
-            checker.stats.sections["AS"].operand_repairs += (
-                q_report.num_corrected + kt_report.num_corrected
-            )
+            repairs = q_report.num_corrected + kt_report.num_corrected
+        self._record_report(ctx, "AS", report, repairs)
 
     # -- section S_CL -----------------------------------------------------------
 
@@ -436,7 +424,7 @@ class _PerGemmReferenceBackend:
         cl_enabled = state.enabled.get("CL", False)
         o_enabled = state.enabled.get("O", False)
         if not (cl_enabled or o_enabled):
-            checker.stats.sections["CL"].checks_skipped += 1
+            checker._record_outcome("CL", None)
             return
         xp = namespace_of(ctx.a)
         with checker.timers.measure("CL/encode"):
@@ -455,13 +443,14 @@ class _PerGemmReferenceBackend:
         if cl_enabled:
             with checker.timers.measure("CL/detect"):
                 report = correct_matrix(out, checksums, thresholds=checker.thresholds)
-            self._record_report(ctx, "CL", report)
+            repairs = 0
             if report.corrected > 0 and state.cs_v_row is not None:
                 with checker.timers.measure("CL/correct"):
                     v_report = check_rows(ctx.b, state.cs_v_row, thresholds=checker.thresholds)
-                checker.stats.sections["CL"].operand_repairs += v_report.num_corrected
+                repairs = v_report.num_corrected
+            self._record_report(ctx, "CL", report, repairs)
         else:
-            checker.stats.sections["CL"].checks_skipped += 1
+            checker._record_outcome("CL", None)
         # Pass the (possibly refreshed) column checksums of CL to section S_O.
         state.cs_cl_col = checksums.col
 
@@ -471,7 +460,7 @@ class _PerGemmReferenceBackend:
         """CL x W_O: carry column checksums through and correct the output O."""
         checker = self.checker
         if not state.enabled.get("O", False):
-            checker.stats.sections["O"].checks_skipped += 1
+            checker._record_outcome("O", None)
             return
         if state.cs_cl_col is None:
             return
@@ -494,7 +483,7 @@ class _PerGemmReferenceBackend:
         """
         checker = self.checker
         if not state.enabled.get("FF1", False):
-            checker.stats.sections["FF1"].checks_skipped += 1
+            checker._record_outcome("FF1", None)
             return
         with checker.timers.measure("FF1/encode"):
             self.dispatch_counts["gemm"] += 1
@@ -510,7 +499,7 @@ class _PerGemmReferenceBackend:
         """h x W_down: carry rowcs(W_down) through, verify FO row-side."""
         checker = self.checker
         if not state.enabled.get("FF2", False):
-            checker.stats.sections["FF2"].checks_skipped += 1
+            checker._record_outcome("FF2", None)
             return
         xp = namespace_of(ctx.a)
         with checker.timers.measure("FF2/encode"):
@@ -571,7 +560,7 @@ class _PerGemmReferenceBackend:
         """q x K^T at decode: verify the new score row against row(AS)."""
         checker = self.checker
         if not state.enabled.get("AS", False):
-            checker.stats.sections["AS"].checks_skipped += 1
+            checker._record_outcome("AS", None)
             return
         if state.cs_k_col is None:
             return
@@ -625,7 +614,7 @@ class _PerGemmReferenceBackend:
         """ap x V at decode: verify the new context row against row(CL)."""
         checker = self.checker
         if not state.enabled.get("CL", False):
-            checker.stats.sections["CL"].checks_skipped += 1
+            checker._record_outcome("CL", None)
             return
         cache = self._decode_cache(ctx)
         total_len = cache.length  # APV fires after the append
@@ -648,7 +637,7 @@ class _PerGemmReferenceBackend:
         """cl x W_O at decode: verify the new output row against row(O)."""
         checker = self.checker
         if not state.enabled.get("O", False):
-            checker.stats.sections["O"].checks_skipped += 1
+            checker._record_outcome("O", None)
             return
         xp = namespace_of(ctx.a)
         with checker.timers.measure("O/update"):
@@ -676,15 +665,12 @@ class ATTNChecker(AttentionHooks):
         #: fault attribution from here after each prefill/decode step).
         self.recent_outcomes: Deque[SectionOutcome] = deque(maxlen=1024)
         self._freq_accumulators: Dict[str, float] = {name: 0.0 for name in active}
+        #: The fused engine, or ``None`` under the per-GEMM reference.
+        self.engine: Optional[ProtectionEngine] = None
         if self.config.backend == "fused":
-            self.engine: Optional[ProtectionEngine] = ProtectionEngine(
-                thresholds=self.config.thresholds,
-                timers=self.timers,
-            )
-            self._reference: Optional[_PerGemmReferenceBackend] = None
-        else:
-            self.engine = None
-            self._reference = _PerGemmReferenceBackend(self)
+            self.engine = ProtectionEngine(thresholds=self.config.thresholds, timers=self.timers)
+        #: The mechanics backend that runs, engine or reference alike.
+        self._mechanics = self.engine if self.engine is not None else _PerGemmReferenceBackend(self)
 
     # -- configuration shortcuts ------------------------------------------------
 
@@ -697,8 +683,7 @@ class ATTNChecker(AttentionHooks):
         """Checksum GEMM/einsum launches (``"gemm"``) and verification passes
         (``"detect"``) the mechanics backend issued — the fused engine's
         schedule, or the per-GEMM reference's historical one."""
-        mechanics = self.engine if self.engine is not None else self._reference
-        return dict(mechanics.dispatch_counts)
+        return dict(self._mechanics.dispatch_counts)
 
     def workspace_stats(self) -> Dict[str, int]:
         """Allocation/reuse counters of the critical-path checksum workspace
@@ -730,10 +715,7 @@ class ATTNChecker(AttentionHooks):
         return self.config.thresholds
 
     def reset_stats(self) -> None:
-        if self.engine is not None:
-            self.engine.reset()
-        if self._reference is not None:
-            self._reference.reset()
+        self._mechanics.reset()
         self.stats.reset()
         self.timers.reset()
         self.last_reports.clear()
@@ -749,19 +731,13 @@ class ATTNChecker(AttentionHooks):
             if active[name].block == block
         ]
 
-    def _section_enabled_this_pass(self) -> Dict[str, bool]:
-        """Decide which attention sections check on this forward pass.
-
-        With frequency ``f`` the section runs on a deterministic ``f`` fraction
-        of passes, spread as evenly as possible (e.g. ``f = 0.5`` -> every
-        other pass), which is how the paper's ``f_S`` is defined.  Only the
-        attention block's accumulators advance here; other blocks advance
-        theirs at their own :meth:`on_block_start`, so widening the protection
-        scope never perturbs the attention gating sequence.
-        """
-        return self._advance_enabled(self._sections_of_block("attention"))
-
     def _advance_enabled(self, names: List[str]) -> Dict[str, bool]:
+        """Decide which of ``names`` check on this pass.
+
+        With frequency ``f`` a section runs on a deterministic ``f`` fraction
+        of passes, spread as evenly as possible (e.g. ``f = 0.5`` -> every
+        other pass), which is how the paper's ``f_S`` is defined.
+        """
         enabled = {}
         for name in names:
             acc = self._freq_accumulators[name] + self.config.frequencies[name]
@@ -775,56 +751,28 @@ class ATTNChecker(AttentionHooks):
 
     # -- AttentionHooks interface -------------------------------------------------
 
-    def on_attention_start(self, layer_index: int, step: int) -> None:
-        enabled = self._section_enabled_this_pass()
-        if self.engine is not None:
-            self.engine.begin_layer(layer_index, enabled)
-        else:
-            self._reference.begin_layer(layer_index, enabled)
-
-    def on_attention_end(self, layer_index: int, step: int) -> None:
-        if self.engine is not None:
-            self.engine.end_layer(layer_index)
-        else:
-            self._reference.end_layer(layer_index)
-
     def on_block_start(self, block: str, layer_index: int, step: int) -> None:
-        """Open the pass window of a non-attention block (e.g. the FFN).
-
-        A no-op when none of the block's sections are in the protection
-        scope — an instrumented model can always fire its block hooks, and an
-        attention-only checker stays bit-for-bit the historical one.
-        """
-        if block == "attention":
-            return  # attention announces via on_attention_start
+        """Open one block's pass window, advancing only that block's
+        frequency accumulators — so widening the protection scope never
+        perturbs the attention gating sequence.  A no-op for a block with no
+        section in the scope (an attention-only checker's FFN)."""
         names = self._sections_of_block(block)
-        if not names:
-            return
-        enabled = self._advance_enabled(names)
-        if self.engine is not None:
-            self.engine.begin_layer(layer_index, enabled)
-        else:
-            self._reference.begin_layer(layer_index, enabled)
+        if names:
+            self._mechanics.begin_layer(layer_index, self._advance_enabled(names))
 
     def on_block_end(self, block: str, layer_index: int, step: int) -> None:
-        if block == "attention":
-            return
-        if not self._sections_of_block(block):
-            return
-        if self.engine is not None:
-            self.engine.end_layer(layer_index)
-        else:
-            self._reference.end_layer(layer_index)
+        if self._sections_of_block(block):
+            self._mechanics.end_layer(layer_index)
 
     def on_gemm_output(self, ctx: GemmContext, out: Any) -> Any:
-        if self._reference is not None:
-            return self._reference.on_gemm_output(ctx, out)
+        if self.engine is None:
+            return self._mechanics.on_gemm_output(ctx, out)
         return out  # fused backend works at section boundaries only
 
     def consumes_gemm_outputs(self) -> bool:
         """The fused backend needs no per-GEMM dispatch; the reference does.
 
-        This is what lets :class:`repro.nn.MultiHeadAttention` skip the
+        This is what lets the instrumented blocks skip the
         non-boundary GEMM hooks entirely for a fused checker (three dispatch
         points per layer instead of six) — unless another composed hook (an
         injector, a recorder) still consumes them.
@@ -851,12 +799,10 @@ class ATTNChecker(AttentionHooks):
             # Boundary of an out-of-scope block (e.g. an instrumented FFN
             # under an attention-only scope): nothing ran, nothing to count.
             return
-        if outcome is None:
-            # Section disabled this pass (frequency gating) or no pass state.
-            stats.checks_skipped += 1
-            return
-        if outcome.report is None:
-            # Carried checksums forward without verifying (CL visited for O).
+        if outcome is None or outcome.report is None:
+            # Section disabled this pass (frequency gating), no pass state,
+            # or checksums carried forward without verifying (CL visited
+            # for O).
             stats.checks_skipped += 1
             return
         stats.record(outcome.report)

@@ -45,7 +45,7 @@ are always *accumulated in the backend's float64*, whatever the input dtype.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, Optional, Tuple
 
 from repro.backend import get_backend, namespace_of

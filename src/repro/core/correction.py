@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Optional
 
-from repro.core.checksums import ChecksumState, encode_column_checksums, encode_row_checksums
+from repro.core.checksums import ChecksumState, encode_column_checksums
 from repro.core.eec_abft import ColumnCheckReport, check_columns, check_rows
 from repro.core.thresholds import ABFTThresholds
 

@@ -10,20 +10,21 @@ layer imports downward to instrument itself.  :mod:`repro.nn.attention`
 re-exports everything attention-side, so model-side code keeps its
 historical import path.
 
-Two blocks are declared here, each as an op enum plus a boundary map from
-the GEMMs that end a protection section to that section's name:
+Two blocks are declared here, each as an op enum:
 
 * ``"attention"`` — the six GEMMs of the paper's attention execution flow
-  (Figure 1, :class:`AttentionOp`) and the three protection sections
-  ``AS`` / ``CL`` / ``O`` (:data:`SECTION_BOUNDARY_OPS`);
+  (Figure 1, :class:`AttentionOp`), ending the three protection sections
+  ``AS`` / ``CL`` / ``O``;
 * ``"ffn"`` — the two feed-forward GEMMs ``x·W_up`` and ``h·W_down``
-  (:class:`FeedForwardOp`) and the single-GEMM protection sections ``FF1``
-  (boundary matrix ``H``) and ``FF2`` (boundary matrix ``FO``)
-  (:data:`FFN_SECTION_BOUNDARY_OPS`).
+  (:class:`FeedForwardOp`), ending the single-GEMM protection sections
+  ``FF1`` (boundary matrix ``H``) and ``FF2`` (boundary matrix ``FO``).
 
-The instrumented blocks dispatch through these two maps and
-``op.output_matrix``; the sections themselves are described in
-:data:`repro.core.sections.SECTION_REGISTRY`.
+One boundary map, :data:`SECTION_BOUNDARY_OPS`, names the section each of
+the five boundary GEMMs ends, and one lifecycle pair,
+:meth:`AttentionHooks.on_block_start` / :meth:`~AttentionHooks.on_block_end`,
+announces every block pass with its block name.  The instrumented blocks
+dispatch through that map and ``op.output_matrix``; the sections themselves
+are described in :data:`repro.core.sections.SECTION_REGISTRY`.
 
 Arrays are annotated ``Any`` throughout: hooks are xp-generic and receive
 whatever array type the owning backend produces (NumPy ndarray, CuPy array,
@@ -45,7 +46,6 @@ __all__ = [
     "SectionContext",
     "AttentionHooks",
     "SECTION_BOUNDARY_OPS",
-    "FFN_SECTION_BOUNDARY_OPS",
 ]
 
 
@@ -91,20 +91,17 @@ _FFN_OP_TO_MATRIX = {
     FeedForwardOp.DOWN: "FO",
 }
 
-#: GEMMs that end an attention protection section (Section 4.4): the boundary
-#: matrices ``AS``, ``CL`` and ``O`` are produced by these three operations.
-#: The section-level hook :meth:`AttentionHooks.on_section_output` fires
-#: exactly here, after the per-GEMM hooks have run on the same output.
+#: GEMMs that end a protection section (Section 4.4), mapped to the section
+#: they end.  Attention's boundary matrices ``AS``, ``CL`` and ``O`` are
+#: produced by ``qk``, ``apv`` and ``clo``.  Both FFN GEMMs are boundaries:
+#: GELU between them is nonlinear, so checksums cannot be carried across it
+#: and each GEMM forms its own single-member section.  The section-level hook
+#: :meth:`AttentionHooks.on_section_output` fires exactly here, after the
+#: per-GEMM hooks have run on the same output.
 SECTION_BOUNDARY_OPS = {
     AttentionOp.QK: "AS",
     AttentionOp.APV: "CL",
     AttentionOp.CLO: "O",
-}
-
-#: GEMMs that end a feed-forward protection section.  Both FFN GEMMs are
-#: section boundaries — GELU between them is nonlinear, so checksums cannot
-#: be carried across it and each GEMM forms its own single-member section.
-FFN_SECTION_BOUNDARY_OPS = {
     FeedForwardOp.UP: "FF1",
     FeedForwardOp.DOWN: "FF2",
 }
@@ -139,9 +136,6 @@ class GemmContext:
     kv_cache:
         The per-layer KV cache object for prefill/decode calls (duck-typed —
         core never imports ``repro.nn``), ``None`` for training forwards.
-    block:
-        Name of the block this GEMM belongs to (``"attention"``
-        or ``"ffn"``).
     """
 
     op: Any
@@ -155,7 +149,6 @@ class GemmContext:
     bias: Optional[Any] = None
     phase: str = "train"
     kv_cache: Optional[Any] = None
-    block: str = "attention"
 
 
 @dataclass
@@ -223,19 +216,13 @@ class AttentionHooks:
     Subclasses override any subset of the callbacks.  The default
     implementation is a no-op, so a hook only pays for what it uses.
 
-    The attention block announces its pass window through the historical
-    :meth:`on_attention_start` / :meth:`on_attention_end` pair; other
-    instrumented blocks (the FFN) use the generic :meth:`on_block_start` /
-    :meth:`on_block_end` pair with their block name.  Keeping attention on
-    its dedicated callbacks preserves the pre-refactor dispatch sequence
-    bit-for-bit.
+    Every instrumented block announces its pass window through
+    :meth:`on_block_start` / :meth:`on_block_end` with its block name
+    (``"attention"`` or ``"ffn"``).
     """
 
-    def on_attention_start(self, layer_index: int, step: int) -> None:
-        """Called before any GEMM of an attention forward pass runs."""
-
     def on_block_start(self, block: str, layer_index: int, step: int) -> None:
-        """Called before any GEMM of a non-attention block's pass runs."""
+        """Called before any GEMM of a block's pass runs."""
 
     def on_gemm_output(self, ctx: GemmContext, out: Any) -> Any:
         """Called with the raw output of each GEMM; returns the output to use."""
@@ -254,13 +241,13 @@ class AttentionHooks:
     def consumes_gemm_outputs(self) -> bool:
         """Whether this hook needs the per-GEMM :meth:`on_gemm_output` calls.
 
-        :class:`repro.nn.attention.MultiHeadAttention` skips per-GEMM dispatch
-        entirely (no :class:`GemmContext` is built) for non-boundary GEMMs
-        when no attached hook consumes them — this is what reduces a fused
-        section-level checker to three dispatches per layer instead of six.
-        The default detects an overridden :meth:`on_gemm_output`; hooks that
-        override it but do not need every GEMM (e.g. a section-level checker)
-        override this to return False.
+        The instrumented blocks skip per-GEMM dispatch entirely (no
+        :class:`GemmContext` is built) for non-boundary GEMMs when no
+        attached hook consumes them — this is what reduces a fused
+        section-level checker to three attention dispatches per layer
+        instead of six.  The default detects an overridden
+        :meth:`on_gemm_output`; hooks that override it but do not need every
+        GEMM (e.g. a section-level checker) override this to return False.
         """
         return type(self).on_gemm_output is not AttentionHooks.on_gemm_output
 
@@ -268,7 +255,4 @@ class AttentionHooks:
         """Observation callback for non-GEMM intermediate matrices (e.g. AP)."""
 
     def on_block_end(self, block: str, layer_index: int, step: int) -> None:
-        """Called after a non-attention block's pass completes."""
-
-    def on_attention_end(self, layer_index: int, step: int) -> None:
-        """Called after the attention output projection completes."""
+        """Called after a block's pass completes."""

@@ -75,9 +75,8 @@ class ProtectionSection:
         Which checksum sides the boundary matrix carries.
     block:
         The instrumented block the section belongs to (``"attention"`` or
-        ``"ffn"``); its boundary GEMM is a key of that block's boundary map,
-        :data:`repro.core.hooks.SECTION_BOUNDARY_OPS` or
-        :data:`repro.core.hooks.FFN_SECTION_BOUNDARY_OPS`.
+        ``"ffn"``); its boundary GEMM maps to it in
+        :data:`repro.core.hooks.SECTION_BOUNDARY_OPS`.
     """
 
     name: str

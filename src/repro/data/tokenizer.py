@@ -10,7 +10,7 @@ sequence-pair format the models expect (``[CLS] sent1 [SEP] sent2 [SEP]``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 

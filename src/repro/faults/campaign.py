@@ -24,7 +24,7 @@ import numpy as np
 from repro.core.attention_checker import ATTNChecker, ATTNCheckerConfig
 from repro.faults.injector import FLIP_KINDS, FaultInjector, FaultSpec
 from repro.models.classification import SequenceClassificationModel
-from repro.nn.attention import ComposedHooks, RecordingHooks
+from repro.nn.attention import ComposedHooks
 from repro.utils.rng import new_rng
 
 __all__ = ["CampaignResult", "DetectionCorrectionCampaign"]

@@ -39,7 +39,7 @@ import enum
 import math
 import threading
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -55,7 +55,6 @@ from repro.utils.floatbits import (
     FLIP_KINDS,
     NEAR_INF_MINIMUM_MAGNITUDE,
     apply_flip_kind,
-    flip_exponent_msb,
     flip_exponent_msb_inplace,
     make_near_inf,
     near_inf_fallback,

@@ -29,7 +29,13 @@ import numpy as np
 
 from repro.nn.attention import AttentionHooks, GemmContext
 
-__all__ = ["PRECISION_FORMATS", "PrecisionFormat", "PrecisionSimulationHooks", "simulate_precision"]
+__all__ = [
+    "PRECISION_FORMATS",
+    "PrecisionFormat",
+    "PrecisionSimulationHooks",
+    "precision_value_dtype",
+    "simulate_precision",
+]
 
 
 @dataclass(frozen=True)
@@ -81,6 +87,14 @@ def simulate_precision(values: np.ndarray, fmt: PrecisionFormat) -> np.ndarray:
         rounded = np.where(overflow, np.sign(values) * np.inf, rounded)
     values[...] = rounded
     return values
+
+
+def precision_value_dtype(precision: Optional[str]):
+    """NumPy dtype whose exponent layout matches a simulated precision name
+    (the injector's value dtype; ``None`` keeps the output's own dtype)."""
+    if precision is None:
+        return None
+    return {"float16": np.float16}.get(precision, np.float32)
 
 
 class PrecisionSimulationHooks(AttentionHooks):

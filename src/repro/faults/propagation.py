@@ -13,7 +13,7 @@ exclusively by the injected fault.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional, Sequence
 
 import numpy as np
@@ -21,19 +21,12 @@ import numpy as np
 from repro.core.patterns import describe_corruption
 from repro.core.thresholds import ABFTThresholds
 from repro.faults.injector import FaultInjector, FaultSpec
-from repro.faults.precision import PrecisionSimulationHooks
+from repro.faults.precision import PrecisionSimulationHooks, precision_value_dtype
 from repro.models.classification import SequenceClassificationModel
-from repro.nn.attention import ATTENTION_MATRIX_NAMES, ComposedHooks, RecordingHooks
+from repro.nn.attention import ComposedHooks, RecordingHooks
 from repro.utils.rng import new_rng
 
 __all__ = ["PropagationResult", "PropagationStudy"]
-
-
-def _precision_value_dtype(precision):
-    """NumPy dtype whose exponent layout matches a simulated precision name."""
-    if precision is None:
-        return None
-    return {"float16": np.float16}.get(precision, np.float32)
 
 
 #: Downstream matrices reported in Table 2, in dataflow order.
@@ -109,11 +102,7 @@ class PropagationStudy:
             self.model.set_attention_hooks(None)
             self.model.train()
         recorder = hooks.hooks[-1] if isinstance(hooks, ComposedHooks) else hooks
-        matrices = dict(recorder.matrices(self.layer_index))
-        if "CL_merged" in matrices and "CL" in matrices:
-            # Keep the per-head CL (the APV output) under "CL" as in the paper.
-            matrices.pop("CL_merged")
-        return matrices
+        return dict(recorder.matrices(self.layer_index))
 
     def _hook_chain(self, *hooks) -> ComposedHooks:
         chain = []
@@ -140,7 +129,7 @@ class PropagationStudy:
             position=position,
         )
         injector = FaultInjector(
-            [spec], rng=self.rng, value_dtype=_precision_value_dtype(self.precision)
+            [spec], rng=self.rng, value_dtype=precision_value_dtype(self.precision)
         )
         recorder = RecordingHooks()
         faulty = self._run_forward(self._hook_chain(injector, recorder))

@@ -3,13 +3,18 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 import numpy as np
 
 from repro.backend import ArrayBackend
 from repro.models.config import ModelConfig
-from repro.nn.attention import AttentionHooks, LayerKVCache, MultiHeadAttention
+from repro.nn.attention import (
+    AttentionHooks,
+    InstrumentedBlock,
+    LayerKVCache,
+    MultiHeadAttention,
+)
 from repro.nn.layers import Dropout, Linear, TanhActivation
 from repro.nn.losses import CrossEntropyLoss
 from repro.nn.module import Module
@@ -133,7 +138,7 @@ class CausalDecodingMixin:
         positions = np.full((batch, 1), position, dtype=np.int64)
         hidden = self._embed(input_ids, positions)
         for layer, cache in zip(self.layers, kv_caches):
-            hidden = layer.forward_step(hidden, cache, attention_mask=attention_mask)
+            hidden = layer(hidden, attention_mask=attention_mask, kv_cache=cache)
         return self.final_norm(hidden)
 
     def lm_logits(self, hidden: ag.Tensor) -> ag.Tensor:
@@ -172,12 +177,6 @@ class SequenceClassificationModel(Module):
         """All attention modules of the model, in layer order."""
         return [m for _, m in self.named_modules() if isinstance(m, MultiHeadAttention)]
 
-    def feed_forward_layers(self) -> List["FeedForward"]:
-        """All feed-forward modules of the model, in layer order."""
-        from repro.nn.transformer import FeedForward
-
-        return [m for _, m in self.named_modules() if isinstance(m, FeedForward)]
-
     def set_attention_hooks(self, hooks: Optional[AttentionHooks]) -> None:
         """Attach ``hooks`` to every instrumented block (``None`` detaches).
 
@@ -186,10 +185,9 @@ class SequenceClassificationModel(Module):
         to no-op callbacks, so attention-only configurations behave exactly
         as before the FFN was instrumented.
         """
-        for layer in self.attention_layers():
-            layer.set_hooks(hooks)
-        for ffn in self.feed_forward_layers():
-            ffn.set_hooks(hooks)
+        for _, module in self.named_modules():
+            if isinstance(module, InstrumentedBlock):
+                module.set_hooks(hooks)
 
     # -- forward interface ---------------------------------------------------------
 

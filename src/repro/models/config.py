@@ -9,8 +9,8 @@ used by the analytical performance model).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Optional, Tuple
+from dataclasses import dataclass, replace
+from typing import Optional
 
 __all__ = ["ModelConfig"]
 

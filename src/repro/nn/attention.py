@@ -1,4 +1,4 @@
-"""Instrumented multi-head attention.
+"""Instrumented multi-head attention and the shared hooked-GEMM seam.
 
 This module implements the exact execution flow of Figure 1 in the paper —
 six GEMMs plus one softmax::
@@ -21,6 +21,11 @@ Two subsystems plug in here:
   detects and corrects the corrupted values at the protection-section
   boundaries of Section 4.4.
 
+:class:`InstrumentedBlock` is the seam both instrumented blocks share:
+:class:`MultiHeadAttention` and :class:`repro.nn.FeedForward` route every
+GEMM through its one hooked GEMM.  One attention forward serves training,
+serving prefill and decode; the phase follows from the KV cache.
+
 Hooks run in registration order, so registering ``[injector, checker]``
 reproduces the paper's evaluation setup (fault occurs during the operation,
 ABFT repairs it before the value is consumed downstream).
@@ -28,14 +33,12 @@ ABFT repairs it before the value is consumed downstream).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
 from repro.backend import ArrayBackend, backend_of, get_backend
 from repro.core.hooks import (
-    FFN_SECTION_BOUNDARY_OPS,
     SECTION_BOUNDARY_OPS,
     AttentionHooks,
     AttentionOp,
@@ -56,10 +59,11 @@ __all__ = [
     "ComposedHooks",
     "RecordingHooks",
     "LayerKVCache",
+    "InstrumentedBlock",
     "MultiHeadAttention",
     "ATTENTION_MATRIX_NAMES",
     "SECTION_BOUNDARY_OPS",
-    "FFN_SECTION_BOUNDARY_OPS",
+    "phase_of",
 ]
 
 #: All matrices observable during one attention forward pass, in dataflow order.
@@ -182,15 +186,19 @@ class LayerKVCache:
         self.cs_v_len = 0
 
 
+def phase_of(kv_cache: Optional[LayerKVCache]) -> str:
+    """Forward phase implied by a KV cache: none ``"train"``, empty
+    ``"prefill"``, populated ``"decode"``.  Read it before the pass appends."""
+    if kv_cache is None:
+        return "train"
+    return "decode" if kv_cache.length else "prefill"
+
+
 class ComposedHooks(AttentionHooks):
     """Run several hooks in sequence; GEMM outputs are threaded through them."""
 
     def __init__(self, hooks: Sequence[AttentionHooks]) -> None:
         self.hooks: List[AttentionHooks] = list(hooks)
-
-    def on_attention_start(self, layer_index: int, step: int) -> None:
-        for h in self.hooks:
-            h.on_attention_start(layer_index, step)
 
     def on_block_start(self, block: str, layer_index: int, step: int) -> None:
         for h in self.hooks:
@@ -217,13 +225,9 @@ class ComposedHooks(AttentionHooks):
         for h in self.hooks:
             h.on_matrix(name, data, layer_index, step)
 
-    def on_attention_end(self, layer_index: int, step: int) -> None:
-        for h in self.hooks:
-            h.on_attention_end(layer_index, step)
-
 
 class RecordingHooks(AttentionHooks):
-    """Record every intermediate matrix of the forward pass.
+    """Record a copy of every intermediate matrix of the forward pass.
 
     Used by the error-propagation study (Table 2) to compare a faulty run
     against a clean reference run matrix-by-matrix.  Matrices are stored under
@@ -231,23 +235,18 @@ class RecordingHooks(AttentionHooks):
     keyed additionally by layer index.
     """
 
-    def __init__(self, copy: bool = True) -> None:
-        self.copy = copy
+    def __init__(self) -> None:
         self.records: Dict[int, Dict[str, np.ndarray]] = {}
 
-    def _snapshot(self, data: np.ndarray) -> np.ndarray:
-        return backend_of(data).copy(data) if self.copy else data
-
-    def on_attention_start(self, layer_index: int, step: int) -> None:
+    def on_block_start(self, block: str, layer_index: int, step: int) -> None:
         self.records.setdefault(layer_index, {})
 
     def on_gemm_output(self, ctx: GemmContext, out: np.ndarray) -> np.ndarray:
-        name = ctx.op.output_matrix
-        self.records.setdefault(ctx.layer_index, {})[name] = self._snapshot(out)
+        self.on_matrix(ctx.op.output_matrix, out, ctx.layer_index, ctx.step)
         return out
 
     def on_matrix(self, name: str, data: np.ndarray, layer_index: int, step: int) -> None:
-        self.records.setdefault(layer_index, {})[name] = self._snapshot(data)
+        self.records.setdefault(layer_index, {})[name] = backend_of(data).copy(data)
 
     def matrices(self, layer_index: int = 0) -> Dict[str, np.ndarray]:
         """All recorded matrices of one layer."""
@@ -257,7 +256,83 @@ class RecordingHooks(AttentionHooks):
         self.records.clear()
 
 
-class MultiHeadAttention(Module):
+class InstrumentedBlock(Module):
+    """A block whose GEMMs are routed through :class:`AttentionHooks`.
+
+    Owns what hooks are told about the block (``layer_index``, the layer's
+    attention geometry, the owning ``array_backend``, the pass counter
+    ``_step``) and the one hooked GEMM, :meth:`_instrumented_matmul`.
+    """
+
+    def __init__(self, hidden_size: int, num_heads: int, layer_index: int,
+                 backend: Optional[ArrayBackend]) -> None:
+        super().__init__()
+        self.layer_index = layer_index
+        self.num_heads = num_heads
+        self.head_dim = hidden_size // num_heads
+        self.array_backend = backend
+        self.hooks: Optional[AttentionHooks] = None
+        self._step = 0
+
+    def set_hooks(self, hooks: Optional[AttentionHooks]) -> None:
+        """Attach (or detach, with ``None``) the instrumentation hooks."""
+        self.hooks = hooks
+
+    def _instrumented_matmul(
+        self,
+        a: ag.Tensor,
+        b: ag.Tensor,
+        op: AttentionOp | FeedForwardOp,
+        bias: Optional[np.ndarray] = None,
+        section_operands: Optional[Dict[str, Optional[np.ndarray]]] = None,
+        phase: str = "train",
+        kv_cache: Optional[LayerKVCache] = None,
+    ) -> ag.Tensor:
+        """Matmul whose raw output is routed through the hooks.
+
+        Per-GEMM hooks get a :class:`GemmContext` when any attached hook
+        consumes them; at a GEMM of :data:`SECTION_BOUNDARY_OPS` the hooks
+        then get a :class:`SectionContext` built from ``section_operands``.
+        Any other GEMM dispatches nothing (the fused checker's
+        3-instead-of-6 attention dispatches per layer).
+        """
+        hooks = self.hooks
+        section = SECTION_BOUNDARY_OPS.get(op)
+        consumes_gemms = hooks is not None and hooks.consumes_gemm_outputs()
+        if hooks is None or (not consumes_gemms and section is None):
+            return ag.matmul(a, b, name=op.output_matrix)
+        layer_index, step = self.layer_index, self._step
+        a_data, b_data = a.data, b.data
+
+        def hook(out):
+            if consumes_gemms:
+                ctx = GemmContext(
+                    op=op, a=a_data, b=b_data, layer_index=layer_index, step=step,
+                    num_heads=self.num_heads, head_dim=self.head_dim,
+                    seq_len=out.shape[-2], bias=bias, phase=phase, kv_cache=kv_cache,
+                )
+                out = hooks.on_gemm_output(ctx, out)
+            if section is not None:
+                # Prefer the substrate's own backend handle when it owns the
+                # boundary output: a wrapper backend (spy, pinned instance)
+                # would be lost by type-keyed resolution, which can only find
+                # the registry's canonical instance for the array type.
+                own = self.array_backend
+                if own is None or not own.is_backend_array(out):
+                    own = backend_of(out)
+                sctx = SectionContext(
+                    section=section, operands=section_operands or {},
+                    layer_index=layer_index, step=step,
+                    num_heads=self.num_heads, head_dim=self.head_dim,
+                    seq_len=out.shape[-2], backend=own, phase=phase,
+                )
+                out = hooks.on_section_output(sctx, out)
+            return out
+
+        return ag.matmul(a, b, forward_hook=hook, name=op.output_matrix)
+
+
+class MultiHeadAttention(InstrumentedBlock):
     """Multi-head self-attention with operation-boundary instrumentation.
 
     Parameters
@@ -297,18 +372,14 @@ class MultiHeadAttention(Module):
         bias: bool = True,
         backend: Optional[ArrayBackend] = None,
     ) -> None:
-        super().__init__()
         if hidden_size % num_heads:
             raise ValueError(f"hidden_size {hidden_size} not divisible by num_heads {num_heads}")
+        super().__init__(hidden_size, num_heads, layer_index, backend)
         rng = rng if rng is not None else np.random.default_rng(0)
         self.hidden_size = hidden_size
-        self.num_heads = num_heads
-        self.head_dim = hidden_size // num_heads
-        self.layer_index = layer_index
         self.causal = causal
         self.local_window = local_window
         self.scale = 1.0 / np.sqrt(self.head_dim)
-        self.array_backend = backend
 
         self.w_q = Linear(hidden_size, hidden_size, rng=rng, bias=bias, backend=backend)
         self.w_k = Linear(hidden_size, hidden_size, rng=rng, bias=bias, backend=backend)
@@ -317,113 +388,10 @@ class MultiHeadAttention(Module):
         self.attn_dropout = Dropout(dropout_p, rng=rng)
         self.out_dropout = Dropout(dropout_p, rng=rng)
 
-        self.hooks: Optional[AttentionHooks] = None
-        self._step = 0
         #: geometry -> (xp, mask); see :meth:`_causal_mask`.
         self._causal_mask_cache: Dict = {}
         #: geometry + mask identity -> (mask_ref, xp, mask, keep).
         self._combined_mask_cache: Dict = {}
-
-    # -- instrumentation -------------------------------------------------------
-
-    def set_hooks(self, hooks: Optional[AttentionHooks]) -> None:
-        """Attach (or detach, with ``None``) the instrumentation hooks."""
-        self.hooks = hooks
-
-    def _gemm_hook(
-        self,
-        op: AttentionOp,
-        bias: Optional[np.ndarray] = None,
-        section_operands: Optional[Dict[str, Optional[np.ndarray]]] = None,
-        phase: str = "train",
-        kv_cache: Optional[LayerKVCache] = None,
-    ) -> Optional[Callable]:
-        """Build the ``forward_hook`` closure for one named GEMM.
-
-        For the three section-boundary GEMMs (``qk``, ``apv``, ``clo``) the
-        closure additionally dispatches :meth:`AttentionHooks.on_section_output`
-        with a :class:`SectionContext` built from ``section_operands``, after
-        the per-GEMM hooks have run.
-        """
-        if self.hooks is None:
-            return None
-        hooks = self.hooks
-        layer_index = self.layer_index
-        step = self._step
-        num_heads = self.num_heads
-        head_dim = self.head_dim
-        section = SECTION_BOUNDARY_OPS.get(op)
-        consumes_gemms = hooks.consumes_gemm_outputs()
-        if not consumes_gemms and section is None:
-            # No attached hook wants per-GEMM outputs and this GEMM ends no
-            # section: skip dispatch entirely (the fused checker's 3-instead-
-            # of-6 dispatches per layer).
-            return None
-
-        def hook_with_ctx(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
-            if consumes_gemms:
-                ctx = GemmContext(
-                    op=op,
-                    a=a,
-                    b=b,
-                    layer_index=layer_index,
-                    step=step,
-                    num_heads=num_heads,
-                    head_dim=head_dim,
-                    seq_len=out.shape[-2],
-                    bias=bias,
-                    phase=phase,
-                    kv_cache=kv_cache,
-                )
-                out = hooks.on_gemm_output(ctx, out)
-            if section is not None:
-                # Prefer the substrate's own backend handle when it owns the
-                # boundary output: a wrapper backend (spy, pinned instance)
-                # would be lost by type-keyed resolution, which can only find
-                # the registry's canonical instance for the array type.
-                own = self.array_backend
-                if own is None or not own.is_backend_array(out):
-                    own = backend_of(out)
-                sctx = SectionContext(
-                    section=section,
-                    operands=section_operands or {},
-                    layer_index=layer_index,
-                    step=step,
-                    num_heads=num_heads,
-                    head_dim=head_dim,
-                    seq_len=out.shape[-2],
-                    backend=own,
-                    phase=phase,
-                )
-                out = hooks.on_section_output(sctx, out)
-            return out
-
-        return hook_with_ctx
-
-    def _instrumented_matmul(
-        self,
-        a: ag.Tensor,
-        b: ag.Tensor,
-        op: AttentionOp,
-        bias: Optional[np.ndarray] = None,
-        section_operands: Optional[Dict[str, Optional[np.ndarray]]] = None,
-        phase: str = "train",
-        kv_cache: Optional[LayerKVCache] = None,
-    ) -> ag.Tensor:
-        """Matmul whose raw output is routed through the hooks."""
-        hook_with_ctx = self._gemm_hook(
-            op, bias=bias, section_operands=section_operands,
-            phase=phase, kv_cache=kv_cache,
-        )
-        if hook_with_ctx is None:
-            return ag.matmul(a, b, name=op.output_matrix)
-        a_data, b_data = a.data, b.data
-        return ag.matmul(
-            a,
-            b,
-            forward_hook=lambda out: hook_with_ctx(a_data, b_data, out),
-            name=op.output_matrix,
-        )
 
     # -- masking ----------------------------------------------------------------
 
@@ -542,6 +510,28 @@ class MultiHeadAttention(Module):
         self._combined_mask_cache[key] = (attention_mask, xp, pad, None)
         return pad
 
+    def _decode_mask(self, attention_mask: Optional[np.ndarray], total_len: int):
+        """Additive mask of one decode step over ``total_len`` cached keys.
+
+        The pad mask (:meth:`_decode_pad_mask`) is sliced to the live cache
+        length; a local window adds its band.  No fully-masked-row handling
+        is needed: the decode query is the token just appended, which by
+        contract is attendable (mask 1) itself.
+        """
+        mask = None
+        if attention_mask is not None:
+            pad_full = self._decode_pad_mask(attention_mask)  # (B, 1, 1, M)
+            if pad_full.shape[-1] < total_len:
+                raise ValueError(
+                    f"decode attention_mask covers {pad_full.shape[-1]} positions "
+                    f"but the KV cache holds {total_len}"
+                )
+            mask = pad_full[:, :, :, :total_len]
+        if self.local_window is not None and self.local_window < total_len:
+            local = self._causal_mask(total_len, total_len - 1, 1)
+            mask = local if mask is None else mask + local
+        return mask
+
     def build_mask(self, seq_len: int, attention_mask: Optional[np.ndarray]) -> Optional[np.ndarray]:
         """Combine padding, causal and local-window masks into one additive mask.
 
@@ -565,26 +555,26 @@ class MultiHeadAttention(Module):
     ) -> ag.Tensor:
         """Run multi-head self-attention on ``x`` of shape ``(B, S, D)``.
 
-        With ``kv_cache`` (which must be empty), this is the serving
-        *prefill* pass: identical arithmetic to training, plus the split-head
-        K/V blocks are appended to the cache and hooks fire with
-        ``phase="prefill"`` so a checksum engine can seed the cache's
-        incremental checksum state.
+        The phase follows from ``kv_cache`` (:func:`phase_of`), and hooks see
+        it and the cache on every context:
+
+        * no cache — ``"train"``;
+        * an empty cache — *prefill*: the training arithmetic, plus the
+          split-head K/V blocks are appended to the cache;
+        * a populated cache — *decode* of one token (``x`` is ``(B, 1, D)``):
+          its K/V rows are appended and attention runs against the whole
+          cached prefix.  ``attention_mask`` then covers the whole cached
+          sequence (``(B, M)``, ``M >= kv_cache.length``), e.g. the
+          left-padding of a batched prompt.
         """
+        phase = phase_of(kv_cache)
+        if phase == "decode" and x.shape[1] != 1:
+            raise ValueError(f"a populated KV cache decodes one token at a time, got {x.shape[1]}")
         hooks = self.hooks
         self._step += 1
         step = self._step
         if hooks is not None:
-            hooks.on_attention_start(self.layer_index, step)
-
-        batch, seq_len, _ = x.shape
-        phase = "train"
-        if kv_cache is not None:
-            if kv_cache.length:
-                raise ValueError(
-                    "forward() with a non-empty KV cache — use forward_step() to decode"
-                )
-            phase = "prefill"
+            hooks.on_block_start("attention", self.layer_index, step)
 
         bias_q = self.w_q.bias.data if self.w_q.bias is not None else None
         bias_k = self.w_k.bias.data if self.w_k.bias is not None else None
@@ -612,6 +602,10 @@ class MultiHeadAttention(Module):
         v = ag.split_heads(v_proj, self.num_heads)
         if kv_cache is not None:
             kv_cache.append(k.data, v.data)
+        if phase == "decode":
+            # Attend over the whole cached prefix: (B, H, T, dh) views.
+            k = ag.Tensor(kv_cache.keys(), backend=self.array_backend)
+            v = ag.Tensor(kv_cache.values(), backend=self.array_backend)
 
         k_t = ag.transpose(k, (0, 1, 3, 2))
         attention_scores = self._instrumented_matmul(
@@ -630,7 +624,10 @@ class MultiHeadAttention(Module):
         )
 
         scaled = ag.mul(attention_scores, self.scale)
-        mask, keep = self._additive_mask(seq_len, attention_mask)
+        if phase == "decode":
+            mask, keep = self._decode_mask(attention_mask, kv_cache.length), None
+        else:
+            mask, keep = self._additive_mask(x.shape[1], attention_mask)
         if mask is not None:
             scaled = ag.add(scaled, mask)
 
@@ -657,8 +654,6 @@ class MultiHeadAttention(Module):
             phase=phase, kv_cache=kv_cache,
         )
         context_merged = ag.merge_heads(context)
-        if hooks is not None:
-            hooks.on_matrix("CL_merged", context_merged.data, self.layer_index, step)
 
         output = self._instrumented_matmul(
             context_merged, self.w_o.weight, AttentionOp.CLO, bias=bias_o,
@@ -674,130 +669,5 @@ class MultiHeadAttention(Module):
         output = self.out_dropout(output)
 
         if hooks is not None:
-            hooks.on_attention_end(self.layer_index, step)
-        return output
-
-    def forward_step(
-        self,
-        x: ag.Tensor,
-        kv_cache: LayerKVCache,
-        attention_mask: Optional[np.ndarray] = None,
-    ) -> ag.Tensor:
-        """Decode one token against a populated KV cache.
-
-        ``x`` is ``(B, 1, D)``.  The new K/V rows are appended to the cache
-        and attention runs against the full cached prefix; hooks fire with
-        ``phase="decode"`` and the cache in context, so a checksum engine can
-        update the cache's incremental checksums in O(1) of the cached
-        length.  ``attention_mask`` covers the *whole* cached sequence
-        (``(B, kv_cache.length)`` after this token), e.g. left-padding of a
-        batched prompt.
-        """
-        hooks = self.hooks
-        self._step += 1
-        step = self._step
-        if hooks is not None:
-            hooks.on_attention_start(self.layer_index, step)
-
-        bias_q = self.w_q.bias.data if self.w_q.bias is not None else None
-        bias_k = self.w_k.bias.data if self.w_k.bias is not None else None
-        bias_v = self.w_v.bias.data if self.w_v.bias is not None else None
-        bias_o = self.w_o.bias.data if self.w_o.bias is not None else None
-
-        q_proj = self._instrumented_matmul(
-            x, self.w_q.weight, AttentionOp.XQ, bias=bias_q,
-            phase="decode", kv_cache=kv_cache)
-        k_proj = self._instrumented_matmul(
-            x, self.w_k.weight, AttentionOp.XK, bias=bias_k,
-            phase="decode", kv_cache=kv_cache)
-        v_proj = self._instrumented_matmul(
-            x, self.w_v.weight, AttentionOp.XV, bias=bias_v,
-            phase="decode", kv_cache=kv_cache)
-        if self.w_q.bias is not None:
-            q_proj = ag.add(q_proj, self.w_q.bias)
-        if self.w_k.bias is not None:
-            k_proj = ag.add(k_proj, self.w_k.bias)
-        if self.w_v.bias is not None:
-            v_proj = ag.add(v_proj, self.w_v.bias)
-
-        q = ag.split_heads(q_proj, self.num_heads)      # (B, H, 1, dh)
-        k_new = ag.split_heads(k_proj, self.num_heads)
-        v_new = ag.split_heads(v_proj, self.num_heads)
-        kv_cache.append(k_new.data, v_new.data)
-        total_len = kv_cache.length
-
-        backend = self.array_backend
-        k_all = ag.Tensor(kv_cache.keys(), backend=backend)    # (B, H, T, dh)
-        v_all = ag.Tensor(kv_cache.values(), backend=backend)
-        k_t = ag.transpose(k_all, (0, 1, 3, 2))
-
-        attention_scores = self._instrumented_matmul(
-            q, k_t, AttentionOp.QK,
-            section_operands={
-                "x": x.data,
-                "w_q": self.w_q.weight.data,
-                "w_k": self.w_k.weight.data,
-                "bias_q": bias_q,
-                "bias_k": bias_k,
-                "q": q.data,
-                "k_t": k_t.data,
-                "kv_cache": kv_cache,
-            },
-            phase="decode", kv_cache=kv_cache,
-        )
-
-        scaled = ag.mul(attention_scores, self.scale)
-        mask = None
-        if attention_mask is not None:
-            pad_full = self._decode_pad_mask(attention_mask)  # (B, 1, 1, M)
-            if pad_full.shape[-1] < total_len:
-                raise ValueError(
-                    f"decode attention_mask covers {pad_full.shape[-1]} positions "
-                    f"but the KV cache holds {total_len}"
-                )
-            mask = pad_full[:, :, :, :total_len]
-        if self.local_window is not None and self.local_window < total_len:
-            local = self._causal_mask(total_len, total_len - 1, 1)
-            mask = local if mask is None else mask + local
-        if mask is not None:
-            scaled = ag.add(scaled, mask)
-
-        # No fully-masked-row handling here: the decode query is the token
-        # just appended, which by contract is attendable (mask 1) itself.
-        attention_probs = ag.softmax(scaled, axis=-1)
-        if hooks is not None:
-            hooks.on_matrix("AP", attention_probs.data, self.layer_index, step)
-        attention_probs = self.attn_dropout(attention_probs)
-
-        context = self._instrumented_matmul(
-            attention_probs, v_all, AttentionOp.APV,
-            section_operands={
-                "x": x.data,
-                "w_v": self.w_v.weight.data,
-                "bias_v": bias_v,
-                "ap": attention_probs.data,
-                "v": v_all.data,
-                "kv_cache": kv_cache,
-            },
-            phase="decode", kv_cache=kv_cache,
-        )
-        context_merged = ag.merge_heads(context)
-        if hooks is not None:
-            hooks.on_matrix("CL_merged", context_merged.data, self.layer_index, step)
-
-        output = self._instrumented_matmul(
-            context_merged, self.w_o.weight, AttentionOp.CLO, bias=bias_o,
-            section_operands={
-                "cl": context_merged.data,
-                "w_o": self.w_o.weight.data,
-                "kv_cache": kv_cache,
-            },
-            phase="decode", kv_cache=kv_cache,
-        )
-        if self.w_o.bias is not None:
-            output = ag.add(output, self.w_o.bias)
-        output = self.out_dropout(output)
-
-        if hooks is not None:
-            hooks.on_attention_end(self.layer_index, step)
+            hooks.on_block_end("attention", self.layer_index, step)
         return output

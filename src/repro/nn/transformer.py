@@ -5,22 +5,21 @@ paper evaluates:
 
 * ``post_ln`` (BERT / RoBERTa): ``LN(x + SubLayer(x))``
 * ``pre_ln``  (GPT-2 / GPT-Neo): ``x + SubLayer(LN(x))``
+
+:class:`FeedForward` is an :class:`~repro.nn.attention.InstrumentedBlock`,
+like attention.  :meth:`TransformerLayer.forward` serves training, prefill
+and decode, taking the phase from the KV cache.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional
+from typing import Optional
 
 import numpy as np
 
-from repro.backend import ArrayBackend, backend_of
-from repro.core.hooks import (
-    FFN_SECTION_BOUNDARY_OPS,
-    FeedForwardOp,
-    GemmContext,
-    SectionContext,
-)
-from repro.nn.attention import AttentionHooks, LayerKVCache, MultiHeadAttention
+from repro.backend import ArrayBackend
+from repro.core.hooks import FeedForwardOp
+from repro.nn.attention import InstrumentedBlock, LayerKVCache, MultiHeadAttention, phase_of
 from repro.nn.layers import Dropout, GELUActivation, LayerNorm, Linear
 from repro.nn.module import Module
 from repro.tensor import autograd as ag
@@ -28,20 +27,15 @@ from repro.tensor import autograd as ag
 __all__ = ["FeedForward", "TransformerLayer"]
 
 
-class FeedForward(Module):
+class FeedForward(InstrumentedBlock):
     """Position-wise feed-forward network (Linear -> GELU -> Linear).
 
-    Instrumented exactly like :class:`repro.nn.MultiHeadAttention`: with
-    hooks attached, the two GEMMs ``x·W_up`` and ``h·W_down`` route their raw
-    outputs through :meth:`AttentionHooks.on_gemm_output`, and — both FFN
-    GEMMs being section boundaries (``FF1`` / ``FF2``; GELU between them is
-    nonlinear, so no checksum can be carried across) — each additionally
-    dispatches :meth:`AttentionHooks.on_section_output` with the section's
-    operands.  The block pass is announced through the generic
-    :meth:`AttentionHooks.on_block_start` / ``on_block_end`` pair with block
-    name ``"ffn"``, so attention's dedicated start/end callbacks (and its
-    frequency-gating sequence) stay untouched.  The bias adds run outside
-    the sections, like attention's output-projection bias.
+    Both GEMMs, ``x·W_up`` and ``h·W_down``, go through the shared hooked
+    GEMM and end a protection section (``FF1`` / ``FF2``; GELU between them
+    is nonlinear, so no checksum can be carried across).  The block pass is
+    announced as ``"ffn"``.  The bias adds run outside the sections, like
+    attention's output-projection bias; with no hooks the arithmetic is that
+    of two :class:`~repro.nn.Linear` layers.
 
     Decode uses the same instrumentation with ``phase="decode"``: the FFN
     has no cross-token state, so one decoded token is the training algebra
@@ -58,138 +52,39 @@ class FeedForward(Module):
         rng: Optional[np.random.Generator] = None,
         backend: Optional[ArrayBackend] = None,
     ) -> None:
-        super().__init__()
+        # FFN GEMMs report the layer's attention geometry unchanged (the
+        # checksum machinery keys on it for workspace shapes only).
+        super().__init__(hidden_size, num_heads, layer_index, backend)
         rng = rng if rng is not None else np.random.default_rng(0)
         self.hidden_size = hidden_size
         self.intermediate_size = intermediate_size
-        self.layer_index = layer_index
-        # FFN GEMMs report the layer's attention geometry unchanged (the
-        # checksum machinery keys on it for workspace shapes only).
-        self.num_heads = num_heads
-        self.head_dim = hidden_size // num_heads
-        self.array_backend = backend
         self.fc_in = Linear(hidden_size, intermediate_size, rng=rng, backend=backend)
         self.act = GELUActivation()
         self.fc_out = Linear(intermediate_size, hidden_size, rng=rng, backend=backend)
         self.dropout = Dropout(dropout_p, rng=rng)
-        self.hooks: Optional[AttentionHooks] = None
-        self._step = 0
-
-    # -- instrumentation -------------------------------------------------------
-
-    def set_hooks(self, hooks: Optional[AttentionHooks]) -> None:
-        """Attach (or detach, with ``None``) the instrumentation hooks."""
-        self.hooks = hooks
-
-    def _gemm_hook(
-        self,
-        op: FeedForwardOp,
-        section_operands: Dict[str, Optional[np.ndarray]],
-        phase: str,
-    ) -> Optional[Callable]:
-        """Build the ``forward_hook`` closure for one FFN GEMM.
-
-        Mirrors :meth:`MultiHeadAttention._gemm_hook`; both FFN GEMMs are
-        section boundaries, so the closure always dispatches
-        :meth:`AttentionHooks.on_section_output` after the per-GEMM hooks.
-        """
-        if self.hooks is None:
-            return None
-        hooks = self.hooks
-        layer_index = self.layer_index
-        step = self._step
-        num_heads = self.num_heads
-        head_dim = self.head_dim
-        section = FFN_SECTION_BOUNDARY_OPS[op]
-        consumes_gemms = hooks.consumes_gemm_outputs()
-
-        def hook_with_ctx(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
-            if consumes_gemms:
-                ctx = GemmContext(
-                    op=op,
-                    a=a,
-                    b=b,
-                    layer_index=layer_index,
-                    step=step,
-                    num_heads=num_heads,
-                    head_dim=head_dim,
-                    seq_len=out.shape[-2],
-                    phase=phase,
-                    block="ffn",
-                )
-                out = hooks.on_gemm_output(ctx, out)
-            # Prefer the substrate's own backend handle when it owns the
-            # boundary output (see MultiHeadAttention._gemm_hook).
-            own = self.array_backend
-            if own is None or not own.is_backend_array(out):
-                own = backend_of(out)
-            sctx = SectionContext(
-                section=section,
-                operands=section_operands,
-                layer_index=layer_index,
-                step=step,
-                num_heads=num_heads,
-                head_dim=head_dim,
-                seq_len=out.shape[-2],
-                backend=own,
-                phase=phase,
-            )
-            return hooks.on_section_output(sctx, out)
-
-        return hook_with_ctx
-
-    def _instrumented_matmul(
-        self,
-        a: ag.Tensor,
-        b: ag.Tensor,
-        op: FeedForwardOp,
-        section_operands: Dict[str, Optional[np.ndarray]],
-        phase: str,
-    ) -> ag.Tensor:
-        """Matmul whose raw output is routed through the hooks."""
-        hook_with_ctx = self._gemm_hook(op, section_operands, phase)
-        if hook_with_ctx is None:
-            return ag.matmul(a, b, name=op.output_matrix)
-        a_data, b_data = a.data, b.data
-        return ag.matmul(
-            a,
-            b,
-            forward_hook=lambda out: hook_with_ctx(a_data, b_data, out),
-            name=op.output_matrix,
-        )
-
-    # -- forward ----------------------------------------------------------------
 
     def forward(self, x: ag.Tensor, phase: str = "train") -> ag.Tensor:
         hooks = self.hooks
-        if hooks is None:
-            return self.dropout(self.fc_out(self.act(self.fc_in(x))))
         self._step += 1
         step = self._step
-        hooks.on_block_start("ffn", self.layer_index, step)
+        if hooks is not None:
+            hooks.on_block_start("ffn", self.layer_index, step)
         h_raw = self._instrumented_matmul(
             x, self.fc_in.weight, FeedForwardOp.UP,
-            section_operands={
-                "x": x.data,
-                "w_up": self.fc_in.weight.data,
-            },
-            phase=phase,
+            section_operands={"x": x.data, "w_up": self.fc_in.weight.data}, phase=phase,
         )
         if self.fc_in.bias is not None:
             h_raw = ag.add(h_raw, self.fc_in.bias)
         h = self.act(h_raw)
         out = self._instrumented_matmul(
             h, self.fc_out.weight, FeedForwardOp.DOWN,
-            section_operands={
-                "h": h.data,
-                "w_down": self.fc_out.weight.data,
-            },
-            phase=phase,
+            section_operands={"h": h.data, "w_down": self.fc_out.weight.data}, phase=phase,
         )
         if self.fc_out.bias is not None:
             out = ag.add(out, self.fc_out.bias)
         out = self.dropout(out)
-        hooks.on_block_end("ffn", self.layer_index, step)
+        if hooks is not None:
+            hooks.on_block_end("ffn", self.layer_index, step)
         return out
 
 
@@ -240,17 +135,14 @@ class TransformerLayer(Module):
         self.ffn_norm = LayerNorm(hidden_size, backend=backend)
         self.dropout = Dropout(dropout_p, rng=rng)
 
-    def set_hooks(self, hooks: Optional[AttentionHooks]) -> None:
-        """Attach instrumentation hooks to this layer's attention and FFN."""
-        self.attention.set_hooks(hooks)
-        self.ffn.set_hooks(hooks)
-
     def forward(
         self,
         x: ag.Tensor,
         attention_mask: Optional[np.ndarray] = None,
         kv_cache: Optional[LayerKVCache] = None,
     ) -> ag.Tensor:
+        """Run the layer on ``x``; ``kv_cache`` selects prefill or decode
+        exactly as in :meth:`MultiHeadAttention.forward`."""
         if self.norm_style == "post_ln":
             if kv_cache is not None:
                 raise ValueError(
@@ -262,33 +154,13 @@ class TransformerLayer(Module):
             ffn_out = self.ffn(x)
             x = self.ffn_norm(ag.add(x, ffn_out))
             return x
-        # pre-LN (GPT-2 / GPT-Neo)
+        # pre-LN (GPT-2 / GPT-Neo).  The phase is read before attention
+        # appends this pass's K/V rows to the cache.
+        phase = phase_of(kv_cache)
         attn_out = self.attention(
             self.attn_norm(x), attention_mask=attention_mask, kv_cache=kv_cache
         )
         x = ag.add(x, self.dropout(attn_out))
-        ffn_out = self.ffn(
-            self.ffn_norm(x), phase="prefill" if kv_cache is not None else "train"
-        )
-        x = ag.add(x, ffn_out)
-        return x
-
-    def forward_step(
-        self,
-        x: ag.Tensor,
-        kv_cache: LayerKVCache,
-        attention_mask: Optional[np.ndarray] = None,
-    ) -> ag.Tensor:
-        """Decode one token (``x`` is ``(B, 1, D)``) against a populated cache."""
-        if self.norm_style != "pre_ln":
-            raise ValueError(
-                "KV-cached decoding requires a causal (pre-LN) layer; "
-                "post-LN encoder layers have no decode path"
-            )
-        attn_out = self.attention.forward_step(
-            self.attn_norm(x), kv_cache, attention_mask=attention_mask
-        )
-        x = ag.add(x, self.dropout(attn_out))
-        ffn_out = self.ffn(self.ffn_norm(x), phase="decode")
+        ffn_out = self.ffn(self.ffn_norm(x), phase=phase)
         x = ag.add(x, ffn_out)
         return x

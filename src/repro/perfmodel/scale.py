@@ -29,7 +29,6 @@ from typing import Dict, List, Optional, Sequence
 from repro.models.config import ModelConfig
 from repro.perfmodel.attention_cost import AttentionCostModel
 from repro.perfmodel.gpu import A100_SPEC, GPUSpec
-from repro.perfmodel.kernels import KernelCostModel
 
 __all__ = ["LargeModelSpec", "ScalePoint", "MultiGPUScaleModel", "BILLION_SCALE_MODELS"]
 

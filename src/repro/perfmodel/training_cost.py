@@ -17,7 +17,6 @@ checks into the forward kernels only).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Mapping, Optional
 
 from repro.models.config import ModelConfig

@@ -12,9 +12,10 @@ the attached :class:`~repro.core.ATTNChecker`'s recent section outcomes and
 reads their ``request_dirty`` masks (the per-request fault attribution the
 ``ProtectionEngine`` computes from the detected/aborted vectors of each
 boundary check).  A dirty request whose boundary was fully corrected is
-counted ``repaired`` and keeps decoding; one with uncorrectable damage (or
-non-finite logits, which would poison the argmax) is *evicted* and its
-outputs discarded, so batch-mates are unaffected.
+counted ``repaired`` and keeps decoding; one with damage the corrector could
+not fully repair (aborted vectors, or fewer corrections than detections) or
+with non-finite logits, which would poison the argmax, is always *evicted*
+and its outputs discarded, so batch-mates are unaffected.
 
 Dead slots do not keep stepping: the decode loop *compacts* the physical
 batch down to the slots that still produce tokens (``slot_map`` tracks
@@ -58,15 +59,9 @@ class ServingConfig:
     ----------
     max_batch_size:
         Requests admitted per batch (static batching).
-    evict_uncorrected:
-        Evict a request whose boundary check detected damage the corrector
-        could not fully repair (aborted vectors, or corrected < detected).
-        When ``False`` such requests are only counted, mirroring a
-        detection-only deployment.
     """
 
     max_batch_size: int = 4
-    evict_uncorrected: bool = True
 
     def __post_init__(self) -> None:
         if self.max_batch_size < 1:
@@ -432,7 +427,7 @@ class ServingEngine:
                     i = int(slot_map[p])
                     if not state.alive[i]:
                         continue
-                    if uncorrected and self.config.evict_uncorrected:
+                    if uncorrected:
                         state.evict(i)
                     else:
                         state.results[i].repaired_detections += 1

@@ -19,7 +19,7 @@ results are bit-identical to earlier releases.
 from __future__ import annotations
 
 import math
-from typing import Any, Optional, Tuple
+from typing import Any, Tuple
 
 import numpy as np
 

@@ -670,11 +670,15 @@ class DataParallelTrainer:
             deadline = comm_collective.WAIT_DEADLINE_SECONDS
             _, pending = wait(futures, timeout=deadline)
             if pending:
-                stalled = [w for w, f in enumerate(futures) if f in pending]
+                # Name the ranks an open rendezvous waits on: the other
+                # pending workers are only blocked on them.
+                stalled = self.collective.missing_ranks() or sorted(
+                    r for w, f in enumerate(futures) if f in pending
+                    for r in self._owned_by_worker[w]
+                )
                 timeout = CollectiveTimeout(
-                    f"step {step}: worker(s) {stalled} (ranks "
-                    f"{sorted(r for w in stalled for r in self._owned_by_worker[w])}) "
-                    f"did not finish within {deadline:g} s"
+                    f"step {step}: rank(s) {stalled} did not finish within "
+                    f"{deadline:g} s"
                 )
                 self._stalled = True
                 self.collective.poison(timeout)

@@ -49,10 +49,13 @@ class AttentionTimingHooks(AttentionHooks):
         self.calls = 0
         self._starts: Dict[int, float] = {}
 
-    def on_attention_start(self, layer_index: int, step: int) -> None:
-        self._starts[layer_index] = time.perf_counter()
+    def on_block_start(self, block: str, layer_index: int, step: int) -> None:
+        if block == "attention":
+            self._starts[layer_index] = time.perf_counter()
 
-    def on_attention_end(self, layer_index: int, step: int) -> None:
+    def on_block_end(self, block: str, layer_index: int, step: int) -> None:
+        if block != "attention":
+            return
         start = self._starts.pop(layer_index, None)
         if start is not None:
             self.total_seconds += time.perf_counter() - start

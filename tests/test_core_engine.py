@@ -207,25 +207,20 @@ class TestFusedTransparency:
         assert checker.stats.total_corrections >= 1
 
     def test_boundary_op_mapping_consistent_with_sections(self):
-        # Both blocks' boundary maps agree with the section registry: every
+        # The one boundary map agrees with the section registry: every
         # boundary op ends a registered section of its block and produces
         # that section's boundary matrix.
-        from repro.core import FFN_SECTION_BOUNDARY_OPS, SECTION_REGISTRY
+        from repro.core import SECTION_REGISTRY
 
-        for block, boundary_ops in (
-            ("attention", SECTION_BOUNDARY_OPS),
-            ("ffn", FFN_SECTION_BOUNDARY_OPS),
-        ):
-            for op, name in boundary_ops.items():
-                section = SECTION_REGISTRY[name]
-                assert section.block == block
-                assert section.operations[-1] == op.value
-                assert op.output_matrix == section.boundary_matrix
-        assert set(SECTION_BOUNDARY_OPS) == {AttentionOp.QK, AttentionOp.APV, AttentionOp.CLO}
-        assert set(FFN_SECTION_BOUNDARY_OPS) == set(FeedForwardOp)
-        assert sorted(
-            list(SECTION_BOUNDARY_OPS.values()) + list(FFN_SECTION_BOUNDARY_OPS.values())
-        ) == sorted(SECTION_REGISTRY)
+        for op, name in SECTION_BOUNDARY_OPS.items():
+            section = SECTION_REGISTRY[name]
+            assert section.block == ("ffn" if isinstance(op, FeedForwardOp) else "attention")
+            assert section.operations[-1] == op.value
+            assert op.output_matrix == section.boundary_matrix
+        assert set(SECTION_BOUNDARY_OPS) == {
+            AttentionOp.QK, AttentionOp.APV, AttentionOp.CLO, *FeedForwardOp
+        }
+        assert sorted(SECTION_BOUNDARY_OPS.values()) == sorted(SECTION_REGISTRY)
 
 
 @pytest.mark.parametrize("matrix", ["Q", "K", "V", "AS", "CL", "O"])

@@ -162,10 +162,10 @@ class TestHooks:
         counts = {"start": 0, "end": 0}
 
         class Counter(AttentionHooks):
-            def on_attention_start(self, layer_index, step):
+            def on_block_start(self, block, layer_index, step):
                 counts["start"] += 1
 
-            def on_attention_end(self, layer_index, step):
+            def on_block_end(self, block, layer_index, step):
                 counts["end"] += 1
 
         attention.set_hooks(Counter())
@@ -272,6 +272,20 @@ class TestFullyMaskedRows:
         assert np.allclose(batched, solo, rtol=0.0, atol=1e-15)
 
 
+class TestKVCachePhases:
+    def test_multi_token_forward_on_populated_cache_raises(self, rng):
+        # Decode masks no query against a later one, so a chunk of several
+        # tokens against a populated cache would attend non-causally.
+        from repro.nn.attention import LayerKVCache
+
+        attn = MultiHeadAttention(hidden_size=8, num_heads=2, causal=True, rng=rng)
+        cache = LayerKVCache(1, 2, 4, max_len=8, xp=np)
+        attn(Tensor(rng.normal(size=(1, 3, 8))), kv_cache=cache)
+        with pytest.raises(ValueError, match="one token at a time"):
+            attn(Tensor(rng.normal(size=(1, 2, 8))), kv_cache=cache)
+        assert cache.length == 3
+
+
 class TestDecodeMaskCache:
     """The decode pad mask is built once per mask object and sliced per step."""
 
@@ -285,7 +299,7 @@ class TestDecodeMaskCache:
         cache = LayerKVCache(1, 2, 4, max_len=6, xp=np)
         mask = np.ones((1, 6))
         attn(Tensor(rng.normal(size=(1, 3, 8))), attention_mask=mask[:, :3], kv_cache=cache)
-        attn.forward_step(Tensor(rng.normal(size=(1, 1, 8))), cache, attention_mask=mask)
+        attn(Tensor(rng.normal(size=(1, 1, 8))), attention_mask=mask, kv_cache=cache)
         first = attn._decode_pad_mask(mask)
-        attn.forward_step(Tensor(rng.normal(size=(1, 1, 8))), cache, attention_mask=mask)
+        attn(Tensor(rng.normal(size=(1, 1, 8))), attention_mask=mask, kv_cache=cache)
         assert attn._decode_pad_mask(mask) is first

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
+from repro.models import build_model
 from repro.nn.losses import CrossEntropyLoss
 from repro.nn.transformer import FeedForward, TransformerLayer
-from repro.nn.attention import RecordingHooks
+from repro.nn.attention import MultiHeadAttention, RecordingHooks
 from repro.tensor.autograd import Tensor
 
 
@@ -47,13 +48,21 @@ class TestTransformerLayer:
         out = layer(Tensor(x))
         assert np.allclose(out.data, x)
 
-    def test_set_hooks_reaches_attention(self, rng):
-        layer = TransformerLayer(8, 2, 16, rng=rng, layer_index=5)
+    def test_set_attention_hooks_reaches_every_block(self):
+        model = build_model("bert-base", size="tiny", rng=np.random.default_rng(0))
+        blocks = [
+            m for _, m in model.named_modules()
+            if isinstance(m, (MultiHeadAttention, FeedForward))
+        ]
+        assert len(blocks) == 2 * model.config.num_layers
         recorder = RecordingHooks()
-        layer.set_hooks(recorder)
-        layer(Tensor(rng.normal(size=(1, 4, 8))))
-        assert 5 in recorder.records
-        assert "AS" in recorder.matrices(5)
+        model.set_attention_hooks(recorder)
+        assert all(block.hooks is recorder for block in blocks)
+        model(np.array([[3, 4, 5, 6]]))
+        for layer in range(model.config.num_layers):
+            assert {"AS", "O", "H", "FO"} <= set(recorder.matrices(layer))
+        model.set_attention_hooks(None)
+        assert all(block.hooks is None for block in blocks)
 
     def test_gradients_flow_through_both_sublayers(self, rng):
         layer = TransformerLayer(8, 2, 16, rng=rng)

@@ -28,7 +28,11 @@ from reprolint.engine import (  # noqa: E402
     LintRunner,
     parse_suppressions,
 )
-from reprolint.rules import DeadPublicSymbolRule, all_rules  # noqa: E402
+from reprolint.rules import (  # noqa: E402
+    DeadPublicSymbolRule,
+    UnusedImportRule,
+    all_rules,
+)
 
 
 def write_tree(root: Path, files: dict) -> None:
@@ -39,12 +43,13 @@ def write_tree(root: Path, files: dict) -> None:
 
 
 def per_file_rules():
-    """Every rule except the project-wide DC001.
+    """Every rule except the dead-code rules DC001 and DC002.
 
-    A fixture tree's lone defs have no callers, so DC001 would fire on the
-    fixtures of every other rule; it gets fixtures of its own below.
+    A fixture tree's lone defs have no callers and its imports are often
+    left unused, so DC001 and DC002 would fire on the fixtures of every
+    other rule; they get fixtures of their own below.
     """
-    return [rule for rule in all_rules() if rule.id != "DC001"]
+    return [rule for rule in all_rules() if rule.id not in ("DC001", "DC002")]
 
 
 def lint(root: Path, files: dict, baseline=None, rules=None):
@@ -65,7 +70,7 @@ def rules_fired(result):
 def test_registry_ids_and_catalog_metadata():
     rules = all_rules()
     assert [r.id for r in rules] == [
-        "BK001", "DT001", "XF001", "TH001", "WS001", "LY001", "DC001",
+        "BK001", "DT001", "XF001", "TH001", "WS001", "LY001", "DC001", "DC002",
     ]
     for rule in rules:
         assert rule.invariant, rule.id
@@ -534,11 +539,11 @@ def test_ly001_bucketing_inherits_the_comm_contract(tmp_path):
 
 def test_ly001_nn_reexport_of_registry_types_is_downward(tmp_path):
     # repro.nn.attention re-exporting the registry enums (FeedForwardOp,
-    # FFN_SECTION_BOUNDARY_OPS) is the sanctioned direction: nn -> core.
+    # SECTION_BOUNDARY_OPS) is the sanctioned direction: nn -> core.
     result = lint(tmp_path, {
         "src/repro/nn/attention.py": """
             from repro.core.hooks import (
-                FFN_SECTION_BOUNDARY_OPS,
+                SECTION_BOUNDARY_OPS,
                 AttentionOp,
                 FeedForwardOp,
             )
@@ -705,6 +710,59 @@ def test_dc001_suppression_and_baseline(tmp_path):
         rules=[DeadPublicSymbolRule()],
     )
     assert gated.clean and len(gated.baselined) == 1
+
+
+# ---------------------------------------------------------------------------
+# DC002 — unused import
+# ---------------------------------------------------------------------------
+
+
+def unused_imports(result):
+    return sorted(f.detail for f in result.new if f.rule == "DC002")
+
+
+def test_dc002_flags_unused_imports(tmp_path):
+    result = lint(tmp_path, {
+        "src/repro/utils/helpers.py": """
+            import os
+            import os.path as osp
+            import xml.dom
+            from typing import Dict, List
+            from repro.core import hooks as core_hooks
+
+            def sizes(items: List[int]) -> int:
+                return len(items)
+        """,
+    }, rules=[UnusedImportRule()])
+    assert unused_imports(result) == [
+        "unused-import:Dict", "unused-import:core_hooks", "unused-import:os",
+        "unused-import:osp", "unused-import:xml",
+    ]
+    assert {f.path for f in result.new} == {"src/repro/utils/helpers.py"}
+
+
+def test_dc002_silent_on_uses_all_string_annotations_and_init(tmp_path):
+    result = lint(tmp_path, {
+        "src/repro/utils/helpers.py": """
+            from __future__ import annotations
+
+            import numpy as np
+            from typing import TYPE_CHECKING, Optional
+            from repro.core.hooks import AttentionOp, GemmContext
+
+            if TYPE_CHECKING:
+                from repro.nn.transformer import FeedForward
+
+            __all__ = ["AttentionOp", "first"]
+
+            def first(ctx: "GemmContext", ffn: Optional["FeedForward"]) -> float:
+                return float(np.linalg.norm(ctx.a))
+        """,
+        "src/repro/utils/__init__.py": """
+            from repro.utils.helpers import first
+        """,
+    }, rules=[UnusedImportRule()])
+    assert result.new == []
 
 
 # ---------------------------------------------------------------------------
@@ -906,7 +964,7 @@ def test_cli_output_file_and_list_rules(tmp_path, capsys):
 
     assert reprolint_main(["--list-rules"]) == 0
     out = capsys.readouterr().out
-    for rule_id in ("BK001", "DT001", "XF001", "TH001", "WS001", "LY001", "DC001"):
+    for rule_id in ("BK001", "DT001", "XF001", "TH001", "WS001", "LY001", "DC001", "DC002"):
         assert rule_id in out
 
 

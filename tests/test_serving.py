@@ -39,15 +39,12 @@ def make_requests(model, num_requests: int = 4, seed: int = 5):
     ).generate(num_requests)
 
 
-def serve(model, requests, checker=None, injector=None, batch_size: int = 4,
-          evict_uncorrected: bool = True):
+def serve(model, requests, checker=None, injector=None, batch_size: int = 4):
     engine = ServingEngine(
         model,
         checker=checker,
         injector=injector,
-        config=ServingConfig(
-            max_batch_size=batch_size, evict_uncorrected=evict_uncorrected
-        ),
+        config=ServingConfig(max_batch_size=batch_size),
     )
     return engine.run(requests)
 
@@ -272,7 +269,7 @@ class TestFaultIsolation:
             ]
         return [FaultSpec(error_type=error_type, **self.FAULT)]
 
-    def _serve_with_fault(self, error_type, backend="fused", evict_uncorrected=True):
+    def _serve_with_fault(self, error_type, backend="fused"):
         model = make_gpt2()
         checker = ATTNChecker(ATTNCheckerConfig(backend=backend))
         injector = FaultInjector(
@@ -286,7 +283,6 @@ class TestFaultIsolation:
             checker=checker,
             injector=injector,
             batch_size=3,
-            evict_uncorrected=evict_uncorrected,
         )
         checker.close()
         return report
@@ -322,10 +318,17 @@ class TestFaultIsolation:
         assert tokens[0] == clean_tokens[0]
         assert tokens[2] == clean_tokens[2]
 
-    def test_detection_only_mode_counts_without_evicting(self):
-        report = self._serve_with_fault("abort_numeric", evict_uncorrected=False)
-        assert report.checker_stats["detections"] >= 1
-        assert report.num_evicted == 0
+    @pytest.mark.parametrize("backend", ["fused", "per_gemm"])
+    def test_numeric_abort_evicts_only_dirty_request(self, backend, clean_tokens):
+        # The logits stay finite, so the checker's uncorrected outcome alone
+        # evicts request 1.
+        report = self._serve_with_fault("abort_numeric", backend=backend)
+        assert [r.status for r in report.results] == ["completed", "evicted", "completed"]
+        assert report.checker_stats["detections"] == 4
+        assert report.checker_stats["corrections"] == 0
+        tokens = [r.tokens for r in report.results]
+        assert tokens[0] == clean_tokens[0]
+        assert tokens[2] == clean_tokens[2]
 
     def test_unprotected_nonfinite_logits_evict(self, clean_tokens):
         # Without a checker the engine's last line of defence is the logits

@@ -74,7 +74,7 @@ class _StallingHook(AttentionHooks):
     def __init__(self, release):
         self.release = release
 
-    def on_attention_start(self, layer_index, step):
+    def on_block_start(self, block, layer_index, step):
         self.release.wait(JOIN_SECONDS)
 
 
@@ -91,6 +91,8 @@ def test_stalled_rank_fails_the_step_with_a_timeout():
         trainer.close()
     assert isinstance(error, CollectiveTimeout)
     assert str(error).startswith("step 1:")
+    # It names the stalled rank 1, not rank 0, which only waits on rank 1.
+    assert "rank(s) [1] " in str(error)
     assert seconds >= DEADLINE
     # The poisoned collective refuses further work instead of waiting on it.
     with pytest.raises(CollectiveError):

@@ -30,8 +30,8 @@ def build_parser() -> argparse.ArgumentParser:
         description=(
             "AST-based invariant checker for the ATTNChecker reproduction: "
             "machine-enforces the xp-genericity, float64-accumulation, "
-            "host-transfer, lock-discipline, workspace, layering and "
-            "no-dead-public-symbol contracts."
+            "host-transfer, lock-discipline, workspace, layering, "
+            "no-dead-public-symbol and no-unused-import contracts."
         ),
     )
     parser.add_argument(

@@ -13,6 +13,7 @@ from reprolint.engine import Rule
 from reprolint.rules.base import PathScopedRule
 from reprolint.rules.bk001 import XpGenericityRule
 from reprolint.rules.dc001 import DeadPublicSymbolRule
+from reprolint.rules.dc002 import UnusedImportRule
 from reprolint.rules.dt001 import Float64AccumulationRule
 from reprolint.rules.xf001 import HostTransferRule
 from reprolint.rules.th001 import LockDisciplineRule
@@ -28,6 +29,7 @@ __all__ = [
     "WorkspaceContractRule",
     "LayeringRule",
     "DeadPublicSymbolRule",
+    "UnusedImportRule",
     "all_rules",
 ]
 
@@ -39,6 +41,7 @@ _RULE_CLASSES = (
     WorkspaceContractRule,
     LayeringRule,
     DeadPublicSymbolRule,
+    UnusedImportRule,
 )
 
 

@@ -3,9 +3,9 @@
 from __future__ import annotations
 
 import ast
-from typing import Iterable, Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
-from reprolint.engine import FileContext, Finding, Rule, ScopedVisitor
+from reprolint.engine import Rule
 
 __all__ = [
     "PathScopedRule",
