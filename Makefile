@@ -2,6 +2,7 @@
 # same commands, so a green `make lint` locally is a green gate in CI.
 
 PYTHONPATH := tools:src
+LINT_PATHS := src/repro benchmarks tools examples
 
 .PHONY: test lint reprolint ruff mypy baseline bench
 
@@ -21,7 +22,7 @@ lint: reprolint
 	@command -v mypy >/dev/null 2>&1 && mypy src/repro/backend src/repro/utils || echo "mypy not installed locally; CI runs mypy==1.11.2"
 
 reprolint:
-	PYTHONPATH=$(PYTHONPATH) python -m reprolint src/repro
+	PYTHONPATH=$(PYTHONPATH) python -m reprolint $(LINT_PATHS)
 
 ruff:
 	ruff check src tools
@@ -32,4 +33,4 @@ mypy:
 # Regenerate the committed baseline (new entries get a TODO reason that must
 # be replaced with a reviewed justification before committing).
 baseline:
-	PYTHONPATH=$(PYTHONPATH) python -m reprolint --write-baseline src/repro
+	PYTHONPATH=$(PYTHONPATH) python -m reprolint --write-baseline $(LINT_PATHS)

@@ -525,10 +525,10 @@ def log_softmax(x: ArrayLike, axis: int = -1) -> Tensor:
 def gelu(x: ArrayLike) -> Tensor:
     """Differentiable GELU (tanh approximation)."""
     x = Tensor._wrap(x)
-    out = ops.gelu(x.data)
+    out, t = ops.gelu(x.data)
 
     def backward(grad):
-        return (ops.gelu_backward(grad, x.data),)
+        return (ops.gelu_backward(grad, x.data, t),)
 
     return x._make_child(out, (x,), backward)
 

@@ -13,7 +13,9 @@ Following the HPC-Python guides, every kernel is expressed with broadcasting
 and whole-array operations — there are no Python-level loops over matrix
 elements anywhere in this module.  On the NumPy backend each kernel executes
 the exact operation sequence of the historical pure-NumPy implementation, so
-results are bit-identical to earlier releases.
+results are bit-identical to earlier releases — except GELU: its cube is
+``x * x * x``, as a libm ``pow`` per element took half a training step
+(last bits differ; INF/NaN outcomes do not).
 """
 
 from __future__ import annotations
@@ -141,19 +143,41 @@ def log_softmax_backward(grad_out: Any, out: Any, axis: int = -1) -> Any:
 _GELU_C = math.sqrt(2.0 / math.pi)
 
 
-def gelu(x: Any) -> Any:
-    """GELU activation (tanh approximation, as used by BERT/GPT-2)."""
-    xp = namespace_of(x)
-    return 0.5 * x * (1.0 + xp.tanh(_GELU_C * (x + 0.044715 * x**3)))
+def gelu(x: Any) -> Tuple[Any, Any]:
+    """GELU (tanh approximation, as in BERT/GPT-2); returns ``(out, tanh(u))``.
+
+    Rounds like ``0.5 * x * (1.0 + tanh(c * (x + 0.044715 * (x * x * x))))``.
+    """
+    u = x * x
+    u *= x
+    u *= 0.044715
+    u += x
+    u *= _GELU_C
+    t = namespace_of(x).tanh(u)
+    del u  # freed before out and 1.0 + t exist: one array less at peak
+    out = 0.5 * x
+    out *= 1.0 + t
+    return out, t
 
 
-def gelu_backward(grad_out: Any, x: Any) -> Any:
-    """Analytical gradient of the tanh-approximated GELU."""
-    xp = namespace_of(x)
-    u = _GELU_C * (x + 0.044715 * x**3)
-    t = xp.tanh(u)
-    du_dx = _GELU_C * (1.0 + 3 * 0.044715 * x**2)
-    return grad_out * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t**2) * du_dx)
+def gelu_backward(grad_out: Any, x: Any, t: Any) -> Any:
+    """Analytical gradient of GELU, reusing the ``t`` that :func:`gelu` returned.
+
+    Rounds like ``grad_out * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * du_dx)``.
+    """
+    du_dx = x * x
+    du_dx *= 3 * 0.044715
+    du_dx += 1.0
+    du_dx *= _GELU_C
+    slope = -t  # -(t * t) + 1.0 rounds like 1.0 - t * t
+    slope *= t
+    slope += 1.0
+    slope *= 0.5 * x
+    slope *= du_dx
+    dgelu = 1.0 + t
+    dgelu *= 0.5
+    dgelu += slope
+    return grad_out * dgelu
 
 
 def tanh(x: Any) -> Any:

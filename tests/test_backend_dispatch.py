@@ -186,11 +186,13 @@ class TestKernelEquivalence:
         backend = get_backend(name)
         x_host, x_dev = self._pair(name, dtype, (4, 4), seed=4)
         g_host, g_dev = self._pair(name, dtype, (4, 4), seed=5)
-        np.testing.assert_allclose(to_numpy(backend, ops.gelu(x_dev)),
-                                   ops.gelu(x_host), rtol=1e-5, atol=1e-6)
+        out_host, t_host = ops.gelu(x_host)
+        out_dev, t_dev = ops.gelu(x_dev)
+        np.testing.assert_allclose(to_numpy(backend, out_dev), out_host, rtol=1e-5, atol=1e-6)
+        np.testing.assert_allclose(to_numpy(backend, t_dev), t_host, rtol=1e-5, atol=1e-6)
         np.testing.assert_allclose(
-            to_numpy(backend, ops.gelu_backward(g_dev, x_dev)),
-            ops.gelu_backward(g_host, x_host), rtol=1e-5, atol=1e-6,
+            to_numpy(backend, ops.gelu_backward(g_dev, x_dev, t_dev)),
+            ops.gelu_backward(g_host, x_host, t_host), rtol=1e-5, atol=1e-6,
         )
 
     def test_full_reductions_honor_keepdims(self, name, dtype):

@@ -5,7 +5,22 @@ former *phase-split* reduction (every gradient tensor plus the loss in one
 unbucketed all-reduce, launched after backward) on the serial executor at
 commit 460c220, before that path was deleted.  It holds the per-step mean
 losses at full ``repr`` precision and a sha256 of every final
-``state_dict`` array.  The one bucketed reduction that replaced it must
+``state_dict`` array.
+
+It was re-recorded once, when GELU stopped computing its cube with libm
+``pow``: extract 460c220 (``git archive 460c220 | tar -x -C <dir>``),
+change both ``0.044715 * x**3`` in its ``src/repro/tensor/ops.py`` to
+``0.044715 * (x * x * x)`` (also writing ``3 * 0.044715 * (x * x)`` and
+``1.0 - t * t`` changes nothing: NumPy squares by multiplication; the
+unparenthesised ``0.044715 * x * x * x`` rounds differently), then run
+``DataParallelTrainer(ReplicaSpec("bert-base", "tiny", seed=7,
+num_labels=2), DataParallelConfig(workers=1, shards=4, executor="serial",
+overlap_grad_reduce=False, stale_policy="record"))`` on ``make_batch(200)``
+and ``make_batch(201)`` below.  The losses came out byte-equal to the
+``pow`` recording; three state hashes changed.  The golden thus still pins
+an independent implementation, not the code under test.
+
+The one bucketed reduction that replaced the phase-split path must
 reproduce that data byte-for-byte at every worker count (``workers=3`` over
 four shards gives the workers uneven rank strides), for both launch timings
 and for single- and many-bucket partitions.

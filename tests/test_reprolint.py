@@ -765,6 +765,37 @@ def test_dc002_silent_on_uses_all_string_annotations_and_init(tmp_path):
     assert result.new == []
 
 
+def test_dc002_flags_unused_imports_in_benchmarks_tools_and_examples(tmp_path):
+    write_tree(tmp_path, {
+        "benchmarks/bench_helpers.py": """
+            import json
+            import os
+
+            def dump(obj):
+                return json.dumps(obj)
+        """,
+        "tools/reprolint/rules/helpers.py": """
+            from typing import Dict, List
+
+            def count(items: List[str]) -> int:
+                return len(items)
+        """,
+        "examples/walkthrough.py": """
+            import numpy as np
+        """,
+        "tests/test_helpers.py": """
+            import os
+        """,
+    })
+    runner = LintRunner(tmp_path, [UnusedImportRule()])
+    result = runner.run([Path(p) for p in ("benchmarks", "tools", "examples", "tests")])
+    assert sorted((f.path, f.detail) for f in result.new) == [
+        ("benchmarks/bench_helpers.py", "unused-import:os"),
+        ("examples/walkthrough.py", "unused-import:np"),
+        ("tools/reprolint/rules/helpers.py", "unused-import:Dict"),
+    ]
+
+
 # ---------------------------------------------------------------------------
 # suppressions
 # ---------------------------------------------------------------------------
@@ -983,7 +1014,7 @@ def test_cli_usage_errors_exit_2(tmp_path):
 
 
 def test_repo_is_clean_against_committed_baseline(capsys):
-    code = reprolint_main(["--root", str(REPO_ROOT), "src/repro"])
+    code = reprolint_main(["--root", str(REPO_ROOT), "src/repro", "benchmarks", "tools", "examples"])
     out = capsys.readouterr().out
     assert code == 0, f"reprolint found new findings or stale entries:\n{out}"
 

@@ -1,5 +1,7 @@
 """Unit tests for the pure NumPy kernels in repro.tensor.ops."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -114,16 +116,17 @@ class TestLogSoftmax:
 
 class TestActivations:
     def test_gelu_known_values(self):
-        assert ops.gelu(np.array(0.0)) == pytest.approx(0.0)
-        assert float(ops.gelu(np.array(10.0))) == pytest.approx(10.0, rel=1e-3)
-        assert float(ops.gelu(np.array(-10.0))) == pytest.approx(0.0, abs=1e-3)
+        assert ops.gelu(np.array(0.0))[0] == pytest.approx(0.0)
+        assert float(ops.gelu(np.array(10.0))[0]) == pytest.approx(10.0, rel=1e-3)
+        assert float(ops.gelu(np.array(-10.0))[0]) == pytest.approx(0.0, abs=1e-3)
 
     def test_gelu_backward_numerical(self, rng):
         x = rng.normal(size=7)
         grad = np.ones(7)
-        analytic = ops.gelu_backward(grad, x)
+        out, t = ops.gelu(x)
+        analytic = ops.gelu_backward(grad, x, t)
         eps = 1e-6
-        numerical = (ops.gelu(x + eps) - ops.gelu(x)) / eps
+        numerical = (ops.gelu(x + eps)[0] - out) / eps
         assert np.allclose(analytic, numerical, rtol=1e-3, atol=1e-5)
 
     def test_tanh_backward(self, rng):
@@ -132,6 +135,101 @@ class TestActivations:
         eps = 1e-6
         numerical = (ops.tanh(x + eps) - out) / eps
         assert np.allclose(ops.tanh_backward(np.ones(5), out), numerical, rtol=1e-3, atol=1e-6)
+
+
+_GELU_C = math.sqrt(2.0 / math.pi)
+_DBL_MAX = np.finfo(np.float64).max
+
+
+def _gelu_pow(grad, x):
+    """The historical GELU pair, cube by libm ``pow``: ``(out, dx)``."""
+    t = np.tanh(_GELU_C * (x + 0.044715 * x**3))
+    du_dx = _GELU_C * (1.0 + 3 * 0.044715 * x**2)
+    return 0.5 * x * (1.0 + t), grad * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t**2) * du_dx)
+
+
+def _gelu_mul(grad, x):
+    """The same pair with the cube and squares multiplied out."""
+    t = np.tanh(_GELU_C * (x + 0.044715 * (x * x * x)))
+    du_dx = _GELU_C * (1.0 + 3 * 0.044715 * (x * x))
+    return 0.5 * x * (1.0 + t), grad * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * du_dx)
+
+
+def _gelu_kernels(grad, x):
+    out, t = ops.gelu(x)
+    return out, ops.gelu_backward(grad, x, t)
+
+
+def _assert_bits_equal(actual, expected):
+    """Same dtype and values, NaN where NaN, and the same sign on zeros."""
+    actual, expected = np.asarray(actual), np.asarray(expected)
+    assert actual.dtype == expected.dtype
+    np.testing.assert_array_equal(actual, expected)
+    finite = ~np.isnan(expected)
+    np.testing.assert_array_equal(np.signbit(actual[finite]), np.signbit(expected[finite]))
+
+
+def _special_values(dtype):
+    """Signed zeros, units, saturation, INF/NaN, overflow edges, subnormals."""
+    fi = np.finfo(dtype)
+    edges = [np.sqrt(fi.max) * 1.5, np.cbrt(fi.max) * 1.5, fi.max]  # x*x, x*x*x, x overflow
+    values = [0.0, 1.0, 30.0, np.inf, 5e101, 1e300, _DBL_MAX, *edges, 5e-324, fi.smallest_subnormal]
+    with np.errstate(over="ignore"):
+        x = np.array(values, dtype=np.float64).astype(dtype)
+    return np.concatenate([x, -x, [np.nan]]).astype(dtype)
+
+
+class TestGeluKernel:
+    """GELU multiplies its cube out instead of calling libm ``pow``."""
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32, np.float16])
+    def test_special_values_bit_equal_to_pow(self, dtype):
+        # INF/NaN reaching the FFN must propagate as before (Table 2).
+        x = _special_values(dtype)
+        grad = np.ones_like(x)
+        with np.errstate(all="ignore"):
+            actual, expected = _gelu_kernels(grad, x), _gelu_pow(grad, x)
+        for a, e in zip(actual, expected):
+            _assert_bits_equal(a, e)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32, np.float16])
+    def test_bit_equal_to_multiplied_out_formula(self, rng, dtype):
+        # The in-place temporaries keep the plain formula's rounding order.
+        x = rng.normal(0.0, 3.0, size=(64, 257)).astype(dtype)
+        grad = rng.normal(size=x.shape).astype(dtype)
+        for a, e in zip(_gelu_kernels(grad, x), _gelu_mul(grad, x)):
+            _assert_bits_equal(a, e)
+
+    def test_close_to_pow_on_gaussian_samples(self, rng):
+        # Absolute tolerance only: near gelu(x) = 0 the relative error of
+        # either formula is large.  The backward gets 2e-15: 1 - t*t cancels
+        # for |x| around 4, so a last-bit change in tanh grows ~10x there
+        # (worst seen over 24 x 2**20 samples: 1.6e-15).
+        x = rng.normal(0.0, 3.0, size=2**20)
+        grad = np.ones_like(x)
+        (out, dx), (out_pow, dx_pow) = _gelu_kernels(grad, x), _gelu_pow(grad, x)
+        np.testing.assert_allclose(out, out_pow, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(dx, dx_pow, rtol=0, atol=2e-15)
+
+    def test_inputs_left_unchanged(self, rng):
+        x = rng.normal(size=(4, 6))[:, ::2]  # a strided view, too
+        grad = rng.normal(size=x.shape)
+        x0, grad0 = x.copy(), grad.copy()
+        out, t = ops.gelu(x)
+        t0 = t.copy()
+        ops.gelu_backward(grad, x, t)
+        np.testing.assert_array_equal(x, x0)
+        np.testing.assert_array_equal(grad, grad0)
+        np.testing.assert_array_equal(t, t0)
+        assert not np.shares_memory(out, x) and not np.shares_memory(t, x)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_zero_dim(self, dtype):
+        x, grad = np.array(0.7, dtype=dtype), np.array(1.5, dtype=dtype)
+        out, t = ops.gelu(x)
+        assert np.ndim(out) == 0 and np.ndim(t) == 0
+        for a, e in zip((out, ops.gelu_backward(grad, x, t)), _gelu_mul(grad, x)):
+            _assert_bits_equal(a, e)
 
 
 class TestLayerNorm:

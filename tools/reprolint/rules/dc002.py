@@ -1,10 +1,12 @@
-"""DC002 — unused import: every name a ``src/`` module imports is used.
+"""DC002 — unused import: every name a module imports is used.
 
 An import nothing reads is dead code with a cost: it keeps a dependency
 edge alive (and with it import order, cycles and start-up time), and it
 hides which module really needs what.  CI's ruff rule set checks only
 error-class rules, so unused imports pile up unseen.  This rule flags an
-imported name that the importing module never uses.
+imported name that the importing module never uses, in the package
+(``src/repro/``) and in the benchmark harnesses, the lint tooling and the
+examples (``benchmarks/``, ``tools/``, ``examples/``).
 
 A name counts as used when any of these holds:
 
@@ -34,9 +36,9 @@ class UnusedImportRule(PathScopedRule):
     id = "DC002"
     name = "unused-import"
     invariant = (
-        "Every name imported by a non-__init__ module under src/repro/ is "
-        "used in that module: by name, in its __all__, or in a string "
-        "annotation."
+        "Every name imported by a non-__init__ module under src/repro/, "
+        "benchmarks/, tools/ or examples/ is used in that module: by name, "
+        "in its __all__, or in a string annotation."
     )
     rationale = (
         "CI's ruff rule set checks error classes only, so an import nothing "
@@ -48,7 +50,7 @@ class UnusedImportRule(PathScopedRule):
         "delete the import"
     )
 
-    scope_prefixes = ("src/repro/",)
+    scope_prefixes = ("src/repro/", "benchmarks/", "tools/", "examples/")
 
     def applies_to(self, relpath: str) -> bool:
         return super().applies_to(relpath) and not relpath.endswith("/__init__.py")
