@@ -2,7 +2,7 @@
 # same commands, so a green `make lint` locally is a green gate in CI.
 
 PYTHONPATH := tools:src
-LINT_PATHS := src/repro benchmarks tools examples
+LINT_PATHS := src/repro benchmarks tools examples tests
 
 .PHONY: test lint reprolint ruff mypy baseline bench
 

@@ -20,7 +20,7 @@ to an unbucketed per-tensor one for any bucket size and worker count.
 The protection story is unchanged in kind but bucket-granular in cost: the
 :class:`~repro.comm.protected.ProtectedCollective` attaches one ``(1, 2)``
 float64 checksum matrix per bucket (instead of one row per parameter
-tensor), and a dirty verdict names a *bucket*, so ``stale_policy="reexecute"``
+tensor), and a dirty verdict names a *bucket*, so ``dirty_policy="reexecute"``
 re-contributes only the dirty bucket's retained clean payloads.
 
 Layering: this module sits in :mod:`repro.comm` — it operates on raw backend

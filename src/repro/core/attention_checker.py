@@ -22,7 +22,10 @@ backends:
 
 Either backend verifies and corrects every section boundary inside the
 forward pass, so a repaired value is what downstream operations consume;
-both report each verification as a :class:`SectionOutcome`.  Frequency
+both report each verification as a :class:`SectionOutcome`.  Each backend
+runs one chain per section for training, serving prefill and decode; the
+phase picks only the input checksums, the checksum sides and the
+:math:`S_O` carrier (see :mod:`repro.core.engine`).  Frequency
 gating happens in :meth:`ATTNChecker.on_block_start`, which advances only
 the announcing block's section accumulators.
 
@@ -58,7 +61,6 @@ from repro.core.checksums import (
     merge_head_column_checksums,
     split_head_column_checksums,
     update_column_checksums_through_gemm,
-    update_column_checksums_with_appended_rows,
 )
 from repro.core.correction import MatrixCorrectionReport, correct_matrix
 from repro.core.eec_abft import check_columns, check_rows
@@ -70,11 +72,15 @@ from repro.core.engine import (
 from repro.core.hooks import (
     AttentionHooks,
     AttentionOp,
-    FeedForwardOp,
     GemmContext,
     SectionContext,
 )
-from repro.core.sections import PROTECTION_SECTIONS, PROTECT_SCOPES, sections_for_scope
+from repro.core.sections import (
+    PROTECT_SCOPES,
+    PROTECTION_SECTIONS,
+    SECTION_REGISTRY,
+    sections_for_scope,
+)
 from repro.core.thresholds import ABFTThresholds
 from repro.utils.timing import TimingRegistry
 
@@ -213,6 +219,7 @@ class _PerGemmState:
     __slots__ = (
         "enabled",
         "cs_x_col",
+        "num_rows",
         "cs_q_col",
         "cs_k_col",
         "cs_v_row",
@@ -222,10 +229,17 @@ class _PerGemmState:
     def __init__(self, enabled: Dict[str, bool]) -> None:
         self.enabled = enabled
         self.cs_x_col: Optional[Any] = None
+        self.num_rows = 0
         self.cs_q_col: Optional[Any] = None
         self.cs_k_col: Optional[Any] = None
         self.cs_v_row: Optional[Any] = None
         self.cs_cl_col: Optional[Any] = None
+
+
+#: The protection section each instrumented GEMM belongs to, by op name.
+_SECTION_OF_OP = {
+    op: name for name, section in SECTION_REGISTRY.items() for op in section.operations
+}
 
 
 class _PerGemmReferenceBackend:
@@ -236,7 +250,10 @@ class _PerGemmReferenceBackend:
     :class:`~repro.core.engine.ProtectionEngine`, which makes the two backends
     byte-comparable — this class is the oracle the engine is validated
     against.  Like the engine it is array-library generic and follows the
-    GEMM operands' owning backend.
+    GEMM operands' owning backend, and each section has one handler for
+    train, prefill and decode, fed every member GEMM of the section: the
+    phase decides the same three things as in the engine (see its attention
+    sections).
 
     It runs the historical one-GEMM-per-update schedule — no sibling fusion,
     no weight-encoding cache, no workspace — so its counters are the measured
@@ -251,6 +268,13 @@ class _PerGemmReferenceBackend:
         #: ("detect") issued, in training and in decode — the same meaning as
         #: :attr:`ProtectionEngine.dispatch_counts`.
         self.dispatch_counts: Dict[str, int] = {"gemm": 0, "detect": 0}
+        self._handlers = {
+            "AS": self._handle_as,
+            "CL": self._handle_cl,
+            "O": self._handle_o,
+            "FF1": self._handle_ff_up,
+            "FF2": self._handle_ff_down,
+        }
 
     # -- pass lifecycle ---------------------------------------------------------
 
@@ -268,78 +292,9 @@ class _PerGemmReferenceBackend:
 
     def on_gemm_output(self, ctx: GemmContext, out: Any) -> Any:
         state = self._states.get(ctx.layer_index)
-        if state is None:  # hooks attached mid-pass; nothing to do safely
-            return out
-        op = ctx.op
-        if op is FeedForwardOp.UP:
-            # FFN sections are single-GEMM (GELU blocks checksum carrying),
-            # so the whole chain runs at the boundary GEMM — identical for
-            # training and decode (the FFN has no cross-token state; decode
-            # is the training algebra at sequence length 1).
-            self._handle_ff_up(ctx, state, out)
-            return out
-        if op is FeedForwardOp.DOWN:
-            self._handle_ff_down(ctx, state, out)
-            return out
-        if ctx.phase == "decode":
-            # Decode is row-side only (see the engine's decode section for
-            # the algebra); XQ contributes nothing because no column
-            # checksums of Q are carried at decode.
-            if op is AttentionOp.XK:
-                self._handle_projection_decode(ctx, state)
-            elif op is AttentionOp.XV:
-                self._handle_value_projection_decode(ctx, state)
-            elif op is AttentionOp.QK:
-                self._handle_attention_scores_decode(ctx, state, out)
-            elif op is AttentionOp.APV:
-                self._handle_context_layer_decode(ctx, state, out)
-            elif op is AttentionOp.CLO:
-                self._handle_output_decode(ctx, state, out)
-            return out
-        if op is AttentionOp.XQ:
-            self._handle_projection(ctx, state, which="q")
-        elif op is AttentionOp.XK:
-            self._handle_projection(ctx, state, which="k")
-        elif op is AttentionOp.XV:
-            self._handle_value_projection(ctx, state)
-        elif op is AttentionOp.QK:
-            self._handle_attention_scores(ctx, state, out)
-        elif op is AttentionOp.APV:
-            self._handle_context_layer(ctx, state, out)
-        elif op is AttentionOp.CLO:
-            self._handle_output(ctx, state, out)
+        if state is not None:  # None: hooks attached mid-pass; nothing to do safely
+            self._handlers[_SECTION_OF_OP[ctx.op.value]](ctx, state, out)
         return out
-
-    # -- section S_AS -----------------------------------------------------------
-
-    def _handle_projection(self, ctx: GemmContext, state: _PerGemmState, which: str) -> None:
-        """X x W_Q / X x W_K: derive column checksums of Q / K from those of X."""
-        checker = self.checker
-        if not state.enabled.get("AS", False):
-            return
-        num_rows = ctx.a.shape[-2]
-        if state.cs_x_col is None:
-            with checker.timers.measure("AS/encode"):
-                self.dispatch_counts["gemm"] += 1
-                state.cs_x_col = encode_column_checksums(ctx.a)
-            if ctx.phase == "prefill" and ctx.kv_cache is not None:
-                # Seed the cache's incremental input checksums so decode can
-                # fold appended tokens in O(1) of the cached length.
-                cache = ctx.kv_cache
-                cs_x_buf, _ = cache.ensure_checksum_buffers(
-                    namespace_of(ctx.a), ctx.a.shape[-1]
-                )
-                cs_x_buf[...] = state.cs_x_col
-                cache.cs_x_len = num_rows
-        with checker.timers.measure("AS/update"):
-            self.dispatch_counts["gemm"] += 1
-            cs = update_column_checksums_through_gemm(state.cs_x_col, ctx.b)
-            if ctx.bias is not None:
-                cs = adjust_column_checksums_for_bias(cs, ctx.bias, num_rows)
-        if which == "q":
-            state.cs_q_col = cs
-        else:
-            state.cs_k_col = cs
 
     def _record_report(self, ctx: GemmContext, section: str,
                        report: MatrixCorrectionReport, operand_repairs: int = 0) -> None:
@@ -355,29 +310,65 @@ class _PerGemmReferenceBackend:
             operand_repairs=operand_repairs, phase=ctx.phase, request_dirty=dirty,
         ))
 
-    def _handle_attention_scores(self, ctx: GemmContext, state: _PerGemmState, out: Any) -> None:
-        """Q x K^T: pass checksums to AS, then detect & correct at the boundary."""
+    # -- section S_AS -----------------------------------------------------------
+
+    def _handle_as(self, ctx: GemmContext, state: _PerGemmState, out: Any) -> None:
+        """X x W_Q / X x W_K: carry the column checksums of X through;
+        Q x K^T: pass checksums to AS, then detect & correct at the boundary."""
         checker = self.checker
         if not state.enabled.get("AS", False):
-            checker._record_outcome("AS", None)
+            if ctx.op is AttentionOp.QK:
+                checker._record_outcome("AS", None)
             return
-        if state.cs_q_col is None or state.cs_k_col is None:
+        decode = ctx.phase == "decode"
+        if ctx.op is not AttentionOp.QK:
+            if decode and ctx.op is AttentionOp.XQ:
+                return  # the decode row side needs col(K) alone
+            if state.cs_x_col is None:
+                cache = ctx.kv_cache
+                with checker.timers.measure("AS/encode"):
+                    if decode:
+                        # Fold the new row into the cache's cs(X); the
+                        # step's K row is appended after the projections.
+                        state.num_rows = cache.length + 1
+                        state.cs_x_col = cache.append_checksums("AS", ctx.a, cache.length)
+                    else:
+                        state.num_rows = ctx.a.shape[-2]
+                        self.dispatch_counts["gemm"] += 1
+                        state.cs_x_col = encode_column_checksums(ctx.a)
+                        if cache is not None:
+                            cache.seed_checksums(
+                                "AS", state.cs_x_col, state.num_rows, namespace_of(ctx.a)
+                            )
+            with checker.timers.measure("AS/update"):
+                self.dispatch_counts["gemm"] += 1
+                cs = update_column_checksums_through_gemm(state.cs_x_col, ctx.b)
+                if ctx.bias is not None:
+                    cs = adjust_column_checksums_for_bias(cs, ctx.bias, state.num_rows)
+            if ctx.op is AttentionOp.XQ:
+                state.cs_q_col = cs
+            else:
+                state.cs_k_col = cs
             return
+
         num_heads = ctx.num_heads
         xp = namespace_of(ctx.a)
         with checker.timers.measure("AS/update"):
-            self.dispatch_counts["gemm"] += 2
-            cs_q_ph = split_head_column_checksums(state.cs_q_col, num_heads)   # (B, H, 2, dh)
-            cs_k_ph = split_head_column_checksums(state.cs_k_col, num_heads)
-            # Column side of AS: col(AS) = col(Q) K^T.
-            cs_as_col = xp.matmul(cs_q_ph, ctx.b)                              # (B, H, 2, S)
+            cs_k_ph = split_head_column_checksums(state.cs_k_col, num_heads)     # (B, H, 2, dh)
+            self.dispatch_counts["gemm"] += 1
             # Row side of AS: row(AS) = Q row(K^T) = Q col(K)^T.
             cs_as_row = xp.matmul(ctx.a, xp.swapaxes(cs_k_ph, -1, -2))          # (B, H, S, 2)
+            cs_as_col = None
+            if not decode:
+                cs_q_ph = split_head_column_checksums(state.cs_q_col, num_heads)
+                self.dispatch_counts["gemm"] += 1
+                # Column side of AS: col(AS) = col(Q) K^T.
+                cs_as_col = xp.matmul(cs_q_ph, ctx.b)                           # (B, H, 2, S)
         with checker.timers.measure("AS/detect"):
             checksums = ChecksumState(col=cs_as_col, row=cs_as_row)
             report = correct_matrix(out, checksums, thresholds=checker.thresholds)
         repairs = 0
-        if report.corrected > 0:
+        if not decode and report.corrected > 0:
             with checker.timers.measure("AS/correct"):
                 q_report = check_columns(ctx.a, cs_q_ph, thresholds=checker.thresholds)
                 kt_report = check_rows(ctx.b, xp.swapaxes(cs_k_ph, -1, -2), thresholds=checker.thresholds)
@@ -386,55 +377,57 @@ class _PerGemmReferenceBackend:
 
     # -- section S_CL -----------------------------------------------------------
 
-    def _handle_value_projection(self, ctx: GemmContext, state: _PerGemmState) -> None:
-        """X x W_V: derive per-head row checksums of V from those of W_V."""
-        checker = self.checker
-        if not (state.enabled.get("CL", False) or state.enabled.get("O", False)):
-            return
-        num_heads = ctx.num_heads
-        head_dim = ctx.head_dim
-        xp = namespace_of(ctx.a)
-        with checker.timers.measure("CL/encode"):
-            self.dispatch_counts["gemm"] += 1
-            rowcs_wv = encode_per_head_row_checksums_of_weight(ctx.b, num_heads)  # (D, H, 2)
-        with checker.timers.measure("CL/update"):
-            self.dispatch_counts["gemm"] += 1
-            cs_v_row = xp.einsum("...sd,dhw->...hsw", ctx.a, rowcs_wv)            # (B, H, S, 2)
-            if ctx.bias is not None:
-                bias_heads = xp.astype(
-                    xp.asarray(ctx.bias), xp.float64, copy=False
-                ).reshape(num_heads, head_dim)
-                _, v2 = checksum_weights(head_dim, xp=xp)
-                cs_v_row = xp.copy(cs_v_row)
-                cs_v_row[..., 0] += xp.sum(bias_heads, axis=-1)[None, :, None]
-                cs_v_row[..., 1] += xp.sum(bias_heads * v2, axis=-1)[None, :, None]
-        state.cs_v_row = cs_v_row
-        if ctx.phase == "prefill" and ctx.kv_cache is not None:
-            # Seed the cache's per-position row checksums of V (bias folded
-            # in), ready for per-token extension at decode.
-            cache = ctx.kv_cache
-            prompt_len = ctx.a.shape[-2]
-            _, cs_v_buf = cache.ensure_checksum_buffers(xp, ctx.a.shape[-1])
-            cs_v_buf[:, :, :prompt_len, :] = cs_v_row
-            cache.cs_v_len = prompt_len
-
-    def _handle_context_layer(self, ctx: GemmContext, state: _PerGemmState, out: Any) -> None:
-        """AP x V: encode AP, pass checksums to CL, detect & correct at the boundary."""
+    def _handle_cl(self, ctx: GemmContext, state: _PerGemmState, out: Any) -> None:
+        """X x W_V: derive per-head row checksums of V from those of W_V;
+        AP x V: encode AP, pass checksums to CL, detect & correct at the boundary."""
         checker = self.checker
         cl_enabled = state.enabled.get("CL", False)
-        o_enabled = state.enabled.get("O", False)
-        if not (cl_enabled or o_enabled):
-            checker._record_outcome("CL", None)
-            return
+        decode = ctx.phase == "decode"
+        # A two-sided pass derives col(CL), S_O's carrier, for O alone too.
+        carries_o = state.enabled.get("O", False) and not decode
         xp = namespace_of(ctx.a)
-        with checker.timers.measure("CL/encode"):
-            self.dispatch_counts["gemm"] += 1
-            cs_ap_col = encode_column_checksums(ctx.a)                            # (B, H, 2, S)
+        if ctx.op is AttentionOp.XV:
+            if not (cl_enabled or carries_o):
+                return
+            num_heads = ctx.num_heads
+            head_dim = ctx.head_dim
+            with checker.timers.measure("CL/encode"):
+                self.dispatch_counts["gemm"] += 1
+                rowcs_wv = encode_per_head_row_checksums_of_weight(ctx.b, num_heads)  # (D, H, 2)
+            with checker.timers.measure("CL/update"):
+                self.dispatch_counts["gemm"] += 1
+                cs_v_row = xp.einsum("...sd,dhw->...hsw", ctx.a, rowcs_wv)            # (B, H, S, 2)
+                if ctx.bias is not None:
+                    bias_heads = xp.astype(
+                        xp.asarray(ctx.bias), xp.float64, copy=False
+                    ).reshape(num_heads, head_dim)
+                    _, v2 = checksum_weights(head_dim, xp=xp)
+                    cs_v_row[..., 0] += xp.sum(bias_heads, axis=-1)[None, :, None]
+                    cs_v_row[..., 1] += xp.sum(bias_heads * v2, axis=-1)[None, :, None]
+            cache = ctx.kv_cache
+            if decode:
+                # Slot the new row's checksums into the cache; the step's V
+                # row is appended after the projections.
+                cs_v_row = cache.append_checksums("CL", cs_v_row, cache.length)
+            elif cache is not None:
+                cache.seed_checksums("CL", cs_v_row, cs_v_row.shape[-2], xp)
+            state.cs_v_row = cs_v_row
+            return
+
+        if not cl_enabled:
+            checker._record_outcome("CL", None)
+            if not carries_o:
+                return
+        cs_cl_col = cs_cl_row = None
+        if not decode:
+            with checker.timers.measure("CL/encode"):
+                self.dispatch_counts["gemm"] += 1
+                cs_ap_col = encode_column_checksums(ctx.a)                        # (B, H, 2, S)
         with checker.timers.measure("CL/update"):
-            self.dispatch_counts["gemm"] += 1
-            cs_cl_col = xp.matmul(cs_ap_col, ctx.b)                               # (B, H, 2, dh)
-            cs_cl_row = None
-            if cl_enabled and state.cs_v_row is not None:
+            if not decode:
+                self.dispatch_counts["gemm"] += 1
+                cs_cl_col = xp.matmul(cs_ap_col, ctx.b)                           # (B, H, 2, dh)
+            if cl_enabled:
                 # row(CL) = AP row(V): carry the per-head row checksums of V
                 # through the AP x V GEMM.
                 self.dispatch_counts["gemm"] += 1
@@ -444,32 +437,35 @@ class _PerGemmReferenceBackend:
             with checker.timers.measure("CL/detect"):
                 report = correct_matrix(out, checksums, thresholds=checker.thresholds)
             repairs = 0
-            if report.corrected > 0 and state.cs_v_row is not None:
+            if not decode and report.corrected > 0:
                 with checker.timers.measure("CL/correct"):
                     v_report = check_rows(ctx.b, state.cs_v_row, thresholds=checker.thresholds)
                 repairs = v_report.num_corrected
             self._record_report(ctx, "CL", report, repairs)
-        else:
-            checker._record_outcome("CL", None)
         # Pass the (possibly refreshed) column checksums of CL to section S_O.
         state.cs_cl_col = checksums.col
 
     # -- section S_O ------------------------------------------------------------
 
-    def _handle_output(self, ctx: GemmContext, state: _PerGemmState, out: Any) -> None:
-        """CL x W_O: carry column checksums through and correct the output O."""
+    def _handle_o(self, ctx: GemmContext, state: _PerGemmState, out: Any) -> None:
+        """CL x W_O: carry col(CL) (rowcs(W_O) at decode) through and correct the output O."""
         checker = self.checker
         if not state.enabled.get("O", False):
             checker._record_outcome("O", None)
             return
-        if state.cs_cl_col is None:
-            return
         with checker.timers.measure("O/update"):
-            self.dispatch_counts["gemm"] += 1
-            cs_cl_merged = merge_head_column_checksums(state.cs_cl_col)          # (B, 2, D)
-            cs_o_col = update_column_checksums_through_gemm(cs_cl_merged, ctx.b)  # (B, 2, D)
+            if ctx.phase == "decode":
+                self.dispatch_counts["gemm"] += 2
+                rowcs_wo = encode_row_checksums(ctx.b)                           # (D, 2)
+                checksums = ChecksumState(row=namespace_of(ctx.a).matmul(ctx.a, rowcs_wo))
+            else:
+                self.dispatch_counts["gemm"] += 1
+                cs_cl_merged = merge_head_column_checksums(state.cs_cl_col)      # (B, 2, D)
+                checksums = ChecksumState(
+                    col=update_column_checksums_through_gemm(cs_cl_merged, ctx.b)
+                )
         with checker.timers.measure("O/detect"):
-            report = correct_matrix(out, ChecksumState(col=cs_o_col), thresholds=checker.thresholds)
+            report = correct_matrix(out, checksums, thresholds=checker.thresholds)
         self._record_report(ctx, "O", report)
 
     # -- FFN sections S_FF1 / S_FF2 ----------------------------------------------
@@ -511,142 +507,6 @@ class _PerGemmReferenceBackend:
         with checker.timers.measure("FF2/detect"):
             report = correct_matrix(out, ChecksumState(row=cs_fo), thresholds=checker.thresholds)
         self._record_report(ctx, "FF2", report)
-
-    # -- decode (incremental, row-side only) -------------------------------------
-    #
-    # The reference decode algebra mirrors the engine's decode section
-    # byte-for-byte: the cache's incremental input checksums ``cs_x`` fold in
-    # the new token's row in O(1) of the cached length, per-position row
-    # checksums of V extend by one slot, and each boundary verifies its row
-    # side only (the column side would be O(T) to re-encode, which is exactly
-    # what incremental decode protection avoids).
-
-    @staticmethod
-    def _decode_cache(ctx: GemmContext) -> Any:
-        cache = ctx.kv_cache
-        if cache is None:
-            raise RuntimeError(
-                f"decode GEMM {ctx.op.value!r} fired without a KV cache in context"
-            )
-        return cache
-
-    def _handle_projection_decode(self, ctx: GemmContext, state: _PerGemmState) -> None:
-        """X x W_K at decode: fold the new row into cs(X), derive col(K)."""
-        checker = self.checker
-        if not state.enabled.get("AS", False):
-            return
-        cache = self._decode_cache(ctx)
-        total_len = cache.length + 1  # this token's K row is appended later
-        if cache.cs_x is None or cache.cs_x_len != total_len - 1:
-            raise RuntimeError(
-                f"decode AS protection needs contiguous incremental checksums: "
-                f"cache covers {cache.cs_x_len} rows but the model is decoding "
-                f"token {total_len}; run a protected prefill first and keep the "
-                f"AS section enabled on every decode step"
-            )
-        with checker.timers.measure("AS/encode"):
-            update_column_checksums_with_appended_rows(cache.cs_x, ctx.a, total_len - 1)
-            cache.cs_x_len = total_len
-        with checker.timers.measure("AS/update"):
-            self.dispatch_counts["gemm"] += 1
-            cs = update_column_checksums_through_gemm(cache.cs_x, ctx.b)
-            if ctx.bias is not None:
-                cs = adjust_column_checksums_for_bias(cs, ctx.bias, total_len)
-        state.cs_k_col = cs
-
-    def _handle_attention_scores_decode(
-        self, ctx: GemmContext, state: _PerGemmState, out: Any
-    ) -> None:
-        """q x K^T at decode: verify the new score row against row(AS)."""
-        checker = self.checker
-        if not state.enabled.get("AS", False):
-            checker._record_outcome("AS", None)
-            return
-        if state.cs_k_col is None:
-            return
-        xp = namespace_of(ctx.a)
-        with checker.timers.measure("AS/update"):
-            self.dispatch_counts["gemm"] += 1
-            cs_k_ph = split_head_column_checksums(state.cs_k_col, ctx.num_heads)
-            cs_as_row = xp.matmul(ctx.a, xp.swapaxes(cs_k_ph, -1, -2))  # (B, H, 1, 2)
-        with checker.timers.measure("AS/detect"):
-            report = correct_matrix(
-                out, ChecksumState(row=cs_as_row), thresholds=checker.thresholds
-            )
-        self._record_report(ctx, "AS", report)
-
-    def _handle_value_projection_decode(self, ctx: GemmContext, state: _PerGemmState) -> None:
-        """X x W_V at decode: extend the cached row checksums of V by one slot."""
-        checker = self.checker
-        if not state.enabled.get("CL", False):
-            return
-        cache = self._decode_cache(ctx)
-        total_len = cache.length + 1  # this token's V row is appended later
-        if cache.cs_v_row is None or cache.cs_v_len != total_len - 1:
-            raise RuntimeError(
-                f"decode CL protection needs contiguous incremental checksums: "
-                f"cache covers {cache.cs_v_len} rows but the model is decoding "
-                f"token {total_len}; run a protected prefill first and keep the "
-                f"CL section enabled on every decode step"
-            )
-        num_heads = ctx.num_heads
-        head_dim = ctx.head_dim
-        xp = namespace_of(ctx.a)
-        with checker.timers.measure("CL/encode"):
-            self.dispatch_counts["gemm"] += 1
-            rowcs_wv = encode_per_head_row_checksums_of_weight(ctx.b, num_heads)
-        with checker.timers.measure("CL/update"):
-            self.dispatch_counts["gemm"] += 1
-            cs_v_new = xp.einsum("...sd,dhw->...hsw", ctx.a, rowcs_wv)  # (B, H, 1, 2)
-            if ctx.bias is not None:
-                bias_heads = xp.astype(
-                    xp.asarray(ctx.bias), xp.float64, copy=False
-                ).reshape(num_heads, head_dim)
-                _, v2 = checksum_weights(head_dim, xp=xp)
-                cs_v_new[..., 0] += xp.sum(bias_heads, axis=-1)[None, :, None]
-                cs_v_new[..., 1] += xp.sum(bias_heads * v2, axis=-1)[None, :, None]
-            cache.cs_v_row[:, :, total_len - 1 : total_len, :] = cs_v_new
-            cache.cs_v_len = total_len
-
-    def _handle_context_layer_decode(
-        self, ctx: GemmContext, state: _PerGemmState, out: Any
-    ) -> None:
-        """ap x V at decode: verify the new context row against row(CL)."""
-        checker = self.checker
-        if not state.enabled.get("CL", False):
-            checker._record_outcome("CL", None)
-            return
-        cache = self._decode_cache(ctx)
-        total_len = cache.length  # APV fires after the append
-        if cache.cs_v_row is None or cache.cs_v_len != total_len:
-            raise RuntimeError(
-                f"decode CL protection needs contiguous incremental checksums: "
-                f"cache covers {cache.cs_v_len} of {total_len} rows"
-            )
-        xp = namespace_of(ctx.a)
-        with checker.timers.measure("CL/update"):
-            self.dispatch_counts["gemm"] += 1
-            cs_cl_row = xp.matmul(ctx.a, cache.cs_v_row[:, :, :total_len, :])
-        with checker.timers.measure("CL/detect"):
-            report = correct_matrix(
-                out, ChecksumState(row=cs_cl_row), thresholds=checker.thresholds
-            )
-        self._record_report(ctx, "CL", report)
-
-    def _handle_output_decode(self, ctx: GemmContext, state: _PerGemmState, out: Any) -> None:
-        """cl x W_O at decode: verify the new output row against row(O)."""
-        checker = self.checker
-        if not state.enabled.get("O", False):
-            checker._record_outcome("O", None)
-            return
-        xp = namespace_of(ctx.a)
-        with checker.timers.measure("O/update"):
-            self.dispatch_counts["gemm"] += 2
-            rowcs_wo = encode_row_checksums(ctx.b)                  # (D, 2)
-            cs_o_row = xp.matmul(ctx.a, rowcs_wo)                   # (B, 1, 2)
-        with checker.timers.measure("O/detect"):
-            report = correct_matrix(out, ChecksumState(row=cs_o_row), thresholds=checker.thresholds)
-        self._record_report(ctx, "O", report)
 
 
 class ATTNChecker(AttentionHooks):

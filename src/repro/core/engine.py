@@ -6,18 +6,35 @@ single verification at the section boundary.  The original hook-based
 implementation in this repository realised the same algebra but dispatched
 Python work at every one of the six attention GEMMs; this module fuses each
 section's entire checksum chain into one dispatch at the section-boundary
-GEMM:
+GEMM.  Each section runs one chain in training, serving prefill and decode:
 
-* :math:`S_{AS}` — at the ``Q K^T`` boundary: encode ``col(X)`` once, carry it
-  through ``W_Q`` and ``W_K`` (with bias adjustment), split heads, derive both
-  checksum sides of ``AS`` and verify/correct in one batched EEC-ABFT pass
-  over all heads.
-* :math:`S_{CL}` — at the ``AP V`` boundary: encode the per-head row checksums
-  of ``W_V`` and the column checksums of ``AP``, carry both through to ``CL``
-  and verify.
-* :math:`S_O` — at the ``CL W_O`` boundary: carry the column checksums of
-  ``CL`` (stored by the :math:`S_{CL}` step) through the output projection and
-  verify ``O``.
+* :math:`S_{AS}` — at the ``Q K^T`` boundary: take the input checksums
+  ``cs(X)``, carry them through ``W_Q`` and ``W_K`` (with bias adjustment),
+  split heads, derive the checksum sides of ``AS`` and verify/correct in one
+  batched EEC-ABFT pass over all heads.
+* :math:`S_{CL}` — at the ``AP V`` boundary: carry the per-head row
+  checksums of ``W_V`` through ``X W_V`` to ``row(V)``, encode the column
+  checksums of ``AP``, carry both through to ``CL`` and verify.
+* :math:`S_O` — at the ``CL W_O`` boundary: carry the section's carrier
+  through the output projection and verify ``O``.
+
+The phase of the pass (:attr:`~repro.core.hooks.SectionContext.phase`)
+decides three things, and nothing else:
+
+* **input checksums** — ``cs(X)`` and ``row(V)`` are computed in training,
+  computed and seeded into the KV cache at prefill
+  (:meth:`~repro.nn.attention.LayerKVCache.seed_checksums`), and extended
+  from the cache at a decode step
+  (:meth:`~repro.nn.attention.LayerKVCache.append_checksums`: the new input
+  row folds into ``cs(X)``, O(1) in the cached length, and the new
+  position's ``row(V)`` fills its slot);
+* **checksum sides** — a decode boundary has one query row, whose column
+  checksums detect nothing the row does not show, so decode verifies row
+  sides only: no ``col(AS)``, ``col(CL)`` or operand repairs, and
+  :math:`S_{AS}` carries ``cs(X)`` through ``W_K`` alone;
+* **the** :math:`S_O` **carrier** — ``col(CL)`` from :math:`S_{CL}` in
+  training and prefill, the cached ``rowcs(W_O)`` at decode
+  (``row(O) = CL rowcs(W_O)``).
 
 The engine owns one :class:`repro.core.checksums.ChecksumState` per section
 and the per-layer pass state that links them (``cs_cl_col`` flows from
@@ -98,12 +115,12 @@ from repro.core.checksums import (
     encode_row_checksums,
     merge_head_column_checksums,
     split_head_column_checksums,
-    update_column_checksums_with_appended_rows,
 )
 from repro.core.correction import MatrixCorrectionReport, correct_matrix
 from repro.core.eec_abft import check_columns, check_rows
 from repro.core.thresholds import ABFTThresholds
 from repro.core.hooks import SectionContext
+from repro.core.sections import SECTION_REGISTRY
 from repro.core.workspace import ChecksumWorkspace, matmul_into
 from repro.utils.timing import TimingRegistry
 from repro.utils.versioning import weights_version
@@ -321,23 +338,14 @@ class ProtectionEngine:
     @staticmethod
     def _section_active(ctx: SectionContext, state: _LayerState) -> bool:
         """Whether this boundary has any checksum work this pass."""
-        if ctx.section == "AS":
-            return state.enabled.get("AS", False)
-        if ctx.section == "CL":
-            if ctx.phase == "decode":
-                # Decode CL is row-side only and feeds nothing into S_O
-                # (decode S_O carries rowcs(W_O) instead of cs_cl_col).
-                return state.enabled.get("CL", False)
-            return state.enabled.get("CL", False) or state.enabled.get("O", False)
-        if ctx.section == "O":
-            if ctx.phase == "decode":
-                return state.enabled.get("O", False)
-            return state.enabled.get("O", False) and state.cs_cl_col is not None
-        if ctx.section in ("FF1", "FF2"):
-            # Single-GEMM sections with no inter-section carried state (GELU
-            # between them breaks any checksum chain): plain per-section gate.
-            return state.enabled.get(ctx.section, False)
-        raise KeyError(f"unknown protection section {ctx.section!r}")
+        if ctx.section not in SECTION_REGISTRY:
+            raise KeyError(f"unknown protection section {ctx.section!r}")
+        # An O-only pass visits S_CL too: S_O's column carrier col(CL) is
+        # derived there (a decode step carries rowcs(W_O) and does nothing
+        # at that visit).
+        return state.enabled.get(ctx.section, False) or (
+            ctx.section == "CL" and state.enabled.get("O", False)
+        )
 
     # -- section dispatch -------------------------------------------------------
 
@@ -348,20 +356,9 @@ class ProtectionEngine:
         mid-pass) or the section is disabled for this pass.
         """
         state = self._layers.get(ctx.layer_index)
-        if state is None:
-            return None
-        if not self._section_active(ctx, state):
+        if state is None or not self._section_active(ctx, state):
             return None
         backend = ctx.backend if ctx.backend is not None else backend_of(out)
-        if ctx.phase == "decode":
-            if ctx.section == "AS":
-                return self._protect_as_decode(ctx, state, out, backend)
-            if ctx.section == "CL":
-                return self._protect_cl_decode(ctx, state, out, backend)
-            if ctx.section == "O":
-                return self._protect_o_decode(ctx, state, out, backend)
-            # The FFN has no cross-token state, so a decode step is the
-            # training algebra at sequence length 1 — O(1) per token.
         if ctx.section == "AS":
             return self._protect_as(ctx, state, out, backend)
         if ctx.section == "CL":
@@ -370,9 +367,7 @@ class ProtectionEngine:
             return self._protect_o(ctx, state, out, backend)
         if ctx.section == "FF1":
             return self._protect_ff1(ctx, state, out, backend)
-        if ctx.section == "FF2":
-            return self._protect_ff2(ctx, state, out, backend)
-        raise KeyError(f"unknown protection section {ctx.section!r}")
+        return self._protect_ff2(ctx, state, out, backend)
 
     def _verify(
         self,
@@ -394,7 +389,15 @@ class ProtectionEngine:
         return SectionOutcome(section=ctx.section, layer_index=ctx.layer_index,
                               step=ctx.step, phase=ctx.phase)
 
-    # -- section S_AS -----------------------------------------------------------
+    # -- attention sections -----------------------------------------------------
+    #
+    # One chain per section for train, prefill and decode; the phase picks
+    # the input checksums, the checksum sides and the S_O carrier (see the
+    # module docstring).  Steady-state checksum GEMM dispatches per layer per
+    # decoded token: AS 2, CL 2, O 1 — constant in the cached length
+    # (SectionCostModel's serving entry).  The two workspace slots whose shape
+    # follows the query length keep a decode name (``*/decode_cs_*_row``), so
+    # alternating prefill and decode reuses both.
 
     def _protect_as(
         self,
@@ -403,54 +406,54 @@ class ProtectionEngine:
         out: Any,
         backend: ArrayBackend,
     ) -> Optional[SectionOutcome]:
-        # Gating already happened in protect_section via _section_active.
         xp = backend.namespace_for(out)
         ops = ctx.operands
-        x, w_q, w_k = ops["x"], ops["w_q"], ops["w_k"]
-        bias_q, bias_k = ops.get("bias_q"), ops.get("bias_k")
-        num_rows = x.shape[-2]
+        x, w_k, bias_k = ops["x"], ops["w_k"], ops.get("bias_k")
+        cache = ops.get("kv_cache")
+        decode = ctx.phase == "decode"
         lead = tuple(x.shape[:-2])
         outcome = self._outcome(ctx)
 
-        # Encode the section input once...
         with self._timed("AS/encode", backend):
-            self.dispatch_counts["gemm"] += 1
-            cs_x = encode_column_checksums(
-                x, out=self._buf("AS/cs_x", lead + (2, x.shape[-1]), xp)
-            )
-            if ctx.phase == "prefill" and ops.get("kv_cache") is not None:
-                # Seed the cache's incremental input checksums.  Copy, not
-                # alias: cs_x may live in a workspace slot shared across
-                # layer visits.
-                cache = ops["kv_cache"]
-                cs_x_buf, _ = cache.ensure_checksum_buffers(xp, x.shape[-1])
-                cs_x_buf[...] = cs_x
-                cache.cs_x_len = num_rows
+            if decode:
+                # Fold the one new input row into the cache's cs(X): not a
+                # checksum GEMM.  The step's K row is already appended.
+                num_rows = cache.length
+                cs_x = cache.append_checksums("AS", x, num_rows - 1)
+            else:
+                # Encode the section input once...
+                num_rows = x.shape[-2]
+                self.dispatch_counts["gemm"] += 1
+                cs_x = encode_column_checksums(
+                    x, out=self._buf("AS/cs_x", lead + (2, x.shape[-1]), xp)
+                )
+                if cache is not None:
+                    cache.seed_checksums("AS", cs_x, num_rows, xp)
         # ...and carry it through every member GEMM of the section.
         with self._timed("AS/update", backend):
-            # Sibling fusion: W_Q and W_K consume the same carried checksum,
-            # so one GEMM against the cached concatenated operand [W_Q | W_K]
-            # replaces the two per-projection checksum GEMMs; the Q/K halves
-            # are recovered as axis-split views (no copy).  MultiHeadAttention
-            # builds all four projections with one ``bias`` flag, so the Q and
-            # K biases are present together or not at all.
-            w_qk = self.weight_cache.lookup(
-                ("AS/w_qk", ctx.layer_index),
-                (w_q, w_k),
-                lambda: xp.concatenate([w_q, w_k], axis=-1),
-            )
-            d_q = w_q.shape[-1]
-            self.dispatch_counts["gemm"] += 1
-            cs_qk = matmul_into(
-                xp, cs_x, w_qk,
-                self._buf("AS/cs_qk", lead + (2, w_qk.shape[-1]), xp),
-            )
-            if bias_q is not None:
-                # Both bias adjustments collapse into one vectorised in-place
-                # add of the cached concatenated float64 bias row; cs_qk is
-                # freshly computed float64, so the values are identical to
-                # the per-side copy-then-add.
-                b_qk = self.weight_cache.lookup(
+            if decode:
+                # The row side needs col(K) alone.
+                slot, carried = "AS/cs_k", w_k
+                bias = None if bias_k is None else self.weight_cache.lookup(
+                    ("AS/bias_k", ctx.layer_index), (bias_k,),
+                    lambda: xp.astype(xp.asarray(bias_k), xp.float64, copy=False),
+                )
+            else:
+                # Sibling fusion: W_Q and W_K consume the same carried
+                # checksum, so one GEMM against the cached concatenated
+                # operand [W_Q | W_K] replaces the two per-projection checksum
+                # GEMMs; the Q/K halves are recovered as axis-split views (no
+                # copy).  MultiHeadAttention builds all four projections with
+                # one ``bias`` flag, so the Q and K biases are present together
+                # or not at all.
+                w_q, bias_q = ops["w_q"], ops.get("bias_q")
+                slot = "AS/cs_qk"
+                carried = self.weight_cache.lookup(
+                    ("AS/w_qk", ctx.layer_index),
+                    (w_q, w_k),
+                    lambda: xp.concatenate([w_q, w_k], axis=-1),
+                )
+                bias = None if bias_q is None else self.weight_cache.lookup(
                     ("AS/bias_qk", ctx.layer_index),
                     (bias_q, bias_k),
                     lambda: xp.concatenate([
@@ -458,27 +461,43 @@ class ProtectionEngine:
                         xp.astype(xp.asarray(bias_k), xp.float64, copy=False),
                     ], axis=-1),
                 )
-                cs_qk[..., 0, :] += num_rows * b_qk
-                cs_qk[..., 1, :] += (num_rows * (num_rows + 1) / 2.0) * b_qk
-            cs_q, cs_k = cs_qk[..., :d_q], cs_qk[..., d_q:]
-            cs_q_ph = split_head_column_checksums(cs_q, ctx.num_heads)     # (B, H, 2, dh)
-            cs_k_ph = split_head_column_checksums(cs_k, ctx.num_heads)
-            self.dispatch_counts["gemm"] += 2
-            # Column side of AS: col(AS) = col(Q) K^T.
-            cs_as_col = matmul_into(                                        # (B, H, 2, S)
-                xp, cs_q_ph, ops["k_t"],
-                self._buf(
-                    "AS/cs_as_col", tuple(cs_q_ph.shape[:-1]) + (ops["k_t"].shape[-1],), xp
-                ),
+            self.dispatch_counts["gemm"] += 1
+            cs_carried = matmul_into(
+                xp, cs_x, carried, self._buf(slot, lead + (2, carried.shape[-1]), xp)
             )
+            if bias is not None:
+                # The bias adjustments are in-place adds of the cached float64
+                # bias row; cs_carried is freshly computed float64, so the
+                # values are identical to the per-side copy-then-add.
+                cs_carried[..., 0, :] += num_rows * bias
+                cs_carried[..., 1, :] += (num_rows * (num_rows + 1) / 2.0) * bias
+            d_k = w_k.shape[-1]
+            cs_k_ph = split_head_column_checksums(                          # (B, H, 2, dh)
+                cs_carried[..., -d_k:], ctx.num_heads
+            )
+            self.dispatch_counts["gemm"] += 1
             # Row side of AS: row(AS) = Q row(K^T) = Q col(K)^T.
             cs_as_row = matmul_into(                                        # (B, H, S, 2)
                 xp, ops["q"], xp.swapaxes(cs_k_ph, -1, -2),
-                self._buf("AS/cs_as_row", tuple(ops["q"].shape[:-1]) + (2,), xp),
+                self._buf(
+                    "AS/decode_cs_as_row" if decode else "AS/cs_as_row",
+                    tuple(ops["q"].shape[:-1]) + (2,), xp,
+                ),
             )
+            cs_as_col = None
+            if not decode:
+                cs_q_ph = split_head_column_checksums(cs_carried[..., :-d_k], ctx.num_heads)
+                self.dispatch_counts["gemm"] += 1
+                # Column side of AS: col(AS) = col(Q) K^T.
+                cs_as_col = matmul_into(                                    # (B, H, 2, S)
+                    xp, cs_q_ph, ops["k_t"],
+                    self._buf(
+                        "AS/cs_as_col", tuple(cs_q_ph.shape[:-1]) + (ops["k_t"].shape[-1],), xp
+                    ),
+                )
 
         self._verify(ctx, out, ChecksumState(col=cs_as_col, row=cs_as_row), outcome, backend)
-        if outcome.report is not None and outcome.report.corrected > 0:
+        if not decode and outcome.report.corrected > 0:
             # Also repair the upstream operand whose 0D fault propagated into
             # the boundary: autograd reuses Q and K^T, so this keeps the
             # backward pass clean as well as the forward value.
@@ -490,190 +509,6 @@ class ProtectionEngine:
             outcome.operand_repairs = q_report.num_corrected + kt_report.num_corrected
         return outcome
 
-    # -- decode sections (serving) ----------------------------------------------
-    #
-    # A decode step appends one row to the attention input, so every decode
-    # boundary matrix has a single query row — the column checksums degenerate
-    # (a sum over one row detects nothing the row itself doesn't show), and
-    # the decode chain therefore carries *row* checksums only:
-    #
-    # * S_AS: fold the new input row into the cache's incremental cs(X)
-    #   (elementwise, O(1) in the cached length), re-derive col(K) through
-    #   W_K, and row(AS) = Q col(K)^T exactly as in training.
-    # * S_CL: derive the new V row's checksum from the cached rowcs(W_V)
-    #   carry, write it into its cache slot, and row(CL) = AP row(V).
-    # * S_O: carry the per-weight-version rowcs(W_O) through the output
-    #   projection — row(O) = CL row(W_O).
-    #
-    # Steady-state checksum GEMM dispatches per layer per token: AS 2, CL 2,
-    # O 1 — constant in the cached length (SectionCostModel's serving entry).
-
-    def _decode_cache(self, ops: Dict[str, Optional[Any]], section: str):
-        cache = ops.get("kv_cache")
-        if cache is None:
-            raise RuntimeError(
-                f"decode {section} protection requires the KV cache in the "
-                "section operands"
-            )
-        return cache
-
-    def _protect_as_decode(
-        self,
-        ctx: SectionContext,
-        state: _LayerState,
-        out: Any,
-        backend: ArrayBackend,
-    ) -> Optional[SectionOutcome]:
-        xp = backend.namespace_for(out)
-        ops = ctx.operands
-        cache = self._decode_cache(ops, "AS")
-        x = ops["x"]                      # (B, 1, D) — the new input row
-        total_len = cache.length          # post-append cache length T
-        lead = tuple(x.shape[:-2])
-        outcome = self._outcome(ctx)
-        if cache.cs_x is None or cache.cs_x_len != total_len - 1:
-            raise RuntimeError(
-                "decode AS protection needs contiguous incremental checksums: "
-                f"cache covers {cache.cs_x_len if cache.cs_x is not None else 'no'} "
-                f"of {total_len - 1} prior positions — run a protected prefill "
-                "and keep the AS section enabled on every decode step"
-            )
-
-        with self._timed("AS/encode", backend):
-            # O(1) incremental fold of the new row — elementwise AXPYs, not a
-            # checksum GEMM dispatch.
-            update_column_checksums_with_appended_rows(cache.cs_x, x, total_len - 1)
-            cache.cs_x_len = total_len
-        with self._timed("AS/update", backend):
-            w_k = ops["w_k"]
-            bias_k = ops.get("bias_k")
-            self.dispatch_counts["gemm"] += 1
-            cs_k = matmul_into(
-                xp, cache.cs_x, w_k,
-                self._buf("AS/decode_cs_k", lead + (2, w_k.shape[-1]), xp),
-            )
-            if bias_k is not None:
-                b_k = self.weight_cache.lookup(
-                    ("AS/decode_bias_k", ctx.layer_index),
-                    (bias_k,),
-                    lambda: xp.astype(xp.asarray(bias_k), xp.float64, copy=False),
-                )
-                # Fresh float64 GEMM output: in-place adds are value-identical
-                # to adjust_column_checksums_for_bias's copy-then-add.
-                cs_k[..., 0, :] += total_len * b_k
-                cs_k[..., 1, :] += (total_len * (total_len + 1) / 2.0) * b_k
-            cs_k_ph = split_head_column_checksums(cs_k, ctx.num_heads)  # (B, H, 2, dh)
-            self.dispatch_counts["gemm"] += 1
-            cs_as_row = matmul_into(                                    # (B, H, 1, 2)
-                xp, ops["q"], xp.swapaxes(cs_k_ph, -1, -2),
-                self._buf(
-                    "AS/decode_cs_as_row", tuple(ops["q"].shape[:-1]) + (2,), xp
-                ),
-            )
-
-        self._verify(ctx, out, ChecksumState(row=cs_as_row), outcome, backend)
-        return outcome
-
-    def _protect_cl_decode(
-        self,
-        ctx: SectionContext,
-        state: _LayerState,
-        out: Any,
-        backend: ArrayBackend,
-    ) -> Optional[SectionOutcome]:
-        xp = backend.namespace_for(out)
-        ops = ctx.operands
-        cache = self._decode_cache(ops, "CL")
-        x = ops["x"]
-        ap = ops["ap"]                    # (B, H, 1, T)
-        total_len = cache.length
-        outcome = self._outcome(ctx)
-        if cache.cs_v_row is None or cache.cs_v_len != total_len - 1:
-            raise RuntimeError(
-                "decode CL protection needs contiguous incremental checksums: "
-                f"cache covers {cache.cs_v_len if cache.cs_v_row is not None else 'no'} "
-                f"of {total_len - 1} prior positions — run a protected prefill "
-                "and keep the CL section enabled on every decode step"
-            )
-
-        with self._timed("CL/encode", backend):
-            def build_rowcs() -> Any:
-                self.dispatch_counts["gemm"] += 1
-                return encode_per_head_row_checksums_of_weight(ops["w_v"], ctx.num_heads)
-
-            rowcs_wv = self.weight_cache.lookup(
-                ("CL/rowcs_wv", ctx.layer_index), (ops["w_v"],), build_rowcs
-            )
-        with self._timed("CL/update", backend):
-            self.dispatch_counts["gemm"] += 1
-            # Same einsum as the full-sequence chain, over one row — the
-            # documented allocating exception (see _protect_cl).
-            # reprolint: disable=WS001
-            cs_v_new = xp.einsum("...sd,dhw->...hsw", x, rowcs_wv)  # (B, H, 1, 2)
-            if ops.get("bias_v") is not None:
-                def build_bias_terms() -> Tuple[Any, Any]:
-                    bias_heads = xp.astype(
-                        xp.asarray(ops["bias_v"]), xp.float64, copy=False
-                    ).reshape(ctx.num_heads, ctx.head_dim)
-                    _, v2 = checksum_weights(ctx.head_dim, xp=xp)
-                    return (
-                        xp.sum(bias_heads, axis=-1)[None, :, None],
-                        xp.sum(bias_heads * v2, axis=-1)[None, :, None],
-                    )
-
-                term0, term1 = self.weight_cache.lookup(
-                    ("CL/bias_v", ctx.layer_index),
-                    (ops["bias_v"],), build_bias_terms,
-                )
-                cs_v_new[..., 0] += term0
-                cs_v_new[..., 1] += term1
-            # Slot the new row's checksum into its preallocated cache
-            # position and carry the populated prefix through AP.
-            cache.cs_v_row[:, :, total_len - 1:total_len, :] = cs_v_new
-            cache.cs_v_len = total_len
-            self.dispatch_counts["gemm"] += 1
-            cs_cl_row = matmul_into(                                   # (B, H, 1, 2)
-                xp, ap, cache.cs_v_row[:, :, :total_len, :],
-                self._buf(
-                    "CL/decode_cs_cl_row", tuple(ap.shape[:-1]) + (2,), xp
-                ),
-            )
-
-        self._verify(ctx, out, ChecksumState(row=cs_cl_row), outcome, backend)
-        # Decode S_O carries rowcs(W_O) directly; nothing flows via cs_cl_col.
-        state.cs_cl_col = None
-        return outcome
-
-    def _protect_o_decode(
-        self,
-        ctx: SectionContext,
-        state: _LayerState,
-        out: Any,
-        backend: ArrayBackend,
-    ) -> Optional[SectionOutcome]:
-        xp = backend.namespace_for(out)
-        ops = ctx.operands
-        outcome = self._outcome(ctx)
-        with self._timed("O/update", backend):
-            def build_rowcs_wo() -> Any:
-                self.dispatch_counts["gemm"] += 1
-                return encode_row_checksums(ops["w_o"])                # (D, 2)
-
-            rowcs_wo = self.weight_cache.lookup(
-                ("O/rowcs_wo", ctx.layer_index), (ops["w_o"],), build_rowcs_wo
-            )
-            self.dispatch_counts["gemm"] += 1
-            cs_o_row = matmul_into(                                    # (B, 1, 2)
-                xp, ops["cl"], rowcs_wo,
-                self._buf(
-                    "O/decode_cs_o_row", tuple(ops["cl"].shape[:-1]) + (2,), xp
-                ),
-            )
-        self._verify(ctx, out, ChecksumState(row=cs_o_row), outcome, backend)
-        return outcome
-
-    # -- section S_CL -----------------------------------------------------------
-
     def _protect_cl(
         self,
         ctx: SectionContext,
@@ -684,11 +519,13 @@ class ProtectionEngine:
         # At least one of CL/O is enabled (gated via _section_active); when
         # only O is, this boundary is visited solely to derive cs_cl_col.
         cl_enabled = state.enabled.get("CL", False)
+        decode = ctx.phase == "decode"
         xp = backend.namespace_for(out)
         ops = ctx.operands
+        ap = ops["ap"]
         outcome = self._outcome(ctx)
 
-        cs_v_row = None
+        cs_v_row = cs_cl_row = None
         if cl_enabled:
             # Per-head row checksums of V, derived from W_V without touching V:
             # encode rowcs(W_V) once *per weight version* and carry it through
@@ -733,54 +570,53 @@ class ProtectionEngine:
                     # added values are identical either way).
                     cs_v_row[..., 0] += term0
                     cs_v_row[..., 1] += term1
-                if ctx.phase == "prefill" and ops.get("kv_cache") is not None:
-                    # Seed the cache's per-position V row checksums (bias
-                    # included, matching what decode folds in per token).
-                    cache = ops["kv_cache"]
-                    prompt_len = cs_v_row.shape[-2]
-                    _, cs_v_buf = cache.ensure_checksum_buffers(xp, ops["x"].shape[-1])
-                    cs_v_buf[:, :, :prompt_len, :] = cs_v_row
-                    cache.cs_v_len = prompt_len
-
-        with self._timed("CL/encode", backend):
-            ap = ops["ap"]
-            self.dispatch_counts["gemm"] += 1
-            cs_ap_col = encode_column_checksums(                               # (B, H, 2, S)
-                ap, out=self._buf("CL/cs_ap_col", tuple(ap.shape[:-2]) + (2, ap.shape[-1]), xp)
-            )
-        with self._timed("CL/update", backend):
-            self.dispatch_counts["gemm"] += 1
-            cs_cl_col = matmul_into(                                           # (B, H, 2, dh)
-                xp, cs_ap_col, ops["v"],
-                self._buf(
-                    "CL/cs_cl_col", tuple(cs_ap_col.shape[:-1]) + (ops["v"].shape[-1],), xp
-                ),
-            )
-            cs_cl_row = None
-            if cl_enabled and cs_v_row is not None:
+                cache = ops.get("kv_cache")
+                if decode:
+                    # Slot the new row's checksums into the cache and carry
+                    # every cached position.  The step's V row is appended.
+                    cs_v_row = cache.append_checksums(                 # (B, H, T, 2)
+                        "CL", cs_v_row, cache.length - 1
+                    )
+                elif cache is not None:
+                    cache.seed_checksums("CL", cs_v_row, cs_v_row.shape[-2], xp)
                 # row(CL) = AP row(V): carry the row checksums of V through.
                 self.dispatch_counts["gemm"] += 1
                 cs_cl_row = matmul_into(                                       # (B, H, S, 2)
                     xp, ap, cs_v_row,
-                    self._buf("CL/cs_cl_row", tuple(ap.shape[:-1]) + (2,), xp),
+                    self._buf(
+                        "CL/decode_cs_cl_row" if decode else "CL/cs_cl_row",
+                        tuple(ap.shape[:-1]) + (2,), xp,
+                    ),
+                )
+
+        cs_cl_col = None
+        if not decode:
+            with self._timed("CL/encode", backend):
+                self.dispatch_counts["gemm"] += 1
+                cs_ap_col = encode_column_checksums(                           # (B, H, 2, S)
+                    ap, out=self._buf(
+                        "CL/cs_ap_col", tuple(ap.shape[:-2]) + (2, ap.shape[-1]), xp
+                    )
+                )
+            with self._timed("CL/update", backend):
+                self.dispatch_counts["gemm"] += 1
+                cs_cl_col = matmul_into(                                       # (B, H, 2, dh)
+                    xp, cs_ap_col, ops["v"],
+                    self._buf(
+                        "CL/cs_cl_col", tuple(cs_ap_col.shape[:-1]) + (ops["v"].shape[-1],), xp
+                    ),
                 )
 
         checksums = ChecksumState(col=cs_cl_col, row=cs_cl_row)
         if cl_enabled:
             self._verify(ctx, out, checksums, outcome, backend)
-            if (
-                outcome.report is not None
-                and outcome.report.corrected > 0
-                and cs_v_row is not None
-            ):
+            if not decode and outcome.report.corrected > 0:
                 with self._timed("CL/correct", backend):
                     v_report = check_rows(ops["v"], cs_v_row, thresholds=self.thresholds)
                 outcome.operand_repairs = v_report.num_corrected
-        # Pass the (possibly refreshed) column checksums of CL to section S_O.
+        # Pass the (possibly refreshed) column checksums of CL to S_O.
         state.cs_cl_col = checksums.col
         return outcome
-
-    # -- section S_O ------------------------------------------------------------
 
     def _protect_o(
         self,
@@ -789,31 +625,44 @@ class ProtectionEngine:
         out: Any,
         backend: ArrayBackend,
     ) -> Optional[SectionOutcome]:
-        # Gating (O enabled and a CL checksum to carry) happened in
-        # protect_section via _section_active.
         xp = backend.namespace_for(out)
         ops = ctx.operands
         outcome = self._outcome(ctx)
         with self._timed("O/update", backend):
-            # Merge through a reusable buffer of the moved layout
-            # (B, 2, H, dh): no per-visit allocation, same values as the
-            # helper's reshape-copy.
-            *lead, h, two, dh = state.cs_cl_col.shape
-            merge_buffer = self.workspace.request(
-                "O/cs_cl_merged", tuple(lead) + (two, h, dh),
-                getattr(state.cs_cl_col, "dtype", None), xp,
-            )
-            cs_cl_merged = merge_head_column_checksums(                        # (B, 2, D)
-                state.cs_cl_col, out=merge_buffer
-            )
-            self.dispatch_counts["gemm"] += 1
-            cs_o_col = matmul_into(
-                xp, cs_cl_merged, ops["w_o"],
-                self._buf(
-                    "O/cs_o_col", tuple(cs_cl_merged.shape[:-1]) + (ops["w_o"].shape[-1],), xp
-                ),
-            )
-        self._verify(ctx, out, ChecksumState(col=cs_o_col), outcome, backend)
+            if ctx.phase == "decode":
+                # row(O) = CL rowcs(W_O), rowcs(W_O) encoded per weight version.
+                def build_rowcs_wo() -> Any:
+                    self.dispatch_counts["gemm"] += 1
+                    return encode_row_checksums(ops["w_o"])                # (D, 2)
+
+                rowcs_wo = self.weight_cache.lookup(
+                    ("O/rowcs_wo", ctx.layer_index), (ops["w_o"],), build_rowcs_wo
+                )
+                self.dispatch_counts["gemm"] += 1
+                checksums = ChecksumState(row=matmul_into(                 # (B, S, 2)
+                    xp, ops["cl"], rowcs_wo,
+                    self._buf("O/cs_o_row", tuple(ops["cl"].shape[:-1]) + (2,), xp),
+                ))
+            else:
+                # col(O) = col(CL) W_O.  Merge through a reusable buffer of
+                # the moved layout (B, 2, H, dh): no per-visit allocation,
+                # same values as the helper's reshape-copy.
+                *lead, h, two, dh = state.cs_cl_col.shape
+                merge_buffer = self.workspace.request(
+                    "O/cs_cl_merged", tuple(lead) + (two, h, dh),
+                    getattr(state.cs_cl_col, "dtype", None), xp,
+                )
+                cs_cl_merged = merge_head_column_checksums(                    # (B, 2, D)
+                    state.cs_cl_col, out=merge_buffer
+                )
+                self.dispatch_counts["gemm"] += 1
+                checksums = ChecksumState(col=matmul_into(
+                    xp, cs_cl_merged, ops["w_o"],
+                    self._buf(
+                        "O/cs_o_col", tuple(cs_cl_merged.shape[:-1]) + (ops["w_o"].shape[-1],), xp
+                    ),
+                ))
+        self._verify(ctx, out, checksums, outcome, backend)
         return outcome
 
     # -- FFN sections S_FF1 / S_FF2 ---------------------------------------------

@@ -130,9 +130,10 @@ class GemmContext:
     phase:
         ``"train"`` (the default — full-sequence forward), ``"prefill"``
         (full-sequence forward that also seeds a KV cache) or ``"decode"``
-        (single-token forward against a populated KV cache).  Checkers use
-        this to select between the full-sequence and incremental checksum
-        algebra.
+        (single-token forward against a populated KV cache).  A checker's
+        section chain reads it for three choices: where the input checksums
+        come from (computed, also seeded into the KV cache, or extended from
+        it), which checksum sides exist, and the carrier of ``S_O``.
     kv_cache:
         The per-layer KV cache object for prefill/decode calls (duck-typed —
         core never imports ``repro.nn``), ``None`` for training forwards.

@@ -38,6 +38,7 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.backend import ArrayBackend, backend_of, get_backend
+from repro.core.checksums import update_column_checksums_with_appended_rows
 from repro.core.hooks import (
     SECTION_BOUNDARY_OPS,
     AttentionHooks,
@@ -59,6 +60,7 @@ __all__ = [
     "ComposedHooks",
     "RecordingHooks",
     "LayerKVCache",
+    "INCREMENTAL_SECTIONS",
     "InstrumentedBlock",
     "MultiHeadAttention",
     "ATTENTION_MATRIX_NAMES",
@@ -68,6 +70,10 @@ __all__ = [
 
 #: All matrices observable during one attention forward pass, in dataflow order.
 ATTENTION_MATRIX_NAMES = ("Q", "K", "V", "AS", "AP", "CL", "O")
+
+#: Sections whose input checksums a :class:`LayerKVCache` carries from token
+#: to token: ``AS`` in ``cs_x``, ``CL`` in ``cs_v_row``.
+INCREMENTAL_SECTIONS = ("AS", "CL")
 
 #: Upper bound on cached additive-mask entries per attention layer.  Serving
 #: alternates between a handful of geometries (one prefill shape plus one
@@ -84,22 +90,25 @@ class LayerKVCache:
     positions are populated; :meth:`keys` / :meth:`values` return zero-copy
     views of the populated prefix.
 
-    Checksum side-state (owned here, *maintained by whichever checker is
-    attached* — exactly one at a time):
+    Checksum side-state: the input checksums of the two sections that carry
+    state from token to token (:data:`INCREMENTAL_SECTIONS`), seeded at
+    prefill (:meth:`seed_checksums`) and extended per decoded token
+    (:meth:`append_checksums`) by whichever checker is attached — exactly
+    one at a time:
 
-    ``cs_x``
+    ``cs_x`` (section ``AS``)
         ``(B, 2, D)`` float64 — incremental Huang–Abraham column checksums of
         the attention *input* rows seen so far (prompt + decoded tokens).
         Updating them per token is O(1) in the cached length
         (:func:`repro.core.checksums.update_column_checksums_with_appended_rows`),
         which is what lets decode-side protection re-derive the K-side
         checksums without re-encoding the whole cache.
-    ``cs_v_row``
+    ``cs_v_row`` (section ``CL``)
         ``(B, H, max_len, 2)`` float64 — per-head row checksums of the cached
         ``V`` rows, one slot per position, written incrementally.
 
-    Both are ``None`` until :meth:`ensure_checksum_buffers` seeds them at
-    prefill; an unprotected serving run never allocates them.
+    Both are ``None`` until the first seed; an unprotected serving run never
+    allocates them.
     """
 
     def __init__(self, batch_size: int, num_heads: int, head_dim: int,
@@ -117,9 +126,9 @@ class LayerKVCache:
         self.v = xp.zeros(shape, dtype=dtype)
         self.cs_x = None
         self.cs_v_row = None
-        #: Positions covered by cs_x / cs_v_row — the checker uses these to
-        #: detect (and refuse) gaps: incremental checksums are only sound when
-        #: every appended token was folded in.
+        #: Positions covered by cs_x / cs_v_row — append_checksums refuses a
+        #: gap: incremental checksums are only sound when every appended
+        #: token was folded in.
         self.cs_x_len = 0
         self.cs_v_len = 0
 
@@ -146,15 +155,59 @@ class LayerKVCache:
         """View of the populated value prefix, ``(B, H, length, dh)``."""
         return self.v[:, :, :self.length, :]
 
-    def ensure_checksum_buffers(self, xp, hidden_size: int):
-        """Allocate the float64 checksum buffers once (prefill warm-up)."""
+    def seed_checksums(self, section: str, checksums, rows: int, xp) -> None:
+        """Prefill: store ``section``'s input checksums over the ``rows``
+        prompt positions — ``(B, 2, D)`` column checksums of the input for
+        ``AS``, ``(B, H, rows, 2)`` row checksums of ``V`` for ``CL``.
+
+        A copy, not an alias: ``checksums`` may live in a workspace slot
+        reused across layer visits.  The float64 buffers are allocated on
+        ``xp`` at the first seed and kept by :meth:`reset`.
+        """
         if self.cs_x is None:
-            self.cs_x = xp.zeros((self.batch_size, 2, hidden_size), dtype=xp.float64)
-        if self.cs_v_row is None:
+            self.cs_x = xp.zeros(
+                (self.batch_size, 2, self.num_heads * self.head_dim), dtype=xp.float64
+            )
             self.cs_v_row = xp.zeros(
                 (self.batch_size, self.num_heads, self.max_len, 2), dtype=xp.float64
             )
-        return self.cs_x, self.cs_v_row
+        if section == "AS":
+            self.cs_x[...] = checksums
+            self.cs_x_len = rows
+        else:
+            self.cs_v_row[:, :, :rows, :] = checksums
+            self.cs_v_len = rows
+
+    def append_checksums(self, section: str, new, position: int):
+        """Decode: extend ``section``'s input checksums by the token at
+        ``position`` and return the checksums covering positions
+        ``0..position``.
+
+        For ``AS``, ``new`` is the token's ``(B, 1, D)`` input row, folded
+        into ``cs_x`` elementwise — O(1) in the cached length.  For ``CL`` it
+        is the token's ``(B, H, 1, 2)`` row checksums of ``V``, written into
+        slot ``position`` of ``cs_v_row``.
+        """
+        self._require_contiguous(section, position)
+        if section == "AS":
+            update_column_checksums_with_appended_rows(self.cs_x, new, position)
+            self.cs_x_len = position + 1
+            return self.cs_x
+        self.cs_v_row[:, :, position:position + 1, :] = new
+        self.cs_v_len = position + 1
+        return self.cs_v_row[:, :, :position + 1, :]
+
+    def _require_contiguous(self, section: str, position: int) -> None:
+        """Refuse a gap: incremental checksums are sound only when they
+        cover every position before the token being appended."""
+        covered = self.cs_x_len if section == "AS" else self.cs_v_len
+        if covered != position:
+            raise RuntimeError(
+                f"decode {section} protection needs contiguous incremental "
+                f"checksums: the KV cache's {section} checksums cover {covered} "
+                f"of the {position} positions before this token; run a protected "
+                f"prefill and keep {section} enabled on every decode step"
+            )
 
     def compact(self, indices) -> None:
         """Shrink the batch axis to ``indices`` (serving slot compaction).

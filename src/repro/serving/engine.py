@@ -45,6 +45,7 @@ import numpy as np
 
 from repro.core.attention_checker import ATTNChecker
 from repro.faults.injector import FaultInjector
+from repro.nn.attention import INCREMENTAL_SECTIONS
 from repro.serving.workload import PAD_TOKEN_ID, ServingRequest
 from repro.utils.timing import TimingRegistry
 
@@ -183,8 +184,10 @@ class ServingEngine:
     checker:
         Optional :class:`~repro.core.ATTNChecker` already attached to the
         model via ``set_attention_hooks`` (protection on); ``None`` serves
-        unprotected.  The decode path requires every section frequency at
-        1.0 (the incremental checksums must stay contiguous).
+        unprotected.  ``AS`` and ``CL`` carry their input checksums in the
+        KV cache from token to token, so their frequencies must be 0 or 1
+        (``ValueError`` otherwise); ``O``, ``FF1`` and ``FF2`` carry nothing
+        and may take any frequency.
     injector:
         Optional :class:`~repro.faults.FaultInjector` composed with the
         checker; the engine opens a per-request injection scope
@@ -210,6 +213,15 @@ class ServingEngine:
                 f"vocab_size={model.config.vocab_size}; greedy tokens would not be "
                 "valid input ids"
             )
+        if checker is not None:
+            for section in INCREMENTAL_SECTIONS:
+                frequency = checker.config.frequencies[section]
+                if 0.0 < frequency < 1.0:
+                    raise ValueError(
+                        f"serving needs section {section} at frequency 0 or 1, got "
+                        f"{frequency}: the KV cache carries its input checksums from "
+                        "token to token, so every decode step must extend them"
+                    )
         self.model = model
         self.checker = checker
         self.injector = injector

@@ -17,19 +17,19 @@ from repro.training.checkpoint import CheckpointManager, CheckpointRecord
 from repro.training.metrics import TrainingMetrics, StepResult
 from repro.training.trainer import Trainer, TrainerConfig
 from repro.training.parallel import (
+    DIRTY_POLICIES,
     EXECUTORS,
-    STALE_POLICIES,
     DataParallelConfig,
     DataParallelTrainer,
+    DirtyReductionAbort,
     ParallelStepResult,
     ReplicaSpec,
-    StaleDetectionAbort,
 )
 
 __all__ = [
-    "STALE_POLICIES",
+    "DIRTY_POLICIES",
     "EXECUTORS",
-    "StaleDetectionAbort",
+    "DirtyReductionAbort",
     "Optimizer",
     "OptimizerStateCorruption",
     "SGD",

@@ -22,15 +22,15 @@ fixed shard count — the property the N-worker vs 1-worker equivalence test
 pins.  Thread workers overlap where the backend releases the GIL (BLAS GEMMs
 on the NumPy substrate, device kernels elsewhere).
 
-**Dirty reductions and the stale policy.**  ``stale_policy`` decides what
-a checksum mismatch at the reduction does:
+**Dirty reductions.**  ``dirty_policy`` decides what a checksum mismatch at
+the reduction does:
 
 * ``"record"`` — count the dirty reduction and proceed with its result;
 * ``"reexecute"`` — re-execute the reduction from the ranks' retained (and
   still intact) local gradients under a fresh key, up to
   ``max_retries_per_step`` times — a transient fault in the collective does
   not recur;
-* ``"abort"`` — raise :class:`StaleDetectionAbort`.
+* ``"abort"`` — raise :class:`DirtyReductionAbort`.
 
 **One bucketed reduction.**  Trainable parameters are partitioned into
 size-capped buckets in reverse-registration order
@@ -38,7 +38,7 @@ size-capped buckets in reverse-registration order
 default 1 MiB cap).  Each bucket reduces as one flat payload under its own
 rendezvous key ``step{N}/bucket{k}``, and the loss scalar rides the final
 bucket as its payload's second array.  A dirty reduction is therefore
-*bucket-granular*: ``stale_policy="reexecute"`` re-contributes only the
+*bucket-granular*: ``dirty_policy="reexecute"`` re-contributes only the
 dirty bucket's retained clean payloads under ``step{N}/bucket{k}#retry{a}``.
 ``overlap_grad_reduce`` only picks *when* buckets launch.  ``True`` installs
 post-accumulate gradient hooks, and a rank ``contribute``\\ s a bucket the
@@ -99,8 +99,8 @@ from repro.utils.timing import TimingRegistry
 
 __all__ = [
     "EXECUTORS",
-    "STALE_POLICIES",
-    "StaleDetectionAbort",
+    "DIRTY_POLICIES",
+    "DirtyReductionAbort",
     "ReplicaSpec",
     "DataParallelConfig",
     "ParallelStepResult",
@@ -114,11 +114,11 @@ logger = get_logger("training.parallel")
 EXECUTORS = ("thread",)
 
 #: Policies for a gradient reduction whose checksum identity broke.
-STALE_POLICIES = ("record", "reexecute", "abort")
+DIRTY_POLICIES = ("record", "reexecute", "abort")
 
 
-class StaleDetectionAbort(RuntimeError):
-    """Raised by ``stale_policy="abort"`` when a gradient reduction verifies
+class DirtyReductionAbort(RuntimeError):
+    """Raised by ``dirty_policy="abort"`` when a gradient reduction verifies
     dirty."""
 
 
@@ -168,7 +168,7 @@ class DataParallelConfig:
     learning_rate / weight_decay / max_grad_norm:
         Per-replica AdamW and clipping settings (clipping runs on the
         *reduced* gradient, identically on every rank).
-    stale_policy / max_retries_per_step:
+    dirty_policy / max_retries_per_step:
         Recovery policy for dirty reductions (see the module docstring).
     protection:
         Optional :class:`~repro.core.ATTNCheckerConfig`; each rank gets its
@@ -186,7 +186,7 @@ class DataParallelConfig:
     learning_rate: float = 5e-4
     weight_decay: float = 0.01
     max_grad_norm: float = 1.0
-    stale_policy: str = "record"
+    dirty_policy: str = "record"
     max_retries_per_step: int = 2
     protection: Optional[ATTNCheckerConfig] = None
     overlap_grad_reduce: bool = False
@@ -203,10 +203,10 @@ class DataParallelConfig:
                 "(workers=1 runs every rank on the calling thread, workers > 1 "
                 "on a thread pool)"
             )
-        if self.stale_policy not in STALE_POLICIES:
+        if self.dirty_policy not in DIRTY_POLICIES:
             raise ValueError(
-                f"unknown stale_policy {self.stale_policy!r}; "
-                f"expected one of {STALE_POLICIES}"
+                f"unknown dirty_policy {self.dirty_policy!r}; "
+                f"expected one of {DIRTY_POLICIES}"
             )
         if self.shards is None:
             self.shards = self.workers
@@ -234,7 +234,7 @@ class ParallelStepResult:
     #: Gradient buckets whose dirty reduction was adopted this step (under
     #: ``record``, or ``reexecute`` with its retries exhausted).
     dirty_reductions: int = 0
-    #: Re-executed reductions (``stale_policy="reexecute"``) this step.
+    #: Re-executed reductions (``dirty_policy="reexecute"``) this step.
     reduction_reexecutions: int = 0
     #: Attention detections / corrections summed over the rank checkers.
     detections: int = 0
@@ -444,7 +444,7 @@ class DataParallelTrainer:
             # fold may accumulate into rank 0's deposit in place — except
             # under "reexecute", where the retained payloads must survive
             # the fold intact for bucket retry.
-            consume_deposits=self.config.stale_policy != "reexecute",
+            consume_deposits=self.config.dirty_policy != "reexecute",
         )
         self.collective = ProtectedCollective(inner, timers=self.timers)
 
@@ -574,7 +574,7 @@ class DataParallelTrainer:
         verdicts, so retries rendezvous without coordination.
         """
         drain_begin = time.perf_counter()
-        policy = self.config.stale_policy
+        policy = self.config.dirty_policy
         num_buckets = self._bucketer.num_buckets
         flat: Dict[int, Dict[int, Any]] = {rank: {} for rank in owned}
         loss_val: Dict[int, float] = {}
@@ -600,9 +600,9 @@ class DataParallelTrainer:
                 if not dirty:
                     break
                 if policy == "abort":
-                    raise StaleDetectionAbort(
+                    raise DirtyReductionAbort(
                         f"step {step}: checksum-linearity mismatch on reduced "
-                        f"{base_key!r} (stale_policy='abort')"
+                        f"{base_key!r} (dirty_policy='abort')"
                     )
                 if policy == "record" or attempt >= self.config.max_retries_per_step:
                     for rank in owned:

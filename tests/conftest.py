@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.data import DataLoader, SyntheticMRPC
+from repro.data import SyntheticMRPC
 from repro.models import build_model
 
 

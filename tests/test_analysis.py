@@ -1,6 +1,5 @@
 """Unit tests for workload accounting and report rendering."""
 
-import numpy as np
 import pytest
 
 from repro.analysis import (

@@ -1,8 +1,5 @@
 """Unit tests for the adaptive ABFT detection-frequency optimiser (Section 4.5)."""
 
-import math
-
-import numpy as np
 import pytest
 
 from repro.core.adaptive import (

@@ -6,7 +6,6 @@ import pytest
 from repro.core import (
     ATTNChecker,
     ATTNCheckerConfig,
-    ABFTThresholds,
     PROTECTION_SECTIONS,
     SectionCostModel,
 )

@@ -4,7 +4,7 @@ thresholds-for-precision, double faults and numeric faults."""
 import numpy as np
 import pytest
 
-from repro.core import ABFTThresholds, ATTNChecker, ATTNCheckerConfig
+from repro.core import ABFTThresholds, ATTNChecker
 from repro.faults import FaultInjector, FaultSpec
 from repro.models import build_model
 from repro.nn import ComposedHooks, MultiHeadAttention

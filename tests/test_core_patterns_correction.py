@@ -12,7 +12,6 @@ from repro.core.patterns import (
     describe_corruption,
     error_mask,
 )
-from repro.core.thresholds import ABFTThresholds
 
 
 @pytest.fixture

@@ -4,7 +4,6 @@ and detection/correction campaign."""
 import numpy as np
 import pytest
 
-from repro.core.patterns import ErrorPattern
 from repro.faults import (
     CampaignResult,
     DetectionCorrectionCampaign,

@@ -14,7 +14,7 @@ from repro.faults import (
 )
 from repro.faults.precision import simulate_precision
 from repro.models import build_model
-from repro.nn import ComposedHooks, MultiHeadAttention, RecordingHooks
+from repro.nn import ComposedHooks, MultiHeadAttention
 from repro.tensor.autograd import Tensor
 
 

@@ -26,7 +26,6 @@ from repro.core import CHECKER_BACKENDS, ATTNChecker, ATTNCheckerConfig
 from repro.data import SyntheticMRPC
 from repro.faults import FaultInjector, FaultSpec
 from repro.models import build_model
-from repro.nn import ComposedHooks
 from repro.training import Trainer, TrainerConfig
 
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "data", "golden_attention_scope.json")

@@ -42,7 +42,7 @@ def train_overlapped(workers, shards, cap=0.08, policy="record",
     config = DataParallelConfig(
         workers=workers,
         shards=shards,
-        stale_policy=policy,
+        dirty_policy=policy,
         overlap_grad_reduce=overlap,
         bucket_cap_mb=cap,
         protection=protection,

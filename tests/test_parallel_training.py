@@ -4,7 +4,7 @@ Covers the collective seam (two-phase rendezvous, deterministic rank-ordered
 reduction, broadcast, failure poisoning), the checksum-linearity property of
 the protected all-reduce across dtypes/shapes, the N-worker vs 1-worker
 byte-equivalence of trained weights, dirty-reduction detection and recovery
-under every ``stale_policy``, per-rank fault-injector spawning, and the
+under every ``dirty_policy``, per-rank fault-injector spawning, and the
 collective dispatch accounting against the cost model.
 """
 
@@ -36,7 +36,7 @@ from repro.training import (
     DataParallelTrainer,
     ParallelStepResult,
     ReplicaSpec,
-    StaleDetectionAbort,
+    DirtyReductionAbort,
 )
 from repro.utils.timing import TimingRegistry
 
@@ -59,7 +59,7 @@ def train_to_state(workers, shards, policy="record", injector=None,
     config = DataParallelConfig(
         workers=workers,
         shards=shards,
-        stale_policy=policy,
+        dirty_policy=policy,
         protection=protection,
     )
     trainer = DataParallelTrainer(
@@ -437,7 +437,7 @@ class TestWorkerEquivalence:
         with pytest.raises(ValueError):
             DataParallelConfig(executor="mpi")
         with pytest.raises(ValueError):
-            DataParallelConfig(stale_policy="retry")
+            DataParallelConfig(dirty_policy="retry")
         with pytest.raises(ValueError):
             DataParallelTrainer(config=DataParallelConfig(workers=1))
 
@@ -447,7 +447,7 @@ class TestWorkerEquivalence:
         assert EXECUTORS == ("thread",)
         assert [f.name for f in dataclasses.fields(DataParallelConfig)] == [
             "workers", "shards", "executor", "learning_rate", "weight_decay",
-            "max_grad_norm", "stale_policy", "max_retries_per_step", "protection",
+            "max_grad_norm", "dirty_policy", "max_retries_per_step", "protection",
             "overlap_grad_reduce", "bucket_cap_mb",
         ]
 
@@ -530,7 +530,7 @@ class TestWorkerEquivalence:
 
 
 class TestDirtyReductionPolicies:
-    """An injected collective fault is detected and handled per stale_policy."""
+    """An injected collective fault is detected and handled per dirty_policy."""
 
     def _injector(self, error_type="numeric", rank=1, step=2):
         return CollectiveFaultInjector(
@@ -563,14 +563,14 @@ class TestDirtyReductionPolicies:
         # exact clean trajectory.
         assert states_equal(reference, state)
 
-    def test_abort_raises_stale_detection_abort(self):
-        config = DataParallelConfig(workers=2, shards=2, stale_policy="abort")
+    def test_abort_raises_dirty_reduction_abort(self):
+        config = DataParallelConfig(workers=2, shards=2, dirty_policy="abort")
         trainer = DataParallelTrainer(
             model_spec=SPEC, config=config, collective_injector=self._injector()
         )
         try:
             trainer.train_step(BATCHES[0])
-            with pytest.raises(StaleDetectionAbort, match="checksum-linearity"):
+            with pytest.raises(DirtyReductionAbort, match="checksum-linearity"):
                 trainer.train_step(BATCHES[1])
         finally:
             trainer.close()
@@ -609,7 +609,7 @@ class TestPerRankProtection:
         spec = FaultSpec(matrix="AS", error_type="numeric", numeric_delta=1.0,
                          layer_index=0)
         parent = FaultInjector([spec], seed=5)
-        config = DataParallelConfig(workers=2, shards=2, stale_policy="record")
+        config = DataParallelConfig(workers=2, shards=2, dirty_policy="record")
         trainer = DataParallelTrainer(model_spec=SPEC, config=config, injector=parent)
         try:
             trainer.train_step(BATCHES[0])

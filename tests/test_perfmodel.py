@@ -1,6 +1,5 @@
 """Unit tests for the analytical GPU performance model."""
 
-import numpy as np
 import pytest
 
 from repro.models import get_config

@@ -14,8 +14,6 @@ The invariants checked here are the load-bearing ones for ABFT correctness:
   never allocates more time than always-on ABFT.
 """
 
-import math
-
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st

@@ -792,6 +792,7 @@ def test_dc002_flags_unused_imports_in_benchmarks_tools_and_examples(tmp_path):
     assert sorted((f.path, f.detail) for f in result.new) == [
         ("benchmarks/bench_helpers.py", "unused-import:os"),
         ("examples/walkthrough.py", "unused-import:np"),
+        ("tests/test_helpers.py", "unused-import:os"),
         ("tools/reprolint/rules/helpers.py", "unused-import:Dict"),
     ]
 
@@ -1014,7 +1015,9 @@ def test_cli_usage_errors_exit_2(tmp_path):
 
 
 def test_repo_is_clean_against_committed_baseline(capsys):
-    code = reprolint_main(["--root", str(REPO_ROOT), "src/repro", "benchmarks", "tools", "examples"])
+    code = reprolint_main(
+        ["--root", str(REPO_ROOT), "src/repro", "benchmarks", "tools", "examples", "tests"]
+    )
     out = capsys.readouterr().out
     assert code == 0, f"reprolint found new findings or stale entries:\n{out}"
 

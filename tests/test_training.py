@@ -11,7 +11,6 @@ from repro.data import DataLoader, SyntheticMRPC
 from repro.models import build_model
 from repro.nn.layers import Linear
 from repro.nn.module import Module, Parameter
-from repro.tensor.autograd import Tensor, cross_entropy_loss
 from repro.training import (
     AdamW,
     CheckpointManager,

@@ -289,7 +289,7 @@ class TestServingDecodeFFN:
         checker.close()
 
     @pytest.mark.parametrize("matrix,position", [("H", (1, 0, 3)), ("FO", (1, 0, 2))])
-    def test_decode_ffn_fault_repaired_and_attributed(self, matrix, position):
+    def test_prefill_ffn_fault_repaired_and_attributed(self, matrix, position):
         def run(specs):
             model = build_model("gpt2", size="tiny", rng=np.random.default_rng(0))
             model.eval()

@@ -11,7 +11,7 @@ machine-enforces those contracts at CI time, on every diff.
 
 Usage (repo root)::
 
-    PYTHONPATH=tools:src python -m reprolint src/repro benchmarks tools examples \
+    PYTHONPATH=tools:src python -m reprolint src/repro benchmarks tools examples tests \
         --baseline tools/reprolint/baseline.json
 
 or ``make reprolint``.  See ``reprolint --list-rules`` for the rule catalog

@@ -5,8 +5,9 @@ edge alive (and with it import order, cycles and start-up time), and it
 hides which module really needs what.  CI's ruff rule set checks only
 error-class rules, so unused imports pile up unseen.  This rule flags an
 imported name that the importing module never uses, in the package
-(``src/repro/``) and in the benchmark harnesses, the lint tooling and the
-examples (``benchmarks/``, ``tools/``, ``examples/``).
+(``src/repro/``) and in the benchmark harnesses, the lint tooling, the
+examples and the test suite (``benchmarks/``, ``tools/``, ``examples/``,
+``tests/``).
 
 A name counts as used when any of these holds:
 
@@ -37,8 +38,8 @@ class UnusedImportRule(PathScopedRule):
     name = "unused-import"
     invariant = (
         "Every name imported by a non-__init__ module under src/repro/, "
-        "benchmarks/, tools/ or examples/ is used in that module: by name, "
-        "in its __all__, or in a string annotation."
+        "benchmarks/, tools/, examples/ or tests/ is used in that module: by "
+        "name, in its __all__, or in a string annotation."
     )
     rationale = (
         "CI's ruff rule set checks error classes only, so an import nothing "
@@ -50,7 +51,7 @@ class UnusedImportRule(PathScopedRule):
         "delete the import"
     )
 
-    scope_prefixes = ("src/repro/", "benchmarks/", "tools/", "examples/")
+    scope_prefixes = ("src/repro/", "benchmarks/", "tools/", "examples/", "tests/")
 
     def applies_to(self, relpath: str) -> bool:
         return super().applies_to(relpath) and not relpath.endswith("/__init__.py")
