@@ -27,7 +27,7 @@ runs one chain per section for training, serving prefill and decode; the
 phase picks only the input checksums, the checksum sides and the
 :math:`S_O` carrier (see :mod:`repro.core.engine`).  Frequency
 gating happens in :meth:`ATTNChecker.on_block_start`, which advances only
-the announcing block's section accumulators.
+the announcing block's section accumulators of the announcing layer.
 
 The checker is completely transparent to the model: attaching it changes no
 shapes and no semantics of the forward/backward pass (one of the paper's
@@ -48,7 +48,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Deque, Dict, List, Optional
+from typing import Any, Deque, Dict, List, Optional, Tuple
 
 from repro.backend import namespace_of
 from repro.core.checksums import (
@@ -106,7 +106,8 @@ class ATTNCheckerConfig:
         EEC-ABFT thresholds (T_near-INF, T_correct, detection tolerance).
     frequencies:
         Per-section detection frequency in [0, 1] (Section 4.5); 1.0 checks
-        every execution, 0.5 every other execution, 0 disables the section.
+        every execution, 0.5 every other execution in each layer, 0 disables
+        the section.
         Sections of the protection scope that are not named default to 1.0.
     protect_scope:
         Which registered protection sections the checker drives
@@ -387,8 +388,8 @@ class _PerGemmReferenceBackend:
         carries_o = state.enabled.get("O", False) and not decode
         xp = namespace_of(ctx.a)
         if ctx.op is AttentionOp.XV:
-            if not (cl_enabled or carries_o):
-                return
+            if not cl_enabled:
+                return  # only row(CL) reads row(V); col(CL) needs none
             num_heads = ctx.num_heads
             head_dim = ctx.head_dim
             with checker.timers.measure("CL/encode"):
@@ -524,7 +525,12 @@ class ATTNChecker(AttentionHooks):
         #: :meth:`take_recent_outcomes` (the serving engine reads per-request
         #: fault attribution from here after each prefill/decode step).
         self.recent_outcomes: Deque[SectionOutcome] = deque(maxlen=1024)
-        self._freq_accumulators: Dict[str, float] = {name: 0.0 for name in active}
+        #: In-scope section names of each block, in config order.
+        self._block_sections: Dict[str, List[str]] = {}
+        for name in self.config.frequencies:
+            self._block_sections.setdefault(active[name].block, []).append(name)
+        #: Frequency accumulator per (section, layer), created at first use.
+        self._freq_accumulators: Dict[Tuple[str, int], float] = {}
         #: The fused engine, or ``None`` under the per-GEMM reference.
         self.engine: Optional[ProtectionEngine] = None
         if self.config.backend == "fused":
@@ -583,45 +589,43 @@ class ATTNChecker(AttentionHooks):
 
     # -- frequency gating (policy) ----------------------------------------------
 
-    def _sections_of_block(self, block: str) -> List[str]:
-        """Names of in-scope sections belonging to one block, in config order."""
-        active = self.config.active_sections
-        return [
-            name for name in self.config.frequencies
-            if active[name].block == block
-        ]
-
-    def _advance_enabled(self, names: List[str]) -> Dict[str, bool]:
-        """Decide which of ``names`` check on this pass.
+    def _advance_enabled(self, names: List[str], layer_index: int) -> Dict[str, bool]:
+        """Decide which of ``names`` check on this pass of one layer.
 
         With frequency ``f`` a section runs on a deterministic ``f`` fraction
-        of passes, spread as evenly as possible (e.g. ``f = 0.5`` -> every
-        other pass), which is how the paper's ``f_S`` is defined.
+        of each layer's passes, spread as evenly as possible (e.g. ``f = 0.5``
+        -> every other pass), which is how the paper's ``f_S`` is defined.
+        Each layer keeps its own accumulator, so every layer is checked that
+        often: one accumulator shared by the layers would check the same
+        layers on every pass whenever the layer count is a multiple of
+        ``1/f``, and the others never.
         """
         enabled = {}
         for name in names:
-            acc = self._freq_accumulators[name] + self.config.frequencies[name]
+            key = (name, layer_index)
+            acc = self._freq_accumulators.get(key, 0.0) + self.config.frequencies[name]
             if acc >= 1.0 - 1e-12:
                 enabled[name] = True
                 acc -= 1.0
             else:
                 enabled[name] = False
-            self._freq_accumulators[name] = acc
+            self._freq_accumulators[key] = acc
         return enabled
 
     # -- AttentionHooks interface -------------------------------------------------
 
     def on_block_start(self, block: str, layer_index: int, step: int) -> None:
         """Open one block's pass window, advancing only that block's
-        frequency accumulators — so widening the protection scope never
-        perturbs the attention gating sequence.  A no-op for a block with no
-        section in the scope (an attention-only checker's FFN)."""
-        names = self._sections_of_block(block)
+        frequency accumulators of that layer — so widening the protection
+        scope never perturbs the attention gating sequence.  A no-op for a
+        block with no section in the scope (an attention-only checker's
+        FFN)."""
+        names = self._block_sections.get(block)
         if names:
-            self._mechanics.begin_layer(layer_index, self._advance_enabled(names))
+            self._mechanics.begin_layer(layer_index, self._advance_enabled(names, layer_index))
 
     def on_block_end(self, block: str, layer_index: int, step: int) -> None:
-        if self._sections_of_block(block):
+        if block in self._block_sections:
             self._mechanics.end_layer(layer_index)
 
     def on_gemm_output(self, ctx: GemmContext, out: Any) -> Any:

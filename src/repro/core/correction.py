@@ -20,6 +20,12 @@ implementing the three propagation-handling strategies of the paper:
   at this level they simply show up as vectors corrected through different
   cases.
 
+Before any of that, :func:`correct_matrix` screens the matrix: one scan for
+extreme values, then per checksum side the unweighted reduce-and-compare
+that EEC-ABFT detects mismatches with.  A clean matrix costs only that; the
+case analysis above runs only after the screen flags something, which is
+where the paper (Section 4.2) needs it.
+
 Like the layers below it, :func:`correct_matrix` is backend-generic: the
 matrix, its checksums and all repairs stay on whatever array library produced
 them (NumPy, CuPy or Torch), with no host round-trip.
@@ -31,7 +37,13 @@ from dataclasses import dataclass
 from typing import Any, Optional
 
 from repro.core.checksums import ChecksumState, encode_column_checksums
-from repro.core.eec_abft import ColumnCheckReport, check_columns, check_rows
+from repro.core.eec_abft import (
+    ColumnCheckReport,
+    check_columns,
+    check_rows,
+    columns_match,
+    rows_match,
+)
 from repro.core.thresholds import ABFTThresholds
 
 __all__ = ["MatrixCorrectionReport", "correct_matrix"]
@@ -48,7 +60,8 @@ class MatrixCorrectionReport:
     used_column_side / used_row_side:
         Which checksum sides participated.
     column_report / row_report:
-        The underlying per-pass reports (``None`` when a side did not run).
+        The underlying per-pass reports (``None`` when a side did not run;
+        both are ``None`` when the screen found the matrix clean).
     residual_extreme:
         Number of extreme (INF/NaN/near-INF) elements remaining after all
         correction attempts — zero for every fault the scheme covers.
@@ -85,8 +98,18 @@ def correct_matrix(
 ) -> MatrixCorrectionReport:
     """Detect and correct errors in ``matrix`` using the available checksums.
 
-    The matrix is modified in place.  The strategy is chosen from which
-    checksum sides are present:
+    A screen runs first: :meth:`ABFTThresholds.any_extreme` scans for INF,
+    NaN and near-INF elements, then :func:`columns_match` /
+    :func:`rows_match` compare the unweighted checksums of each side
+    present, with the same test EEC-ABFT detects with.  The screen finds the
+    matrix clean exactly when every pass below would detect nothing, and
+    then returns a *clean report*: no sub-reports (``column_report`` and
+    ``row_report`` are ``None``, ``used_*_side`` False), every count zero,
+    nothing modified, and :func:`repro.core.engine.request_dirty_from_report`
+    returns ``None`` for it.  No sub-reports means clean.
+
+    Anything the screen flags is detected and corrected in place.  The
+    strategy is chosen from which checksum sides are present:
 
     * column only  -> deterministic handling via :func:`check_columns`;
     * row only     -> deterministic handling via :func:`check_rows`;
@@ -100,6 +123,12 @@ def correct_matrix(
 
     if not checksums.has_col() and not checksums.has_row():
         raise ValueError("correct_matrix needs at least one checksum side")
+    if (
+        not thresholds.any_extreme(matrix)
+        and (not checksums.has_col() or columns_match(matrix, checksums.col, thresholds))
+        and (not checksums.has_row() or rows_match(matrix, checksums.row, thresholds))
+    ):
+        return report
 
     col_report: Optional[ColumnCheckReport] = None
     row_report: Optional[ColumnCheckReport] = None

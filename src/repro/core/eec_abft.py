@@ -36,19 +36,21 @@ decisions against it, byte for byte.
 The public entry points are :func:`check_columns` (column-checksum side,
 handles 0D and 1R patterns) and :func:`check_rows` (row-checksum side, 0D and
 1C patterns), both operating in place on the protected matrix and returning a
-:class:`ColumnCheckReport`.
+:class:`ColumnCheckReport`.  :func:`columns_match` and :func:`rows_match` run
+only their unweighted reduce-and-compare, the test that decides "mismatch"
+for EEC-ABFT, and locate or repair nothing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Any, Optional, Tuple
 
 from repro.backend import backend_of, namespace_of
 from repro.core.checksums import checksum_weights
 from repro.core.thresholds import ABFTThresholds
 
-__all__ = ["ColumnCheckReport", "check_columns", "check_rows"]
+__all__ = ["ColumnCheckReport", "check_columns", "check_rows", "columns_match", "rows_match"]
 
 
 @dataclass
@@ -118,6 +120,77 @@ def _empty_report(shape, xp) -> ColumnCheckReport:
     )
 
 
+def _column_blocks(matrix: Any, col_checksums: Any) -> Tuple[Any, Any]:
+    """``matrix`` and its column checksums as ``(B, m, n)`` / ``(B, 2, n)`` blocks.
+
+    ``reshape`` copies when ``matrix`` is a non-contiguous view (e.g. the
+    transposed view of a row-side check).
+    """
+    if matrix.shape[:-2] != col_checksums.shape[:-2] or matrix.shape[-1] != col_checksums.shape[-1]:
+        raise ValueError(
+            f"checksum shape {tuple(col_checksums.shape)} incompatible with "
+            f"matrix shape {tuple(matrix.shape)}"
+        )
+    if col_checksums.shape[-2] != 2:
+        raise ValueError("column checksums must have two rows (unweighted, weighted)")
+    m, n = matrix.shape[-2:]
+    return matrix.reshape(-1, m, n), col_checksums.reshape(-1, 2, n)
+
+
+def _unweighted_check(
+    flat: Any, cs: Any, thresholds: ABFTThresholds, xp: Any
+) -> Tuple[Any, Any, Any]:
+    """EEC-ABFT's mismatch test on ``(B, m, n)`` blocks: ``|Δ1| ≤ E`` per column.
+
+    Returns the recomputed unweighted column sums, ``Δ1`` (maintained minus
+    recomputed) and the ``(B, n)`` mask of columns within tolerance, which
+    is False for a mismatch and for a non-finite ``Δ1``.  The caller holds
+    the floating-point error state.
+    """
+    # Accumulate in float64 regardless of the data dtype: summing a low
+    # precision (fp16/fp32) matrix in its own dtype loses enough precision to
+    # trigger false positives at the default thresholds.
+    recomputed0 = xp.sum(flat, axis=1, dtype=xp.float64)       # (B, n)
+    delta1 = cs[:, 0, :] - recomputed0
+    within = xp.abs(delta1) <= thresholds.detection_tolerance(cs[:, 0, :])
+    return recomputed0, delta1, within
+
+
+def columns_match(
+    matrix: Any,
+    col_checksums: Any,
+    thresholds: Optional[ABFTThresholds] = None,
+) -> bool:
+    """Whether every column of ``matrix`` passes :func:`check_columns`' mismatch test.
+
+    The reduce-and-compare half of EEC-ABFT's detection, on the same
+    reshaped blocks: True exactly when no column's unweighted checksum
+    differs beyond the tolerance ``E``.  Extreme values are not scanned for
+    here (see :meth:`ABFTThresholds.any_extreme`); nothing is located or
+    repaired.
+    """
+    thresholds = thresholds or ABFTThresholds()
+    xp = namespace_of(matrix)
+    flat, cs = _column_blocks(xp.asarray(matrix), xp.asarray(col_checksums))
+    with xp.errstate(invalid="ignore", over="ignore"):
+        return bool(xp.all(_unweighted_check(flat, cs, thresholds, xp)[2]))
+
+
+def rows_match(
+    matrix: Any,
+    row_checksums: Any,
+    thresholds: Optional[ABFTThresholds] = None,
+) -> bool:
+    """:func:`columns_match` for the row side, on the transposed view that
+    :func:`check_rows` hands to :func:`check_columns`."""
+    xp = namespace_of(matrix)
+    return columns_match(
+        xp.swapaxes(xp.asarray(matrix), -1, -2),
+        xp.swapaxes(xp.asarray(row_checksums), -1, -2),
+        thresholds,
+    )
+
+
 def check_columns(
     matrix: Any,
     col_checksums: Any,
@@ -146,21 +219,12 @@ def check_columns(
     xp = backend.xp
     matrix = xp.asarray(matrix)
     col_checksums = xp.asarray(col_checksums)
-    if matrix.shape[:-2] != col_checksums.shape[:-2] or matrix.shape[-1] != col_checksums.shape[-1]:
-        raise ValueError(
-            f"checksum shape {tuple(col_checksums.shape)} incompatible with "
-            f"matrix shape {tuple(matrix.shape)}"
-        )
-    if col_checksums.shape[-2] != 2:
-        raise ValueError("column checksums must have two rows (unweighted, weighted)")
-
     *lead, m, n = matrix.shape
-    flat = matrix.reshape(-1, m, n)
-    # ``reshape`` copies when ``matrix`` is a non-contiguous view (e.g. the
-    # transposed view used by :func:`check_rows`); remember whether we must
-    # write corrections back at the end.
+    flat, cs = _column_blocks(matrix, col_checksums)
+    # Remember whether the reshape copied (a non-contiguous view such as the
+    # transposed one of :func:`check_rows`): corrections are then written
+    # back at the end.
     flat_is_view = backend.shares_memory(flat, matrix)
-    cs = col_checksums.reshape(-1, 2, n)
     batch = flat.shape[0]
 
     report = _empty_report((batch, n), xp)
@@ -168,14 +232,10 @@ def check_columns(
     _, v2 = checksum_weights(m, xp=xp)
 
     # --- recompute checksums of the (possibly corrupted) data ----------------
-    # Accumulate in float64 regardless of the data dtype: summing a low
-    # precision (fp16/fp32) matrix in its own dtype loses enough weighted-sum
-    # precision to trigger false positives at the default thresholds.
     flat64 = xp.astype(flat, xp.float64, copy=False)
     with xp.errstate(invalid="ignore", over="ignore"):
-        recomputed0 = xp.sum(flat, axis=1, dtype=xp.float64)   # (B, n)
+        recomputed0, delta1, within = _unweighted_check(flat, cs, thresholds, xp)
         recomputed1 = xp.einsum("i,bij->bj", v2, flat64)       # (B, n)
-        delta1 = cs[:, 0, :] - recomputed0
         delta2 = cs[:, 1, :] - recomputed1
 
         extreme = thresholds.is_extreme(flat)                  # (B, m, n)
@@ -183,11 +243,11 @@ def check_columns(
         # reprolint: disable=DT001
         n_extreme = xp.sum(extreme, axis=1)                    # (B, n)
 
-        tol = thresholds.detection_tolerance(cs[:, 0, :])
         finite_d1 = xp.isfinite(delta1)
-        abs_d1 = xp.abs(delta1)
-        numeric_mismatch = finite_d1 & (abs_d1 > tol)
-        detected = numeric_mismatch | ~finite_d1 | (n_extreme > 0)
+        numeric_mismatch = finite_d1 & ~within
+        # ``within`` is False for a non-finite delta1, so this is "mismatch,
+        # non-finite delta1 or an extreme element".
+        detected = ~within | (n_extreme > 0)
 
         report.detected[:] = detected
         if not bool(detected.any()):
@@ -207,7 +267,7 @@ def check_columns(
         # corruption that is *consistent* with the maintained checksums (this
         # happens when the checksums themselves were derived from the corrupted
         # operand — the nondeterministic-pattern scenario of Section 4.3).
-        consistent_corruption = (n_extreme > 0) & finite_d1 & (abs_d1 <= tol)
+        consistent_corruption = (n_extreme > 0) & within
         aborted = (n_extreme > 1) | consistent_corruption
 
         # --- locate single errors ---------------------------------------------

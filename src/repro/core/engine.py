@@ -102,9 +102,8 @@ retained activations.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Dict, Iterator, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 from repro.backend import ArrayBackend, backend_of
 from repro.core.checksums import (
@@ -122,7 +121,7 @@ from repro.core.thresholds import ABFTThresholds
 from repro.core.hooks import SectionContext
 from repro.core.sections import SECTION_REGISTRY
 from repro.core.workspace import ChecksumWorkspace, matmul_into
-from repro.utils.timing import TimingRegistry
+from repro.utils.timing import Timer, TimingRegistry
 from repro.utils.versioning import weights_version
 
 __all__ = [
@@ -184,6 +183,33 @@ class SectionOutcome:
     #: no batch axis.  Sound for attention boundaries because every
     #: attention GEMM is row-independent across the batch axis.
     request_dirty: Optional[Any] = None
+
+
+class _SyncedPhase:
+    """Context manager timing one checksum phase between device barriers.
+
+    Device libraries launch kernels asynchronously, so the wall clock must
+    not start until prior work has retired and must not stop until this
+    phase's kernels have: the backend's :meth:`synchronize` barrier runs on
+    both edges.  On host backends it is a no-op and the timing is that of a
+    bare ``timers.measure``.
+    """
+
+    __slots__ = ("timer", "backend")
+
+    def __init__(self, timer: Timer, backend: ArrayBackend) -> None:
+        self.timer = timer
+        self.backend = backend
+
+    def __enter__(self) -> None:
+        self.backend.synchronize()
+        self.timer.start()
+
+    def __exit__(self, *exc_info: object) -> None:
+        try:
+            self.backend.synchronize()
+        finally:
+            self.timer.stop()
 
 
 class _LayerState:
@@ -312,22 +338,9 @@ class ProtectionEngine:
 
     # -- timing -----------------------------------------------------------------
 
-    @contextmanager
-    def _timed(self, key: str, backend: ArrayBackend) -> Iterator[None]:
-        """Measure one checksum phase with device-correct boundaries.
-
-        Device libraries launch kernels asynchronously, so the wall clock
-        must not start until prior work has retired and must not stop until
-        this phase's kernels have: the backend's :meth:`synchronize` barrier
-        runs on both edges.  On host backends it is a no-op and the timing is
-        byte-identical to a bare ``timers.measure``.
-        """
-        backend.synchronize()
-        with self.timers.measure(key):
-            try:
-                yield
-            finally:
-                backend.synchronize()
+    def _timed(self, key: str, backend: ArrayBackend) -> "_SyncedPhase":
+        """Measure one checksum phase with device-correct boundaries."""
+        return _SyncedPhase(self.timers.timer(key), backend)
 
     # -- workspace / cache plumbing ---------------------------------------------
 

@@ -14,10 +14,11 @@ comparison of recalculated and maintained checksums).  We express it as a
 relative + absolute tolerance pair, scaled per comparison by the magnitude of
 the checksums involved — the standard practice for ABFT on floating point.
 
-The two array-consuming methods (:meth:`ABFTThresholds.detection_tolerance`
-and :meth:`ABFTThresholds.is_extreme`) are backend-generic: they dispatch
-through the namespace of whatever array library owns their input, so
-thresholding runs on-device for CuPy/Torch data.
+The array-consuming methods (:meth:`ABFTThresholds.detection_tolerance`,
+:meth:`ABFTThresholds.is_extreme` and :meth:`ABFTThresholds.any_extreme`)
+are backend-generic: they dispatch through the namespace of whatever array
+library owns their input, so thresholding runs on-device for CuPy/Torch
+data.
 """
 
 from __future__ import annotations
@@ -106,3 +107,17 @@ class ABFTThresholds:
         xp = namespace_of(values)
         values = xp.asarray(values)
         return ~xp.isfinite(values) | (xp.abs(values) > self.near_inf)
+
+    def any_extreme(self, values) -> bool:
+        """Whether any element is INF, NaN or near-INF, from one magnitude scan.
+
+        The largest magnitude decides: the max reduction propagates a NaN
+        element, and the maximum is INF or above ``near_inf`` exactly when
+        some element is.  So :meth:`is_extreme` of it equals
+        ``is_extreme(values).any()``, compared in the same dtype.
+        """
+        xp = namespace_of(values)
+        values = xp.asarray(values)
+        if 0 in values.shape:
+            return False  # no element, and no maximum to take
+        return bool(self.is_extreme(xp.max(xp.abs(values))))

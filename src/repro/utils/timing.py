@@ -11,9 +11,8 @@ from __future__ import annotations
 import threading
 import time
 from collections import defaultdict
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, List, Optional
 
 __all__ = ["XFER_H2D", "XFER_D2H", "Timer", "TimingRegistry"]
 
@@ -27,7 +26,12 @@ XFER_D2H = "xfer/d2h"
 
 @dataclass
 class Timer:
-    """A simple start/stop wall-clock timer accumulating elapsed seconds."""
+    """A simple start/stop wall-clock timer accumulating elapsed seconds.
+
+    The timer is its own context manager: ``with timer:`` (or the equivalent
+    ``with timer.measure():``) starts it on entry and stops it on exit, also
+    when the body raises.
+    """
 
     elapsed: float = 0.0
     count: int = 0
@@ -58,13 +62,15 @@ class Timer:
         """Mean elapsed time per start/stop pair (0.0 if never stopped)."""
         return self.elapsed / self.count if self.count else 0.0
 
-    @contextmanager
-    def measure(self) -> Iterator["Timer"]:
-        self.start()
-        try:
-            yield self
-        finally:
-            self.stop()
+    def __enter__(self) -> "Timer":
+        return self.start()
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.stop()
+
+    def measure(self) -> "Timer":
+        """The timer itself, as the context manager measuring one interval."""
+        return self
 
 
 class TimingRegistry:
@@ -90,10 +96,9 @@ class TimingRegistry:
         with self._lock:
             return self._timers[key]
 
-    @contextmanager
-    def measure(self, key: str) -> Iterator[Timer]:
-        with self.timer(key).measure() as t:
-            yield t
+    def measure(self, key: str) -> Timer:
+        """``key``'s timer, as the context manager measuring one interval."""
+        return self.timer(key)
 
     def elapsed(self, key: str) -> float:
         with self._lock:

@@ -205,6 +205,47 @@ class TestDetectionFrequencies:
         assert checker.stats.sections["AS"].checks_run == 2
         assert checker.stats.sections["AS"].checks_skipped == 2
 
+    @staticmethod
+    def _bert_forwards(checker, passes, injector=None):
+        """Eval forwards of a two-layer tiny BERT; AS verifications per layer."""
+        model = build_model("bert-base", size="tiny", rng=np.random.default_rng(0))
+        model.eval()
+        ids = np.random.default_rng(5).integers(1, model.config.vocab_size, size=(2, 6))
+        verified = {layer: 0 for layer in range(model.config.num_layers)}
+        record = checker._record_outcome
+
+        def counting(section, outcome):
+            if section == "AS" and outcome is not None and outcome.report is not None:
+                verified[outcome.layer_index] += 1
+            record(section, outcome)
+
+        checker._record_outcome = counting
+        model.set_attention_hooks(checker if injector is None else ComposedHooks([injector, checker]))
+        detections = []
+        for _ in range(passes):
+            if injector is not None:
+                injector.arm()
+            model(ids, attention_mask=np.ones_like(ids))
+            detections.append(checker.stats.sections["AS"].detections)
+        model.set_attention_hooks(None)
+        return verified, detections
+
+    def test_each_layer_checks_its_own_fraction_of_passes(self):
+        checker = ATTNChecker(ATTNCheckerConfig(frequencies={"AS": 0.5}))
+        verified, _ = self._bert_forwards(checker, passes=6)
+        assert verified == {0: 3, 1: 3}
+        assert checker.stats.sections["AS"].checks_skipped == 6
+
+    def test_first_layer_fault_detected_within_two_passes(self):
+        checker = ATTNChecker(ATTNCheckerConfig(frequencies={"AS": 0.5}))
+        injector = FaultInjector(
+            [FaultSpec(matrix="AS", error_type="near_inf", layer_index=0)],
+            rng=np.random.default_rng(0),
+        )
+        _, detections = self._bert_forwards(checker, passes=2, injector=injector)
+        # Layer 0 skips AS on its first pass and checks it on its second.
+        assert detections[0] == 0 and detections[1] >= 1
+
     def test_full_frequency_checks_every_pass(self, attention, rng):
         checker = ATTNChecker()
         x = rng.normal(size=(1, 4, 16))

@@ -263,6 +263,36 @@ class TestBackendEquivalenceVariants:
         assert results["fused"] == results["per_gemm"]
         assert results["fused"]["AS"] == (2, 2)
 
+    def test_cl_off_reference_carries_no_row_v(self):
+        # With CL off and O on, S_O still needs col(CL) but nothing reads
+        # row(V): the reference stops at X W_V, so it dispatches the engine's
+        # count plus only its unfused Q/K carry (one extra GEMM per layer).
+        from repro.models import build_model
+
+        outputs, decisions, gemms = {}, {}, {}
+        for backend in CHECKER_BACKENDS:
+            model = build_model("bert-base", size="tiny", rng=np.random.default_rng(0))
+            model.eval()
+            ids = np.random.default_rng(5).integers(1, model.config.vocab_size, size=(2, 6))
+            injector = FaultInjector(
+                [FaultSpec(matrix="O", error_type="inf", layer_index=1)],
+                rng=np.random.default_rng(3),
+            )
+            checker = ATTNChecker(ATTNCheckerConfig(backend=backend, frequencies={"CL": 0.0}))
+            model.set_attention_hooks(ComposedHooks([injector, checker]))
+            outputs[backend] = model(ids, attention_mask=np.ones_like(ids)).logits.data.copy()
+            model.set_attention_hooks(None)
+            decisions[backend] = {
+                name: (s.checks_run, s.checks_skipped, s.detections, s.corrections)
+                for name, s in checker.stats.sections.items()
+            }
+            gemms[backend] = checker.dispatch_counts["gemm"]
+        layers = model.config.num_layers
+        assert gemms == {"fused": 7 * layers, "per_gemm": 8 * layers}
+        assert decisions["fused"] == decisions["per_gemm"]
+        assert decisions["fused"]["O"][2:] == (1, 1)
+        assert np.array_equal(outputs["fused"], outputs["per_gemm"])
+
     def test_fused_multi_fault_campaign_matches_reference(self, rng):
         # Several random faults across steps: accumulate statistics under both
         # backends and compare in aggregate.
