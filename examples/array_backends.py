@@ -2,7 +2,7 @@
 """Pluggable array backends, end to end.
 
 The checker stack dispatches through :mod:`repro.backend`: a registry of
-array libraries (NumPy always; CuPy/Torch when installed) behind one
+array libraries (NumPy always; Torch when installed) behind one
 protocol, so checksum encoding, EEC-ABFT detection and correction run on
 whatever array type a protection section produces.  The model decides the
 backend: ``build_model(..., array_backend=...)`` puts the substrate on it
@@ -121,9 +121,9 @@ def device_resident_training_demo(model_name: str, backend_names):
 def main() -> int:
     model_name = sys.argv[1] if len(sys.argv) > 1 else "bert-base"
     print(f"known array backends    : {', '.join(KNOWN_ARRAY_BACKENDS)}")
-    # Importability is necessary but not sufficient (a CuPy wheel without a
-    # reachable CUDA device constructs no backend): attempt construction and
-    # keep only the backends that actually come up.
+    # Importability is necessary but not sufficient (a factory may still
+    # raise BackendUnavailable): attempt construction and keep only the
+    # backends that actually come up.
     usable = []
     for name in available_array_backends():
         try:

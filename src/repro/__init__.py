@@ -5,12 +5,16 @@ Attention for Large Language Model Training* (PPoPP 2025) as a pure-Python
 library, including every substrate the paper depends on:
 
 * :mod:`repro.backend` — pluggable array backends (NumPy reference always;
-  CuPy/Torch adapters when installed) behind one protocol, so the checker
+  a Torch adapter when installed) behind one protocol, so the checker
   stack runs on whatever array library owns the data;
 * :mod:`repro.tensor` / :mod:`repro.nn` — autograd engine (NumPy substrate)
   over backend-generic kernels, and transformer building blocks with
   instrumented attention;
-* :mod:`repro.models` — BERT / RoBERTa / GPT-2 / GPT-Neo model zoo;
+* :mod:`repro.models` — one model class that its config makes BERT,
+  RoBERTa, GPT-2 or GPT-Neo, with one forward pass for training and
+  KV-cached serving;
+* :mod:`repro.serving` — batched, KV-cached serving with per-request fault
+  isolation;
 * :mod:`repro.data` / :mod:`repro.training` — synthetic MRPC-style corpus,
   optimisers, trainer, checkpoint/restore baseline;
 * :mod:`repro.faults` — fault injection, error propagation and vulnerability

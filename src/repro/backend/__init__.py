@@ -11,11 +11,11 @@ array library:
 ``numpy_backend``
     The always-present host reference — the oracle every adapter is
     byte-compared against.
-``cupy_backend`` / ``torch_backend``
-    Device adapters that import their library lazily and register only when
-    it is installed; **no new hard dependencies**.
+``torch_backend``
+    The device adapter; it imports PyTorch lazily and registers only when
+    it is installed, so there is **no new hard dependency**.
 ``registry``
-    ``get_backend("numpy"|"cupy"|"torch"|"auto")``, availability discovery,
+    ``get_backend("numpy"|"torch"|"auto")``, availability discovery,
     and the name constants CLIs derive their choice lists from.
 ``dispatch``
     ``backend_of(array)`` / ``namespace_of(array)`` — type-keyed resolution

@@ -6,8 +6,8 @@ against two small surfaces instead of against NumPy directly:
 * a **namespace** ``xp`` exposing the NumPy-flavoured array functions the
   kernels use (``matmul``, ``einsum``, ``where``, ``isfinite``, reductions
   with ``axis=``/``keepdims=`` keywords, ...).  For NumPy the namespace *is*
-  the :mod:`numpy` module (plus a couple of normalising shims); CuPy delegates
-  to :mod:`cupy`; Torch implements the same surface on ``torch`` functions.
+  the :mod:`numpy` module (plus a couple of normalising shims); Torch
+  implements the same surface on ``torch`` functions.
 
   Namespaces *should* additionally accept NumPy's optional ``out=`` keyword
   on ``matmul``, and expose ``empty`` for uninitialised
@@ -85,7 +85,7 @@ class ArrayBackend:
     here; anything array-*math* shaped lives on the namespace ``xp`` instead.
     """
 
-    #: Registry name (``"numpy"``, ``"cupy"``, ``"torch"``).
+    #: Registry name (``"numpy"``, ``"torch"``).
     name: str = "abstract"
     #: The NumPy-flavoured function namespace kernels dispatch through.
     xp: Any = None

@@ -1,11 +1,10 @@
 """Backend registry: discovery, lazy construction, and name resolution.
 
 The registry is the single source of truth for which array libraries the
-checker stack can run on.  Three backends ship in-tree — the always-present
-NumPy reference plus CuPy and Torch adapters that construct lazily and are
-reported *unavailable* (not errors) when their library is missing — and
-out-of-tree code (tests, downstream users) can :func:`register_backend`
-additional ones.
+checker stack can run on.  Two backends ship in-tree — the always-present
+NumPy reference plus a Torch adapter that constructs lazily and is reported
+*unavailable* (not an error) when PyTorch is missing — and out-of-tree code
+(tests, downstream users) can :func:`register_backend` additional ones.
 
 Naming rules consumed across the stack:
 
@@ -15,10 +14,9 @@ Naming rules consumed across the stack:
   importable on this machine (checked via ``importlib.util.find_spec``, so no
   heavyweight import happens just to render ``--help``);
 * :func:`get_backend` resolves a name to a cached backend instance.
-  ``"auto"`` picks the best available *device* backend (CuPy, then Torch —
-  each only when it can actually reach a CUDA device) and falls back to
-  NumPy, so on a NumPy-only host ``get_backend("auto")`` **is** the NumPy
-  backend;
+  ``"auto"`` picks an available *device* backend (Torch, only when it can
+  actually reach a CUDA device) and falls back to NumPy, so on a NumPy-only
+  host ``get_backend("auto")`` **is** the NumPy backend;
 * unknown names raise :class:`ValueError` and known-but-uninstalled names
   raise :class:`~repro.backend.base.BackendUnavailable`, both spelling out
   what is known vs. what is installed.
@@ -50,12 +48,6 @@ def _numpy_factory() -> ArrayBackend:
     return NumpyBackend()
 
 
-def _cupy_factory() -> ArrayBackend:
-    from repro.backend.cupy_backend import CupyBackend
-
-    return CupyBackend()
-
-
 def _torch_factory() -> ArrayBackend:
     from repro.backend.torch_backend import TorchBackend
 
@@ -65,12 +57,11 @@ def _torch_factory() -> ArrayBackend:
 #: name -> (factory, module probed for availability; None = always available)
 _FACTORIES: Dict[str, Tuple[Callable[[], ArrayBackend], Optional[str]]] = {
     "numpy": (_numpy_factory, None),
-    "cupy": (_cupy_factory, "cupy"),
     "torch": (_torch_factory, "torch"),
 }
 _INSTANCES: Dict[str, ArrayBackend] = {}
-#: Names whose factory raised BackendUnavailable (e.g. the CuPy wheel is
-#: installed but no CUDA device is reachable).  Availability reporting
+#: Names whose factory raised BackendUnavailable (e.g. a library that is
+#: installed but cannot initialise here).  Availability reporting
 #: downgrades these so a name is never listed as installed after it has
 #: demonstrably failed to construct.
 _CONSTRUCTION_FAILED: Dict[str, str] = {}
@@ -80,7 +71,7 @@ _LOCK = threading.Lock()
 #: is intentionally *static* (CLI choice lists, cost models and docs key off
 #: it); the live registry — built-ins plus anything added via
 #: :func:`register_backend` — is :func:`known_array_backends`.
-KNOWN_ARRAY_BACKENDS: Tuple[str, ...] = ("numpy", "cupy", "torch")
+KNOWN_ARRAY_BACKENDS: Tuple[str, ...] = ("numpy", "torch")
 
 
 def known_array_backends() -> Tuple[str, ...]:
@@ -136,10 +127,10 @@ def backend_available(name: str) -> bool:
     """Whether ``name`` is registered and its library is importable.
 
     Importability is checked with ``find_spec`` (cheap, no import), which is
-    necessary but not always sufficient — the CuPy factory additionally
-    probes for a reachable CUDA device at construction.  A name whose factory
-    has already failed with :class:`BackendUnavailable` is reported
-    unavailable from then on, so lists self-correct after the first attempt.
+    necessary but not always sufficient: a factory may still raise
+    :class:`BackendUnavailable` at construction.  A name whose factory has
+    already failed that way is reported unavailable from then on, so lists
+    self-correct after the first attempt.
     """
     entry = _FACTORIES.get(name)
     if entry is None:

@@ -2,7 +2,7 @@
 
 Torch's function surface is close to NumPy's but not identical (``dim`` vs
 ``axis``, ``clamp`` vs ``clip``, tuple-returning ``max``, unbiased ``var``
-by default, no ``errstate``), so unlike the NumPy/CuPy namespaces this one is
+by default, no ``errstate``), so unlike the NumPy namespace this one is
 written out explicitly: every function the generic kernels dispatch to is a
 small normalising wrapper with NumPy semantics.  Each namespace instance is
 additionally bound to **one device**: creation functions (``zeros``/``ones``/

@@ -284,7 +284,7 @@ def run_serve(args: argparse.Namespace) -> str:
     """
     from repro.serving import RequestGenerator, ServingConfig, ServingEngine
 
-    model_name = args.model if args.model in ("gpt2", "gpt-neo") else "gpt2"
+    model_name = args.model if get_config(args.model).causal else "gpt2"
     reports = {}
     token_streams = {}
     for protected in (False, True):

@@ -14,7 +14,7 @@ This package is the reproduction of the paper's primary contribution:
 
 The checksum/EEC-ABFT stack (``checksums``, ``eec_abft``, ``correction``,
 ``engine``) is **array-backend generic**: every kernel dispatches through
-:mod:`repro.backend`, so the same code protects NumPy, CuPy or Torch arrays
+:mod:`repro.backend`, so the same code protects NumPy or Torch arrays
 natively: a checker runs on the library that owns the model's arrays
 (``build_model(..., array_backend=...)``).
 ``hooks``

@@ -520,7 +520,6 @@ class ATTNChecker(AttentionHooks):
             sections={name: SectionStats() for name in active}
         )
         self.timers = TimingRegistry()
-        self.last_reports: Dict[str, MatrixCorrectionReport] = {}
         #: Bounded ring of recently verified section outcomes, drained by
         #: :meth:`take_recent_outcomes` (the serving engine reads per-request
         #: fault attribution from here after each prefill/decode step).
@@ -584,7 +583,6 @@ class ATTNChecker(AttentionHooks):
         self._mechanics.reset()
         self.stats.reset()
         self.timers.reset()
-        self.last_reports.clear()
         self.recent_outcomes.clear()
 
     # -- frequency gating (policy) ----------------------------------------------
@@ -670,7 +668,6 @@ class ATTNChecker(AttentionHooks):
             stats.checks_skipped += 1
             return
         stats.record(outcome.report)
-        self.last_reports[section] = outcome.report
         stats.operand_repairs += outcome.operand_repairs
         # Only prefill/decode outcomes are kept for take_recent_outcomes —
         # the same rule as the per-GEMM reference — because only the serving

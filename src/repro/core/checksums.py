@@ -36,7 +36,7 @@ Backend-generic contract
 Every function here is **array-library generic**: it dispatches through the
 namespace of the backend that owns its input
 (:func:`repro.backend.namespace_of`), so a NumPy matrix is encoded with NumPy
-BLAS, a CuPy/Torch matrix with the device library — the checksums live
+BLAS, a Torch matrix with Torch — the checksums live
 wherever the protected data lives and never round-trip through host memory.
 The NumPy path executes the exact operation sequence of the historical
 implementation (the cross-backend equivalence tests pin this).  Weighted sums

@@ -28,7 +28,7 @@ where the paper (Section 4.2) needs it.
 
 Like the layers below it, :func:`correct_matrix` is backend-generic: the
 matrix, its checksums and all repairs stay on whatever array library produced
-them (NumPy, CuPy or Torch), with no host round-trip.
+them (NumPy or Torch), with no host round-trip.
 """
 
 from __future__ import annotations

@@ -52,6 +52,14 @@ from repro.core.thresholds import ABFTThresholds
 
 __all__ = ["ColumnCheckReport", "check_columns", "check_rows", "columns_match", "rows_match"]
 
+#: How far ``Δ2/Δ1`` may sit from an integer and still locate an error.  A
+#: single error in a vector makes the ratio its 1-based row index, up to the
+#: round-off of low-precision data, so the test admits anything that rounds
+#: to an index and rejects only ratios within 0.05 of a half-integer, where
+#: round-off could tip the rounding to the neighbouring row.  Such a ratio
+#: is treated as several propagated numeric errors.
+INDEX_RATIO_TOLERANCE = 0.45
+
 
 @dataclass
 class ColumnCheckReport:
@@ -276,7 +284,7 @@ def check_columns(
         ratio = delta2 / safe_d1
         ratio_valid = xp.isfinite(ratio)
         nearest = xp.rint(ratio)
-        ratio_is_integer = ratio_valid & (xp.abs(ratio - nearest) <= 0.45)
+        ratio_is_integer = ratio_valid & (xp.abs(ratio - nearest) <= INDEX_RATIO_TOLERANCE)
         idx_from_checksum = xp.clip(xp.astype(nearest, xp.int64, copy=False) - 1, 0, m - 1)
         in_range = ratio_valid & (nearest >= 1) & (nearest <= m)
 

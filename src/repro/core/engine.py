@@ -48,7 +48,7 @@ Array backends
 The checksum chain is array-library generic.  Each
 :class:`~repro.nn.attention.SectionContext` carries the backend that owns its
 arrays, and the engine always *follows* it: encode, carry, verify and
-repair run natively in that library (NumPy, CuPy or Torch), so a
+repair run natively in that library (NumPy or Torch), so a
 device-resident boundary matrix is never round-tripped through host memory on
 the critical path.
 

@@ -27,8 +27,8 @@ dispatch through that map and ``op.output_matrix``; the sections themselves
 are described in :data:`repro.core.sections.SECTION_REGISTRY`.
 
 Arrays are annotated ``Any`` throughout: hooks are xp-generic and receive
-whatever array type the owning backend produces (NumPy ndarray, CuPy array,
-Torch tensor).
+whatever array type the owning backend produces (NumPy ndarray or Torch
+tensor).
 """
 
 from __future__ import annotations

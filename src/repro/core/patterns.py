@@ -13,7 +13,7 @@ classification used by both the fault-propagation study
 (:mod:`repro.faults.propagation`) and the ABFT correction logic.
 
 All functions are xp-generic: they classify whatever array type they are
-handed (NumPy, CuPy, Torch) in that array's own namespace, so a
+handed (NumPy, Torch) in that array's own namespace, so a
 device-resident matrix is classified on device.  Python sequences and
 scalars fall back to the NumPy reference backend via ``namespace_of``.
 """

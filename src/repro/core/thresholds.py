@@ -17,7 +17,7 @@ the checksums involved — the standard practice for ABFT on floating point.
 The array-consuming methods (:meth:`ABFTThresholds.detection_tolerance`,
 :meth:`ABFTThresholds.is_extreme` and :meth:`ABFTThresholds.any_extreme`)
 are backend-generic: they dispatch through the namespace of whatever array
-library owns their input, so thresholding runs on-device for CuPy/Torch
+library owns their input, so thresholding runs on-device for Torch
 data.
 """
 
@@ -26,7 +26,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
-from repro.backend import namespace_of
+from repro.backend import backend_of, namespace_of
+from repro.utils.floatbits import largest_finite
 
 __all__ = ["ABFTThresholds"]
 
@@ -50,24 +51,18 @@ class ABFTThresholds:
         false positive, yet tight enough that any injected fault large enough
         to matter is detected (the vulnerability study shows benign faults
         need no correction anyway).
-    index_rtol:
-        Tolerance on how far ``delta2/delta1`` may sit from an integer before
-        the located index is considered unreliable (multiple numeric errors).
     """
 
     near_inf: float = 1e10
     correct: float = 1e5
     detect_rtol: float = 1e-7
     detect_atol: float = 1e-9
-    index_rtol: float = 0.05
 
     def __post_init__(self) -> None:
         if self.near_inf <= self.correct:
             raise ValueError("near_inf threshold must exceed the correction threshold")
         if self.detect_rtol <= 0 or self.detect_atol <= 0:
             raise ValueError("detection tolerances must be positive")
-        if not 0 < self.index_rtol < 0.5:
-            raise ValueError("index_rtol must lie in (0, 0.5)")
 
     @classmethod
     def for_precision(cls, precision: str, **overrides) -> "ABFTThresholds":
@@ -103,10 +98,20 @@ class ABFTThresholds:
         return self.detect_rtol * ref + self.detect_atol
 
     def is_extreme(self, values) -> Any:
-        """Mask of INF / NaN / near-INF elements."""
-        xp = namespace_of(values)
+        """Mask of INF / NaN / near-INF elements.
+
+        When ``near_inf`` exceeds the largest finite value of the data's
+        dtype (float16 tops out at 65504), no finite element can pass it:
+        the near-INF test is the non-finite test, and the magnitude compare,
+        whose threshold would overflow when cast to that dtype, is skipped.
+        """
+        backend = backend_of(values)
+        xp = backend.namespace_for(values)
         values = xp.asarray(values)
-        return ~xp.isfinite(values) | (xp.abs(values) > self.near_inf)
+        extreme = ~xp.isfinite(values)
+        if self.near_inf < largest_finite(backend.dtype_of(values)):
+            extreme = extreme | (xp.abs(values) > self.near_inf)
+        return extreme
 
     def any_extreme(self, values) -> bool:
         """Whether any element is INF, NaN or near-INF, from one magnitude scan.

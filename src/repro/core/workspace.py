@@ -14,7 +14,7 @@ aspirational.
 The ``out=`` contract
 ---------------------
 Buffers are filled through the array namespaces' NumPy-style ``out=``
-keyword, which NumPy and CuPy support natively on ``matmul`` and the Torch
+keyword, which NumPy supports natively on ``matmul`` and the Torch
 namespace implements.  :func:`matmul_into` routes through ``out=`` when the
 namespace accepts it and otherwise **falls back to a plain allocating
 call**, memoising the capability per namespace so the fallback costs one

@@ -10,7 +10,7 @@ the computation.
   the selected element — performed *in place* on the GEMM output buffer by
   viewing it through the owning array backend's integer dtype
   (:func:`repro.utils.floatbits.flip_exponent_msb_inplace`), so a
-  device-resident CuPy/Torch output is corrupted without a host round-trip;
+  device-resident Torch output is corrupted without a host round-trip;
 * **numeric** (a moderate value change) is provided additionally, to exercise
   the classic-ABFT code path and the benign-fault behaviour the prior work
   observed.

@@ -1,12 +1,17 @@
 """LLM model zoo used by the paper's evaluation.
 
-Four model families are implemented from scratch on :mod:`repro.nn`:
+One :class:`SequenceClassificationModel`, built on :mod:`repro.nn`, covers
+the four model families; its :class:`ModelConfig` picks the differences:
 
-* **BERT** (small / base / large) — post-LN bidirectional encoder,
-* **RoBERTa** — BERT architecture with RoBERTa hyper-parameters,
-* **GPT-2** — pre-LN causal decoder,
-* **GPT-Neo** — pre-LN causal decoder with alternating global / local
-  attention layers.
+* **BERT** (small / base / large) — post-LN bidirectional encoder with
+  token-type embeddings and a ``[CLS]`` pooler head,
+* **RoBERTa** — the BERT architecture without token-type embeddings, with
+  RoBERTa hyper-parameters,
+* **GPT-2** — pre-LN causal decoder classifying the last token,
+* **GPT-Neo** — GPT-2 with local attention on every other layer.
+
+The causal decoders also serve KV-cached generation (``prefill`` /
+``decode_step``), through the same forward pass as training.
 
 Each family is available in two sizes:
 
@@ -19,13 +24,8 @@ Each family is available in two sizes:
 """
 
 from repro.models.config import ModelConfig
-from repro.models.classification import SequenceClassifierOutput
-from repro.models.bert import BertForSequenceClassification
-from repro.models.gpt2 import GPT2ForSequenceClassification
-from repro.models.gpt_neo import GPTNeoForSequenceClassification
-from repro.models.roberta import RobertaForSequenceClassification
+from repro.models.classification import SequenceClassificationModel, SequenceClassifierOutput
 from repro.models.registry import (
-    MODEL_FAMILIES,
     PAPER_MODEL_NAMES,
     build_model,
     get_config,
@@ -34,14 +34,10 @@ from repro.models.registry import (
 
 __all__ = [
     "ModelConfig",
+    "SequenceClassificationModel",
     "SequenceClassifierOutput",
-    "BertForSequenceClassification",
-    "RobertaForSequenceClassification",
-    "GPT2ForSequenceClassification",
-    "GPTNeoForSequenceClassification",
     "build_model",
     "get_config",
     "list_models",
-    "MODEL_FAMILIES",
     "PAPER_MODEL_NAMES",
 ]

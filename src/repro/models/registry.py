@@ -9,21 +9,17 @@ training-loss experiments (Tables 2 & 4, Figure 6, Section 5.2).
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Union
+from typing import Dict, List, Optional, Union
 
 import numpy as np
 
 from repro.backend import ArrayBackend, get_backend
-from repro.models.bert import BertForSequenceClassification
+from repro.models.classification import SequenceClassificationModel
 from repro.models.config import ModelConfig
-from repro.models.gpt2 import GPT2ForSequenceClassification
-from repro.models.gpt_neo import GPTNeoForSequenceClassification
-from repro.models.roberta import RobertaForSequenceClassification
 
 __all__ = [
     "PAPER_CONFIGS",
     "TINY_CONFIGS",
-    "MODEL_FAMILIES",
     "PAPER_MODEL_NAMES",
     "get_config",
     "build_model",
@@ -70,13 +66,6 @@ PAPER_MODEL_NAMES: List[str] = ["bert-base", "gpt2", "gpt-neo", "roberta"]
 OVERHEAD_MODEL_NAMES: List[str] = [
     "bert-small", "bert-base", "bert-large", "gpt2", "gpt-neo", "roberta",
 ]
-
-MODEL_FAMILIES: Dict[str, Callable[..., object]] = {
-    "bert": BertForSequenceClassification,
-    "roberta": RobertaForSequenceClassification,
-    "gpt2": GPT2ForSequenceClassification,
-    "gpt-neo": GPTNeoForSequenceClassification,
-}
 
 # ---------------------------------------------------------------------------
 # Tiny (CPU-trainable) dimensions
@@ -144,7 +133,7 @@ def build_model(
     num_labels: Optional[int] = None,
     array_backend: Union[None, str, ArrayBackend] = None,
     **overrides,
-):
+) -> SequenceClassificationModel:
     """Instantiate a model by name.
 
     Parameters
@@ -160,7 +149,7 @@ def build_model(
         Override the classification head width.
     array_backend:
         Array backend the model substrate lives on: a registered backend name
-        (``"numpy"``, ``"torch"``, ``"cupy"``, ``"auto"``), an
+        (``"numpy"``, ``"torch"``, ``"auto"``), an
         :class:`~repro.backend.ArrayBackend` instance, or ``None`` for the
         historical pure-NumPy substrate.  Weights are initialised on the host
         from ``rng`` (identical for identical seeds on every backend) and
@@ -177,5 +166,4 @@ def build_model(
         config = config.scaled(**updates)
     if isinstance(array_backend, str):
         array_backend = get_backend(array_backend)
-    model_cls = MODEL_FAMILIES[config.family]
-    return model_cls(config, rng=rng, array_backend=array_backend)
+    return SequenceClassificationModel(config, rng=rng, array_backend=array_backend)

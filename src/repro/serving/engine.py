@@ -45,6 +45,7 @@ import numpy as np
 
 from repro.core.attention_checker import ATTNChecker
 from repro.faults.injector import FaultInjector
+from repro.models import SequenceClassificationModel
 from repro.nn.attention import INCREMENTAL_SECTIONS
 from repro.serving.workload import PAD_TOKEN_ID, ServingRequest
 from repro.utils.timing import TimingRegistry
@@ -176,9 +177,10 @@ class ServingEngine:
     Parameters
     ----------
     model:
-        A causal decoder exposing the
-        :class:`~repro.models.classification.CausalDecodingMixin` interface
-        (``new_kv_caches`` / ``prefill`` / ``decode_step`` / ``lm_logits``).
+        A :class:`~repro.models.SequenceClassificationModel` whose config
+        is a causal pre-LN decoder (``TypeError`` otherwise), served through
+        its ``new_kv_caches`` / ``prefill`` / ``decode_step`` /
+        ``lm_logits``.
         Put the model in ``eval()`` mode is handled here — dropout must be
         off for the KV-cached decode to equal the full forward.
     checker:
@@ -196,17 +198,18 @@ class ServingEngine:
 
     def __init__(
         self,
-        model: Any,
+        model: SequenceClassificationModel,
         checker: Optional[ATTNChecker] = None,
         injector: Optional[FaultInjector] = None,
         config: Optional[ServingConfig] = None,
     ) -> None:
-        for method in ("new_kv_caches", "prefill", "decode_step", "lm_logits"):
-            if not hasattr(model, method):
-                raise TypeError(
-                    f"model {type(model).__name__} has no {method!r}; serving needs "
-                    "a causal decoder with the CausalDecodingMixin interface"
-                )
+        if not (model.config.causal and model.config.norm_style == "pre_ln"):
+            # Post-LN layers keep no KV cache, and only pre-LN models have
+            # the ``score`` generation head.
+            raise TypeError(
+                f"model {model.config.name!r} is not a causal pre-LN decoder; "
+                "serving needs a causal decoder"
+            )
         if model.config.num_labels > model.config.vocab_size:
             raise ValueError(
                 f"generation head width num_labels={model.config.num_labels} exceeds "

@@ -4,7 +4,7 @@ The engine provides everything the transformer models in :mod:`repro.models`
 need — and nothing more:
 
 * :class:`Tensor` wraps an array owned by one :class:`repro.backend.ArrayBackend`
-  (NumPy by default; CuPy / Torch when the model substrate is built on them)
+  (NumPy by default; Torch when the model substrate is built on it)
   and records the operation that produced it (its parents plus a backward
   closure).
 * :func:`Tensor.backward` runs a topological sort of the recorded DAG and

@@ -4,7 +4,7 @@ Every function here is a *pure, backend-generic* array kernel: no global
 state, no autograd bookkeeping, and no hard-wired array library.  Kernels
 dispatch through the namespace of the backend that owns their input
 (:func:`repro.backend.namespace_of`), so the same code runs on NumPy host
-arrays, CuPy device arrays or Torch tensors — whichever library the caller's
+arrays or Torch tensors — whichever library the caller's
 data lives in.  The autograd engine (:mod:`repro.tensor.autograd`) composes
 these kernels into differentiable operations; the fault-injection and ABFT
 machinery calls them directly on raw arrays.

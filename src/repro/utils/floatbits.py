@@ -11,7 +11,7 @@ Two families of helpers coexist:
   operate on NumPy data with vectorised bit views, so fault-injection
   campaigns over millions of elements remain fast;
 * :func:`flip_exponent_msb_inplace` is **backend-generic**: it reinterprets
-  one element of any registered backend's buffer (NumPy, CuPy, Torch) as a
+  one element of any registered backend's buffer (NumPy, Torch) as a
   same-width integer via :meth:`repro.backend.ArrayBackend.uint_view` and
   XORs the exponent MSB *in place* — a device-resident matrix is corrupted
   without ever copying it to the host, mirroring a transient fault striking
@@ -20,6 +20,8 @@ Two families of helpers coexist:
 
 from __future__ import annotations
 
+import math
+from functools import lru_cache
 from typing import Tuple, Union
 
 import numpy as np
@@ -29,6 +31,7 @@ __all__ = [
     "FLIP_KINDS",
     "MANTISSA_BITS",
     "NEAR_INF_MINIMUM_MAGNITUDE",
+    "largest_finite",
     "near_inf_fallback",
     "apply_flip_kind",
     "flip_bit",
@@ -54,6 +57,14 @@ _UINT_FOR = {np.dtype(np.float32): np.uint32, np.dtype(np.float64): np.uint64}
 NEAR_INF_MINIMUM_MAGNITUDE = 1e10
 
 ArrayLike = Union[float, np.ndarray]
+
+
+@lru_cache(maxsize=None)
+def largest_finite(dtype: np.dtype) -> float:
+    """Largest finite value of a float ``dtype`` (65504 for float16); INF
+    for any other kind, which has no finite bound to overflow."""
+    dtype = np.dtype(dtype)
+    return float(np.finfo(dtype).max) if dtype.kind == "f" else math.inf
 
 
 def near_inf_fallback(dtype: np.dtype) -> float:
@@ -200,7 +211,7 @@ def flip_exponent_msb_inplace(
     bit = MANTISSA_BITS[dtype] + EXPONENT_BITS[dtype] - 1
     bits = bk.uint_view(array)
     # A plain Python-int mask XORs correctly against signed (Torch) and
-    # unsigned (NumPy/CuPy) views on any device.  The exponent MSB is never
+    # unsigned (NumPy) views on any device.  The exponent MSB is never
     # the sign bit, so the mask always fits the signed range.
     bits[position] = bits[position] ^ (1 << bit)
 

@@ -1,7 +1,7 @@
 """Cross-array-backend dispatch, registry, and kernel-equivalence suite.
 
 Parametrised over every *registered and installed* array backend — NumPy is
-always present, CuPy/Torch are auto-skipped when their library is absent (the
+always present, Torch is auto-skipped when its library is absent (the
 CI torch job installs CPU torch so the adapter is exercised on every PR).
 
 What this file pins down:
@@ -70,7 +70,7 @@ class TestRegistry:
         if available_array_backends() == ("numpy",):
             assert get_backend("auto") is get_backend("numpy")
             assert resolve_backend_name("auto") == "numpy"
-        else:  # torch/cupy present (CI job): auto must still resolve cleanly
+        else:  # torch present (CI job): auto must still resolve cleanly
             assert resolve_backend_name("auto") in KNOWN_ARRAY_BACKENDS
 
     def test_backends_are_cached_singletons(self):
@@ -99,7 +99,7 @@ class TestRegistry:
             clear_dispatch_cache()
         assert "unit-test-backend" not in known_array_backends()
         # The static in-tree tuple is never mutated by registration.
-        assert KNOWN_ARRAY_BACKENDS == ("numpy", "cupy", "torch")
+        assert KNOWN_ARRAY_BACKENDS == ("numpy", "torch")
 
     def test_numpy_backend_cannot_be_unregistered(self):
         with pytest.raises(ValueError):
@@ -405,7 +405,7 @@ class SimForeignBackend(NumpyBackend):
     Its native type is the :class:`_SimArray` view subclass, so plain
     ``np.ndarray`` inputs are *foreign* to it — a model substrate on this
     backend exercises adoption and the checkpoint ``xfer/*`` timers without
-    needing CuPy or Torch installed.
+    needing Torch installed.
     """
 
     name = "simforeign"

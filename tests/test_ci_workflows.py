@@ -1,4 +1,4 @@
-"""The GitHub Actions workflows load, and their steps point at things that exist.
+"""The CI workflows and the tool config load, and point at things that exist.
 
 A workflow file that is not valid YAML is not run at all — GitHub reports
 the file, not a failing job — and a step that names a deleted test file,
@@ -9,6 +9,12 @@ are checked here, locally:
 * every ``tests/``, ``benchmarks/`` or ``examples/`` path named in a
   ``run:`` block exists;
 * every ``python -m repro <experiment>`` names a registered experiment.
+
+The YAML checks skip without PyYAML.  One more check reads
+``pyproject.toml`` with :mod:`tomllib` (so it skips on Python 3.10): every
+module a ``[[tool.mypy.overrides]]`` table names exists under ``src/``.
+mypy, run without ``warn_unused_configs``, ignores an override for a
+deleted module silently.
 """
 
 import re
@@ -17,8 +23,6 @@ from pathlib import Path
 import pytest
 
 from repro.cli import EXPERIMENTS
-
-yaml = pytest.importorskip("yaml")
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 WORKFLOWS = sorted((REPO_ROOT / ".github" / "workflows").glob("*.yml"))
@@ -36,6 +40,7 @@ def run_blocks(workflow):
 
 
 def load(path):
+    yaml = pytest.importorskip("yaml")
     with open(path, encoding="utf-8") as fh:
         return yaml.safe_load(fh)
 
@@ -70,3 +75,24 @@ def test_run_steps_name_registered_experiments(path):
         if name not in EXPERIMENTS
     ]
     assert unknown == []
+
+
+def module_exists(module):
+    """Whether ``module`` (``pkg.*`` for a package's modules) is under ``src/``."""
+    path = REPO_ROOT / "src" / module.removesuffix(".*").replace(".", "/")
+    return path.with_suffix(".py").is_file() or (path / "__init__.py").is_file()
+
+
+def test_mypy_overrides_name_existing_modules():
+    tomllib = pytest.importorskip("tomllib")
+    with open(REPO_ROOT / "pyproject.toml", "rb") as fh:
+        overrides = tomllib.load(fh)["tool"]["mypy"]["overrides"]
+    modules = [
+        module
+        for override in overrides
+        for module in (
+            [override["module"]] if isinstance(override["module"], str) else override["module"]
+        )
+    ]
+    assert modules
+    assert [m for m in modules if not module_exists(m)] == []

@@ -1,9 +1,12 @@
 """Unit tests for the EEC-ABFT detection / correction kernel."""
 
+import warnings
+
 import numpy as np
 import pytest
 
-from repro.core.checksums import encode_column_checksums, encode_row_checksums
+from repro.core.checksums import ChecksumState, encode_column_checksums, encode_row_checksums
+from repro.core.correction import correct_matrix
 from repro.core.eec_abft import check_columns, check_rows
 from repro.core.thresholds import ABFTThresholds
 
@@ -213,13 +216,57 @@ class TestThresholds:
             ABFTThresholds(near_inf=1e4, correct=1e5)
         with pytest.raises(ValueError):
             ABFTThresholds(detect_rtol=0.0)
-        with pytest.raises(ValueError):
-            ABFTThresholds(index_rtol=0.9)
 
     def test_is_extreme_mask(self):
         th = ABFTThresholds()
         data = np.array([1.0, np.inf, np.nan, 2e10, 2e9])
         assert th.is_extreme(data).tolist() == [False, True, True, True, False]
+
+    def test_float16_near_inf_test_is_the_non_finite_test(self):
+        # near_inf = 1e10 overflows float16 (largest finite 65504): no finite
+        # float16 element can exceed it, and comparing must not cast it.
+        th = ABFTThresholds()
+        data = np.array([1.0, np.inf, -np.inf, np.nan, 65504.0], dtype=np.float16)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert th.is_extreme(data).tolist() == [False, True, True, True, False]
+            assert th.any_extreme(data)
+            assert not th.any_extreme(data[[0, 4]])
+
+    #: Element written into a float16 block (``None``: clean), and whether it
+    #: replaces the element or is added to it.
+    FLOAT16_FAULTS = {
+        "clean": None, "inf": np.inf, "-inf": -np.inf, "nan": np.nan,
+        "numeric": 4.0, "large_finite": 6e4,
+    }
+
+    @staticmethod
+    def _correct_float16(fault, sides, mode):
+        m = np.random.default_rng(0).standard_normal((4, 8, 8)).astype(np.float16)
+        checksums = ChecksumState.encode(m, col=sides != "row", row=sides != "col")
+        value = TestThresholds.FLOAT16_FAULTS[fault]
+        if fault == "numeric":
+            m[1, 3, 6] += np.float16(value)
+        elif value is not None:
+            m[1, 3, 6] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter(mode)
+            report = correct_matrix(m, checksums)
+        counts = (report.detected, report.corrected, report.aborted, report.residual_extreme,
+                  report.used_column_side, report.used_row_side)
+        return counts, m
+
+    @pytest.mark.parametrize("sides", ["col", "row", "both"])
+    @pytest.mark.parametrize("fault", sorted(FLOAT16_FAULTS))
+    def test_float16_correct_matrix_warns_nothing_and_decides_as_before(self, fault, sides):
+        expected = (0, 0, 0, 0, False, False) if fault == "clean" else (
+            1, 1, 0, 0, sides != "row", sides == "row",
+        )
+        ignored, repaired = self._correct_float16(fault, sides, "ignore")
+        assert ignored == expected
+        as_errors, repaired_strict = self._correct_float16(fault, sides, "error")
+        assert as_errors == expected
+        assert np.array_equal(repaired, repaired_strict)
 
     def test_detection_tolerance_scales_with_magnitude(self):
         th = ABFTThresholds()

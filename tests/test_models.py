@@ -3,18 +3,41 @@
 import numpy as np
 import pytest
 
-from repro.models import (
-    BertForSequenceClassification,
-    GPT2ForSequenceClassification,
-    GPTNeoForSequenceClassification,
-    RobertaForSequenceClassification,
-    build_model,
-    get_config,
-    list_models,
-)
+from repro.models import build_model, get_config, list_models
+from repro.models.classification import ClassificationHead
 from repro.models.config import ModelConfig
 from repro.models.registry import OVERHEAD_MODEL_NAMES, PAPER_CONFIGS, PAPER_MODEL_NAMES, TINY_CONFIGS
 from repro.nn.attention import RecordingHooks
+from repro.nn.layers import Embedding, LayerNorm, Linear
+
+#: Parameter names of one transformer layer, in ``named_parameters()`` order.
+LAYER_PARAMETERS = [
+    "attention.w_q.weight", "attention.w_q.bias", "attention.w_k.weight", "attention.w_k.bias",
+    "attention.w_v.weight", "attention.w_v.bias", "attention.w_o.weight", "attention.w_o.bias",
+    "attn_norm.weight", "attn_norm.bias", "ffn.fc_in.weight", "ffn.fc_in.bias",
+    "ffn.fc_out.weight", "ffn.fc_out.bias", "ffn_norm.weight", "ffn_norm.bias",
+]
+
+#: Per family, the parameter names before and after the layers.  These are
+#: the state-dict keys, so a change here breaks every saved checkpoint.
+_CLASSIFIER_HEAD = [
+    "head.dense.weight", "head.dense.bias", "head.out_proj.weight", "head.out_proj.bias",
+]
+_DECODER_HEAD = ["final_norm.weight", "final_norm.bias", "score.weight"]
+OUTER_PARAMETERS = {
+    "bert-base": (
+        ["token_embeddings.weight", "position_embeddings.weight", "token_type_embeddings.weight",
+         "embedding_norm.weight", "embedding_norm.bias"],
+        _CLASSIFIER_HEAD,
+    ),
+    "roberta": (
+        ["token_embeddings.weight", "position_embeddings.weight",
+         "embedding_norm.weight", "embedding_norm.bias"],
+        _CLASSIFIER_HEAD,
+    ),
+    "gpt2": (["token_embeddings.weight", "position_embeddings.weight"], _DECODER_HEAD),
+    "gpt-neo": (["token_embeddings.weight", "position_embeddings.weight"], _DECODER_HEAD),
+}
 
 
 @pytest.fixture
@@ -96,11 +119,49 @@ class TestRegistry:
         with pytest.raises(ValueError):
             get_config("bert-base", size="huge")
 
-    def test_build_model_families(self, rng):
-        assert isinstance(build_model("bert-base", rng=rng), BertForSequenceClassification)
-        assert isinstance(build_model("roberta", rng=rng), RobertaForSequenceClassification)
-        assert isinstance(build_model("gpt2", rng=rng), GPT2ForSequenceClassification)
-        assert isinstance(build_model("gpt-neo", rng=rng), GPTNeoForSequenceClassification)
+    @pytest.mark.parametrize("name", ["bert-base", "roberta"])
+    def test_encoder_families_pool_through_the_classification_head(self, name, rng):
+        model = build_model(name, rng=rng)
+        assert isinstance(model.embedding_norm, LayerNorm)
+        assert isinstance(model.head, ClassificationHead)
+        assert not hasattr(model, "final_norm") and not hasattr(model, "score")
+        assert all(layer.norm_style == "post_ln" for layer in model.layers)
+        assert not any(attention.causal for attention in model.attention_layers())
+        # Only BERT has segment embeddings; RoBERTa drops them.
+        assert hasattr(model, "token_type_embeddings") == (name == "bert-base")
+        if name == "bert-base":
+            assert isinstance(model.token_type_embeddings, Embedding)
+
+    @pytest.mark.parametrize("name", ["gpt2", "gpt-neo"])
+    def test_decoder_families_score_the_last_token(self, name, rng):
+        model = build_model(name, rng=rng)
+        assert isinstance(model.final_norm, LayerNorm)
+        assert isinstance(model.score, Linear) and model.score.bias is None
+        for absent in ("head", "embedding_norm", "token_type_embeddings"):
+            assert not hasattr(model, absent), absent
+        assert all(layer.norm_style == "pre_ln" for layer in model.layers)
+        assert all(attention.causal for attention in model.attention_layers())
+
+    def test_gpt_neo_odd_layers_attend_locally(self, rng):
+        model = build_model("gpt-neo", size="tiny", rng=rng, num_layers=4)
+        windows = [attention.local_window for attention in model.attention_layers()]
+        window = model.config.local_attention_window
+        assert window is not None
+        assert windows == [None, window, None, window]
+        gpt2 = build_model("gpt2", size="tiny", rng=rng, num_layers=4)
+        assert [a.local_window for a in gpt2.attention_layers()] == [None] * 4
+
+    @pytest.mark.parametrize("name", sorted(OUTER_PARAMETERS))
+    def test_parameter_names_pinned(self, name, rng):
+        model = build_model(name, rng=rng)
+        before, after = OUTER_PARAMETERS[name]
+        layers = [
+            f"layers.{i}.{param}"
+            for i in range(model.config.num_layers)
+            for param in LAYER_PARAMETERS
+        ]
+        assert [n for n, _ in model.named_parameters()] == before + layers + after
+        assert list(model.state_dict()) == before + layers + after
 
     def test_build_model_num_labels_override(self, rng):
         model = build_model("bert-base", rng=rng, num_labels=5)

@@ -12,7 +12,7 @@ import pytest
 
 from repro.core import ATTNChecker, ATTNCheckerConfig, SectionCostModel
 from repro.faults import FaultInjector, FaultSpec
-from repro.models import build_model
+from repro.models import build_model, get_config
 from repro.nn import ComposedHooks
 from repro.serving import (
     RequestGenerator,
@@ -145,6 +145,31 @@ class TestServingReport:
         for key, seconds in second.timer_seconds.items():
             assert seconds > 0.0
             assert total[key] == pytest.approx(after_first[key] + seconds)
+
+
+class TestEngineConstruction:
+    """The engine refuses a model it cannot serve before touching it."""
+
+    @pytest.mark.parametrize("name, overrides", [
+        ("bert-base", {}),
+        ("roberta", {}),
+        ("gpt2", {"causal": False}),
+        ("bert-base", {"causal": True}),  # post-LN: no KV cache, no score head
+    ])
+    def test_refuses_model_that_is_not_a_causal_decoder(self, name, overrides):
+        model = build_model(name, size="tiny", rng=np.random.default_rng(0), **overrides)
+        with pytest.raises(TypeError, match="causal decoder"):
+            ServingEngine(model)
+        assert model.training  # refused before eval() switched dropout off
+
+    def test_refuses_generation_head_wider_than_vocabulary(self):
+        vocab_size = get_config("gpt2").vocab_size
+        model = build_model(
+            "gpt2", size="tiny", rng=np.random.default_rng(0), num_labels=vocab_size + 1,
+        )
+        with pytest.raises(ValueError, match="exceeds vocab_size"):
+            ServingEngine(model)
+        assert model.training
 
 
 class TestDecodeEquivalence:
