@@ -16,6 +16,9 @@ measures what protection costs at inference time:
   summed over layers.
 * **Zero steady-state decode allocations** — after the first (cold) decode
   step the checksum workspace must serve every later step from its arena.
+* **No autograd tape** — serving runs under ``no_grad``, so no hidden state
+  the engine's prefills and decode steps return carries autograd parents
+  (``graph_free``); a recorded tape would keep every activation alive.
 
 The run emits a machine-readable ``BENCH_serving.json`` artifact (path
 overridable via the ``BENCH_SERVING_JSON`` environment variable) that the CI
@@ -51,9 +54,30 @@ def make_requests(model):
     ).generate(NUM_REQUESTS)
 
 
+def record_hidden_states(model):
+    """Keep every hidden state ``model.prefill`` / ``decode_step`` return."""
+    hidden_states = []
+
+    def recording(method):
+        def call(*args, **kwargs):
+            hidden = method(*args, **kwargs)
+            hidden_states.append(hidden)
+            return hidden
+        return call
+
+    for name in ("prefill", "decode_step"):
+        setattr(model, name, recording(getattr(model, name)))
+    return hidden_states
+
+
 def serve_once(protected: bool, seed: int = 0):
-    """Serve the stream once; returns (report, per-request token lists)."""
+    """Serve the stream once.
+
+    Returns the report, the per-request token lists and whether no hidden
+    state the run produced carries autograd parents.
+    """
     model = build_model("gpt2", size="tiny", rng=np.random.default_rng(seed))
+    hidden_states = record_hidden_states(model)
     checker = None
     if protected:
         checker = ATTNChecker(ATTNCheckerConfig(backend="fused"))
@@ -64,7 +88,8 @@ def serve_once(protected: bool, seed: int = 0):
     report = engine.run(make_requests(model))
     if checker is not None:
         checker.close()
-    return report, [r.tokens for r in report.results]
+    graph_free = bool(hidden_states) and not any(h._parents for h in hidden_states)
+    return report, [r.tokens for r in report.results], graph_free
 
 
 def decode_dispatch_counters():
@@ -146,12 +171,13 @@ def test_serving_overhead_and_o1_decode_json(benchmark, report):
         for _ in range(3):
             off_trials.append(serve_once(protected=False))
             on_trials.append(serve_once(protected=True))
-        best_off = min(off_trials, key=lambda pair: pair[0].wall_seconds)
-        best_on = min(on_trials, key=lambda pair: pair[0].wall_seconds)
-        return counters, best_off, best_on
+        best_off = min(off_trials, key=lambda trial: trial[0].wall_seconds)
+        best_on = min(on_trials, key=lambda trial: trial[0].wall_seconds)
+        graph_free = all(trial[2] for trial in off_trials + on_trials)
+        return counters, best_off[:2], best_on[:2], graph_free
 
-    counters, (report_off, tokens_off), (report_on, tokens_on) = benchmark.pedantic(
-        compare, rounds=1, iterations=1
+    counters, (report_off, tokens_off), (report_on, tokens_on), graph_free = (
+        benchmark.pedantic(compare, rounds=1, iterations=1)
     )
 
     # -- hard, deterministic gates -------------------------------------------
@@ -160,6 +186,8 @@ def test_serving_overhead_and_o1_decode_json(benchmark, report):
     assert report_on.num_evicted == 0 and report_off.num_evicted == 0
     assert report_on.checker_stats["detections"] == 0
     assert report_on.checker_stats["checks"] > 0
+    # Serving records no autograd tape.
+    assert graph_free
     # O(1) decode: identical dispatch deltas at two cache lengths, both equal
     # to the cost-model entry; no detections in the fault-free driver.
     assert counters["cache_len_long"] > counters["cache_len_short"]
@@ -192,6 +220,7 @@ def test_serving_overhead_and_o1_decode_json(benchmark, report):
         "protection_off": report_off.to_dict(),
         "protection_on": report_on.to_dict(),
         "tokens_identical": tokens_on == tokens_off,
+        "graph_free": graph_free,
         "overhead_ratio": overhead_ratio,
         "decode_dispatch": counters,
     }

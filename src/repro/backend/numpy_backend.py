@@ -113,4 +113,6 @@ class NumpyBackend(ArrayBackend):
     # -- misc -------------------------------------------------------------------
 
     def dtype_of(self, array: Any) -> np.dtype:
+        if isinstance(array, np.ndarray):
+            return array.dtype
         return np.dtype(np.asarray(array).dtype)

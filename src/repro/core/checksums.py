@@ -297,7 +297,8 @@ def split_head_column_checksums(col_checksums: Any, num_heads: int) -> Any:
         raise ValueError(f"feature dim {d} not divisible by num_heads {num_heads}")
     head_dim = d // num_heads
     reshaped = col_checksums.reshape(*lead, 2, num_heads, head_dim)
-    return xp.moveaxis(reshaped, -2, -3)  # (..., H, 2, head_dim)
+    # Moving the head axis in front of its neighbour is a swap of the two.
+    return reshaped.swapaxes(-2, -3)  # (..., H, 2, head_dim)
 
 
 def merge_head_column_checksums(per_head: Any, out: Any = None) -> Any:
@@ -315,7 +316,7 @@ def merge_head_column_checksums(per_head: Any, out: Any = None) -> Any:
     *lead, h, two, dh = per_head.shape
     if two != 2:
         raise ValueError(f"expected a checksum axis of size 2, got {two}")
-    moved = xp.moveaxis(per_head, -3, -2)  # (..., 2, H, dh)
+    moved = per_head.swapaxes(-3, -2)  # (..., 2, H, dh)
     if out is None:
         return moved.reshape(*lead, 2, h * dh)
     out[...] = moved

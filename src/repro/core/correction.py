@@ -21,10 +21,13 @@ implementing the three propagation-handling strategies of the paper:
   cases.
 
 Before any of that, :func:`correct_matrix` screens the matrix: one scan for
-extreme values, then per checksum side the unweighted reduce-and-compare
-that EEC-ABFT detects mismatches with.  A clean matrix costs only that; the
-case analysis above runs only after the screen flags something, which is
-where the paper (Section 4.2) needs it.
+extreme values (the largest magnitude, judged in the data's dtype), then one
+pass per checksum side: the unweighted reduce-and-compare that EEC-ABFT
+detects mismatches with, which is the same function, so it sums the same
+view the same way and compares against the same tolerance expression.  A
+clean matrix costs only that, a handful of array calls per side; the case
+analysis above runs only after the screen flags something, which is where
+the paper (Section 4.2) needs it.
 
 Like the layers below it, :func:`correct_matrix` is backend-generic: the
 matrix, its checksums and all repairs stay on whatever array library produced
@@ -101,12 +104,15 @@ def correct_matrix(
     A screen runs first: :meth:`ABFTThresholds.any_extreme` scans for INF,
     NaN and near-INF elements, then :func:`columns_match` /
     :func:`rows_match` compare the unweighted checksums of each side
-    present, with the same test EEC-ABFT detects with.  The screen finds the
-    matrix clean exactly when every pass below would detect nothing, and
-    then returns a *clean report*: no sub-reports (``column_report`` and
-    ``row_report`` are ``None``, ``used_*_side`` False), every count zero,
-    nothing modified, and :func:`repro.core.engine.request_dirty_from_report`
-    returns ``None`` for it.  No sub-reports means clean.
+    present, with the same test EEC-ABFT detects with.  The compare runs
+    only on data the scan passed, so it raises no floating-point flag and
+    holds no error state.  The screen finds the matrix clean exactly when
+    every pass below would detect nothing, non-finite maintained checksums
+    included, and then returns a *clean report*: no sub-reports
+    (``column_report`` and ``row_report`` are ``None``, ``used_*_side``
+    False), every count zero, nothing modified, and
+    :func:`repro.core.engine.request_dirty_from_report` returns ``None`` for
+    it.  No sub-reports means clean.
 
     Anything the screen flags is detected and corrected in place.  The
     strategy is chosen from which checksum sides are present:

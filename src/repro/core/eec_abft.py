@@ -37,8 +37,9 @@ The public entry points are :func:`check_columns` (column-checksum side,
 handles 0D and 1R patterns) and :func:`check_rows` (row-checksum side, 0D and
 1C patterns), both operating in place on the protected matrix and returning a
 :class:`ColumnCheckReport`.  :func:`columns_match` and :func:`rows_match` run
-only their unweighted reduce-and-compare, the test that decides "mismatch"
-for EEC-ABFT, and locate or repair nothing.
+only their unweighted reduce-and-compare (:func:`_unweighted_check`, the
+same function and so the same sums and the same tolerance expression that
+decide "mismatch" for EEC-ABFT) and locate or repair nothing.
 """
 
 from __future__ import annotations
@@ -152,15 +153,21 @@ def _unweighted_check(
 
     Returns the recomputed unweighted column sums, ``Δ1`` (maintained minus
     recomputed) and the ``(B, n)`` mask of columns within tolerance, which
-    is False for a mismatch and for a non-finite ``Δ1``.  The caller holds
-    the floating-point error state.
+    is False for a mismatch and for a non-finite ``Δ1``.  A non-finite
+    maintained checksum fails too: its ``Δ1`` is INF or NaN, and its ``E``
+    may be INF (see :meth:`ABFTThresholds.detection_tolerance`).  On finite
+    data the arithmetic raises no floating-point flag; on non-finite data
+    the caller holds the error state.
     """
     # Accumulate in float64 regardless of the data dtype: summing a low
     # precision (fp16/fp32) matrix in its own dtype loses enough precision to
-    # trigger false positives at the default thresholds.
-    recomputed0 = xp.sum(flat, axis=1, dtype=xp.float64)       # (B, n)
-    delta1 = cs[:, 0, :] - recomputed0
-    within = xp.abs(delta1) <= thresholds.detection_tolerance(cs[:, 0, :])
+    # trigger false positives at the default thresholds.  The array method
+    # is the same reduction as ``xp.sum`` without NumPy's dispatch wrapper.
+    recomputed0 = flat.sum(1, dtype=xp.float64)                # (B, n)
+    maintained0 = cs[:, 0, :]
+    delta1 = maintained0 - recomputed0
+    tolerance = thresholds.detection_tolerance(maintained0)
+    within = (xp.abs(delta1) <= tolerance) & xp.isfinite(maintained0)
     return recomputed0, delta1, within
 
 
@@ -174,14 +181,14 @@ def columns_match(
     The reduce-and-compare half of EEC-ABFT's detection, on the same
     reshaped blocks: True exactly when no column's unweighted checksum
     differs beyond the tolerance ``E``.  Extreme values are not scanned for
-    here (see :meth:`ABFTThresholds.any_extreme`); nothing is located or
-    repaired.
+    here (see :meth:`ABFTThresholds.any_extreme`), and nothing is located or
+    repaired.  Both arguments are arrays of one backend; run on finite data
+    (after the extreme scan), the test raises no floating-point flag, so it
+    holds no error state of its own.
     """
     thresholds = thresholds or ABFTThresholds()
-    xp = namespace_of(matrix)
-    flat, cs = _column_blocks(xp.asarray(matrix), xp.asarray(col_checksums))
-    with xp.errstate(invalid="ignore", over="ignore"):
-        return bool(xp.all(_unweighted_check(flat, cs, thresholds, xp)[2]))
+    flat, cs = _column_blocks(matrix, col_checksums)
+    return bool(_unweighted_check(flat, cs, thresholds, namespace_of(flat))[2].all())
 
 
 def rows_match(
@@ -191,12 +198,7 @@ def rows_match(
 ) -> bool:
     """:func:`columns_match` for the row side, on the transposed view that
     :func:`check_rows` hands to :func:`check_columns`."""
-    xp = namespace_of(matrix)
-    return columns_match(
-        xp.swapaxes(xp.asarray(matrix), -1, -2),
-        xp.swapaxes(xp.asarray(row_checksums), -1, -2),
-        thresholds,
-    )
+    return columns_match(matrix.swapaxes(-1, -2), row_checksums.swapaxes(-1, -2), thresholds)
 
 
 def check_columns(

@@ -491,7 +491,7 @@ class ProtectionEngine:
             self.dispatch_counts["gemm"] += 1
             # Row side of AS: row(AS) = Q row(K^T) = Q col(K)^T.
             cs_as_row = matmul_into(                                        # (B, H, S, 2)
-                xp, ops["q"], xp.swapaxes(cs_k_ph, -1, -2),
+                xp, ops["q"], cs_k_ph.swapaxes(-1, -2),
                 self._buf(
                     "AS/decode_cs_as_row" if decode else "AS/cs_as_row",
                     tuple(ops["q"].shape[:-1]) + (2,), xp,

@@ -14,22 +14,40 @@ comparison of recalculated and maintained checksums).  We express it as a
 relative + absolute tolerance pair, scaled per comparison by the magnitude of
 the checksums involved — the standard practice for ABFT on floating point.
 
-The array-consuming methods (:meth:`ABFTThresholds.detection_tolerance`,
-:meth:`ABFTThresholds.is_extreme` and :meth:`ABFTThresholds.any_extreme`)
-are backend-generic: they dispatch through the namespace of whatever array
-library owns their input, so thresholding runs on-device for Torch
-data.
+Each test is one expression, because a clean verification runs them at
+every section boundary and its cost is the number of array calls:
+``E = rtol·|reference| + atol`` (:meth:`ABFTThresholds.detection_tolerance`)
+and "extreme" is "not ``|x| <= limit``" (:meth:`ABFTThresholds.is_extreme`,
+:meth:`ABFTThresholds.any_extreme`), which NaN fails as well as ±INF.
+
+The array-consuming methods are backend-generic: they dispatch through the
+namespace of whatever array library owns their input, so thresholding runs
+on-device for Torch data.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Any
 
 from repro.backend import backend_of, namespace_of
 from repro.utils.floatbits import largest_finite
 
 __all__ = ["ABFTThresholds"]
+
+
+@lru_cache(maxsize=None)
+def _magnitude_limit(near_inf: float, dtype: Any) -> float:
+    """Largest magnitude that is not extreme in ``dtype``.
+
+    ``near_inf`` itself, unless it reaches the largest finite value of
+    ``dtype`` (float16 tops out at 65504): then no finite element can pass
+    it, and that largest finite value bounds the finite elements instead.
+    Either way the limit is representable in ``dtype``, so comparing in the
+    data's dtype casts nothing that overflows.
+    """
+    return min(near_inf, largest_finite(dtype))
 
 
 @dataclass(frozen=True)
@@ -91,38 +109,45 @@ class ABFTThresholds:
         return cls(**params)
 
     def detection_tolerance(self, reference) -> Any:
-        """Per-comparison tolerance ``E`` scaled by the reference magnitude."""
+        """Per-comparison tolerance ``E = rtol·|reference| + atol``, in float64.
+
+        A non-finite reference makes ``E`` non-finite too.  EEC-ABFT's
+        mismatch test (:func:`repro.core.eec_abft._unweighted_check`)
+        therefore also requires a finite reference: the difference against
+        a non-finite checksum is itself INF or NaN, which ``|Δ| <= E`` would
+        accept when ``E`` is INF.
+        """
         xp = namespace_of(reference)
-        ref = xp.abs(xp.astype(xp.asarray(reference), xp.float64, copy=False))
-        ref = xp.where(xp.isfinite(ref), ref, 0.0)
-        return self.detect_rtol * ref + self.detect_atol
+        ref = xp.astype(reference, xp.float64, copy=False)
+        return self.detect_rtol * xp.abs(ref) + self.detect_atol
+
+    def _limit(self, backend, values) -> float:
+        return _magnitude_limit(self.near_inf, backend.dtype_of(values))
 
     def is_extreme(self, values) -> Any:
-        """Mask of INF / NaN / near-INF elements.
+        """Mask of INF / NaN / near-INF elements: not ``|x| <= limit``.
 
-        When ``near_inf`` exceeds the largest finite value of the data's
-        dtype (float16 tops out at 65504), no finite element can pass it:
-        the near-INF test is the non-finite test, and the magnitude compare,
-        whose threshold would overflow when cast to that dtype, is skipped.
+        The limit is ``near_inf``, compared in the data's dtype; when
+        ``near_inf`` exceeds the largest finite value of that dtype, no
+        finite element can pass it, and the test is the non-finite test
+        (see :func:`_magnitude_limit`).  NaN fails every comparison, so it
+        is extreme without a separate finiteness test.
         """
         backend = backend_of(values)
         xp = backend.namespace_for(values)
         values = xp.asarray(values)
-        extreme = ~xp.isfinite(values)
-        if self.near_inf < largest_finite(backend.dtype_of(values)):
-            extreme = extreme | (xp.abs(values) > self.near_inf)
-        return extreme
+        return ~(xp.abs(values) <= self._limit(backend, values))
 
     def any_extreme(self, values) -> bool:
         """Whether any element is INF, NaN or near-INF, from one magnitude scan.
 
         The largest magnitude decides: the max reduction propagates a NaN
-        element, and the maximum is INF or above ``near_inf`` exactly when
-        some element is.  So :meth:`is_extreme` of it equals
-        ``is_extreme(values).any()``, compared in the same dtype.
+        element, and the maximum is INF or above the limit exactly when
+        some element is.  So this equals ``is_extreme(values).any()``,
+        compared in the same dtype.
         """
-        xp = namespace_of(values)
-        values = xp.asarray(values)
+        backend = backend_of(values)
+        values = backend.namespace_for(values).abs(values)
         if 0 in values.shape:
             return False  # no element, and no maximum to take
-        return bool(self.is_extreme(xp.max(xp.abs(values))))
+        return not values.max() <= self._limit(backend, values)

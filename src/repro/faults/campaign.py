@@ -25,6 +25,7 @@ from repro.core.attention_checker import ATTNChecker, ATTNCheckerConfig
 from repro.faults.injector import FLIP_KINDS, FaultInjector, FaultSpec
 from repro.models.classification import SequenceClassificationModel
 from repro.nn.attention import ComposedHooks
+from repro.tensor.autograd import no_grad
 from repro.utils.rng import new_rng
 
 __all__ = ["CampaignResult", "DetectionCorrectionCampaign"]
@@ -135,12 +136,14 @@ class DetectionCorrectionCampaign:
     # -- reference ---------------------------------------------------------------------
 
     def _forward_logits(self, hooks) -> np.ndarray:
+        """Logits of one forward pass; it records no autograd graph."""
         self.model.eval()
         self.model.set_attention_hooks(hooks)
         try:
-            output = self.model(
-                self.batch["input_ids"], attention_mask=self.batch.get("attention_mask")
-            )
+            with no_grad():
+                output = self.model(
+                    self.batch["input_ids"], attention_mask=self.batch.get("attention_mask")
+                )
         finally:
             self.model.set_attention_hooks(None)
             self.model.train()

@@ -24,6 +24,7 @@ from repro.faults.injector import FaultInjector, FaultSpec
 from repro.faults.precision import PrecisionSimulationHooks, precision_value_dtype
 from repro.models.classification import SequenceClassificationModel
 from repro.nn.attention import ComposedHooks, RecordingHooks
+from repro.tensor.autograd import no_grad
 from repro.utils.rng import new_rng
 
 __all__ = ["PropagationResult", "PropagationStudy"]
@@ -91,13 +92,15 @@ class PropagationStudy:
     # -- reference run ------------------------------------------------------------------
 
     def _run_forward(self, hooks) -> Dict[str, np.ndarray]:
+        """One recorded forward pass; it records no autograd graph."""
         self.model.eval()
         self.model.set_attention_hooks(hooks)
         try:
-            self.model(
-                self.batch["input_ids"],
-                attention_mask=self.batch.get("attention_mask"),
-            )
+            with no_grad():
+                self.model(
+                    self.batch["input_ids"],
+                    attention_mask=self.batch.get("attention_mask"),
+                )
         finally:
             self.model.set_attention_hooks(None)
             self.model.train()

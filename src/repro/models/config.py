@@ -101,13 +101,24 @@ class ModelConfig:
         return self.attention_parameter_count() + ffn + norms
 
     def parameter_count(self) -> int:
-        """Approximate total parameter count (embeddings + layers + head)."""
+        """Parameters of the model :func:`repro.models.build_model` builds.
+
+        Token and position embeddings (plus token-type embeddings for family
+        ``bert`` only), the layers, and by ``norm_style`` either an
+        embedding LayerNorm and a pooler head (dense + classifier, both with
+        bias; post-LN) or a final LayerNorm and a bias-free ``score``
+        (pre-LN).
+        """
         d = self.hidden_size
         emb = self.vocab_size * d + self.max_seq_len * d
-        if self.family in ("bert", "roberta"):
+        if self.family == "bert":
             emb += self.type_vocab_size * d
-        head = d * d + d + d * self.num_labels + self.num_labels
-        return emb + self.num_layers * self.layer_parameter_count() + head
+        norm = 2 * d
+        if self.norm_style == "post_ln":
+            head = d * d + d + d * self.num_labels + self.num_labels
+        else:
+            head = d * self.num_labels
+        return emb + norm + self.num_layers * self.layer_parameter_count() + head
 
     def attention_gemm_flops(self, batch_size: int, seq_len: Optional[int] = None) -> int:
         """FLOPs of the six GEMMs of one attention block for one forward pass.

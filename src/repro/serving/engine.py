@@ -48,6 +48,7 @@ from repro.faults.injector import FaultInjector
 from repro.models import SequenceClassificationModel
 from repro.nn.attention import INCREMENTAL_SECTIONS
 from repro.serving.workload import PAD_TOKEN_ID, ServingRequest
+from repro.tensor.autograd import no_grad
 from repro.utils.timing import TimingRegistry
 
 __all__ = ["ServingConfig", "RequestResult", "ServingReport", "ServingEngine"]
@@ -181,8 +182,10 @@ class ServingEngine:
         is a causal pre-LN decoder (``TypeError`` otherwise), served through
         its ``new_kv_caches`` / ``prefill`` / ``decode_step`` /
         ``lm_logits``.
-        Put the model in ``eval()`` mode is handled here — dropout must be
-        off for the KV-cached decode to equal the full forward.
+        The engine puts the model in ``eval()`` mode, because dropout must
+        be off for the KV-cached decode to equal the full forward, and
+        serves under :func:`repro.tensor.autograd.no_grad`, so no forward
+        records an autograd graph.
     checker:
         Optional :class:`~repro.core.ATTNChecker` already attached to the
         model via ``set_attention_hooks`` (protection on); ``None`` serves
@@ -241,7 +244,9 @@ class ServingEngine:
 
         Every figure on the report covers this call only.  ``self.timers``
         and the checker's statistics keep accumulating across calls, so the
-        report carries their differences over the run.
+        report carries their differences over the run.  Nothing is
+        back-propagated through a served forward, so the run records no
+        autograd graph (:func:`~repro.tensor.autograd.no_grad`).
         """
         start = time.perf_counter()
         results: List[RequestResult] = []
@@ -250,9 +255,10 @@ class ServingEngine:
         timers_before = self.timers.as_dict()
         checker_before = self._checker_totals()
         batch_size = self.config.max_batch_size
-        for batch_start in range(0, len(requests), batch_size):
-            batch = requests[batch_start : batch_start + batch_size]
-            results.extend(self._run_batch(batch_start // batch_size, batch))
+        with no_grad():
+            for batch_start in range(0, len(requests), batch_size):
+                batch = requests[batch_start : batch_start + batch_size]
+                results.extend(self._run_batch(batch_start // batch_size, batch))
         wall = time.perf_counter() - start
         checker_stats = {
             key: value - checker_before[key]

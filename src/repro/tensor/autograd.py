@@ -34,6 +34,20 @@ On the NumPy backend every operation executes the identical op sequence of
 the historical pure-NumPy engine, so results are byte-identical to earlier
 releases (pinned by the seed-output goldens in the test suite).
 
+Inference: :func:`no_grad`
+--------------------------
+Inside ``with no_grad():`` operation results record no parents and no
+backward closure, whatever their inputs' ``requires_grad``: nothing can
+back-propagate through them, and every intermediate array is freed as soon
+as the forward code drops it instead of living on in the closures of a tape
+that nothing walks.  The values are bit-identical to a grad-mode forward —
+only the bookkeeping is skipped.  The switch is thread-local, because the
+data-parallel trainer runs its ranks on threads: a thread started inside the
+block still records its graph.  The forward-only callers run under it:
+:meth:`repro.serving.ServingEngine.run`, :meth:`repro.training.Trainer.evaluate`,
+the propagation study's forward passes and the detection/correction
+campaign's.
+
 ABFT / fault-injection integration
 ----------------------------------
 :func:`matmul` accepts a ``forward_hook``: a callable receiving the raw GEMM
@@ -46,7 +60,9 @@ mirrors how the paper instruments the CUDA GEMMs at the operation boundary.
 
 from __future__ import annotations
 
-from typing import Any, Callable, List, Optional, Sequence, Tuple, Union
+import threading
+from contextlib import contextmanager
+from typing import Any, Callable, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -76,9 +92,37 @@ __all__ = [
     "sum",
     "mean",
     "cross_entropy_loss",
+    "no_grad",
 ]
 
 ArrayLike = Union[float, int, np.ndarray, "Tensor", Any]
+
+
+class _GradMode(threading.local):
+    """Per-thread recording switch read by every operation result."""
+
+    enabled = True
+
+
+_grad_mode = _GradMode()
+
+
+@contextmanager
+def no_grad() -> Iterator[None]:
+    """Run the block without recording an autograd graph (inference).
+
+    Results of operations inside it have no parents and no backward closure;
+    their values equal grad-mode results bit for bit.  The previous state is
+    restored on exit, also when the block raises, so blocks nest.  Only the
+    calling thread is affected.
+    """
+    previous = _grad_mode.enabled
+    _grad_mode.enabled = False
+    try:
+        yield
+    finally:
+        _grad_mode.enabled = previous
+
 
 class Tensor:
     """A backend-owned array with an autograd tape.
@@ -130,7 +174,7 @@ class Tensor:
         if backend is None:
             backend = backend_of(data)
         arr = data if backend.is_backend_array(data) else backend.asarray(data)
-        if not np.issubdtype(backend.dtype_of(arr), np.floating):
+        if backend.dtype_of(arr).kind != "f":
             xp = backend.namespace_for(arr)
             arr = xp.astype(arr, xp.float64)
         self.data: Any = arr
@@ -250,14 +294,19 @@ class Tensor:
         backward_fn: Callable[[Any], Tuple[Optional[Any], ...]],
         name: Optional[str] = None,
     ) -> "Tensor":
-        backend = _owning_backend(parents, data)
-        requires = any(p.requires_grad for p in parents)
-        if not requires:
-            return Tensor(data, requires_grad=False, name=name, backend=backend)
-        return Tensor(
-            data, requires_grad=True, parents=parents, backward_fn=backward_fn,
-            name=name, backend=backend,
-        )
+        """The result of an operation whose first operand is ``self``.
+
+        It records ``parents`` and ``backward_fn`` only when some parent
+        requires grad and :func:`no_grad` is not active.
+        """
+        backend = self.backend
+        if not backend.is_backend_array(data):
+            backend = _owning_backend(parents, data)
+        if _grad_mode.enabled:
+            for parent in parents:
+                if parent.requires_grad:
+                    return Tensor(data, True, parents, backward_fn, name, backend)
+        return Tensor(data, False, (), None, name, backend)
 
     # -- operators -----------------------------------------------------------
 
@@ -329,18 +378,23 @@ class Tensor:
                 f"gradient shape {tuple(grad.shape)} does not match tensor shape {self.shape}"
             )
 
+        # Depth-first post-order of the graph, parents in recorded order.
+        # An explicit stack, not a recursive closure: a closure that calls
+        # itself is a reference cycle, which would keep ``topo`` (the whole
+        # graph) alive after backward until the cyclic garbage collector ran.
         topo: List[Tensor] = []
-        visited = set()
-
-        def build(node: "Tensor") -> None:
-            if id(node) in visited:
-                return
-            visited.add(id(node))
-            for parent in node._parents:
-                build(parent)
-            topo.append(node)
-
-        build(self)
+        visited = {id(self)}
+        stack = [(self, iter(self._parents))]
+        while stack:
+            node, parents = stack[-1]
+            for parent in parents:
+                if id(parent) not in visited:
+                    visited.add(id(parent))
+                    stack.append((parent, iter(parent._parents)))
+                    break
+            else:
+                stack.pop()
+                topo.append(node)
 
         grads = {id(self): grad}
         for node in reversed(topo):
@@ -630,12 +684,9 @@ def transpose(x: ArrayLike, axes: Optional[Sequence[int]] = None) -> Tensor:
     """Differentiable transpose / axis permutation."""
     x = Tensor._wrap(x)
     out = x.xp.transpose(x.data, axes)
-    if axes is None:
-        inverse = None
-    else:
-        inverse = tuple(int(i) for i in np.argsort(axes))
 
     def backward(grad):
+        inverse = None if axes is None else tuple(int(i) for i in np.argsort(axes))
         return (namespace_of(grad).transpose(grad, inverse),)
 
     return x._make_child(out, (x,), backward)

@@ -112,7 +112,9 @@ def softmax(x: Any, axis: int = -1) -> Any:
     xp = namespace_of(x)
     shifted = x - xp.max(x, axis=axis, keepdims=True)
     e = xp.exp(shifted)
-    return e / xp.sum(e, axis=axis, keepdims=True)
+    del shifted  # in-place from here: one (B, H, S, S) temporary at a time
+    e /= xp.sum(e, axis=axis, keepdims=True)
+    return e
 
 
 def softmax_backward(grad_out: Any, out: Any, axis: int = -1) -> Any:
@@ -210,8 +212,11 @@ def layer_norm(
     mean = xp.mean(x, axis=-1, keepdims=True)
     var = xp.var(x, axis=-1, keepdims=True)
     inv_std = 1.0 / xp.sqrt(var + eps)
-    x_hat = (x - mean) * inv_std
-    out = gamma * x_hat + beta
+    # In place, so no intermediate (B, S, D) array outlives its line.
+    x_hat = x - mean
+    x_hat *= inv_std
+    out = gamma * x_hat
+    out += beta
     return out, x_hat, inv_std
 
 

@@ -30,6 +30,7 @@ from repro.nn.module import Module
 from repro.training.checkpoint import CheckpointManager
 from repro.training.metrics import StepResult, TrainingMetrics
 from repro.training.optimizer import AdamW, Optimizer
+from repro.tensor.autograd import no_grad
 from repro.utils.logging import get_logger
 
 __all__ = [
@@ -256,24 +257,29 @@ class Trainer:
     # -- evaluation -------------------------------------------------------------------
 
     def evaluate(self, batches: Iterable[Dict[str, np.ndarray]]) -> Dict[str, float]:
-        """Compute mean loss and accuracy without updating weights."""
+        """Compute mean loss and accuracy without updating weights.
+
+        Nothing is back-propagated, so the forwards record no autograd graph
+        (:func:`~repro.tensor.autograd.no_grad`).
+        """
         self.model.eval()
         losses: List[float] = []
         correct = 0
         total = 0
-        for batch in batches:
-            output = self.model(
-                batch["input_ids"],
-                attention_mask=batch.get("attention_mask"),
-                labels=batch["labels"],
-            )
-            losses.append(output.loss_value)
-            logits = output.logits.data
-            predictions = namespace_of(logits).argmax(logits, axis=-1)
-            if not isinstance(predictions, np.ndarray):
-                predictions = backend_of(logits).to_numpy(predictions)
-            correct += int((predictions == batch["labels"]).sum())
-            total += len(batch["labels"])
+        with no_grad():
+            for batch in batches:
+                output = self.model(
+                    batch["input_ids"],
+                    attention_mask=batch.get("attention_mask"),
+                    labels=batch["labels"],
+                )
+                losses.append(output.loss_value)
+                logits = output.logits.data
+                predictions = namespace_of(logits).argmax(logits, axis=-1)
+                if not isinstance(predictions, np.ndarray):
+                    predictions = backend_of(logits).to_numpy(predictions)
+                correct += int((predictions == batch["labels"]).sum())
+                total += len(batch["labels"])
         self.model.train()
         return {
             "loss": float(np.nanmean(losses)) if losses else float("nan"),

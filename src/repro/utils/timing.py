@@ -83,7 +83,9 @@ class TimingRegistry:
     The registry itself is thread-safe: the key-to-timer map is guarded by a
     lock so the data-parallel trainer's rank threads can record under their
     own keys (and :meth:`add` into shared ones) while the coordinator
-    aggregates.
+    aggregates.  Looking up an existing key takes no lock (a single dict
+    read); creating one does, because the checker's phase timers are looked
+    up on every edge of every verified boundary.
     Individual :class:`Timer` objects are *not* locked — the library's
     convention is that each key is only ever measured from one thread.
     """
@@ -93,6 +95,9 @@ class TimingRegistry:
         self._lock = threading.Lock()
 
     def timer(self, key: str) -> Timer:
+        timer = self._timers.get(key)
+        if timer is not None:
+            return timer
         with self._lock:
             return self._timers[key]
 

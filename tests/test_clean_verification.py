@@ -28,7 +28,9 @@ from repro.nn import ComposedHooks
 from repro.serving import RequestGenerator, ServingConfig, ServingEngine
 from repro.utils.timing import Timer, TimingRegistry
 
-CASES = ["clean", "inf", "-inf", "nan", "near_inf", "numeric", "consistent", "2d"]
+CASES = ["clean", "inf", "-inf", "nan", "near_inf", "numeric", "consistent", "2d", "checksum"]
+#: Values a corrupted maintained-checksum entry takes (the ``"checksum"`` case).
+CHECKSUM_FAULTS = [np.inf, -np.inf, np.nan, 1e12, -1e12]
 
 
 @st.composite
@@ -65,6 +67,13 @@ def screened_block(draw):
     with np.errstate(invalid="ignore"):
         col = encode_column_checksums(col_source) if sides in ("col", "both") else None
         row = encode_row_checksums(row_source) if sides in ("row", "both") else None
+    if case == "checksum":
+        # The checksum-state fault site: one entry of a maintained checksum
+        # (unweighted or weighted), not of the data, is ±INF, NaN or ±1e12.
+        side = draw(st.sampled_from(["col", "row"])) if sides == "both" else sides
+        target = col if side == "col" else row
+        entry = tuple(int(rng.integers(0, s)) for s in target.shape)
+        target[entry] = draw(st.sampled_from(CHECKSUM_FAULTS))
     return data, col, row, ABFTThresholds.for_precision(dtype.name)
 
 
@@ -149,6 +158,32 @@ class TestScanFlagsEveryExtremeClass:
         state = ChecksumState(col=encode_column_checksums(block), row=encode_row_checksums(block))
         assert not ABFTThresholds().any_extreme(block)
         assert correct_matrix(block, state).clean
+
+
+class TestCorruptedMaintainedChecksum:
+    """The screen and EEC-ABFT share one mismatch test, so the property
+    above cannot catch a tolerance that accepts a corrupted checksum on both
+    paths.  This pins the verdict itself: a non-finite or huge *unweighted*
+    checksum entry is a mismatch (its ``E`` must not turn infinite with it),
+    and a corrupted *weighted* entry, which detection never reads, is not."""
+
+    @pytest.mark.parametrize("value", CHECKSUM_FAULTS, ids=["inf", "-inf", "nan", "1e12", "-1e12"])
+    @pytest.mark.parametrize("side", ["col", "row"])
+    @pytest.mark.parametrize("weighted", [False, True], ids=["unweighted", "weighted"])
+    def test_verdict(self, value, side, weighted):
+        block = np.random.default_rng(3).normal(size=(2, 5, 6))
+        col, row = encode_column_checksums(block), encode_row_checksums(block)
+        if side == "col":
+            col[1, int(weighted), 4] = value
+        else:
+            row[1, 3, int(weighted)] = value
+        state = ChecksumState(col=col.copy(), row=row.copy())
+        matrix = block.copy()
+        with np.errstate(all="ignore"):
+            report = correct_matrix(matrix, state, ABFTThresholds())
+        assert full_passes_detect_nothing(block, col, row, ABFTThresholds()) == weighted
+        assert report.clean == weighted
+        assert matrix.tobytes() == block.tobytes()
 
 
 def count_calls(monkeypatch, original):

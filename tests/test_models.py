@@ -74,6 +74,11 @@ class TestModelConfig:
         # BERT-base has ~110M parameters; embeddings at seq 128 shrink it a bit.
         assert 80e6 < config.parameter_count() < 130e6
 
+    @pytest.mark.parametrize("name", sorted(TINY_CONFIGS))
+    def test_parameter_count_is_what_build_model_builds(self, name):
+        # The cost models (training step, checkpoint bytes) read this count.
+        assert get_config(name).parameter_count() == build_model(name).num_parameters()
+
     def test_local_attention_alternation(self):
         config = get_config("gpt-neo", size="paper")
         assert not config.layer_uses_local_attention(0)

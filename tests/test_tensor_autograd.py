@@ -1,10 +1,16 @@
 """Unit tests for the reverse-mode autograd engine."""
 
+import gc
+import threading
+
 import numpy as np
 import pytest
 
+from repro.models import build_model
+from repro.serving import RequestGenerator, ServingEngine
 from repro.tensor import autograd as ag
 from repro.tensor.autograd import Tensor
+from repro.training import Trainer
 
 
 @pytest.fixture
@@ -254,6 +260,25 @@ class TestReductionsAndLoss:
         assert np.allclose(x.grad, 2.0 * (3.0 + 4.0))
 
 
+class TestBackwardLeavesNoCycle:
+    def test_graph_is_freed_without_the_cycle_collector(self, rng):
+        # A recorded graph lives until its loss is dropped, not until the
+        # cyclic garbage collector happens to run (peak memory of training).
+        a = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            gc.collect()
+            loss = ag.softmax(ag.matmul(a, ag.transpose(a, (1, 0)))).sum()
+            loss.backward()
+            del loss
+            assert gc.collect() == 0
+        finally:
+            if enabled:
+                gc.enable()
+        assert a.grad is not None
+
+
 class TestPostAccumulateGradHooks:
     def test_hook_fires_once_per_backward_with_final_grad(self, rng):
         a = Tensor(rng.normal(size=(3,)), requires_grad=True)
@@ -302,3 +327,99 @@ class TestPostAccumulateGradHooks:
         (a * 2.0 + b * 3.0).sum().backward()
         assert sorted(order) == ["a", "b"]
         assert a.grad is not None and b.grad is not None
+
+
+def records_graph(tensor):
+    return tensor._backward_fn is not None
+
+
+class TestNoGrad:
+    """``no_grad``: results record no parents and no closure, keep their
+    values bit for bit, and the switch is per thread and restoring."""
+
+    def test_results_have_no_parents_and_no_closure(self, rng):
+        a = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+        b = Tensor(rng.normal(size=(4, 2)), requires_grad=True)
+        with ag.no_grad():
+            out = ag.softmax(ag.gelu(ag.matmul(a, b) + 1.0) * 2.0)
+            total = ag.transpose(out, (1, 0)).sum()
+        for result in (out, total):
+            assert result._parents == () and result._backward_fn is None
+            assert not result.requires_grad
+        assert records_graph(ag.matmul(a, b))
+
+    @staticmethod
+    def _generate(model, ids, mask, steps):
+        """Prefill ``ids`` and greedily decode ``steps`` tokens."""
+        caches = model.new_kv_caches(ids.shape[0], max_len=ids.shape[1] + steps)
+        hidden = model.prefill(ids, mask[:, : ids.shape[1]], caches)
+        results = [hidden, model.lm_logits(hidden)]
+        for _ in range(steps):
+            next_ids = np.argmax(results[-1].data[:, -1, :], axis=-1)[:, None]
+            hidden = model.decode_step(next_ids, caches, attention_mask=mask)
+            results += [hidden, model.lm_logits(hidden)]
+        return results
+
+    def test_gpt2_prefill_and_decode_are_bit_identical(self):
+        model = build_model("gpt2", size="tiny", rng=np.random.default_rng(0))
+        model.eval()
+        ids = np.random.default_rng(1).integers(0, model.config.vocab_size, size=(3, 6))
+        mask = np.ones((3, 10))
+        mask[0, :2] = 0.0  # a left-padded prompt
+        recorded = self._generate(model, ids, mask, steps=4)
+        assert all(records_graph(t) for t in recorded)
+        with ag.no_grad():
+            served = self._generate(model, ids, mask, steps=4)
+        assert not any(t._parents or records_graph(t) for t in served)
+        for with_tape, without in zip(recorded, served):
+            assert without.data.tobytes() == with_tape.data.tobytes()
+
+    def test_a_thread_started_inside_still_records_and_backpropagates(self, rng):
+        a = Tensor(rng.normal(size=(3,)), requires_grad=True)
+        seen = {}
+
+        def worker():
+            loss = (a * a).sum()
+            seen["records"] = records_graph(loss)
+            loss.backward()
+
+        with ag.no_grad():
+            thread = threading.Thread(target=worker)
+            thread.start()
+            thread.join()
+            assert not records_graph(a * a)
+        assert seen["records"]
+        assert np.array_equal(a.grad, 2.0 * a.data)
+
+    def test_restores_the_previous_state_when_nested_and_on_raise(self, rng):
+        a = Tensor(rng.normal(size=(2,)), requires_grad=True)
+        with ag.no_grad():
+            with ag.no_grad():
+                assert not records_graph(a * 1.0)
+            assert not records_graph(a * 1.0)
+            with pytest.raises(KeyError):
+                with ag.no_grad():
+                    raise KeyError("inner")
+            assert not records_graph(a * 1.0)
+        assert records_graph(a * 1.0)
+        with pytest.raises(RuntimeError):
+            with ag.no_grad():
+                raise RuntimeError("body failed")
+        assert records_graph(a * 1.0)
+
+    def test_trainer_step_after_serving_produces_every_gradient(self):
+        model = build_model("gpt2", size="tiny", rng=np.random.default_rng(0))
+        requests = RequestGenerator(
+            vocab_size=model.config.vocab_size, prompt_len_range=(3, 6),
+            new_tokens_range=(2, 4), seed=2,
+        ).generate(3)
+        ServingEngine(model).run(requests)
+        trainer = Trainer(model)
+        batch = {
+            "input_ids": np.random.default_rng(3).integers(0, model.config.vocab_size, (2, 8)),
+            "attention_mask": np.ones((2, 8)),
+            "labels": np.array([0, 1]),
+        }
+        trainer.train_step(batch)
+        missing = [name for name, p in model.named_parameters() if p.grad is None]
+        assert missing == []
