@@ -19,7 +19,7 @@ bench:
 # reprolint gate always runs.
 lint: reprolint
 	@command -v ruff >/dev/null 2>&1 && ruff check src tools || echo "ruff not installed locally; CI runs ruff==0.6.9"
-	@command -v mypy >/dev/null 2>&1 && mypy src/repro/backend src/repro/utils || echo "mypy not installed locally; CI runs mypy==1.11.2"
+	@command -v mypy >/dev/null 2>&1 && mypy src/repro/utils || echo "mypy not installed locally; CI runs mypy==1.11.2"
 
 reprolint:
 	PYTHONPATH=$(PYTHONPATH) python -m reprolint $(LINT_PATHS)
@@ -28,7 +28,7 @@ ruff:
 	ruff check src tools
 
 mypy:
-	mypy src/repro/backend src/repro/utils
+	mypy src/repro/utils
 
 # Regenerate the committed baseline (new entries get a TODO reason that must
 # be replaced with a reviewed justification before committing).

@@ -4,12 +4,8 @@ This package reproduces *ATTNChecker: Highly-Optimized Fault Tolerant
 Attention for Large Language Model Training* (PPoPP 2025) as a pure-Python
 library, including every substrate the paper depends on:
 
-* :mod:`repro.backend` — pluggable array backends (NumPy reference always;
-  a Torch adapter when installed) behind one protocol, so the checker
-  stack runs on whatever array library owns the data;
-* :mod:`repro.tensor` / :mod:`repro.nn` — autograd engine (NumPy substrate)
-  over backend-generic kernels, and transformer building blocks with
-  instrumented attention;
+* :mod:`repro.tensor` / :mod:`repro.nn` — autograd engine over NumPy
+  kernels, and transformer building blocks with instrumented attention;
 * :mod:`repro.models` — one model class that its config makes BERT,
   RoBERTa, GPT-2 or GPT-Neo, with one forward pass for training and
   KV-cached serving;

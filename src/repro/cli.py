@@ -25,7 +25,6 @@ from typing import Callable, Dict, Optional, Sequence
 import numpy as np
 
 from repro.analysis import format_percent, format_table, gemm_ratio_table
-from repro.backend import KNOWN_ARRAY_BACKENDS, BackendUnavailable, resolve_backend_name
 from repro.core import (
     CHECKER_BACKENDS,
     PROTECT_SCOPES,
@@ -56,12 +55,8 @@ OVERHEAD_MODELS = ["bert-small", "bert-base", "bert-large", "gpt2", "gpt-neo", "
 # Experiment implementations (each returns the printed text)
 # ---------------------------------------------------------------------------
 
-def _tiny_model_and_batch(model_name: str, batch: int = 8, seed: int = 0,
-                          array_backend: Optional[str] = None):
-    model = build_model(
-        model_name, size="tiny", rng=np.random.default_rng(seed),
-        array_backend=array_backend,
-    )
+def _tiny_model_and_batch(model_name: str, batch: int = 8, seed: int = 0):
+    model = build_model(model_name, size="tiny", rng=np.random.default_rng(seed))
     data = SyntheticMRPC(
         num_examples=max(16, 2 * batch),
         max_seq_len=model.config.max_seq_len,
@@ -73,7 +68,7 @@ def _tiny_model_and_batch(model_name: str, batch: int = 8, seed: int = 0,
 
 
 def run_quickstart(args: argparse.Namespace) -> str:
-    model, batch = _tiny_model_and_batch(args.model, array_backend=args.model_array_backend)
+    model, batch = _tiny_model_and_batch(args.model)
     injector = FaultInjector(
         [FaultSpec(matrix=args.matrix, error_type=args.error_type)],
         rng=np.random.default_rng(args.seed),
@@ -88,10 +83,8 @@ def run_quickstart(args: argparse.Namespace) -> str:
     protected = model(batch["input_ids"], attention_mask=batch["attention_mask"],
                       labels=batch["labels"]).loss_value
     model.set_attention_hooks(None)
-    substrate = getattr(model, "array_backend", None)
     lines = [
         f"backend              : {checker.backend}",
-        f"model substrate      : {'numpy' if substrate is None else substrate.device_info()}",
         f"fault-free loss      : {reference:.6f}",
         f"protected faulty loss: {protected:.6f}",
         f"detections           : {checker.stats.total_detections}",
@@ -117,8 +110,7 @@ def run_backends(args: argparse.Namespace) -> str:
     for matrix, error_type in combos:
         outputs, decisions = {}, {}
         for backend in CHECKER_BACKENDS:
-            model, batch = _tiny_model_and_batch(
-                args.model, seed=args.seed, array_backend=args.model_array_backend)
+            model, batch = _tiny_model_and_batch(args.model, seed=args.seed)
             model.eval()
             injector = FaultInjector(
                 [FaultSpec(matrix=matrix, error_type=error_type)],
@@ -162,18 +154,9 @@ def run_backends(args: argparse.Namespace) -> str:
 
 
 def run_train(args: argparse.Namespace) -> str:
-    """A short protected fine-tuning run on the chosen model substrate.
-
-    Builds the model with ``build_model(..., array_backend=args.model_array_backend)``
-    so forward, backward and the optimiser update run on that backend, attaches
-    the checker (which runs on the same backend), and trains for ``--steps``
-    optimisation steps on synthetic MRPC.  The footer names the model
-    substrate (the CI smoke jobs grep for it).
-    """
-    model, batch = _tiny_model_and_batch(
-        args.model, batch=args.batch_size, seed=args.seed,
-        array_backend=args.model_array_backend,
-    )
+    """A short protected fine-tuning run: attaches the checker and trains for
+    ``--steps`` optimisation steps on synthetic MRPC."""
+    model, batch = _tiny_model_and_batch(args.model, batch=args.batch_size, seed=args.seed)
     from repro.training import Trainer, TrainerConfig
 
     checker = ATTNChecker(ATTNCheckerConfig(
@@ -189,8 +172,7 @@ def run_train(args: argparse.Namespace) -> str:
         ])
     return format_table(
         ["step", "loss", "step ms", "abft ms", "det", "corr"], rows,
-        title=f"Protected training — {args.model} (tiny); "
-              f"model substrate {trainer.model_array_backend}",
+        title=f"Protected training — {args.model} (tiny)",
     )
 
 
@@ -478,22 +460,6 @@ EXPERIMENTS: Dict[str, Callable[[argparse.Namespace], str]] = {
 # Argument parsing
 # ---------------------------------------------------------------------------
 
-def _registered_backend(name: str) -> str:
-    """Argparse type for ``--model-array-backend``: validate against the registry.
-
-    Both failure modes produce a message listing what is *known* (registered
-    backend names) versus what is *installed* (importable on this machine),
-    so an unknown or missing name tells the user exactly what to do.
-    """
-    if name == "auto":
-        return name
-    try:
-        resolve_backend_name(name)
-    except (ValueError, BackendUnavailable) as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from exc
-    return name
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -511,13 +477,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="protected-section scope: 'attention' (default, the "
                              "paper's three sections) or 'attention+ffn' (adds the "
                              "FF1/FF2 feed-forward sections)")
-    parser.add_argument("--model-array-backend", default=None, type=_registered_backend,
-                        metavar="{auto," + ",".join(KNOWN_ARRAY_BACKENDS) + "}",
-                        help="array library the *model substrate* lives on "
-                             "(build_model(..., array_backend=...)): parameters, "
-                             "activations, gradients and optimizer state are "
-                             "device-resident on that backend, and the checker "
-                             "runs there too; default is the pure-NumPy substrate")
     parser.add_argument("--steps", type=int, default=4,
                         help="optimisation steps for the train experiments")
     parser.add_argument("--workers", type=int, default=2,

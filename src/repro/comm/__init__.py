@@ -19,9 +19,9 @@
     substrate of the data-parallel trainer's reduction.  Bit-identity of the
     bucketed fold to the per-tensor fold is the module's core contract.
 
-Layering: this package sits beside ``repro.backend`` — it may import the
-backend seam and ``repro.utils`` but nothing above (no ``core``, ``nn``,
-``training``); ``reprolint``'s LY001 rule enforces this.
+Layering: this package imports ``repro.utils`` and NumPy but nothing above
+(no ``core``, ``nn``, ``training``); ``reprolint``'s LY001 rule enforces
+this.
 """
 
 from repro.comm.bucketing import (

@@ -23,10 +23,9 @@ float64 checksum matrix per bucket (instead of one row per parameter
 tensor), and a dirty verdict names a *bucket*, so ``dirty_policy="reexecute"``
 re-contributes only the dirty bucket's retained clean payloads.
 
-Layering: this module sits in :mod:`repro.comm` — it operates on raw backend
-arrays only (never autograd tensors) and imports nothing above
-:mod:`repro.backend`, so the bucketed collective remains reusable under any
-trainer.
+Layering: this module sits in :mod:`repro.comm` — it operates on raw arrays
+only (never autograd tensors) and imports nothing above :mod:`repro.utils`,
+so the bucketed collective remains reusable under any trainer.
 
 Thread-safety / lock discipline: :class:`GradientBucketer` is immutable after
 construction and :class:`BucketReadiness` is strictly per-rank (each virtual
@@ -45,8 +44,6 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-
-from repro.backend import backend_of
 
 __all__ = [
     "BucketSpec",
@@ -118,7 +115,7 @@ class GradientBucketer:
 
         metas: List[Tuple[int, Tuple[int, ...], int, np.dtype]] = []
         for i, array in enumerate(arrays):
-            dtype = np.dtype(backend_of(array).dtype_of(array))
+            dtype = array.dtype
             shape = tuple(int(s) for s in array.shape)
             size = int(np.prod(shape, dtype=np.int64)) if shape else 1
             metas.append((i, shape, size, dtype))
@@ -181,7 +178,7 @@ class GradientBucketer:
 
     # -- flat-buffer conversion ------------------------------------------------------
 
-    def flatten(self, bucket: int, grads: Sequence[Optional[Any]], xp: Any) -> Any:
+    def flatten(self, bucket: int, grads: Sequence[Optional[Any]]) -> Any:
         """Copy bucket ``bucket``'s member gradients into one flat buffer.
 
         ``grads`` is the full registration-order gradient list (entries may
@@ -191,23 +188,20 @@ class GradientBucketer:
         buffer is bit-identical to folding every member separately.
         """
         spec = self.buckets[bucket]
-        flat = xp.empty((spec.total_size,), dtype=getattr(xp, spec.dtype.name))
+        flat = np.empty((spec.total_size,), dtype=spec.dtype)
         members = [grads[pi] for pi in spec.param_indices]
         if all(g is not None for g in members):
             # Common case: one C-level pass instead of a per-member slice
             # loop.  ``reshape`` is a view for the contiguous arrays backward
             # produces, so the only copy is the write into ``flat``.
-            try:
-                xp.concatenate([xp.reshape(g, (-1,)) for g in members], out=flat)
-                return flat
-            except TypeError:  # namespace without concatenate(out=) support
-                pass
+            np.concatenate([np.reshape(g, (-1,)) for g in members], out=flat)
+            return flat
         for pi, offset, size in zip(spec.param_indices, spec.offsets, spec.sizes):
             grad = grads[pi]
             if grad is None:
                 flat[offset : offset + size] = 0.0
             else:
-                flat[offset : offset + size] = xp.reshape(grad, (-1,))
+                flat[offset : offset + size] = np.reshape(grad, (-1,))
         return flat
 
     def unflatten(self, bucket: int, flat: Any) -> Dict[int, Any]:

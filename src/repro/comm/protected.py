@@ -28,11 +28,10 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.backend import backend_of, namespace_of
 from repro.comm.collective import Collective
 from repro.utils.timing import TimingRegistry
 
@@ -43,18 +42,17 @@ __all__ = [
     "ProtectedCollective",
 ]
 
-#: Cache of the float64 arange encoding vectors, keyed by (namespace, length).
+#: Cache of the float64 arange encoding vectors, keyed by length.
 #: Mirrors the checksum-weights cache of the attention engine: the vectors
 #: are tiny, immutable and reused every step.
-_ENCODING_VECTORS: Dict[Tuple[int, int], Any] = {}
+_ENCODING_VECTORS: Dict[int, Any] = {}
 
 
-def _encoding_vector(xp: Any, length: int) -> Any:
-    key = (id(xp), length)
-    vector = _ENCODING_VECTORS.get(key)
+def _encoding_vector(length: int) -> Any:
+    vector = _ENCODING_VECTORS.get(length)
     if vector is None:
-        vector = xp.arange(1, length + 1, dtype=xp.float64)
-        _ENCODING_VECTORS[key] = vector
+        vector = np.arange(1, length + 1, dtype=np.float64)
+        _ENCODING_VECTORS[length] = vector
     return vector
 
 
@@ -65,11 +63,10 @@ def gradient_checksum(array: Any) -> Any:
     two linear functionals of the paper's checksum encoding, flattened over
     the tensor.  Linearity is what makes the pair reduction-transparent.
     """
-    xp = namespace_of(array)
-    flat = xp.reshape(array, (-1,))
-    flat64 = flat.astype(xp.float64) if flat.dtype != xp.float64 else flat
-    weights = _encoding_vector(xp, int(flat.shape[0]))
-    out = xp.zeros((2,), dtype=xp.float64)
+    flat = np.reshape(array, (-1,))
+    flat64 = flat.astype(np.float64) if flat.dtype != np.float64 else flat
+    weights = _encoding_vector(int(flat.shape[0]))
+    out = np.zeros((2,), dtype=np.float64)
     out[0] = flat64.sum()
     out[1] = (flat64 * weights).sum()
     return out
@@ -79,12 +76,11 @@ def gradient_checksums(arrays: Sequence[Any]) -> Any:
     """Stacked ``(len(arrays), 2)`` float64 checksums of a gradient list."""
     if not arrays:
         raise ValueError("cannot checksum an empty gradient list")
-    xp = namespace_of(arrays[0])
     if len(arrays) == 1:
         # Single-tensor payloads (flat gradient buckets) are the hot path of
         # the data-parallel trainer: skip the stack dispatch.
-        return xp.reshape(gradient_checksum(arrays[0]), (1, 2))
-    return xp.stack([gradient_checksum(a) for a in arrays])
+        return np.reshape(gradient_checksum(arrays[0]), (1, 2))
+    return np.stack([gradient_checksum(a) for a in arrays])
 
 
 class DirtyReductionError(RuntimeError):
@@ -204,7 +200,6 @@ class ProtectedCollective(Collective):
     def _dirty_rows(self, payload: List[Any], reduced_checksums: Any) -> List[int]:
         """Indices of payload tensors whose checksum identity broke."""
         recomputed = gradient_checksums(payload)
-        xp = namespace_of(recomputed)
         # NaN/INF-safe comparison.  The relative bound is only meaningful for
         # finite checksums — a non-finite recomputed checksum would make the
         # bound itself INF and let ``inf <= inf`` pass as clean.  Instead:
@@ -213,25 +208,25 @@ class ProtectedCollective(Collective):
         # a legitimately non-finite shard loss) and treated as clean;
         # non-finiteness on one side only is exactly what an injected
         # INF/NaN produces and counts as a mismatch.
-        finite = xp.isfinite(reduced_checksums) & xp.isfinite(recomputed)
-        delta = xp.abs(reduced_checksums - recomputed)
-        bound = self.atol + self.rtol * (xp.abs(reduced_checksums) + xp.abs(recomputed))
+        finite = np.isfinite(reduced_checksums) & np.isfinite(recomputed)
+        delta = np.abs(reduced_checksums - recomputed)
+        bound = self.atol + self.rtol * (np.abs(reduced_checksums) + np.abs(recomputed))
         # Dtype-aware slack: the signed checksums cancel, so the relative
         # bound alone underestimates how much rounding the inner fold was
         # allowed — the checksum of |reduced| is the right scale for it.
-        slack = xp.zeros_like(recomputed)
+        slack = np.zeros_like(recomputed)
         for i, array in enumerate(payload):
-            dtype = backend_of(array).dtype_of(array)
+            dtype = array.dtype
             if not np.issubdtype(dtype, np.floating):
                 continue
             eps = float(np.finfo(dtype).eps)
             slack[i] = (
                 (self.world_size - 1) * eps * self.slack_factor
-                * gradient_checksum(xp.abs(array))
+                * gradient_checksum(np.abs(array))
             )
         bound = bound + slack
-        within = xp.less_equal(delta, bound)
-        both_nonfinite = ~xp.isfinite(reduced_checksums) & ~xp.isfinite(recomputed)
+        within = np.less_equal(delta, bound)
+        both_nonfinite = ~np.isfinite(reduced_checksums) & ~np.isfinite(recomputed)
         clean = (finite & within) | both_nonfinite
         return [i for i in range(len(payload)) if not bool(clean[i].all())]
 

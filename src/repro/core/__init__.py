@@ -11,12 +11,6 @@ This package is the reproduction of the paper's primary contribution:
     The Extreme Error Correcting ABFT of Section 4.2 — per-vector detection,
     case analysis (finite / INF / NaN deltas), location and correction of
     INF, NaN and near-INF errors, vectorised over whole matrices.
-
-The checksum/EEC-ABFT stack (``checksums``, ``eec_abft``, ``correction``,
-``engine``) is **array-backend generic**: every kernel dispatches through
-:mod:`repro.backend`, so the same code protects NumPy or Torch arrays
-natively: a checker runs on the library that owns the model's arrays
-(``build_model(..., array_backend=...)``).
 ``hooks``
     The block instrumentation protocol (:class:`AttentionHooks`,
     :class:`GemmContext`, :class:`SectionContext`, the one section-boundary
@@ -72,7 +66,7 @@ from repro.core.checksums import (
     stacked_checksum_weights,
     update_column_checksums_through_gemm,
 )
-from repro.core.workspace import ChecksumWorkspace, matmul_into
+from repro.core.workspace import ChecksumWorkspace
 from repro.core.eec_abft import ColumnCheckReport, check_columns, check_rows
 from repro.core.patterns import ErrorPattern, classify_error_pattern, classify_error_types
 from repro.core.correction import MatrixCorrectionReport, correct_matrix
@@ -112,7 +106,6 @@ __all__ = [
     "checksum_weights",
     "stacked_checksum_weights",
     "clear_checksum_weight_cache",
-    "matmul_into",
     "WeightEncodingCache",
     "encode_column_checksums",
     "encode_row_checksums",

@@ -50,7 +50,8 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Deque, Dict, List, Optional, Tuple
 
-from repro.backend import namespace_of
+import numpy as np
+
 from repro.core.checksums import (
     ChecksumState,
     adjust_column_checksums_for_bias,
@@ -126,10 +127,6 @@ class ATTNCheckerConfig:
         ``"fused"`` — the section-level checksum-passing
         :class:`~repro.core.engine.ProtectionEngine` (default);
         ``"per_gemm"`` — the reference hook-per-GEMM implementation.
-        Either one runs its checksum chain on the array library that owns
-        each protection section's arrays (a NumPy model is checked with
-        NumPy, a Torch tensor with Torch — never a host round-trip), so the
-        model's backend (``build_model(..., array_backend=...)``) decides it.
     """
 
     thresholds: ABFTThresholds = field(default_factory=ABFTThresholds)
@@ -338,9 +335,7 @@ class _PerGemmReferenceBackend:
                         self.dispatch_counts["gemm"] += 1
                         state.cs_x_col = encode_column_checksums(ctx.a)
                         if cache is not None:
-                            cache.seed_checksums(
-                                "AS", state.cs_x_col, state.num_rows, namespace_of(ctx.a)
-                            )
+                            cache.seed_checksums("AS", state.cs_x_col, state.num_rows)
             with checker.timers.measure("AS/update"):
                 self.dispatch_counts["gemm"] += 1
                 cs = update_column_checksums_through_gemm(state.cs_x_col, ctx.b)
@@ -353,18 +348,17 @@ class _PerGemmReferenceBackend:
             return
 
         num_heads = ctx.num_heads
-        xp = namespace_of(ctx.a)
         with checker.timers.measure("AS/update"):
             cs_k_ph = split_head_column_checksums(state.cs_k_col, num_heads)     # (B, H, 2, dh)
             self.dispatch_counts["gemm"] += 1
             # Row side of AS: row(AS) = Q row(K^T) = Q col(K)^T.
-            cs_as_row = xp.matmul(ctx.a, xp.swapaxes(cs_k_ph, -1, -2))          # (B, H, S, 2)
+            cs_as_row = np.matmul(ctx.a, np.swapaxes(cs_k_ph, -1, -2))          # (B, H, S, 2)
             cs_as_col = None
             if not decode:
                 cs_q_ph = split_head_column_checksums(state.cs_q_col, num_heads)
                 self.dispatch_counts["gemm"] += 1
                 # Column side of AS: col(AS) = col(Q) K^T.
-                cs_as_col = xp.matmul(cs_q_ph, ctx.b)                           # (B, H, 2, S)
+                cs_as_col = np.matmul(cs_q_ph, ctx.b)                           # (B, H, 2, S)
         with checker.timers.measure("AS/detect"):
             checksums = ChecksumState(col=cs_as_col, row=cs_as_row)
             report = correct_matrix(out, checksums, thresholds=checker.thresholds)
@@ -372,7 +366,7 @@ class _PerGemmReferenceBackend:
         if not decode and report.corrected > 0:
             with checker.timers.measure("AS/correct"):
                 q_report = check_columns(ctx.a, cs_q_ph, thresholds=checker.thresholds)
-                kt_report = check_rows(ctx.b, xp.swapaxes(cs_k_ph, -1, -2), thresholds=checker.thresholds)
+                kt_report = check_rows(ctx.b, np.swapaxes(cs_k_ph, -1, -2), thresholds=checker.thresholds)
             repairs = q_report.num_corrected + kt_report.num_corrected
         self._record_report(ctx, "AS", report, repairs)
 
@@ -386,7 +380,6 @@ class _PerGemmReferenceBackend:
         decode = ctx.phase == "decode"
         # A two-sided pass derives col(CL), S_O's carrier, for O alone too.
         carries_o = state.enabled.get("O", False) and not decode
-        xp = namespace_of(ctx.a)
         if ctx.op is AttentionOp.XV:
             if not cl_enabled:
                 return  # only row(CL) reads row(V); col(CL) needs none
@@ -397,21 +390,21 @@ class _PerGemmReferenceBackend:
                 rowcs_wv = encode_per_head_row_checksums_of_weight(ctx.b, num_heads)  # (D, H, 2)
             with checker.timers.measure("CL/update"):
                 self.dispatch_counts["gemm"] += 1
-                cs_v_row = xp.einsum("...sd,dhw->...hsw", ctx.a, rowcs_wv)            # (B, H, S, 2)
+                cs_v_row = np.einsum("...sd,dhw->...hsw", ctx.a, rowcs_wv)            # (B, H, S, 2)
                 if ctx.bias is not None:
-                    bias_heads = xp.astype(
-                        xp.asarray(ctx.bias), xp.float64, copy=False
-                    ).reshape(num_heads, head_dim)
-                    _, v2 = checksum_weights(head_dim, xp=xp)
-                    cs_v_row[..., 0] += xp.sum(bias_heads, axis=-1)[None, :, None]
-                    cs_v_row[..., 1] += xp.sum(bias_heads * v2, axis=-1)[None, :, None]
+                    bias_heads = np.asarray(ctx.bias, dtype=np.float64).reshape(
+                        num_heads, head_dim
+                    )
+                    _, v2 = checksum_weights(head_dim)
+                    cs_v_row[..., 0] += np.sum(bias_heads, axis=-1)[None, :, None]
+                    cs_v_row[..., 1] += np.sum(bias_heads * v2, axis=-1)[None, :, None]
             cache = ctx.kv_cache
             if decode:
                 # Slot the new row's checksums into the cache; the step's V
                 # row is appended after the projections.
                 cs_v_row = cache.append_checksums("CL", cs_v_row, cache.length)
             elif cache is not None:
-                cache.seed_checksums("CL", cs_v_row, cs_v_row.shape[-2], xp)
+                cache.seed_checksums("CL", cs_v_row, cs_v_row.shape[-2])
             state.cs_v_row = cs_v_row
             return
 
@@ -427,12 +420,12 @@ class _PerGemmReferenceBackend:
         with checker.timers.measure("CL/update"):
             if not decode:
                 self.dispatch_counts["gemm"] += 1
-                cs_cl_col = xp.matmul(cs_ap_col, ctx.b)                           # (B, H, 2, dh)
+                cs_cl_col = np.matmul(cs_ap_col, ctx.b)                           # (B, H, 2, dh)
             if cl_enabled:
                 # row(CL) = AP row(V): carry the per-head row checksums of V
                 # through the AP x V GEMM.
                 self.dispatch_counts["gemm"] += 1
-                cs_cl_row = xp.matmul(ctx.a, state.cs_v_row)                      # (B, H, S, 2)
+                cs_cl_row = np.matmul(ctx.a, state.cs_v_row)                      # (B, H, S, 2)
         checksums = ChecksumState(col=cs_cl_col, row=cs_cl_row)
         if cl_enabled:
             with checker.timers.measure("CL/detect"):
@@ -458,7 +451,7 @@ class _PerGemmReferenceBackend:
             if ctx.phase == "decode":
                 self.dispatch_counts["gemm"] += 2
                 rowcs_wo = encode_row_checksums(ctx.b)                           # (D, 2)
-                checksums = ChecksumState(row=namespace_of(ctx.a).matmul(ctx.a, rowcs_wo))
+                checksums = ChecksumState(row=np.matmul(ctx.a, rowcs_wo))
             else:
                 self.dispatch_counts["gemm"] += 1
                 cs_cl_merged = merge_head_column_checksums(state.cs_cl_col)      # (B, 2, D)
@@ -498,13 +491,12 @@ class _PerGemmReferenceBackend:
         if not state.enabled.get("FF2", False):
             checker._record_outcome("FF2", None)
             return
-        xp = namespace_of(ctx.a)
         with checker.timers.measure("FF2/encode"):
             self.dispatch_counts["gemm"] += 1
             rowcs_wd = encode_row_checksums(ctx.b)                      # (D_ff, 2)
         with checker.timers.measure("FF2/update"):
             self.dispatch_counts["gemm"] += 1
-            cs_fo = xp.matmul(ctx.a, rowcs_wd)                          # (B, S, 2)
+            cs_fo = np.matmul(ctx.a, rowcs_wd)                          # (B, S, 2)
         with checker.timers.measure("FF2/detect"):
             report = correct_matrix(out, ChecksumState(row=cs_fo), thresholds=checker.thresholds)
         self._record_report(ctx, "FF2", report)

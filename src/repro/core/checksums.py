@@ -31,16 +31,7 @@ needed because the projections in real transformer layers are affine rather
 than linear), and the head split/merge plumbing required because the paper's
 GEMMs ``Q K^T`` and ``AP V`` operate per attention head.
 
-Backend-generic contract
-------------------------
-Every function here is **array-library generic**: it dispatches through the
-namespace of the backend that owns its input
-(:func:`repro.backend.namespace_of`), so a NumPy matrix is encoded with NumPy
-BLAS, a Torch matrix with Torch — the checksums live
-wherever the protected data lives and never round-trip through host memory.
-The NumPy path executes the exact operation sequence of the historical
-implementation (the cross-backend equivalence tests pin this).  Weighted sums
-are always *accumulated in the backend's float64*, whatever the input dtype.
+Weighted sums are always *accumulated in float64*, whatever the input dtype.
 """
 
 from __future__ import annotations
@@ -48,8 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, Optional, Tuple
 
-from repro.backend import get_backend, namespace_of
-from repro.core.workspace import matmul_into
+import numpy as np
 
 __all__ = [
     "checksum_weights",
@@ -69,64 +59,52 @@ __all__ = [
 ]
 
 
-#: (id(xp), length, dtype-key) -> (xp, (v1, v2)) — see :func:`checksum_weights`.
-#: The namespace object is stored in the entry so an ``id`` collision with a
-#: garbage-collected namespace can never serve vectors from the wrong device.
+#: (length, dtype-key) -> (v1, v2) — see :func:`checksum_weights`.
 #: Guarded by the GIL only: a benign race rebuilds identical vectors.
-_WEIGHT_VECTOR_CACHE: Dict[Tuple, Tuple[Any, Tuple[Any, Any]]] = {}
+_WEIGHT_VECTOR_CACHE: Dict[Tuple, Tuple[Any, Any]] = {}
 
 #: Same cache for the stacked ``(2, m)`` / ``(n, 2)`` encoder weight blocks.
-_WEIGHT_BLOCK_CACHE: Dict[Tuple, Tuple[Any, Any]] = {}
+_WEIGHT_BLOCK_CACHE: Dict[Tuple, Any] = {}
 
 
-def checksum_weights(length: int, dtype=None, xp: Any = None) -> Tuple[Any, Any]:
+def checksum_weights(length: int, dtype=np.float64) -> Tuple[Any, Any]:
     """Return the unweighted and weighted checksum vectors ``(v1, v2)``.
 
     ``v1 = [1, 1, ..., 1]`` and ``v2 = [1, 2, ..., length]`` (1-based), the
     classic Huang–Abraham choice that the paper uses: the ratio of the two
     checksum differences directly yields the (1-based) error index.
 
-    ``xp`` selects the array namespace the vectors are built in (so they land
-    on the same device as the data they will multiply); it defaults to NumPy,
-    and ``dtype`` defaults to that namespace's float64.
-
-    The vectors are **cached** per (namespace, length, dtype) — every encode,
+    The vectors are **cached** per (length, dtype) — every encode,
     bias-adjust and EEC-ABFT detection pass calls this, and rebuilding two
     ``arange``-derived vectors per call was pure dispatch overhead on the hot
     path.  Callers must treat the returned arrays as read-only.
     """
     if length <= 0:
         raise ValueError(f"checksum length must be positive, got {length}")
-    if xp is None:
-        xp = get_backend("numpy").xp
-    if dtype is None:
-        dtype = xp.float64
-    key = (id(xp), int(length), str(dtype))
+    key = (int(length), str(dtype))
     entry = _WEIGHT_VECTOR_CACHE.get(key)
-    if entry is not None and entry[0] is xp:
-        return entry[1]
-    v1 = xp.ones(length, dtype=dtype)
-    v2 = xp.arange(1, length + 1, dtype=dtype)
-    _WEIGHT_VECTOR_CACHE[key] = (xp, (v1, v2))
+    if entry is not None:
+        return entry
+    v1 = np.ones(length, dtype=dtype)
+    v2 = np.arange(1, length + 1, dtype=dtype)
+    _WEIGHT_VECTOR_CACHE[key] = (v1, v2)
     return v1, v2
 
 
-def stacked_checksum_weights(length: int, axis: int, xp: Any = None) -> Any:
+def stacked_checksum_weights(length: int, axis: int) -> Any:
     """The float64 encoder weight block ``stack([v1, v2], axis=axis)``, cached.
 
     ``axis=0`` gives the ``(2, length)`` block of the column encoder,
     ``axis=1`` the ``(length, 2)`` block of the row encoder.  Cached for the
     same reason as :func:`checksum_weights`; read-only by contract.
     """
-    if xp is None:
-        xp = get_backend("numpy").xp
-    key = (id(xp), int(length), int(axis))
-    entry = _WEIGHT_BLOCK_CACHE.get(key)
-    if entry is not None and entry[0] is xp:
-        return entry[1]
-    v1, v2 = checksum_weights(length, xp=xp)
-    block = xp.stack([v1, v2], axis=axis)
-    _WEIGHT_BLOCK_CACHE[key] = (xp, block)
+    key = (int(length), int(axis))
+    block = _WEIGHT_BLOCK_CACHE.get(key)
+    if block is not None:
+        return block
+    v1, v2 = checksum_weights(length)
+    block = np.stack([v1, v2], axis=axis)
+    _WEIGHT_BLOCK_CACHE[key] = block
     return block
 
 
@@ -146,7 +124,7 @@ def encode_column_checksums(matrix: Any, out_dtype=None, out: Any = None) -> Any
     Row 0 holds the unweighted column sums, row 1 the weighted sums.  This is
     the operation the paper's custom "encoding kernel" implements on GPU
     (Section 4.6, Figure 9); here it is a dense matmul with the 2 x m weight
-    block, which the owning backend dispatches to its BLAS/GEMM library.
+    block, dispatched to NumPy's BLAS.
 
     The weighted sums are always *accumulated in float64*, whatever the input
     dtype: encoding an fp16/fp32 matrix in its own precision loses enough of
@@ -156,12 +134,11 @@ def encode_column_checksums(matrix: Any, out_dtype=None, out: Any = None) -> Any
     float64 buffer of the result shape, exclusive with ``out_dtype``) to
     encode into a reusable workspace buffer.
     """
-    xp = namespace_of(matrix)
-    matrix = xp.asarray(matrix)
+    matrix = np.asarray(matrix)
     m = matrix.shape[-2]
-    weights = stacked_checksum_weights(m, axis=0, xp=xp)  # (2, m), float64
-    encoded = matmul_into(xp, weights, xp.astype(matrix, xp.float64, copy=False), out)
-    return encoded if out_dtype is None else xp.astype(encoded, out_dtype)
+    weights = stacked_checksum_weights(m, axis=0)  # (2, m), float64
+    encoded = np.matmul(weights, matrix.astype(np.float64, copy=False), out=out)
+    return encoded if out_dtype is None else encoded.astype(out_dtype)
 
 
 def encode_row_checksums(matrix: Any, out_dtype=None, out: Any = None) -> Any:
@@ -171,12 +148,11 @@ def encode_row_checksums(matrix: Any, out_dtype=None, out: Any = None) -> Any:
     :func:`encode_column_checksums`); ``out_dtype`` casts the result back and
     ``out`` encodes into a caller-provided float64 buffer.
     """
-    xp = namespace_of(matrix)
-    matrix = xp.asarray(matrix)
+    matrix = np.asarray(matrix)
     n = matrix.shape[-1]
-    weights = stacked_checksum_weights(n, axis=1, xp=xp)  # (n, 2), float64
-    encoded = matmul_into(xp, xp.astype(matrix, xp.float64, copy=False), weights, out)
-    return encoded if out_dtype is None else xp.astype(encoded, out_dtype)
+    weights = stacked_checksum_weights(n, axis=1)  # (n, 2), float64
+    encoded = np.matmul(matrix.astype(np.float64, copy=False), weights, out=out)
+    return encoded if out_dtype is None else encoded.astype(out_dtype)
 
 
 def recompute_column_sums(matrix: Any) -> Tuple[Any, Any]:
@@ -186,13 +162,12 @@ def recompute_column_sums(matrix: Any) -> Tuple[Any, Any]:
     corrupted output at detection time; returning the two components
     separately avoids an extra stack/copy in the hot detection path.
     """
-    xp = namespace_of(matrix)
-    matrix = xp.asarray(matrix)
+    matrix = np.asarray(matrix)
     m = matrix.shape[-2]
-    _, v2 = checksum_weights(m, xp=xp)
-    matrix64 = xp.astype(matrix, xp.float64, copy=False)
-    unweighted = xp.sum(matrix, axis=-2, dtype=xp.float64)
-    weighted = xp.einsum("i,...ij->...j", v2, matrix64)
+    _, v2 = checksum_weights(m)
+    matrix64 = matrix.astype(np.float64, copy=False)
+    unweighted = np.sum(matrix, axis=-2, dtype=np.float64)
+    weighted = np.einsum("i,...ij->...j", v2, matrix64)
     return unweighted, weighted
 
 
@@ -202,13 +177,12 @@ def recompute_row_sums(matrix: Any) -> Tuple[Any, Any]:
     Like the encoders, accumulation is always in float64 so low-precision data
     does not produce round-off false positives against float64 checksums.
     """
-    xp = namespace_of(matrix)
-    matrix = xp.asarray(matrix)
+    matrix = np.asarray(matrix)
     n = matrix.shape[-1]
-    _, v2 = checksum_weights(n, xp=xp)
-    matrix64 = xp.astype(matrix, xp.float64, copy=False)
-    unweighted = xp.sum(matrix, axis=-1, dtype=xp.float64)
-    weighted = xp.einsum("j,...ij->...i", v2, matrix64)
+    _, v2 = checksum_weights(n)
+    matrix64 = matrix.astype(np.float64, copy=False)
+    unweighted = np.sum(matrix, axis=-1, dtype=np.float64)
+    weighted = np.einsum("j,...ij->...i", v2, matrix64)
     return unweighted, weighted
 
 
@@ -218,7 +192,7 @@ def recompute_row_sums(matrix: Any) -> Tuple[Any, Any]:
 
 def update_column_checksums_through_gemm(col_checksums_a: Any, b: Any) -> Any:
     """Propagate column checksums through ``C = A B``:  ``col(C) = col(A) B``."""
-    return namespace_of(col_checksums_a).matmul(col_checksums_a, b)
+    return np.matmul(col_checksums_a, b)
 
 
 def update_column_checksums_with_appended_rows(
@@ -240,8 +214,7 @@ def update_column_checksums_with_appended_rows(
     ``first_row_index`` the 0-based position of its first row in the grown
     matrix.  Accumulation is in float64 like the encoders.
     """
-    xp = namespace_of(col_checksums)
-    new64 = xp.astype(xp.asarray(new_rows), xp.float64, copy=False)
+    new64 = np.asarray(new_rows).astype(np.float64, copy=False)
     t = new64.shape[-2]
     if t == 1:
         # Single-token decode hot path: two elementwise AXPYs, no reductions.
@@ -249,9 +222,9 @@ def update_column_checksums_with_appended_rows(
         col_checksums[..., 0, :] += row
         col_checksums[..., 1, :] += float(first_row_index + 1) * row
         return col_checksums
-    unweighted = xp.sum(new64, axis=-2, dtype=xp.float64)
-    _, v2 = checksum_weights(t, xp=xp)
-    weighted = xp.einsum("i,...ij->...j", v2, new64)
+    unweighted = np.sum(new64, axis=-2, dtype=np.float64)
+    _, v2 = checksum_weights(t)
+    weighted = np.einsum("i,...ij->...j", v2, new64)
     col_checksums[..., 0, :] += unweighted
     col_checksums[..., 1, :] += weighted + float(first_row_index) * unweighted
     return col_checksums
@@ -266,10 +239,9 @@ def adjust_column_checksums_for_bias(
     the unweighted column sums by ``num_rows * bias`` and the weighted sums by
     ``(1 + 2 + ... + num_rows) * bias``.
     """
-    xp = namespace_of(col_checksums)
-    bias = xp.astype(xp.asarray(bias), xp.float64, copy=False)
-    # Copy + float64 accumulation, on the checksums' own device.
-    adjusted = xp.astype(col_checksums, xp.float64, copy=True)
+    bias = np.asarray(bias).astype(np.float64, copy=False)
+    # Copy + float64 accumulation.
+    adjusted = np.asarray(col_checksums).astype(np.float64, copy=True)
     adjusted[..., 0, :] = adjusted[..., 0, :] + num_rows * bias
     adjusted[..., 1, :] = adjusted[..., 1, :] + (num_rows * (num_rows + 1) / 2.0) * bias
     return adjusted
@@ -288,8 +260,7 @@ def split_head_column_checksums(col_checksums: Any, num_heads: int) -> Any:
     (sequence positions) untouched, the column checksums partition the same
     way.
     """
-    xp = namespace_of(col_checksums)
-    col_checksums = xp.asarray(col_checksums)
+    col_checksums = np.asarray(col_checksums)
     *lead, two, d = col_checksums.shape
     if two != 2:
         raise ValueError(f"expected a checksum axis of size 2, got {two}")
@@ -311,8 +282,7 @@ def merge_head_column_checksums(per_head: Any, out: Any = None) -> Any:
     returned array is its ``(..., 2, H*dh)`` view.  Values are identical
     either way.
     """
-    xp = namespace_of(per_head)
-    per_head = xp.asarray(per_head)
+    per_head = np.asarray(per_head)
     *lead, h, two, dh = per_head.shape
     if two != 2:
         raise ValueError(f"expected a checksum axis of size 2, got {two}")
@@ -334,16 +304,15 @@ def encode_per_head_row_checksums_of_weight(weight: Any, num_heads: int) -> Any:
     block yields per-head row checksums of ``V = X W`` directly — the
     checksum-passing trick of protection section S_CL.
     """
-    xp = namespace_of(weight)
-    weight = xp.asarray(weight)
+    weight = np.asarray(weight)
     d_in, d_out = weight.shape
     if d_out % num_heads:
         raise ValueError(f"output dim {d_out} not divisible by num_heads {num_heads}")
     dh = d_out // num_heads
     # float64: same dtype-safety rule as the encoders.
-    weights = stacked_checksum_weights(dh, axis=1, xp=xp)  # (dh, 2)
-    per_head = xp.astype(weight, xp.float64, copy=False).reshape(d_in, num_heads, dh)
-    return xp.einsum("dhk,kw->dhw", per_head, weights)  # (D_in, H, 2)
+    weights = stacked_checksum_weights(dh, axis=1)  # (dh, 2)
+    per_head = weight.astype(np.float64, copy=False).reshape(d_in, num_heads, dh)
+    return np.einsum("dhk,kw->dhw", per_head, weights)  # (D_in, H, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -356,8 +325,7 @@ class ChecksumState:
 
     Either side may be absent (``None``) — e.g. the attention output ``O``
     only carries column checksums (Section 4.4, "Attention Output Protection
-    Section").  The stored arrays belong to whatever backend encoded them; a
-    state never mixes backends between its two sides.
+    Section").
     """
 
     col: Optional[Any] = None
@@ -379,14 +347,13 @@ class ChecksumState:
 
     def verify(self, matrix: Any, rtol: float = 1e-6, atol: float = 1e-6) -> bool:
         """Whether the stored checksums are consistent with ``matrix``."""
-        xp = namespace_of(matrix)
         ok = True
         if self.col is not None:
             unweighted, weighted = recompute_column_sums(matrix)
-            ok &= bool(xp.allclose(self.col[..., 0, :], unweighted, rtol=rtol, atol=atol))
-            ok &= bool(xp.allclose(self.col[..., 1, :], weighted, rtol=rtol, atol=atol))
+            ok &= bool(np.allclose(self.col[..., 0, :], unweighted, rtol=rtol, atol=atol))
+            ok &= bool(np.allclose(self.col[..., 1, :], weighted, rtol=rtol, atol=atol))
         if self.row is not None:
             unweighted, weighted = recompute_row_sums(matrix)
-            ok &= bool(xp.allclose(self.row[..., 0], unweighted, rtol=rtol, atol=atol))
-            ok &= bool(xp.allclose(self.row[..., 1], weighted, rtol=rtol, atol=atol))
+            ok &= bool(np.allclose(self.row[..., 0], unweighted, rtol=rtol, atol=atol))
+            ok &= bool(np.allclose(self.row[..., 1], weighted, rtol=rtol, atol=atol))
         return ok

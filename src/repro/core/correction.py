@@ -28,10 +28,6 @@ view the same way and compares against the same tolerance expression.  A
 clean matrix costs only that, a handful of array calls per side; the case
 analysis above runs only after the screen flags something, which is where
 the paper (Section 4.2) needs it.
-
-Like the layers below it, :func:`correct_matrix` is backend-generic: the
-matrix, its checksums and all repairs stay on whatever array library produced
-them (NumPy or Torch), with no host round-trip.
 """
 
 from __future__ import annotations

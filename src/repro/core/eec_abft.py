@@ -21,18 +21,6 @@ per-call Python overhead independent of the number of vectors — the
 vectorisation guidance of the HPC-Python guides and the analogue of the
 paper's divergence-free kernel design.
 
-Backend-generic contract
-------------------------
-Both entry points dispatch through the array namespace of the backend that
-owns the protected matrix (:func:`repro.backend.namespace_of`): detection,
-case classification, location and in-place correction all run inside the
-owning array library, so device-resident data is verified and repaired
-without a host round-trip.  The report masks belong to the same backend as
-the matrix; their scalar summaries (``num_detected`` etc.) are plain Python
-ints on every backend.  On NumPy this module executes the exact historical
-operation sequence — the equivalence tests compare every other backend's
-decisions against it, byte for byte.
-
 The public entry points are :func:`check_columns` (column-checksum side,
 handles 0D and 1R patterns) and :func:`check_rows` (row-checksum side, 0D and
 1C patterns), both operating in place on the protected matrix and returning a
@@ -47,7 +35,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Optional, Tuple
 
-from repro.backend import backend_of, namespace_of
+import numpy as np
+
 from repro.core.checksums import checksum_weights
 from repro.core.thresholds import ABFTThresholds
 
@@ -68,8 +57,7 @@ class ColumnCheckReport:
 
     All masks have one entry per checked vector (i.e. per column for
     :func:`check_columns`, per row for :func:`check_rows`), flattened over any
-    leading batch/head axes, and live on the backend that owns the checked
-    matrix.
+    leading batch/head axes.
 
     Attributes
     ----------
@@ -116,16 +104,16 @@ class ColumnCheckReport:
         return self.num_detected == 0
 
 
-def _empty_report(shape, xp) -> ColumnCheckReport:
-    zeros = xp.zeros(shape, dtype=xp.bool_)
+def _empty_report(shape) -> ColumnCheckReport:
+    zeros = np.zeros(shape, dtype=np.bool_)
     return ColumnCheckReport(
-        detected=xp.copy(zeros),
-        corrected=xp.copy(zeros),
-        aborted=xp.copy(zeros),
-        case1=xp.copy(zeros),
-        case2=xp.copy(zeros),
-        case3=xp.copy(zeros),
-        corrected_indices=xp.full(shape, -1, dtype=xp.int64),
+        detected=zeros.copy(),
+        corrected=zeros.copy(),
+        aborted=zeros.copy(),
+        case1=zeros.copy(),
+        case2=zeros.copy(),
+        case3=zeros.copy(),
+        corrected_indices=np.full(shape, -1, dtype=np.int64),
     )
 
 
@@ -146,9 +134,7 @@ def _column_blocks(matrix: Any, col_checksums: Any) -> Tuple[Any, Any]:
     return matrix.reshape(-1, m, n), col_checksums.reshape(-1, 2, n)
 
 
-def _unweighted_check(
-    flat: Any, cs: Any, thresholds: ABFTThresholds, xp: Any
-) -> Tuple[Any, Any, Any]:
+def _unweighted_check(flat: Any, cs: Any, thresholds: ABFTThresholds) -> Tuple[Any, Any, Any]:
     """EEC-ABFT's mismatch test on ``(B, m, n)`` blocks: ``|Δ1| ≤ E`` per column.
 
     Returns the recomputed unweighted column sums, ``Δ1`` (maintained minus
@@ -162,12 +148,12 @@ def _unweighted_check(
     # Accumulate in float64 regardless of the data dtype: summing a low
     # precision (fp16/fp32) matrix in its own dtype loses enough precision to
     # trigger false positives at the default thresholds.  The array method
-    # is the same reduction as ``xp.sum`` without NumPy's dispatch wrapper.
-    recomputed0 = flat.sum(1, dtype=xp.float64)                # (B, n)
+    # is the same reduction as ``np.sum`` without its dispatch wrapper.
+    recomputed0 = flat.sum(1, dtype=np.float64)                # (B, n)
     maintained0 = cs[:, 0, :]
     delta1 = maintained0 - recomputed0
     tolerance = thresholds.detection_tolerance(maintained0)
-    within = (xp.abs(delta1) <= tolerance) & xp.isfinite(maintained0)
+    within = (np.abs(delta1) <= tolerance) & np.isfinite(maintained0)
     return recomputed0, delta1, within
 
 
@@ -182,13 +168,12 @@ def columns_match(
     reshaped blocks: True exactly when no column's unweighted checksum
     differs beyond the tolerance ``E``.  Extreme values are not scanned for
     here (see :meth:`ABFTThresholds.any_extreme`), and nothing is located or
-    repaired.  Both arguments are arrays of one backend; run on finite data
-    (after the extreme scan), the test raises no floating-point flag, so it
-    holds no error state of its own.
+    repaired.  Run on finite data (after the extreme scan), the test raises
+    no floating-point flag, so it holds no error state of its own.
     """
     thresholds = thresholds or ABFTThresholds()
     flat, cs = _column_blocks(matrix, col_checksums)
-    return bool(_unweighted_check(flat, cs, thresholds, namespace_of(flat))[2].all())
+    return bool(_unweighted_check(flat, cs, thresholds)[2].all())
 
 
 def rows_match(
@@ -211,11 +196,11 @@ def check_columns(
     Parameters
     ----------
     matrix:
-        Protected data of shape ``(..., m, n)``, in any registered backend's
-        array type; **modified in place** when corrections are applied.
+        Protected data of shape ``(..., m, n)``; **modified in place** when
+        corrections are applied.
     col_checksums:
         Maintained (true) column checksums of shape ``(..., 2, n)`` — row 0
-        unweighted, row 1 weighted with ``[1..m]`` — on the same backend.
+        unweighted, row 1 weighted with ``[1..m]``.
     thresholds:
         Numerical thresholds; defaults to the paper's values.
 
@@ -225,35 +210,33 @@ def check_columns(
         Per-column masks describing what was detected, corrected or aborted.
     """
     thresholds = thresholds or ABFTThresholds()
-    backend = backend_of(matrix)
-    xp = backend.xp
-    matrix = xp.asarray(matrix)
-    col_checksums = xp.asarray(col_checksums)
+    matrix = np.asarray(matrix)
+    col_checksums = np.asarray(col_checksums)
     *lead, m, n = matrix.shape
     flat, cs = _column_blocks(matrix, col_checksums)
     # Remember whether the reshape copied (a non-contiguous view such as the
     # transposed one of :func:`check_rows`): corrections are then written
     # back at the end.
-    flat_is_view = backend.shares_memory(flat, matrix)
+    flat_is_view = np.shares_memory(flat, matrix)
     batch = flat.shape[0]
 
-    report = _empty_report((batch, n), xp)
+    report = _empty_report((batch, n))
 
-    _, v2 = checksum_weights(m, xp=xp)
+    _, v2 = checksum_weights(m)
 
     # --- recompute checksums of the (possibly corrupted) data ----------------
-    flat64 = xp.astype(flat, xp.float64, copy=False)
-    with xp.errstate(invalid="ignore", over="ignore"):
-        recomputed0, delta1, within = _unweighted_check(flat, cs, thresholds, xp)
-        recomputed1 = xp.einsum("i,bij->bj", v2, flat64)       # (B, n)
+    flat64 = flat.astype(np.float64, copy=False)
+    with np.errstate(invalid="ignore", over="ignore"):
+        recomputed0, delta1, within = _unweighted_check(flat, cs, thresholds)
+        recomputed1 = np.einsum("i,bij->bj", v2, flat64)       # (B, n)
         delta2 = cs[:, 1, :] - recomputed1
 
         extreme = thresholds.is_extreme(flat)                  # (B, m, n)
         # Integer count of a boolean mask, not a checksum accumulation.
         # reprolint: disable=DT001
-        n_extreme = xp.sum(extreme, axis=1)                    # (B, n)
+        n_extreme = np.sum(extreme, axis=1)                    # (B, n)
 
-        finite_d1 = xp.isfinite(delta1)
+        finite_d1 = np.isfinite(delta1)
         numeric_mismatch = finite_d1 & ~within
         # ``within`` is False for a non-finite delta1, so this is "mismatch,
         # non-finite delta1 or an extreme element".
@@ -264,8 +247,8 @@ def check_columns(
             return _reshape_report(report, lead, n)
 
         # --- classify the cases of Figure 3 ----------------------------------
-        nan_d1 = xp.isnan(delta1)
-        inf_d1 = xp.isinf(delta1)
+        nan_d1 = np.isnan(delta1)
+        inf_d1 = np.isinf(delta1)
         case1 = detected & finite_d1
         case2 = detected & inf_d1
         case3 = detected & nan_d1
@@ -282,17 +265,17 @@ def check_columns(
 
         # --- locate single errors ---------------------------------------------
         # Index from the checksum ratio (1-based in the paper, 0-based here).
-        safe_d1 = xp.where(xp.abs(delta1) > 0, delta1, 1.0)
+        safe_d1 = np.where(np.abs(delta1) > 0, delta1, 1.0)
         ratio = delta2 / safe_d1
-        ratio_valid = xp.isfinite(ratio)
-        nearest = xp.rint(ratio)
-        ratio_is_integer = ratio_valid & (xp.abs(ratio - nearest) <= INDEX_RATIO_TOLERANCE)
-        idx_from_checksum = xp.clip(xp.astype(nearest, xp.int64, copy=False) - 1, 0, m - 1)
+        ratio_valid = np.isfinite(ratio)
+        nearest = np.rint(ratio)
+        ratio_is_integer = ratio_valid & (np.abs(ratio - nearest) <= INDEX_RATIO_TOLERANCE)
+        idx_from_checksum = np.clip(nearest.astype(np.int64, copy=False) - 1, 0, m - 1)
         in_range = ratio_valid & (nearest >= 1) & (nearest <= m)
 
         # Index from searching the vector for the extreme / non-finite element
         # (cases 2 and 3, and case-1 overflow of delta2).
-        idx_from_search = xp.argmax(extreme, axis=1)           # (B, n), 0 when none
+        idx_from_search = np.argmax(extreme, axis=1)           # (B, n), 0 when none
 
         # --- pure numeric single error (classic ABFT path) --------------------
         numeric_single = case1 & numeric_mismatch & (n_extreme == 0)
@@ -305,49 +288,43 @@ def check_columns(
         extreme_single = detected & (n_extreme == 1) & ~consistent_corruption
         # Prefer the checksum-located index when delta2 survived (case 1 with
         # finite delta2); otherwise use the searched index, as the paper does.
-        use_checksum_idx = extreme_single & case1 & xp.isfinite(delta2) & in_range & ratio_is_integer
-        idx_extreme = xp.where(use_checksum_idx, idx_from_checksum, idx_from_search)
+        use_checksum_idx = extreme_single & case1 & np.isfinite(delta2) & in_range & ratio_is_integer
+        idx_extreme = np.where(use_checksum_idx, idx_from_checksum, idx_from_search)
 
-        batch_idx, col_idx = xp.nonzero(numeric_locatable & ~aborted)
+        batch_idx, col_idx = np.nonzero(numeric_locatable & ~aborted)
         if batch_idx.shape[0]:
             rows = idx_from_checksum[batch_idx, col_idx]
             corrupted = flat[batch_idx, rows, col_idx]
             addition = delta1[batch_idx, col_idx]
             # T_correct rule: large corrupted values are reconstructed from
             # the checksum and the healthy elements instead of delta-added.
-            large = xp.abs(corrupted) > thresholds.correct
+            large = np.abs(corrupted) > thresholds.correct
             sum_others = recomputed0[batch_idx, col_idx] - corrupted
             reconstructed = cs[batch_idx, 0, col_idx] - sum_others
             # Repairs are computed in float64; cast down to the data's
-            # dtype explicitly (NumPy assignment would cast silently,
-            # Torch index assignment requires matching dtypes).
-            flat[batch_idx, rows, col_idx] = xp.astype(
-                xp.where(large, reconstructed, corrupted + addition),
-                flat.dtype, copy=False,
-            )
+            # dtype explicitly.
+            flat[batch_idx, rows, col_idx] = np.where(
+                large, reconstructed, corrupted + addition
+            ).astype(flat.dtype, copy=False)
             report.corrected[batch_idx, col_idx] = True
             report.corrected_indices[batch_idx, col_idx] = rows
 
-        batch_idx, col_idx = xp.nonzero(extreme_single & ~aborted)
+        batch_idx, col_idx = np.nonzero(extreme_single & ~aborted)
         if batch_idx.shape[0]:
             rows = idx_extreme[batch_idx, col_idx]
             # Reconstruct: true value = checksum - sum of healthy elements,
             # accumulated in float64 like every other checksum-side sum (a
             # low-precision healthy sum degrades the reconstructed value).
-            healthy = xp.where(
-                extreme, 0.0, xp.astype(flat, xp.float64, copy=False)
-            )
-            sum_others = xp.sum(healthy, axis=1, dtype=xp.float64)[
+            healthy = np.where(extreme, 0.0, flat.astype(np.float64, copy=False))
+            sum_others = np.sum(healthy, axis=1, dtype=np.float64)[
                 batch_idx, col_idx
-            ] - xp.where(
+            ] - np.where(
                 thresholds.is_extreme(flat[batch_idx, rows, col_idx]),
                 0.0,
                 flat[batch_idx, rows, col_idx],
             )
             reconstructed = cs[batch_idx, 0, col_idx] - sum_others
-            flat[batch_idx, rows, col_idx] = xp.astype(
-                reconstructed, flat.dtype, copy=False
-            )
+            flat[batch_idx, rows, col_idx] = reconstructed.astype(flat.dtype, copy=False)
             report.corrected[batch_idx, col_idx] = True
             report.corrected_indices[batch_idx, col_idx] = rows
 
@@ -367,14 +344,13 @@ def check_rows(
 
     Implemented by viewing the transposed matrix through
     :func:`check_columns`: the row checksums of ``M`` are exactly the column
-    checksums of ``M^T``.  The transposed array is a zero-copy view in every
-    supported backend, so in-place corrections propagate back to ``matrix``.
+    checksums of ``M^T``.  The transposed array is a zero-copy view, so
+    in-place corrections propagate back to ``matrix``.
     """
-    xp = namespace_of(matrix)
-    matrix = xp.asarray(matrix)
-    row_checksums = xp.asarray(row_checksums)
-    transposed = xp.swapaxes(matrix, -1, -2)
-    cs_t = xp.swapaxes(row_checksums, -1, -2)
+    matrix = np.asarray(matrix)
+    row_checksums = np.asarray(row_checksums)
+    transposed = np.swapaxes(matrix, -1, -2)
+    cs_t = np.swapaxes(row_checksums, -1, -2)
     return check_columns(transposed, cs_t, thresholds=thresholds)
 
 

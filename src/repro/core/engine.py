@@ -43,15 +43,6 @@ thresholds, statistics — lives in :class:`repro.core.attention_checker.ATTNChe
 which drives the engine through the section-level hook
 :meth:`repro.nn.attention.AttentionHooks.on_section_output`.
 
-Array backends
---------------
-The checksum chain is array-library generic.  Each
-:class:`~repro.nn.attention.SectionContext` carries the backend that owns its
-arrays, and the engine always *follows* it: encode, carry, verify and
-repair run natively in that library (NumPy or Torch), so a
-device-resident boundary matrix is never round-tripped through host memory on
-the critical path.
-
 Verification
 ------------
 Each section boundary is verified and corrected inside the forward pass,
@@ -87,9 +78,9 @@ Weight-encoding cache
 Checksum workspace
     Checksum intermediates live in a
     :class:`~repro.core.workspace.ChecksumWorkspace` arena of named
-    shape/dtype/device-keyed buffers filled through the namespaces'
-    ``out=`` contract: after one warm-up visit the steady-state hot path
-    allocates no managed buffers.
+    shape/dtype-keyed buffers filled through ``np.matmul``'s ``out=``:
+    after one warm-up visit the steady-state hot path allocates no managed
+    buffers.
 
 ``dispatch_counts`` tracks the checksum GEMM/einsum launches (``"gemm"``)
 and verification passes (``"detect"``) the engine actually issued — the
@@ -105,7 +96,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, Optional, Tuple
 
-from repro.backend import ArrayBackend, backend_of
+import numpy as np
+
 from repro.core.checksums import (
     ChecksumState,
     checksum_weights,
@@ -120,8 +112,8 @@ from repro.core.eec_abft import check_columns, check_rows
 from repro.core.thresholds import ABFTThresholds
 from repro.core.hooks import SectionContext
 from repro.core.sections import SECTION_REGISTRY
-from repro.core.workspace import ChecksumWorkspace, matmul_into
-from repro.utils.timing import Timer, TimingRegistry
+from repro.core.workspace import ChecksumWorkspace
+from repro.utils.timing import TimingRegistry
 from repro.utils.versioning import weights_version
 
 __all__ = [
@@ -183,33 +175,6 @@ class SectionOutcome:
     #: no batch axis.  Sound for attention boundaries because every
     #: attention GEMM is row-independent across the batch axis.
     request_dirty: Optional[Any] = None
-
-
-class _SyncedPhase:
-    """Context manager timing one checksum phase between device barriers.
-
-    Device libraries launch kernels asynchronously, so the wall clock must
-    not start until prior work has retired and must not stop until this
-    phase's kernels have: the backend's :meth:`synchronize` barrier runs on
-    both edges.  On host backends it is a no-op and the timing is that of a
-    bare ``timers.measure``.
-    """
-
-    __slots__ = ("timer", "backend")
-
-    def __init__(self, timer: Timer, backend: ArrayBackend) -> None:
-        self.timer = timer
-        self.backend = backend
-
-    def __enter__(self) -> None:
-        self.backend.synchronize()
-        self.timer.start()
-
-    def __exit__(self, *exc_info: object) -> None:
-        try:
-            self.backend.synchronize()
-        finally:
-            self.timer.stop()
 
 
 class _LayerState:
@@ -336,17 +301,11 @@ class ProtectionEngine:
         """
         self.weight_cache.clear()
 
-    # -- timing -----------------------------------------------------------------
-
-    def _timed(self, key: str, backend: ArrayBackend) -> "_SyncedPhase":
-        """Measure one checksum phase with device-correct boundaries."""
-        return _SyncedPhase(self.timers.timer(key), backend)
-
     # -- workspace / cache plumbing ---------------------------------------------
 
-    def _buf(self, name: str, shape: Tuple[int, ...], xp: Any) -> Any:
+    def _buf(self, name: str, shape: Tuple[int, ...]) -> Any:
         """A reusable float64 workspace buffer."""
-        return self.workspace.request(name, shape, xp.float64, xp)
+        return self.workspace.request(name, shape, np.float64)
 
     @staticmethod
     def _section_active(ctx: SectionContext, state: _LayerState) -> bool:
@@ -371,16 +330,15 @@ class ProtectionEngine:
         state = self._layers.get(ctx.layer_index)
         if state is None or not self._section_active(ctx, state):
             return None
-        backend = ctx.backend if ctx.backend is not None else backend_of(out)
         if ctx.section == "AS":
-            return self._protect_as(ctx, state, out, backend)
+            return self._protect_as(ctx, state, out)
         if ctx.section == "CL":
-            return self._protect_cl(ctx, state, out, backend)
+            return self._protect_cl(ctx, state, out)
         if ctx.section == "O":
-            return self._protect_o(ctx, state, out, backend)
+            return self._protect_o(ctx, state, out)
         if ctx.section == "FF1":
-            return self._protect_ff1(ctx, state, out, backend)
-        return self._protect_ff2(ctx, state, out, backend)
+            return self._protect_ff1(ctx, state, out)
+        return self._protect_ff2(ctx, state, out)
 
     def _verify(
         self,
@@ -388,10 +346,9 @@ class ProtectionEngine:
         out: Any,
         checksums: ChecksumState,
         outcome: SectionOutcome,
-        backend: ArrayBackend,
     ) -> None:
         """Verify and correct ``out`` in place at its section boundary."""
-        with self._timed(f"{ctx.section}/detect", backend):
+        with self.timers.timer(f"{ctx.section}/detect"):
             self.dispatch_counts["detect"] += 1
             outcome.report = correct_matrix(out, checksums, thresholds=self.thresholds)
         if ctx.phase != "train":
@@ -417,9 +374,7 @@ class ProtectionEngine:
         ctx: SectionContext,
         state: _LayerState,
         out: Any,
-        backend: ArrayBackend,
     ) -> Optional[SectionOutcome]:
-        xp = backend.namespace_for(out)
         ops = ctx.operands
         x, w_k, bias_k = ops["x"], ops["w_k"], ops.get("bias_k")
         cache = ops.get("kv_cache")
@@ -427,7 +382,7 @@ class ProtectionEngine:
         lead = tuple(x.shape[:-2])
         outcome = self._outcome(ctx)
 
-        with self._timed("AS/encode", backend):
+        with self.timers.timer("AS/encode"):
             if decode:
                 # Fold the one new input row into the cache's cs(X): not a
                 # checksum GEMM.  The step's K row is already appended.
@@ -438,18 +393,18 @@ class ProtectionEngine:
                 num_rows = x.shape[-2]
                 self.dispatch_counts["gemm"] += 1
                 cs_x = encode_column_checksums(
-                    x, out=self._buf("AS/cs_x", lead + (2, x.shape[-1]), xp)
+                    x, out=self._buf("AS/cs_x", lead + (2, x.shape[-1]))
                 )
                 if cache is not None:
-                    cache.seed_checksums("AS", cs_x, num_rows, xp)
+                    cache.seed_checksums("AS", cs_x, num_rows)
         # ...and carry it through every member GEMM of the section.
-        with self._timed("AS/update", backend):
+        with self.timers.timer("AS/update"):
             if decode:
                 # The row side needs col(K) alone.
                 slot, carried = "AS/cs_k", w_k
                 bias = None if bias_k is None else self.weight_cache.lookup(
                     ("AS/bias_k", ctx.layer_index), (bias_k,),
-                    lambda: xp.astype(xp.asarray(bias_k), xp.float64, copy=False),
+                    lambda: np.asarray(bias_k, dtype=np.float64),
                 )
             else:
                 # Sibling fusion: W_Q and W_K consume the same carried
@@ -464,19 +419,19 @@ class ProtectionEngine:
                 carried = self.weight_cache.lookup(
                     ("AS/w_qk", ctx.layer_index),
                     (w_q, w_k),
-                    lambda: xp.concatenate([w_q, w_k], axis=-1),
+                    lambda: np.concatenate([w_q, w_k], axis=-1),
                 )
                 bias = None if bias_q is None else self.weight_cache.lookup(
                     ("AS/bias_qk", ctx.layer_index),
                     (bias_q, bias_k),
-                    lambda: xp.concatenate([
-                        xp.astype(xp.asarray(bias_q), xp.float64, copy=False),
-                        xp.astype(xp.asarray(bias_k), xp.float64, copy=False),
+                    lambda: np.concatenate([
+                        np.asarray(bias_q, dtype=np.float64),
+                        np.asarray(bias_k, dtype=np.float64),
                     ], axis=-1),
                 )
             self.dispatch_counts["gemm"] += 1
-            cs_carried = matmul_into(
-                xp, cs_x, carried, self._buf(slot, lead + (2, carried.shape[-1]), xp)
+            cs_carried = np.matmul(
+                cs_x, carried, out=self._buf(slot, lead + (2, carried.shape[-1]))
             )
             if bias is not None:
                 # The bias adjustments are in-place adds of the cached float64
@@ -490,11 +445,11 @@ class ProtectionEngine:
             )
             self.dispatch_counts["gemm"] += 1
             # Row side of AS: row(AS) = Q row(K^T) = Q col(K)^T.
-            cs_as_row = matmul_into(                                        # (B, H, S, 2)
-                xp, ops["q"], cs_k_ph.swapaxes(-1, -2),
-                self._buf(
+            cs_as_row = np.matmul(                                          # (B, H, S, 2)
+                ops["q"], cs_k_ph.swapaxes(-1, -2),
+                out=self._buf(
                     "AS/decode_cs_as_row" if decode else "AS/cs_as_row",
-                    tuple(ops["q"].shape[:-1]) + (2,), xp,
+                    tuple(ops["q"].shape[:-1]) + (2,),
                 ),
             )
             cs_as_col = None
@@ -502,22 +457,22 @@ class ProtectionEngine:
                 cs_q_ph = split_head_column_checksums(cs_carried[..., :-d_k], ctx.num_heads)
                 self.dispatch_counts["gemm"] += 1
                 # Column side of AS: col(AS) = col(Q) K^T.
-                cs_as_col = matmul_into(                                    # (B, H, 2, S)
-                    xp, cs_q_ph, ops["k_t"],
-                    self._buf(
-                        "AS/cs_as_col", tuple(cs_q_ph.shape[:-1]) + (ops["k_t"].shape[-1],), xp
+                cs_as_col = np.matmul(                                      # (B, H, 2, S)
+                    cs_q_ph, ops["k_t"],
+                    out=self._buf(
+                        "AS/cs_as_col", tuple(cs_q_ph.shape[:-1]) + (ops["k_t"].shape[-1],)
                     ),
                 )
 
-        self._verify(ctx, out, ChecksumState(col=cs_as_col, row=cs_as_row), outcome, backend)
+        self._verify(ctx, out, ChecksumState(col=cs_as_col, row=cs_as_row), outcome)
         if not decode and outcome.report.corrected > 0:
             # Also repair the upstream operand whose 0D fault propagated into
             # the boundary: autograd reuses Q and K^T, so this keeps the
             # backward pass clean as well as the forward value.
-            with self._timed("AS/correct", backend):
+            with self.timers.timer("AS/correct"):
                 q_report = check_columns(ops["q"], cs_q_ph, thresholds=self.thresholds)
                 kt_report = check_rows(
-                    ops["k_t"], xp.swapaxes(cs_k_ph, -1, -2), thresholds=self.thresholds
+                    ops["k_t"], np.swapaxes(cs_k_ph, -1, -2), thresholds=self.thresholds
                 )
             outcome.operand_repairs = q_report.num_corrected + kt_report.num_corrected
         return outcome
@@ -527,13 +482,11 @@ class ProtectionEngine:
         ctx: SectionContext,
         state: _LayerState,
         out: Any,
-        backend: ArrayBackend,
     ) -> Optional[SectionOutcome]:
         # At least one of CL/O is enabled (gated via _section_active); when
         # only O is, this boundary is visited solely to derive cs_cl_col.
         cl_enabled = state.enabled.get("CL", False)
         decode = ctx.phase == "decode"
-        xp = backend.namespace_for(out)
         ops = ctx.operands
         ap = ops["ap"]
         outcome = self._outcome(ctx)
@@ -543,7 +496,7 @@ class ProtectionEngine:
             # Per-head row checksums of V, derived from W_V without touching V:
             # encode rowcs(W_V) once *per weight version* and carry it through
             # the X W_V GEMM on every visit.
-            with self._timed("CL/encode", backend):
+            with self.timers.timer("CL/encode"):
                 def build_rowcs() -> Any:
                     self.dispatch_counts["gemm"] += 1
                     return encode_per_head_row_checksums_of_weight(ops["w_v"], ctx.num_heads)
@@ -551,27 +504,26 @@ class ProtectionEngine:
                 rowcs_wv = self.weight_cache.lookup(
                     ("CL/rowcs_wv", ctx.layer_index), (ops["w_v"],), build_rowcs
                 )
-            with self._timed("CL/update", backend):
+            with self.timers.timer("CL/update"):
                 self.dispatch_counts["gemm"] += 1
                 # Deliberately *not* workspace-backed: einsum with out= loses
                 # NumPy's specialised inner loops (~4x slower at attention
-                # dims) and Torch's einsum has no out= at all, so this one
-                # intermediate allocates per visit — the documented exception
-                # to the zero-allocation claim (see SectionCostModel.
-                # checksum_workspace_slots).  The contraction itself must stay
+                # dims), so this one intermediate allocates per visit — the
+                # documented exception to the zero-allocation claim (see
+                # SectionCostModel.checksum_workspace_slots).  The contraction itself must stay
                 # an einsum: the per-GEMM reference computes it the same way,
                 # which is what keeps repaired values bitwise identical.
                 # reprolint: disable=WS001
-                cs_v_row = xp.einsum("...sd,dhw->...hsw", ops["x"], rowcs_wv)  # (B, H, S, 2)
+                cs_v_row = np.einsum("...sd,dhw->...hsw", ops["x"], rowcs_wv)  # (B, H, S, 2)
                 if ops.get("bias_v") is not None:
                     def build_bias_terms() -> Tuple[Any, Any]:
-                        bias_heads = xp.astype(
-                            xp.asarray(ops["bias_v"]), xp.float64, copy=False
-                        ).reshape(ctx.num_heads, ctx.head_dim)
-                        _, v2 = checksum_weights(ctx.head_dim, xp=xp)
+                        bias_heads = np.asarray(ops["bias_v"], dtype=np.float64).reshape(
+                            ctx.num_heads, ctx.head_dim
+                        )
+                        _, v2 = checksum_weights(ctx.head_dim)
                         return (
-                            xp.sum(bias_heads, axis=-1)[None, :, None],
-                            xp.sum(bias_heads * v2, axis=-1)[None, :, None],
+                            np.sum(bias_heads, axis=-1)[None, :, None],
+                            np.sum(bias_heads * v2, axis=-1)[None, :, None],
                         )
 
                     term0, term1 = self.weight_cache.lookup(
@@ -591,40 +543,40 @@ class ProtectionEngine:
                         "CL", cs_v_row, cache.length - 1
                     )
                 elif cache is not None:
-                    cache.seed_checksums("CL", cs_v_row, cs_v_row.shape[-2], xp)
+                    cache.seed_checksums("CL", cs_v_row, cs_v_row.shape[-2])
                 # row(CL) = AP row(V): carry the row checksums of V through.
                 self.dispatch_counts["gemm"] += 1
-                cs_cl_row = matmul_into(                                       # (B, H, S, 2)
-                    xp, ap, cs_v_row,
-                    self._buf(
+                cs_cl_row = np.matmul(                                         # (B, H, S, 2)
+                    ap, cs_v_row,
+                    out=self._buf(
                         "CL/decode_cs_cl_row" if decode else "CL/cs_cl_row",
-                        tuple(ap.shape[:-1]) + (2,), xp,
+                        tuple(ap.shape[:-1]) + (2,),
                     ),
                 )
 
         cs_cl_col = None
         if not decode:
-            with self._timed("CL/encode", backend):
+            with self.timers.timer("CL/encode"):
                 self.dispatch_counts["gemm"] += 1
                 cs_ap_col = encode_column_checksums(                           # (B, H, 2, S)
                     ap, out=self._buf(
-                        "CL/cs_ap_col", tuple(ap.shape[:-2]) + (2, ap.shape[-1]), xp
+                        "CL/cs_ap_col", tuple(ap.shape[:-2]) + (2, ap.shape[-1])
                     )
                 )
-            with self._timed("CL/update", backend):
+            with self.timers.timer("CL/update"):
                 self.dispatch_counts["gemm"] += 1
-                cs_cl_col = matmul_into(                                       # (B, H, 2, dh)
-                    xp, cs_ap_col, ops["v"],
-                    self._buf(
-                        "CL/cs_cl_col", tuple(cs_ap_col.shape[:-1]) + (ops["v"].shape[-1],), xp
+                cs_cl_col = np.matmul(                                         # (B, H, 2, dh)
+                    cs_ap_col, ops["v"],
+                    out=self._buf(
+                        "CL/cs_cl_col", tuple(cs_ap_col.shape[:-1]) + (ops["v"].shape[-1],)
                     ),
                 )
 
         checksums = ChecksumState(col=cs_cl_col, row=cs_cl_row)
         if cl_enabled:
-            self._verify(ctx, out, checksums, outcome, backend)
+            self._verify(ctx, out, checksums, outcome)
             if not decode and outcome.report.corrected > 0:
-                with self._timed("CL/correct", backend):
+                with self.timers.timer("CL/correct"):
                     v_report = check_rows(ops["v"], cs_v_row, thresholds=self.thresholds)
                 outcome.operand_repairs = v_report.num_corrected
         # Pass the (possibly refreshed) column checksums of CL to S_O.
@@ -636,12 +588,10 @@ class ProtectionEngine:
         ctx: SectionContext,
         state: _LayerState,
         out: Any,
-        backend: ArrayBackend,
     ) -> Optional[SectionOutcome]:
-        xp = backend.namespace_for(out)
         ops = ctx.operands
         outcome = self._outcome(ctx)
-        with self._timed("O/update", backend):
+        with self.timers.timer("O/update"):
             if ctx.phase == "decode":
                 # row(O) = CL rowcs(W_O), rowcs(W_O) encoded per weight version.
                 def build_rowcs_wo() -> Any:
@@ -652,9 +602,9 @@ class ProtectionEngine:
                     ("O/rowcs_wo", ctx.layer_index), (ops["w_o"],), build_rowcs_wo
                 )
                 self.dispatch_counts["gemm"] += 1
-                checksums = ChecksumState(row=matmul_into(                 # (B, S, 2)
-                    xp, ops["cl"], rowcs_wo,
-                    self._buf("O/cs_o_row", tuple(ops["cl"].shape[:-1]) + (2,), xp),
+                checksums = ChecksumState(row=np.matmul(                   # (B, S, 2)
+                    ops["cl"], rowcs_wo,
+                    out=self._buf("O/cs_o_row", tuple(ops["cl"].shape[:-1]) + (2,)),
                 ))
             else:
                 # col(O) = col(CL) W_O.  Merge through a reusable buffer of
@@ -662,20 +612,19 @@ class ProtectionEngine:
                 # same values as the helper's reshape-copy.
                 *lead, h, two, dh = state.cs_cl_col.shape
                 merge_buffer = self.workspace.request(
-                    "O/cs_cl_merged", tuple(lead) + (two, h, dh),
-                    getattr(state.cs_cl_col, "dtype", None), xp,
+                    "O/cs_cl_merged", tuple(lead) + (two, h, dh), state.cs_cl_col.dtype
                 )
                 cs_cl_merged = merge_head_column_checksums(                    # (B, 2, D)
                     state.cs_cl_col, out=merge_buffer
                 )
                 self.dispatch_counts["gemm"] += 1
-                checksums = ChecksumState(col=matmul_into(
-                    xp, cs_cl_merged, ops["w_o"],
-                    self._buf(
-                        "O/cs_o_col", tuple(cs_cl_merged.shape[:-1]) + (ops["w_o"].shape[-1],), xp
+                checksums = ChecksumState(col=np.matmul(
+                    cs_cl_merged, ops["w_o"],
+                    out=self._buf(
+                        "O/cs_o_col", tuple(cs_cl_merged.shape[:-1]) + (ops["w_o"].shape[-1],)
                     ),
                 ))
-        self._verify(ctx, out, checksums, outcome, backend)
+        self._verify(ctx, out, checksums, outcome)
         return outcome
 
     # -- FFN sections S_FF1 / S_FF2 ---------------------------------------------
@@ -703,25 +652,23 @@ class ProtectionEngine:
         ctx: SectionContext,
         state: _LayerState,
         out: Any,
-        backend: ArrayBackend,
     ) -> Optional[SectionOutcome]:
-        xp = backend.namespace_for(out)
         ops = ctx.operands
         x, w_up = ops["x"], ops["w_up"]
         lead = tuple(x.shape[:-2])
         outcome = self._outcome(ctx)
-        with self._timed("FF1/encode", backend):
+        with self.timers.timer("FF1/encode"):
             self.dispatch_counts["gemm"] += 1
             cs_x = encode_column_checksums(
-                x, out=self._buf("FF1/cs_x", lead + (2, x.shape[-1]), xp)
+                x, out=self._buf("FF1/cs_x", lead + (2, x.shape[-1]))
             )
-        with self._timed("FF1/update", backend):
+        with self.timers.timer("FF1/update"):
             self.dispatch_counts["gemm"] += 1
-            cs_h = matmul_into(                                          # (B, 2, D_ff)
-                xp, cs_x, w_up,
-                self._buf("FF1/col", lead + (2, w_up.shape[-1]), xp),
+            cs_h = np.matmul(                                            # (B, 2, D_ff)
+                cs_x, w_up,
+                out=self._buf("FF1/col", lead + (2, w_up.shape[-1])),
             )
-        self._verify(ctx, out, ChecksumState(col=cs_h), outcome, backend)
+        self._verify(ctx, out, ChecksumState(col=cs_h), outcome)
         return outcome
 
     def _protect_ff2(
@@ -729,13 +676,11 @@ class ProtectionEngine:
         ctx: SectionContext,
         state: _LayerState,
         out: Any,
-        backend: ArrayBackend,
     ) -> Optional[SectionOutcome]:
-        xp = backend.namespace_for(out)
         ops = ctx.operands
         h = ops["h"]
         outcome = self._outcome(ctx)
-        with self._timed("FF2/encode", backend):
+        with self.timers.timer("FF2/encode"):
             def build_rowcs() -> Any:
                 self.dispatch_counts["gemm"] += 1
                 return encode_row_checksums(ops["w_down"])               # (D_ff, 2)
@@ -744,11 +689,11 @@ class ProtectionEngine:
                 ("FF2/rowcs_w_down", ctx.layer_index),
                 (ops["w_down"],), build_rowcs,
             )
-        with self._timed("FF2/update", backend):
+        with self.timers.timer("FF2/update"):
             self.dispatch_counts["gemm"] += 1
-            cs_fo = matmul_into(                                         # (B, S, 2)
-                xp, h, rowcs_wd,
-                self._buf("FF2/row", tuple(h.shape[:-1]) + (2,), xp),
+            cs_fo = np.matmul(                                           # (B, S, 2)
+                h, rowcs_wd,
+                out=self._buf("FF2/row", tuple(h.shape[:-1]) + (2,)),
             )
-        self._verify(ctx, out, ChecksumState(row=cs_fo), outcome, backend)
+        self._verify(ctx, out, ChecksumState(row=cs_fo), outcome)
         return outcome

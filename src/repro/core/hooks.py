@@ -25,10 +25,6 @@ the five boundary GEMMs ends, and one lifecycle pair,
 announces every block pass with its block name.  The instrumented blocks
 dispatch through that map and ``op.output_matrix``; the sections themselves
 are described in :data:`repro.core.sections.SECTION_REGISTRY`.
-
-Arrays are annotated ``Any`` throughout: hooks are xp-generic and receive
-whatever array type the owning backend produces (NumPy ndarray or Torch
-tensor).
 """
 
 from __future__ import annotations
@@ -36,8 +32,6 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from typing import Any, Dict, Optional
-
-from repro.backend import ArrayBackend
 
 __all__ = [
     "AttentionOp",
@@ -187,13 +181,6 @@ class SectionContext:
           GEMM output.
     layer_index / step / num_heads / head_dim / seq_len:
         Same geometry as :class:`GemmContext`.
-    backend:
-        The :class:`repro.backend.ArrayBackend` that owns the section's
-        arrays (resolved from the boundary output's type).  Checksum-passing
-        engines use it to run encode / carry / verify / repair natively in
-        the producing array library, so device-resident section outputs are
-        never round-tripped through host memory on the critical path.
-        ``None`` falls back to per-array dispatch.
     phase:
         ``"train"``, ``"prefill"`` or ``"decode"`` — see
         :attr:`GemmContext.phase`.  Prefill/decode attention sections
@@ -207,7 +194,6 @@ class SectionContext:
     num_heads: int
     head_dim: int
     seq_len: int
-    backend: Optional[ArrayBackend] = None
     phase: str = "train"
 
 

@@ -11,11 +11,6 @@ and tracks which value classes appear (INF, NaN, near-INF or a mixture —
 Table 2 uses the symbols ∞, Θ, N and M).  This module provides the shared
 classification used by both the fault-propagation study
 (:mod:`repro.faults.propagation`) and the ABFT correction logic.
-
-All functions are xp-generic: they classify whatever array type they are
-handed (NumPy, Torch) in that array's own namespace, so a
-device-resident matrix is classified on device.  Python sequences and
-scalars fall back to the NumPy reference backend via ``namespace_of``.
 """
 
 from __future__ import annotations
@@ -24,7 +19,8 @@ import enum
 from dataclasses import dataclass
 from typing import Any, Optional
 
-from repro.backend import namespace_of
+import numpy as np
+
 from repro.core.thresholds import ABFTThresholds
 
 __all__ = [
@@ -94,24 +90,22 @@ def error_mask(
     back to marking extreme values only.
     """
     thresholds = thresholds or ABFTThresholds()
-    xp = namespace_of(observed)
-    observed = xp.asarray(observed)
+    observed = np.asarray(observed)
     if reference is None:
         return thresholds.is_extreme(observed)
-    reference = xp.asarray(reference)
+    reference = np.asarray(reference)
     if reference.shape != observed.shape:
         raise ValueError(
             f"reference shape {reference.shape} does not match observed shape {observed.shape}"
         )
-    with xp.errstate(invalid="ignore"):
-        both_nan = xp.isnan(observed) & xp.isnan(reference)
-        # Element-wise isclose spelled out (equal_nan=False): not every
-        # namespace ships xp.isclose, and the open-coded form matches NumPy's
-        # definition — tolerance band on finite references, exact equality
-        # covering matching infinities.
+    with np.errstate(invalid="ignore"):
+        both_nan = np.isnan(observed) & np.isnan(reference)
+        # Element-wise isclose spelled out (equal_nan=False): a tolerance
+        # band on finite references, exact equality covering matching
+        # infinities.
         close = (
-            (xp.abs(observed - reference) <= atol + rtol * xp.abs(reference))
-            & xp.isfinite(reference)
+            (np.abs(observed - reference) <= atol + rtol * np.abs(reference))
+            & np.isfinite(reference)
         ) | (observed == reference)
     return ~(close | both_nan)
 
@@ -123,19 +117,18 @@ def classify_error_pattern(mask: Any) -> ErrorPattern:
     union footprint across blocks, matching how the paper reports one pattern
     per matrix.
     """
-    xp = namespace_of(mask)
-    mask = xp.astype(xp.asarray(mask), xp.bool_, copy=False)
+    mask = np.asarray(mask).astype(np.bool_, copy=False)
     if mask.ndim < 2:
         raise ValueError("mask must have at least two dimensions")
     blocks = mask.reshape(-1, mask.shape[-2], mask.shape[-1])
-    collapsed = xp.sum(blocks, axis=0) > 0
-    total = int(xp.sum(collapsed))
+    collapsed = np.sum(blocks, axis=0) > 0
+    total = int(np.sum(collapsed))
     if total == 0:
         return ErrorPattern.NONE
     if total == 1:
         return ErrorPattern.ZERO_D
-    n_rows = int(xp.sum(xp.sum(collapsed, axis=1) > 0))
-    n_cols = int(xp.sum(xp.sum(collapsed, axis=0) > 0))
+    n_rows = int(np.sum(np.sum(collapsed, axis=1) > 0))
+    n_cols = int(np.sum(np.sum(collapsed, axis=0) > 0))
     if n_rows == 1:
         return ErrorPattern.ONE_ROW
     if n_cols == 1:
@@ -150,18 +143,17 @@ def classify_error_types(
 ) -> ErrorTypeSet:
     """Determine which value classes occur among the erroneous elements."""
     thresholds = thresholds or ABFTThresholds()
-    xp = namespace_of(observed)
-    observed = xp.asarray(observed)
-    mask = xp.astype(xp.asarray(mask), xp.bool_, copy=False)
+    observed = np.asarray(observed)
+    mask = np.asarray(mask).astype(np.bool_, copy=False)
     if not mask.any():
         return ErrorTypeSet()
     values = observed[mask]
-    has_nan = bool(xp.isnan(values).any())
-    has_inf = bool(xp.isinf(values).any())
-    finite = values[xp.isfinite(values)]
+    has_nan = bool(np.isnan(values).any())
+    has_inf = bool(np.isinf(values).any())
+    finite = values[np.isfinite(values)]
     has_values = int(finite.shape[0]) > 0
-    has_near = bool((xp.abs(finite) > thresholds.near_inf).any()) if has_values else False
-    has_numeric = bool((xp.abs(finite) <= thresholds.near_inf).any()) if has_values else False
+    has_near = bool((np.abs(finite) > thresholds.near_inf).any()) if has_values else False
+    has_numeric = bool((np.abs(finite) <= thresholds.near_inf).any()) if has_values else False
     return ErrorTypeSet(has_inf=has_inf, has_nan=has_nan, has_near_inf=has_near, has_numeric=has_numeric)
 
 

@@ -450,8 +450,8 @@ class SectionCostModel:
         One intermediate is deliberately unmanaged: ``cs_v_row`` (the carried
         row checksums of V) comes from an einsum, and einsum's ``out=`` path
         forfeits NumPy's specialised inner loops (measured ~4x slower at
-        attention dims) while Torch's einsum has no ``out=`` at all — so that
-        single buffer allocates per visit by design.
+        attention dims) — so that single buffer allocates per visit by
+        design.
 
         An FFN-including ``scope`` adds three slots — the ``FF1`` input
         encode (``FF1/cs_x``) plus the two boundary-checksum slots

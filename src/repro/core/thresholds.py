@@ -19,10 +19,6 @@ every section boundary and its cost is the number of array calls:
 ``E = rtol·|reference| + atol`` (:meth:`ABFTThresholds.detection_tolerance`)
 and "extreme" is "not ``|x| <= limit``" (:meth:`ABFTThresholds.is_extreme`,
 :meth:`ABFTThresholds.any_extreme`), which NaN fails as well as ±INF.
-
-The array-consuming methods are backend-generic: they dispatch through the
-namespace of whatever array library owns their input, so thresholding runs
-on-device for Torch data.
 """
 
 from __future__ import annotations
@@ -31,7 +27,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Any
 
-from repro.backend import backend_of, namespace_of
+import numpy as np
+
 from repro.utils.floatbits import largest_finite
 
 __all__ = ["ABFTThresholds"]
@@ -117,12 +114,8 @@ class ABFTThresholds:
         a non-finite checksum is itself INF or NaN, which ``|Δ| <= E`` would
         accept when ``E`` is INF.
         """
-        xp = namespace_of(reference)
-        ref = xp.astype(reference, xp.float64, copy=False)
-        return self.detect_rtol * xp.abs(ref) + self.detect_atol
-
-    def _limit(self, backend, values) -> float:
-        return _magnitude_limit(self.near_inf, backend.dtype_of(values))
+        ref = np.asarray(reference).astype(np.float64, copy=False)
+        return self.detect_rtol * np.abs(ref) + self.detect_atol
 
     def is_extreme(self, values) -> Any:
         """Mask of INF / NaN / near-INF elements: not ``|x| <= limit``.
@@ -133,10 +126,8 @@ class ABFTThresholds:
         (see :func:`_magnitude_limit`).  NaN fails every comparison, so it
         is extreme without a separate finiteness test.
         """
-        backend = backend_of(values)
-        xp = backend.namespace_for(values)
-        values = xp.asarray(values)
-        return ~(xp.abs(values) <= self._limit(backend, values))
+        values = np.asarray(values)
+        return ~(np.abs(values) <= _magnitude_limit(self.near_inf, values.dtype))
 
     def any_extreme(self, values) -> bool:
         """Whether any element is INF, NaN or near-INF, from one magnitude scan.
@@ -146,8 +137,7 @@ class ABFTThresholds:
         some element is.  So this equals ``is_extreme(values).any()``,
         compared in the same dtype.
         """
-        backend = backend_of(values)
-        values = backend.namespace_for(values).abs(values)
+        values = np.abs(values)
         if 0 in values.shape:
             return False  # no element, and no maximum to take
-        return not values.max() <= self._limit(backend, values)
+        return not values.max() <= _magnitude_limit(self.near_inf, values.dtype)

@@ -8,9 +8,8 @@ the computation.
 * **INF** and **NaN** are injected by assignment;
 * **near-INF** is injected by flipping the most significant exponent bit of
   the selected element — performed *in place* on the GEMM output buffer by
-  viewing it through the owning array backend's integer dtype
-  (:func:`repro.utils.floatbits.flip_exponent_msb_inplace`), so a
-  device-resident Torch output is corrupted without a host round-trip;
+  viewing it through its same-width integer dtype
+  (:func:`repro.utils.floatbits.flip_exponent_msb_inplace`);
 * **numeric** (a moderate value change) is provided additionally, to exercise
   the classic-ABFT code path and the benign-fault behaviour the prior work
   observed.
@@ -44,7 +43,6 @@ from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.backend import backend_of
 from repro.nn.attention import (
     AttentionHooks,
     AttentionOp,
@@ -357,11 +355,10 @@ class FaultInjector(AttentionHooks):
             return None
         if original == 0.0 or not np.isfinite(original):
             return None
-        backend = backend_of(out)
-        dtype = backend.dtype_of(out)
+        dtype = out.dtype
         if dtype not in (np.dtype(np.float32), np.dtype(np.float64)):
             return None
-        flip_exponent_msb_inplace(out, position, backend=backend)
+        flip_exponent_msb_inplace(out, position)
         value = float(out[position])
         # Same fallback rule as make_near_inf (shared constants): a flip that
         # shrank the value is replaced by a representative near-INF constant
@@ -392,7 +389,7 @@ class FaultInjector(AttentionHooks):
             if spec.error_type == "near_inf" and spec.flip_kind == "exponent_msb":
                 injected = self._inject_near_inf_inplace(spec, out, position, original)
             if injected is None:
-                dtype = self.value_dtype or backend_of(out).dtype_of(out)
+                dtype = self.value_dtype or out.dtype
                 if spec.error_type == "near_inf" and spec.flip_kind != "exponent_msb":
                     # Widened flip taxonomy: inject the value the flipped bit
                     # pattern encodes, with no near-INF floor — a mantissa-LSB
@@ -569,7 +566,7 @@ class CollectiveFaultInjector:
             )
             position = tuple(int(i) for i in np.unravel_index(flat, tuple(target.shape)))
             original = float(target[position])
-            dtype = backend_of(target).dtype_of(target)
+            dtype = target.dtype
             injected = corrupt_scalar(
                 spec.error_type, original, dtype,
                 sign=spec.sign, numeric_delta=spec.numeric_delta,

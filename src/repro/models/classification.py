@@ -25,7 +25,6 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro.backend import ArrayBackend
 from repro.models.config import ModelConfig
 from repro.nn.attention import (
     AttentionHooks,
@@ -74,12 +73,12 @@ class ClassificationHead(Module):
     """Pooler + classifier used by the encoder models (BERT / RoBERTa)."""
 
     def __init__(self, hidden_size: int, num_labels: int, dropout_p: float,
-                 rng: np.random.Generator, backend: Optional[ArrayBackend] = None) -> None:
+                 rng: np.random.Generator) -> None:
         super().__init__()
-        self.dense = Linear(hidden_size, hidden_size, rng=rng, backend=backend)
+        self.dense = Linear(hidden_size, hidden_size, rng=rng)
         self.activation = TanhActivation()
         self.dropout = Dropout(dropout_p, rng=rng)
-        self.out_proj = Linear(hidden_size, num_labels, rng=rng, backend=backend)
+        self.out_proj = Linear(hidden_size, num_labels, rng=rng)
 
     def forward(self, pooled: ag.Tensor) -> ag.Tensor:
         return self.out_proj(self.dropout(self.activation(self.dense(pooled))))
@@ -106,32 +105,24 @@ class SequenceClassificationModel(Module):
       decoders (GPT-2, GPT-Neo).  The ``score`` head serves as the generation
       head: greedy argmax over its ``num_labels`` outputs, which are valid
       next-token ids whenever ``num_labels <= vocab_size``.
-
-    ``array_backend`` is the :class:`~repro.backend.ArrayBackend` the model's
-    parameters live on (``None`` = the NumPy substrate); it is threaded into
-    every layer so forward, backward and the optimiser update all run on
-    that backend.
     """
 
-    def __init__(self, config: ModelConfig, rng: Optional[np.random.Generator] = None,
-                 array_backend: Optional[ArrayBackend] = None) -> None:
+    def __init__(self, config: ModelConfig, rng: Optional[np.random.Generator] = None) -> None:
         super().__init__()
         self.config = config
-        self.array_backend = array_backend
         self.loss_fn = CrossEntropyLoss()
         rng = rng if rng is not None else np.random.default_rng(0)
         d = config.hidden_size
-        backend = array_backend
         post_ln = config.norm_style == "post_ln"
 
-        self.token_embeddings = Embedding(config.vocab_size, d, rng=rng, backend=backend)
-        self.position_embeddings = Embedding(config.max_seq_len, d, rng=rng, backend=backend)
+        self.token_embeddings = Embedding(config.vocab_size, d, rng=rng)
+        self.position_embeddings = Embedding(config.max_seq_len, d, rng=rng)
         if config.family == "bert":
             self.token_type_embeddings = Embedding(
-                config.type_vocab_size, d, rng=rng, backend=backend
+                config.type_vocab_size, d, rng=rng
             )
         if post_ln:
-            self.embedding_norm = LayerNorm(d, backend=backend)
+            self.embedding_norm = LayerNorm(d)
         self.embedding_dropout = Dropout(config.dropout, rng=rng)
 
         self.layers = ModuleList(
@@ -150,18 +141,17 @@ class SequenceClassificationModel(Module):
                     ),
                     layer_index=i,
                     rng=rng,
-                    backend=backend,
                 )
                 for i in range(config.num_layers)
             ]
         )
         if post_ln:
             self.head = ClassificationHead(
-                d, config.num_labels, config.dropout, rng, backend=backend
+                d, config.num_labels, config.dropout, rng
             )
         else:
-            self.final_norm = LayerNorm(d, backend=backend)
-            self.score = Linear(d, config.num_labels, rng=rng, bias=False, backend=backend)
+            self.final_norm = LayerNorm(d)
+            self.score = Linear(d, config.num_labels, rng=rng, bias=False)
 
     # -- attention instrumentation ------------------------------------------------
 
@@ -199,15 +189,7 @@ class SequenceClassificationModel(Module):
         pass uses, so decoding token ``t`` is numerically identical to
         re-running the whole prefix.
         """
-        backend = self.array_backend
-        if backend is not None and backend.is_backend_array(input_ids):
-            # Native token ids stay put, but must still be integer (owning the
-            # array type says nothing about the dtype).
-            if not np.issubdtype(backend.dtype_of(input_ids), np.integer):
-                xp = backend.namespace_for(input_ids)
-                input_ids = xp.astype(input_ids, xp.int64, copy=False)
-        else:
-            input_ids = np.asarray(input_ids, dtype=np.int64)
+        input_ids = np.asarray(input_ids, dtype=np.int64)
         config = self.config
         batch, seq_len = (int(s) for s in input_ids.shape)
         if kv_caches is None:
@@ -275,13 +257,11 @@ class SequenceClassificationModel(Module):
     # -- KV-cached generation (causal models) ---------------------------------------
 
     def new_kv_caches(self, batch_size: int, max_len: Optional[int] = None) -> List[LayerKVCache]:
-        """One empty per-layer KV cache, allocated on the model's backend."""
+        """One empty per-layer KV cache."""
         config = self.config
         length = int(max_len) if max_len is not None else config.max_seq_len
-        backend = self.array_backend
-        xp = backend.xp if backend is not None else np
         return [
-            LayerKVCache(batch_size, config.num_heads, config.head_dim, length, xp)
+            LayerKVCache(batch_size, config.num_heads, config.head_dim, length)
             for _ in self.layers
         ]
 

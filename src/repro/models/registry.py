@@ -9,11 +9,10 @@ training-loss experiments (Tables 2 & 4, Figure 6, Section 5.2).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro.backend import ArrayBackend, get_backend
 from repro.models.classification import SequenceClassificationModel
 from repro.models.config import ModelConfig
 
@@ -131,7 +130,6 @@ def build_model(
     size: str = "tiny",
     rng: Optional[np.random.Generator] = None,
     num_labels: Optional[int] = None,
-    array_backend: Union[None, str, ArrayBackend] = None,
     **overrides,
 ) -> SequenceClassificationModel:
     """Instantiate a model by name.
@@ -147,14 +145,6 @@ def build_model(
         Generator for weight initialisation.
     num_labels:
         Override the classification head width.
-    array_backend:
-        Array backend the model substrate lives on: a registered backend name
-        (``"numpy"``, ``"torch"``, ``"auto"``), an
-        :class:`~repro.backend.ArrayBackend` instance, or ``None`` for the
-        historical pure-NumPy substrate.  Weights are initialised on the host
-        from ``rng`` (identical for identical seeds on every backend) and
-        adopted once; forward, backward and optimiser updates then run
-        natively on the chosen backend.
     overrides:
         Any other :class:`ModelConfig` field to replace.
     """
@@ -164,6 +154,4 @@ def build_model(
         updates["num_labels"] = num_labels
     if updates:
         config = config.scaled(**updates)
-    if isinstance(array_backend, str):
-        array_backend = get_backend(array_backend)
-    return SequenceClassificationModel(config, rng=rng, array_backend=array_backend)
+    return SequenceClassificationModel(config, rng=rng)

@@ -37,7 +37,6 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.backend import ArrayBackend, backend_of, get_backend
 from repro.core.checksums import update_column_checksums_with_appended_rows
 from repro.core.hooks import (
     SECTION_BOUNDARY_OPS,
@@ -111,19 +110,16 @@ class LayerKVCache:
     allocates them.
     """
 
-    def __init__(self, batch_size: int, num_heads: int, head_dim: int,
-                 max_len: int, xp, dtype=None) -> None:
+    def __init__(self, batch_size: int, num_heads: int, head_dim: int, max_len: int) -> None:
         if max_len <= 0:
             raise ValueError(f"max_len must be positive, got {max_len}")
         self.num_heads = num_heads
         self.head_dim = head_dim
         self.max_len = int(max_len)
         self.length = 0
-        self.xp = xp
-        dtype = dtype if dtype is not None else xp.float64
         shape = (batch_size, num_heads, self.max_len, head_dim)
-        self.k = xp.zeros(shape, dtype=dtype)
-        self.v = xp.zeros(shape, dtype=dtype)
+        self.k = np.zeros(shape)
+        self.v = np.zeros(shape)
         self.cs_x = None
         self.cs_v_row = None
         #: Positions covered by cs_x / cs_v_row — append_checksums refuses a
@@ -155,21 +151,21 @@ class LayerKVCache:
         """View of the populated value prefix, ``(B, H, length, dh)``."""
         return self.v[:, :, :self.length, :]
 
-    def seed_checksums(self, section: str, checksums, rows: int, xp) -> None:
+    def seed_checksums(self, section: str, checksums, rows: int) -> None:
         """Prefill: store ``section``'s input checksums over the ``rows``
         prompt positions — ``(B, 2, D)`` column checksums of the input for
         ``AS``, ``(B, H, rows, 2)`` row checksums of ``V`` for ``CL``.
 
         A copy, not an alias: ``checksums`` may live in a workspace slot
-        reused across layer visits.  The float64 buffers are allocated on
-        ``xp`` at the first seed and kept by :meth:`reset`.
+        reused across layer visits.  The float64 buffers are allocated at
+        the first seed and kept by :meth:`reset`.
         """
         if self.cs_x is None:
-            self.cs_x = xp.zeros(
-                (self.batch_size, 2, self.num_heads * self.head_dim), dtype=xp.float64
+            self.cs_x = np.zeros(
+                (self.batch_size, 2, self.num_heads * self.head_dim), dtype=np.float64
             )
-            self.cs_v_row = xp.zeros(
-                (self.batch_size, self.num_heads, self.max_len, 2), dtype=xp.float64
+            self.cs_v_row = np.zeros(
+                (self.batch_size, self.num_heads, self.max_len, 2), dtype=np.float64
             )
         if section == "AS":
             self.cs_x[...] = checksums
@@ -221,7 +217,7 @@ class LayerKVCache:
         prefixes are untouched (compaction never drops positions, only
         slots).
         """
-        indices = self.xp.asarray(indices)
+        indices = np.asarray(indices)
         if int(indices.shape[0]) < 1:
             raise ValueError("compact needs at least one slot to keep")
         self.k = self.k[indices]
@@ -299,7 +295,7 @@ class RecordingHooks(AttentionHooks):
         return out
 
     def on_matrix(self, name: str, data: np.ndarray, layer_index: int, step: int) -> None:
-        self.records.setdefault(layer_index, {})[name] = backend_of(data).copy(data)
+        self.records.setdefault(layer_index, {})[name] = data.copy()
 
     def matrices(self, layer_index: int = 0) -> Dict[str, np.ndarray]:
         """All recorded matrices of one layer."""
@@ -313,17 +309,15 @@ class InstrumentedBlock(Module):
     """A block whose GEMMs are routed through :class:`AttentionHooks`.
 
     Owns what hooks are told about the block (``layer_index``, the layer's
-    attention geometry, the owning ``array_backend``, the pass counter
-    ``_step``) and the one hooked GEMM, :meth:`_instrumented_matmul`.
+    attention geometry, the pass counter ``_step``) and the one hooked GEMM,
+    :meth:`_instrumented_matmul`.
     """
 
-    def __init__(self, hidden_size: int, num_heads: int, layer_index: int,
-                 backend: Optional[ArrayBackend]) -> None:
+    def __init__(self, hidden_size: int, num_heads: int, layer_index: int) -> None:
         super().__init__()
         self.layer_index = layer_index
         self.num_heads = num_heads
         self.head_dim = hidden_size // num_heads
-        self.array_backend = backend
         self.hooks: Optional[AttentionHooks] = None
         self._step = 0
 
@@ -366,18 +360,11 @@ class InstrumentedBlock(Module):
                 )
                 out = hooks.on_gemm_output(ctx, out)
             if section is not None:
-                # Prefer the substrate's own backend handle when it owns the
-                # boundary output: a wrapper backend (spy, pinned instance)
-                # would be lost by type-keyed resolution, which can only find
-                # the registry's canonical instance for the array type.
-                own = self.array_backend
-                if own is None or not own.is_backend_array(out):
-                    own = backend_of(out)
                 sctx = SectionContext(
                     section=section, operands=section_operands or {},
                     layer_index=layer_index, step=step,
                     num_heads=self.num_heads, head_dim=self.head_dim,
-                    seq_len=out.shape[-2], backend=own, phase=phase,
+                    seq_len=out.shape[-2], phase=phase,
                 )
                 out = hooks.on_section_output(sctx, out)
             return out
@@ -406,11 +393,6 @@ class MultiHeadAttention(InstrumentedBlock):
         (GPT-Neo's local-attention layers).
     rng:
         Generator used for weight init and dropout masks.
-    backend:
-        Optional :class:`repro.backend.ArrayBackend` the projection weights
-        adopt into at construction (``None`` = the NumPy substrate).  The
-        forward pass then runs natively on that backend; host-born data
-        (attention masks, dropout masks) is adopted at the op that uses it.
     """
 
     def __init__(
@@ -423,46 +405,29 @@ class MultiHeadAttention(InstrumentedBlock):
         local_window: Optional[int] = None,
         rng: Optional[np.random.Generator] = None,
         bias: bool = True,
-        backend: Optional[ArrayBackend] = None,
     ) -> None:
         if hidden_size % num_heads:
             raise ValueError(f"hidden_size {hidden_size} not divisible by num_heads {num_heads}")
-        super().__init__(hidden_size, num_heads, layer_index, backend)
+        super().__init__(hidden_size, num_heads, layer_index)
         rng = rng if rng is not None else np.random.default_rng(0)
         self.hidden_size = hidden_size
         self.causal = causal
         self.local_window = local_window
         self.scale = 1.0 / np.sqrt(self.head_dim)
 
-        self.w_q = Linear(hidden_size, hidden_size, rng=rng, bias=bias, backend=backend)
-        self.w_k = Linear(hidden_size, hidden_size, rng=rng, bias=bias, backend=backend)
-        self.w_v = Linear(hidden_size, hidden_size, rng=rng, bias=bias, backend=backend)
-        self.w_o = Linear(hidden_size, hidden_size, rng=rng, bias=bias, backend=backend)
+        self.w_q = Linear(hidden_size, hidden_size, rng=rng, bias=bias)
+        self.w_k = Linear(hidden_size, hidden_size, rng=rng, bias=bias)
+        self.w_v = Linear(hidden_size, hidden_size, rng=rng, bias=bias)
+        self.w_o = Linear(hidden_size, hidden_size, rng=rng, bias=bias)
         self.attn_dropout = Dropout(dropout_p, rng=rng)
         self.out_dropout = Dropout(dropout_p, rng=rng)
 
-        #: geometry -> (xp, mask); see :meth:`_causal_mask`.
+        #: geometry -> mask; see :meth:`_causal_mask`.
         self._causal_mask_cache: Dict = {}
-        #: geometry + mask identity -> (mask_ref, xp, mask, keep).
+        #: geometry + mask identity -> (mask_ref, mask, keep).
         self._combined_mask_cache: Dict = {}
 
     # -- masking ----------------------------------------------------------------
-
-    def _mask_namespace(self):
-        own = self.array_backend
-        return own.xp if own is not None else get_backend("numpy").xp
-
-    def _adopt_mask(self, host_array: np.ndarray):
-        """Adopt a host-built mask into the owning backend, once per cache fill.
-
-        Host-resident backends that operate on ndarrays natively (NumPy and
-        its spies) skip the call entirely — a mask adoption there would be a
-        counted conversion, violating the zero-round-trip substrate invariant.
-        """
-        own = self.array_backend
-        if own is None or own.is_backend_array(host_array):
-            return host_array
-        return own.from_numpy(host_array)
 
     def _causal_disallowed(self, seq_len: int, query_offset: int, query_len: int) -> np.ndarray:
         """Host boolean block: query row ``i`` may not see key column ``j``."""
@@ -483,9 +448,9 @@ class MultiHeadAttention(InstrumentedBlock):
         """Cached ``(mask, keep)`` pair for one attention geometry.
 
         ``mask`` is the additive ``-1e9`` mask (broadcastable against
-        ``(B, H, query_len, seq_len)`` scores), resident on the owning
-        backend; ``keep`` is a ``(B, 1, query_len, 1)`` float64 multiplier
-        that zeroes *fully-masked* query rows after the softmax, or ``None``
+        ``(B, H, query_len, seq_len)`` scores); ``keep`` is a
+        ``(B, 1, query_len, 1)`` float64 multiplier that zeroes
+        *fully-masked* query rows after the softmax, or ``None``
         when every row attends to at least one position.  Masked positions
         get ``-1e9`` rather than ``-inf`` so no NaN contaminates the
         fault-propagation study — but the softmax of an all ``-1e9`` row is
@@ -494,22 +459,20 @@ class MultiHeadAttention(InstrumentedBlock):
         explicitly rather than left to "degrade gracefully".
 
         Both arrays are cached per geometry — the causal part keyed by
-        ``(seq_len, query_offset, query_len, local_window, namespace)``, the
+        ``(seq_len, query_offset, query_len, local_window)``, the
         pad-combined part additionally by the identity of ``attention_mask``
-        — so decode steps stop paying a per-token host build, O(S²)
-        allocation and H2D transfer.
+        — so decode steps stop paying a per-token build and O(S²)
+        allocation.
         """
         query_len = seq_len if query_len is None else query_len
         if attention_mask is None:
             if not self.causal:
                 return None, None
             return self._causal_mask(seq_len, query_offset, query_len), None
-        xp = self._mask_namespace()
-        key = (seq_len, query_offset, query_len, self.local_window, id(xp),
-               id(attention_mask))
+        key = (seq_len, query_offset, query_len, self.local_window, id(attention_mask))
         entry = self._combined_mask_cache.get(key)
-        if entry is not None and entry[0] is attention_mask and entry[1] is xp:
-            return entry[2], entry[3]
+        if entry is not None and entry[0] is attention_mask:
+            return entry[1], entry[2]
         pad = np.asarray(attention_mask, dtype=np.float64)
         # attention_mask is (B, S) with 1 = attend, 0 = padding.
         pad = (1.0 - pad)[:, None, None, :] * -1e9
@@ -519,48 +482,42 @@ class MultiHeadAttention(InstrumentedBlock):
         else:
             combined = pad  # (B, 1, 1, S) broadcasts over query rows
         keep_host = combined.max(axis=-1, keepdims=True) > -1e8
-        keep = None
-        if not keep_host.all():
-            keep = self._adopt_mask(keep_host.astype(np.float64))
-        mask = self._adopt_mask(combined)
+        keep = None if keep_host.all() else keep_host.astype(np.float64)
         if len(self._combined_mask_cache) >= _MASK_CACHE_MAX:
             self._combined_mask_cache.pop(next(iter(self._combined_mask_cache)))
-        self._combined_mask_cache[key] = (attention_mask, xp, mask, keep)
-        return mask, keep
+        self._combined_mask_cache[key] = (attention_mask, combined, keep)
+        return combined, keep
 
     def _causal_mask(self, seq_len: int, query_offset: int, query_len: int):
-        xp = self._mask_namespace()
-        key = (seq_len, query_offset, query_len, self.local_window, id(xp))
-        entry = self._causal_mask_cache.get(key)
-        if entry is not None and entry[0] is xp:
-            return entry[1]
+        key = (seq_len, query_offset, query_len, self.local_window)
+        mask = self._causal_mask_cache.get(key)
+        if mask is not None:
+            return mask
         disallowed = self._causal_disallowed(seq_len, query_offset, query_len)
-        mask = self._adopt_mask(np.where(disallowed, -1e9, 0.0)[None, None, :, :])
+        mask = np.where(disallowed, -1e9, 0.0)[None, None, :, :]
         if len(self._causal_mask_cache) >= _MASK_CACHE_MAX:
             self._causal_mask_cache.pop(next(iter(self._causal_mask_cache)))
-        self._causal_mask_cache[key] = (xp, mask)
+        self._causal_mask_cache[key] = mask
         return mask
 
     def _decode_pad_mask(self, attention_mask: np.ndarray):
         """Static additive pad mask for decode, ``(B, 1, 1, M)``.
 
-        Built and adopted onto the backend **once per mask object** and
-        sliced to the live cache length each step, so steady-state decode
-        pays no host mask build and no H2D transfer.  The mask must span the
+        Built **once per mask object** and sliced to the live cache length
+        each step, so steady-state decode pays no mask build.  The mask must span the
         whole cache capacity (1 = attend for every not-yet-generated
         position); the causal structure needs no mask at decode because the
         query is the last position.
         """
-        xp = self._mask_namespace()
-        key = ("decode-pad", id(xp), id(attention_mask))
+        key = ("decode-pad", id(attention_mask))
         entry = self._combined_mask_cache.get(key)
-        if entry is not None and entry[0] is attention_mask and entry[1] is xp:
-            return entry[2]
+        if entry is not None and entry[0] is attention_mask:
+            return entry[1]
         pad = np.asarray(attention_mask, dtype=np.float64)
-        pad = self._adopt_mask((1.0 - pad)[:, None, None, :] * -1e9)
+        pad = (1.0 - pad)[:, None, None, :] * -1e9
         if len(self._combined_mask_cache) >= _MASK_CACHE_MAX:
             self._combined_mask_cache.pop(next(iter(self._combined_mask_cache)))
-        self._combined_mask_cache[key] = (attention_mask, xp, pad, None)
+        self._combined_mask_cache[key] = (attention_mask, pad, None)
         return pad
 
     def _decode_mask(self, attention_mask: Optional[np.ndarray], total_len: int):
@@ -593,7 +550,7 @@ class MultiHeadAttention(InstrumentedBlock):
         fully-masked query rows are additionally *zeroed after the softmax*
         in the forward pass (see :meth:`_additive_mask`), since their softmax
         would otherwise be uniform rather than empty.  The mask is built once
-        per geometry through the owning backend and cached.
+        per geometry and cached.
         """
         mask, _ = self._additive_mask(seq_len, attention_mask)
         return mask
@@ -657,8 +614,8 @@ class MultiHeadAttention(InstrumentedBlock):
             kv_cache.append(k.data, v.data)
         if phase == "decode":
             # Attend over the whole cached prefix: (B, H, T, dh) views.
-            k = ag.Tensor(kv_cache.keys(), backend=self.array_backend)
-            v = ag.Tensor(kv_cache.values(), backend=self.array_backend)
+            k = ag.Tensor(kv_cache.keys())
+            v = ag.Tensor(kv_cache.values())
 
         k_t = ag.transpose(k, (0, 1, 3, 2))
         attention_scores = self._instrumented_matmul(

@@ -19,14 +19,4 @@ class CrossEntropyLoss(Module):
     """
 
     def forward(self, logits: ag.Tensor, labels) -> ag.Tensor:
-        # Labels must be integer on every path — owning the array type is not
-        # enough (float labels on the NumPy substrate are still ndarrays), so
-        # non-integer native labels are cast in place of the historical
-        # ``np.asarray(..., dtype=np.int64)`` coercion.
-        if isinstance(logits, ag.Tensor) and logits.backend.is_backend_array(labels):
-            backend = logits.backend
-            if not np.issubdtype(backend.dtype_of(labels), np.integer):
-                xp = backend.namespace_for(labels)
-                labels = xp.astype(labels, xp.int64, copy=False)
-            return ag.cross_entropy_loss(logits, labels)
         return ag.cross_entropy_loss(logits, np.asarray(labels, dtype=np.int64))

@@ -3,14 +3,6 @@
 A :class:`Module` owns :class:`Parameter` leaves and child modules, can
 enumerate them recursively (for the optimiser and the checkpoint manager),
 switch between train/eval mode, and export/import a flat state dict.
-
-State dicts are *backend-native*: :meth:`Module.state_dict` copies each
-parameter on its owning array backend (so a device-resident model snapshots
-device-resident state — the trainer's stale-rollback window never leaves the
-device), and :meth:`Module.load_state_dict` adopts foreign values (host NumPy
-arrays from an on-disk checkpoint) into each parameter's backend.  Exporting
-to host NumPy for serialisation is the checkpoint manager's job, where the
-copies are timed under the ``xfer/*`` keys.
 """
 
 from __future__ import annotations
@@ -18,7 +10,8 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
-from repro.backend import ArrayBackend
+import numpy as np
+
 from repro.tensor.autograd import Tensor
 from repro.utils.versioning import bump_weights_version
 
@@ -28,9 +21,8 @@ __all__ = ["Parameter", "Module", "ModuleList"]
 class Parameter(Tensor):
     """A :class:`Tensor` that is registered as a trainable leaf."""
 
-    def __init__(self, data, name: Optional[str] = None,
-                 backend: Optional[ArrayBackend] = None) -> None:
-        super().__init__(data, requires_grad=True, name=name, backend=backend)
+    def __init__(self, data, name: Optional[str] = None) -> None:
+        super().__init__(data, requires_grad=True, name=name)
 
 
 class Module:
@@ -108,20 +100,15 @@ class Module:
     # -- state dict --------------------------------------------------------------
 
     def state_dict(self) -> Dict[str, Any]:
-        """Flat mapping of qualified parameter names to copies of their data.
-
-        Copies are made on each parameter's owning backend, so the snapshot
-        of a device-resident model stays device-resident (no d2h traffic).
-        """
-        return {name: p.backend.copy(p.data) for name, p in self.named_parameters()}
+        """Flat mapping of qualified parameter names to copies of their data."""
+        return {name: p.data.copy() for name, p in self.named_parameters()}
 
     def load_state_dict(self, state: Dict[str, Any], strict: bool = True) -> None:
         """Load a state dict produced by :meth:`state_dict`.
 
         With ``strict=True`` (default) the key sets must match exactly and
         shapes must agree; otherwise only matching keys are loaded.  Values
-        foreign to a parameter's backend (e.g. host arrays from an on-disk
-        checkpoint feeding a device-resident model) are adopted.
+        are copied and cast to each parameter's dtype.
         """
         own = dict(self.named_parameters())
         if strict:
@@ -134,15 +121,12 @@ class Module:
         for name, param in own.items():
             if name not in state:
                 continue
-            value = state[name]
-            if not param.backend.is_backend_array(value):
-                value = param.backend.asarray(value)
+            value = np.asarray(state[name])
             if tuple(value.shape) != param.shape:
                 raise ValueError(
                     f"shape mismatch for {name!r}: expected {param.shape}, got {tuple(value.shape)}"
                 )
-            xp = param.backend.namespace_for(value)
-            param.data = xp.astype(value, getattr(xp, param.dtype.name), copy=True)
+            param.data = value.astype(param.dtype, copy=True)
         # Loaded weights invalidate every weight-derived checksum cache
         # (stale-rollback restores, checkpoint loads).
         bump_weights_version()

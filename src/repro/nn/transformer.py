@@ -17,7 +17,6 @@ from typing import Optional
 
 import numpy as np
 
-from repro.backend import ArrayBackend
 from repro.core.hooks import FeedForwardOp
 from repro.nn.attention import InstrumentedBlock, LayerKVCache, MultiHeadAttention, phase_of
 from repro.nn.layers import Dropout, GELUActivation, LayerNorm, Linear
@@ -50,17 +49,16 @@ class FeedForward(InstrumentedBlock):
         layer_index: int = 0,
         num_heads: int = 1,
         rng: Optional[np.random.Generator] = None,
-        backend: Optional[ArrayBackend] = None,
     ) -> None:
         # FFN GEMMs report the layer's attention geometry unchanged (the
         # checksum machinery keys on it for workspace shapes only).
-        super().__init__(hidden_size, num_heads, layer_index, backend)
+        super().__init__(hidden_size, num_heads, layer_index)
         rng = rng if rng is not None else np.random.default_rng(0)
         self.hidden_size = hidden_size
         self.intermediate_size = intermediate_size
-        self.fc_in = Linear(hidden_size, intermediate_size, rng=rng, backend=backend)
+        self.fc_in = Linear(hidden_size, intermediate_size, rng=rng)
         self.act = GELUActivation()
-        self.fc_out = Linear(intermediate_size, hidden_size, rng=rng, backend=backend)
+        self.fc_out = Linear(intermediate_size, hidden_size, rng=rng)
         self.dropout = Dropout(dropout_p, rng=rng)
 
     def forward(self, x: ag.Tensor, phase: str = "train") -> ag.Tensor:
@@ -110,7 +108,6 @@ class TransformerLayer(Module):
         local_window: Optional[int] = None,
         layer_index: int = 0,
         rng: Optional[np.random.Generator] = None,
-        backend: Optional[ArrayBackend] = None,
     ) -> None:
         super().__init__()
         if norm_style not in ("post_ln", "pre_ln"):
@@ -125,14 +122,13 @@ class TransformerLayer(Module):
             causal=causal,
             local_window=local_window,
             rng=rng,
-            backend=backend,
         )
-        self.attn_norm = LayerNorm(hidden_size, backend=backend)
+        self.attn_norm = LayerNorm(hidden_size)
         self.ffn = FeedForward(
             hidden_size, intermediate_size, dropout_p=dropout_p,
-            layer_index=layer_index, num_heads=num_heads, rng=rng, backend=backend,
+            layer_index=layer_index, num_heads=num_heads, rng=rng,
         )
-        self.ffn_norm = LayerNorm(hidden_size, backend=backend)
+        self.ffn_norm = LayerNorm(hidden_size)
         self.dropout = Dropout(dropout_p, rng=rng)
 
     def forward(

@@ -385,10 +385,7 @@ class ServingEngine:
         return slot_map[keep_idx], np.ascontiguousarray(mask[keep_idx]), next_ids[keep_idx]
 
     def _last_logits(self, hidden: Any, position: int) -> np.ndarray:
-        logits = self.model.lm_logits(hidden).data[:, position, :]
-        # Host view for the greedy argmax; a no-op copy on the NumPy
-        # substrate the serving path runs on.
-        return np.asarray(logits)
+        return self.model.lm_logits(hidden).data[:, position, :]
 
     def _record_tokens(
         self,
@@ -438,8 +435,6 @@ class ServingEngine:
                 report = outcome.report
                 if report is None or outcome.request_dirty is None:
                     continue
-                # Host view of the per-request dirty mask (already host-side
-                # on the NumPy substrate the serving path runs on).
                 dirty = np.asarray(outcome.request_dirty).astype(bool).reshape(-1)
                 if dirty.shape[0] != len(slot_map) or not dirty.any():
                     continue

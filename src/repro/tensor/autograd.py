@@ -1,38 +1,19 @@
-"""A small reverse-mode automatic differentiation engine on pluggable array backends.
+"""A small reverse-mode automatic differentiation engine on NumPy.
 
 The engine provides everything the transformer models in :mod:`repro.models`
 need — and nothing more:
 
-* :class:`Tensor` wraps an array owned by one :class:`repro.backend.ArrayBackend`
-  (NumPy by default; Torch when the model substrate is built on it)
-  and records the operation that produced it (its parents plus a backward
-  closure).
+* :class:`Tensor` wraps a NumPy array and records the operation that
+  produced it (its parents plus a backward closure).
 * :func:`Tensor.backward` runs a topological sort of the recorded DAG and
   accumulates gradients into every tensor with ``requires_grad=True``.
 * A library of differentiable operations (GEMM, softmax, GELU, layer norm,
-  embedding lookup, dropout, reshaping) built on the pure backend-generic
-  kernels in :mod:`repro.tensor.ops`.
+  embedding lookup, dropout, reshaping) built on the pure array kernels in
+  :mod:`repro.tensor.ops`.
 
-Array backends
---------------
-Every :class:`Tensor` carries the backend that owns its array (the same seam
-:class:`repro.nn.attention.SectionContext` uses), and every operation
-dispatches through that backend's ``xp`` namespace.  The rules that keep the
-whole graph device-resident:
-
-* children inherit the owning backend of their parents, so one adoption at the
-  model boundary (parameters at init, token ids at the embedding lookup)
-  carries through forward, backward and the optimizer update without host
-  round-trips;
-* the root gradient of :func:`Tensor.backward` is seeded with the owning
-  namespace's ``ones_like`` — never host NumPy;
-* host-side data (Python scalars, freshly drawn dropout masks, attention
-  masks) is adopted into the owning backend exactly once, at the operation
-  that consumes it.
-
-On the NumPy backend every operation executes the identical op sequence of
-the historical pure-NumPy engine, so results are byte-identical to earlier
-releases (pinned by the seed-output goldens in the test suite).
+Every operation executes the identical op sequence of the historical engine,
+so results are byte-identical to earlier releases (pinned by the seed-output
+goldens in the test suite).
 
 Inference: :func:`no_grad`
 --------------------------
@@ -66,7 +47,6 @@ from typing import Any, Callable, Iterator, List, Optional, Sequence, Tuple, Uni
 
 import numpy as np
 
-from repro.backend import ArrayBackend, backend_of, namespace_of
 from repro.tensor import ops
 
 __all__ = [
@@ -125,7 +105,7 @@ def no_grad() -> Iterator[None]:
 
 
 class Tensor:
-    """A backend-owned array with an autograd tape.
+    """A NumPy array with an autograd tape.
 
     Parameters
     ----------
@@ -141,10 +121,6 @@ class Tensor:
     name:
         Optional human-readable tag used in error messages and by the fault
         tracer to identify matrices (e.g. ``"Q"``, ``"AS"``).
-    backend:
-        The :class:`repro.backend.ArrayBackend` owning ``data``.  ``None``
-        (default) resolves it from ``data``'s type; foreign data passed with
-        an explicit backend is adopted into that backend's array type.
     """
 
     __slots__ = (
@@ -155,7 +131,6 @@ class Tensor:
         "_backward_fn",
         "_post_accumulate_grad_hooks",
         "name",
-        "backend",
     )
 
     def __init__(
@@ -165,18 +140,12 @@ class Tensor:
         parents: Sequence["Tensor"] = (),
         backward_fn: Optional[Callable[[Any], Tuple[Optional[Any], ...]]] = None,
         name: Optional[str] = None,
-        backend: Optional[ArrayBackend] = None,
     ) -> None:
         if isinstance(data, Tensor):
-            if backend is None:
-                backend = data.backend
             data = data.data
-        if backend is None:
-            backend = backend_of(data)
-        arr = data if backend.is_backend_array(data) else backend.asarray(data)
-        if backend.dtype_of(arr).kind != "f":
-            xp = backend.namespace_for(arr)
-            arr = xp.astype(arr, xp.float64)
+        arr = data if isinstance(data, np.ndarray) else np.asarray(data)
+        if arr.dtype.kind != "f":
+            arr = arr.astype(np.float64)
         self.data: Any = arr
         self.grad: Optional[Any] = None
         self.requires_grad = bool(requires_grad)
@@ -184,7 +153,6 @@ class Tensor:
         self._backward_fn = backward_fn
         self._post_accumulate_grad_hooks: Optional[List[Callable[["Tensor"], None]]] = None
         self.name = name
-        self.backend = backend
 
     # -- basic protocol -----------------------------------------------------
 
@@ -198,29 +166,18 @@ class Tensor:
 
     @property
     def dtype(self) -> np.dtype:
-        """Canonical NumPy dtype of the underlying array (on any backend)."""
-        return self.backend.dtype_of(self.data)
+        return self.data.dtype
 
     @property
     def size(self) -> int:
         return int(np.prod(self.data.shape, dtype=np.int64))
-
-    @property
-    def xp(self) -> Any:
-        """The owning backend's function namespace, bound to this array."""
-        return self.backend.namespace_for(self.data)
-
-    def numpy(self) -> np.ndarray:
-        """Export the underlying array to host NumPy (a d2h copy on device
-        backends; the array itself on the NumPy reference)."""
-        return self.backend.to_numpy(self.data)
 
     def item(self) -> float:
         return float(self.data.reshape(-1)[0]) if self.size == 1 else float(self.data)
 
     def detach(self) -> "Tensor":
         """Return a new tensor sharing data but cut from the graph."""
-        return Tensor(self.data, requires_grad=False, name=self.name, backend=self.backend)
+        return Tensor(self.data, requires_grad=False, name=self.name)
 
     def zero_grad(self) -> None:
         self.grad = None
@@ -257,35 +214,11 @@ class Tensor:
     # -- graph construction helpers ------------------------------------------
 
     @staticmethod
-    def _wrap(value: ArrayLike, backend: Optional[ArrayBackend] = None) -> "Tensor":
-        """Wrap a raw operand; host data adopts into ``backend`` when given.
-
-        Scalars and host arrays meeting a device-resident tensor are adopted
-        into its backend here, once, so the binary kernels never mix array
-        libraries.  Host-resident backends recognise the NumPy wrap as already
-        native, so the NumPy path performs no adoption call at all.
-        """
+    def _wrap(value: ArrayLike) -> "Tensor":
+        """Wrap a raw operand (scalar or array) as a float64 constant."""
         if isinstance(value, Tensor):
             return value
-        if backend is None:
-            return Tensor(np.asarray(value, dtype=np.float64))
-        if backend.is_backend_array(value):
-            # Raw operands wrap as float64, like the host path always did.
-            xp = backend.namespace_for(value)
-            return Tensor(xp.astype(value, xp.float64, copy=False), backend=backend)
-        host = np.asarray(value, dtype=np.float64)
-        if backend.is_backend_array(host):
-            return Tensor(host, backend=backend)
-        return Tensor(backend.asarray(host), backend=backend)
-
-    @staticmethod
-    def _wrap_pair(a: ArrayLike, b: ArrayLike) -> Tuple["Tensor", "Tensor"]:
-        """Wrap both operands of a binary op, sharing the owning backend."""
-        if isinstance(a, Tensor):
-            return a, Tensor._wrap(b, backend=a.backend)
-        if isinstance(b, Tensor):
-            return Tensor._wrap(a, backend=b.backend), b
-        return Tensor._wrap(a), Tensor._wrap(b)
+        return Tensor(np.asarray(value, dtype=np.float64))
 
     def _make_child(
         self,
@@ -299,14 +232,11 @@ class Tensor:
         It records ``parents`` and ``backward_fn`` only when some parent
         requires grad and :func:`no_grad` is not active.
         """
-        backend = self.backend
-        if not backend.is_backend_array(data):
-            backend = _owning_backend(parents, data)
         if _grad_mode.enabled:
             for parent in parents:
                 if parent.requires_grad:
-                    return Tensor(data, True, parents, backward_fn, name, backend)
-        return Tensor(data, False, (), None, name, backend)
+                    return Tensor(data, True, parents, backward_fn, name)
+        return Tensor(data, False, (), None, name)
 
     # -- operators -----------------------------------------------------------
 
@@ -319,7 +249,7 @@ class Tensor:
         return sub(self, other)
 
     def __rsub__(self, other: ArrayLike) -> "Tensor":
-        return sub(Tensor._wrap(other, backend=self.backend), self)
+        return sub(Tensor._wrap(other), self)
 
     def __mul__(self, other: ArrayLike) -> "Tensor":
         return mul(self, other)
@@ -330,7 +260,7 @@ class Tensor:
         return div(self, other)
 
     def __rtruediv__(self, other: ArrayLike) -> "Tensor":
-        return div(Tensor._wrap(other, backend=self.backend), self)
+        return div(Tensor._wrap(other), self)
 
     def __neg__(self) -> "Tensor":
         return mul(self, -1.0)
@@ -355,24 +285,16 @@ class Tensor:
     def backward(self, grad: Optional[Any] = None) -> None:
         """Back-propagate from this tensor through the recorded graph.
 
-        ``grad`` defaults to ones (appropriate for scalar losses), seeded on
-        the owning backend so device-resident graphs stay device-resident.
+        ``grad`` defaults to ones (appropriate for scalar losses).
         Gradients accumulate (+=) into every reachable tensor with
         ``requires_grad=True``, matching the PyTorch convention so gradient
         accumulation across micro-batches works naturally.
         """
-        xp = self.xp
-        if grad is None:
-            grad = xp.ones_like(self.data)
-        elif not self.backend.is_backend_array(grad):
-            # Adopt through the device-bound namespace so an explicit host
-            # gradient lands beside this tensor's data, not on the backend's
-            # default device.
-            grad = xp.asarray(grad)
+        grad = np.ones_like(self.data) if grad is None else np.asarray(grad)
         dtype = self.dtype
         target = dtype if np.issubdtype(dtype, np.floating) else np.dtype(np.float64)
-        if self.backend.dtype_of(grad) != target:
-            grad = xp.astype(grad, getattr(xp, target.name), copy=False)
+        if grad.dtype != target:
+            grad = grad.astype(target, copy=False)
         if tuple(grad.shape) != self.shape:
             raise ValueError(
                 f"gradient shape {tuple(grad.shape)} does not match tensor shape {self.shape}"
@@ -439,28 +361,9 @@ class GradHookHandle:
             hooks.remove(self._hook)
 
 
-def _owning_backend(parents: Sequence[Tensor], data: Any) -> ArrayBackend:
-    """The backend a freshly computed array belongs to.
-
-    The first parent whose backend natively owns ``data`` wins — this is what
-    keeps a registered wrapper backend (a spy around NumPy, a pinned Torch
-    instance) attached through an operation chain, since resolving by type
-    alone would fall back to the base library's registry entry.
-    """
-    for parent in parents:
-        if parent.backend.is_backend_array(data):
-            return parent.backend
-    return backend_of(data)
-
-
-def tensor(
-    data: ArrayLike,
-    requires_grad: bool = False,
-    name: Optional[str] = None,
-    backend: Optional[ArrayBackend] = None,
-) -> Tensor:
+def tensor(data: ArrayLike, requires_grad: bool = False, name: Optional[str] = None) -> Tensor:
     """Convenience constructor mirroring ``torch.tensor``."""
-    return Tensor(data, requires_grad=requires_grad, name=name, backend=backend)
+    return Tensor(data, requires_grad=requires_grad, name=name)
 
 
 # ---------------------------------------------------------------------------
@@ -469,7 +372,7 @@ def tensor(
 
 def add(a: ArrayLike, b: ArrayLike) -> Tensor:
     """Elementwise addition with broadcasting."""
-    a, b = Tensor._wrap_pair(a, b)
+    a, b = Tensor._wrap(a), Tensor._wrap(b)
     out = a.data + b.data
 
     def backward(grad):
@@ -480,7 +383,7 @@ def add(a: ArrayLike, b: ArrayLike) -> Tensor:
 
 def sub(a: ArrayLike, b: ArrayLike) -> Tensor:
     """Elementwise subtraction with broadcasting."""
-    a, b = Tensor._wrap_pair(a, b)
+    a, b = Tensor._wrap(a), Tensor._wrap(b)
     out = a.data - b.data
 
     def backward(grad):
@@ -491,7 +394,7 @@ def sub(a: ArrayLike, b: ArrayLike) -> Tensor:
 
 def mul(a: ArrayLike, b: ArrayLike) -> Tensor:
     """Elementwise multiplication with broadcasting."""
-    a, b = Tensor._wrap_pair(a, b)
+    a, b = Tensor._wrap(a), Tensor._wrap(b)
     out = a.data * b.data
 
     def backward(grad):
@@ -505,7 +408,7 @@ def mul(a: ArrayLike, b: ArrayLike) -> Tensor:
 
 def div(a: ArrayLike, b: ArrayLike) -> Tensor:
     """Elementwise division with broadcasting."""
-    a, b = Tensor._wrap_pair(a, b)
+    a, b = Tensor._wrap(a), Tensor._wrap(b)
     out = a.data / b.data
 
     def backward(grad):
@@ -535,7 +438,7 @@ def matmul(
     touching gradient computation, because the matmul backward only needs the
     *inputs*.
     """
-    a, b = Tensor._wrap_pair(a, b)
+    a, b = Tensor._wrap(a), Tensor._wrap(b)
     out = ops.batched_matmul(a.data, b.data)
     if forward_hook is not None:
         out = forward_hook(out)
@@ -605,8 +508,8 @@ def tanh(x: ArrayLike) -> Tensor:
 def layer_norm(x: ArrayLike, gamma: ArrayLike, beta: ArrayLike, eps: float = 1e-5) -> Tensor:
     """Differentiable layer normalisation over the last axis."""
     x = Tensor._wrap(x)
-    gamma = Tensor._wrap(gamma, backend=x.backend)
-    beta = Tensor._wrap(beta, backend=x.backend)
+    gamma = Tensor._wrap(gamma)
+    beta = Tensor._wrap(beta)
     out, x_hat, inv_std = ops.layer_norm(x.data, gamma.data, beta.data, eps=eps)
 
     def backward(grad):
@@ -620,13 +523,12 @@ def dropout(x: ArrayLike, p: float, rng: np.random.Generator, training: bool = T
     """Differentiable inverted dropout.
 
     In eval mode (``training=False``) or with ``p == 0`` this is the identity.
-    The mask is drawn on the host from ``rng`` (backend-independent
-    reproducibility) and adopted into the owning backend's array type.
+    The mask is drawn from ``rng``.
     """
     x = Tensor._wrap(x)
     if not training or p == 0.0:
         return x
-    mask = ops.dropout_mask(x.shape, p, rng, xp=x.xp)
+    mask = ops.dropout_mask(x.shape, p, rng)
     out = x.data * mask
 
     def backward(grad):
@@ -642,23 +544,18 @@ def dropout(x: ArrayLike, p: float, rng: np.random.Generator, training: bool = T
 def embedding(weight: ArrayLike, indices: Any) -> Tensor:
     """Differentiable embedding lookup ``weight[indices]``.
 
-    ``indices`` is a plain integer array (no gradient flows into it), adopted
-    into the weight's backend once — the h2d crossing of the input batch on
-    device substrates.  The gradient w.r.t. ``weight`` scatters the output
-    gradient back to the looked-up rows.
+    ``indices`` is a plain integer array (no gradient flows into it).  The
+    gradient w.r.t. ``weight`` scatters the output gradient back to the
+    looked-up rows.
     """
     weight = Tensor._wrap(weight)
-    idx = indices if weight.backend.is_backend_array(indices) else np.asarray(indices)
-    if not weight.backend.is_backend_array(idx):
-        # The weight's device-bound namespace, so the ids land beside the
-        # table (not on the backend's default device).
-        idx = weight.xp.asarray(idx)
+    idx = np.asarray(indices)
     out = weight.data[idx]
 
     def backward(grad):
-        xp = weight.xp
-        dw = xp.zeros_like(weight.data)
-        xp.add_at(dw, idx.reshape(-1), grad.reshape(-1, weight.data.shape[-1]))
+        dw = np.zeros_like(weight.data)
+        # Unbuffered scatter-add: repeated ids accumulate.
+        np.add.at(dw, idx.reshape(-1), grad.reshape(-1, weight.data.shape[-1]))
         return (dw,)
 
     return weight._make_child(out, (weight,), backward)
@@ -683,11 +580,11 @@ def reshape(x: ArrayLike, shape: Sequence[int]) -> Tensor:
 def transpose(x: ArrayLike, axes: Optional[Sequence[int]] = None) -> Tensor:
     """Differentiable transpose / axis permutation."""
     x = Tensor._wrap(x)
-    out = x.xp.transpose(x.data, axes)
+    out = np.transpose(x.data, axes)
 
     def backward(grad):
         inverse = None if axes is None else tuple(int(i) for i in np.argsort(axes))
-        return (namespace_of(grad).transpose(grad, inverse),)
+        return (np.transpose(grad, inverse),)
 
     return x._make_child(out, (x,), backward)
 
@@ -715,24 +612,21 @@ def merge_heads(x: ArrayLike) -> Tensor:
 def sum(x: ArrayLike, axis=None, keepdims: bool = False) -> Tensor:
     """Differentiable sum reduction."""
     x = Tensor._wrap(x)
-    xp = x.xp
-    out = xp.sum(x.data, axis=axis, keepdims=keepdims)
+    out = np.sum(x.data, axis=axis, keepdims=keepdims)
 
     def backward(grad):
-        gxp = namespace_of(grad)
         g = grad
         if axis is not None and not keepdims:
-            g = gxp.expand_dims(g, axis=axis)
-        return (gxp.copy(gxp.broadcast_to(g, x.shape)),)
+            g = np.expand_dims(g, axis=axis)
+        return (np.copy(np.broadcast_to(g, x.shape)),)
 
-    return x._make_child(xp.asarray(out), (x,), backward)
+    return x._make_child(np.asarray(out), (x,), backward)
 
 
 def mean(x: ArrayLike, axis=None, keepdims: bool = False) -> Tensor:
     """Differentiable mean reduction."""
     x = Tensor._wrap(x)
-    xp = x.xp
-    out = xp.mean(x.data, axis=axis, keepdims=keepdims)
+    out = np.mean(x.data, axis=axis, keepdims=keepdims)
     if axis is None:
         count = x.size
     else:
@@ -740,26 +634,22 @@ def mean(x: ArrayLike, axis=None, keepdims: bool = False) -> Tensor:
         count = int(np.prod([x.shape[a] for a in axes]))
 
     def backward(grad):
-        gxp = namespace_of(grad)
         g = grad
         if axis is not None and not keepdims:
-            g = gxp.expand_dims(g, axis=axis)
-        return (gxp.copy(gxp.broadcast_to(g, x.shape)) / count,)
+            g = np.expand_dims(g, axis=axis)
+        return (np.copy(np.broadcast_to(g, x.shape)) / count,)
 
-    return x._make_child(xp.asarray(out), (x,), backward)
+    return x._make_child(np.asarray(out), (x,), backward)
 
 
 def cross_entropy_loss(logits: ArrayLike, labels: Any) -> Tensor:
     """Mean cross-entropy loss of ``logits`` (N, C) against int ``labels`` (N,).
 
     Implemented as a fused op (softmax + NLL) with the classic analytic
-    gradient ``(softmax - onehot)/N`` for numerical stability.  The loss value
-    is a host scalar (reading it is the one d2h sync of a device-resident
-    training step, as in any real training loop's ``loss.item()``).
+    gradient ``(softmax - onehot)/N`` for numerical stability.
     """
     logits = Tensor._wrap(logits)
-    if not logits.backend.is_backend_array(labels):
-        labels = np.asarray(labels)
+    labels = np.asarray(labels)
     loss_value = ops.cross_entropy(logits.data, labels)
 
     def backward(grad):

@@ -1,18 +1,14 @@
 """Stateless vectorised array kernels and their analytical gradients.
 
-Every function here is a *pure, backend-generic* array kernel: no global
-state, no autograd bookkeeping, and no hard-wired array library.  Kernels
-dispatch through the namespace of the backend that owns their input
-(:func:`repro.backend.namespace_of`), so the same code runs on NumPy host
-arrays or Torch tensors — whichever library the caller's
-data lives in.  The autograd engine (:mod:`repro.tensor.autograd`) composes
+Every function here is a *pure* NumPy array kernel: no global state and no
+autograd bookkeeping.  The autograd engine (:mod:`repro.tensor.autograd`) composes
 these kernels into differentiable operations; the fault-injection and ABFT
 machinery calls them directly on raw arrays.
 
 Following the HPC-Python guides, every kernel is expressed with broadcasting
 and whole-array operations — there are no Python-level loops over matrix
-elements anywhere in this module.  On the NumPy backend each kernel executes
-the exact operation sequence of the historical pure-NumPy implementation, so
+elements anywhere in this module.  Each kernel executes the exact operation
+sequence of the historical pure-NumPy implementation, so
 results are bit-identical to earlier releases — except GELU: its cube is
 ``x * x * x``, as a libm ``pow`` per element took half a training step
 (last bits differ; INF/NaN outcomes do not).
@@ -24,8 +20,6 @@ import math
 from typing import Any, Tuple
 
 import numpy as np
-
-from repro.backend import namespace_of
 
 __all__ = [
     "batched_matmul",
@@ -57,9 +51,9 @@ def batched_matmul(a: Any, b: Any) -> Any:
     Shapes follow the ``matmul`` convention: the last two axes are the matrix
     dimensions and all leading axes broadcast.  This is the single kernel
     underlying all six GEMMs of the attention mechanism (Figure 1 of the
-    paper), dispatched to the owning backend's GEMM library.
+    paper), dispatched to NumPy's BLAS.
     """
-    return namespace_of(a).matmul(a, b)
+    return np.matmul(a, b)
 
 
 def matmul_backward(
@@ -70,9 +64,8 @@ def matmul_backward(
     ``grad_a = grad_out @ b^T`` and ``grad_b = a^T @ grad_out``; broadcasting
     over leading batch axes is undone by summing (:func:`unbroadcast`).
     """
-    xp = namespace_of(grad_out)
-    grad_a = xp.matmul(grad_out, xp.swapaxes(b, -1, -2))
-    grad_b = xp.matmul(xp.swapaxes(a, -1, -2), grad_out)
+    grad_a = np.matmul(grad_out, np.swapaxes(b, -1, -2))
+    grad_b = np.matmul(np.swapaxes(a, -1, -2), grad_out)
     return unbroadcast(grad_a, a.shape), unbroadcast(grad_b, b.shape)
 
 
@@ -85,14 +78,13 @@ def unbroadcast(grad: Any, shape: Tuple[int, ...]) -> Any:
     shape = tuple(shape)
     if tuple(grad.shape) == shape:
         return grad
-    xp = namespace_of(grad)
     # Sum over leading axes that broadcasting added.
     while grad.ndim > len(shape):
-        grad = xp.sum(grad, axis=0)
+        grad = np.sum(grad, axis=0)
     # Sum over axes that were size-1 in the original.
     for axis, size in enumerate(shape):
         if size == 1 and grad.shape[axis] != 1:
-            grad = xp.sum(grad, axis=axis, keepdims=True)
+            grad = np.sum(grad, axis=axis, keepdims=True)
     return grad.reshape(shape)
 
 
@@ -109,33 +101,29 @@ def softmax(x: Any, axis: int = -1) -> Any:
     becoming NaN after softmax (because ``inf - inf`` appears in the shifted
     exponent), and this kernel reproduces exactly that behaviour.
     """
-    xp = namespace_of(x)
-    shifted = x - xp.max(x, axis=axis, keepdims=True)
-    e = xp.exp(shifted)
+    shifted = x - np.max(x, axis=axis, keepdims=True)
+    e = np.exp(shifted)
     del shifted  # in-place from here: one (B, H, S, S) temporary at a time
-    e /= xp.sum(e, axis=axis, keepdims=True)
+    e /= np.sum(e, axis=axis, keepdims=True)
     return e
 
 
 def softmax_backward(grad_out: Any, out: Any, axis: int = -1) -> Any:
     """Backward pass of softmax given its output ``out``."""
-    xp = namespace_of(out)
-    dot = xp.sum(grad_out * out, axis=axis, keepdims=True)
+    dot = np.sum(grad_out * out, axis=axis, keepdims=True)
     return out * (grad_out - dot)
 
 
 def log_softmax(x: Any, axis: int = -1) -> Any:
     """Numerically-stable ``log(softmax(x))``."""
-    xp = namespace_of(x)
-    shifted = x - xp.max(x, axis=axis, keepdims=True)
-    return shifted - xp.log(xp.sum(xp.exp(shifted), axis=axis, keepdims=True))
+    shifted = x - np.max(x, axis=axis, keepdims=True)
+    return shifted - np.log(np.sum(np.exp(shifted), axis=axis, keepdims=True))
 
 
 def log_softmax_backward(grad_out: Any, out: Any, axis: int = -1) -> Any:
     """Backward pass of log-softmax given its output ``out`` (= log p)."""
-    xp = namespace_of(out)
-    softmax_out = xp.exp(out)
-    return grad_out - softmax_out * xp.sum(grad_out, axis=axis, keepdims=True)
+    softmax_out = np.exp(out)
+    return grad_out - softmax_out * np.sum(grad_out, axis=axis, keepdims=True)
 
 
 # ---------------------------------------------------------------------------
@@ -155,7 +143,7 @@ def gelu(x: Any) -> Tuple[Any, Any]:
     u *= 0.044715
     u += x
     u *= _GELU_C
-    t = namespace_of(x).tanh(u)
+    t = np.tanh(u)
     del u  # freed before out and 1.0 + t exist: one array less at peak
     out = 0.5 * x
     out *= 1.0 + t
@@ -184,7 +172,7 @@ def gelu_backward(grad_out: Any, x: Any, t: Any) -> Any:
 
 def tanh(x: Any) -> Any:
     """Hyperbolic tangent."""
-    return namespace_of(x).tanh(x)
+    return np.tanh(x)
 
 
 def tanh_backward(grad_out: Any, out: Any) -> Any:
@@ -205,13 +193,11 @@ def layer_norm(
     """Layer normalisation over the last axis.
 
     Returns ``(out, x_hat, inv_std)`` where the last two are cached for the
-    backward pass.  Uses the biased variance (NumPy's default) on every
-    backend.
+    backward pass.  Uses the biased variance (NumPy's default).
     """
-    xp = namespace_of(x)
-    mean = xp.mean(x, axis=-1, keepdims=True)
-    var = xp.var(x, axis=-1, keepdims=True)
-    inv_std = 1.0 / xp.sqrt(var + eps)
+    mean = np.mean(x, axis=-1, keepdims=True)
+    var = np.var(x, axis=-1, keepdims=True)
+    inv_std = 1.0 / np.sqrt(var + eps)
     # In place, so no intermediate (B, S, D) array outlives its line.
     x_hat = x - mean
     x_hat *= inv_std
@@ -227,19 +213,18 @@ def layer_norm_backward(
     gamma: Any,
 ) -> Tuple[Any, Any, Any]:
     """Gradients of layer norm w.r.t. input, gamma and beta."""
-    xp = namespace_of(x_hat)
     d = x_hat.shape[-1]
     dgamma_axes = tuple(range(x_hat.ndim - 1))
-    dgamma = xp.sum(grad_out * x_hat, axis=dgamma_axes)
-    dbeta = xp.sum(grad_out, axis=dgamma_axes)
+    dgamma = np.sum(grad_out * x_hat, axis=dgamma_axes)
+    dbeta = np.sum(grad_out, axis=dgamma_axes)
     dxhat = grad_out * gamma
     dx = (
         inv_std
         / d
         * (
             d * dxhat
-            - xp.sum(dxhat, axis=-1, keepdims=True)
-            - x_hat * xp.sum(dxhat * x_hat, axis=-1, keepdims=True)
+            - np.sum(dxhat, axis=-1, keepdims=True)
+            - x_hat * np.sum(dxhat * x_hat, axis=-1, keepdims=True)
         )
     )
     return dx, dgamma, dbeta
@@ -249,14 +234,10 @@ def layer_norm_backward(
 # Dropout / losses / misc
 # ---------------------------------------------------------------------------
 
-def dropout_mask(
-    shape: Tuple[int, ...], p: float, rng: np.random.Generator, xp: Any = None
-) -> Any:
+def dropout_mask(shape: Tuple[int, ...], p: float, rng: np.random.Generator) -> Any:
     """Inverted-dropout mask: zeros with probability ``p``, else ``1/(1-p)``.
 
-    The mask is drawn on the host from the caller's NumPy ``rng`` (so runs
-    are reproducible independently of the compute backend) and adopted into
-    ``xp``'s array type when a non-NumPy namespace is passed.
+    The mask is drawn from the caller's ``rng``, so runs are reproducible.
     """
     if not 0.0 <= p < 1.0:
         raise ValueError(f"dropout probability must be in [0, 1), got {p}")
@@ -265,7 +246,7 @@ def dropout_mask(
     else:
         keep = rng.random(shape) >= p
         mask = keep.astype(np.float64) / (1.0 - p)
-    return mask if xp is None else xp.asarray(mask)
+    return mask
 
 
 def cross_entropy(logits: Any, labels: Any) -> float:
@@ -274,18 +255,16 @@ def cross_entropy(logits: Any, labels: Any) -> float:
     Returns NaN if the logits contain NaN — this is precisely the
     "non-trainable state" signal the paper's vulnerability study keys on.
     """
-    xp = namespace_of(logits)
     logp = log_softmax(logits, axis=-1)
     n = logits.shape[0]
-    picked = logp[xp.arange(n), xp.asarray(labels)]
-    return float(-xp.mean(picked))
+    picked = logp[np.arange(n), np.asarray(labels)]
+    return float(-np.mean(picked))
 
 
 def cross_entropy_backward(logits: Any, labels: Any) -> Any:
     """Gradient of mean cross-entropy w.r.t. the logits."""
-    xp = namespace_of(logits)
     n = logits.shape[0]
     p = softmax(logits, axis=-1)
-    grad = xp.copy(p)
-    grad[xp.arange(n), xp.asarray(labels)] -= 1.0
+    grad = np.copy(p)
+    grad[np.arange(n), np.asarray(labels)] -= 1.0
     return grad / n

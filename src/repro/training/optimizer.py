@@ -2,15 +2,9 @@
 
 AdamW is the optimiser used for the GLUE fine-tuning runs the paper evaluates;
 SGD is provided for the unit tests and as a cheaper baseline.  Both operate on
-the :class:`repro.nn.Parameter` leaves of a model and keep their moment /
-velocity slots **on each parameter's owning array backend** — a device-resident
-model's optimiser state never round-trips through host memory, and the update
-itself runs through the backend's own array math.
-
-``state_dict`` / ``load_state_dict`` likewise move values through the owning
-backend: snapshots stay backend-native (the trainer's in-memory rollback
-window keeps device state on device), and loading adopts foreign values (host
-arrays from an on-disk checkpoint) back into each parameter's backend.
+the :class:`repro.nn.Parameter` leaves of a model and keep one moment /
+velocity slot per parameter; ``state_dict`` / ``load_state_dict`` deep-copy
+them.
 
 Optimizer-state integrity
 -------------------------
@@ -31,7 +25,6 @@ from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from repro.backend import backend_of
 from repro.nn.module import Parameter
 from repro.utils.versioning import bump_weights_version
 
@@ -48,15 +41,11 @@ class OptimizerStateCorruption(RuntimeError):
 
 
 def _moment_sum(value: Any) -> float:
-    """Float64 sum of one moment buffer, on the buffer's own backend.
+    """Float64 sum of one moment buffer.
 
-    The reduction runs device-side (only the 0-d result crosses to host), so
-    checksumming a device-resident optimiser costs no array round-trip.  A
-    given backend's reduction is deterministic for a given buffer, and the
-    recompute always runs on the same backend that recorded the sum, so the
-    checksum comparison is equality, not a tolerance."""
-    xp = np if type(value) is np.ndarray else backend_of(value).xp
-    return float(xp.sum(value, dtype=xp.float64))
+    The reduction is deterministic for a given buffer, so the checksum
+    comparison is equality, not a tolerance."""
+    return float(np.sum(value, dtype=np.float64))
 
 
 def _sums_match(recorded: float, recomputed: float) -> bool:
@@ -97,19 +86,6 @@ class Optimizer:
 
     # -- checkpointing ------------------------------------------------------------
 
-    def _copy_slot(self, index: int, value: Any) -> Any:
-        """A backend-native copy of one per-parameter state slot.
-
-        Values foreign to the parameter's backend (host arrays loaded from an
-        ``.npz`` checkpoint) are adopted first; native values are just deep
-        copied, so snapshot/restore of a device-resident optimiser stays on
-        the device.
-        """
-        backend = self.parameters[index].backend
-        if not backend.is_backend_array(value):
-            value = backend.asarray(value)
-        return backend.copy(value)
-
     def state_dict(self) -> Dict[str, Any]:
         """Serialisable optimiser state (step count + per-parameter slots)."""
         return {"step_count": np.asarray(self.step_count)}
@@ -145,7 +121,7 @@ class SGD(Optimizer):
                 grad = grad + self.weight_decay * p.data
             if self.momentum:
                 if self._velocity[i] is None:
-                    self._velocity[i] = p.xp.zeros_like(p.data)
+                    self._velocity[i] = np.zeros_like(p.data)
                 self._velocity[i] = self.momentum * self._velocity[i] + grad
                 grad = self._velocity[i]
             p.data = p.data - self.lr * grad
@@ -157,14 +133,14 @@ class SGD(Optimizer):
         state = super().state_dict()
         for i, v in enumerate(self._velocity):
             if v is not None:
-                state[f"velocity.{i}"] = self._copy_slot(i, v)
+                state[f"velocity.{i}"] = np.array(v, copy=True)
         return state
 
     def load_state_dict(self, state: Dict[str, Any]) -> None:
         super().load_state_dict(state)
         for i in range(len(self.parameters)):
             key = f"velocity.{i}"
-            self._velocity[i] = self._copy_slot(i, state[key]) if key in state else None
+            self._velocity[i] = np.array(state[key], copy=True) if key in state else None
 
 
 class AdamW(Optimizer):
@@ -201,14 +177,14 @@ class AdamW(Optimizer):
                 continue
             grad = p.grad
             if self._m[i] is None:
-                self._m[i] = p.xp.zeros_like(p.data)
-                self._v[i] = p.xp.zeros_like(p.data)
+                self._m[i] = np.zeros_like(p.data)
+                self._v[i] = np.zeros_like(p.data)
             self._m[i] = self.beta1 * self._m[i] + (1.0 - self.beta1) * grad
             self._v[i] = self.beta2 * self._v[i] + (1.0 - self.beta2) * grad**2
             self._moment_sums[i] = (_moment_sum(self._m[i]), _moment_sum(self._v[i]))
             m_hat = self._m[i] / bias_c1
             v_hat = self._v[i] / bias_c2
-            update = m_hat / (p.xp.sqrt(v_hat) + self.eps)
+            update = m_hat / (np.sqrt(v_hat) + self.eps)
             if self.weight_decay:
                 update = update + self.weight_decay * p.data
             p.data = p.data - self.lr * update
@@ -244,8 +220,8 @@ class AdamW(Optimizer):
         state = super().state_dict()
         for i in range(len(self.parameters)):
             if self._m[i] is not None:
-                state[f"m.{i}"] = self._copy_slot(i, self._m[i])
-                state[f"v.{i}"] = self._copy_slot(i, self._v[i])
+                state[f"m.{i}"] = np.array(self._m[i], copy=True)
+                state[f"v.{i}"] = np.array(self._v[i], copy=True)
                 if self._moment_sums[i] is not None:
                     state[f"moment_checksum.{i}"] = np.asarray(
                         self._moment_sums[i], dtype=np.float64
@@ -255,8 +231,8 @@ class AdamW(Optimizer):
     def load_state_dict(self, state: Dict[str, Any]) -> None:
         super().load_state_dict(state)
         for i in range(len(self.parameters)):
-            self._m[i] = self._copy_slot(i, state[f"m.{i}"]) if f"m.{i}" in state else None
-            self._v[i] = self._copy_slot(i, state[f"v.{i}"]) if f"v.{i}" in state else None
+            self._m[i] = np.array(state[f"m.{i}"], copy=True) if f"m.{i}" in state else None
+            self._v[i] = np.array(state[f"v.{i}"], copy=True) if f"v.{i}" in state else None
             self._moment_sums[i] = None
             if self._m[i] is None:
                 continue

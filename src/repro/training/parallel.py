@@ -1,7 +1,7 @@
 """Data-parallel sharded training with a checksum-protected all-reduce.
 
 :class:`DataParallelTrainer` shards each global batch across ``shards``
-virtual ranks, every rank owning its own device-resident model replica,
+virtual ranks, every rank owning its own model replica,
 optimizer and (optionally) per-shard :class:`~repro.core.ATTNChecker`, which
 verifies and corrects its rank's sections inside the forward pass.  Gradient
 synchronisation goes through the :mod:`repro.comm` collective seam, and the
@@ -19,8 +19,7 @@ Because the reduction is a deterministic left fold in rank order and every
 per-rank computation sees identical inputs regardless of which thread runs
 it, training with any worker count produces **byte-identical weights** at a
 fixed shard count — the property the N-worker vs 1-worker equivalence test
-pins.  Thread workers overlap where the backend releases the GIL (BLAS GEMMs
-on the NumPy substrate, device kernels elsewhere).
+pins.  Thread workers overlap where NumPy releases the GIL (BLAS GEMMs).
 
 **Dirty reductions.**  ``dirty_policy`` decides what a checksum mismatch at
 the reduction does:
@@ -77,7 +76,6 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 import repro.comm.collective as comm_collective
-from repro.backend import namespace_of
 from repro.comm import (
     BucketAccounting,
     BucketReadiness,
@@ -134,7 +132,6 @@ class ReplicaSpec:
     size: str = "tiny"
     seed: int = 0
     num_labels: Optional[int] = None
-    array_backend: Optional[str] = None
     overrides: Dict[str, Any] = field(default_factory=dict)
 
     def build(self) -> Module:
@@ -145,7 +142,6 @@ class ReplicaSpec:
             size=self.size,
             rng=np.random.default_rng(self.seed),
             num_labels=self.num_labels,
-            array_backend=self.array_backend,
             **self.overrides,
         )
 
@@ -385,12 +381,6 @@ def _shard_batch(batch: Dict[str, np.ndarray], shards: int) -> List[Dict[str, np
     ]
 
 
-def _loss_array(xp: Any, loss_value: float) -> Any:
-    out = xp.zeros((1,), dtype=xp.float64)
-    out[0] = loss_value
-    return out
-
-
 # -- the trainer --------------------------------------------------------------------
 
 
@@ -485,7 +475,6 @@ class DataParallelTrainer:
         self._bucketer = GradientBucketer(
             [p.data for p in self.runners[0].params], self.config.bucket_cap_mb
         )
-        self._xp = namespace_of(self.runners[0].params[0].data)
         #: Set when a step timed out with a worker still running: close()
         #: must not wait for that worker.
         self._stalled = False
@@ -521,10 +510,10 @@ class DataParallelTrainer:
         array, and the payload is retained for bucket-granular retry.
         """
         begin = time.perf_counter()
-        payload = [self._bucketer.flatten(bucket, grads, self._xp)]
+        payload = [self._bucketer.flatten(bucket, grads)]
         self._bucket_stats.add_bucket_seconds(time.perf_counter() - begin)
         if bucket == self._bucketer.num_buckets - 1:
-            payload.append(_loss_array(self._xp, loss))
+            payload.append(np.array([loss], dtype=np.float64))
         self._bucket_payloads[rank][bucket] = payload
         self._bucket_stats.record_launch(rank, bucket, during_backward)
         if during_backward and self._first_launch[rank] is None:

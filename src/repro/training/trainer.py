@@ -23,7 +23,6 @@ from typing import Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
 
-from repro.backend import backend_of, namespace_of
 from repro.core.attention_checker import ATTNChecker
 from repro.nn.attention import AttentionHooks, ComposedHooks
 from repro.nn.module import Module
@@ -73,17 +72,14 @@ def clip_gradients(model: Module, max_norm: float) -> float:
 
     Non-finite gradients are left untouched so a genuinely corrupted backward
     pass still surfaces as a non-trainable state rather than being silently
-    zeroed — matching how real training stacks hit NaN losses.  The square
-    sums run on each gradient's owning backend; only the accumulated scalar
-    crosses to the host.
+    zeroed — matching how real training stacks hit NaN losses.
     """
     grads = [p.grad for p in model.parameters() if p.grad is not None]
     if not grads:
         return 0.0
     total = 0.0
     for g in grads:
-        xp = namespace_of(g)
-        total += float(xp.sum(xp.astype(g, xp.float64) ** 2))
+        total += float(np.sum(g.astype(np.float64) ** 2))
     norm = math.sqrt(total)
     if not math.isfinite(norm):
         return norm
@@ -170,13 +166,6 @@ class Trainer:
         self._hooks = ComposedHooks(hooks)
         self.model.set_attention_hooks(self._hooks)
 
-    @property
-    def model_array_backend(self) -> str:
-        """Name of the array backend the model substrate's parameters live on
-        (``"numpy"`` for the historical pure-NumPy substrate)."""
-        backend = getattr(self.model, "array_backend", None)
-        return "numpy" if backend is None else backend.name
-
     # -- single step -----------------------------------------------------------------
 
     def _forward_backward(self, batch: Dict[str, np.ndarray]) -> float:
@@ -195,7 +184,7 @@ class Trainer:
 
     def _weights_healthy(self) -> bool:
         return all(
-            bool(p.xp.all(p.xp.isfinite(p.data))) for p in self.model.parameters()
+            bool(np.all(np.isfinite(p.data))) for p in self.model.parameters()
         )
 
     def train_step(self, batch: Dict[str, np.ndarray]) -> StepResult:
@@ -274,10 +263,7 @@ class Trainer:
                     labels=batch["labels"],
                 )
                 losses.append(output.loss_value)
-                logits = output.logits.data
-                predictions = namespace_of(logits).argmax(logits, axis=-1)
-                if not isinstance(predictions, np.ndarray):
-                    predictions = backend_of(logits).to_numpy(predictions)
+                predictions = np.argmax(output.logits.data, axis=-1)
                 correct += int((predictions == batch["labels"]).sum())
                 total += len(batch["labels"])
         self.model.train()

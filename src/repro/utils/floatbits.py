@@ -10,12 +10,10 @@ Two families of helpers coexist:
 * the host-side scalar/array functions (``flip_bit``, ``make_near_inf``, ...)
   operate on NumPy data with vectorised bit views, so fault-injection
   campaigns over millions of elements remain fast;
-* :func:`flip_exponent_msb_inplace` is **backend-generic**: it reinterprets
-  one element of any registered backend's buffer (NumPy, Torch) as a
-  same-width integer via :meth:`repro.backend.ArrayBackend.uint_view` and
-  XORs the exponent MSB *in place* — a device-resident matrix is corrupted
-  without ever copying it to the host, mirroring a transient fault striking
-  GPU memory.
+* :func:`flip_exponent_msb_inplace` reinterprets one element of a live
+  buffer as a same-width integer (:func:`uint_view`) and XORs the exponent
+  MSB *in place* — the matrix is corrupted without a copy, mirroring a
+  transient fault striking memory.
 """
 
 from __future__ import annotations
@@ -31,6 +29,7 @@ __all__ = [
     "FLIP_KINDS",
     "MANTISSA_BITS",
     "NEAR_INF_MINIMUM_MAGNITUDE",
+    "UINT_DTYPE_FOR_FLOAT",
     "largest_finite",
     "near_inf_fallback",
     "apply_flip_kind",
@@ -41,6 +40,7 @@ __all__ = [
     "flip_mantissa_lsb",
     "make_near_inf",
     "is_extreme",
+    "uint_view",
 ]
 
 #: Number of exponent bits per IEEE-754 format.
@@ -48,7 +48,12 @@ EXPONENT_BITS = {np.dtype(np.float32): 8, np.dtype(np.float64): 11}
 #: Number of mantissa (fraction) bits per IEEE-754 format.
 MANTISSA_BITS = {np.dtype(np.float32): 23, np.dtype(np.float64): 52}
 
-_UINT_FOR = {np.dtype(np.float32): np.uint32, np.dtype(np.float64): np.uint64}
+#: Same-width unsigned-integer dtype per IEEE floating dtype.
+UINT_DTYPE_FOR_FLOAT = {
+    np.dtype(np.float16): np.uint16,
+    np.dtype(np.float32): np.uint32,
+    np.dtype(np.float64): np.uint64,
+}
 
 #: Magnitude floor below which an exponent flip does not count as a genuine
 #: near-INF fault (matches the paper's T_near-INF default); shared by
@@ -73,12 +78,13 @@ def near_inf_fallback(dtype: np.dtype) -> float:
     return float(np.finfo(np.dtype(dtype)).max / 16.0)
 
 
-def _uint_dtype(dtype: np.dtype) -> np.dtype:
-    """Return the unsigned integer dtype with the same width as ``dtype``."""
-    dtype = np.dtype(dtype)
-    if dtype not in _UINT_FOR:
-        raise TypeError(f"unsupported floating dtype: {dtype!r}")
-    return np.dtype(_UINT_FOR[dtype])
+def uint_view(array: np.ndarray) -> np.ndarray:
+    """``array`` reinterpreted as same-width unsigned integers, **sharing
+    memory**: XORing the view flips bits of the original buffer in place."""
+    dtype = np.dtype(array.dtype)
+    if dtype not in UINT_DTYPE_FOR_FLOAT:
+        raise TypeError(f"no integer view for dtype {dtype!r}")
+    return array.view(UINT_DTYPE_FOR_FLOAT[dtype])
 
 
 def flip_bit(x: ArrayLike, bit: int, dtype: np.dtype = np.float32) -> np.ndarray:
@@ -87,12 +93,14 @@ def flip_bit(x: ArrayLike, bit: int, dtype: np.dtype = np.float32) -> np.ndarray
     This models a single transient bit-flip in a register or ALU output.
     """
     arr = np.asarray(x, dtype=dtype) if not isinstance(x, np.ndarray) else np.asarray(x)
-    if arr.dtype not in _UINT_FOR:
+    if arr.dtype not in EXPONENT_BITS:
         arr = arr.astype(dtype)
     nbits = arr.dtype.itemsize * 8
     if not 0 <= bit < nbits:
         raise ValueError(f"bit index {bit} out of range for {arr.dtype} ({nbits} bits)")
-    bits = arr.view(_uint_dtype(arr.dtype)).copy()
+    if arr.dtype not in EXPONENT_BITS:
+        raise TypeError(f"unsupported floating dtype: {arr.dtype!r}")
+    bits = uint_view(arr).copy()
     mask = np.array(1, dtype=bits.dtype) << np.array(bit, dtype=bits.dtype)
     bits ^= mask
     return bits.view(arr.dtype).copy()
@@ -107,7 +115,7 @@ def flip_exponent_msb(x: ArrayLike, dtype: np.dtype = np.float32) -> np.ndarray:
     near-INF faults.
     """
     arr = np.asarray(x, dtype=dtype) if not isinstance(x, np.ndarray) else np.asarray(x)
-    if arr.dtype not in _UINT_FOR:
+    if arr.dtype not in EXPONENT_BITS:
         arr = arr.astype(dtype)
     exp_bits = EXPONENT_BITS[arr.dtype]
     man_bits = MANTISSA_BITS[arr.dtype]
@@ -126,7 +134,7 @@ def flip_mantissa_lsb(x: ArrayLike, dtype: np.dtype = np.float32) -> np.ndarray:
     accounting rather than the detection path.
     """
     arr = np.asarray(x, dtype=dtype) if not isinstance(x, np.ndarray) else np.asarray(x)
-    if arr.dtype not in _UINT_FOR:
+    if arr.dtype not in EXPONENT_BITS:
         arr = arr.astype(dtype)
     return flip_bit(arr, 0, dtype=arr.dtype)
 
@@ -142,7 +150,7 @@ def flip_adjacent_double_bit(x: ArrayLike, dtype: np.dtype = np.float32) -> np.n
     wrong).
     """
     arr = np.asarray(x, dtype=dtype) if not isinstance(x, np.ndarray) else np.asarray(x)
-    if arr.dtype not in _UINT_FOR:
+    if arr.dtype not in EXPONENT_BITS:
         arr = arr.astype(dtype)
     exp_bits = EXPONENT_BITS[arr.dtype]
     man_bits = MANTISSA_BITS[arr.dtype]
@@ -179,40 +187,27 @@ def apply_flip_kind(kind: str, x: ArrayLike, dtype: np.dtype = np.float32) -> np
         return flip_adjacent_double_bit(x, dtype=dtype)
     if kind == "stuck_zero":
         arr = np.asarray(x, dtype=dtype) if not isinstance(x, np.ndarray) else np.asarray(x)
-        if arr.dtype not in _UINT_FOR:
+        if arr.dtype not in EXPONENT_BITS:
             arr = arr.astype(dtype)
         return np.zeros_like(arr)
     raise KeyError(f"unknown flip kind {kind!r}; expected one of {FLIP_KINDS}")
 
 
-def flip_exponent_msb_inplace(
-    array,
-    position: Tuple[int, ...],
-    backend=None,
-) -> None:
-    """Flip the exponent MSB of ``array[position]`` in place, on any backend.
+def flip_exponent_msb_inplace(array: np.ndarray, position: Tuple[int, ...]) -> None:
+    """Flip the exponent MSB of ``array[position]`` in place.
 
-    The buffer is reinterpreted through the owning backend's same-width
-    integer view (:meth:`repro.backend.ArrayBackend.uint_view`) and a single
-    element is XORed — no host copy, no dtype round-trip.  For a
-    device-resident array this is the faithful analogue of a transient bit
-    flip in GPU memory; for NumPy it produces bit-identical results to
-    assigning :func:`flip_exponent_msb` of the element.
+    The buffer is reinterpreted through its same-width integer view
+    (:func:`uint_view`) and a single element is XORed — no copy, no dtype
+    round-trip — which is bit-identical to assigning
+    :func:`flip_exponent_msb` of the element.
 
-    ``backend`` defaults to :func:`repro.backend.backend_of` of the array.
     Raises :class:`TypeError` for dtypes without an IEEE-754 exponent map.
     """
-    from repro.backend import backend_of  # local import: utils stay light
-
-    bk = backend if backend is not None else backend_of(array)
-    dtype = bk.dtype_of(array)
+    dtype = array.dtype
     if dtype not in EXPONENT_BITS:
         raise TypeError(f"unsupported floating dtype for in-place flip: {dtype!r}")
     bit = MANTISSA_BITS[dtype] + EXPONENT_BITS[dtype] - 1
-    bits = bk.uint_view(array)
-    # A plain Python-int mask XORs correctly against signed (Torch) and
-    # unsigned (NumPy) views on any device.  The exponent MSB is never
-    # the sign bit, so the mask always fits the signed range.
+    bits = uint_view(array)
     bits[position] = bits[position] ^ (1 << bit)
 
 

@@ -14,14 +14,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-__all__ = ["XFER_H2D", "XFER_D2H", "Timer", "TimingRegistry"]
-
-#: Timer key for host-to-device copies: the checkpoint manager re-adopting
-#: host checkpoint arrays into a device-resident model.
-XFER_H2D = "xfer/h2d"
-#: Timer key for device-to-host copies: the checkpoint manager exporting a
-#: device-resident model's state to host NumPy.
-XFER_D2H = "xfer/d2h"
+__all__ = ["Timer", "TimingRegistry"]
 
 
 @dataclass

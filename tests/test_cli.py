@@ -37,15 +37,6 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["quickstart", "--backend", "cuda"])
 
-    def test_model_array_backend_flag_parsed(self):
-        args = build_parser().parse_args(["train", "--model-array-backend", "numpy"])
-        assert args.model_array_backend == "numpy"
-        assert build_parser().parse_args(["train"]).model_array_backend is None
-
-    def test_unknown_model_array_backend_rejected(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["train", "--model-array-backend", "jax"])
-
     @pytest.mark.parametrize("argv", [
         ["train_parallel", "--workers", "2", "--executor", "process"],
         ["train", "--array-backend", "numpy"],
@@ -53,8 +44,8 @@ class TestParser:
         ["verification_modes"],
     ], ids=["executor", "array-backend", "async", "verification_modes"])
     def test_removed_flags_exit_with_usage_error(self, argv):
-        # --workers alone picks threads; the checker follows the model's
-        # backend (--model-array-backend) and verifies in-pass only.
+        # --workers alone picks threads; models and the checker run on NumPy
+        # and verify in-pass only.
         with pytest.raises(SystemExit) as excinfo:
             main(argv)
         assert excinfo.value.code == 2
@@ -95,10 +86,10 @@ class TestMain:
         corrections = int(out.split("corrections          : ")[1].splitlines()[0])
         assert corrections >= 1
 
-    def test_train_reports_zero_transfer_on_shared_backend(self, capsys):
-        assert main(["train", "--steps", "2", "--model-array-backend", "numpy"]) == 0
+    def test_train_prints_one_row_per_step(self, capsys):
+        assert main(["train", "--steps", "2"]) == 0
         out = capsys.readouterr().out
-        assert "model substrate numpy" in out
+        assert "Protected training" in out
         assert len([l for l in out.splitlines() if l and l[0].isdigit()]) == 2
 
     def test_train_parallel_matches_one_worker_reference(self, capsys):
@@ -108,10 +99,11 @@ class TestMain:
         assert "2 workers, 2 shards" in out
         assert "weights byte-identical to 1-worker reference" in out
 
-    def test_quickstart_reports_model_substrate(self, capsys):
-        assert main(["quickstart", "--model-array-backend", "numpy"]) == 0
+    @pytest.mark.parametrize("backend", ["fused", "per_gemm"])
+    def test_serve_protected_tokens_match_unprotected(self, capsys, backend):
+        assert main(["serve", "--backend", backend, "--requests", "4"]) == 0
         out = capsys.readouterr().out
-        assert "model substrate      : numpy" in out
+        assert "fault-free protected tokens byte-identical to unprotected" in out
 
     def test_backends_experiment_reports_equivalence(self, capsys):
         assert main(["backends"]) == 0

@@ -8,6 +8,7 @@ fault-injection campaign covering every target matrix and error type.
 
 import dataclasses
 import inspect
+import math
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from repro.core import (
 )
 from repro.core.checksums import encode_column_checksums, encode_row_checksums
 from repro.core.correction import MatrixCorrectionReport
+from repro.core.thresholds import ABFTThresholds
 from repro.core.eec_abft import check_columns, check_rows
 from repro.core.engine import fold_request_dirty, request_dirty_from_report
 from repro.faults import FaultInjector, FaultSpec
@@ -34,7 +36,9 @@ from repro.nn import (
     SectionContext,
 )
 from repro.nn.attention import AttentionOp, FeedForwardOp
+from repro.tensor import ops
 from repro.tensor.autograd import Tensor
+from repro.utils.floatbits import flip_exponent_msb_inplace
 
 
 @pytest.fixture
@@ -108,12 +112,18 @@ class TestBackendConfig:
 class TestPublicSurface:
     """One fused schedule and one verification mode: the configuration
     surface has no schedule flags, no detection-only or asynchronous mode,
-    no alias and no array-backend pin (the checker runs where the model's
-    arrays live)."""
+    no alias and no array-backend pin."""
 
     def test_config_fields(self):
         assert [f.name for f in dataclasses.fields(ATTNCheckerConfig)] == [
             "thresholds", "frequencies", "protect_scope", "backend",
+        ]
+
+    def test_section_context_fields(self):
+        # The end-to-end benchmark reads ``ctx.section`` and ``ctx.layer_index``.
+        assert [f.name for f in dataclasses.fields(SectionContext)] == [
+            "section", "operands", "layer_index", "step", "num_heads", "head_dim",
+            "seq_len", "phase",
         ]
 
     def test_engine_parameters(self):
@@ -391,3 +401,139 @@ class TestRequestAttribution:
 
     def test_report_without_sub_reports_has_no_verdict(self):
         assert request_dirty_from_report(MatrixCorrectionReport()) is None
+
+
+# ---------------------------------------------------------------------------
+# Synthetic single-layer fault campaign, engine level
+# ---------------------------------------------------------------------------
+
+CAMPAIGN_TARGETS = ("Q", "K", "AS", "CL", "O")
+CAMPAIGN_ERRORS = ("inf", "nan", "near_inf")
+#: The section whose boundary a fault in each target matrix reaches first:
+#: Q and K feed ``AS = Q K^T``.
+SECTION_OF_TARGET = {"Q": "AS", "K": "AS", "AS": "AS", "CL": "CL", "O": "O"}
+
+
+def _split_heads(a, heads):
+    b, s, d = a.shape
+    return np.moveaxis(a.reshape(b, s, heads, d // heads), -2, -3)
+
+
+def _merge_heads(a):
+    b, h, s, dh = a.shape
+    return np.moveaxis(a, -3, -2).reshape(b, s, h * dh)
+
+
+def _layer_params(seed, dtype):
+    rng = np.random.default_rng(900 + seed)
+    b, s, heads, dh = 2, 5, 2, 4
+    d = heads * dh
+    make = lambda *shape: rng.normal(size=shape).astype(dtype)
+    return {
+        "geom": (b, s, heads, dh),
+        "x": make(b, s, d),
+        "w_q": make(d, d), "w_k": make(d, d), "w_v": make(d, d), "w_o": make(d, d),
+        "bias_q": make(d), "bias_k": make(d), "bias_v": make(d),
+    }
+
+
+def _inject(boundary, error_type, position):
+    if error_type == "inf":
+        boundary[position] = math.inf
+    elif error_type == "nan":
+        boundary[position] = math.nan
+    else:  # near_inf: in-place exponent-MSB flip
+        flip_exponent_msb_inplace(boundary, position)
+
+
+def run_layer_campaign(seed, target, error_type, dtype=np.float64):
+    """One synthetic attention layer with one injected fault.
+
+    Builds the six GEMMs by hand in ``dtype``, injects one fault into
+    ``target`` (``"none"`` for a fault-free pass), and drives the fused
+    engine through its three section dispatches exactly as
+    ``MultiHeadAttention`` would, with the thresholds of ``dtype``'s
+    precision.  Returns ``{section: (detected, corrected, aborted,
+    residual_extreme, operand_repairs)}`` and the (possibly repaired)
+    boundary matrices.
+    """
+    p = _layer_params(seed, dtype)
+    b, s, heads, dh = p["geom"]
+    engine = ProtectionEngine(ABFTThresholds.for_precision(np.dtype(dtype).name))
+    engine.begin_layer(0, {"AS": True, "CL": True, "O": True})
+
+    def ctx(section, operands):
+        return SectionContext(
+            section=section, operands=operands, layer_index=0, step=1,
+            num_heads=heads, head_dim=dh, seq_len=s,
+        )
+
+    outcomes = []
+    q_proj = np.matmul(p["x"], p["w_q"]) + p["bias_q"]
+    k_proj = np.matmul(p["x"], p["w_k"]) + p["bias_k"]
+    v_proj = np.matmul(p["x"], p["w_v"]) + p["bias_v"]
+    if target == "Q":
+        _inject(q_proj, error_type, (0, 1, 2))
+    if target == "K":
+        _inject(k_proj, error_type, (1, 2, 3))
+    q = _split_heads(q_proj, heads)
+    k_t = np.swapaxes(_split_heads(k_proj, heads), -1, -2)
+    v = _split_heads(v_proj, heads)
+
+    as_out = np.matmul(q, k_t)
+    if target == "AS":
+        _inject(as_out, error_type, (0, 1, 2, 3))
+    outcomes.append(engine.protect_section(ctx("AS", {
+        "x": p["x"], "w_q": p["w_q"], "w_k": p["w_k"],
+        "bias_q": p["bias_q"], "bias_k": p["bias_k"], "q": q, "k_t": k_t,
+    }), as_out))
+
+    ap = ops.softmax(as_out * (1.0 / math.sqrt(dh)), axis=-1)
+    cl_out = np.matmul(ap, v)
+    if target == "CL":
+        _inject(cl_out, error_type, (1, 0, 2, 1))
+    outcomes.append(engine.protect_section(ctx("CL", {
+        "x": p["x"], "w_v": p["w_v"], "bias_v": p["bias_v"], "ap": ap, "v": v,
+    }), cl_out))
+
+    merged = _merge_heads(cl_out)
+    o_out = np.matmul(merged, p["w_o"])
+    if target == "O":
+        _inject(o_out, error_type, (0, 2, 5))
+    outcomes.append(engine.protect_section(ctx("O", {"cl": merged, "w_o": p["w_o"]}), o_out))
+    engine.end_layer(0)
+
+    signature = {
+        o.section: (o.report.detected, o.report.corrected, o.report.aborted,
+                    o.report.residual_extreme, o.operand_repairs)
+        for o in outcomes
+    }
+    return signature, {"AS": as_out, "CL": cl_out, "O": o_out}
+
+
+class TestSyntheticFaultCampaign:
+    """Every single fault is detected at its own section boundary and
+    repaired back to the fault-free boundaries, in float64 and in the
+    paper's float32 training regime (float32 data, float64 checksums)."""
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["float64", "float32"])
+    @pytest.mark.parametrize("target", CAMPAIGN_TARGETS)
+    @pytest.mark.parametrize("error_type", CAMPAIGN_ERRORS)
+    def test_fault_is_detected_in_its_section_and_repaired(self, dtype, target, error_type):
+        seed = CAMPAIGN_TARGETS.index(target)
+        clean_signature, clean = run_layer_campaign(seed, "none", error_type, dtype)
+        assert all(sig[0] == 0 for sig in clean_signature.values()), clean_signature
+
+        with np.errstate(all="ignore"):
+            signature, bounds = run_layer_campaign(seed, target, error_type, dtype)
+        own = SECTION_OF_TARGET[target]
+        assert signature[own][0] > 0, signature
+        assert all(
+            sig[0] == 0 for section, sig in signature.items() if section != own
+        ), signature
+        tolerance = 1e-9 if dtype is np.float64 else 1e-4
+        for section in ("AS", "CL", "O"):
+            np.testing.assert_allclose(
+                bounds[section], clean[section], rtol=tolerance, atol=tolerance,
+                err_msg=f"{target}/{error_type}/{section}",
+            )

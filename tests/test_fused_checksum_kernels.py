@@ -23,8 +23,7 @@ campaign):
 * the measured dispatch counters of the engine (``"fused"``) and of the
   per-GEMM reference (``"unfused"``, in training too) agree with
   ``SectionCostModel.checksum_gemm_dispatches_per_layer``, and both backends
-  count the same verifications in prefill and decode;
-* namespaces without the ``out=`` contract fall back value-correctly.
+  count the same verifications in prefill and decode.
 """
 
 import numpy as np
@@ -32,9 +31,6 @@ import pytest
 
 from test_verification_modes import MODE_KWARGS, random_scenario, run_scenario
 
-from repro.backend import register_backend, unregister_backend
-from repro.backend.dispatch import clear_dispatch_cache
-from repro.backend.numpy_backend import NumpyBackend, NumpyNamespace
 from repro.core import (
     ATTNChecker,
     ATTNCheckerConfig,
@@ -46,7 +42,6 @@ from repro.core.checksums import (
     clear_checksum_weight_cache,
     stacked_checksum_weights,
 )
-from repro.core.workspace import matmul_into
 from repro.data import SyntheticMRPC
 from repro.faults import FaultInjector, FaultSpec
 from repro.models import build_model
@@ -56,10 +51,10 @@ from repro.training import Trainer, TrainerConfig
 from repro.utils.versioning import bump_weights_version, weights_version
 
 
-def make_attention(seed, hidden=16, heads=4, bias=True, backend=None):
+def make_attention(seed, hidden=16, heads=4, bias=True):
     attention = MultiHeadAttention(
         hidden_size=hidden, num_heads=heads, dropout_p=0.0,
-        rng=np.random.default_rng(seed), bias=bias, backend=backend,
+        rng=np.random.default_rng(seed), bias=bias,
     )
     attention.eval()
     return attention
@@ -135,11 +130,9 @@ def test_sibling_gemm_concat_is_bitwise_identical(dtype):
 
 class TestChecksumWorkspace:
     def test_request_reuses_identical_buffer(self):
-        from repro.backend import get_backend
         workspace = ChecksumWorkspace()
-        xp = get_backend("numpy").xp
-        first = workspace.request("slot", (3, 4), xp.float64, xp)
-        second = workspace.request("slot", (3, 4), xp.float64, xp)
+        first = workspace.request("slot", (3, 4), np.float64)
+        second = workspace.request("slot", (3, 4), np.float64)
         assert first is second
         assert workspace.allocations == 1 and workspace.reuses == 1
         assert workspace.owns(first)
@@ -148,28 +141,31 @@ class TestChecksumWorkspace:
     def test_geometry_change_replaces_buffer_bounded_by_name(self):
         """One buffer per slot name: a new geometry evicts the old buffer
         instead of accumulating — memory stays bounded under shape churn."""
-        from repro.backend import get_backend
         workspace = ChecksumWorkspace()
-        xp = get_backend("numpy").xp
-        a = workspace.request("slot", (3, 4), xp.float64, xp)
-        b = workspace.request("slot", (4, 3), xp.float64, xp)
-        c = workspace.request("other", (3, 4), xp.float64, xp)
+        a = workspace.request("slot", (3, 4), np.float64)
+        b = workspace.request("slot", (4, 3), np.float64)
+        c = workspace.request("other", (3, 4), np.float64)
         assert a is not b and a is not c
         assert len(workspace) == 2  # "slot" was replaced, not duplicated
         assert not workspace.owns(a)
         assert workspace.owns(b) and workspace.owns(c)
         # Returning to the previous geometry allocates afresh (no history).
-        d = workspace.request("slot", (3, 4), xp.float64, xp)
+        d = workspace.request("slot", (3, 4), np.float64)
         assert d is not a and len(workspace) == 2
 
-    def test_reset_stats_and_steady_state_predicate(self):
-        from repro.backend import get_backend
+    def test_dtype_change_replaces_buffer(self):
         workspace = ChecksumWorkspace()
-        xp = get_backend("numpy").xp
-        workspace.request("slot", (2, 2), xp.float64, xp)
+        a = workspace.request("slot", (3, 4), np.float64)
+        b = workspace.request("slot", (3, 4), np.float32)
+        assert b is not a and b.dtype == np.float32
+        assert len(workspace) == 1 and workspace.allocations == 2
+
+    def test_reset_stats_and_steady_state_predicate(self):
+        workspace = ChecksumWorkspace()
+        workspace.request("slot", (2, 2), np.float64)
         assert not workspace.steady_state
         workspace.reset_stats()
-        workspace.request("slot", (2, 2), xp.float64, xp)
+        workspace.request("slot", (2, 2), np.float64)
         assert workspace.allocations == 0 and workspace.reuses == 1
         assert workspace.steady_state
         workspace.clear()
@@ -425,70 +421,3 @@ class TestChecksumWeightCache:
         np.testing.assert_array_equal(col.T, row)
         clear_checksum_weight_cache()
         assert stacked_checksum_weights(5, axis=0) is not col
-
-
-# ---------------------------------------------------------------------------
-# The out= contract fallback
-# ---------------------------------------------------------------------------
-
-class _NoOutNamespace(NumpyNamespace):
-    """A namespace that rejects ``out=`` on the workspace entry points."""
-
-    @staticmethod
-    def matmul(a, b):
-        return np.matmul(a, b)
-
-    @staticmethod
-    def einsum(equation, *operands):
-        return np.einsum(equation, *operands)
-
-
-class _NoOutBackend(NumpyBackend):
-    name = "noout"
-
-    def __init__(self):
-        super().__init__()
-        self.xp = _NoOutNamespace()
-
-
-@pytest.fixture
-def noout_backend():
-    backend = _NoOutBackend()
-    register_backend("noout", lambda: backend)
-    clear_dispatch_cache()
-    yield backend
-    unregister_backend("noout")
-    clear_dispatch_cache()
-
-
-class TestOutContractFallback:
-    def test_helpers_fall_back_value_correctly(self, noout_backend):
-        xp = noout_backend.xp
-        rng = np.random.default_rng(0)
-        a, b = rng.standard_normal((4, 5)), rng.standard_normal((5, 3))
-        out = np.empty((4, 3))
-        np.testing.assert_array_equal(matmul_into(xp, a, b, out), a @ b)
-        # Second calls exercise the memoised no-support path.
-        np.testing.assert_array_equal(matmul_into(xp, a, b, out), a @ b)
-
-    def test_engine_on_out_less_substrate_matches_reference(self, noout_backend):
-        """A substrate whose namespace rejects ``out=`` drives the engine
-        through the workspace fallback, deciding exactly like NumPy."""
-        runs = []
-        for backend in (None, noout_backend):
-            attention = make_attention(26, backend=backend)
-            injector = FaultInjector(
-                [FaultSpec(matrix="AS", error_type="inf", layer_index=0)],
-                rng=np.random.default_rng(4003),
-            )
-            checker = ATTNChecker(ATTNCheckerConfig())
-            out = forward(attention, checker, seed=3003, injector=injector)
-            stats = {
-                name: (s.checks_run, s.detections, s.corrections, s.operand_repairs)
-                for name, s in checker.stats.sections.items()
-            }
-            runs.append((stats, out, checker.stats.total_corrections))
-        (reference, ref_out, corrected), (substrate, out, _) = runs
-        assert corrected > 0
-        assert substrate == reference
-        assert np.array_equal(out, ref_out, equal_nan=True)

@@ -1,14 +1,22 @@
 """Unit tests for the model configuration system and the model zoo."""
 
+import inspect
+import math
+
 import numpy as np
 import pytest
 
+from repro.core import ATTNChecker, ATTNCheckerConfig
+from repro.data import SyntheticMRPC
+from repro.faults import FaultInjector, FaultSpec
 from repro.models import build_model, get_config, list_models
 from repro.models.classification import ClassificationHead
 from repro.models.config import ModelConfig
 from repro.models.registry import OVERHEAD_MODEL_NAMES, PAPER_CONFIGS, PAPER_MODEL_NAMES, TINY_CONFIGS
 from repro.nn.attention import RecordingHooks
 from repro.nn.layers import Embedding, LayerNorm, Linear
+from repro.training import Trainer, TrainerConfig
+from repro.training.optimizer import SGD
 
 #: Parameter names of one transformer layer, in ``named_parameters()`` order.
 LAYER_PARAMETERS = [
@@ -168,6 +176,11 @@ class TestRegistry:
         assert [n for n, _ in model.named_parameters()] == before + layers + after
         assert list(model.state_dict()) == before + layers + after
 
+    def test_build_model_parameters(self):
+        assert list(inspect.signature(build_model).parameters) == [
+            "name", "size", "rng", "num_labels", "overrides",
+        ]
+
     def test_build_model_num_labels_override(self, rng):
         model = build_model("bert-base", rng=rng, num_labels=5)
         assert model.config.num_labels == 5
@@ -248,3 +261,106 @@ class TestForwardPasses:
         second = model(ids, attention_mask=mask).logits.data
         model.train()
         assert np.array_equal(first, second)
+
+
+# ---------------------------------------------------------------------------
+# Golden seed outputs: byte-identical to the historical pure-NumPy engine
+# ---------------------------------------------------------------------------
+
+#: Captured from the pure-NumPy substrate before the array-backend port
+#: (seed 7 weights, SyntheticMRPC seed 5, one INF fault into AS layer 0 with
+#: injector seed 3, SGD lr=1e-3, fused immediate checker).  float repr
+#: round-trips exactly, so equality below is bit-for-bit.
+NUMPY_GOLDENS = {
+    "bert-base": {
+        "eval_loss": 0.6867275859147438,
+        "train_losses": [0.6876505481681406, 0.6838802173853776, 0.687099831686353],
+        "weight_sum": 238.9193632777852,
+    },
+    "gpt2": {
+        "eval_loss": 0.6149454360417236,
+        "train_losses": [0.6163925784059808, 0.598823111037262, 0.5969231659807177],
+        "weight_sum": 237.37362011253674,
+    },
+    "gpt-neo": {
+        "eval_loss": 0.6178459100594017,
+        "train_losses": [0.619277882736872, 0.5968320334827545, 0.599659002867734],
+        "weight_sum": 237.37356645387507,
+    },
+    "roberta": {
+        "eval_loss": 0.6909992629799849,
+        "train_losses": [0.6886603620038225, 0.6901893593304964, 0.6919492997779798],
+        "weight_sum": 239.01045094450163,
+    },
+}
+
+
+def _golden_batch(model, seed=5, batch=4):
+    data = SyntheticMRPC(
+        num_examples=16 + batch,
+        max_seq_len=model.config.max_seq_len,
+        vocab_size=model.config.vocab_size,
+        seed=seed,
+    )
+    return dict(data.encode(range(batch)))
+
+
+def run_protected_training(model_name, steps=3):
+    """A short single-fault protected fine-tuning run, seeded as
+    :data:`NUMPY_GOLDENS` was captured."""
+    model = build_model(model_name, size="tiny", rng=np.random.default_rng(7))
+    batch = _golden_batch(model)
+    injector = FaultInjector(
+        [FaultSpec(matrix="AS", error_type="inf", layer_index=0)],
+        rng=np.random.default_rng(3),
+    )
+    checker = ATTNChecker(ATTNCheckerConfig())
+    trainer = Trainer(
+        model,
+        config=TrainerConfig(learning_rate=1e-3),
+        optimizer=SGD(model.parameters(), lr=1e-3),
+        checker=checker,
+        fault_hooks=[injector],
+    )
+    losses = [trainer.train_step(batch).loss for _ in range(steps)]
+    return {
+        "losses": losses,
+        "detections": checker.stats.total_detections,
+        "corrections": checker.stats.total_corrections,
+        "weight_sum": float(sum(
+            float(np.sum(p.data.astype(np.float64))) for p in model.parameters()
+        )),
+    }
+
+
+@pytest.mark.parametrize("model_name", sorted(NUMPY_GOLDENS))
+def test_numpy_substrate_matches_pre_refactor_goldens(model_name):
+    golden = NUMPY_GOLDENS[model_name]
+    model = build_model(model_name, size="tiny", rng=np.random.default_rng(7))
+    batch = _golden_batch(model)
+    model.eval()
+    out = model(batch["input_ids"], attention_mask=batch["attention_mask"],
+                labels=batch["labels"])
+    assert out.loss_value == golden["eval_loss"]
+
+    result = run_protected_training(model_name)
+    assert result["losses"] == golden["train_losses"]
+    assert result["weight_sum"] == golden["weight_sum"]
+    assert result["detections"] == 1 and result["corrections"] == 1
+
+
+def test_non_integer_inputs_and_labels_are_coerced():
+    """Float token ids and labels are cast to int64, as they always were."""
+    model = build_model("bert-base", size="tiny", rng=np.random.default_rng(0))
+    model.eval()
+    out = model(np.array([[1.0, 2.0, 3.0, 4.0]]), labels=np.array([1.0]))
+    assert math.isfinite(out.loss_value)
+    reference = build_model("bert-base", size="tiny", rng=np.random.default_rng(0))
+    reference.eval()
+    expected = reference(np.array([[1, 2, 3, 4]]), labels=np.array([1])).loss_value
+    assert out.loss_value == expected
+
+
+def test_parameters_are_plain_ndarrays():
+    for p in build_model("bert-base", size="tiny").parameters():
+        assert type(p.data) is np.ndarray

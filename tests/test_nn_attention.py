@@ -66,6 +66,14 @@ class TestForwardShapes:
         ap = matrices["AP"]
         assert np.allclose(ap, 1.0 / 5)
 
+    def test_recording_hooks_store_copies(self, rng):
+        recorder = RecordingHooks()
+        data = rng.normal(size=(2, 3))
+        recorder.on_matrix("AS", data, layer_index=0, step=1)
+        data[:] = 0.0
+        assert recorder.matrices(0)["AS"] is not data
+        assert np.all(recorder.matrices(0)["AS"] != 0.0)
+
 
 class TestMasking:
     def test_causal_mask_blocks_future(self, rng):
@@ -227,6 +235,13 @@ class TestMaskCache:
         host = np.asarray(rebuilt)
         assert host[0, 0, -1, :].max() == 0.0
 
+    def test_causal_mask_is_cached_per_geometry(self, rng):
+        attn = self._attn(rng)
+        first = attn.build_mask(5, None)
+        assert attn.build_mask(5, None) is first
+        assert attn.build_mask(4, None) is not first
+        assert first.shape == (1, 1, 5, 5) and first[0, 0, 0, 1] == -1e9
+
     def test_cache_is_bounded_fifo(self, rng):
         from repro.nn.attention import _MASK_CACHE_MAX
 
@@ -279,7 +294,7 @@ class TestKVCachePhases:
         from repro.nn.attention import LayerKVCache
 
         attn = MultiHeadAttention(hidden_size=8, num_heads=2, causal=True, rng=rng)
-        cache = LayerKVCache(1, 2, 4, max_len=8, xp=np)
+        cache = LayerKVCache(1, 2, 4, max_len=8)
         attn(Tensor(rng.normal(size=(1, 3, 8))), kv_cache=cache)
         with pytest.raises(ValueError, match="one token at a time"):
             attn(Tensor(rng.normal(size=(1, 2, 8))), kv_cache=cache)
@@ -296,7 +311,7 @@ class TestDecodeMaskCache:
             hidden_size=8, num_heads=2, dropout_p=0.0, causal=True, rng=rng
         )
         attn.eval()
-        cache = LayerKVCache(1, 2, 4, max_len=6, xp=np)
+        cache = LayerKVCache(1, 2, 4, max_len=6)
         mask = np.ones((1, 6))
         attn(Tensor(rng.normal(size=(1, 3, 8))), attention_mask=mask[:, :3], kv_cache=cache)
         attn(Tensor(rng.normal(size=(1, 1, 8))), attention_mask=mask, kv_cache=cache)

@@ -102,6 +102,16 @@ class TestStateDict:
         with pytest.raises(ValueError):
             net.load_state_dict(state)
 
+    def test_load_copies_and_casts_to_the_parameter_dtype(self):
+        net = TinyNet()
+        state = {k: v.astype(np.float32) for k, v in TinyNet().state_dict().items()}
+        net.load_state_dict(state)
+        for name, param in net.named_parameters():
+            assert param.dtype == np.float64
+            assert np.array_equal(param.data, state[name])
+        state["fc1.weight"][:] = 0.0
+        assert not np.array_equal(net.fc1.weight.data, state["fc1.weight"])
+
 
 class TestModuleList:
     def test_indexing_and_len(self):

@@ -106,14 +106,14 @@ class TestGradientBucketer:
         bucketer = GradientBucketer(arrays, bucket_cap_mb=1.0)
         grads = [np.full(a.shape, i + 1.0) for i, a in enumerate(arrays)]
         for bucket in range(bucketer.num_buckets):
-            flat = bucketer.flatten(bucket, grads, np)
+            flat = bucketer.flatten(bucket, grads)
             for pi, view in bucketer.unflatten(bucket, flat).items():
                 np.testing.assert_array_equal(view, grads[pi])
 
     def test_flatten_zero_fills_missing_gradients(self):
         arrays = [np.zeros((3,)), np.zeros((2,))]
         bucketer = GradientBucketer(arrays, bucket_cap_mb=1.0)
-        flat = bucketer.flatten(0, [None, np.array([5.0, 6.0])], np)
+        flat = bucketer.flatten(0, [None, np.array([5.0, 6.0])])
         np.testing.assert_array_equal(flat, [5.0, 6.0, 0.0, 0.0, 0.0])
 
     def test_validation(self):

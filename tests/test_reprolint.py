@@ -70,56 +70,12 @@ def rules_fired(result):
 def test_registry_ids_and_catalog_metadata():
     rules = all_rules()
     assert [r.id for r in rules] == [
-        "BK001", "DT001", "XF001", "TH001", "WS001", "LY001", "DC001", "DC002",
+        "DT001", "TH001", "WS001", "LY001", "DC001", "DC002",
     ]
     for rule in rules:
         assert rule.invariant, rule.id
         assert rule.rationale, rule.id
         assert rule.example, rule.id
-
-
-# ---------------------------------------------------------------------------
-# BK001 — xp-genericity
-# ---------------------------------------------------------------------------
-
-
-def test_bk001_flags_numpy_import_and_uses_in_core(tmp_path):
-    result = lint(tmp_path, {
-        "src/repro/core/bad.py": """
-            import numpy as np
-
-            def kernel(x):
-                return np.sum(np.asarray(x))
-        """,
-    })
-    bk = [f for f in result.new if f.rule == "BK001"]
-    details = {f.detail for f in bk}
-    assert "import:numpy" in details
-    assert "use:np.sum" in details
-    assert "use:np.asarray" in details
-
-
-def test_bk001_flags_from_numpy_import(tmp_path):
-    result = lint(tmp_path, {
-        "src/repro/core/bad.py": "from numpy.linalg import norm\n",
-    })
-    assert rules_fired(result) == ["BK001"]
-
-
-def test_bk001_silent_on_xp_generic_core_and_on_other_layers(tmp_path):
-    result = lint(tmp_path, {
-        "src/repro/core/good.py": """
-            from repro.backend import namespace_of
-
-            def kernel(x):
-                xp = namespace_of(x)
-                return xp.sum(x, dtype=xp.float64)
-        """,
-        # numpy is fine outside core/
-        "src/repro/nn/layers.py": "import numpy as np\n",
-        "src/repro/faults/injector.py": "import numpy as np\n",
-    })
-    assert result.new == []
 
 
 # ---------------------------------------------------------------------------
@@ -164,60 +120,6 @@ def test_dt001_flags_eec_abft_check_functions(tmp_path):
         """,
     })
     assert rules_fired(result) == ["DT001"]
-
-
-# ---------------------------------------------------------------------------
-# XF001 — host-transfer leak
-# ---------------------------------------------------------------------------
-
-
-def test_xf001_flags_exports_outside_seam(tmp_path):
-    result = lint(tmp_path, {
-        "src/repro/core/leaky.py": """
-            def snapshot(arr, backend):
-                host = arr.numpy()
-                other = arr.cpu()
-                third = backend.to_numpy(arr)
-                return host, other, third
-        """,
-    })
-    xf = [f for f in result.new if f.rule == "XF001"]
-    assert {f.detail for f in xf} == {"export:numpy", "export:cpu", "export:to_numpy"}
-
-
-def test_xf001_silent_in_seam_functions_and_backend_layer(tmp_path):
-    result = lint(tmp_path, {
-        # Tensor.numpy is the documented host-export API, allowlisted by name
-        "src/repro/tensor/autograd.py": """
-            class Tensor:
-                def numpy(self):
-                    return self.backend.to_numpy(self.data)
-        """,
-        # the backend layer implements the exports; excluded wholesale
-        "src/repro/backend/torch_backend.py": """
-            def to_numpy(self, array):
-                return array.cpu().numpy()
-        """,
-        # dict.get(key) takes arguments: not a device export
-        "src/repro/core/config_reader.py": """
-            def read(options):
-                return options.get("mode")
-        """,
-    })
-    assert result.new == []
-
-
-def test_xf001_flags_host_export_anywhere_in_engine(tmp_path):
-    # The engine follows the arrays it is given; no function of it may
-    # export to the host.
-    result = lint(tmp_path, {
-        "src/repro/core/engine.py": """
-            def _write_back_section(backend, out):
-                return backend.to_numpy(out)
-        """,
-    })
-    xf = [f for f in result.new if f.rule == "XF001"]
-    assert [f.detail for f in xf] == ["export:to_numpy"]
 
 
 # ---------------------------------------------------------------------------
@@ -430,13 +332,25 @@ def test_ws001_per_gemm_reference_backend_stays_out_of_scope(tmp_path):
     assert result.new == []
 
 
-def test_ws001_silent_on_into_helpers_and_outside_engine(tmp_path):
+def test_ws001_flags_matmul_whose_out_is_none(tmp_path):
     result = lint(tmp_path, {
         "src/repro/core/engine.py": """
-            from repro.core.workspace import matmul_into
+            import numpy as np
 
-            def _protect(xp, a, b, out):
-                return matmul_into(xp, a, b, out)
+            def _protect(a, b):
+                return np.matmul(a, b, out=None)
+        """,
+    })
+    assert [f.detail for f in result.new if f.rule == "WS001"] == ["call:matmul"]
+
+
+def test_ws001_silent_on_out_buffers_and_outside_engine(tmp_path):
+    result = lint(tmp_path, {
+        "src/repro/core/engine.py": """
+            import numpy as np
+
+            def _protect(self, a, b):
+                return np.matmul(a, b, out=self._buf("slot", (2, 2)))
         """,
         # raw matmul is allowed outside the engine hot path (e.g. the
         # queued-checksum bypass in checksums.py is the design)
@@ -456,7 +370,7 @@ def test_ws001_silent_on_into_helpers_and_outside_engine(tmp_path):
 def test_ly001_flags_upward_imports(tmp_path):
     result = lint(tmp_path, {
         "src/repro/core/checker.py": "from repro.nn.attention import AttentionHooks\n",
-        "src/repro/backend/helper.py": "import repro.core.checksums\n",
+        "src/repro/utils/helper.py": "import repro.core.checksums\n",
     })
     ly = [f for f in result.new if f.rule == "LY001"]
     assert {f.detail for f in ly} == {
@@ -470,7 +384,7 @@ def test_ly001_allows_type_checking_gated_and_downward_imports(tmp_path):
         "src/repro/core/adaptive.py": """
             from typing import TYPE_CHECKING
 
-            from repro.backend import namespace_of
+            from repro.utils.floatbits import largest_finite
 
             if TYPE_CHECKING:
                 from repro.models.config import ModelConfig
@@ -481,11 +395,10 @@ def test_ly001_allows_type_checking_gated_and_downward_imports(tmp_path):
     assert result.new == []
 
 
-def test_ly001_comm_layer_sits_beside_core_above_backend(tmp_path):
+def test_ly001_comm_layer_sits_beside_core_above_utils(tmp_path):
     result = lint(tmp_path, {
-        # comm may import the backend seam and utils...
+        # comm may import utils...
         "src/repro/comm/collective.py": """
-            from repro.backend import namespace_of
             from repro.utils.timing import TimingRegistry
         """,
         # ...but not core or the model stack.
@@ -520,12 +433,12 @@ def test_ly001_registry_seam_must_not_import_newer_upper_layers(tmp_path):
 
 
 def test_ly001_bucketing_inherits_the_comm_contract(tmp_path):
-    # comm/bucketing.py operates on raw backend arrays; importing the
-    # autograd tensor layer (where the readiness hooks live) or the trainer
-    # that drives it would invert the seam.
+    # comm/bucketing.py operates on raw arrays; importing the autograd
+    # tensor layer (where the readiness hooks live) or the trainer that
+    # drives it would invert the seam.
     result = lint(tmp_path, {
         "src/repro/comm/bucketing.py": """
-            from repro.backend import backend_of
+            from repro.utils.timing import TimingRegistry
             from repro.tensor.autograd import Tensor
             from repro.training.parallel import DataParallelTrainer
         """,
@@ -830,8 +743,8 @@ def test_standalone_suppression_comment_covers_next_line(tmp_path):
 def test_file_level_suppression_and_multi_rule_syntax(tmp_path):
     result = lint(tmp_path, {
         "src/repro/core/engine.py": """
-            # reprolint: disable-file=WS001,BK001
-            from numpy.linalg import norm
+            # reprolint: disable-file=WS001,LY001
+            from repro.nn.attention import AttentionHooks
 
             class ProtectionEngine:
                 def _protect(self, xp, a, b):
@@ -844,11 +757,11 @@ def test_file_level_suppression_and_multi_rule_syntax(tmp_path):
 
 def test_parse_suppressions_shapes():
     file_disabled, line_disabled = parse_suppressions(
-        "x = 1  # reprolint: disable=BK001,WS001\n"
-        "# reprolint: disable-file=XF001\n"
+        "x = 1  # reprolint: disable=DT001,WS001\n"
+        "# reprolint: disable-file=TH001\n"
     )
-    assert file_disabled == {"XF001"}
-    assert line_disabled[1] == {"BK001", "WS001"}
+    assert file_disabled == {"TH001"}
+    assert line_disabled[1] == {"DT001", "WS001"}
 
 
 # ---------------------------------------------------------------------------
@@ -996,7 +909,7 @@ def test_cli_output_file_and_list_rules(tmp_path, capsys):
 
     assert reprolint_main(["--list-rules"]) == 0
     out = capsys.readouterr().out
-    for rule_id in ("BK001", "DT001", "XF001", "TH001", "WS001", "LY001", "DC001", "DC002"):
+    for rule_id in ("DT001", "TH001", "WS001", "LY001", "DC001", "DC002"):
         assert rule_id in out
 
 

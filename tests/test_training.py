@@ -121,6 +121,28 @@ class TestAdamW:
         assert np.allclose(other._m[0], opt._m[0]) and np.allclose(other._v[0], opt._v[0])
 
 
+@pytest.mark.parametrize("make", [
+    lambda params: SGD(params, lr=0.1, momentum=0.9),
+    lambda params: AdamW(params, lr=0.01),
+], ids=["sgd", "adamw"])
+def test_optimizer_state_slots_are_copies(make):
+    model = quadratic_model()
+    opt = make(model.parameters())
+    model.zero_grad()
+    model().backward()
+    opt.step()
+    slot = "velocity.0" if isinstance(opt, SGD) else "m.0"
+    live = (opt._velocity if isinstance(opt, SGD) else opt._m)[0]
+    before = live.copy()
+    state = opt.state_dict()
+    state[slot][:] = 123.0
+    assert np.array_equal(live, before)
+    other = make(model.parameters())
+    other.load_state_dict(opt.state_dict())
+    restored = (other._velocity if isinstance(other, SGD) else other._m)[0]
+    assert restored is not live and np.array_equal(restored, live)
+
+
 class TestClipGradients:
     def test_large_gradients_clipped_to_norm(self):
         layer = Linear(4, 4, rng=np.random.default_rng(0))
@@ -192,6 +214,34 @@ class TestCheckpointManager:
     def test_invalid_keep_last(self):
         with pytest.raises(ValueError):
             CheckpointManager(keep_last=0)
+
+    def test_nbytes_counts_model_and_optimizer_state(self):
+        model = quadratic_model()
+        opt = AdamW(model.parameters(), lr=0.01)
+        model.zero_grad()
+        model().backward()
+        opt.step()
+        record = CheckpointManager().save(1, model, opt)
+        expected = sum(p.data.nbytes for p in model.parameters()) + sum(
+            np.asarray(v).nbytes for v in opt.state_dict().values()
+        )
+        assert record.nbytes == expected
+
+    def test_on_disk_round_trip_is_bit_exact(self, tmp_path):
+        model = quadratic_model()
+        opt = AdamW(model.parameters(), lr=0.01)
+        model.zero_grad()
+        model().backward()
+        opt.step()
+        weights, moments = model.w.data.copy(), (opt._m[0].copy(), opt._v[0].copy())
+        manager = CheckpointManager(directory=str(tmp_path))
+        manager.save(1, model, opt)
+        model.zero_grad()
+        model().backward()
+        opt.step()
+        manager.restore(model, opt)
+        assert np.array_equal(model.w.data, weights)
+        assert np.array_equal(opt._m[0], moments[0]) and np.array_equal(opt._v[0], moments[1])
 
 
 class TestTrainer:

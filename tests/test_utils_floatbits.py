@@ -12,10 +12,12 @@ from repro.utils.floatbits import (
     flip_adjacent_double_bit,
     flip_bit,
     flip_exponent_msb,
+    flip_exponent_msb_inplace,
     flip_mantissa_lsb,
     is_extreme,
     make_near_inf,
     near_inf_fallback,
+    uint_view,
 )
 
 FLOAT_DTYPES = [np.float32, np.float64]
@@ -188,3 +190,36 @@ class TestClassification:
         data = np.array([5e9, 5e12])
         assert is_extreme(data, near_inf_threshold=1e10).tolist() == [False, True]
         assert is_extreme(data, near_inf_threshold=1e13).tolist() == [False, False]
+
+
+class TestUintView:
+    @pytest.mark.parametrize("dtype", [np.float16, np.float32, np.float64])
+    def test_view_shares_memory_and_width(self, dtype):
+        array = np.array([1.0, 2.0], dtype=dtype)
+        view = uint_view(array)
+        assert view.dtype.itemsize == array.dtype.itemsize
+        assert view.dtype.kind == "u"
+        view[0] ^= 1 << (8 * array.dtype.itemsize - 2)
+        assert array[0] != 1.0 and array[1] == 2.0
+
+    def test_rejects_non_float(self):
+        with pytest.raises(TypeError):
+            uint_view(np.zeros(3, dtype=np.int64))
+
+
+@pytest.mark.parametrize("dtype", FLOAT_DTYPES)
+def test_inplace_exponent_flip_matches_host_reference(dtype):
+    host = (np.arange(1, 7, dtype=dtype) / 3.0).reshape(2, 3)
+    array = host.copy()
+    flip_exponent_msb_inplace(array, (1, 2))
+    expected = host.copy()
+    expected[1, 2] = flip_exponent_msb(expected[1, 2], dtype=dtype)
+    np.testing.assert_array_equal(array, expected)
+    # Flipping again restores the original bits exactly.
+    flip_exponent_msb_inplace(array, (1, 2))
+    np.testing.assert_array_equal(array, host)
+
+
+def test_inplace_flip_rejects_unsupported_dtype():
+    with pytest.raises(TypeError):
+        flip_exponent_msb_inplace(np.zeros(3, dtype=np.int64), (0,))

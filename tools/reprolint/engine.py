@@ -2,8 +2,8 @@
 
 Design
 ------
-A :class:`Rule` owns one invariant (``BK001`` xp-genericity, ``TH001`` lock
-discipline, ...).  The :class:`LintRunner` walks the requested paths, parses
+A :class:`Rule` owns one invariant (``DT001`` float64 accumulation, ``TH001``
+lock discipline, ...).  The :class:`LintRunner` walks the requested paths, parses
 each Python file once, hands every applicable rule a :class:`FileContext`
 (source + AST + repo-relative path) and collects :class:`Finding` objects.
 Before the first file, every rule's :meth:`Rule.prepare` runs once with the
@@ -19,9 +19,9 @@ token inside the same symbol, in source order.
 
 Suppressions are inline comments::
 
-    something_flagged()  # reprolint: disable=BK001
+    something_flagged()  # reprolint: disable=DT001
     # reprolint: disable=WS001,DT001   <- standalone: applies to the next line
-    # reprolint: disable-file=XF001    <- anywhere: applies to the whole file
+    # reprolint: disable-file=TH001    <- anywhere: applies to the whole file
 
 A suppression on the first line of a multi-line statement covers findings
 anchored at that statement.

@@ -11,20 +11,16 @@ from typing import List
 
 from reprolint.engine import Rule
 from reprolint.rules.base import PathScopedRule
-from reprolint.rules.bk001 import XpGenericityRule
 from reprolint.rules.dc001 import DeadPublicSymbolRule
 from reprolint.rules.dc002 import UnusedImportRule
 from reprolint.rules.dt001 import Float64AccumulationRule
-from reprolint.rules.xf001 import HostTransferRule
 from reprolint.rules.th001 import LockDisciplineRule
 from reprolint.rules.ws001 import WorkspaceContractRule
 from reprolint.rules.ly001 import LayeringRule
 
 __all__ = [
     "PathScopedRule",
-    "XpGenericityRule",
     "Float64AccumulationRule",
-    "HostTransferRule",
     "LockDisciplineRule",
     "WorkspaceContractRule",
     "LayeringRule",
@@ -34,9 +30,7 @@ __all__ = [
 ]
 
 _RULE_CLASSES = (
-    XpGenericityRule,
     Float64AccumulationRule,
-    HostTransferRule,
     LockDisciplineRule,
     WorkspaceContractRule,
     LayeringRule,

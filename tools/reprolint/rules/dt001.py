@@ -27,7 +27,7 @@ class Float64AccumulationRule(PathScopedRule):
     name = "float64-accumulation"
     invariant = (
         "Checksum encode/update/detect reductions must accumulate in float64 "
-        "(pass dtype=xp.float64)."
+        "(pass dtype=np.float64)."
     )
     rationale = (
         "Summing an fp16/fp32 matrix in its own precision loses enough of the "
@@ -36,8 +36,8 @@ class Float64AccumulationRule(PathScopedRule):
         "positives (the PR 1 regression class)."
     )
     example = (
-        "src/repro/core/eec_abft.py:315: DT001 reduction 'xp.sum(healthy, axis=1)' "
-        "must pass dtype=xp.float64 [check_columns]"
+        "src/repro/core/eec_abft.py:315: DT001 reduction 'np.sum(healthy, axis=1)' "
+        "must pass dtype=np.float64 [check_columns]"
     )
 
     scope_files = (
@@ -82,7 +82,7 @@ class _ReductionVisitor(ScopedVisitor):
                     self.rule.finding(
                         self.ctx, node,
                         f"reduction '{unparse_short(node)}' must pass "
-                        "dtype=xp.float64 (checksum accumulation contract)",
+                        "dtype=np.float64 (checksum accumulation contract)",
                         detail=f"call:{func.attr}",
                         symbol=self.symbol(),
                     )

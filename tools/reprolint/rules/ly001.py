@@ -1,13 +1,13 @@
-"""LY001 — layering: core is the bottom of the model stack, backend below it.
+"""LY001 — layering: core is the bottom of the model stack, utils below it.
 
 ``repro.core`` (checksum math, the protection engine) must be importable
 without pulling in the model zoo, the nn layer, or training — that is what
 lets the ABFT kernels be tested and reused standalone, and what keeps the
 dependency graph acyclic when nn/models/training all import core.
-``repro.backend`` sits below everything: it abstracts arrays and must not
-know about checksums or models.  ``repro.comm`` (PR 8) sits beside core just
-above the backend: the collectives move arrays and checksum them, so they may
-import ``repro.backend`` and ``repro.utils`` but nothing of the model stack —
+``repro.utils`` sits below everything: bit views, timers and the weights
+version must not know about checksums or models.  ``repro.comm`` sits
+beside core just above utils: the collectives move arrays and checksum
+them, so they may import ``repro.utils`` but nothing of the model stack —
 that is what lets the protected all-reduce be reused under any trainer.
 
 The whole-model refactor (PR 9) raised the stakes on this contract: the
@@ -23,10 +23,9 @@ Annotation-only dependencies are fine when gated behind
 
 The gradient bucketer (PR 10, ``comm/bucketing.py``) lives under the same
 ``src/repro/comm/`` prefix and inherits the contract automatically: it
-partitions and flattens raw backend arrays, so it may import
-``repro.backend``/``repro.utils`` but not ``repro.tensor`` (autograd) or the
-trainer that drives it — the readiness hooks are wired up in
-``repro.training``, above the seam.
+partitions and flattens raw arrays, so it may import ``repro.utils`` but not
+``repro.tensor`` (autograd) or the trainer that drives it — the readiness
+hooks are wired up in ``repro.training``, above the seam.
 """
 
 from __future__ import annotations
@@ -45,7 +44,7 @@ class LayeringRule(PathScopedRule):
     name = "layering"
     invariant = (
         "core/ must not import nn/models/training/data/cli; comm/ must not "
-        "import core or the model stack; backend/ must not import any repro "
+        "import core or the model stack; utils/ must not import any repro "
         "layer above it (TYPE_CHECKING-gated imports are exempt)."
     )
     rationale = (
@@ -58,7 +57,7 @@ class LayeringRule(PathScopedRule):
         "'repro.nn.attention' from layer core"
     )
 
-    scope_prefixes = ("src/repro/core/", "src/repro/backend/", "src/repro/comm/")
+    scope_prefixes = ("src/repro/core/", "src/repro/utils/", "src/repro/comm/")
     #: layer prefix -> forbidden import prefixes (dotted module names).
     forbidden: Dict[str, Tuple[str, ...]] = {
         "src/repro/core/": (
@@ -83,15 +82,19 @@ class LayeringRule(PathScopedRule):
             "repro.serving",
             "repro.analysis",
         ),
-        "src/repro/backend/": (
+        "src/repro/utils/": (
             "repro.core",
+            "repro.comm",
             "repro.nn",
             "repro.models",
             "repro.training",
+            "repro.data",
+            "repro.cli",
             "repro.tensor",
             "repro.faults",
             "repro.serving",
             "repro.analysis",
+            "repro.perfmodel",
         ),
     }
 

@@ -2,22 +2,20 @@
 
 The PR 5 zero-allocation checksum workspace exists because per-step array
 allocation dominated the protection overhead at small sequence lengths.  The
-engine's hot path must therefore route matmul through the ``matmul_into``
-helper, which reuses workspace-owned output buffers; stack and einsum have
-no such helper (einsum's ``out=`` form is ~4x slower in NumPy and absent in
-Torch), so every raw stack or einsum is flagged too and must justify its
-allocation.  A raw ``xp.matmul(...)`` added to
+engine's hot path must therefore pass every matmul a workspace-owned output
+buffer through ``out=``; stack and einsum get no buffer (einsum's ``out=``
+form is ~4x slower in NumPy), so every raw stack or einsum is flagged too and
+must justify its allocation.  A plain ``np.matmul(a, b)`` added to
 ``engine.py`` reintroduces a per-step allocation that no functional test can
 see — only the overhead benchmark drifts.  The contract is section-generic:
 since the whole-model refactor the same engine hot path verifies every
 *registered* section (attention's AS/CL/O and the FFN's FF1/FF2 alike), so a
 handler added for a future block inherits the ``out=`` obligation
 automatically — the rule keys on the file, not on section names.  Deliberate
-exceptions (the workspace-off fallback; the allocating einsums) carry inline
-suppressions explaining themselves.  The
-per-GEMM reference backend (``attention_checker.py``) is deliberately out of
-scope: it exists to be the simple, allocation-per-call baseline the fused
-engine is benchmarked against.
+exceptions (the allocating einsums) carry inline suppressions explaining
+themselves.  The per-GEMM reference backend (``attention_checker.py``) is
+deliberately out of scope: it exists to be the simple, allocation-per-call
+baseline the fused engine is benchmarked against.
 """
 
 from __future__ import annotations
@@ -26,7 +24,7 @@ import ast
 from typing import Iterator, Tuple
 
 from reprolint.engine import FileContext, Finding, ScopedVisitor
-from reprolint.rules.base import PathScopedRule, unparse_short
+from reprolint.rules.base import PathScopedRule, keyword_arg, unparse_short
 
 __all__ = ["WorkspaceContractRule"]
 
@@ -35,27 +33,32 @@ class WorkspaceContractRule(PathScopedRule):
     id = "WS001"
     name = "workspace-contract"
     invariant = (
-        "Engine hot-path matmul goes through the workspace matmul_into "
-        "helper (out= reuse), not a raw namespace call; a raw stack or "
-        "einsum carries a suppression justifying its allocation."
+        "Engine hot-path matmul writes into a workspace buffer (out=), not a "
+        "fresh allocation; a raw stack or einsum carries a suppression "
+        "justifying its allocation."
     )
     rationale = (
         "The zero-allocation workspace (PR 5) is what keeps protection "
-        "overhead flat at small sequence lengths; a raw xp.matmul on the hot "
-        "path reintroduces per-step allocations that only show up as "
+        "overhead flat at small sequence lengths; an allocating matmul on the "
+        "hot path reintroduces per-step allocations that only show up as "
         "benchmark drift, never as a test failure."
     )
     example = (
-        "src/repro/core/engine.py:798: WS001 raw 'xp.matmul(...)' on the "
-        "engine hot path — use matmul_into (workspace out= contract)"
+        "src/repro/core/engine.py:798: WS001 allocating 'np.matmul(...)' on the "
+        "engine hot path — pass a workspace buffer as out= (workspace contract)"
     )
 
     scope_files = ("src/repro/core/engine.py",)
-    #: Allocating namespace calls; only ``matmul`` has a workspace helper.
+    #: Allocating calls; only ``matmul`` fills a workspace buffer.
     managed_calls: Tuple[str, ...] = ("matmul", "stack", "einsum")
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
         return iter(_WorkspaceVisitor(self, ctx).collect())
+
+
+def _writes_into_buffer(node: ast.Call) -> bool:
+    out = keyword_arg(node, "out")
+    return out is not None and not (isinstance(out, ast.Constant) and out.value is None)
 
 
 class _WorkspaceVisitor(ScopedVisitor):
@@ -72,18 +75,19 @@ class _WorkspaceVisitor(ScopedVisitor):
     def visit_Call(self, node: ast.Call) -> None:
         func = node.func
         if isinstance(func, ast.Attribute) and func.attr in self.rule.managed_calls:
-            remedy = (
-                "use matmul_into"
-                if func.attr == "matmul"
-                else "suppress it with the reason it must allocate"
-            )
-            self.findings.append(
-                self.rule.finding(
-                    self.ctx, node,
-                    f"raw '{unparse_short(node)}' on the engine hot path — "
-                    f"{remedy} (workspace out= contract)",
-                    detail=f"call:{func.attr}",
-                    symbol=self.symbol(),
+            if func.attr != "matmul" or not _writes_into_buffer(node):
+                remedy = (
+                    "pass a workspace buffer as out="
+                    if func.attr == "matmul"
+                    else "suppress it with the reason it must allocate"
                 )
-            )
+                self.findings.append(
+                    self.rule.finding(
+                        self.ctx, node,
+                        f"allocating '{unparse_short(node)}' on the engine hot path — "
+                        f"{remedy} (workspace contract)",
+                        detail=f"call:{func.attr}",
+                        symbol=self.symbol(),
+                    )
+                )
         self.generic_visit(node)
