@@ -4,7 +4,8 @@ Table 3 of the paper reports that matrix multiplications account for more
 than 99 % of the attention mechanism's computation across the four evaluated
 LLMs — the observation that justifies focusing ABFT on the GEMMs.  This
 module derives the same ratios from first-principles FLOP counting on the
-published model dimensions.
+published model dimensions: the GEMM FLOPs of the protected-GEMM inventory
+(:class:`repro.core.sections.SectionCostModel`) against the non-GEMM work.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence
 
+from repro.core.sections import SectionCostModel
 from repro.models.config import ModelConfig
 from repro.models.registry import get_config
 
@@ -40,7 +42,7 @@ def attention_workload(
     config: ModelConfig, batch_size: int = 8, seq_len: Optional[int] = None
 ) -> WorkloadBreakdown:
     """Compute the GEMM / non-GEMM FLOP split of one attention layer."""
-    gemm = config.attention_gemm_flops(batch_size, seq_len)
+    gemm = sum(SectionCostModel(config, batch_size, seq_len).operation_flops().values())
     other = config.attention_other_flops(batch_size, seq_len)
     return WorkloadBreakdown(model_name=config.name, gemm_flops=float(gemm), other_flops=float(other))
 

@@ -35,6 +35,7 @@ import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, Mapping, Optional, Tuple
 
+from repro.core.hooks import AttentionOp
 from repro.core.sections import PROTECTION_SECTIONS, SectionCostModel
 
 if TYPE_CHECKING:  # annotation-only: core must not import the model layer
@@ -56,7 +57,7 @@ ERROR_TYPES: Tuple[str, ...] = ("inf", "nan", "near_inf")
 
 #: Map from fault-injection matrix (paper's Table 4 columns) to the GEMM op
 #: that produces it.
-MATRIX_TO_OP: Dict[str, str] = {"Q": "xq", "K": "xk", "V": "xv", "AS": "qk", "CL": "apv", "O": "clo"}
+MATRIX_TO_OP: Dict[str, str] = {op.output_matrix: op.value for op in AttentionOp}
 
 
 @dataclass(frozen=True)

@@ -104,7 +104,9 @@ class ATTNCheckerConfig:
     Attributes
     ----------
     thresholds:
-        EEC-ABFT thresholds (T_near-INF, T_correct, detection tolerance).
+        EEC-ABFT thresholds (T_near-INF, T_correct, detection tolerance);
+        ``None`` (the default) takes those of each checked matrix's
+        precision (:func:`repro.core.thresholds.resolve_thresholds`).
     frequencies:
         Per-section detection frequency in [0, 1] (Section 4.5); 1.0 checks
         every execution, 0.5 every other execution in each layer, 0 disables
@@ -129,7 +131,7 @@ class ATTNCheckerConfig:
         ``"per_gemm"`` — the reference hook-per-GEMM implementation.
     """
 
-    thresholds: ABFTThresholds = field(default_factory=ABFTThresholds)
+    thresholds: Optional[ABFTThresholds] = None
     frequencies: Dict[str, float] = field(default_factory=lambda: {"AS": 1.0, "CL": 1.0, "O": 1.0})
     protect_scope: str = "attention"
     backend: str = "fused"
@@ -568,7 +570,7 @@ class ATTNChecker(AttentionHooks):
             self.engine.invalidate_weight_cache()
 
     @property
-    def thresholds(self) -> ABFTThresholds:
+    def thresholds(self) -> Optional[ABFTThresholds]:
         return self.config.thresholds
 
     def reset_stats(self) -> None:

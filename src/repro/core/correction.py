@@ -43,7 +43,7 @@ from repro.core.eec_abft import (
     columns_match,
     rows_match,
 )
-from repro.core.thresholds import ABFTThresholds
+from repro.core.thresholds import ABFTThresholds, resolve_thresholds
 
 __all__ = ["MatrixCorrectionReport", "correct_matrix"]
 
@@ -119,8 +119,11 @@ def correct_matrix(
       whatever the column side could not fix, then rebuild ``checksums.col``
       from the repaired data when the row side repaired anything, so
       downstream sections receive consistent checksums.
+
+    ``thresholds=None`` takes the thresholds of the matrix's precision
+    (:func:`repro.core.thresholds.resolve_thresholds`).
     """
-    thresholds = thresholds or ABFTThresholds()
+    thresholds = resolve_thresholds(thresholds, matrix.dtype)
     report = MatrixCorrectionReport()
 
     if not checksums.has_col() and not checksums.has_row():

@@ -38,7 +38,7 @@ from typing import Any, Optional, Tuple
 import numpy as np
 
 from repro.core.checksums import checksum_weights
-from repro.core.thresholds import ABFTThresholds
+from repro.core.thresholds import ABFTThresholds, resolve_thresholds
 
 __all__ = ["ColumnCheckReport", "check_columns", "check_rows", "columns_match", "rows_match"]
 
@@ -171,7 +171,7 @@ def columns_match(
     repaired.  Run on finite data (after the extreme scan), the test raises
     no floating-point flag, so it holds no error state of its own.
     """
-    thresholds = thresholds or ABFTThresholds()
+    thresholds = resolve_thresholds(thresholds, matrix.dtype)
     flat, cs = _column_blocks(matrix, col_checksums)
     return bool(_unweighted_check(flat, cs, thresholds)[2].all())
 
@@ -202,16 +202,17 @@ def check_columns(
         Maintained (true) column checksums of shape ``(..., 2, n)`` — row 0
         unweighted, row 1 weighted with ``[1..m]``.
     thresholds:
-        Numerical thresholds; defaults to the paper's values.
+        Numerical thresholds; ``None`` takes those of the matrix's precision
+        (:func:`repro.core.thresholds.resolve_thresholds`).
 
     Returns
     -------
     ColumnCheckReport
         Per-column masks describing what was detected, corrected or aborted.
     """
-    thresholds = thresholds or ABFTThresholds()
     matrix = np.asarray(matrix)
     col_checksums = np.asarray(col_checksums)
+    thresholds = resolve_thresholds(thresholds, matrix.dtype)
     *lead, m, n = matrix.shape
     flat, cs = _column_blocks(matrix, col_checksums)
     # Remember whether the reshape copied (a non-contiguous view such as the

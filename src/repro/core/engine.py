@@ -250,7 +250,8 @@ class ProtectionEngine:
     Parameters
     ----------
     thresholds:
-        EEC-ABFT thresholds used for every verification.
+        EEC-ABFT thresholds used for every verification; ``None`` (the
+        default) takes those of each checked matrix's precision.
     timers:
         Shared :class:`TimingRegistry`; phase labels match the historical
         per-GEMM backend (``"AS/encode"``, ``"CL/detect"``, ...) so overhead
@@ -262,7 +263,7 @@ class ProtectionEngine:
         thresholds: Optional[ABFTThresholds] = None,
         timers: Optional[TimingRegistry] = None,
     ) -> None:
-        self.thresholds = thresholds or ABFTThresholds()
+        self.thresholds = thresholds
         self.timers = timers if timers is not None else TimingRegistry()
         #: Weight-derived encoding cache.
         self.weight_cache = WeightEncodingCache()

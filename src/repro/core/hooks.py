@@ -20,7 +20,8 @@ Two blocks are declared here, each as an op enum:
   ``FF1`` (boundary matrix ``H``) and ``FF2`` (boundary matrix ``FO``).
 
 One boundary map, :data:`SECTION_BOUNDARY_OPS`, names the section each of
-the five boundary GEMMs ends, and one lifecycle pair,
+the five boundary GEMMs ends; it and ``op.output_matrix`` are read off the
+GEMM inventory of :mod:`repro.core.sections`.  One lifecycle pair,
 :meth:`AttentionHooks.on_block_start` / :meth:`~AttentionHooks.on_block_end`,
 announces every block pass with its block name.  The instrumented blocks
 dispatch through that map and ``op.output_matrix``; the sections themselves
@@ -32,6 +33,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from typing import Any, Dict, Optional
+
+from repro.core.sections import SECTION_REGISTRY
 
 __all__ = [
     "AttentionOp",
@@ -56,7 +59,7 @@ class AttentionOp(str, enum.Enum):
     @property
     def output_matrix(self) -> str:
         """Name of the matrix this GEMM produces (paper's Table 1 notation)."""
-        return _OP_TO_MATRIX[self]
+        return _OUTPUT_OF_OP[self]
 
 
 class FeedForwardOp(str, enum.Enum):
@@ -68,36 +71,26 @@ class FeedForwardOp(str, enum.Enum):
     @property
     def output_matrix(self) -> str:
         """Name of the matrix this GEMM produces (``H`` or ``FO``)."""
-        return _FFN_OP_TO_MATRIX[self]
+        return _OUTPUT_OF_OP[self]
 
 
-_OP_TO_MATRIX = {
-    AttentionOp.XQ: "Q",
-    AttentionOp.XK: "K",
-    AttentionOp.XV: "V",
-    AttentionOp.QK: "AS",
-    AttentionOp.APV: "CL",
-    AttentionOp.CLO: "O",
-}
-
-_FFN_OP_TO_MATRIX = {
-    FeedForwardOp.UP: "H",
-    FeedForwardOp.DOWN: "FO",
+#: The matrix each instrumented GEMM produces and the section each boundary
+#: GEMM ends, both read off the GEMM inventory of :mod:`repro.core.sections`.
+_OPS = {op.value: op for op in (*AttentionOp, *FeedForwardOp)}
+_OUTPUT_OF_OP = {
+    _OPS[g.name]: g.output
+    for section in SECTION_REGISTRY.values() for g in section.model_gemms
 }
 
 #: GEMMs that end a protection section (Section 4.4), mapped to the section
-#: they end.  Attention's boundary matrices ``AS``, ``CL`` and ``O`` are
-#: produced by ``qk``, ``apv`` and ``clo``.  Both FFN GEMMs are boundaries:
-#: GELU between them is nonlinear, so checksums cannot be carried across it
-#: and each GEMM forms its own single-member section.  The section-level hook
-#: :meth:`AttentionHooks.on_section_output` fires exactly here, after the
-#: per-GEMM hooks have run on the same output.
+#: they end: each section's last member GEMM.  Attention's boundary matrices
+#: ``AS``, ``CL`` and ``O`` are produced by ``qk``, ``apv`` and ``clo``.  Both
+#: FFN GEMMs are boundaries: GELU between them is nonlinear, so checksums
+#: cannot be carried across it and each GEMM forms its own single-member
+#: section.  The section-level hook :meth:`AttentionHooks.on_section_output`
+#: fires exactly here, after the per-GEMM hooks have run on the same output.
 SECTION_BOUNDARY_OPS = {
-    AttentionOp.QK: "AS",
-    AttentionOp.APV: "CL",
-    AttentionOp.CLO: "O",
-    FeedForwardOp.UP: "FF1",
-    FeedForwardOp.DOWN: "FF2",
+    _OPS[section.operations[-1]]: name for name, section in SECTION_REGISTRY.items()
 }
 
 

@@ -1,4 +1,5 @@
-"""Protection sections of the systematic ABFT scheme (Section 4.4).
+"""Protection sections of the systematic ABFT scheme (Section 4.4), and the
+one inventory of the GEMMs they protect.
 
 The attention execution flow (six GEMMs) is divided into three protection
 sections so that any single fault manifests at worst as a 1D pattern at the
@@ -30,110 +31,210 @@ block's three sections — while :data:`SECTION_REGISTRY` holds every
 registered section; :func:`sections_for_scope` maps an
 ``ATTNCheckerConfig.protect_scope`` value to the active subset.
 
-Besides the descriptors themselves this module provides the FLOP/byte
-accounting of the ABFT work each section adds (encoding, checksum updates,
-detection, correction), which feeds both the adaptive-frequency optimiser
-(Section 4.5 needs the per-section overhead ``T_S``) and the GPU performance
-model used to reproduce Figures 7, 8, 10 and 12.
+The inventory
+-------------
+Each section lists its GEMMs once, as :class:`GemmSpec` entries of three
+kinds: ``"model"`` (the member GEMMs of the forward pass, in execution
+order; the last one ends the section and produces its boundary matrix),
+``"encode"`` (checksums built fresh from data or weights) and ``"carry"``
+(a checksum carried through a member GEMM).  A shape ``(m, n, k, batch)``
+is ``batch`` independent ``(m x k) @ (k x n)`` GEMMs over ``B, S, D, H,
+d_h, D_ff``: the projections fold the batch into ``m``, the checksum ops
+keep ``B`` as their batch.  Shapes are full-sequence ones; decode only
+counts launches.  A checksum op also names the phases it runs in, whether
+it is *weight-derived* (the weight-encoding cache serves it on a
+steady-state visit) and whether it is a *sibling* (the fused schedule runs
+the siblings as one launch against ``[W_Q | W_K]``).  A section also names
+the checksum sides its boundary verifies in training.
+
+Everything that prices or counts protected GEMMs derives from this list:
+:class:`SectionCostModel` (the per-section ABFT FLOPs ``T_S`` the
+adaptive-frequency optimiser of Section 4.5 needs, the protected-GEMM FLOPs
+of its reliability model, and both checksum-GEMM dispatch tables), Table 3's
+GEMM FLOPs (:mod:`repro.analysis.workload`), the A100 roofline behind
+Figures 7, 8, 11 and 12 (:mod:`repro.perfmodel`), and the op → matrix map of
+:mod:`repro.core.hooks` that the adaptive model and the fault injector read.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Mapping, Optional, Tuple
 
 if TYPE_CHECKING:  # annotation-only: core must not import the model layer
     from repro.models.config import ModelConfig
 
 __all__ = [
+    "GemmSpec",
     "ProtectionSection",
     "PROTECTION_SECTIONS",
     "SECTION_REGISTRY",
     "PROTECT_SCOPES",
     "sections_for_scope",
+    "gemm_geometry",
     "SectionCostModel",
     "SectionCosts",
 ]
 
+#: Phases of a forward pass (see :attr:`repro.core.hooks.GemmContext.phase`).
+PHASES: Tuple[str, ...] = ("train", "prefill", "decode")
+#: The full-sequence phases.  A decode step has one query row, so it
+#: verifies row sides only, and it folds its input row into the cached
+#: ``col(X)`` with an AXPY instead of a GEMM.
+_FULL = ("train", "prefill")
+
+
+@dataclass(frozen=True)
+class GemmSpec:
+    """One GEMM of a protection section: a model GEMM or a checksum op.
+
+    Attributes
+    ----------
+    name:
+        A model GEMM's op name (:class:`repro.core.hooks.AttentionOp` /
+        :class:`~repro.core.hooks.FeedForwardOp` value), or the checksum a
+        checksum op produces (``"col(X)"``, ``"rowcs(W_V)"``, ...).
+    kind:
+        ``"model"``, ``"encode"`` or ``"carry"``.
+    shape:
+        ``"m, n, k, batch"`` over ``B, S, D, H, d_h, D_ff`` and integers,
+        products written with ``*``.
+    output:
+        The matrix a model GEMM produces (the paper's Table 1 notation).
+    phases / weight_derived / sibling:
+        See the module docstring.
+    """
+
+    name: str
+    kind: str
+    shape: str
+    output: str = ""
+    phases: Tuple[str, ...] = PHASES
+    weight_derived: bool = False
+    sibling: bool = False
+
+    def dims(self, geometry: Mapping[str, int]) -> Tuple[int, ...]:
+        """``(m, n, k, batch)`` at one :func:`gemm_geometry`."""
+        return tuple(
+            math.prod(geometry[f] if f in geometry else int(f) for f in term.strip().split("*"))
+            for term in self.shape.split(",")
+        )
+
+    def flops(self, geometry: Mapping[str, int]) -> int:
+        m, n, k, batch = self.dims(geometry)
+        return 2 * m * n * k * batch
+
+    def output_elements(self, geometry: Mapping[str, int]) -> int:
+        m, n, _, batch = self.dims(geometry)
+        return m * n * batch
+
 
 @dataclass(frozen=True)
 class ProtectionSection:
-    """Static description of one protection section.
+    """One protection section and its entries of the GEMM inventory.
 
     Attributes
     ----------
     name:
         Section label — ``"AS"``, ``"CL"``, ``"O"`` (the paper's
         :math:`S_{AS}`, :math:`S_{CL}`, :math:`S_O`), ``"FF1"`` or ``"FF2"``.
-    operations:
-        The GEMM op names (:class:`repro.nn.AttentionOp` /
-        :class:`repro.core.hooks.FeedForwardOp` values) the section covers,
-        in execution order.
-    boundary_matrix:
-        The matrix on which detection / correction runs.
-    maintains_column / maintains_row:
-        Which checksum sides the boundary matrix carries.
+    gemms:
+        The section's model GEMMs, in execution order, then its checksum ops.
+    sides:
+        The checksum sides (``"col"``, ``"row"``) its boundary matrix is
+        verified with in training.
     block:
         The instrumented block the section belongs to (``"attention"`` or
-        ``"ffn"``); its boundary GEMM maps to it in
-        :data:`repro.core.hooks.SECTION_BOUNDARY_OPS`.
+        ``"ffn"``).
     """
 
     name: str
-    operations: Tuple[str, ...]
-    boundary_matrix: str
-    maintains_column: bool
-    maintains_row: bool
+    gemms: Tuple[GemmSpec, ...]
+    sides: Tuple[str, ...]
     block: str = "attention"
+
+    @property
+    def model_gemms(self) -> Tuple[GemmSpec, ...]:
+        return tuple(g for g in self.gemms if g.kind == "model")
+
+    @property
+    def operations(self) -> Tuple[str, ...]:
+        """The op names of the member GEMMs; the last one ends the section."""
+        return tuple(g.name for g in self.model_gemms)
+
+    @property
+    def boundary_matrix(self) -> str:
+        """The matrix detection and correction run on."""
+        return self.model_gemms[-1].output
+
+    def checksum_ops(self, phase: str = "train", steady_state: bool = False) -> Tuple[GemmSpec, ...]:
+        """The checksum GEMMs of one visit in ``phase``.
+
+        A steady-state visit takes the weight-derived encodes from the
+        weight-encoding cache; a cold one (the first visit, or the first
+        after a weight update) runs them.
+        """
+        return tuple(
+            g for g in self.gemms
+            if g.kind != "model" and phase in g.phases and not (steady_state and g.weight_derived)
+        )
+
+    def checksum_launches(self, phase: str, steady_state: bool, fused: bool) -> int:
+        """Checksum GEMM launches of one visit; fusion merges the siblings."""
+        ops = self.checksum_ops(phase, steady_state)
+        siblings = sum(g.sibling for g in ops) if fused else 0
+        return len(ops) - siblings + min(siblings, 1)
 
 
 #: The three protection sections of the paper (the attention block), keyed by
 #: name.  This is the historical attention-only view; the whole-model registry
 #: is :data:`SECTION_REGISTRY`.
 PROTECTION_SECTIONS: Dict[str, ProtectionSection] = {
-    "AS": ProtectionSection(
-        name="AS",
-        operations=("xq", "xk", "qk"),
-        boundary_matrix="AS",
-        maintains_column=True,
-        maintains_row=True,
-    ),
-    "CL": ProtectionSection(
-        name="CL",
-        operations=("xv", "apv"),
-        boundary_matrix="CL",
-        maintains_column=True,
-        maintains_row=True,
-    ),
-    "O": ProtectionSection(
-        name="O",
-        operations=("clo",),
-        boundary_matrix="O",
-        maintains_column=True,
-        maintains_row=False,
-    ),
+    "AS": ProtectionSection("AS", sides=("col", "row"), gemms=(
+        GemmSpec("xq", "model", "B*S, D, D, 1", output="Q"),
+        GemmSpec("xk", "model", "B*S, D, D, 1", output="K"),
+        GemmSpec("qk", "model", "S, S, d_h, B*H", output="AS"),
+        GemmSpec("col(X)", "encode", "2, D, S, B", phases=_FULL),
+        GemmSpec("col(Q)", "carry", "2, D, D, B", phases=_FULL, sibling=True),
+        GemmSpec("col(K)", "carry", "2, D, D, B", sibling=True),
+        # row(AS) = Q col(K)^T and col(AS) = col(Q) K^T.
+        GemmSpec("row(AS)", "carry", "S, 2, d_h, B*H"),
+        GemmSpec("col(AS)", "carry", "2, S, d_h, B*H", phases=_FULL),
+    )),
+    "CL": ProtectionSection("CL", sides=("col", "row"), gemms=(
+        GemmSpec("xv", "model", "B*S, D, D, 1", output="V"),
+        GemmSpec("apv", "model", "S, d_h, S, B*H", output="CL"),
+        GemmSpec("rowcs(W_V)", "encode", "D, 2, d_h, H", weight_derived=True),
+        # row(V) = X rowcs(W_V), every head's two columns in one GEMM.
+        GemmSpec("row(V)", "carry", "S, 2*H, D, B"),
+        GemmSpec("row(CL)", "carry", "S, 2, S, B*H"),
+        GemmSpec("col(AP)", "encode", "2, S, S, B*H", phases=_FULL),
+        GemmSpec("col(CL)", "carry", "2, d_h, S, B*H", phases=_FULL),
+    )),
+    "O": ProtectionSection("O", sides=("col",), gemms=(
+        GemmSpec("clo", "model", "B*S, D, D, 1", output="O"),
+        GemmSpec("col(O)", "carry", "2, D, D, B", phases=_FULL),
+        # A decode step has no col(CL) to carry: row(O) = CL rowcs(W_O).
+        GemmSpec("rowcs(W_O)", "encode", "D, 2, D, 1", phases=("decode",), weight_derived=True),
+        GemmSpec("row(O)", "carry", "S, 2, D, B", phases=("decode",)),
+    )),
 }
 
 #: Every registered protection section, keyed by name — the attention triple
 #: followed by the feed-forward pair, in per-layer execution order.
 SECTION_REGISTRY: Dict[str, ProtectionSection] = {
     **PROTECTION_SECTIONS,
-    "FF1": ProtectionSection(
-        name="FF1",
-        operations=("ff_up",),
-        boundary_matrix="H",
-        maintains_column=True,
-        maintains_row=False,
-        block="ffn",
-    ),
-    "FF2": ProtectionSection(
-        name="FF2",
-        operations=("ff_down",),
-        boundary_matrix="FO",
-        maintains_column=False,
-        maintains_row=True,
-        block="ffn",
-    ),
+    "FF1": ProtectionSection("FF1", sides=("col",), block="ffn", gemms=(
+        GemmSpec("ff_up", "model", "B*S, D_ff, D, 1", output="H"),
+        GemmSpec("col(X)", "encode", "2, D, S, B"),
+        GemmSpec("col(H)", "carry", "2, D_ff, D, B"),
+    )),
+    "FF2": ProtectionSection("FF2", sides=("row",), block="ffn", gemms=(
+        GemmSpec("ff_down", "model", "B*S, D, D_ff, 1", output="FO"),
+        GemmSpec("rowcs(W_down)", "encode", "D_ff, 2, D, 1", weight_derived=True),
+        GemmSpec("row(FO)", "carry", "S, 2, D_ff, B"),
+    )),
 }
 
 #: Valid ``ATTNCheckerConfig.protect_scope`` values.  ``"attention"`` is the
@@ -153,24 +254,34 @@ def sections_for_scope(scope: str) -> Dict[str, ProtectionSection]:
     )
 
 
+def gemm_geometry(
+    config: ModelConfig, batch_size: int, seq_len: Optional[int] = None
+) -> Dict[str, int]:
+    """The symbols of the inventory's shapes for one model and workload."""
+    return {
+        "B": batch_size,
+        "S": seq_len if seq_len is not None else config.max_seq_len,
+        "D": config.hidden_size,
+        "H": config.num_heads,
+        "d_h": config.head_dim,
+        "D_ff": config.intermediate_size,
+    }
+
+
 @dataclass(frozen=True)
 class SectionCosts:
-    """ABFT work added by one section, split by phase (FLOPs and bytes moved).
+    """ABFT FLOPs added by one section, split by phase.
 
-    ``encode``   — building fresh checksums from data (X, AP, W_V);
+    ``encode``   — building fresh checksums from data (X, AP) and weights;
     ``update``   — carrying checksums through the member GEMMs;
     ``detect``   — recomputing sums of the boundary matrix and comparing;
     ``correct``  — worst-case correction cost (only paid when a fault hit).
-    Byte counts assume the configured element size and are used by the
-    bandwidth-bound parts of the GPU performance model.
     """
 
     encode_flops: float
     update_flops: float
     detect_flops: float
     correct_flops: float
-    encode_bytes: float
-    detect_bytes: float
 
     @property
     def detection_path_flops(self) -> float:
@@ -183,19 +294,16 @@ class SectionCosts:
 
 
 class SectionCostModel:
-    """FLOP / byte accounting of ABFT work per protection section.
+    """FLOP and dispatch accounting of the sections, priced from the inventory.
 
     Parameters
     ----------
     config:
-        Model architecture (provides D, H, d_h, sequence length).
+        Model architecture (provides D, H, d_h, D_ff, sequence length).
     batch_size:
         Training batch size.
     seq_len:
         Sequence length; defaults to ``config.max_seq_len``.
-    element_size:
-        Bytes per element (4 for the paper's fp32 training, 8 for the NumPy
-        reproduction).
     """
 
     def __init__(
@@ -203,111 +311,43 @@ class SectionCostModel:
         config: ModelConfig,
         batch_size: int,
         seq_len: Optional[int] = None,
-        element_size: int = 4,
     ) -> None:
         self.config = config
         self.batch_size = batch_size
         self.seq_len = seq_len if seq_len is not None else config.max_seq_len
-        self.element_size = element_size
+        self.geometry = gemm_geometry(config, batch_size, self.seq_len)
 
     # -- per-section ABFT costs ---------------------------------------------------
 
     def section_costs(self, name: str) -> SectionCosts:
-        """ABFT cost breakdown for section ``name`` for one attention layer."""
-        b = self.batch_size
-        s = self.seq_len
-        d = self.config.hidden_size
-        h = self.config.num_heads
-        dh = self.config.head_dim
-        es = self.element_size
-
-        if name == "AS":
-            # Encode col checksums of X: (2 x S) @ (S x D) per batch sample.
-            encode = 2 * 2 * s * d * b
-            # Pass through W_Q and W_K: (2 x D) @ (D x D), twice, per sample.
-            update = 2 * (2 * 2 * d * d) * b
-            # Column side of AS: (2 x dh) @ (dh x S) per head; row side:
-            # (S x dh) @ (dh x 2) per head.
-            update += (2 * 2 * dh * s + 2 * s * dh * 2) * b * h
-            # Detect: recompute weighted+unweighted column and row sums of AS.
-            detect = 2 * (2 * s * s) * b * h * 2
-            # Correct (worst case, 1D): reconstruct one element per vector.
-            correct = 4 * s * b * h
-            encode_bytes = (s * d + 2 * d) * b * es
-            detect_bytes = (s * s) * b * h * es * 2
-        elif name == "CL":
-            # Encode col checksums of AP: (2 x S) @ (S x S) per head, plus the
-            # per-head row checksums of W_V: (D x dh) @ (dh x 2) per head.
-            encode = 2 * 2 * s * s * b * h + 2 * d * dh * 2 * h
-            # Row checksums of V: X @ rowcs(W_V): (S x D) @ (D x 2H) per sample;
-            # col side of CL: (2 x S) @ (S x dh); row side: (S x S) @ (S x 2).
-            update = 2 * s * d * 2 * h * b
-            update += (2 * 2 * s * dh + 2 * s * s * 2) * b * h
-            detect = 2 * (2 * s * dh) * b * h * 2
-            correct = 4 * s * b * h
-            encode_bytes = (s * s * h + d * dh * h) * b * es
-            detect_bytes = (s * dh) * b * h * es * 2
-        elif name == "O":
-            # Carry col checksums of CL through W_O: (2 x D) @ (D x D) per sample.
-            encode = 0.0
-            update = 2 * 2 * d * d * b
-            detect = 2 * (2 * s * d) * b
-            correct = 4 * d * b
-            encode_bytes = 0.0
-            detect_bytes = (s * d) * b * es
-        elif name == "FF1":
-            d_ff = self.config.intermediate_size
-            # Encode col checksums of X: (2 x S) @ (S x D) per sample.
-            encode = 2 * 2 * s * d * b
-            # Carry through W_up: (2 x D) @ (D x D_ff) per sample.
-            update = 2 * 2 * d * d_ff * b
-            # Detect: recompute weighted+unweighted column sums of H.
-            detect = 2 * (2 * s * d_ff) * b
-            # Correct (worst case, 1D): one element per column vector.
-            correct = 4 * d_ff * b
-            encode_bytes = (s * d + 2 * d) * b * es
-            detect_bytes = (s * d_ff) * b * es
-        elif name == "FF2":
-            d_ff = self.config.intermediate_size
-            # Encode row checksums of W_down: (D_ff x D) @ (D x 2) — amortised
-            # by the weight-encoding cache, charged here like S_CL's W_V.
-            encode = 2 * d_ff * d * 2
-            # Carry: H' @ rowcs(W_down): (S x D_ff) @ (D_ff x 2) per sample.
-            update = 2 * s * d_ff * 2 * b
-            # Detect: recompute weighted+unweighted row sums of FO.
-            detect = 2 * (2 * s * d) * b
-            # Correct (worst case, 1D): one element per row vector.
-            correct = 4 * s * b
-            encode_bytes = (d_ff * d) * es
-            detect_bytes = (s * d) * b * es
-        else:
+        """ABFT FLOPs of section ``name`` for one cold training visit of one layer."""
+        if name not in SECTION_REGISTRY:
             raise KeyError(f"unknown protection section {name!r}")
-
+        section = SECTION_REGISTRY[name]
+        geometry = self.geometry
+        ops = section.checksum_ops("train")
+        # Worst-case (1D) correction reconstructs one element per vector of
+        # one side, the row side when verified: 4 FLOPs per vector, and the
+        # side's checksum holds 2 entries per vector.
+        side = "row" if "row" in section.sides else "col"
+        side_carry = next(op for op in ops if op.name == f"{side}({section.boundary_matrix})")
         return SectionCosts(
-            encode_flops=float(encode),
-            update_flops=float(update),
-            detect_flops=float(detect),
-            correct_flops=float(correct),
-            encode_bytes=float(encode_bytes),
-            detect_bytes=float(detect_bytes),
+            encode_flops=float(sum(op.flops(geometry) for op in ops if op.kind == "encode")),
+            update_flops=float(sum(op.flops(geometry) for op in ops if op.kind == "carry")),
+            # Weighted and unweighted sums of the boundary matrix, per side.
+            detect_flops=float(
+                4 * section.model_gemms[-1].output_elements(geometry) * len(section.sides)
+            ),
+            correct_flops=float(2 * side_carry.output_elements(geometry)),
         )
 
     # -- protected-operation FLOPs (needed by the Poisson reliability model) -------
 
     def operation_flops(self) -> Dict[str, float]:
         """FLOPs of each protected GEMM for one attention layer forward pass."""
-        b = self.batch_size
-        s = self.seq_len
-        d = self.config.hidden_size
-        h = self.config.num_heads
-        dh = self.config.head_dim
         return {
-            "xq": 2.0 * b * s * d * d,
-            "xk": 2.0 * b * s * d * d,
-            "xv": 2.0 * b * s * d * d,
-            "qk": 2.0 * b * h * s * s * dh,
-            "apv": 2.0 * b * h * s * s * dh,
-            "clo": 2.0 * b * s * d * d,
+            g.name: float(g.flops(self.geometry))
+            for section in PROTECTION_SECTIONS.values() for g in section.model_gemms
         }
 
     # -- host-side dispatch accounting ---------------------------------------------
@@ -346,52 +386,33 @@ class SectionCostModel:
     ) -> Dict[str, int]:
         """Checksum GEMM/einsum launches per transformer-layer visit, by section.
 
-        Counts the encode/carry launches of a checksum chain (what
-        ``ATTNChecker.dispatch_counts["gemm"]`` measures), with all three
-        sections enabled — detection passes (one per section per layer) are
-        not GEMM launches and are not counted here.  Bias adjustments are
-        elementwise, not GEMMs, and are not counted.
+        Counts the encode/carry launches of a training or prefill visit (what
+        ``ATTNChecker.dispatch_counts["gemm"]`` measures) with every section
+        enabled; detection passes and the elementwise bias adjustments are
+        not GEMM launches.  Derived from the inventory:
 
-        * ``"unfused"`` — the historical one-GEMM-per-update schedule, which
-          the per-GEMM reference backend (``backend="per_gemm"``) runs and
-          counts: S_AS encodes ``cs_x`` and carries it through ``W_Q`` and
-          ``W_K`` separately (3) plus the two boundary-side carries (2); S_CL
-          encodes ``rowcs(W_V)`` and ``col(AP)`` (2) and carries three times
-          (3); S_O carries once.
-        * ``"fused"`` — the fused engine's schedule: the sibling GEMMs
-          collapse into one launch against ``[W_Q | W_K]`` (S_AS drops to 4)
-          and, in steady state (``steady_state=True``: weights unchanged
-          since the last visit, so the weight-encoding cache hits), the
-          ``rowcs(W_V)`` encode disappears from the per-visit path (S_CL
-          drops to 4).  A cold visit (``steady_state=False`` — first visit,
-          or the first after a weight update) pays the ``rowcs(W_V)`` encode
-          once.
+        * ``"unfused"`` — the one-GEMM-per-update schedule the per-GEMM
+          reference backend (``backend="per_gemm"``) runs: every checksum op,
+          weight-derived encodes included on every visit (AS 5, CL 5, O 1,
+          FF1 2, FF2 2).
+        * ``"fused"`` — the fused engine's schedule: the siblings run as one
+          launch (AS 4), and a steady-state visit (``steady_state=True``:
+          weights unchanged since the last visit) takes ``rowcs(W_V)`` and
+          ``rowcs(W_down)`` from the weight-encoding cache (CL 4, FF2 1).  A
+          cold visit pays them once (CL 5, FF2 2).
 
-        With an FFN-including ``scope`` the two single-GEMM feed-forward
-        sections are added:
-
-        * ``FF1`` encodes ``col(X)`` and carries it through ``W_up`` — 2
-          launches under either schedule (sibling fusion has no sibling here);
-        * ``FF2`` carries ``H'`` through the cached ``rowcs(W_down)`` — 1
-          launch in the fused steady state; the unfused schedule (or a cold
-          visit) re-encodes ``rowcs(W_down)`` per visit, so 2.
-
-        The totals are exact counts the fused-kernel tests compare against
-        the measured counters of both backends.
+        The fused-kernel tests and the e2e checks compare these exact counts
+        against the measured counters of both backends.
         """
-        if schedule == "unfused":
-            counts = {"AS": 5, "CL": 5, "O": 1}
-            ffn = {"FF1": 2, "FF2": 2}
-        elif schedule == "fused":
-            counts = {"AS": 4, "CL": 4 if steady_state else 5, "O": 1}
-            ffn = {"FF1": 2, "FF2": 1 if steady_state else 2}
-        else:
+        if schedule not in ("fused", "unfused"):
             raise KeyError(
                 f"unknown schedule {schedule!r}; expected 'fused' or 'unfused'"
             )
-        if "FF1" in sections_for_scope(scope):
-            counts.update(ffn)
-        return counts
+        fused = schedule == "fused"
+        return {
+            name: section.checksum_launches("train", fused and steady_state, fused)
+            for name, section in sections_for_scope(scope).items()
+        }
 
     @staticmethod
     def serving_decode_checksum_gemm_dispatches_per_layer(
@@ -399,43 +420,27 @@ class SectionCostModel:
     ) -> Dict[str, int]:
         """Checksum GEMM/einsum launches per *decoded token* per layer.
 
-        The serving decode path is row-side only and incremental: the KV
-        cache carries ``cs(X)`` (folded forward per token — an elementwise
-        AXPY, not a GEMM) and the per-position row checksums of V, so every
-        count here is **constant in the cached sequence length** — the O(1)
-        property the serving benchmark counter-verifies at two different
-        cache lengths.
-
-        * ``S_AS`` — carry ``cs(X)`` through ``W_K`` (1) and the boundary
-          row carry ``q @ row(K)^T`` (1): 2.
-        * ``S_CL`` — the new token's ``cs_v`` einsum (1) and the boundary row
-          carry ``ap @ row(V)`` (1): 2.  A cold visit (first decode after a
-          weight update) additionally encodes ``rowcs(W_V)`` (+1).
-        * ``S_O`` — the boundary row carry ``cl @ rowcs(W_O)`` (1): 1.  A
-          cold visit additionally encodes ``rowcs(W_O)`` (+1).
-
-        The FFN has no KV cache — it sees only the current token — so its
-        decode sections run the training algebra at ``S = 1`` and are O(1)
-        per token by construction:
-
-        * ``S_FF1`` — encode ``col(x)`` of the one new row (1) and carry it
-          through ``W_up`` (1): 2.
-        * ``S_FF2`` — the boundary row carry ``h' @ rowcs(W_down)`` (1): 1.
-          A cold visit additionally encodes ``rowcs(W_down)`` (+1).
+        The fused engine's decode ops of the inventory.  The serving decode
+        path is row-side only and incremental: the KV cache carries ``cs(X)``
+        (folded forward per token — an elementwise AXPY, not a GEMM) and the
+        per-position row checksums of V, so every count is **constant in the
+        cached sequence length** — the O(1) property the serving benchmark
+        counter-verifies at two different cache lengths.  Steady state:
+        S_AS carries ``cs(X)`` through ``W_K`` and on to ``row(AS)`` (2);
+        S_CL runs the new token's ``row(V)`` and ``row(CL)`` (2); S_O carries
+        ``row(O) = CL rowcs(W_O)`` (1).  The FFN has no cross-token state,
+        so its sections run the training algebra at ``S = 1`` (FF1 2, FF2 1).
+        A cold visit (the first decode after a weight update) also encodes
+        ``rowcs(W_V)``, ``rowcs(W_O)`` and ``rowcs(W_down)`` (+1 each).
 
         Exact counts, compared against ``ProtectionEngine.dispatch_counts``
         deltas by the serving tests and ``benchmarks/bench_serving.py`` /
         ``benchmarks/bench_ffn_overhead.py``.
         """
-        if steady_state:
-            counts = {"AS": 2, "CL": 2, "O": 1}
-            ffn = {"FF1": 2, "FF2": 1}
-        else:
-            counts = {"AS": 2, "CL": 3, "O": 2}
-            ffn = {"FF1": 2, "FF2": 2}
-        if "FF1" in sections_for_scope(scope):
-            counts.update(ffn)
-        return counts
+        return {
+            name: section.checksum_launches("decode", steady_state, True)
+            for name, section in sections_for_scope(scope).items()
+        }
 
     @staticmethod
     def checksum_workspace_slots(scope: str = "attention") -> int:
@@ -511,13 +516,3 @@ class SectionCostModel:
             "verify": num_buckets + 1,
         }
 
-    @staticmethod
-    def steady_state_hot_path_allocations() -> int:
-        """Workspace allocations per layer visit once warm — zero by design.
-
-        The measurable claim behind the fused engine's checksum workspace:
-        after the warm-up visit, ``ChecksumWorkspace.allocations`` stays flat while ``reuses``
-        grows (counter-verified by the fused-kernel tests and the Figure-7
-        perf smoke).
-        """
-        return 0

@@ -25,13 +25,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Any
+from typing import Any, Optional
 
 import numpy as np
 
 from repro.utils.floatbits import largest_finite
 
-__all__ = ["ABFTThresholds"]
+__all__ = ["ABFTThresholds", "resolve_thresholds"]
 
 
 @lru_cache(maxsize=None)
@@ -45,6 +45,17 @@ def _magnitude_limit(near_inf: float, dtype: Any) -> float:
     data's dtype casts nothing that overflows.
     """
     return min(near_inf, largest_finite(dtype))
+
+
+#: Detection tolerances ``(rtol, atol)`` per compute precision (see
+#: :meth:`ABFTThresholds.for_precision`).
+_TOLERANCES = {
+    "float64": (1e-7, 1e-9),
+    "float32": (1e-4, 1e-6),
+    "tf32": (5e-4, 1e-5),
+    "bfloat16": (2e-2, 1e-4),
+    "float16": (2e-2, 1e-4),
+}
 
 
 @dataclass(frozen=True)
@@ -89,18 +100,11 @@ class ABFTThresholds:
         mode of this package) needs ~1e-4, and half precision ~1e-2.  The
         near-INF / correction thresholds are precision-independent.
         """
-        tolerances = {
-            "float64": (1e-7, 1e-9),
-            "float32": (1e-4, 1e-6),
-            "tf32": (5e-4, 1e-5),
-            "bfloat16": (2e-2, 1e-4),
-            "float16": (2e-2, 1e-4),
-        }
-        if precision not in tolerances:
+        if precision not in _TOLERANCES:
             raise KeyError(
-                f"unknown precision {precision!r}; expected one of {sorted(tolerances)}"
+                f"unknown precision {precision!r}; expected one of {sorted(_TOLERANCES)}"
             )
-        rtol, atol = tolerances[precision]
+        rtol, atol = _TOLERANCES[precision]
         params = {"detect_rtol": rtol, "detect_atol": atol}
         params.update(overrides)
         return cls(**params)
@@ -141,3 +145,20 @@ class ABFTThresholds:
         if 0 in values.shape:
             return False  # no element, and no maximum to take
         return not values.max() <= _magnitude_limit(self.near_inf, values.dtype)
+
+
+@lru_cache(maxsize=None)
+def _dtype_thresholds(dtype: Any) -> ABFTThresholds:
+    name = np.dtype(dtype).name
+    return ABFTThresholds.for_precision(name) if name in _TOLERANCES else ABFTThresholds()
+
+
+def resolve_thresholds(thresholds: Optional[ABFTThresholds], dtype: Any) -> ABFTThresholds:
+    """``thresholds``, or when ``None`` the thresholds of ``dtype``'s precision.
+
+    The checks call this with the checked matrix's dtype, so a checker built
+    without thresholds judges float32 data with float32 tolerances.  A dtype
+    :meth:`ABFTThresholds.for_precision` does not know gets the defaults,
+    which are also what float64 resolves to.  Cached per dtype.
+    """
+    return thresholds if thresholds is not None else _dtype_thresholds(dtype)

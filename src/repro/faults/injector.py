@@ -79,14 +79,7 @@ ERROR_TYPES: Tuple[str, ...] = ("inf", "nan", "near_inf", "numeric")
 #: Table 2 / Table 4 attention rows plus the FFN section boundaries of the
 #: whole-model protection extension.
 TARGET_MATRICES: Dict[str, enum.Enum] = {
-    "Q": AttentionOp.XQ,
-    "K": AttentionOp.XK,
-    "V": AttentionOp.XV,
-    "AS": AttentionOp.QK,
-    "CL": AttentionOp.APV,
-    "O": AttentionOp.CLO,
-    "H": FeedForwardOp.UP,
-    "FO": FeedForwardOp.DOWN,
+    op.output_matrix: op for op in (*AttentionOp, *FeedForwardOp)
 }
 
 

@@ -87,6 +87,7 @@ class ModelConfig:
         return replace(self, **overrides)
 
     # -- parameter / FLOP accounting (used by Table 3 and the perf model) -------
+    # The GEMM FLOPs come from the inventory of repro.core.sections.
 
     def attention_parameter_count(self) -> int:
         """Parameters of one attention block (4 projection matrices + biases)."""
@@ -119,22 +120,6 @@ class ModelConfig:
         else:
             head = d * self.num_labels
         return emb + norm + self.num_layers * self.layer_parameter_count() + head
-
-    def attention_gemm_flops(self, batch_size: int, seq_len: Optional[int] = None) -> int:
-        """FLOPs of the six GEMMs of one attention block for one forward pass.
-
-        Each GEMM of shape (m, k) x (k, n) counts 2*m*k*n FLOPs.
-        """
-        s = seq_len if seq_len is not None else self.max_seq_len
-        d = self.hidden_size
-        dh = self.head_dim
-        h = self.num_heads
-        b = batch_size
-        proj = 3 * 2 * b * s * d * d              # X W_Q, X W_K, X W_V
-        qk = 2 * b * h * s * s * dh               # Q K^T
-        apv = 2 * b * h * s * s * dh              # AP V
-        out = 2 * b * s * d * d                   # CL W_O
-        return proj + qk + apv + out
 
     def attention_other_flops(self, batch_size: int, seq_len: Optional[int] = None) -> int:
         """Non-GEMM FLOPs in attention (softmax, scaling, bias adds, dropout).

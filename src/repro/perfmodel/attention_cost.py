@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Mapping, Optional
 
-from repro.core.sections import PROTECTION_SECTIONS
+from repro.core.sections import PROTECTION_SECTIONS, gemm_geometry
 from repro.models.config import ModelConfig
 from repro.perfmodel.gpu import A100_SPEC, GPUSpec
 from repro.perfmodel.kernels import KernelCostModel
@@ -81,21 +81,21 @@ class AttentionCostModel:
         self.seq_len = seq_len if seq_len is not None else config.max_seq_len
         self.kernels = KernelCostModel(gpu=gpu, element_size=element_size)
         self.element_size = element_size
+        self.geometry = gemm_geometry(config, batch_size, self.seq_len)
 
     # -- unprotected attention ---------------------------------------------------------
 
     def attention_forward_time(self) -> float:
         """Forward time of one attention layer (seconds), no ABFT."""
         b, s = self.batch_size, self.seq_len
-        d, h, dh = self.config.hidden_size, self.config.num_heads, self.config.head_dim
+        d, h = self.config.hidden_size, self.config.num_heads
         k = self.kernels
 
-        time = 0.0
-        # Projections X W_Q / X W_K / X W_V and the output projection CL W_O.
-        time += 4 * k.gemm(b * s, d, d)
-        # Per-head score and context GEMMs.
-        time += k.gemm(s, s, dh, batch=b * h)
-        time += k.gemm(s, dh, s, batch=b * h)
+        # The six GEMMs of the inventory.
+        time = sum(
+            k.gemm(*g.dims(self.geometry))
+            for section in PROTECTION_SECTIONS.values() for g in section.model_gemms
+        )
         # Softmax over AS (read + write + reduction traffic) and scaling/mask.
         time += k.elementwise(b * h * s * s, passes=3.0, flops_per_element=7.0)
         # Attention dropout on AP.
@@ -113,63 +113,43 @@ class AttentionCostModel:
     # -- ABFT work -----------------------------------------------------------------------
 
     def abft_breakdown(self, optimized: bool = True) -> ABFTOverheadBreakdown:
-        """ABFT time per section and phase for one forward execution."""
-        b, s = self.batch_size, self.seq_len
-        d, h, dh = self.config.hidden_size, self.config.num_heads, self.config.head_dim
+        """ABFT time per section and phase for one cold training visit.
+
+        Prices the inventory's encodes and carries of each attention section
+        and one detection pass per verified side of its boundary matrix.
+        """
         k = self.kernels
+        geometry = self.geometry
+        fused_rate = k.gpu.peak_flops * 0.5
         breakdown = ABFTOverheadBreakdown()
-
-        # ---- encoding -----------------------------------------------------------------
-        x_elements = b * s * d            # column checksums of X  (section AS)
-        ap_elements = b * h * s * s       # column checksums of AP (section CL)
-        wv_elements = d * d               # per-head row checksums of W_V (section CL)
-        if optimized:
-            breakdown.encode["AS"] = k.encode_custom(x_elements)
-            breakdown.encode["CL"] = k.encode_custom(ap_elements) + k.encode_custom(wv_elements)
-        else:
-            breakdown.encode["AS"] = k.encode_cublas(x_elements, num_blocks=b)
-            breakdown.encode["CL"] = k.encode_cublas(ap_elements, num_blocks=b * h) + k.encode_cublas(
-                wv_elements, num_blocks=h
-            )
-        breakdown.encode["O"] = 0.0  # S_O reuses the checksums carried from S_CL.
-
-        # ---- checksum updates ----------------------------------------------------------
-        # Update GEMM shapes: (2 x D)(D x D) twice, (2 x dh)(dh x S) and
-        # (S x dh)(dh x 2) per head for AS; (2 x S)(S x dh) and (S x S)(S x 2)
-        # per head for CL; (2 x D)(D x D) for O.
-        def update_time(shapes, fused: bool) -> float:
-            total = 0.0
-            for (m, n, kk, batch) in shapes:
-                if fused:
-                    # Folded into the operand GEMM: only the extra FLOPs count,
-                    # at the same efficiency, with no additional launch.
-                    extra_flops = 2.0 * m * n * kk * batch
-                    total += extra_flops / (self.kernels.gpu.peak_flops * 0.5)
-                else:
-                    total += k.gemm(m, n, kk, batch=batch)
-            return total
-
-        as_updates = [(2, d, d, b), (2, d, d, b), (2, s, dh, b * h), (s, 2, dh, b * h)]
-        cl_updates = [(s, 2, d, b), (2, dh, s, b * h), (s, 2, s, b * h)]
-        o_updates = [(2, d, d, b)]
-        breakdown.update["AS"] = update_time(as_updates, fused=optimized)
-        breakdown.update["CL"] = update_time(cl_updates, fused=optimized)
-        breakdown.update["O"] = update_time(o_updates, fused=optimized)
-
-        # ---- detection -------------------------------------------------------------------
-        as_elements = b * h * s * s
-        cl_elements = b * h * s * dh
-        o_elements = b * s * d
-        if optimized:
-            # One streaming pass over the boundary matrix, fused col+row sums.
-            breakdown.detect["AS"] = k.elementwise(as_elements, passes=1.0, flops_per_element=4.0)
-            breakdown.detect["CL"] = k.elementwise(cl_elements, passes=1.0, flops_per_element=4.0)
-            breakdown.detect["O"] = k.elementwise(o_elements, passes=1.0, flops_per_element=2.0)
-        else:
-            # Separate kernels per checksum side, each re-reading the matrix.
-            breakdown.detect["AS"] = k.elementwise(as_elements, passes=2.0, flops_per_element=4.0, launches=4)
-            breakdown.detect["CL"] = k.elementwise(cl_elements, passes=2.0, flops_per_element=4.0, launches=4)
-            breakdown.detect["O"] = k.elementwise(o_elements, passes=2.0, flops_per_element=2.0, launches=2)
+        for name, section in PROTECTION_SECTIONS.items():
+            ops = section.checksum_ops("train")
+            # An encode multiplies by a 2-wide weight block: 4 FLOPs per
+            # element of the encoded matrix, one block per batch entry.
+            encodes = [(op.flops(geometry) // 4, op.dims(geometry)[3])
+                       for op in ops if op.kind == "encode"]
+            carries = [op for op in ops if op.kind == "carry"]
+            boundary = section.model_gemms[-1].output_elements(geometry)
+            sides = len(section.sides)
+            if optimized:
+                # Custom coalesced encoder; carries folded into the operand
+                # GEMM (only the extra FLOPs, no launch); one streaming pass
+                # over the boundary for every side.
+                breakdown.encode[name] = sum(k.encode_custom(n) for n, _ in encodes)
+                breakdown.update[name] = sum(op.flops(geometry) / fused_rate for op in carries)
+                breakdown.detect[name] = k.elementwise(
+                    boundary, passes=1.0, flops_per_element=2.0 * sides
+                )
+            else:
+                # cuBLAS strided-batched encodes, one GEMM launch per carry,
+                # and per-side detection kernels that each re-read the matrix.
+                breakdown.encode[name] = sum(
+                    k.encode_cublas(n, num_blocks=blocks) for n, blocks in encodes
+                )
+                breakdown.update[name] = sum(k.gemm(*op.dims(geometry)) for op in carries)
+                breakdown.detect[name] = k.elementwise(
+                    boundary, passes=2.0, flops_per_element=2.0 * sides, launches=2 * sides
+                )
         return breakdown
 
     def abft_time(self, optimized: bool = True, frequencies: Optional[Mapping[str, float]] = None) -> float:

@@ -17,8 +17,9 @@ checks into the forward kernels only).
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Optional
+from typing import Mapping, Optional
 
+from repro.core.sections import SECTION_REGISTRY
 from repro.models.config import ModelConfig
 from repro.perfmodel.attention_cost import BACKWARD_MULTIPLIER, AttentionCostModel
 from repro.perfmodel.gpu import A100_SPEC, GPUSpec
@@ -57,10 +58,13 @@ class TrainingStepCostModel:
     def ffn_forward_time(self) -> float:
         """Forward time of one feed-forward block."""
         b, s = self.batch_size, self.seq_len
-        d, i = self.config.hidden_size, self.config.intermediate_size
         k = self.kernels
-        time = k.gemm(b * s, i, d) + k.gemm(b * s, d, i)
-        time += k.elementwise(b * s * i, passes=2.0, flops_per_element=8.0)  # GELU
+        geometry = self.attention.geometry
+        time = sum(
+            k.gemm(*g.dims(geometry))
+            for name in ("FF1", "FF2") for g in SECTION_REGISTRY[name].model_gemms
+        )
+        time += k.elementwise(b * s * self.config.intermediate_size, passes=2.0, flops_per_element=8.0)  # GELU
         return time
 
     def layer_other_forward_time(self) -> float:
@@ -122,13 +126,3 @@ class TrainingStepCostModel:
     ) -> float:
         """Attention-block ABFT overhead (the left panels of Figures 7 and 8)."""
         return self.abft_step_time(optimized=optimized, frequencies=frequencies) / self.attention_step_time()
-
-    # -- section times for the adaptive optimiser -----------------------------------------------
-
-    def section_times(self, optimized: bool = True) -> Dict[str, float]:
-        """Per-section ABFT time per step (the T_S inputs of Section 4.5)."""
-        breakdown = self.attention.abft_breakdown(optimized=optimized)
-        return {
-            name: self.config.num_layers * breakdown.section_total(name)
-            for name in breakdown.encode.keys() | breakdown.update.keys() | breakdown.detect.keys()
-        }

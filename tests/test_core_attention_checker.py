@@ -45,10 +45,8 @@ class TestSections:
         # AS and CL carry both checksum sides (a 1R or a 1C pattern can
         # reach them); O carries its column side only.
         for name in ("AS", "CL"):
-            section = PROTECTION_SECTIONS[name]
-            assert section.maintains_column and section.maintains_row
-        assert PROTECTION_SECTIONS["O"].maintains_column
-        assert not PROTECTION_SECTIONS["O"].maintains_row
+            assert PROTECTION_SECTIONS[name].sides == ("col", "row")
+        assert PROTECTION_SECTIONS["O"].sides == ("col",)
 
     def test_section_cost_model_positive(self):
         model = SectionCostModel(get_config("bert-base", size="paper"), batch_size=8)

@@ -133,7 +133,7 @@ class TestPublicSurface:
 
     def test_cost_model_parameters(self):
         assert list(inspect.signature(SectionCostModel).parameters) == [
-            "config", "batch_size", "seq_len", "element_size",
+            "config", "batch_size", "seq_len",
         ]
 
     def test_correct_matrix_parameters(self):
@@ -446,20 +446,24 @@ def _inject(boundary, error_type, position):
         flip_exponent_msb_inplace(boundary, position)
 
 
-def run_layer_campaign(seed, target, error_type, dtype=np.float64):
+def run_layer_campaign(seed, target, error_type, dtype=np.float64, explicit_thresholds=True):
     """One synthetic attention layer with one injected fault.
 
     Builds the six GEMMs by hand in ``dtype``, injects one fault into
     ``target`` (``"none"`` for a fault-free pass), and drives the fused
     engine through its three section dispatches exactly as
     ``MultiHeadAttention`` would, with the thresholds of ``dtype``'s
-    precision.  Returns ``{section: (detected, corrected, aborted,
+    precision: given explicitly, or resolved by the checks from the data
+    when ``explicit_thresholds`` is False (an engine built without
+    thresholds).  Returns ``{section: (detected, corrected, aborted,
     residual_extreme, operand_repairs)}`` and the (possibly repaired)
     boundary matrices.
     """
     p = _layer_params(seed, dtype)
     b, s, heads, dh = p["geom"]
-    engine = ProtectionEngine(ABFTThresholds.for_precision(np.dtype(dtype).name))
+    engine = ProtectionEngine(
+        ABFTThresholds.for_precision(np.dtype(dtype).name) if explicit_thresholds else None
+    )
     engine.begin_layer(0, {"AS": True, "CL": True, "O": True})
 
     def ctx(section, operands):
@@ -514,18 +518,21 @@ def run_layer_campaign(seed, target, error_type, dtype=np.float64):
 class TestSyntheticFaultCampaign:
     """Every single fault is detected at its own section boundary and
     repaired back to the fault-free boundaries, in float64 and in the
-    paper's float32 training regime (float32 data, float64 checksums)."""
+    paper's float32 training regime (float32 data, float64 checksums),
+    with the precision's thresholds given to the engine or resolved from
+    the data by an engine built without any."""
 
+    @pytest.mark.parametrize("explicit", [True, False], ids=["for_precision", "engine_default"])
     @pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["float64", "float32"])
     @pytest.mark.parametrize("target", CAMPAIGN_TARGETS)
     @pytest.mark.parametrize("error_type", CAMPAIGN_ERRORS)
-    def test_fault_is_detected_in_its_section_and_repaired(self, dtype, target, error_type):
+    def test_fault_is_detected_in_its_section_and_repaired(self, dtype, target, error_type, explicit):
         seed = CAMPAIGN_TARGETS.index(target)
-        clean_signature, clean = run_layer_campaign(seed, "none", error_type, dtype)
+        clean_signature, clean = run_layer_campaign(seed, "none", error_type, dtype, explicit)
         assert all(sig[0] == 0 for sig in clean_signature.values()), clean_signature
 
         with np.errstate(all="ignore"):
-            signature, bounds = run_layer_campaign(seed, target, error_type, dtype)
+            signature, bounds = run_layer_campaign(seed, target, error_type, dtype, explicit)
         own = SECTION_OF_TARGET[target]
         assert signature[own][0] > 0, signature
         assert all(
