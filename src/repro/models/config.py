@@ -87,7 +87,6 @@ class ModelConfig:
         return replace(self, **overrides)
 
     # -- parameter / FLOP accounting (used by Table 3 and the perf model) -------
-    # The GEMM FLOPs come from the inventory of repro.core.sections.
 
     def attention_parameter_count(self) -> int:
         """Parameters of one attention block (4 projection matrices + biases)."""

@@ -4,7 +4,9 @@ For one attention layer the model prices:
 
 * the six protected GEMMs (cuBLAS efficiencies by shape),
 * the softmax, masking, dropout and head-permute traffic (bandwidth bound),
-* the ABFT work of the three protection sections, in two variants:
+* the ABFT work of the three protection sections — the encodes and carries
+  of a cold training visit and one detection pass per verified side — in
+  two variants:
 
   - **optimised** (the paper's ATTNChecker): custom coalesced encoding kernel,
     checksum updates fused into the operand GEMMs (no extra kernel launches,
@@ -13,6 +15,9 @@ For one attention layer the model prices:
   - **non-optimised** ("Non-OPT" in Figure 8): encoding through cuBLAS
     strided-batched GEMMs (<10 % of bandwidth), every checksum update and
     detection issued as its own kernel with an extra pass over the operand.
+
+Every GEMM shape, protected or checksum, comes from the inventory in
+:mod:`repro.core.sections`; this module only prices it.
 
 Backward-pass cost is approximated as twice the forward cost (the standard
 2x-FLOPs rule for dense layers), so a protected training step pays the ABFT
@@ -91,7 +96,6 @@ class AttentionCostModel:
         d, h = self.config.hidden_size, self.config.num_heads
         k = self.kernels
 
-        # The six GEMMs of the inventory.
         time = sum(
             k.gemm(*g.dims(self.geometry))
             for section in PROTECTION_SECTIONS.values() for g in section.model_gemms
@@ -134,7 +138,7 @@ class AttentionCostModel:
             if optimized:
                 # Custom coalesced encoder; carries folded into the operand
                 # GEMM (only the extra FLOPs, no launch); one streaming pass
-                # over the boundary for every side.
+                # over the boundary matrix that sums every verified side.
                 breakdown.encode[name] = sum(k.encode_custom(n) for n, _ in encodes)
                 breakdown.update[name] = sum(op.flops(geometry) / fused_rate for op in carries)
                 breakdown.detect[name] = k.elementwise(

@@ -3,8 +3,9 @@
 A training step of a transformer fine-tuning run is priced as:
 
 * per layer: the attention block (from :class:`AttentionCostModel`), the
-  feed-forward network (two large GEMMs + GELU), two layer norms and the
-  residual adds;
+  feed-forward network (the two GEMMs of the FF1 / FF2 sections of the
+  inventory in :mod:`repro.core.sections`, plus GELU), two layer norms and
+  the residual adds;
 * embeddings and the classification head;
 * the optimiser update (AdamW reads the parameter, gradient and two moment
   buffers and writes three of them — a pure bandwidth cost).

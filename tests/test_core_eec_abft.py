@@ -8,7 +8,7 @@ import pytest
 from repro.core.checksums import ChecksumState, encode_column_checksums, encode_row_checksums
 from repro.core.correction import correct_matrix
 from repro.core.eec_abft import check_columns, check_rows
-from repro.core.thresholds import ABFTThresholds
+from repro.core.thresholds import ABFTThresholds, resolve_thresholds
 
 
 @pytest.fixture
@@ -216,6 +216,16 @@ class TestThresholds:
             ABFTThresholds(near_inf=1e4, correct=1e5)
         with pytest.raises(ValueError):
             ABFTThresholds(detect_rtol=0.0)
+
+    def test_missing_thresholds_follow_the_dtype(self):
+        # float64 and dtypes with no precision entry keep the defaults, so a
+        # checker built without thresholds changes nothing on float64 data.
+        assert resolve_thresholds(None, np.dtype(np.float64)) == ABFTThresholds()
+        assert resolve_thresholds(None, np.dtype(np.int64)) == ABFTThresholds()
+        assert resolve_thresholds(None, np.dtype(np.float32)) == \
+            ABFTThresholds.for_precision("float32")
+        explicit = ABFTThresholds(detect_rtol=1e-3)
+        assert resolve_thresholds(explicit, np.dtype(np.float32)) is explicit
 
     def test_is_extreme_mask(self):
         th = ABFTThresholds()
