@@ -14,11 +14,11 @@ Two complementary reproductions:
 The run additionally emits a machine-readable ``BENCH_fig7.json`` artifact
 (path overridable via the ``BENCH_FIG7_JSON`` environment variable) with the
 modelled overhead ratios plus the fused-vs-unfused kernel-schedule counters —
-checksum GEMM dispatches, steady-state workspace allocations, weight-cache
-hits — which the CI perf smoke asserts on: fused dispatches strictly below
-the unfused schedule's, and zero steady-state hot-path allocations.  The
-unfused schedule is measured on the per-GEMM reference backend, which runs
-the historical one-GEMM-per-update sequence.
+checksum GEMM dispatches and weight-cache hits — which the CI perf smoke
+asserts on: fused dispatches strictly below the unfused schedule's, and a
+weight cache that serves the steady-state visits.  The unfused schedule is
+measured on the per-GEMM reference backend, which runs the historical
+one-GEMM-per-update sequence.
 """
 
 import json
@@ -97,13 +97,13 @@ def measured_abft_seconds(backend: str, model_name: str = "bert-base", steps: in
 
 
 def kernel_schedule_counters(model_name: str = "bert-base", steps: int = 4):
-    """Dispatch/allocation counters of the fused vs the unfused schedule.
+    """Dispatch and weight-cache counters of the fused vs the unfused schedule.
 
     Runs a fixed-weight protected forward loop (model.eval(); no optimizer
     steps, so the weight-encoding cache reaches true steady state after the
     warm-up pass) and reads each backend's own counters: the fused engine's,
     and the per-GEMM reference's for the unfused schedule (which has no
-    workspace or weight cache).  Also returns the per-schedule outputs so the
+    weight cache).  Also returns the per-schedule outputs so the
     caller can assert the two schedules stayed byte-identical while the
     dispatch counts diverged.
     """
@@ -114,11 +114,8 @@ def kernel_schedule_counters(model_name: str = "bert-base", steps: int = 4):
         batch = make_batch(model, n=4, full_mask=True)
         checker = ATTNChecker(ATTNCheckerConfig(**extra))
         model.set_attention_hooks(checker)
-        # Warm-up: allocates the workspace slots and fills the weight cache.
+        # Warm-up: fills the weight cache.
         model(batch["input_ids"], attention_mask=batch["attention_mask"])
-        workspace = checker.engine.workspace if checker.engine is not None else None
-        if workspace is not None:
-            workspace.reset_stats()
         gemm_before = checker.dispatch_counts["gemm"]
         outputs = []
         for _ in range(steps):
@@ -129,8 +126,6 @@ def kernel_schedule_counters(model_name: str = "bert-base", steps: int = 4):
         model.set_attention_hooks(None)
         results[label] = {
             "gemm_dispatches": checker.dispatch_counts["gemm"] - gemm_before,
-            "steady_state_allocations": 0 if workspace is None else workspace.allocations,
-            "workspace": checker.workspace_stats(),
             "weight_cache": checker.weight_cache_stats(),
             "outputs": outputs,
             "layer_visits": steps * model.config.num_layers,
@@ -143,8 +138,8 @@ def steady_state_checker_seconds(extra_config=None, model_name: str = "bert-base
     """Min-floor per-pass checker time of a fixed-weight protected forward.
 
     The steady-state regime the fused schedule targets: weights unchanged
-    between passes, so the weight-encoding cache serves every visit and the
-    workspace reuses every buffer.  (A training loop re-derives weight-side
+    between passes, so the weight-encoding cache serves every visit.  (A
+    training loop re-derives weight-side
     encodings every step by necessity — the optimizer changed the weights —
     so its floor reflects the dispatch fusion only.)
     """
@@ -272,11 +267,11 @@ def test_fig7_fused_engine_vs_per_gemm_backend(benchmark, report):
 def test_fig7_fused_kernel_schedule_counters_and_json(benchmark, report):
     """The kernel-schedule claim, counter-verified, plus the JSON artifact.
 
-    The fused schedule (sibling-GEMM fusion + weight-encoding cache +
-    checksum workspace) must issue strictly fewer checksum GEMM dispatches
-    per layer visit than the historical schedule of the per-GEMM reference,
-    allocate nothing on the steady-state hot path, produce byte-identical
-    outputs, and not regress wall-clock.  Everything measured lands in
+    The fused schedule (sibling-GEMM fusion + weight-encoding cache) must
+    issue strictly fewer checksum GEMM dispatches per layer visit than the
+    historical schedule of the per-GEMM reference, serve steady-state
+    visits from the weight cache, produce byte-identical outputs, and not
+    regress wall-clock.  Everything measured lands in
     ``BENCH_fig7.json`` for CI.
     """
     def compare():
@@ -310,16 +305,12 @@ def test_fig7_fused_kernel_schedule_counters_and_json(benchmark, report):
     )
     assert fused["gemm_dispatches"] == per_layer_fused * fused["layer_visits"]
     assert unfused["gemm_dispatches"] == per_layer_unfused * unfused["layer_visits"]
-    # Zero steady-state hot-path allocations, and the weight cache served
-    # every steady-state visit from cache.
-    assert fused["steady_state_allocations"] == 0
-    assert fused["workspace"]["reuses"] > 0
+    # The weight cache served the steady-state visits.
     assert fused["weight_cache"]["hits"] > 0
     # Wall-clock: at or below the per-GEMM reference's unfused schedule (same
-    # algebra, less dispatch/allocation work); 10% noise allowance over the
-    # min floor, as
-    # in the fused-vs-per-GEMM comparison above.  The deterministic gates
-    # above (dispatch counters, allocation counters) carry the regression
+    # algebra, less dispatch work); 10% noise allowance over the min floor,
+    # as in the fused-vs-per-GEMM comparison above.  The deterministic gates
+    # above (dispatch and weight-cache counters) carry the regression
     # protection; this guards against the schedule trading dispatches for
     # slower kernels.
     assert fused_seconds <= unfused_seconds * 1.10
@@ -327,8 +318,7 @@ def test_fig7_fused_kernel_schedule_counters_and_json(benchmark, report):
     report(
         "Figure 7 (kernel schedule, CPU/NumPy, bert-base tiny): checksum GEMM "
         f"dispatches/visit fused = {per_layer_fused}, unfused = {per_layer_unfused}; "
-        f"steady-state workspace allocations = {fused['steady_state_allocations']} "
-        f"(reuses = {fused['workspace']['reuses']}); steady-state per-pass checker "
+        f"weight-cache hits = {fused['weight_cache']['hits']}; steady-state per-pass checker "
         f"time fused = {fused_seconds * 1e3:.2f} ms, unfused = {unfused_seconds * 1e3:.2f} ms "
         f"({(unfused_seconds - fused_seconds) / unfused_seconds * 100.0:+.1f}% saved)"
     )
@@ -350,8 +340,6 @@ def test_fig7_fused_kernel_schedule_counters_and_json(benchmark, report):
             "fused": {
                 "gemm_dispatches_per_layer": per_layer_fused,
                 "gemm_dispatches_measured": fused["gemm_dispatches"],
-                "steady_state_allocations": fused["steady_state_allocations"],
-                "workspace": fused["workspace"],
                 "weight_cache": fused["weight_cache"],
                 "abft_seconds": fused_seconds,
             },

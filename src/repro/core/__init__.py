@@ -66,7 +66,6 @@ from repro.core.checksums import (
     stacked_checksum_weights,
     update_column_checksums_through_gemm,
 )
-from repro.core.workspace import ChecksumWorkspace
 from repro.core.eec_abft import ColumnCheckReport, check_columns, check_rows
 from repro.core.patterns import ErrorPattern, classify_error_pattern, classify_error_types
 from repro.core.correction import MatrixCorrectionReport, correct_matrix
@@ -102,7 +101,6 @@ __all__ = [
     "SectionContext",
     "SECTION_BOUNDARY_OPS",
     "ChecksumState",
-    "ChecksumWorkspace",
     "checksum_weights",
     "stacked_checksum_weights",
     "clear_checksum_weight_cache",

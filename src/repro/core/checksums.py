@@ -118,7 +118,7 @@ def clear_checksum_weight_cache() -> None:
 # Encoding
 # ---------------------------------------------------------------------------
 
-def encode_column_checksums(matrix: Any, out_dtype=None, out: Any = None) -> Any:
+def encode_column_checksums(matrix: Any) -> Any:
     """Encode column checksums of ``matrix`` (..., m, n) -> (..., 2, n).
 
     Row 0 holds the unweighted column sums, row 1 the weighted sums.  This is
@@ -129,30 +129,24 @@ def encode_column_checksums(matrix: Any, out_dtype=None, out: Any = None) -> Any
     The weighted sums are always *accumulated in float64*, whatever the input
     dtype: encoding an fp16/fp32 matrix in its own precision loses enough of
     the Huang–Abraham weighted sum to round-off that fault-free data fails the
-    default detection tolerances.  Pass ``out_dtype`` to cast the finished
-    checksums back down when a caller needs the storage format, or ``out`` (a
-    float64 buffer of the result shape, exclusive with ``out_dtype``) to
-    encode into a reusable workspace buffer.
+    default detection tolerances.
     """
     matrix = np.asarray(matrix)
     m = matrix.shape[-2]
     weights = stacked_checksum_weights(m, axis=0)  # (2, m), float64
-    encoded = np.matmul(weights, matrix.astype(np.float64, copy=False), out=out)
-    return encoded if out_dtype is None else encoded.astype(out_dtype)
+    return np.matmul(weights, matrix.astype(np.float64, copy=False))
 
 
-def encode_row_checksums(matrix: Any, out_dtype=None, out: Any = None) -> Any:
+def encode_row_checksums(matrix: Any) -> Any:
     """Encode row checksums of ``matrix`` (..., m, n) -> (..., m, 2).
 
     Accumulates in float64 regardless of input dtype (see
-    :func:`encode_column_checksums`); ``out_dtype`` casts the result back and
-    ``out`` encodes into a caller-provided float64 buffer.
+    :func:`encode_column_checksums`).
     """
     matrix = np.asarray(matrix)
     n = matrix.shape[-1]
     weights = stacked_checksum_weights(n, axis=1)  # (n, 2), float64
-    encoded = np.matmul(matrix.astype(np.float64, copy=False), weights, out=out)
-    return encoded if out_dtype is None else encoded.astype(out_dtype)
+    return np.matmul(matrix.astype(np.float64, copy=False), weights)
 
 
 def recompute_column_sums(matrix: Any) -> Tuple[Any, Any]:
@@ -272,25 +266,14 @@ def split_head_column_checksums(col_checksums: Any, num_heads: int) -> Any:
     return reshaped.swapaxes(-2, -3)  # (..., H, 2, head_dim)
 
 
-def merge_head_column_checksums(per_head: Any, out: Any = None) -> Any:
-    """Inverse of :func:`split_head_column_checksums`: ``(B, H, 2, dh) -> (B, 2, H*dh)``.
-
-    ``out``, when given, must be a contiguous buffer of shape
-    ``(..., 2, H, dh)`` (the *moved* layout — what
-    ``ChecksumWorkspace.request`` hands the engine): the merge materialises
-    into it by slice assignment instead of a fresh reshape-copy, and the
-    returned array is its ``(..., 2, H*dh)`` view.  Values are identical
-    either way.
-    """
+def merge_head_column_checksums(per_head: Any) -> Any:
+    """Inverse of :func:`split_head_column_checksums`: ``(B, H, 2, dh) -> (B, 2, H*dh)``."""
     per_head = np.asarray(per_head)
     *lead, h, two, dh = per_head.shape
     if two != 2:
         raise ValueError(f"expected a checksum axis of size 2, got {two}")
     moved = per_head.swapaxes(-3, -2)  # (..., 2, H, dh)
-    if out is None:
-        return moved.reshape(*lead, 2, h * dh)
-    out[...] = moved
-    return out.reshape(*lead, 2, h * dh)
+    return moved.reshape(*lead, 2, h * dh)
 
 
 def encode_per_head_row_checksums_of_weight(weight: Any, num_heads: int) -> Any:

@@ -51,11 +51,10 @@ the paper evaluates (Sections 4.2–4.4).
 
 Hot-path kernel schedule
 ------------------------
-The engine runs one fixed schedule, built from three dispatch/allocation
-optimisations.  The per-GEMM reference backend
-(``ATTNCheckerConfig(backend="per_gemm")``) still runs the historical
-one-GEMM-per-update sequence and is the baseline the Figure-7 benchmark
-measures this schedule against:
+The engine runs one fixed schedule, built from two dispatch optimisations.
+The per-GEMM reference backend (``ATTNCheckerConfig(backend="per_gemm")``)
+still runs the historical one-GEMM-per-update sequence and is the baseline
+the Figure-7 benchmark measures this schedule against:
 
 Sibling-GEMM fusion
     ``W_Q`` and ``W_K`` consume the *same* carried checksum ``cs_x``, so the
@@ -75,12 +74,6 @@ Weight-encoding cache
     once per weight version instead of once per layer visit.  Code that
     mutates weight storage in place outside those two paths must call
     :meth:`ProtectionEngine.invalidate_weight_cache`.
-Checksum workspace
-    Checksum intermediates live in a
-    :class:`~repro.core.workspace.ChecksumWorkspace` arena of named
-    shape/dtype-keyed buffers filled through ``np.matmul``'s ``out=``:
-    after one warm-up visit the steady-state hot path allocates no managed
-    buffers.
 
 ``dispatch_counts`` tracks the checksum GEMM/einsum launches (``"gemm"``)
 and verification passes (``"detect"``) the engine actually issued — the
@@ -112,7 +105,6 @@ from repro.core.eec_abft import check_columns, check_rows
 from repro.core.thresholds import ABFTThresholds
 from repro.core.hooks import SectionContext
 from repro.core.sections import SECTION_REGISTRY
-from repro.core.workspace import ChecksumWorkspace
 from repro.utils.timing import TimingRegistry
 from repro.utils.versioning import weights_version
 
@@ -267,8 +259,6 @@ class ProtectionEngine:
         self.timers = timers if timers is not None else TimingRegistry()
         #: Weight-derived encoding cache.
         self.weight_cache = WeightEncodingCache()
-        #: Critical-path intermediate arena.
-        self.workspace = ChecksumWorkspace()
         #: Checksum GEMM/einsum launches ("gemm") and verification passes
         #: ("detect") actually dispatched.
         self.dispatch_counts: Dict[str, int] = {"gemm": 0, "detect": 0}
@@ -284,13 +274,12 @@ class ProtectionEngine:
         self._layers.pop(layer_index, None)
 
     def reset(self) -> None:
-        """Drop all pass state, caches and workspaces.
+        """Drop all pass state, caches and counters.
 
         A reset engine holds no reference to any model array.
         """
         self._layers.clear()
         self.weight_cache.clear()
-        self.workspace.clear()
         self.dispatch_counts = {"gemm": 0, "detect": 0}
 
     def invalidate_weight_cache(self) -> None:
@@ -301,12 +290,6 @@ class ProtectionEngine:
         which bump the global weights version themselves.
         """
         self.weight_cache.clear()
-
-    # -- workspace / cache plumbing ---------------------------------------------
-
-    def _buf(self, name: str, shape: Tuple[int, ...]) -> Any:
-        """A reusable float64 workspace buffer."""
-        return self.workspace.request(name, shape, np.float64)
 
     @staticmethod
     def _section_active(ctx: SectionContext, state: _LayerState) -> bool:
@@ -366,9 +349,7 @@ class ProtectionEngine:
     # the input checksums, the checksum sides and the S_O carrier (see the
     # module docstring).  Steady-state checksum GEMM dispatches per layer per
     # decoded token: AS 2, CL 2, O 1 — constant in the cached length
-    # (SectionCostModel's serving entry).  The two workspace slots whose shape
-    # follows the query length keep a decode name (``*/decode_cs_*_row``), so
-    # alternating prefill and decode reuses both.
+    # (SectionCostModel's serving entry).
 
     def _protect_as(
         self,
@@ -380,7 +361,6 @@ class ProtectionEngine:
         x, w_k, bias_k = ops["x"], ops["w_k"], ops.get("bias_k")
         cache = ops.get("kv_cache")
         decode = ctx.phase == "decode"
-        lead = tuple(x.shape[:-2])
         outcome = self._outcome(ctx)
 
         with self.timers.timer("AS/encode"):
@@ -393,16 +373,14 @@ class ProtectionEngine:
                 # Encode the section input once...
                 num_rows = x.shape[-2]
                 self.dispatch_counts["gemm"] += 1
-                cs_x = encode_column_checksums(
-                    x, out=self._buf("AS/cs_x", lead + (2, x.shape[-1]))
-                )
+                cs_x = encode_column_checksums(x)
                 if cache is not None:
                     cache.seed_checksums("AS", cs_x, num_rows)
         # ...and carry it through every member GEMM of the section.
         with self.timers.timer("AS/update"):
             if decode:
                 # The row side needs col(K) alone.
-                slot, carried = "AS/cs_k", w_k
+                carried = w_k
                 bias = None if bias_k is None else self.weight_cache.lookup(
                     ("AS/bias_k", ctx.layer_index), (bias_k,),
                     lambda: np.asarray(bias_k, dtype=np.float64),
@@ -416,7 +394,6 @@ class ProtectionEngine:
                 # one ``bias`` flag, so the Q and K biases are present together
                 # or not at all.
                 w_q, bias_q = ops["w_q"], ops.get("bias_q")
-                slot = "AS/cs_qk"
                 carried = self.weight_cache.lookup(
                     ("AS/w_qk", ctx.layer_index),
                     (w_q, w_k),
@@ -431,9 +408,7 @@ class ProtectionEngine:
                     ], axis=-1),
                 )
             self.dispatch_counts["gemm"] += 1
-            cs_carried = np.matmul(
-                cs_x, carried, out=self._buf(slot, lead + (2, carried.shape[-1]))
-            )
+            cs_carried = np.matmul(cs_x, carried)
             if bias is not None:
                 # The bias adjustments are in-place adds of the cached float64
                 # bias row; cs_carried is freshly computed float64, so the
@@ -446,24 +421,13 @@ class ProtectionEngine:
             )
             self.dispatch_counts["gemm"] += 1
             # Row side of AS: row(AS) = Q row(K^T) = Q col(K)^T.
-            cs_as_row = np.matmul(                                          # (B, H, S, 2)
-                ops["q"], cs_k_ph.swapaxes(-1, -2),
-                out=self._buf(
-                    "AS/decode_cs_as_row" if decode else "AS/cs_as_row",
-                    tuple(ops["q"].shape[:-1]) + (2,),
-                ),
-            )
+            cs_as_row = np.matmul(ops["q"], cs_k_ph.swapaxes(-1, -2))       # (B, H, S, 2)
             cs_as_col = None
             if not decode:
                 cs_q_ph = split_head_column_checksums(cs_carried[..., :-d_k], ctx.num_heads)
                 self.dispatch_counts["gemm"] += 1
                 # Column side of AS: col(AS) = col(Q) K^T.
-                cs_as_col = np.matmul(                                      # (B, H, 2, S)
-                    cs_q_ph, ops["k_t"],
-                    out=self._buf(
-                        "AS/cs_as_col", tuple(cs_q_ph.shape[:-1]) + (ops["k_t"].shape[-1],)
-                    ),
-                )
+                cs_as_col = np.matmul(cs_q_ph, ops["k_t"])                  # (B, H, 2, S)
 
         self._verify(ctx, out, ChecksumState(col=cs_as_col, row=cs_as_row), outcome)
         if not decode and outcome.report.corrected > 0:
@@ -507,14 +471,9 @@ class ProtectionEngine:
                 )
             with self.timers.timer("CL/update"):
                 self.dispatch_counts["gemm"] += 1
-                # Deliberately *not* workspace-backed: einsum with out= loses
-                # NumPy's specialised inner loops (~4x slower at attention
-                # dims), so this one intermediate allocates per visit — the
-                # documented exception to the zero-allocation claim (see
-                # SectionCostModel.checksum_workspace_slots).  The contraction itself must stay
-                # an einsum: the per-GEMM reference computes it the same way,
-                # which is what keeps repaired values bitwise identical.
-                # reprolint: disable=WS001
+                # An einsum, not a matmul: the per-GEMM reference computes
+                # this contraction the same way, which is what keeps repaired
+                # values bitwise identical between the two backends.
                 cs_v_row = np.einsum("...sd,dhw->...hsw", ops["x"], rowcs_wv)  # (B, H, S, 2)
                 if ops.get("bias_v") is not None:
                     def build_bias_terms() -> Tuple[Any, Any]:
@@ -547,31 +506,16 @@ class ProtectionEngine:
                     cache.seed_checksums("CL", cs_v_row, cs_v_row.shape[-2])
                 # row(CL) = AP row(V): carry the row checksums of V through.
                 self.dispatch_counts["gemm"] += 1
-                cs_cl_row = np.matmul(                                         # (B, H, S, 2)
-                    ap, cs_v_row,
-                    out=self._buf(
-                        "CL/decode_cs_cl_row" if decode else "CL/cs_cl_row",
-                        tuple(ap.shape[:-1]) + (2,),
-                    ),
-                )
+                cs_cl_row = np.matmul(ap, cs_v_row)                            # (B, H, S, 2)
 
         cs_cl_col = None
         if not decode:
             with self.timers.timer("CL/encode"):
                 self.dispatch_counts["gemm"] += 1
-                cs_ap_col = encode_column_checksums(                           # (B, H, 2, S)
-                    ap, out=self._buf(
-                        "CL/cs_ap_col", tuple(ap.shape[:-2]) + (2, ap.shape[-1])
-                    )
-                )
+                cs_ap_col = encode_column_checksums(ap)                        # (B, H, 2, S)
             with self.timers.timer("CL/update"):
                 self.dispatch_counts["gemm"] += 1
-                cs_cl_col = np.matmul(                                         # (B, H, 2, dh)
-                    cs_ap_col, ops["v"],
-                    out=self._buf(
-                        "CL/cs_cl_col", tuple(cs_ap_col.shape[:-1]) + (ops["v"].shape[-1],)
-                    ),
-                )
+                cs_cl_col = np.matmul(cs_ap_col, ops["v"])                     # (B, H, 2, dh)
 
         checksums = ChecksumState(col=cs_cl_col, row=cs_cl_row)
         if cl_enabled:
@@ -603,28 +547,12 @@ class ProtectionEngine:
                     ("O/rowcs_wo", ctx.layer_index), (ops["w_o"],), build_rowcs_wo
                 )
                 self.dispatch_counts["gemm"] += 1
-                checksums = ChecksumState(row=np.matmul(                   # (B, S, 2)
-                    ops["cl"], rowcs_wo,
-                    out=self._buf("O/cs_o_row", tuple(ops["cl"].shape[:-1]) + (2,)),
-                ))
+                checksums = ChecksumState(row=np.matmul(ops["cl"], rowcs_wo))  # (B, S, 2)
             else:
-                # col(O) = col(CL) W_O.  Merge through a reusable buffer of
-                # the moved layout (B, 2, H, dh): no per-visit allocation,
-                # same values as the helper's reshape-copy.
-                *lead, h, two, dh = state.cs_cl_col.shape
-                merge_buffer = self.workspace.request(
-                    "O/cs_cl_merged", tuple(lead) + (two, h, dh), state.cs_cl_col.dtype
-                )
-                cs_cl_merged = merge_head_column_checksums(                    # (B, 2, D)
-                    state.cs_cl_col, out=merge_buffer
-                )
+                # col(O) = col(CL) W_O.
+                cs_cl_merged = merge_head_column_checksums(state.cs_cl_col)    # (B, 2, D)
                 self.dispatch_counts["gemm"] += 1
-                checksums = ChecksumState(col=np.matmul(
-                    cs_cl_merged, ops["w_o"],
-                    out=self._buf(
-                        "O/cs_o_col", tuple(cs_cl_merged.shape[:-1]) + (ops["w_o"].shape[-1],)
-                    ),
-                ))
+                checksums = ChecksumState(col=np.matmul(cs_cl_merged, ops["w_o"]))
         self._verify(ctx, out, checksums, outcome)
         return outcome
 
@@ -655,20 +583,13 @@ class ProtectionEngine:
         out: Any,
     ) -> Optional[SectionOutcome]:
         ops = ctx.operands
-        x, w_up = ops["x"], ops["w_up"]
-        lead = tuple(x.shape[:-2])
         outcome = self._outcome(ctx)
         with self.timers.timer("FF1/encode"):
             self.dispatch_counts["gemm"] += 1
-            cs_x = encode_column_checksums(
-                x, out=self._buf("FF1/cs_x", lead + (2, x.shape[-1]))
-            )
+            cs_x = encode_column_checksums(ops["x"])
         with self.timers.timer("FF1/update"):
             self.dispatch_counts["gemm"] += 1
-            cs_h = np.matmul(                                            # (B, 2, D_ff)
-                cs_x, w_up,
-                out=self._buf("FF1/col", lead + (2, w_up.shape[-1])),
-            )
+            cs_h = np.matmul(cs_x, ops["w_up"])                          # (B, 2, D_ff)
         self._verify(ctx, out, ChecksumState(col=cs_h), outcome)
         return outcome
 
@@ -679,7 +600,6 @@ class ProtectionEngine:
         out: Any,
     ) -> Optional[SectionOutcome]:
         ops = ctx.operands
-        h = ops["h"]
         outcome = self._outcome(ctx)
         with self.timers.timer("FF2/encode"):
             def build_rowcs() -> Any:
@@ -692,9 +612,6 @@ class ProtectionEngine:
             )
         with self.timers.timer("FF2/update"):
             self.dispatch_counts["gemm"] += 1
-            cs_fo = np.matmul(                                           # (B, S, 2)
-                h, rowcs_wd,
-                out=self._buf("FF2/row", tuple(h.shape[:-1]) + (2,)),
-            )
+            cs_fo = np.matmul(ops["h"], rowcs_wd)                        # (B, S, 2)
         self._verify(ctx, out, ChecksumState(row=cs_fo), outcome)
         return outcome

@@ -443,28 +443,6 @@ class SectionCostModel:
         }
 
     @staticmethod
-    def checksum_workspace_slots(scope: str = "attention") -> int:
-        """Distinct reusable workspace buffers of the critical-path arena.
-
-        The fused engine's steady-state hot path serves every *managed*
-        checksum intermediate from one of these named slots, shared across
-        the homogeneous layers of a model: 9 for the attention sections
-        (``cs_x``/``cs_qk``/two ``AS`` sides, ``cs_ap_col``/two ``CL`` sides,
-        the merged ``CL`` checksum and the ``O`` side).
-
-        One intermediate is deliberately unmanaged: ``cs_v_row`` (the carried
-        row checksums of V) comes from an einsum, and einsum's ``out=`` path
-        forfeits NumPy's specialised inner loops (measured ~4x slower at
-        attention dims) — so that single buffer allocates per visit by
-        design.
-
-        An FFN-including ``scope`` adds three slots — the ``FF1`` input
-        encode (``FF1/cs_x``) plus the two boundary-checksum slots
-        (``FF1/col``, ``FF2/row``).
-        """
-        return 12 if "FF1" in sections_for_scope(scope) else 9
-
-    @staticmethod
     def collective_checksum_dispatches_per_step(
         num_gradients: int, world_size: int, num_buckets: Optional[int] = None
     ) -> Dict[str, int]:

@@ -7,9 +7,8 @@ the computation.
 
 * **INF** and **NaN** are injected by assignment;
 * **near-INF** is injected by flipping the most significant exponent bit of
-  the selected element — performed *in place* on the GEMM output buffer by
-  viewing it through its same-width integer dtype
-  (:func:`repro.utils.floatbits.flip_exponent_msb_inplace`);
+  the selected element in the output's own dtype
+  (:func:`repro.utils.floatbits.make_near_inf`) and assigning the result;
 * **numeric** (a moderate value change) is provided additionally, to exercise
   the classic-ABFT code path and the benign-fault behaviour the prior work
   observed.
@@ -51,11 +50,8 @@ from repro.nn.attention import (
 )
 from repro.utils.floatbits import (
     FLIP_KINDS,
-    NEAR_INF_MINIMUM_MAGNITUDE,
     apply_flip_kind,
-    flip_exponent_msb_inplace,
     make_near_inf,
-    near_inf_fallback,
 )
 from repro.utils.rng import new_rng
 
@@ -149,16 +145,20 @@ def corrupt_scalar(
 ) -> float:
     """The corrupted replacement value for one scalar, per the paper's method.
 
-    Shared by the attention-GEMM injector (host-scalar path) and the
-    collective injector, so both campaigns inject identically-shaped errors.
+    Shared by the attention-GEMM injector and the collective injector, so
+    both campaigns inject identically-shaped errors.
     """
     if error_type == "inf":
         return float(np.inf if sign >= 0 else -np.inf)
     if error_type == "nan":
         return float(np.nan)
     if error_type == "near_inf":
-        # Flip the most significant exponent bit in the arithmetic the
-        # computation uses (see the near-INF discussion on FaultInjector).
+        # The paper's method: flip the most significant exponent bit of the
+        # element *in the arithmetic the computation uses*.  On the paper's
+        # fp32 GPU training that lands a value within a couple of orders of
+        # magnitude of the overflow threshold, which is what makes near-INF
+        # faults accumulate into INF/NaN downstream; flipping in the output's
+        # own dtype keeps that relationship here.
         flip_dtype = (
             dtype
             if np.dtype(dtype) in (np.dtype(np.float32), np.dtype(np.float64))
@@ -323,45 +323,6 @@ class FaultInjector(AttentionHooks):
 
     # -- corruption --------------------------------------------------------------------
 
-    def _corrupt_value(self, spec: FaultSpec, original: float, dtype: np.dtype) -> float:
-        # The paper's method for near-INF: flip the most significant exponent
-        # bit of the selected element, *in the arithmetic the computation
-        # uses*.  On the paper's fp32 GPU training that lands a value within a
-        # couple of orders of magnitude of the overflow threshold, which is
-        # what makes near-INF faults accumulate into INF/NaN downstream; the
-        # same relationship is preserved here by flipping in the output's own
-        # dtype (float64 for the NumPy substrate).
-        return corrupt_scalar(
-            spec.error_type, original, dtype, sign=spec.sign, numeric_delta=spec.numeric_delta
-        )
-
-    def _inject_near_inf_inplace(self, spec: FaultSpec, out, position, original: float) -> Optional[float]:
-        """Flip the exponent MSB of ``out[position]`` on its own buffer.
-
-        Returns the injected value, or ``None`` when the in-place path does
-        not apply (dtype override requested, non-flippable dtype, or a
-        zero / non-finite original where the paper's method falls back to a
-        representative near-INF constant) — the caller then uses the host
-        scalar path, which computes the identical value by construction.
-        """
-        if self.value_dtype is not None:
-            return None
-        if original == 0.0 or not np.isfinite(original):
-            return None
-        dtype = out.dtype
-        if dtype not in (np.dtype(np.float32), np.dtype(np.float64)):
-            return None
-        flip_exponent_msb_inplace(out, position)
-        value = float(out[position])
-        # Same fallback rule as make_near_inf (shared constants): a flip that
-        # shrank the value is replaced by a representative near-INF constant
-        # so campaigns always inject a genuine extreme.
-        if not np.isfinite(value) or abs(value) < NEAR_INF_MINIMUM_MAGNITUDE or value == 0.0:
-            out[position] = math.copysign(near_inf_fallback(dtype), original)
-        if spec.sign < 0:
-            out[position] = -abs(float(out[position]))
-        return float(out[position])
-
     def on_gemm_output(self, ctx: GemmContext, out: np.ndarray) -> np.ndarray:
         if not self.enabled:
             return out
@@ -378,24 +339,23 @@ class FaultInjector(AttentionHooks):
                 flat = int(self.rng.integers(0, math.prod(out.shape)))
                 position = tuple(int(i) for i in np.unravel_index(flat, tuple(out.shape)))
             original = float(out[position])
-            injected = None
-            if spec.error_type == "near_inf" and spec.flip_kind == "exponent_msb":
-                injected = self._inject_near_inf_inplace(spec, out, position, original)
-            if injected is None:
-                dtype = self.value_dtype or out.dtype
-                if spec.error_type == "near_inf" and spec.flip_kind != "exponent_msb":
-                    # Widened flip taxonomy: inject the value the flipped bit
-                    # pattern encodes, with no near-INF floor — a mantissa-LSB
-                    # or stuck-at-zero upset is supposed to be mild/benign.
-                    flip_dtype = (
-                        dtype
-                        if np.dtype(dtype) in (np.dtype(np.float32), np.dtype(np.float64))
-                        else np.float64
-                    )
-                    injected = float(apply_flip_kind(spec.flip_kind, original, dtype=flip_dtype))
-                else:
-                    injected = self._corrupt_value(spec, original, dtype)
-                out[position] = injected
+            dtype = self.value_dtype or out.dtype
+            if spec.error_type == "near_inf" and spec.flip_kind != "exponent_msb":
+                # Widened flip taxonomy: inject the value the flipped bit
+                # pattern encodes, with no near-INF floor — a mantissa-LSB
+                # or stuck-at-zero upset is supposed to be mild/benign.
+                flip_dtype = (
+                    dtype
+                    if np.dtype(dtype) in (np.dtype(np.float32), np.dtype(np.float64))
+                    else np.float64
+                )
+                injected = float(apply_flip_kind(spec.flip_kind, original, dtype=flip_dtype))
+            else:
+                injected = corrupt_scalar(
+                    spec.error_type, original, dtype,
+                    sign=spec.sign, numeric_delta=spec.numeric_delta,
+                )
+            out[position] = injected
             self._fired_count[index] += 1
             self.total_injections += 1
             self.injections_by_kind[spec.flip_kind] += 1

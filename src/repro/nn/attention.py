@@ -84,8 +84,8 @@ class LayerKVCache:
     """Preallocated per-layer KV cache with incremental checksum side-state.
 
     The cache owns ``(B, H, max_len, dh)`` key/value buffers written by slice
-    assignment, so steady-state decode appends allocate nothing — the
-    workspace-counter CI gate depends on this.  ``length`` tracks how many
+    assignment, so a decode append copies one row per head and allocates
+    nothing.  ``length`` tracks how many
     positions are populated; :meth:`keys` / :meth:`values` return zero-copy
     views of the populated prefix.
 
@@ -156,9 +156,9 @@ class LayerKVCache:
         prompt positions — ``(B, 2, D)`` column checksums of the input for
         ``AS``, ``(B, H, rows, 2)`` row checksums of ``V`` for ``CL``.
 
-        A copy, not an alias: ``checksums`` may live in a workspace slot
-        reused across layer visits.  The float64 buffers are allocated at
-        the first seed and kept by :meth:`reset`.
+        Copied into the cache's own float64 buffers, allocated at the first
+        seed and kept by :meth:`reset`: decode steps fold new rows into
+        ``cs_x`` in place and fill the ``cs_v_row`` slots past the prompt.
         """
         if self.cs_x is None:
             self.cs_x = np.zeros(

@@ -50,8 +50,8 @@ class FeedForward(InstrumentedBlock):
         num_heads: int = 1,
         rng: Optional[np.random.Generator] = None,
     ) -> None:
-        # FFN GEMMs report the layer's attention geometry unchanged (the
-        # checksum machinery keys on it for workspace shapes only).
+        # FFN GEMMs report the layer's attention geometry unchanged (no FFN
+        # checksum op reads it).
         super().__init__(hidden_size, num_heads, layer_index)
         rng = rng if rng is not None else np.random.default_rng(0)
         self.hidden_size = hidden_size

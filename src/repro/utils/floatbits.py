@@ -5,15 +5,10 @@ significant bit of the [exponent of the] selected element" and injects INF and
 NaN "via assignments" (Section 5.1, *Fault Injection*).  This module provides
 the exact bit-level machinery to do both.
 
-Two families of helpers coexist:
-
-* the host-side scalar/array functions (``flip_bit``, ``make_near_inf``, ...)
-  operate on NumPy data with vectorised bit views, so fault-injection
-  campaigns over millions of elements remain fast;
-* :func:`flip_exponent_msb_inplace` reinterprets one element of a live
-  buffer as a same-width integer (:func:`uint_view`) and XORs the exponent
-  MSB *in place* — the matrix is corrupted without a copy, mirroring a
-  transient fault striking memory.
+The scalar/array functions (``flip_bit``, ``make_near_inf``, ...) operate on
+NumPy data through same-width integer bit views (:func:`uint_view`), so
+fault-injection campaigns over millions of elements remain fast.  The
+injector assigns the value they return into the corrupted matrix.
 """
 
 from __future__ import annotations
@@ -36,7 +31,6 @@ __all__ = [
     "flip_bit",
     "flip_adjacent_double_bit",
     "flip_exponent_msb",
-    "flip_exponent_msb_inplace",
     "flip_mantissa_lsb",
     "make_near_inf",
     "is_extreme",
@@ -56,9 +50,8 @@ UINT_DTYPE_FOR_FLOAT = {
 }
 
 #: Magnitude floor below which an exponent flip does not count as a genuine
-#: near-INF fault (matches the paper's T_near-INF default); shared by
-#: :func:`make_near_inf` and the injector's in-place flip path so the two
-#: stay value-equivalent by construction.
+#: near-INF fault in :func:`make_near_inf` (matches the paper's T_near-INF
+#: default).
 NEAR_INF_MINIMUM_MAGNITUDE = 1e10
 
 ArrayLike = Union[float, np.ndarray]
@@ -191,24 +184,6 @@ def apply_flip_kind(kind: str, x: ArrayLike, dtype: np.dtype = np.float32) -> np
             arr = arr.astype(dtype)
         return np.zeros_like(arr)
     raise KeyError(f"unknown flip kind {kind!r}; expected one of {FLIP_KINDS}")
-
-
-def flip_exponent_msb_inplace(array: np.ndarray, position: Tuple[int, ...]) -> None:
-    """Flip the exponent MSB of ``array[position]`` in place.
-
-    The buffer is reinterpreted through its same-width integer view
-    (:func:`uint_view`) and a single element is XORed — no copy, no dtype
-    round-trip — which is bit-identical to assigning
-    :func:`flip_exponent_msb` of the element.
-
-    Raises :class:`TypeError` for dtypes without an IEEE-754 exponent map.
-    """
-    dtype = array.dtype
-    if dtype not in EXPONENT_BITS:
-        raise TypeError(f"unsupported floating dtype for in-place flip: {dtype!r}")
-    bit = MANTISSA_BITS[dtype] + EXPONENT_BITS[dtype] - 1
-    bits = uint_view(array)
-    bits[position] = bits[position] ^ (1 << bit)
 
 
 def make_near_inf(

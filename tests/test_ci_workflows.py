@@ -9,7 +9,12 @@ CI reaches it.  All of that is checked here, locally:
 * every ``tests/``, ``benchmarks/``, ``examples/``, ``src/`` or ``tools/``
   path named in a ``run:`` block, or in a Makefile recipe, exists;
 * every ``python -m repro <experiment>`` names a registered experiment, and
-  its whole command line parses with :func:`repro.cli.build_parser`.
+  its whole command line parses with :func:`repro.cli.build_parser`;
+* every ``["key"]`` a gate script reads from a ``BENCH_*.json`` it loads is
+  written somewhere: it appears as a quoted string in the
+  ``benchmarks/bench_*.py`` that names that artifact or in ``src/repro/``.
+  A gate that reads a key no harness writes fails only on CI, with a
+  ``KeyError``.
 
 The YAML checks skip without PyYAML.  One more check reads
 ``pyproject.toml`` with :mod:`tomllib` (so it skips on Python 3.10): every
@@ -33,6 +38,12 @@ PATH_PATTERN = re.compile(r"(?<![\w/.])((?:tests|benchmarks|examples|src|tools)/
 EXPERIMENT_PATTERN = re.compile(r"python -m repro\s+([\w-]+)")
 #: A ``python -m repro`` command line, up to a pipe, list operator or redirect.
 COMMAND_PATTERN = re.compile(r"python -m repro\b([^\n|;&>]*)")
+#: A gate script loading a benchmark artifact: ``json.load(open("BENCH_x.json"))``.
+ARTIFACT_PATTERN = re.compile(r"""json\.load\(open\(["'](BENCH_\w+\.json)["']\)\)""")
+#: A subscript by a string literal, ``["key"]`` or ``['key']``.
+KEY_PATTERN = re.compile(r"""\[\s*["'](\w+)["']\s*\]""")
+#: Any quoted identifier-like string.
+QUOTED_PATTERN = re.compile(r"""["'](\w+)["']""")
 
 
 def run_blocks(workflow):
@@ -96,24 +107,28 @@ def test_makefile_recipes_name_existing_paths():
     assert [path for line in recipes for path in missing_paths(line)] == []
 
 
-def repro_command_lines():
-    """``(workflow, job, argv)`` of every ``python -m repro`` command line in
-    a workflow ``run:`` block; empty without PyYAML."""
+def workflow_run_blocks():
+    """``(workflow, job, run script)`` of every step of every workflow with a
+    ``run:`` key; empty without PyYAML."""
     try:
         import yaml
     except ImportError:
         return []
-    commands = []
+    blocks = []
     for path in WORKFLOWS:
         with open(path, encoding="utf-8") as fh:
             workflow = yaml.safe_load(fh)
-        for job, _step, script in run_blocks(workflow):
-            for args in COMMAND_PATTERN.findall(script):
-                commands.append((path.name, job, shlex.split(args)))
-    return commands
+        blocks += [(path.name, job, script) for job, _step, script in run_blocks(workflow)]
+    return blocks
 
 
-REPRO_COMMANDS = repro_command_lines()
+RUN_BLOCKS = workflow_run_blocks()
+#: ``(workflow, job, argv)`` of every ``python -m repro`` command line.
+REPRO_COMMANDS = [
+    (name, job, shlex.split(args))
+    for name, job, script in RUN_BLOCKS
+    for args in COMMAND_PATTERN.findall(script)
+]
 
 
 def test_workflows_run_repro_commands():
@@ -151,3 +166,42 @@ def test_mypy_overrides_name_existing_modules():
     ]
     assert modules
     assert [m for m in modules if not module_exists(m)] == []
+
+
+def quoted_strings(paths):
+    """Every quoted identifier-like string in the files at ``paths``."""
+    return {
+        literal
+        for path in paths
+        for literal in QUOTED_PATTERN.findall(path.read_text(encoding="utf-8"))
+    }
+
+
+#: ``(workflow, job, artifacts, keys)`` of every gate script that loads a
+#: ``BENCH_*.json``: the artifacts it loads and the keys it reads.
+ARTIFACT_GATES = [
+    (name, job, ARTIFACT_PATTERN.findall(script), sorted(set(KEY_PATTERN.findall(script))))
+    for name, job, script in RUN_BLOCKS
+    if ARTIFACT_PATTERN.search(script)
+]
+
+
+def test_workflows_gate_bench_artifacts():
+    pytest.importorskip("yaml")
+    assert ARTIFACT_GATES
+    assert all(keys for *_, keys in ARTIFACT_GATES)
+
+
+@pytest.mark.parametrize(
+    "artifacts,keys", [(artifacts, keys) for *_, artifacts, keys in ARTIFACT_GATES],
+    ids=[f"{job}:{'+'.join(artifacts)}" for _, job, artifacts, _ in ARTIFACT_GATES],
+)
+def test_artifact_gates_read_only_written_keys(artifacts, keys):
+    benches = sorted((REPO_ROOT / "benchmarks").glob("bench_*.py"))
+    writers = [
+        bench for bench in benches
+        if any(artifact in bench.read_text(encoding="utf-8") for artifact in artifacts)
+    ]
+    assert writers, f"no benchmarks/bench_*.py names {artifacts}"
+    written = quoted_strings(writers + sorted((REPO_ROOT / "src" / "repro").rglob("*.py")))
+    assert [key for key in keys if key not in written] == []

@@ -1,22 +1,20 @@
-"""Fused batched checksum kernels, weight-encoding cache and workspace arena.
+"""Fused batched checksum kernels and the weight-encoding cache.
 
 What this file pins, complementing ``test_verification_modes.py`` (which
 byte-compares the fused engine against the per-GEMM reference over a random
 campaign):
 
-* the fused schedule (sibling-GEMM fusion + weight-encoding cache + checksum
-  workspace) makes **byte-identical detection/correction decisions and
-  outputs** vs the per-GEMM reference, which runs the historical unfused
-  sequence, across random geometry, dtypes, sections and faults;
-* the state a checker keeps across passes (cached weight encodings,
-  steady-state workspace buffers, the reference's per-pass checksums) never
-  changes a decision: a warm checker decides exactly like a cold one;
+* the fused schedule (sibling-GEMM fusion + weight-encoding cache) makes
+  **byte-identical detection/correction decisions and outputs** vs the
+  per-GEMM reference, which runs the historical unfused sequence, across
+  random geometry, dtypes, sections and faults;
+* the state a checker keeps across passes (cached weight encodings, the
+  reference's per-pass checksums) never changes a decision: a warm checker
+  decides exactly like a cold one;
 * the BLAS property the sibling fusion relies on — ``A @ [B1 | B2]`` is
   column-wise bitwise identical to ``A @ B1`` / ``A @ B2`` — holds on this
   platform (a loud canary if a BLAS build ever breaks it);
-* the workspace is allocation-free in steady state (buffer identity stable
-  across steps), and repair write-back does not leak corrupted state into
-  reused buffers;
+* repair write-back does not leak corrupted state into the next pass;
 * the weight-encoding cache hits across fault-free forwards and is
   invalidated by optimizer steps, ``load_state_dict`` and the manual
   ``invalidate_weight_cache`` escape hatch for in-place weight edits;
@@ -34,7 +32,6 @@ from test_verification_modes import MODE_KWARGS, random_scenario, run_scenario
 from repro.core import (
     ATTNChecker,
     ATTNCheckerConfig,
-    ChecksumWorkspace,
     SectionCostModel,
 )
 from repro.core.checksums import (
@@ -90,9 +87,9 @@ def test_fused_schedule_matches_per_gemm_reference(seed):
 @pytest.mark.parametrize("mode", list(MODE_KWARGS))
 class TestWarmVsColdEquivalence:
     """Property campaign: state a checker keeps across passes never changes a
-    decision.  The fused engine carries cached weight encodings and
-    steady-state workspace buffers from pass to pass; the per-GEMM reference
-    must drop its per-pass checksums at every layer exit."""
+    decision.  The fused engine carries cached weight encodings from pass
+    to pass; the per-GEMM reference must drop its per-pass checksums at
+    every layer exit."""
 
     def test_byte_identical_decisions_and_outputs(self, mode, seed):
         scenario = random_scenario(seed)
@@ -103,7 +100,6 @@ class TestWarmVsColdEquivalence:
         if mode != "per_gemm":
             # The faulty pass really ran on warm state.
             assert warm["weight_cache"]["hits"] > cold["weight_cache"]["hits"]
-            assert warm["workspace"]["reuses"] > cold["workspace"]["reuses"]
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32, np.float16])
@@ -125,87 +121,29 @@ def test_sibling_gemm_concat_is_bitwise_identical(dtype):
 
 
 # ---------------------------------------------------------------------------
-# Workspace: steady-state reuse, queue isolation, repair aliasing
+# Repair write-back
 # ---------------------------------------------------------------------------
 
-class TestChecksumWorkspace:
-    def test_request_reuses_identical_buffer(self):
-        workspace = ChecksumWorkspace()
-        first = workspace.request("slot", (3, 4), np.float64)
-        second = workspace.request("slot", (3, 4), np.float64)
-        assert first is second
-        assert workspace.allocations == 1 and workspace.reuses == 1
-        assert workspace.owns(first)
-        assert not workspace.owns(np.zeros((3, 4)))
-
-    def test_geometry_change_replaces_buffer_bounded_by_name(self):
-        """One buffer per slot name: a new geometry evicts the old buffer
-        instead of accumulating — memory stays bounded under shape churn."""
-        workspace = ChecksumWorkspace()
-        a = workspace.request("slot", (3, 4), np.float64)
-        b = workspace.request("slot", (4, 3), np.float64)
-        c = workspace.request("other", (3, 4), np.float64)
-        assert a is not b and a is not c
-        assert len(workspace) == 2  # "slot" was replaced, not duplicated
-        assert not workspace.owns(a)
-        assert workspace.owns(b) and workspace.owns(c)
-        # Returning to the previous geometry allocates afresh (no history).
-        d = workspace.request("slot", (3, 4), np.float64)
-        assert d is not a and len(workspace) == 2
-
-    def test_dtype_change_replaces_buffer(self):
-        workspace = ChecksumWorkspace()
-        a = workspace.request("slot", (3, 4), np.float64)
-        b = workspace.request("slot", (3, 4), np.float32)
-        assert b is not a and b.dtype == np.float32
-        assert len(workspace) == 1 and workspace.allocations == 2
-
-    def test_reset_stats_and_steady_state_predicate(self):
-        workspace = ChecksumWorkspace()
-        workspace.request("slot", (2, 2), np.float64)
-        assert not workspace.steady_state
-        workspace.reset_stats()
-        workspace.request("slot", (2, 2), np.float64)
-        assert workspace.allocations == 0 and workspace.reuses == 1
-        assert workspace.steady_state
-        workspace.clear()
-        assert len(workspace) == 0
-
-    def test_zero_steady_state_allocations(self):
-        """After one warm-up step the hot path allocates nothing new, and the
-        slot count matches the cost model's accounting."""
-        attention = make_attention(11)
-        checker = ATTNChecker(ATTNCheckerConfig())
-        forward(attention, checker, seed=100)  # warm-up (allocates the slots)
-        engine = checker.engine
-        assert len(engine.workspace) == SectionCostModel.checksum_workspace_slots()
-        engine.workspace.reset_stats()
-        for step in range(3):
-            forward(attention, checker, seed=101 + step)
-        assert engine.workspace.allocations == 0
-        assert engine.workspace.reuses > 0
-        assert engine.workspace.steady_state
-
-    def test_repair_write_back_leaves_no_aliasing_residue(self):
-        """A corrected pass must not leak corrupted state into reused buffers:
-        the next clean pass through the same workspace reports clean and its
-        output is bitwise what a fresh checker produces."""
-        attention = make_attention(13)
-        checker = ATTNChecker(ATTNCheckerConfig())
-        injector = FaultInjector(
-            [FaultSpec(matrix="AS", error_type="inf", layer_index=0)],
-            rng=np.random.default_rng(9),
-        )
-        forward(attention, checker, seed=200, injector=injector)
-        assert checker.stats.total_corrections > 0
-        before = {n: (s.detections, s.corrections)
-                  for n, s in checker.stats.sections.items()}
-        clean_out = forward(attention, checker, seed=201)
-        after = {n: (s.detections, s.corrections)
-                 for n, s in checker.stats.sections.items()}
-        assert after == before  # the clean pass added no detections
-        fresh_out = forward(attention, ATTNChecker(ATTNCheckerConfig()), seed=201)
-        assert np.array_equal(clean_out, fresh_out)
+def test_repair_write_back_leaves_no_residue():
+    """A corrected pass must not leak corrupted state into the next pass:
+    the next clean pass through the same checker reports clean and its
+    output is bitwise what a fresh checker produces."""
+    attention = make_attention(13)
+    checker = ATTNChecker(ATTNCheckerConfig())
+    injector = FaultInjector(
+        [FaultSpec(matrix="AS", error_type="inf", layer_index=0)],
+        rng=np.random.default_rng(9),
+    )
+    forward(attention, checker, seed=200, injector=injector)
+    assert checker.stats.total_corrections > 0
+    before = {n: (s.detections, s.corrections)
+              for n, s in checker.stats.sections.items()}
+    clean_out = forward(attention, checker, seed=201)
+    after = {n: (s.detections, s.corrections)
+             for n, s in checker.stats.sections.items()}
+    assert after == before  # the clean pass added no detections
+    fresh_out = forward(attention, ATTNChecker(ATTNCheckerConfig()), seed=201)
+    assert np.array_equal(clean_out, fresh_out)
 
 
 # ---------------------------------------------------------------------------
@@ -323,8 +261,6 @@ class TestDispatchAccounting:
     def test_model_rejects_unknown_inputs(self):
         with pytest.raises(KeyError):
             SectionCostModel.checksum_gemm_dispatches_per_layer("batched")
-        with pytest.raises(KeyError):
-            SectionCostModel.checksum_workspace_slots("sometimes")
 
     def test_detect_counter_counts_boundary_verifications(self):
         attention = make_attention(33)

@@ -436,16 +436,12 @@ class TestDecodeDispatchCounters:
         # the cost model's fully-cold entry.
         first = decode_delta()
         assert steady * config.num_layers < first <= cold * config.num_layers
-        workspace = checker.engine.workspace
-        allocations_after_cold = workspace.allocations
         deltas = []
         while caches[0].length < total_len:
             deltas.append(decode_delta())
         checker.close()
         # Constant dispatch count at every cache length, matching the model.
         assert deltas == [steady * config.num_layers] * len(deltas)
-        # Zero steady-state decode allocations from the workspace arena.
-        assert workspace.allocations == allocations_after_cold
 
 
 class TestSlotCompaction:

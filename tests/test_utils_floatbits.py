@@ -12,7 +12,6 @@ from repro.utils.floatbits import (
     flip_adjacent_double_bit,
     flip_bit,
     flip_exponent_msb,
-    flip_exponent_msb_inplace,
     flip_mantissa_lsb,
     is_extreme,
     make_near_inf,
@@ -205,21 +204,3 @@ class TestUintView:
     def test_rejects_non_float(self):
         with pytest.raises(TypeError):
             uint_view(np.zeros(3, dtype=np.int64))
-
-
-@pytest.mark.parametrize("dtype", FLOAT_DTYPES)
-def test_inplace_exponent_flip_matches_host_reference(dtype):
-    host = (np.arange(1, 7, dtype=dtype) / 3.0).reshape(2, 3)
-    array = host.copy()
-    flip_exponent_msb_inplace(array, (1, 2))
-    expected = host.copy()
-    expected[1, 2] = flip_exponent_msb(expected[1, 2], dtype=dtype)
-    np.testing.assert_array_equal(array, expected)
-    # Flipping again restores the original bits exactly.
-    flip_exponent_msb_inplace(array, (1, 2))
-    np.testing.assert_array_equal(array, host)
-
-
-def test_inplace_flip_rejects_unsupported_dtype():
-    with pytest.raises(TypeError):
-        flip_exponent_msb_inplace(np.zeros(3, dtype=np.int64), (0,))

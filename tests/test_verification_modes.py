@@ -99,12 +99,11 @@ def run_scenario(mode, scenario, seed, warmup=0):
     """One single-fault protected forward pass under one checker backend.
 
     Returns the protected output, full per-section statistics, the set of
-    dirty sections and the checker's cache/workspace counters.  ``warmup``
+    dirty sections and the checker's weight-cache counters.  ``warmup``
     clean passes over the same module run first, their statistics dropped,
     so the faulty pass meets a checker that already holds cached weight
-    encodings and steady-state buffers.  Every warm-up pass but the last
-    runs one position longer, so those buffers have also been through a
-    change of geometry.
+    encodings.  Every warm-up pass but the last runs one position longer,
+    so the checker has also been through a change of geometry.
     """
     attention, x, injector = build_scenario(scenario, seed)
     checker = ATTNChecker(ATTNCheckerConfig(**MODE_KWARGS[mode]))
@@ -134,7 +133,6 @@ def run_scenario(mode, scenario, seed, warmup=0):
         "stats": stats,
         "dirty": dirty,
         "weight_cache": checker.weight_cache_stats(),
-        "workspace": checker.workspace_stats(),
     }
 
 

@@ -2,11 +2,10 @@
 
 The fault-tolerance guarantees of this codebase rest on conventions that a
 functional test suite cannot see regressing: checksum reductions must
-accumulate in float64, ``repro.core`` kernels must stay array-library
-generic, hot-path intermediates must honor the workspace ``out=`` contract,
-worker-shared engine state must only be touched under its lock, the
-layering between ``core``/``backend``/``nn`` must not invert, and every
-public ``src/`` symbol must have a production caller.  ``reprolint``
+accumulate in float64, worker-shared engine state must only be touched
+under its lock, the layering between ``utils``/``core``/``comm``/``nn``
+must not invert, every public ``src/`` symbol must have a production
+caller, and no module may keep an import it does not use.  ``reprolint``
 machine-enforces those contracts at CI time, on every diff.
 
 Usage (repo root)::

@@ -29,9 +29,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="reprolint",
         description=(
             "AST-based invariant checker for the ATTNChecker reproduction: "
-            "machine-enforces the xp-genericity, float64-accumulation, "
-            "host-transfer, lock-discipline, workspace, layering, "
-            "no-dead-public-symbol and no-unused-import contracts."
+            "machine-enforces the float64-accumulation, lock-discipline, "
+            "layering, no-dead-public-symbol and no-unused-import contracts."
         ),
     )
     parser.add_argument(

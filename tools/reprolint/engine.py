@@ -20,7 +20,7 @@ token inside the same symbol, in source order.
 Suppressions are inline comments::
 
     something_flagged()  # reprolint: disable=DT001
-    # reprolint: disable=WS001,DT001   <- standalone: applies to the next line
+    # reprolint: disable=LY001,DT001   <- standalone: applies to the next line
     # reprolint: disable-file=TH001    <- anywhere: applies to the whole file
 
 A suppression on the first line of a multi-line statement covers findings
@@ -212,8 +212,8 @@ def parse_suppressions(source: str) -> Tuple[Set[str], Dict[int, Set[str]]]:
     comment line extends its suppression to the following line, so the
     idiomatic form::
 
-        # reprolint: disable=WS001 -- allocating fallback is the contract here
-        out = xp.stack(arrays)
+        # reprolint: disable=DT001 -- counts mask elements, not checksums
+        flagged = np.sum(mask)
 
     works without packing the justification onto the code line.
     """

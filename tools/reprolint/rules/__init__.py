@@ -15,14 +15,12 @@ from reprolint.rules.dc001 import DeadPublicSymbolRule
 from reprolint.rules.dc002 import UnusedImportRule
 from reprolint.rules.dt001 import Float64AccumulationRule
 from reprolint.rules.th001 import LockDisciplineRule
-from reprolint.rules.ws001 import WorkspaceContractRule
 from reprolint.rules.ly001 import LayeringRule
 
 __all__ = [
     "PathScopedRule",
     "Float64AccumulationRule",
     "LockDisciplineRule",
-    "WorkspaceContractRule",
     "LayeringRule",
     "DeadPublicSymbolRule",
     "UnusedImportRule",
@@ -32,7 +30,6 @@ __all__ = [
 _RULE_CLASSES = (
     Float64AccumulationRule,
     LockDisciplineRule,
-    WorkspaceContractRule,
     LayeringRule,
     DeadPublicSymbolRule,
     UnusedImportRule,
