@@ -21,7 +21,11 @@ from repro.core import (
     SectionCostModel,
     correct_matrix,
 )
-from repro.core.checksums import encode_column_checksums, encode_row_checksums
+from repro.core.checksums import (
+    encode_column_checksums,
+    encode_row_checksums,
+    merge_head_column_checksums,
+)
 from repro.core.correction import MatrixCorrectionReport
 from repro.core.thresholds import ABFTThresholds
 from repro.core.eec_abft import check_columns, check_rows
@@ -140,6 +144,30 @@ class TestPublicSurface:
         assert list(inspect.signature(correct_matrix).parameters) == [
             "matrix", "checksums", "thresholds",
         ]
+
+    @pytest.mark.parametrize("encoder", [encode_column_checksums, encode_row_checksums])
+    def test_encoder_parameters(self, encoder):
+        # An encoder returns a new float64 array: no output buffer, no dtype.
+        assert list(inspect.signature(encoder).parameters) == ["matrix"]
+
+    def test_merge_head_column_checksums_parameters(self):
+        assert list(inspect.signature(merge_head_column_checksums).parameters) == [
+            "per_head",
+        ]
+
+    @pytest.mark.parametrize("backend", CHECKER_BACKENDS)
+    def test_workspace_stats_read_zero(self, rng, backend):
+        # The frozen end-to-end harness reads ``workspace_stats()["allocations"]``
+        # for its ``core.workspace_allocations_per_op`` metric.  No checker
+        # keeps a buffer arena, so every counter reads 0 after protected passes.
+        checker = ATTNChecker(ATTNCheckerConfig(backend=backend))
+        attention = make_attention()
+        for _ in range(2):
+            run_attention(attention, rng.normal(size=(1, 4, 16)), checker)
+        assert checker.stats.total_checks == 6
+        assert checker.workspace_stats() == {
+            "slots": 0, "allocations": 0, "reuses": 0, "bytes_allocated": 0,
+        }
 
 
 class TestFusedTransparency:

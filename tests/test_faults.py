@@ -15,7 +15,9 @@ from repro.faults import (
 from repro.faults.injector import TARGET_MATRICES
 from repro.models import build_model
 from repro.nn import MultiHeadAttention, RecordingHooks, ComposedHooks
+from repro.nn.attention import GemmContext
 from repro.tensor.autograd import Tensor
+from repro.utils.floatbits import flip_exponent_msb
 
 
 @pytest.fixture
@@ -120,6 +122,34 @@ class TestFaultInjector:
         attention(Tensor(rng.normal(size=(1, 5, 16))))
         attention.set_hooks(None)
         assert np.isfinite(injector.records[0].original_value)
+
+    @pytest.mark.parametrize("out_dtype,value_dtype,flip_dtype", [
+        (np.float64, None, np.float64),
+        (np.float32, None, np.float32),
+        (np.float64, np.float32, np.float32),
+    ], ids=["float64", "float32", "float64-value-float32"])
+    def test_near_inf_writes_exponent_msb_flip_of_element(self, out_dtype, value_dtype, flip_dtype):
+        """The near-INF fault is the exponent-MSB flip of the struck element
+        in the injector's value format, written back into the output: the
+        record holds the written value, no other element moves, and a second
+        flip of the written bits gives back the original element."""
+        out = (np.arange(1, 7) / 7.0).reshape(2, 3).astype(out_dtype)
+        before = out.copy()
+        injector = FaultInjector(
+            [FaultSpec(matrix="Q", error_type="near_inf", position=(1, 2))],
+            value_dtype=value_dtype,
+        )
+        ctx = GemmContext(op=TARGET_MATRICES["Q"], a=None, b=None, layer_index=0, step=0,
+                          num_heads=1, head_dim=3, seq_len=2)
+        assert injector.on_gemm_output(ctx, out) is out
+        original = np.asarray(before[1, 2], dtype=flip_dtype)
+        assert out[1, 2] == flip_exponent_msb(original, dtype=flip_dtype)
+        assert injector.records[0].injected_value == out[1, 2]
+        assert injector.records[0].original_value == before[1, 2]
+        out[1, 2] = before[1, 2]
+        assert np.array_equal(out, before)
+        flipped = np.asarray(injector.records[0].injected_value, dtype=flip_dtype)
+        assert flip_exponent_msb(flipped, dtype=flip_dtype) == original
 
 
 class TestPropagationStudy:

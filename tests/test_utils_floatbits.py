@@ -204,3 +204,21 @@ class TestUintView:
     def test_rejects_non_float(self):
         with pytest.raises(TypeError):
             uint_view(np.zeros(3, dtype=np.int64))
+
+
+@pytest.mark.parametrize("dtype", FLOAT_DTYPES)
+def test_element_exponent_flip_matches_array_flip(dtype):
+    """Flipping one element as a scalar and assigning it back, as fault
+    injection does, writes the bits the array-wide flip has at that position
+    and touches nothing else; a second flip restores the original bits.
+    The values cover a finite, an INF, a NaN and a zero result."""
+    host = (np.arange(1, 7, dtype=dtype) / 3.0).reshape(2, 3)
+    whole = flip_exponent_msb(host, dtype=dtype)
+    for position in np.ndindex(host.shape):
+        array = host.copy()
+        array[position] = flip_exponent_msb(array[position], dtype=dtype)
+        expected = host.copy()
+        expected[position] = whole[position]
+        np.testing.assert_array_equal(bit_pattern(array, dtype), bit_pattern(expected, dtype))
+        array[position] = flip_exponent_msb(array[position], dtype=dtype)
+        np.testing.assert_array_equal(bit_pattern(array, dtype), bit_pattern(host, dtype))
