@@ -1,10 +1,10 @@
 """Ablation: why ATTNChecker needs all three protection sections.
 
-DESIGN.md calls out the segmented-protection design choice (Section 4.4 of the
-paper): the execution flow is split into S_AS, S_CL and S_O so that any single
-fault manifests as at most a 1D pattern at a section boundary, which EEC-ABFT
-can correct.  This ablation disables the sections one at a time and measures
-which injected faults are still corrected and at what cost:
+The segmented-protection design choice (Section 4.4 of the paper) splits the
+execution flow into S_AS, S_CL and S_O so that any single fault manifests as
+at most a 1D pattern at a section boundary, which EEC-ABFT can correct.  This
+ablation disables the sections one at a time and measures which injected
+faults are still corrected and at what cost:
 
 * with all sections enabled every fault is corrected (the Section-5.2 result);
 * disabling a section leaves the faults originating in its operations
@@ -19,9 +19,8 @@ import numpy as np
 
 from benchmarks.conftest import make_batch, make_model
 from repro.analysis import format_percent, format_table
-from repro.core import ATTNChecker, ATTNCheckerConfig
-from repro.faults import FaultInjector, FaultSpec
-from repro.nn import ComposedHooks
+from repro.core import ATTNCheckerConfig
+from repro.faults import FaultHarness
 
 #: Section configurations of the ablation and the faults each one should cover.
 CONFIGURATIONS = {
@@ -43,38 +42,25 @@ FAULTS = {
 def run_ablation(model_name: str = "bert-base", trials: int = 2):
     model = make_model(model_name)
     batch = make_batch(model, n=4, full_mask=True)
-
-    def forward(hooks):
-        model.eval()
-        model.set_attention_hooks(hooks)
-        try:
-            out = model(batch["input_ids"], attention_mask=batch["attention_mask"])
-        finally:
-            model.set_attention_hooks(None)
-            model.train()
-        return out.logits.data.copy()
-
-    reference = forward(None)
+    faults = [fault for section_faults in FAULTS.values() for fault in section_faults]
     results = {}
     for label, frequencies in CONFIGURATIONS.items():
-        covered = {}
-        abft_seconds = 0.0
-        for section, faults in FAULTS.items():
-            ok = 0
-            total = 0
-            for matrix, error_type in faults:
-                for trial in range(trials):
-                    injector = FaultInjector(
-                        [FaultSpec(matrix=matrix, error_type=error_type)],
-                        rng=np.random.default_rng(100 + trial),
-                    )
-                    checker = ATTNChecker(ATTNCheckerConfig(frequencies=dict(frequencies)))
-                    logits = forward(ComposedHooks([injector, checker]))
-                    abft_seconds += checker.overhead_seconds()
-                    total += 1
-                    if np.allclose(logits, reference, rtol=1e-6, atol=1e-6):
-                        ok += 1
-            covered[section] = ok / total
+        harness = FaultHarness(
+            model, batch, "protected",
+            checker_config=ATTNCheckerConfig(frequencies=dict(frequencies)),
+        )
+        # Trial t of every fault draws its position from seed 100 + t.
+        cells = dict(zip(faults, harness.cells(
+            faults, trials, rng=lambda cell, trial: np.random.default_rng(100 + trial),
+        )))
+        covered = {
+            section: sum(cells[f].count("matches") for f in section_faults)
+            / sum(cells[f].trials for f in section_faults)
+            for section, section_faults in FAULTS.items()
+        }
+        abft_seconds = sum(
+            t.checker.overhead_seconds() for cell in cells.values() for t in cell.outcomes
+        )
         results[label] = {"covered": covered, "abft_seconds": abft_seconds}
     return results
 

@@ -7,10 +7,10 @@ one uncovered failure per 1e11 protected executions, and the resulting
 per-step training overhead is reported.  The paper's trend: ~0 % at the lowest
 rates, rising to ~3.6 % at 20 — always well below the non-adaptive 7 %.
 
-Calibration note (documented in EXPERIMENTS.md): the protected FLOPs per
-"execution" aggregate all layers, forward + backward, and the gradient-
-accumulation micro-steps of one optimizer step; this places the onset of
-non-zero frequencies inside the paper's 13-20 window.
+Calibration note: the protected FLOPs per "execution" aggregate all layers,
+forward + backward, and the gradient-accumulation micro-steps of one
+optimizer step (``FLOPS_MULTIPLIER``); this places the onset of non-zero
+frequencies inside the paper's 13-20 window.
 """
 
 from repro.analysis import format_percent, format_table

@@ -11,7 +11,7 @@ import pytest
 
 from benchmarks.conftest import MAIN_MODELS, make_batch, make_model
 from repro.analysis import format_percent, format_table
-from repro.faults import DetectionCorrectionCampaign
+from repro.faults import FaultHarness, all_corrected
 
 MATRICES = ("Q", "K", "V", "AS", "CL", "O")
 ERROR_TYPES = ("inf", "nan", "near_inf")
@@ -20,8 +20,10 @@ ERROR_TYPES = ("inf", "nan", "near_inf")
 def run_campaign(model_name: str, trials: int = 3):
     model = make_model(model_name)
     batch = make_batch(model, n=4, full_mask=True)
-    campaign = DetectionCorrectionCampaign(model, batch, rng=np.random.default_rng(5))
-    return campaign.run(matrices=MATRICES, error_types=ERROR_TYPES, trials=trials)
+    return FaultHarness(model, batch, "protected").cells(
+        [(m, e) for m in MATRICES for e in ERROR_TYPES],
+        trials=trials, rng=np.random.default_rng(5),
+    )
 
 
 @pytest.mark.parametrize("model_name", MAIN_MODELS)
@@ -39,8 +41,8 @@ def test_sec52_all_extreme_errors_detected_and_corrected(benchmark, report, mode
         rows,
         title=f"Section 5.2 — detection & correction with ATTNChecker ({model_name}, tiny config)",
     ))
-    benchmark.extra_info["all_corrected"] = DetectionCorrectionCampaign.all_corrected(results)
+    benchmark.extra_info["all_corrected"] = all_corrected(results)
 
-    assert DetectionCorrectionCampaign.all_corrected(results)
+    assert all_corrected(results)
     for r in results:
         assert r.recovery_rate == 1.0

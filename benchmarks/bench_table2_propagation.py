@@ -11,18 +11,21 @@ import pytest
 
 from benchmarks.conftest import make_batch, make_model
 from repro.analysis import format_table
-from repro.faults import PropagationStudy
+from repro.faults import DOWNSTREAM_ORDER as DOWNSTREAM
+from repro.faults import FaultHarness
 
 MATRICES = ("Q", "K", "V", "AS", "CL")
 ERROR_TYPES = ("inf", "nan", "near_inf")
-DOWNSTREAM = ("Q", "K", "V", "AS", "AP", "CL", "O")
 
 
 def run_propagation_table(model_name: str = "bert-base", trials: int = 2):
     """Trace every (matrix, error class) pair and keep the most severe pattern."""
     model = make_model(model_name)
     batch = make_batch(model, n=4, full_mask=True)
-    study = PropagationStudy(model, batch, rng=np.random.default_rng(1))
+    cells = FaultHarness(model, batch, "recorded").cells(
+        [(m, e) for e in ERROR_TYPES for m in MATRICES],
+        trials=trials, rng=np.random.default_rng(1),
+    )
 
     severity = {"-": 0, "0D": 1, "1R": 2, "1C": 2, "2D": 3}
 
@@ -33,14 +36,12 @@ def run_propagation_table(model_name: str = "bert-base", trials: int = 2):
         return a if rank(a) >= rank(b) else b
 
     table = {}
-    for error_type in ERROR_TYPES:
-        for matrix in MATRICES:
-            cells = {name: "-" for name in DOWNSTREAM}
-            for _ in range(trials):
-                result = study.trace(matrix, error_type)
-                for name in DOWNSTREAM:
-                    cells[name] = worse(cells[name], result.cell(name))
-            table[(error_type, matrix)] = cells
+    for cell in cells:
+        worst = {name: "-" for name in DOWNSTREAM}
+        for trial in cell.outcomes:
+            for name in DOWNSTREAM:
+                worst[name] = worse(worst[name], trial.cell(name))
+        table[(cell.error_type, cell.matrix)] = worst
     return table
 
 

@@ -17,9 +17,10 @@ import sys
 
 import numpy as np
 
-from repro import PropagationStudy, VulnerabilityStudy, build_model
+from repro import FaultHarness, build_model
 from repro.analysis import format_percent, format_table
 from repro.data import SyntheticMRPC
+from repro.faults import DOWNSTREAM_ORDER
 
 MATRICES = ("Q", "K", "V", "AS", "CL")
 ERROR_TYPES = ("inf", "nan", "near_inf")
@@ -38,30 +39,34 @@ def main():
     batch = data.encode(range(8))
 
     # --- Table 2: error propagation ------------------------------------------------
-    study = PropagationStudy(model, batch, rng=np.random.default_rng(1))
-    rows = []
-    for error_type in ERROR_TYPES:
-        for matrix in MATRICES:
-            result = study.trace(matrix, error_type)
-            rows.append([error_type, matrix] + [result.cell(m) for m in ("Q", "K", "V", "AS", "AP", "CL", "O")])
+    cells = FaultHarness(model, batch, "recorded").cells(
+        [(m, e) for e in ERROR_TYPES for m in MATRICES], trials=1, rng=np.random.default_rng(1)
+    )
+    rows = [
+        [cell.error_type, cell.matrix] + [cell.outcomes[0].cell(m) for m in DOWNSTREAM_ORDER]
+        for cell in cells
+    ]
     print(format_table(
-        ["inject", "into", "Q", "K", "V", "AS", "AP", "CL", "O"],
+        ["inject", "into", *DOWNSTREAM_ORDER],
         rows,
         title=f"Error propagation in {model_name} attention (Table 2 layout)",
     ))
     print()
 
     # --- Table 4: vulnerability ------------------------------------------------------
-    def factory():
-        return build_model(model_name, size="tiny", rng=np.random.default_rng(0))
-
-    batches = [data.encode(range(0, 8)), data.encode(range(8, 16))]
-    vulnerability = VulnerabilityStudy(factory, batches, rng=np.random.default_rng(2))
-    results = vulnerability.run(matrices=MATRICES, error_types=ERROR_TYPES, trials=trials)
+    # Every trial trains a fresh copy of this model: inject on the first
+    # batch, then check that the second (clean) step is still trainable.
+    fresh = build_model(model_name, size="tiny", rng=np.random.default_rng(0))
+    harness = FaultHarness(
+        fresh, data.encode(range(0, 8)), "training", clean_batch=data.encode(range(8, 16))
+    )
+    results = harness.cells(
+        [(m, e) for e in ERROR_TYPES for m in MATRICES], trials=trials, rng=np.random.default_rng(2)
+    )
 
     table = {e: {} for e in ERROR_TYPES}
     for result in results:
-        table[result.error_type][result.matrix] = result.probability
+        table[result.error_type][result.matrix] = result.non_trainable_rate
     rows = [
         [error_type] + [format_percent(table[error_type][m]) for m in MATRICES]
         for error_type in ERROR_TYPES

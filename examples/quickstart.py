@@ -1,35 +1,20 @@
 #!/usr/bin/env python3
 """Quickstart: protect a model's attention with ATTNChecker.
 
-The script builds a tiny BERT classifier, runs a fault-free forward pass as a
-reference, then repeats the pass while injecting an INF fault into the
-attention-score GEMM — once unprotected (the output is corrupted and the loss
-becomes NaN) and once with ATTNChecker attached (the fault is detected,
-located and corrected in place; the output matches the reference).
+The script builds a tiny BERT classifier and runs fault trials through
+:class:`repro.FaultHarness`: a fault-free forward pass as the reference, then
+the pass again with an INF fault injected into the attention-score GEMM —
+once unprotected (the output is corrupted and the loss becomes NaN) and once
+with ATTNChecker attached (the fault is detected, located and corrected in
+place; the output matches the reference).
 
 Run with:  python examples/quickstart.py
 """
 
 import numpy as np
 
-from repro import ATTNChecker, FaultInjector, FaultSpec, build_model
+from repro import FaultHarness, FaultSpec, build_model
 from repro.data import SyntheticMRPC
-from repro.nn import ComposedHooks
-
-
-def forward(model, batch, hooks):
-    """One evaluation-mode forward pass with the given attention hooks."""
-    model.eval()
-    model.set_attention_hooks(hooks)
-    try:
-        return model(
-            batch["input_ids"],
-            attention_mask=batch["attention_mask"],
-            labels=batch["labels"],
-        )
-    finally:
-        model.set_attention_hooks(None)
-        model.train()
 
 
 def main():
@@ -41,30 +26,27 @@ def main():
         vocab_size=model.config.vocab_size,
     )
     batch = data.encode(range(8))
+    # An INF fault in the AS = Q K^T GEMM; both runs draw its position from
+    # the same generator.
+    fault = FaultSpec(matrix="AS", error_type="inf")
+    positions = np.random.default_rng(7)
 
-    # 1. Fault-free reference.
-    reference = forward(model, batch, hooks=None)
-    print(f"fault-free loss          : {reference.loss_value:.4f}")
+    # 1. Fault-free reference, then an unprotected run with the fault.
+    unprotected = FaultHarness(model, batch, "unprotected")
+    print(f"fault-free loss          : {unprotected.reference.loss_value:.4f}")
+    corrupted = unprotected.trial(fault, positions)
+    print(f"unprotected faulty loss  : {corrupted.loss:.4f}   "
+          f"(injected at {corrupted.injection.position})")
 
-    # 2. Unprotected run with an INF fault injected into the AS = Q K^T GEMM.
-    injector = FaultInjector(
-        [FaultSpec(matrix="AS", error_type="inf")], rng=np.random.default_rng(7)
-    )
-    corrupted = forward(model, batch, hooks=injector)
-    print(f"unprotected faulty loss  : {corrupted.loss_value:.4f}   "
-          f"(injected at {injector.records[0].position})")
+    # 2. Protected run: the injector corrupts the GEMM output, ATTNChecker
+    #    repairs it at the section boundary before anything downstream
+    #    consumes it.
+    protected = FaultHarness(model, batch, "protected").trial(fault, positions)
+    print(f"ATTNChecker-protected    : {protected.loss:.4f}")
+    print(protected.checker.summary())
 
-    # 3. Protected run: injector corrupts the GEMM output, ATTNChecker repairs
-    #    it at the section boundary before anything downstream consumes it.
-    injector.reset()
-    checker = ATTNChecker()
-    protected = forward(model, batch, hooks=ComposedHooks([injector, checker]))
-    print(f"ATTNChecker-protected    : {protected.loss_value:.4f}")
-    print(checker.summary())
-
-    matches = np.allclose(protected.logits.data, reference.logits.data, rtol=1e-6, atol=1e-6)
-    print(f"protected output matches the fault-free reference: {matches}")
-    assert matches, "protected output should equal the fault-free output"
+    print(f"protected output matches the fault-free reference: {protected.matches}")
+    assert protected.matches, "protected output should equal the fault-free output"
 
 
 if __name__ == "__main__":

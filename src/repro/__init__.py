@@ -13,8 +13,9 @@ library, including every substrate the paper depends on:
   isolation;
 * :mod:`repro.data` / :mod:`repro.training` — synthetic MRPC-style corpus,
   optimisers, trainer, checkpoint/restore baseline;
-* :mod:`repro.faults` — fault injection, error propagation and vulnerability
-  studies (Tables 2 and 4);
+* :mod:`repro.faults` — fault injection and the one fault-trial harness
+  behind the detection, propagation and vulnerability studies (Section 5.2,
+  Tables 2 and 4);
 * :mod:`repro.core` — **the paper's contribution**: EEC-ABFT, the three
   protection sections, the ATTNChecker hook and the adaptive detection
   frequency optimiser;
@@ -25,21 +26,17 @@ library, including every substrate the paper depends on:
 Quickstart
 ----------
 >>> import numpy as np
->>> from repro import build_model, ATTNChecker, FaultInjector, FaultSpec
->>> from repro.nn import ComposedHooks
+>>> from repro import build_model, FaultHarness, FaultSpec
 >>> from repro.data import SyntheticMRPC
 >>>
 >>> model = build_model("bert-base", size="tiny")
 >>> data = SyntheticMRPC(num_examples=32, max_seq_len=model.config.max_seq_len,
 ...                      vocab_size=model.config.vocab_size)
 >>> batch = data.encode(range(8))
->>> injector = FaultInjector([FaultSpec(matrix="AS", error_type="inf")])
->>> checker = ATTNChecker()
->>> model.set_attention_hooks(ComposedHooks([injector, checker]))
->>> out = model(batch["input_ids"], attention_mask=batch["attention_mask"],
-...             labels=batch["labels"])
->>> checker.stats.total_corrections > 0 and np.isfinite(out.loss_value)
-True
+>>> trial = FaultHarness(model, batch, "protected").trial(
+...     FaultSpec(matrix="AS", error_type="inf"), np.random.default_rng(0))
+>>> trial.detected, trial.corrected, trial.matches
+(True, True, True)
 """
 
 from repro.core import (
@@ -50,7 +47,7 @@ from repro.core import (
     OperationVulnerability,
     optimize_abft_frequencies,
 )
-from repro.faults import DetectionCorrectionCampaign, FaultInjector, FaultSpec, PropagationStudy, VulnerabilityStudy
+from repro.faults import FaultHarness, FaultInjector, FaultSpec
 from repro.models import build_model, get_config, list_models
 from repro.training import AdamW, CheckpointManager, Trainer, TrainerConfig
 
@@ -66,9 +63,7 @@ __all__ = [
     "optimize_abft_frequencies",
     "FaultInjector",
     "FaultSpec",
-    "PropagationStudy",
-    "VulnerabilityStudy",
-    "DetectionCorrectionCampaign",
+    "FaultHarness",
     "build_model",
     "get_config",
     "list_models",

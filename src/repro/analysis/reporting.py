@@ -1,8 +1,8 @@
 """Plain-text table rendering used by the benchmark harnesses.
 
 Every benchmark prints the rows / series of the corresponding paper table or
-figure through these helpers so the output is uniform, diffable and easy to
-copy into EXPERIMENTS.md.
+figure through these helpers so the output is uniform and diffable, and the
+CLI (``python -m repro``) prints the same tables.
 """
 
 from __future__ import annotations

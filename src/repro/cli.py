@@ -13,14 +13,17 @@ for quick looks and for users who do not want pytest in the loop::
 
 
 Each experiment prints the same plain-text table the corresponding benchmark
-prints and returns a process exit code of 0 on success.
+prints.  The process exits 0, or 1 when an experiment's own verdict fails:
+``quickstart`` left the fault unrepaired, ``backends`` diverged, ``sec52``
+did not correct every fault, or ``serve`` / ``train_parallel`` did not
+reproduce their unprotected / one-worker reference.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from typing import Callable, Dict, Optional, Sequence
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -35,9 +38,8 @@ from repro.core import (
     optimize_abft_frequencies,
 )
 from repro.data import SyntheticMRPC
-from repro.faults import DetectionCorrectionCampaign, FaultInjector, FaultSpec, PropagationStudy
+from repro.faults import DOWNSTREAM_ORDER, FaultHarness, FaultSpec, all_corrected
 from repro.models import build_model, get_config
-from repro.nn import ComposedHooks
 from repro.perfmodel import (
     EncoderThroughputModel,
     MultiGPUScaleModel,
@@ -49,10 +51,13 @@ __all__ = ["main", "EXPERIMENTS"]
 
 MAIN_MODELS = ["bert-base", "gpt2", "gpt-neo", "roberta"]
 OVERHEAD_MODELS = ["bert-small", "bert-base", "bert-large", "gpt2", "gpt-neo", "roberta"]
+#: Fault sites and error classes of the Section-5.2 campaign.
+SEC52_MATRICES = ("Q", "K", "V", "AS", "CL", "O")
+EXTREME_ERRORS = ("inf", "nan", "near_inf")
 
 
 # ---------------------------------------------------------------------------
-# Experiment implementations (each returns the printed text)
+# Experiment implementations (each returns the printed text and its verdict)
 # ---------------------------------------------------------------------------
 
 def _tiny_model_and_batch(model_name: str, batch: int = 8, seed: int = 0):
@@ -67,34 +72,34 @@ def _tiny_model_and_batch(model_name: str, batch: int = 8, seed: int = 0):
     return model, encoded
 
 
-def run_quickstart(args: argparse.Namespace) -> str:
+def run_quickstart(args: argparse.Namespace) -> Tuple[str, bool]:
+    """Inject one fault into a protected forward pass.
+
+    The verdict fails when nothing was injected, an extreme value survived
+    or the logits were not restored to the fault-free ones.
+    """
     model, batch = _tiny_model_and_batch(args.model)
-    injector = FaultInjector(
-        [FaultSpec(matrix=args.matrix, error_type=args.error_type)],
-        rng=np.random.default_rng(args.seed),
-    )
-    checker = ATTNChecker(ATTNCheckerConfig(
+    harness = FaultHarness(model, batch, "protected", checker_config=ATTNCheckerConfig(
         backend=args.backend, protect_scope=args.protect_scope,
     ))
-    model.eval()
-    reference = model(batch["input_ids"], attention_mask=batch["attention_mask"],
-                      labels=batch["labels"]).loss_value
-    model.set_attention_hooks(ComposedHooks([injector, checker]))
-    protected = model(batch["input_ids"], attention_mask=batch["attention_mask"],
-                      labels=batch["labels"]).loss_value
-    model.set_attention_hooks(None)
+    trial = harness.trial(
+        FaultSpec(matrix=args.matrix, error_type=args.error_type),
+        np.random.default_rng(args.seed),
+    )
+    stats = trial.checker.stats
     lines = [
-        f"backend              : {checker.backend}",
-        f"fault-free loss      : {reference:.6f}",
-        f"protected faulty loss: {protected:.6f}",
-        f"detections           : {checker.stats.total_detections}",
-        f"corrections          : {checker.stats.total_corrections}",
-        f"residual extremes    : {checker.stats.total_residual_extreme}",
+        f"backend              : {trial.checker.backend}",
+        f"fault-free loss      : {harness.reference.loss_value:.6f}",
+        f"protected faulty loss: {trial.loss:.6f}",
+        f"detections           : {stats.total_detections}",
+        f"corrections          : {stats.total_corrections}",
+        f"residual extremes    : {stats.total_residual_extreme}",
     ]
-    return "\n".join(lines)
+    ok = trial.injection is not None and stats.total_residual_extreme == 0 and trial.matches
+    return "\n".join(lines), ok
 
 
-def run_backends(args: argparse.Namespace) -> str:
+def run_backends(args: argparse.Namespace) -> Tuple[str, bool]:
     """Compare the fused ProtectionEngine against the per-GEMM reference.
 
     Runs the same single-fault forward pass under both backends (same seeds)
@@ -102,44 +107,41 @@ def run_backends(args: argparse.Namespace) -> str:
     correction decisions and the protected output are byte-identical, plus the
     ABFT wall-clock each backend spent.
     """
-    combos = [(m, e) for m in ("Q", "K", "V", "AS", "CL", "O")
-              for e in ("inf", "nan", "near_inf")]
+    combos = [(m, e) for m in SEC52_MATRICES for e in EXTREME_ERRORS]
+    outcomes = {}
+    for backend in CHECKER_BACKENDS:
+        model, batch = _tiny_model_and_batch(args.model, seed=args.seed)
+        harness = FaultHarness(
+            model, batch, "protected", checker_config=ATTNCheckerConfig(backend=backend)
+        )
+        cells = harness.cells(
+            combos, trials=1, rng=lambda cell, trial: np.random.default_rng(args.seed)
+        )
+        outcomes[backend] = [cell.outcomes[0] for cell in cells]
+
+    def decisions(trial):
+        return {
+            name: (s.detections, s.corrections, s.aborted_vectors, s.operand_repairs)
+            for name, s in trial.checker.stats.sections.items()
+        }
+
     rows = []
-    abft_seconds = {name: 0.0 for name in CHECKER_BACKENDS}
     all_identical = True
-    for matrix, error_type in combos:
-        outputs, decisions = {}, {}
-        for backend in CHECKER_BACKENDS:
-            model, batch = _tiny_model_and_batch(args.model, seed=args.seed)
-            model.eval()
-            injector = FaultInjector(
-                [FaultSpec(matrix=matrix, error_type=error_type)],
-                rng=np.random.default_rng(args.seed),
-            )
-            checker = ATTNChecker(ATTNCheckerConfig(backend=backend))
-            model.set_attention_hooks(ComposedHooks([injector, checker]))
-            outputs[backend] = model(
-                batch["input_ids"], attention_mask=batch["attention_mask"],
-                labels=batch["labels"],
-            ).logits.data.copy()
-            model.set_attention_hooks(None)
-            decisions[backend] = {
-                name: (s.detections, s.corrections, s.aborted_vectors, s.operand_repairs)
-                for name, s in checker.stats.sections.items()
-            }
-            abft_seconds[backend] += checker.overhead_seconds()
+    for (matrix, error_type), fused, reference in zip(combos, outcomes["fused"], outcomes["per_gemm"]):
         identical = (
-            np.array_equal(outputs["fused"], outputs["per_gemm"], equal_nan=True)
-            and decisions["fused"] == decisions["per_gemm"]
+            np.array_equal(fused.logits, reference.logits, equal_nan=True)
+            and decisions(fused) == decisions(reference)
         )
         all_identical &= identical
-        fused = decisions["fused"]
         rows.append([
             matrix, error_type,
-            sum(d for d, *_ in fused.values()),
-            sum(c for _, c, *_ in fused.values()),
+            fused.checker.stats.total_detections,
+            fused.checker.stats.total_corrections,
             "yes" if identical else "NO",
         ])
+    abft_seconds = {
+        name: sum(t.checker.overhead_seconds() for t in outcomes[name]) for name in CHECKER_BACKENDS
+    }
     footer = (
         f"backends byte-identical on all {len(combos)} scenarios; "
         if all_identical else "BACKENDS DIVERGED; "
@@ -150,10 +152,10 @@ def run_backends(args: argparse.Namespace) -> str:
     return format_table(
         ["matrix", "error", "detections", "corrections", "identical"], rows,
         title=f"Backend equivalence — fused engine vs per-GEMM reference ({args.model}); {footer}",
-    )
+    ), all_identical
 
 
-def run_train(args: argparse.Namespace) -> str:
+def run_train(args: argparse.Namespace) -> Tuple[str, bool]:
     """A short protected fine-tuning run: attaches the checker and trains for
     ``--steps`` optimisation steps on synthetic MRPC."""
     model, batch = _tiny_model_and_batch(args.model, batch=args.batch_size, seed=args.seed)
@@ -173,10 +175,10 @@ def run_train(args: argparse.Namespace) -> str:
     return format_table(
         ["step", "loss", "step ms", "abft ms", "det", "corr"], rows,
         title=f"Protected training — {args.model} (tiny)",
-    )
+    ), True
 
 
-def run_train_parallel(args: argparse.Namespace) -> str:
+def run_train_parallel(args: argparse.Namespace) -> Tuple[str, bool]:
     """Data-parallel protected fine-tuning with the checksummed all-reduce.
 
     Shards each global batch over ``--shards`` model replicas driven by
@@ -251,10 +253,10 @@ def run_train_parallel(args: argparse.Namespace) -> str:
         ["step", "mean loss", "step ms", "dirty", "retries", "det", "corr"], rows,
         title=f"Data-parallel protected training — {args.model} (tiny), "
               f"{args.workers} workers, {shards} shards; {footer}",
-    )
+    ), identical
 
 
-def run_serve(args: argparse.Namespace) -> str:
+def run_serve(args: argparse.Namespace) -> Tuple[str, bool]:
     """Protected inference serving on a tiny causal decoder.
 
     Generates a deterministic request stream, serves it twice — protection
@@ -311,46 +313,51 @@ def run_serve(args: argparse.Namespace) -> str:
         rows,
         title=f"Protected serving — {model_name} (tiny), "
               f"{args.requests} requests, batch {args.batch_size}; {footer}",
-    )
+    ), identical
 
 
-def run_table2(args: argparse.Namespace) -> str:
+def run_table2(args: argparse.Namespace) -> Tuple[str, bool]:
     model, batch = _tiny_model_and_batch(args.model, batch=4)
-    study = PropagationStudy(model, batch, rng=np.random.default_rng(args.seed))
-    rows = []
-    for error_type in ("inf", "nan", "near_inf"):
-        for matrix in ("Q", "K", "V", "AS", "CL"):
-            result = study.trace(matrix, error_type)
-            rows.append([error_type, matrix] + [result.cell(m) for m in ("Q", "K", "V", "AS", "AP", "CL", "O")])
-    return format_table(
-        ["inject", "into", "Q", "K", "V", "AS", "AP", "CL", "O"], rows,
-        title=f"Table 2 — error propagation ({args.model}, tiny config)",
+    cells = FaultHarness(model, batch, "recorded").cells(
+        [(m, e) for e in EXTREME_ERRORS for m in ("Q", "K", "V", "AS", "CL")],
+        trials=1, rng=np.random.default_rng(args.seed),
     )
+    rows = [
+        [cell.error_type, cell.matrix] + [cell.outcomes[0].cell(m) for m in DOWNSTREAM_ORDER]
+        for cell in cells
+    ]
+    return format_table(
+        ["inject", "into", *DOWNSTREAM_ORDER], rows,
+        title=f"Table 2 — error propagation ({args.model}, tiny config)",
+    ), True
 
 
-def run_table3(args: argparse.Namespace) -> str:
+def run_table3(args: argparse.Namespace) -> Tuple[str, bool]:
     table = gemm_ratio_table(model_names=MAIN_MODELS, batch_size=args.batch_size, size="paper")
     rows = [[name, format_percent(table[name].gemm_ratio)] for name in MAIN_MODELS]
-    return format_table(["model", "GEMM ratio"], rows, title="Table 3 — GEMM workload ratio of attention")
+    return format_table(["model", "GEMM ratio"], rows, title="Table 3 — GEMM workload ratio of attention"), True
 
 
-def run_sec52(args: argparse.Namespace) -> str:
+def run_sec52(args: argparse.Namespace) -> Tuple[str, bool]:
     model, batch = _tiny_model_and_batch(args.model, batch=4)
-    campaign = DetectionCorrectionCampaign(model, batch, rng=np.random.default_rng(args.seed))
-    results = campaign.run(trials=args.trials)
+    results = FaultHarness(model, batch, "protected").cells(
+        [(m, e) for m in SEC52_MATRICES for e in EXTREME_ERRORS],
+        trials=args.trials, rng=np.random.default_rng(args.seed),
+    )
     rows = [
         [r.matrix, r.error_type, format_percent(r.detection_rate),
          format_percent(r.correction_rate), format_percent(r.recovery_rate)]
         for r in results
     ]
-    footer = "ALL extreme errors corrected" if DetectionCorrectionCampaign.all_corrected(results) else "NOT all corrected"
+    ok = all_corrected(results)
+    footer = "ALL extreme errors corrected" if ok else "NOT all corrected"
     return format_table(
         ["matrix", "error", "detected", "corrected", "restored"], rows,
         title=f"Section 5.2 — detection & correction ({args.model}); {footer}",
-    )
+    ), ok
 
 
-def run_fig7(args: argparse.Namespace) -> str:
+def run_fig7(args: argparse.Namespace) -> Tuple[str, bool]:
     rows = []
     for name in OVERHEAD_MODELS:
         cost = TrainingStepCostModel(get_config(name, size="paper"), batch_size=args.batch_size)
@@ -358,10 +365,10 @@ def run_fig7(args: argparse.Namespace) -> str:
     return format_table(
         ["model", "attention overhead", "per-step overhead"], rows,
         title=f"Figure 7 — ATTNChecker overhead (modelled A100, batch {args.batch_size})",
-    )
+    ), True
 
 
-def run_fig8(args: argparse.Namespace) -> str:
+def run_fig8(args: argparse.Namespace) -> Tuple[str, bool]:
     rows = []
     for name in MAIN_MODELS:
         cost = TrainingStepCostModel(get_config(name, size="paper"), batch_size=args.batch_size)
@@ -375,10 +382,10 @@ def run_fig8(args: argparse.Namespace) -> str:
     return format_table(
         ["model", "attn OPT", "attn Non-OPT", "step OPT", "step Non-OPT"], rows,
         title=f"Figure 8 — overhead with / without GPU optimisation (batch {args.batch_size})",
-    )
+    ), True
 
 
-def run_fig9(args: argparse.Namespace) -> str:
+def run_fig9(args: argparse.Namespace) -> Tuple[str, bool]:
     sweep = EncoderThroughputModel()
     custom, cublas = sweep.model_custom(), sweep.model_cublas()
     rows = [
@@ -388,10 +395,10 @@ def run_fig9(args: argparse.Namespace) -> str:
     return format_table(
         ["batch", "ATTNChecker (TB/s)", "cuBLAS (TB/s)"], rows,
         title="Figure 9 — checksum-encoding throughput (modelled A100)",
-    )
+    ), True
 
 
-def run_fig10(args: argparse.Namespace) -> str:
+def run_fig10(args: argparse.Namespace) -> Tuple[str, bool]:
     config = get_config("bert-base", size="paper")
     vulnerability = OperationVulnerability.from_table4("bert-base")
     rows = []
@@ -408,10 +415,10 @@ def run_fig10(args: argparse.Namespace) -> str:
     return format_table(
         ["errors/1e25 flops", "f_AS", "f_CL", "f_O", "ABFT time vs always-on"], rows,
         title="Figure 10 — adaptive ABFT detection frequencies",
-    )
+    ), True
 
 
-def run_fig11(args: argparse.Namespace) -> str:
+def run_fig11(args: argparse.Namespace) -> Tuple[str, bool]:
     rows = []
     for name in MAIN_MODELS:
         comparison = RecoveryCostModel(get_config(name, size="paper"), batch_size=args.batch_size).compare()
@@ -422,10 +429,10 @@ def run_fig11(args: argparse.Namespace) -> str:
     return format_table(
         ["model", "checkpoint/restore", "ATTNChecker", "reduction"], rows,
         title="Figure 11 — per-step recovery overhead (modelled A100)",
-    )
+    ), True
 
 
-def run_fig12(args: argparse.Namespace) -> str:
+def run_fig12(args: argparse.Namespace) -> Tuple[str, bool]:
     rows = [
         [p.model_name, f"{p.parameters / 1e9:.0f}B", f"{p.step_seconds:.2f}",
          format_percent(p.abft_overhead, digits=2)]
@@ -434,11 +441,11 @@ def run_fig12(args: argparse.Namespace) -> str:
     return format_table(
         ["model", "params", "step (s)", "ATTNChecker overhead"], rows,
         title=f"Figure 12 — data-parallel training on {args.gpus} GPUs (modelled)",
-    )
+    ), True
 
 
 #: Registry of experiments exposed by the CLI.
-EXPERIMENTS: Dict[str, Callable[[argparse.Namespace], str]] = {
+EXPERIMENTS: Dict[str, Callable[[argparse.Namespace], Tuple[str, bool]]] = {
     "quickstart": run_quickstart,
     "train": run_train,
     "train_parallel": run_train_parallel,
@@ -512,9 +519,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         for name in sorted(EXPERIMENTS):
             print(f"  {name}")
         return 0
-    text = EXPERIMENTS[args.experiment](args)
+    text, ok = EXPERIMENTS[args.experiment](args)
     print(text)
-    return 0
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via python -m repro

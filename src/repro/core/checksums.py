@@ -47,8 +47,6 @@ __all__ = [
     "clear_checksum_weight_cache",
     "encode_column_checksums",
     "encode_row_checksums",
-    "recompute_column_sums",
-    "recompute_row_sums",
     "update_column_checksums_through_gemm",
     "update_column_checksums_with_appended_rows",
     "adjust_column_checksums_for_bias",
@@ -147,37 +145,6 @@ def encode_row_checksums(matrix: Any) -> Any:
     n = matrix.shape[-1]
     weights = stacked_checksum_weights(n, axis=1)  # (n, 2), float64
     return np.matmul(matrix.astype(np.float64, copy=False), weights)
-
-
-def recompute_column_sums(matrix: Any) -> Tuple[Any, Any]:
-    """Recompute (unweighted, weighted) column sums of the *current* data.
-
-    Unlike :func:`encode_column_checksums` this is used on the possibly
-    corrupted output at detection time; returning the two components
-    separately avoids an extra stack/copy in the hot detection path.
-    """
-    matrix = np.asarray(matrix)
-    m = matrix.shape[-2]
-    _, v2 = checksum_weights(m)
-    matrix64 = matrix.astype(np.float64, copy=False)
-    unweighted = np.sum(matrix, axis=-2, dtype=np.float64)
-    weighted = np.einsum("i,...ij->...j", v2, matrix64)
-    return unweighted, weighted
-
-
-def recompute_row_sums(matrix: Any) -> Tuple[Any, Any]:
-    """Recompute (unweighted, weighted) row sums of the *current* data.
-
-    Like the encoders, accumulation is always in float64 so low-precision data
-    does not produce round-off false positives against float64 checksums.
-    """
-    matrix = np.asarray(matrix)
-    n = matrix.shape[-1]
-    _, v2 = checksum_weights(n)
-    matrix64 = matrix.astype(np.float64, copy=False)
-    unweighted = np.sum(matrix, axis=-1, dtype=np.float64)
-    weighted = np.einsum("j,...ij->...i", v2, matrix64)
-    return unweighted, weighted
 
 
 # ---------------------------------------------------------------------------
@@ -319,24 +286,3 @@ class ChecksumState:
 
     def has_row(self) -> bool:
         return self.row is not None
-
-    @staticmethod
-    def encode(matrix: Any, col: bool = True, row: bool = False) -> "ChecksumState":
-        """Encode fresh checksums directly from ``matrix``."""
-        return ChecksumState(
-            col=encode_column_checksums(matrix) if col else None,
-            row=encode_row_checksums(matrix) if row else None,
-        )
-
-    def verify(self, matrix: Any, rtol: float = 1e-6, atol: float = 1e-6) -> bool:
-        """Whether the stored checksums are consistent with ``matrix``."""
-        ok = True
-        if self.col is not None:
-            unweighted, weighted = recompute_column_sums(matrix)
-            ok &= bool(np.allclose(self.col[..., 0, :], unweighted, rtol=rtol, atol=atol))
-            ok &= bool(np.allclose(self.col[..., 1, :], weighted, rtol=rtol, atol=atol))
-        if self.row is not None:
-            unweighted, weighted = recompute_row_sums(matrix)
-            ok &= bool(np.allclose(self.row[..., 0], unweighted, rtol=rtol, atol=atol))
-            ok &= bool(np.allclose(self.row[..., 1], weighted, rtol=rtol, atol=atol))
-        return ok

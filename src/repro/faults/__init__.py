@@ -4,17 +4,14 @@
     Hooks that corrupt attention GEMM outputs with INF, NaN, near-INF
     (exponent-MSB bit flip) or plain numeric errors, at controlled or random
     positions — the paper's fault model of transient compute faults.
-``propagation``
-    Traces how a single injected 0D fault propagates through the downstream
-    matrices of the attention mechanism and classifies the patterns
-    (reproduces Table 2).
-``vulnerability``
-    Estimates the probability that an unhandled fault leads to a
-    non-trainable state (NaN loss), per model, error type and injected matrix
-    (reproduces Table 4).
-``campaign``
-    End-to-end detection/correction campaigns with ATTNChecker enabled
-    (reproduces the Section 5.2 claim of 100% detection and correction).
+``precision``
+    Rounds every GEMM output through a reduced training precision, so faults
+    see the fp32 overflow semantics of the paper's training runs.
+``harness``
+    One fault trial in one of four configurations and one loop over (matrix,
+    error type) cells: Section 5.2's detection/correction campaign (checker
+    attached), Table 2's propagation patterns (recorder attached) and
+    Table 4's non-trainable-state probabilities (unprotected training).
 """
 
 from repro.faults.injector import (
@@ -30,9 +27,13 @@ from repro.faults.injector import (
     corrupt_scalar,
 )
 from repro.faults.precision import PRECISION_FORMATS, PrecisionFormat, PrecisionSimulationHooks
-from repro.faults.propagation import PropagationResult, PropagationStudy
-from repro.faults.vulnerability import VulnerabilityResult, VulnerabilityStudy
-from repro.faults.campaign import CampaignResult, DetectionCorrectionCampaign
+from repro.faults.harness import (
+    DOWNSTREAM_ORDER,
+    CellResult,
+    FaultHarness,
+    Trial,
+    all_corrected,
+)
 
 __all__ = [
     "ERROR_TYPES",
@@ -48,10 +49,9 @@ __all__ = [
     "PRECISION_FORMATS",
     "PrecisionFormat",
     "PrecisionSimulationHooks",
-    "PropagationStudy",
-    "PropagationResult",
-    "VulnerabilityStudy",
-    "VulnerabilityResult",
-    "DetectionCorrectionCampaign",
-    "CampaignResult",
+    "DOWNSTREAM_ORDER",
+    "FaultHarness",
+    "Trial",
+    "CellResult",
+    "all_corrected",
 ]

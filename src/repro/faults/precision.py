@@ -5,19 +5,18 @@ float64 (NumPy's native GEMM precision).  The extra exponent headroom of
 float64 changes one behaviour that matters for the fault studies: a near-INF
 value produced by an exponent-bit flip sits orders of magnitude further from
 the overflow threshold, so it is far less likely to turn into INF/NaN as it
-propagates (see EXPERIMENTS.md, Table 4 notes).
+propagates.  That is why the near-INF row of Table 4 sits below the paper's
+fp32 percentages on the float64 substrate.
 
 :class:`PrecisionSimulationHooks` closes that gap without rewriting the
 substrate: it rounds the output of every attention GEMM (and the observed AP)
 through a reduced-precision format — float32 by default, or bfloat16-like /
 fp16-like ranges — reproducing both the quantisation and, crucially, the
-*overflow semantics* of the paper's training precision.  Register it **before**
-the fault injector and the checker::
-
-    hooks = ComposedHooks([PrecisionSimulationHooks(), injector, checker])
-
-so the injected fault and the ABFT checksums all see the same reduced-precision
-values, exactly as they would inside an fp32 CUDA kernel.
+*overflow semantics* of the paper's training precision.  It runs **before**
+the fault injector and the checker, so the injected fault and the ABFT
+checksums all see the same reduced-precision values, exactly as they would
+inside an fp32 CUDA kernel; :class:`repro.faults.FaultHarness` builds that
+chain when given ``precision``.
 """
 
 from __future__ import annotations

@@ -18,7 +18,6 @@ class StepResult:
     step: int
     loss: float
     step_seconds: float
-    attention_seconds: float
     #: Checker time spent in this step (``ATTNChecker.overhead_seconds``).
     abft_seconds: float = 0.0
     corrections: int = 0
@@ -68,9 +67,6 @@ class TrainingMetrics:
     def total_step_seconds(self) -> float:
         return sum(s.step_seconds for s in self.steps)
 
-    def total_attention_seconds(self) -> float:
-        return sum(s.attention_seconds for s in self.steps)
-
     def total_abft_seconds(self) -> float:
         return sum(s.abft_seconds for s in self.steps)
 
@@ -88,7 +84,6 @@ class TrainingMetrics:
             "num_steps": len(self.steps),
             "mean_loss": float(np.nanmean(self.losses())) if self.steps else float("nan"),
             "mean_step_seconds": self.mean_step_seconds(),
-            "total_attention_seconds": self.total_attention_seconds(),
             "total_abft_seconds": self.total_abft_seconds(),
             "non_trainable_steps": self.num_non_trainable(),
             "corrections": self.total_corrections(),

@@ -4,7 +4,7 @@
 measurements the paper's evaluation is built on:
 
 * per-step loss and the non-trainable-state signal (NaN loss),
-* wall-clock time of the attention blocks and of the whole step,
+* wall-clock time of the whole step,
 * ABFT time (when an :class:`repro.core.ATTNChecker` is attached),
 * optional per-step checkpointing with restore-on-NaN — the baseline recovery
   strategy of Figure 11.
@@ -12,6 +12,7 @@ measurements the paper's evaluation is built on:
 Fault injectors and the ATTNChecker are both
 :class:`repro.nn.AttentionHooks`; the trainer composes them (injector first,
 checker second) and attaches them to every attention layer of the model.
+With neither, the model runs with no hooks attached.
 """
 
 from __future__ import annotations
@@ -35,36 +36,10 @@ from repro.utils.logging import get_logger
 __all__ = [
     "TrainerConfig",
     "Trainer",
-    "AttentionTimingHooks",
     "clip_gradients",
 ]
 
 logger = get_logger("training.trainer")
-
-class AttentionTimingHooks(AttentionHooks):
-    """Measures wall-clock time spent inside attention forward passes."""
-
-    def __init__(self) -> None:
-        self.total_seconds = 0.0
-        self.calls = 0
-        self._starts: Dict[int, float] = {}
-
-    def on_block_start(self, block: str, layer_index: int, step: int) -> None:
-        if block == "attention":
-            self._starts[layer_index] = time.perf_counter()
-
-    def on_block_end(self, block: str, layer_index: int, step: int) -> None:
-        if block != "attention":
-            return
-        start = self._starts.pop(layer_index, None)
-        if start is not None:
-            self.total_seconds += time.perf_counter() - start
-            self.calls += 1
-
-    def reset(self) -> None:
-        self.total_seconds = 0.0
-        self.calls = 0
-        self._starts.clear()
 
 
 def clip_gradients(model: Module, max_norm: float) -> float:
@@ -155,16 +130,12 @@ class Trainer:
         self.checker = checker
         self.checkpoints = checkpoints
         self.metrics = TrainingMetrics()
-        self.attention_timer = AttentionTimingHooks()
         self.global_step = 0
 
-        hooks: List[AttentionHooks] = [self.attention_timer]
-        if fault_hooks:
-            hooks.extend(fault_hooks)
+        hooks: List[AttentionHooks] = list(fault_hooks or ())
         if checker is not None:
             hooks.append(checker)
-        self._hooks = ComposedHooks(hooks)
-        self.model.set_attention_hooks(self._hooks)
+        self.model.set_attention_hooks(ComposedHooks(hooks) if hooks else None)
 
     # -- single step -----------------------------------------------------------------
 
@@ -190,7 +161,6 @@ class Trainer:
     def train_step(self, batch: Dict[str, np.ndarray]) -> StepResult:
         """Run one optimisation step on ``batch`` and record its metrics."""
         self.global_step += 1
-        attention_before = self.attention_timer.total_seconds
         abft_before = self.checker.overhead_seconds() if self.checker else 0.0
         corrections_before = self.checker.stats.total_corrections if self.checker else 0
         detections_before = self.checker.stats.total_detections if self.checker else 0
@@ -218,7 +188,6 @@ class Trainer:
             step=self.global_step,
             loss=loss_value,
             step_seconds=elapsed,
-            attention_seconds=self.attention_timer.total_seconds - attention_before,
             abft_seconds=(self.checker.overhead_seconds() - abft_before) if self.checker else 0.0,
             corrections=(self.checker.stats.total_corrections - corrections_before) if self.checker else 0,
             detections=(self.checker.stats.total_detections - detections_before) if self.checker else 0,

@@ -29,7 +29,6 @@ from repro.utils.floatbits import (
     MANTISSA_BITS,
     flip_bit,
     flip_exponent_msb,
-    is_extreme,
     make_near_inf,
 )
 from repro.utils.rng import new_rng
@@ -43,7 +42,6 @@ __all__ = [
     "MANTISSA_BITS",
     "flip_bit",
     "flip_exponent_msb",
-    "is_extreme",
     "make_near_inf",
     "new_rng",
     "Timer",

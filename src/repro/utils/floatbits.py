@@ -33,7 +33,6 @@ __all__ = [
     "flip_exponent_msb",
     "flip_mantissa_lsb",
     "make_near_inf",
-    "is_extreme",
     "uint_view",
 ]
 
@@ -209,12 +208,3 @@ def make_near_inf(
     if np.ndim(base) == 0:
         return np.dtype(dtype).type(out)
     return out.astype(dtype)
-
-
-def is_extreme(x: ArrayLike, near_inf_threshold: float = 1e10) -> np.ndarray:
-    """Boolean mask of elements that are INF, NaN, or near-INF.
-
-    ``near_inf_threshold`` matches the paper's default T_near-INF = 1e10.
-    """
-    arr = np.asarray(x)
-    return ~np.isfinite(arr) | (np.abs(arr) > near_inf_threshold)

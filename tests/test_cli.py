@@ -78,6 +78,20 @@ class TestMain:
         assert corrections >= 1
         assert "residual extremes    : 0" in out
 
+    def test_quickstart_escaped_fault_exits_nonzero(self, capsys):
+        # An FFN fault under the attention-only scope escapes the checker:
+        # the same report is printed, and the verdict reaches the exit code.
+        assert main(["quickstart", "--protect-scope", "attention",
+                     "--matrix", "H", "--error-type", "inf"]) == 1
+        out = capsys.readouterr().out
+        assert "protected faulty loss: nan" in out
+        assert "residual extremes    : 0" not in out
+
+    def test_failed_verdict_prints_the_report_and_exits_1(self, capsys, monkeypatch):
+        monkeypatch.setitem(EXPERIMENTS, "sec52", lambda args: ("NOT all corrected", False))
+        assert main(["sec52"]) == 1
+        assert capsys.readouterr().out == "NOT all corrected\n"
+
     def test_quickstart_with_per_gemm_backend(self, capsys):
         assert main(["quickstart", "--backend", "per_gemm",
                      "--matrix", "AS", "--error-type", "inf"]) == 0

@@ -4,15 +4,12 @@ import numpy as np
 import pytest
 
 from repro.core.checksums import (
-    ChecksumState,
     adjust_column_checksums_for_bias,
     checksum_weights,
     encode_column_checksums,
     encode_per_head_row_checksums_of_weight,
     encode_row_checksums,
     merge_head_column_checksums,
-    recompute_column_sums,
-    recompute_row_sums,
     split_head_column_checksums,
     update_column_checksums_through_gemm,
     update_column_checksums_with_appended_rows,
@@ -51,15 +48,6 @@ class TestEncoding:
         assert np.allclose(cs[..., 0], m.sum(axis=-1))
         weights = np.arange(1, 7)
         assert np.allclose(cs[..., 1], np.einsum("j,bij->bi", weights, m))
-
-    def test_recompute_matches_encode(self, rng):
-        m = rng.normal(size=(2, 3, 7, 5))
-        cs = encode_column_checksums(m)
-        u, w = recompute_column_sums(m)
-        assert np.allclose(cs[..., 0, :], u) and np.allclose(cs[..., 1, :], w)
-        rcs = encode_row_checksums(m)
-        ru, rw = recompute_row_sums(m)
-        assert np.allclose(rcs[..., 0], ru) and np.allclose(rcs[..., 1], rw)
 
 
 class TestPropagation:
@@ -186,23 +174,6 @@ class TestHeadSplitting:
             encode_per_head_row_checksums_of_weight(rng.normal(size=(4, 10)), 4)
 
 
-class TestChecksumState:
-    def test_encode_both_sides(self, rng):
-        m = rng.normal(size=(4, 5))
-        state = ChecksumState.encode(m, col=True, row=True)
-        assert state.has_col() and state.has_row()
-        assert state.verify(m)
-
-    def test_verify_detects_corruption(self, rng):
-        m = rng.normal(size=(4, 5))
-        state = ChecksumState.encode(m)
-        m[2, 3] += 5.0
-        assert not state.verify(m)
-
-    def test_empty_state_verifies_anything(self, rng):
-        assert ChecksumState().verify(rng.normal(size=(3, 3)))
-
-
 class TestLowPrecisionEncoding:
     """Regression tests for the dtype-unsafe encoding bug.
 
@@ -276,14 +247,6 @@ class TestLowPrecisionEncoding:
         )
         assert encoded.dtype == np.float64
         assert np.allclose(encoded, reference, rtol=1e-12, atol=1e-12)
-
-    def test_recompute_sums_accumulate_in_float64(self, rng):
-        m = rng.normal(size=(48, 32)).astype(np.float16)
-        unweighted, weighted = recompute_column_sums(m)
-        ref_u, ref_w = recompute_column_sums(m.astype(np.float64))
-        assert unweighted.dtype == np.float64 and weighted.dtype == np.float64
-        assert np.allclose(unweighted, ref_u, rtol=1e-12, atol=1e-12)
-        assert np.allclose(weighted, ref_w, rtol=1e-12, atol=1e-12)
 
     def test_bias_adjust_promotes_to_float64(self, rng):
         col = encode_column_checksums(rng.normal(size=(8, 6)).astype(np.float32))

@@ -1,21 +1,22 @@
-"""Unit tests for the fault injector, propagation study, vulnerability study
-and detection/correction campaign."""
+"""Unit tests for the fault injector and the fault-trial harness in each of
+its configurations (propagation, vulnerability, detection/correction)."""
 
 import numpy as np
 import pytest
 
+from repro.core import ATTNChecker
 from repro.faults import (
-    CampaignResult,
-    DetectionCorrectionCampaign,
+    CellResult,
+    FaultHarness,
     FaultInjector,
     FaultSpec,
-    PropagationStudy,
-    VulnerabilityStudy,
+    Trial,
+    all_corrected,
 )
 from repro.faults.injector import TARGET_MATRICES
 from repro.models import build_model
 from repro.nn import MultiHeadAttention, RecordingHooks, ComposedHooks
-from repro.nn.attention import GemmContext
+from repro.nn.attention import GemmContext, InstrumentedBlock
 from repro.tensor.autograd import Tensor
 from repro.utils.floatbits import flip_exponent_msb
 
@@ -152,130 +153,189 @@ class TestFaultInjector:
         assert flip_exponent_msb(flipped, dtype=flip_dtype) == original
 
 
-class TestPropagationStudy:
+def tiny_bert_batch(n: int, full_mask: bool = False):
+    from repro.data import SyntheticMRPC
+
+    model = build_model("bert-base", size="tiny", rng=np.random.default_rng(0))
+    data = SyntheticMRPC(
+        num_examples=8, max_seq_len=model.config.max_seq_len,
+        vocab_size=model.config.vocab_size,
+    )
+    batch = dict(data.encode(range(n)))
+    if full_mask:
+        batch["attention_mask"] = np.ones_like(batch["attention_mask"])
+    return model, batch
+
+
+class TestRecordedConfiguration:
+    """Table 2: the recorded configuration classifies downstream patterns."""
+
     @pytest.fixture(scope="class")
-    def study(self):
-        model = build_model("bert-base", size="tiny", rng=np.random.default_rng(0))
-        from repro.data import SyntheticMRPC
+    def harness(self):
+        return FaultHarness(*tiny_bert_batch(4), "recorded")
 
-        data = SyntheticMRPC(
-            num_examples=8, max_seq_len=model.config.max_seq_len,
-            vocab_size=model.config.vocab_size,
-        )
-        return PropagationStudy(model, data.encode(range(4)), rng=np.random.default_rng(1))
+    def trace(self, harness, matrix, error_type):
+        (cell,) = harness.cells([(matrix, error_type)], trials=1, rng=np.random.default_rng(1))
+        return cell.outcomes[0]
 
-    def test_reference_is_cached(self, study):
-        assert study.reference_matrices() is study.reference_matrices()
+    def test_reference_is_cached(self, harness):
+        assert harness.reference is harness.reference
 
-    def test_inf_in_q_propagates_one_row(self, study):
-        result = study.trace("Q", "inf")
+    def test_inf_in_q_propagates_one_row(self, harness):
+        result = self.trace(harness, "Q", "inf")
         assert result.cell("Q").startswith("0D")
         assert result.cell("AS").startswith("1R")
         assert result.cell("O").startswith("1R")
         # Softmax turns the INF row into NaN downstream (Table 2).
         assert "NaN" in result.cell("AP") or "M" in result.cell("AP")
 
-    def test_inf_in_k_propagates_one_column_then_2d(self, study):
-        result = study.trace("K", "inf")
+    def test_inf_in_k_propagates_one_column_then_2d(self, harness):
+        result = self.trace(harness, "K", "inf")
         assert result.cell("AS").startswith("1C")
         assert result.cell("CL").startswith("2D")
 
-    def test_v_fault_skips_attention_scores(self, study):
-        result = study.trace("V", "nan")
+    def test_v_fault_skips_attention_scores(self, harness):
+        result = self.trace(harness, "V", "nan")
         assert result.cell("AS") == "-"
         assert result.cell("CL").startswith(("1C", "-"))
 
-    def test_cl_fault_reaches_output_as_one_row(self, study):
-        result = study.trace("CL", "inf")
+    def test_cl_fault_reaches_output_as_one_row(self, harness):
+        result = self.trace(harness, "CL", "inf")
         assert result.cell("O").startswith("1R")
 
+    def test_patterns_describe_the_struck_layer(self, harness):
+        result = self.trace(harness, "AS", "nan")
+        assert result.injection.layer_index == 0
+        assert result.cell("AS").startswith("0D")
+        assert result.checker is None and not result.detected
 
-class TestVulnerabilityStudy:
+    def test_forward_leaves_no_hooks_and_training_mode(self, harness):
+        self.trace(harness, "O", "inf")
+        assert harness.model.training
+        assert all(m.hooks is None for _, m in harness.model.named_modules()
+                   if isinstance(m, InstrumentedBlock))
+
+
+class TestTrainingConfiguration:
+    """Table 4: unprotected training trials on fresh copies of one model."""
+
     @pytest.fixture(scope="class")
-    def study(self):
+    def harness(self):
         from repro.data import SyntheticMRPC
 
-        def factory():
-            return build_model("bert-small", size="tiny", rng=np.random.default_rng(0))
-
-        model = factory()
+        model = build_model("bert-small", size="tiny", rng=np.random.default_rng(0))
         data = SyntheticMRPC(
             num_examples=16, max_seq_len=model.config.max_seq_len,
             vocab_size=model.config.vocab_size,
         )
-        batches = [data.encode(range(0, 4)), data.encode(range(4, 8))]
-        return VulnerabilityStudy(factory, batches, rng=np.random.default_rng(2))
+        return FaultHarness(model, data.encode(range(0, 4)), "training",
+                            clean_batch=data.encode(range(4, 8)))
 
-    def test_requires_two_batches(self):
+    def test_requires_a_clean_batch(self):
+        model, batch = tiny_bert_batch(2)
         with pytest.raises(ValueError):
-            VulnerabilityStudy(lambda: None, [{}])
+            FaultHarness(model, batch, "training")
 
-    def test_inf_fault_in_q_is_usually_fatal(self, study):
-        results = study.run(matrices=("Q",), error_types=("inf",), trials=3)
-        assert results[0].probability >= 2 / 3
+    def test_unknown_configuration_rejected(self):
+        model, batch = tiny_bert_batch(2)
+        with pytest.raises(ValueError):
+            FaultHarness(model, batch, "campaign")
 
-    def test_results_have_probabilities_in_unit_interval(self, study):
-        results = study.run(matrices=("Q", "V"), error_types=("nan",), trials=2)
+    def test_inf_fault_in_q_is_usually_fatal(self, harness):
+        results = harness.cells([("Q", "inf")], trials=3, rng=np.random.default_rng(2))
+        assert results[0].non_trainable_rate >= 2 / 3
+
+    def test_results_have_probabilities_in_unit_interval(self, harness):
+        results = harness.cells([("Q", "nan"), ("V", "nan")], trials=2,
+                                rng=np.random.default_rng(2))
+        assert [(r.matrix, r.error_type) for r in results] == [("Q", "nan"), ("V", "nan")]
         for r in results:
-            assert 0.0 <= r.probability <= 1.0
+            assert 0.0 <= r.non_trainable_rate <= 1.0
             assert r.trials == 2
 
+    def test_trials_start_from_the_same_weights(self, harness):
+        before = [p.data.copy() for p in harness.model.parameters()]
+        first = harness.trial(FaultSpec(matrix="V", error_type="numeric"), np.random.default_rng(4))
+        second = harness.trial(FaultSpec(matrix="V", error_type="numeric"), np.random.default_rng(4))
+        # The harness's own model is never trained, so both trials replay.
+        assert all(np.array_equal(p.data, b) for p, b in zip(harness.model.parameters(), before))
+        assert first.injection.position == second.injection.position
+        assert first.injection.original_value == second.injection.original_value
+        assert not first.non_trainable and not second.non_trainable
 
-class TestDetectionCorrectionCampaign:
+
+class TestProtectedConfiguration:
+    """Section 5.2: the protected configuration detects and corrects."""
+
     @pytest.fixture(scope="class")
-    def campaign(self):
-        model = build_model("bert-base", size="tiny", rng=np.random.default_rng(0))
-        from repro.data import SyntheticMRPC
+    def harness(self):
+        return FaultHarness(*tiny_bert_batch(4, full_mask=True), "protected")
 
-        data = SyntheticMRPC(
-            num_examples=8, max_seq_len=model.config.max_seq_len,
-            vocab_size=model.config.vocab_size,
+    def test_single_trial_flags(self, harness):
+        outcome = harness.trial(FaultSpec(matrix="AS", error_type="inf"), np.random.default_rng(3))
+        assert outcome.detected and outcome.corrected and outcome.matches
+        assert np.isfinite(outcome.loss)
+        # The kept checker holds its counters, not its weight encodings.
+        assert outcome.checker.weight_cache_stats()["entries"] == 0
+
+    def test_all_extreme_errors_corrected(self, harness):
+        results = harness.cells(
+            [(m, e) for m in ("Q", "K", "V", "AS", "CL", "O") for e in ("inf", "nan", "near_inf")],
+            trials=2, rng=np.random.default_rng(3),
         )
-        batch = data.encode(range(4))
-        batch = dict(batch)
-        batch["attention_mask"] = np.ones_like(batch["attention_mask"])
-        return DetectionCorrectionCampaign(model, batch, rng=np.random.default_rng(3))
-
-    def test_single_trial_flags(self, campaign):
-        outcome = campaign.run_trial("AS", "inf")
-        assert outcome["detected"] and outcome["corrected"] and outcome["matches"]
-
-    def test_all_extreme_errors_corrected(self, campaign):
-        results = campaign.run(
-            matrices=("Q", "K", "V", "AS", "CL", "O"),
-            error_types=("inf", "nan", "near_inf"),
-            trials=2,
-        )
-        assert DetectionCorrectionCampaign.all_corrected(results)
+        assert all_corrected(results)
         for r in results:
             assert r.recovery_rate == 1.0
 
     def test_benign_masked_faults_counted_separately(self):
-        model = build_model("bert-base", size="tiny", rng=np.random.default_rng(0))
-        from repro.data import SyntheticMRPC
-
-        data = SyntheticMRPC(
-            num_examples=8, max_seq_len=model.config.max_seq_len,
-            vocab_size=model.config.vocab_size,
-        )
-        batch = dict(data.encode(range(4)))
+        model, batch = tiny_bert_batch(4)
         # Heavy padding so some faults land in masked-out positions.
         batch["attention_mask"][:, 4:] = 0.0
-        campaign = DetectionCorrectionCampaign(model, batch, rng=np.random.default_rng(9))
-        results = campaign.run(matrices=("V",), error_types=("near_inf",), trials=8)
-        result = results[0]
+        harness = FaultHarness(model, batch, "protected")
+        result = harness.cells([("V", "near_inf")], trials=8, rng=np.random.default_rng(9))[0]
         assert result.trials == 8
-        assert result.benign_masked + result.detected >= result.trials - result.benign_masked
+        masked = result.count("benign_masked")
+        assert masked + result.count("detected") >= result.trials - masked
         assert result.recovery_rate == 1.0
 
+    def test_per_trial_generators(self, harness):
+        # A callable rng gives every (cell, trial) its own generator, so a
+        # cell replays whatever cells run before it.
+        seeds = lambda cell, trial: np.random.default_rng(100 + trial)  # noqa: E731
+        alone = harness.cells([("CL", "nan")], trials=2, rng=seeds)[0]
+        after = harness.cells([("Q", "inf"), ("CL", "nan")], trials=2, rng=seeds)[1]
+        assert [t.injection.position for t in alone.outcomes] == \
+            [t.injection.position for t in after.outcomes]
+        assert alone.outcomes[0].injection.position != alone.outcomes[1].injection.position
 
-class TestCampaignResult:
+
+class TestUnprotectedConfiguration:
+    def test_escaped_fault_corrupts_the_output(self):
+        harness = FaultHarness(*tiny_bert_batch(4, full_mask=True), "unprotected")
+        trial = harness.trial(FaultSpec(matrix="AS", error_type="inf"), np.random.default_rng(7))
+        assert trial.injection is not None and trial.checker is None
+        assert not trial.matches and not trial.detected and not trial.benign_masked
+        assert np.isnan(trial.loss)
+        assert np.isfinite(harness.reference.loss_value)
+
+
+def trial(detected=False, corrected=False, matches=False, kind="exponent_msb"):
+    """A trial whose checker counted a detection and/or a correction."""
+    checker = ATTNChecker()
+    checker.stats.sections["AS"].detections = int(detected)
+    checker.stats.sections["AS"].corrections = int(corrected)
+    spec = FaultSpec(matrix="H", error_type="near_inf", flip_kind=kind)
+    return Trial(spec, injection=None, checker=checker, matches=matches)
+
+
+class TestCellResult:
     def test_rates_exclude_benign_masked_trials(self):
-        result = CampaignResult(
-            matrix="V", error_type="near_inf", trials=10, detected=6, corrected=3,
-            output_matches_reference=9, benign_masked=4,
+        outcomes = (
+            [trial(True, True, True)] * 3 + [trial(True, False, True)] * 2
+            + [trial(True, False, False)] + [trial(False, False, True)] * 4
         )
-        assert result.effective_trials == 6
+        result = CellResult(matrix="V", error_type="near_inf", flip_kind_mix={}, outcomes=outcomes)
+        assert result.count("benign_masked") == 4
         assert result.detection_rate == 1.0
         assert result.correction_rate == 0.5
         assert result.recovery_rate == 0.9
@@ -284,22 +344,23 @@ class TestCampaignResult:
         # Every fault masked: nothing could be missed, so detection and
         # correction are vacuously complete; no trials at all leaves the
         # recovery rate undefined.
-        masked = CampaignResult(matrix="V", error_type="inf", trials=3, benign_masked=3,
-                                output_matches_reference=3)
+        masked = CellResult(matrix="V", error_type="inf", flip_kind_mix={},
+                            outcomes=[trial(matches=True)] * 3)
         assert masked.detection_rate == 1.0 and masked.correction_rate == 1.0
         assert masked.recovery_rate == 1.0
-        assert np.isnan(CampaignResult(matrix="V", error_type="inf").recovery_rate)
+        empty = CellResult(matrix="V", error_type="inf", flip_kind_mix={})
+        assert np.isnan(empty.recovery_rate) and np.isnan(empty.non_trainable_rate)
 
-    def test_record_kind_accumulates_per_kind_counters(self):
-        result = CampaignResult(matrix="H", error_type="near_inf")
-        result.record_kind("exponent_msb", detected=True, corrected=True)
-        result.record_kind("exponent_msb", detected=True, corrected=False)
-        result.record_kind("mantissa_lsb", detected=False, corrected=False)
+    def test_counts_per_flip_kind(self):
+        result = CellResult(matrix="H", error_type="near_inf", flip_kind_mix={}, outcomes=[
+            trial(True, True), trial(True, False), trial(kind="mantissa_lsb"),
+        ])
         assert result.trials_by_kind == {"exponent_msb": 2, "mantissa_lsb": 1}
-        assert result.detected_by_kind == {"exponent_msb": 2, "mantissa_lsb": 0}
-        assert result.detection_rate_for_kind("exponent_msb") == 1.0
-        assert result.correction_rate_for_kind("exponent_msb") == 0.5
-        assert np.isnan(result.detection_rate_for_kind("stuck_zero"))
+        assert result.count("detected", "exponent_msb") == 2
+        assert result.count("detected", "mantissa_lsb") == 0
+        assert result.kind_rate("detected", "exponent_msb") == 1.0
+        assert result.kind_rate("corrected", "exponent_msb") == 0.5
+        assert np.isnan(result.kind_rate("detected", "stuck_zero"))
 
 
 class TestInjectorLifecycle:

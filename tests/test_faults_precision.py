@@ -5,12 +5,11 @@ import pytest
 
 from repro.core import ATTNChecker
 from repro.faults import (
+    FaultHarness,
     FaultInjector,
     FaultSpec,
     PRECISION_FORMATS,
     PrecisionSimulationHooks,
-    PropagationStudy,
-    VulnerabilityStudy,
 )
 from repro.faults.precision import simulate_precision
 from repro.models import build_model
@@ -161,28 +160,39 @@ class TestInjectorValueDtype:
 
 
 class TestStudiesWithPrecision:
-    def test_propagation_study_accepts_precision(self, rng):
+    def test_recorded_configuration_accepts_precision(self, rng):
         model = build_model("bert-base", size="tiny", rng=np.random.default_rng(0))
         from repro.data import SyntheticMRPC
 
         data = SyntheticMRPC(num_examples=8, max_seq_len=model.config.max_seq_len,
                              vocab_size=model.config.vocab_size)
-        study = PropagationStudy(model, data.encode(range(4)), precision="float32",
-                                 rng=np.random.default_rng(1))
-        result = study.trace("Q", "inf")
+        harness = FaultHarness(model, data.encode(range(4)), "recorded", precision="float32")
+        result = harness.trial(FaultSpec(matrix="Q", error_type="inf"), np.random.default_rng(1))
         assert result.cell("AS").startswith("1R")
 
-    def test_vulnerability_study_accepts_precision(self):
+    def test_training_configuration_accepts_precision(self):
         from repro.data import SyntheticMRPC
 
-        def factory():
-            return build_model("bert-small", size="tiny", rng=np.random.default_rng(0))
-
-        model = factory()
+        model = build_model("bert-small", size="tiny", rng=np.random.default_rng(0))
         data = SyntheticMRPC(num_examples=16, max_seq_len=model.config.max_seq_len,
                              vocab_size=model.config.vocab_size)
-        batches = [data.encode(range(0, 4)), data.encode(range(4, 8))]
-        study = VulnerabilityStudy(factory, batches, precision="float32",
-                                   rng=np.random.default_rng(2))
-        results = study.run(matrices=("Q",), error_types=("inf",), trials=2)
-        assert results[0].probability >= 0.5
+        harness = FaultHarness(model, data.encode(range(0, 4)), "training",
+                               precision="float32", clean_batch=data.encode(range(4, 8)))
+        results = harness.cells([("Q", "inf")], trials=2, rng=np.random.default_rng(2))
+        assert results[0].non_trainable_rate >= 0.5
+
+    def test_near_inf_flips_in_the_simulated_precision(self):
+        # The injector flips the exponent of the simulated format: an fp32
+        # near-INF value stays below fp32's overflow threshold.
+        model = build_model("bert-base", size="tiny", rng=np.random.default_rng(0))
+        from repro.data import SyntheticMRPC
+
+        data = SyntheticMRPC(num_examples=8, max_seq_len=model.config.max_seq_len,
+                             vocab_size=model.config.vocab_size)
+        batch = data.encode(range(4))
+        spec = FaultSpec(matrix="V", error_type="near_inf")
+        fp32 = FaultHarness(model, batch, "protected", precision="float32").trial(
+            spec, np.random.default_rng(5))
+        fp64 = FaultHarness(model, batch, "protected").trial(spec, np.random.default_rng(5))
+        assert 1e10 < abs(fp32.injection.injected_value) <= float(np.finfo(np.float32).max)
+        assert abs(fp64.injection.injected_value) > float(np.finfo(np.float32).max)

@@ -32,8 +32,8 @@ class TestInitialisers:
 
 class TestStepResult:
     def test_non_trainable_detects_nan(self):
-        assert StepResult(step=1, loss=float("nan"), step_seconds=0.1, attention_seconds=0.01).non_trainable
-        assert not StepResult(step=1, loss=0.5, step_seconds=0.1, attention_seconds=0.01).non_trainable
+        assert StepResult(step=1, loss=float("nan"), step_seconds=0.1).non_trainable
+        assert not StepResult(step=1, loss=0.5, step_seconds=0.1).non_trainable
 
 
 class TestTrainingMetrics:
@@ -41,7 +41,7 @@ class TestTrainingMetrics:
         metrics = TrainingMetrics()
         for i, loss in enumerate(losses):
             metrics.record(StepResult(step=i + 1, loss=loss, step_seconds=0.1,
-                                      attention_seconds=0.02, abft_seconds=0.005,
+                                      abft_seconds=0.005,
                                       corrections=1 if i % 2 else 0))
             if epochs and (i + 1) in epochs:
                 metrics.end_epoch()
@@ -67,7 +67,6 @@ class TestTrainingMetrics:
     def test_timing_totals(self):
         metrics = self.make([0.5, 0.4, 0.3])
         assert metrics.total_step_seconds() == pytest.approx(0.3)
-        assert metrics.total_attention_seconds() == pytest.approx(0.06)
         assert metrics.total_abft_seconds() == pytest.approx(0.015)
         assert metrics.mean_step_seconds() == pytest.approx(0.1)
 
@@ -78,7 +77,7 @@ class TestTrainingMetrics:
     def test_as_dict_keys(self):
         summary = self.make([0.5, 0.4]).as_dict()
         assert {"num_steps", "mean_loss", "mean_step_seconds", "non_trainable_steps",
-                "corrections", "total_abft_seconds", "total_attention_seconds"} <= set(summary)
+                "corrections", "total_abft_seconds"} <= set(summary)
         assert summary["num_steps"] == 2
 
     def test_empty_metrics(self):

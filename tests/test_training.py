@@ -8,7 +8,9 @@ import pytest
 
 from repro.core import ATTNChecker
 from repro.data import DataLoader, SyntheticMRPC
+from repro.faults import FaultInjector, FaultSpec
 from repro.models import build_model
+from repro.nn.attention import ComposedHooks, InstrumentedBlock
 from repro.nn.layers import Linear
 from repro.nn.module import Module, Parameter
 from repro.training import (
@@ -262,7 +264,26 @@ class TestTrainer:
         result = trainer.train_step(batches[0])
         assert np.isfinite(result.loss)
         assert not np.allclose(model.parameters()[0].data, before)
-        assert result.step_seconds > 0 and result.attention_seconds > 0
+        assert result.step_seconds > 0
+
+    def test_plain_trainer_attaches_no_hooks(self, setup):
+        # Without a checker or fault hooks every instrumented block runs the
+        # plain GEMM path: the trainer adds no hook of its own.
+        model, batches = setup
+        trainer = Trainer(model, config=TrainerConfig(learning_rate=1e-3))
+        trainer.train_step(batches[0])
+        blocks = [m for _, m in model.named_modules() if isinstance(m, InstrumentedBlock)]
+        assert len(blocks) == 2 * model.config.num_layers
+        assert all(block.hooks is None for block in blocks)
+
+    def test_trainer_composes_fault_hooks_before_the_checker(self, setup):
+        model, _ = setup
+        injector = FaultInjector([FaultSpec(matrix="AS", error_type="inf")])
+        checker = ATTNChecker()
+        Trainer(model, fault_hooks=[injector], checker=checker)
+        chains = [m.hooks for _, m in model.named_modules() if isinstance(m, InstrumentedBlock)]
+        assert all(chain is chains[0] for chain in chains)
+        assert isinstance(chains[0], ComposedHooks) and chains[0].hooks == [injector, checker]
 
     def test_config_and_result_surface(self):
         # Verification runs in-pass, so the trainer has no staleness policy
@@ -272,7 +293,7 @@ class TestTrainer:
             "restore_on_non_trainable", "max_retries_per_step", "log_every",
         ]
         assert [f.name for f in dataclasses.fields(StepResult)] == [
-            "step", "loss", "step_seconds", "attention_seconds", "abft_seconds",
+            "step", "loss", "step_seconds", "abft_seconds",
             "corrections", "detections", "restored_from_checkpoint",
         ]
 

@@ -13,7 +13,6 @@ from repro.utils.floatbits import (
     flip_bit,
     flip_exponent_msb,
     flip_mantissa_lsb,
-    is_extreme,
     make_near_inf,
     near_inf_fallback,
     uint_view,
@@ -177,18 +176,6 @@ class TestValueFactories:
         assert isinstance(value, np.float64)
         assert value == flip_exponent_msb(0.7, dtype=np.float64)
         assert np.isfinite(value) and value > NEAR_INF_MINIMUM_MAGNITUDE
-
-
-class TestClassification:
-    def test_is_extreme_flags_inf_nan_near_inf(self):
-        data = np.array([1.0, np.inf, np.nan, 5e12, -3.0])
-        mask = is_extreme(data)
-        assert mask.tolist() == [False, True, True, True, False]
-
-    def test_is_extreme_respects_threshold(self):
-        data = np.array([5e9, 5e12])
-        assert is_extreme(data, near_inf_threshold=1e10).tolist() == [False, True]
-        assert is_extreme(data, near_inf_threshold=1e13).tolist() == [False, False]
 
 
 class TestUintView:

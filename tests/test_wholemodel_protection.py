@@ -32,9 +32,10 @@ from repro.core import (
 from repro.data import SyntheticMRPC
 from repro.faults import (
     FLIP_KINDS,
-    DetectionCorrectionCampaign,
+    FaultHarness,
     FaultInjector,
     FaultSpec,
+    all_corrected,
 )
 from repro.models import build_model
 from repro.nn import ComposedHooks
@@ -139,20 +140,17 @@ class TestFFNFaultCampaign:
     @pytest.fixture(scope="class")
     def campaign_results(self):
         model = make_bert()
-        campaign = DetectionCorrectionCampaign(
-            model,
-            make_batch(model, batch=2),
+        harness = FaultHarness(
+            model, make_batch(model, batch=2), "protected",
             checker_config=ATTNCheckerConfig(protect_scope="attention+ffn"),
-            rng=np.random.default_rng(11),
         )
-        return campaign.run(
-            matrices=("H", "FO"),
-            error_types=("inf", "nan", "near_inf"),
-            trials=NUM_TRIALS,
+        return harness.cells(
+            [(m, e) for m in ("H", "FO") for e in ("inf", "nan", "near_inf")],
+            trials=NUM_TRIALS, rng=np.random.default_rng(11),
         )
 
     def test_all_extreme_ffn_faults_detected_and_corrected(self, campaign_results):
-        assert DetectionCorrectionCampaign.all_corrected(campaign_results)
+        assert all_corrected(campaign_results)
         assert len(campaign_results) == 6
         assert all(r.trials == NUM_TRIALS for r in campaign_results)
 
@@ -353,16 +351,14 @@ class TestFlipKinds:
 
     def test_campaign_mix_reports_per_kind_counters(self):
         model = make_bert()
-        campaign = DetectionCorrectionCampaign(
-            model,
-            make_batch(model, batch=2),
+        harness = FaultHarness(
+            model, make_batch(model, batch=2), "protected",
             checker_config=ATTNCheckerConfig(protect_scope="attention+ffn"),
-            rng=np.random.default_rng(6),
         )
         weights = {"exponent_msb": 1.0, "mantissa_lsb": 1.0,
                    "adjacent_double_bit": 1.0, "stuck_zero": 1.0}
-        (result,) = campaign.run(
-            matrices=("H",), error_types=("near_inf",), trials=8,
+        (result,) = harness.cells(
+            [("H", "near_inf")], trials=8, rng=np.random.default_rng(6),
             flip_kind_weights=weights,
         )
         assert result.flip_kind_mix == {k: 0.25 for k in weights}
@@ -371,26 +367,34 @@ class TestFlipKinds:
         # mantissa flip is benign by construction and goes unnoticed.
         for kind in ("exponent_msb", "adjacent_double_bit", "stuck_zero"):
             if result.trials_by_kind.get(kind):
-                assert result.detection_rate_for_kind(kind) == 1.0
-                assert result.correction_rate_for_kind(kind) == 1.0
+                assert result.kind_rate("detected", kind) == 1.0
+                assert result.kind_rate("corrected", kind) == 1.0
         if result.trials_by_kind.get("mantissa_lsb"):
-            assert result.detected_by_kind["mantissa_lsb"] == 0
+            assert result.count("detected", "mantissa_lsb") == 0
 
     def test_default_campaign_replays_historically(self):
         """No mix -> no extra RNG draws: results identical to a run built on
         the same seed before the flip-kind taxonomy existed."""
         def run(**kwargs):
             model = make_bert()
-            campaign = DetectionCorrectionCampaign(
-                model, make_batch(model, batch=2),
-                rng=np.random.default_rng(9),
-            )
-            results = campaign.run(matrices=("AS",), error_types=("near_inf",),
-                                   trials=2, **kwargs)
-            return [(r.detected, r.corrected, r.output_matches_reference)
+            harness = FaultHarness(model, make_batch(model, batch=2), "protected")
+            results = harness.cells([("AS", "near_inf")], trials=2,
+                                    rng=np.random.default_rng(9), **kwargs)
+            return [(r.count("detected"), r.count("corrected"), r.count("matches"))
+                    + tuple(t.injection.position for t in r.outcomes)
                     for r in results]
 
         assert run() == run(flip_kind_weights=None)
+
+    def test_mix_rejects_unknown_or_empty_weights(self):
+        model = make_bert()
+        harness = FaultHarness(model, make_batch(model, batch=2), "protected")
+        with pytest.raises(KeyError):
+            harness.cells([("H", "near_inf")], trials=1, rng=np.random.default_rng(0),
+                          flip_kind_weights={"sign_bit": 1.0})
+        with pytest.raises(ValueError):
+            harness.cells([("H", "near_inf")], trials=1, rng=np.random.default_rng(0),
+                          flip_kind_weights={"stuck_zero": 0.0})
 
 
 class TestOptimizerStateChecksum:
